@@ -14,14 +14,11 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import evalgen, matcher
-from .encoders import ENCODER_KINDS, Encoder, EncoderConfig
-from .hetgraph import (HeteroGraph, SELF_EDGE_TYPE, build_inverted_index,
-                       load_graph, load_metapaths, save_graph)
-from .matcher import (MatchingHead, SiameseModel, TrainConfig, load_model,
-                      save_model)
+from .encoders import ENCODER_KINDS
+from .hetgraph import (HeteroGraph, Metapath, build_inverted_index, load_graph,
+                       save_graph)
+from .matcher import TrainConfig, load_model, save_model
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, TextSnippet,
                          augment_query_graph)
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
@@ -102,22 +99,6 @@ def _load_snippets(path) -> list[TextSnippet]:
             for i, d in enumerate(data)]
 
 
-def _build_model(kb: HeteroGraph, feature_dim: int, opts: dict) -> SiameseModel:
-    metapaths = []
-    if opts.get("metapaths"):
-        from .hetgraph import Metapath
-        metapaths = [Metapath.parse(m) for m in opts["metapaths"]]
-    elif opts["encoder"] == "magnn":
-        metapaths = evalgen.schema_metapaths(kb.schema)
-    cfg = EncoderConfig(kind=opts["encoder"], num_layers=int(opts["layers"]),
-                        dim=int(opts["dim"]), heads=int(opts["heads"]),
-                        dropout=float(opts["dropout"]), metapaths=metapaths,
-                        seed=int(opts["seed"]))
-    encoder = Encoder(cfg, feature_dim, kb.node_types,
-                      set(kb.edge_types) | {SELF_EDGE_TYPE})
-    return SiameseModel(encoder, MatchingHead("dot", cfg.dim, seed=cfg.seed))
-
-
 def _train_config(opts: dict) -> TrainConfig:
     cfg = TrainConfig(seed=int(opts["seed"]))
     for key in ("epochs", "patience", "negatives_per_positive"):
@@ -183,8 +164,9 @@ def cmd_gen_synth(args) -> int:
     if args.snippets is not None:
         cfg.snippets = args.snippets
     corpus = evalgen.generate_synthetic_kb(cfg)
-    corpus.save(args.out)
     write_bundle(args.out, corpus.kb, corpus.store, corpus.freqs)
+    with open(os.path.join(args.out, "snippets.json"), "w", encoding="utf-8") as fh:
+        json.dump([s.to_json() for s in corpus.snippets], fh, indent=2)
     log.info("generated %d nodes, %d snippets into %s",
              len(corpus.kb), len(corpus.snippets), args.out)
     return 0
@@ -202,7 +184,11 @@ def cmd_train(args) -> int:
                                   seed=int(opts["seed"]))
     by_id = {it.snippet_id: it for it in items}
     kb_feats = init_node_features(kb, store, freqs)
-    model = _build_model(kb, store.dim, opts)
+    metapaths = [Metapath.parse(m) for m in opts.get("metapaths") or []]
+    model = evalgen.build_model(
+        kb, store.dim, opts["encoder"], seed=int(opts["seed"]),
+        num_layers=int(opts["layers"]), dim=int(opts["dim"]), heads=int(opts["heads"]),
+        dropout=float(opts["dropout"]), metapaths=metapaths or None)
     result = matcher.train(model, kb, kb_feats,
                            [by_id[s] for s in split.train],
                            [by_id[s] for s in split.validation],
@@ -224,7 +210,8 @@ def cmd_eval(args) -> int:
     kb_feats = init_node_features(kb, store, freqs)
     predictions = evalgen.predict_batch(model, kb, kb_feats, items)
     gold = {it.snippet_id: it.gold for it in items}
-    report = evalgen.precision_recall_f1(predictions, gold)
+    report = evalgen.precision_recall_f1(predictions, gold,
+                                         evalgen.item_error_contexts(kb, items))
     json.dump(report.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -237,14 +224,16 @@ def cmd_disambiguate(args) -> int:
     snippets = _load_snippets(args.snippets)
     items = _snippet_items(kb, index, store, freqs, snippets, gold_required=False)
     kb_feats = init_node_features(kb, store, freqs)
+    ranked = matcher.rank_items(model, kb, kb_feats, items,
+                                [matcher.candidate_ids(kb, it) for it in items])
+    k = max(args.top_k, 0)
     out = []
-    for item in items:
-        ranked = matcher.disambiguate(model, kb, kb_feats, item.qgraph,
-                                      item.features, item.mention_node, args.top_k)
+    for item, (ids, scores) in zip(items, ranked):
         mention = item.qgraph.mentions[item.mention_node]
         out.append({"snippet": item.snippet_id, "mention": mention.surface,
                     "candidates": [{"id": nid, "name": kb.node(nid).surface,
-                                    "score": score} for nid, score in ranked]})
+                                    "score": score}
+                                   for nid, score in zip(ids[:k], scores[:k].tolist())]})
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -35,7 +35,6 @@ class EncoderConfig:
     num_layers: int = 2
     dim: int = 128
     heads: int = 2
-    attn_dim: int = 128
     dropout: float = 0.5
     metapaths: list[Metapath] = field(default_factory=list)
     leaky_slope: float = 0.01
@@ -63,6 +62,7 @@ class EncoderConfig:
                                  for m in data["metapaths"]]
         if "layers" in data:
             data["num_layers"] = data.pop("layers")
+        data.pop("attn_dim", None)          # written by older manifests, never read
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -92,32 +92,17 @@ def _positions(graph: HeteroGraph) -> dict[int, int]:
     return cache["pos"]
 
 
-def _mean_adjacency(graph: HeteroGraph) -> sp.csr_matrix:
-    """Row v holds 1/|N_v| over all-relation neighbors; zero row if isolated."""
-    cache = _graph_cache(graph)
-    if "mean_adj" not in cache:
-        pos = _positions(graph)
-        n = len(graph)
-        rows, cols, vals = [], [], []
-        for nid in graph.node_ids:
-            neigh = sorted(graph.neighbors(nid))
-            for u in neigh:
-                rows.append(pos[nid])
-                cols.append(pos[u])
-                vals.append(1.0 / len(neigh))
-        cache["mean_adj"] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return cache["mean_adj"]
-
-
-def _relation_adjacency(graph: HeteroGraph, relation: str) -> sp.csr_matrix:
-    """Row v holds 1/c_{v,r} over N_v^r with c_{v,r} = |N_v^r|."""
+def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> sp.csr_matrix:
+    """Row v holds 1/|N_v^r| over N_v^r, the neighbors through `relation`
+    (through every relation when it is None); zero row if there are none."""
     cache = _graph_cache(graph).setdefault("rel_adj", {})
     if relation not in cache:
         pos = _positions(graph)
         n = len(graph)
         rows, cols, vals = [], [], []
         for nid in graph.node_ids:
-            neigh = sorted(graph.neighbors_by_relation(nid, relation))
+            neigh = sorted(graph.neighbors(nid) if relation is None
+                           else graph.neighbors_by_relation(nid, relation))
             for u in neigh:
                 rows.append(pos[nid])
                 cols.append(pos[u])
@@ -296,7 +281,7 @@ class Encoder:
         return x
 
     def _graphsage_layer(self, graph, x, k) -> Tensor:
-        agg = ndiff.sparse_matmul(_mean_adjacency(graph), x)
+        agg = ndiff.sparse_matmul(_relation_adjacency(graph, None), x)
         cat = ndiff.concat([x, agg], axis=1)
         return ndiff.elu(ndiff.matmul(cat, self._params[f"graphsage.W[{k}]"]))
 
@@ -369,17 +354,7 @@ class Encoder:
         return ndiff.scatter_rows(x, np.array(covered, dtype=np.int64), fused)
 
 
-# -- spec-level layer operations (thin wrappers used by tests) -------------
-
-def encode_metapath_instance(w_p: Parameter, instance_features) -> Tensor:
-    """Mean of node vectors along one instance, then the instance matrix."""
-    feats = Tensor(np.atleast_2d(np.asarray(instance_features, dtype=np.float64)))
-    if feats.shape[0] == 0:
-        raise EncoderError("empty metapath instance")
-    mean = ndiff.reshape(ndiff.mean_rows(feats), (1, -1))
-    return ndiff.matmul(mean, w_p)
-
-
 def build_encoder_for_graph(config: EncoderConfig, graph: HeteroGraph,
                             feature_dim: int) -> Encoder:
+    """Encoder registered for exactly the node and edge types of `graph`."""
     return Encoder(config, feature_dim, graph.node_types, graph.edge_types)

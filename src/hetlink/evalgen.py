@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcher as matcher_mod
-from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, Schema,
-                       SELF_EDGE_TYPE, build_inverted_index, tokenize)
+from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
+                       Schema, SELF_EDGE_TYPE, build_inverted_index, tokenize)
 from .matcher import (MatchingHead, SiameseModel, TrainConfig, TrainItem,
-                      build_query_batch, candidate_ids)
-from .encoders import Encoder, EncoderConfig
+                      candidate_ids, order_by_score, rank_items)
+from .encoders import Encoder, EncoderConfig, _positions
 from .querygraph import (GoldMentionExtractor, Mention, TextSnippet,
                          augment_query_graph, fully_connected_query_graph)
 from .termembed import (FrequencyTable, SifConfig, WordVectorStore,
@@ -92,6 +92,19 @@ def _attribute_error(ctx: ErrorContext) -> str:
     if ctx.mention_degree <= 1:
         return "insufficient-structure"
     return "similar-nodes"
+
+
+def item_error_contexts(kb: HeteroGraph,
+                        items: list[TrainItem]) -> dict[str, ErrorContext]:
+    """Per snippet id: the gold node's type, the types inferred for the
+    mention, and the mention's non-self degree in its query graph."""
+    contexts = {}
+    for it in items:
+        degree = sum(1 for e in it.qgraph.graph.edges
+                     if e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst))
+        contexts[it.snippet_id] = ErrorContext(
+            kb.node(it.gold).type, it.qgraph.inferred_types.get(it.mention_node, ()), degree)
+    return contexts
 
 
 def precision_recall_f1(predictions: dict, gold: dict,
@@ -201,16 +214,6 @@ class SynthCorpus:
             if not self.index.lookup(m.surface):
                 return m
         raise EvalGenError(f"snippet {snippet.id} has no ambiguous mention")
-
-    def save(self, outdir) -> None:
-        import os
-        from .hetgraph import save_graph
-        os.makedirs(outdir, exist_ok=True)
-        save_graph(self.kb, os.path.join(outdir, "nodes.tsv"),
-                   os.path.join(outdir, "edges.tsv"))
-        with open(os.path.join(outdir, "snippets.json"), "w", encoding="utf-8") as fh:
-            json.dump([s.to_json() for s in self.snippets], fh, indent=2)
-        self.store.save(os.path.join(outdir, "wordvecs.txt"))
 
 
 _CONSONANTS = "bdfgklmnprstvz"
@@ -449,21 +452,28 @@ def corpus_items(corpus: SynthCorpus, snippet_ids, query_builder: str = "augment
     return items
 
 
-def make_model(corpus: SynthCorpus, kind: str, seed: int = 0, num_layers: int = 2,
-               dim: int = 128, heads: int = 2, dropout: float = 0.5,
-               head: str = "dot", metapaths=None, fc_mode: bool = False,
-               identity_residual: bool = True) -> SiameseModel:
-    from .hetgraph import RELATED_EDGE_TYPE
+def build_model(kb: HeteroGraph, feature_dim: int, kind: str, seed: int = 0,
+                num_layers: int = 2, dim: int = 128, heads: int = 2,
+                dropout: float = 0.5, metapaths=None, fc_mode: bool = False,
+                identity_residual: bool = True) -> SiameseModel:
+    """Siamese model over `kb`'s types.  MAGNN defaults to the schema's
+    metapaths; fc_mode also registers the fully connected query graphs'
+    generic edge type."""
     if metapaths is None and kind == "magnn":
-        metapaths = schema_metapaths(corpus.kb.schema)
+        metapaths = schema_metapaths(kb.schema)
     cfg = EncoderConfig(kind=kind, num_layers=num_layers, dim=dim, heads=heads,
                         dropout=dropout, metapaths=metapaths or [], seed=seed,
                         identity_residual=identity_residual)
-    edge_types = set(corpus.kb.edge_types) | {SELF_EDGE_TYPE}
+    edge_types = set(kb.edge_types) | {SELF_EDGE_TYPE}
     if fc_mode:
         edge_types.add(RELATED_EDGE_TYPE)
-    encoder = Encoder(cfg, corpus.store.dim, corpus.kb.node_types, edge_types)
-    return SiameseModel(encoder, MatchingHead(head, dim, seed=seed))
+    encoder = Encoder(cfg, feature_dim, kb.node_types, edge_types)
+    return SiameseModel(encoder, MatchingHead())
+
+
+def make_model(corpus: SynthCorpus, kind: str, **options) -> SiameseModel:
+    """build_model over a synthetic corpus's KB and word-vector dimension."""
+    return build_model(corpus.kb, corpus.store.dim, kind, **options)
 
 
 def lexical_candidates(kb: HeteroGraph, item: TrainItem) -> list[int]:
@@ -495,19 +505,9 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
     every type-compatible KB node, "lexical" narrows to token overlap."""
     if candidates not in ("type", "lexical"):
         raise EvalGenError(f"unknown candidate mode {candidates!r}")
-    batch = build_query_batch(items, model.encoder.feature_dim)
-    kb_pos = {nid: i for i, nid in enumerate(kb.node_ids)}
-    kb_emb = model.encoder.encode(kb, kb_feats).data
-    q_emb = model.encoder.encode(batch.graph, batch.features).data
-    out: dict[str, list[int]] = {}
-    for item, mid in zip(items, batch.mention_ids):
-        cands = (lexical_candidates(kb, item) if candidates == "lexical"
-                 else candidate_ids(kb, item))
-        pos = np.array([kb_pos[c] for c in cands], dtype=np.int64)
-        scores = model.head.score_one_vs_many(q_emb[mid], kb_emb[pos])
-        order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
-        out[item.snippet_id] = [cands[i] for i in order]
-    return out
+    pool_of = lexical_candidates if candidates == "lexical" else candidate_ids
+    ranked = rank_items(model, kb, kb_feats, items, [pool_of(kb, it) for it in items])
+    return {it.snippet_id: ids for it, (ids, _) in zip(items, ranked)}
 
 
 def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainItem],
@@ -517,14 +517,7 @@ def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainIt
         kb_feats = kb_features(corpus)
     predictions = predict_batch(model, corpus.kb, kb_feats, items, candidates)
     gold = {it.snippet_id: it.gold for it in items}
-    contexts = {}
-    for it in items:
-        degree = sum(1 for e in it.qgraph.graph.edges
-                     if e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst))
-        contexts[it.snippet_id] = ErrorContext(
-            corpus.kb.node(it.gold).type,
-            it.qgraph.inferred_types.get(it.mention_node, ()), degree)
-    return precision_recall_f1(predictions, gold, contexts)
+    return precision_recall_f1(predictions, gold, item_error_contexts(corpus.kb, items))
 
 
 def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
@@ -532,18 +525,16 @@ def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
     """Term-embedding nearest neighbor on the mention surface alone."""
     if kb_feats is None:
         kb_feats = kb_features(corpus)
-    kb_pos = {nid: i for i, nid in enumerate(corpus.kb.node_ids)}
+    pos = _positions(corpus.kb)
     out = {}
     for it in items:
         mention = it.qgraph.mentions[it.mention_node]
         vec = term_embedding(mention.surface, corpus.store, corpus.freqs)
         cands = candidate_ids(corpus.kb, it)
-        mat = kb_feats[[kb_pos[c] for c in cands]]
+        mat = kb_feats[[pos[c] for c in cands]]
         norms = np.linalg.norm(mat, axis=1) * (np.linalg.norm(vec) or 1.0)
         norms[norms == 0] = 1.0
-        scores = mat @ vec / norms
-        order = sorted(range(len(cands)), key=lambda i: (-scores[i], cands[i]))
-        out[it.snippet_id] = [cands[i] for i in order]
+        out[it.snippet_id], _ = order_by_score(cands, mat @ vec / norms)
     return out
 
 

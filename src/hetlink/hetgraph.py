@@ -410,11 +410,6 @@ def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) 
     return InvertedIndex(entries)
 
 
-def lookup_mention(index: InvertedIndex, surface: str) -> set[int]:
-    """Exact normalized match; many hits means the mention is ambiguous."""
-    return index.lookup(surface)
-
-
 # -- TSV / config file formats ---------------------------------------------
 
 def load_nodes_tsv(path) -> list[tuple]:

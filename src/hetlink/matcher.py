@@ -1,5 +1,5 @@
 """Siamese matcher: shared-parameter encoding of KB and query graphs,
-matching heads, the pair loss, the training loop, and ranked disambiguation.
+the matching head, the pair loss, the training loop, and ranked disambiguation.
 
 Both "towers" are literally the same Encoder object, so weight sharing is
 structural rather than a synchronization concern.
@@ -8,18 +8,16 @@ structural rather than a synchronization concern.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ndiff
-from .encoders import Encoder, EncoderConfig
+from .encoders import Encoder, EncoderConfig, _positions
 from .hetgraph import HeteroGraph
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler
 from .querygraph import QueryGraph
-
-HEAD_KINDS = ("dot", "mlp1", "bilinear")
 
 
 class MatcherError(Exception):
@@ -27,30 +25,18 @@ class MatcherError(Exception):
 
 
 class MatchingHead:
-    """Scores a pair of embeddings: dot product, bilinear form, or a
-    one-hidden-layer MLP on the concatenation.
+    """Temperature-scaled cosine similarity of a pair of embeddings.
 
-    The dot head works on unit-normalized rows with a learnable temperature:
-    unbounded logits otherwise let the optimizer memorize training pairs
-    instead of learning a transferable similarity.
+    Rows are unit-normalized and scaled by a learnable temperature: unbounded
+    logits otherwise let the optimizer memorize training pairs instead of
+    learning a transferable similarity.  Model manifests name it "dot".
     """
 
-    def __init__(self, kind: str, dim: int, seed: int = 0, hidden: int | None = None):
-        if kind not in HEAD_KINDS:
-            raise MatcherError(f"unknown matching head {kind!r}")
+    def __init__(self, kind: str = "dot"):
+        if kind != "dot":
+            raise MatcherError(f"unknown matching head {kind!r}; only 'dot' is supported")
         self.kind = kind
-        self.dim = dim
-        self.hidden = hidden or dim
-        self._params: dict[str, Parameter] = {}
-        rng = np.random.default_rng(seed)
-        if kind == "dot":
-            self._params["head.tau"] = Parameter(np.array([10.0]), "head.tau")
-        elif kind == "bilinear":
-            self._params["head.M"] = Parameter(ndiff.glorot(rng, (dim, dim)), "head.M")
-        elif kind == "mlp1":
-            self._params["head.W1"] = Parameter(ndiff.glorot(rng, (2 * dim, self.hidden)), "head.W1")
-            self._params["head.b1"] = Parameter(np.zeros(self.hidden), "head.b1")
-            self._params["head.w2"] = Parameter(ndiff.glorot(rng, (self.hidden, 1)), "head.w2")
+        self._params = {"head.tau": Parameter(np.array([10.0]), "head.tau")}
 
     def parameters(self) -> list[Parameter]:
         return [self._params[k] for k in sorted(self._params)]
@@ -59,22 +45,16 @@ class MatchingHead:
         """Row-wise logits for aligned (n, d) embedding pairs."""
         if h_u.shape != h_v.shape:
             raise MatcherError(f"embedding shape mismatch {h_u.shape} vs {h_v.shape}")
-        if self.kind == "dot":
-            cos = ndiff.sum_axis1(ndiff.mul(ndiff.l2_normalize_rows(h_u),
-                                            ndiff.l2_normalize_rows(h_v)))
-            return ndiff.mul(cos, self._params["head.tau"])
-        if self.kind == "bilinear":
-            return ndiff.sum_axis1(ndiff.mul(ndiff.matmul(h_u, self._params["head.M"]), h_v))
-        cat = ndiff.concat([h_u, h_v], axis=1)
-        hid = ndiff.elu(ndiff.add(ndiff.matmul(cat, self._params["head.W1"]),
-                                  ndiff.reshape(self._params["head.b1"], (1, -1))))
-        return ndiff.reshape(ndiff.matmul(hid, self._params["head.w2"]), (-1,))
+        cos = ndiff.sum_axis1(ndiff.mul(ndiff.l2_normalize_rows(h_u),
+                                        ndiff.l2_normalize_rows(h_v)))
+        return ndiff.mul(cos, self._params["head.tau"])
 
     def score_one_vs_many(self, h_u: np.ndarray, h_vs: np.ndarray) -> np.ndarray:
-        """Inference-only scoring of one query embedding against candidates."""
-        n = h_vs.shape[0]
-        hu = Tensor(np.repeat(h_u[None, :], n, axis=0))
-        return self.score_pairs(hu, Tensor(h_vs)).data.copy()
+        """Inference-only scores of one query embedding against candidates,
+        the same elementwise products and row sums as score_pairs."""
+        u = ndiff.l2_normalize_rows(h_u[None, :]).data
+        vs = ndiff.l2_normalize_rows(h_vs).data
+        return (u * vs).sum(axis=1) * self._params["head.tau"].data
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self._params.items()}
@@ -165,7 +145,6 @@ def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
     union = HeteroGraph()
     feats = []
     mention_ids = []
-    offset = 0
     for item in items:
         g = item.qgraph.graph
         remap = {}
@@ -175,7 +154,6 @@ def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
             union.add_edge(remap[e.src], remap[e.dst], e.type)
         feats.append(item.features)
         mention_ids.append(remap[item.mention_node])
-        offset += len(g)
     union.freeze()
     features = (np.concatenate(feats, axis=0) if feats
                 else np.zeros((0, feature_dim)))
@@ -215,29 +193,48 @@ class TrainResult:
                                  "val_f1": f"{row['val_f1']:.12g}"})
 
 
+def order_by_score(ids: list[int], scores: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """`ids` and their `scores` by descending score, ties by ascending id."""
+    order = np.lexsort((ids, -scores))
+    return [ids[i] for i in order], scores[order]
+
+
+def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_emb: np.ndarray,
+                    q_rows: np.ndarray,
+                    pools: list[list[int]]) -> list[tuple[list[int], np.ndarray]]:
+    """Rank each query row's KB candidate pool against the encoded KB.
+
+    Returns one (ids, scores) pair per query, best first, ties by id: the
+    single ranking step behind validation, eval and disambiguation."""
+    pos = _positions(kb)
+    return [order_by_score(pool, model.head.score_one_vs_many(
+                q, kb_emb[_positions_list(pos, pool)]))
+            for q, pool in zip(q_rows, pools)]
+
+
+def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
+               items: list[TrainItem],
+               pools: list[list[int]]) -> list[tuple[list[int], np.ndarray]]:
+    """Encode the KB once and every item in one QueryBatch, then rank each
+    item's candidate pool."""
+    batch = build_query_batch(items, model.encoder.feature_dim)
+    kb_emb = model.encoder.encode(kb, kb_features).data
+    q_emb = model.encoder.encode(batch.graph, batch.features).data
+    return rank_candidates(model, kb, kb_emb, q_emb[batch.mention_ids], pools)
+
+
 def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_emb: np.ndarray,
-                    batch: QueryBatch, q_emb: np.ndarray,
-                    kb_pos: dict[int, int]) -> float:
+                    batch: QueryBatch, q_emb: np.ndarray) -> float:
     if not batch.items:
         return 0.0
-    correct = 0
-    for item, mid in zip(batch.items, batch.mention_ids):
-        cands = candidate_ids(kb, item)
-        pos = _positions_list(kb_pos, cands)
-        scores = model.head.score_one_vs_many(q_emb[_row_of(batch, mid)], kb_emb[pos])
-        best = min(zip(-scores, cands))[1]
-        if best == item.gold:
-            correct += 1
+    ranked = rank_candidates(model, kb, kb_emb, q_emb[batch.mention_ids],
+                             [candidate_ids(kb, item) for item in batch.items])
+    correct = sum(ids[0] == item.gold for (ids, _), item in zip(ranked, batch.items))
     return correct / len(batch.items)
 
 
 def _positions_list(pos_map, ids):
     return np.array([pos_map[i] for i in ids], dtype=np.int64)
-
-
-def _row_of(batch: QueryBatch, global_id: int) -> int:
-    # union graph node ids are assigned densely in row order
-    return global_id
 
 
 def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
@@ -254,7 +251,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
     val_batch = build_query_batch(val_items, model.encoder.feature_dim)
-    kb_pos = {nid: i for i, nid in enumerate(kb.node_ids)}
+    kb_pos = _positions(kb)
     gold_pos = _positions_list(kb_pos, [it.gold for it in train_items])
 
     opt = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
@@ -309,14 +306,12 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
         opt.step()
 
         # validation metric (eval mode, no dropout)
-        q_eval = model.encoder.encode(batch.graph, batch.features).data
-        kb_eval = model.encoder.encode(kb, kb_features).data
         if val_batch.items:
+            kb_eval = model.encoder.encode(kb, kb_features).data
             v_eval = model.encoder.encode(val_batch.graph, val_batch.features).data
-            metric = _rank1_accuracy(model, kb, kb_eval, val_batch, v_eval, kb_pos)
+            metric = _rank1_accuracy(model, kb, kb_eval, val_batch, v_eval)
         else:
             metric = -loss_value
-        del q_eval
         history.append({"epoch": epoch, "loss": loss_value, "val_f1": max(metric, 0.0)})
 
         if metric > best_metric:
@@ -332,22 +327,15 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
 def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                  qgraph: QueryGraph, q_features: np.ndarray, mention_node: int,
-                 k: int, candidates: list[int] | None = None) -> list[tuple[int, float]]:
+                 k: int) -> list[tuple[int, float]]:
     """Top-k (node id, score) for one mention, descending score, ties by id."""
     if mention_node not in qgraph.graph:
         raise MatcherError(f"unknown mention node {mention_node}")
     if k <= 0:
         return []
-    if candidates is None:
-        item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
-        candidates = candidate_ids(kb, item)
-    kb_pos = {nid: i for i, nid in enumerate(kb.node_ids)}
-    h_q = model.encoder.encode(qgraph.graph, q_features, targets=[mention_node]).data[0]
-    kb_emb = model.encoder.encode(kb, kb_features).data
-    pos = _positions_list(kb_pos, candidates)
-    scores = model.head.score_one_vs_many(h_q, kb_emb[pos])
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i]))
-    return [(candidates[i], float(scores[i])) for i in order[:k]]
+    item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
+    [(ids, scores)] = rank_items(model, kb, kb_features, [item], [candidate_ids(kb, item)])
+    return list(zip(ids[:k], scores[:k].tolist()))
 
 
 # -- model persistence -----------------------------------------------------
@@ -358,7 +346,7 @@ def save_model(model: SiameseModel, directory, train_config: TrainConfig | None 
     manifest = {
         "encoder": {
             "kind": cfg.kind, "num_layers": cfg.num_layers, "dim": cfg.dim,
-            "heads": cfg.heads, "attn_dim": cfg.attn_dim, "dropout": cfg.dropout,
+            "heads": cfg.heads, "dropout": cfg.dropout,
             "metapaths": [m.label() for m in cfg.metapaths],
             "leaky_slope": cfg.leaky_slope, "seed": cfg.seed,
         },
@@ -385,7 +373,6 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     enc_cfg = EncoderConfig.from_dict(manifest["encoder"])
     encoder = Encoder(enc_cfg, manifest["feature_dim"],
                       manifest["node_types"], manifest["edge_types"])
-    head = MatchingHead(manifest["head"], enc_cfg.dim)
-    model = SiameseModel(encoder, head)
+    model = SiameseModel(encoder, MatchingHead(manifest.get("head")))
     model.load_state_dict(params)
     return model, manifest

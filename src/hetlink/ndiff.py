@@ -14,8 +14,6 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-DEBUG_CHECK_FINITE = False
-
 
 class NdiffError(Exception):
     pass
@@ -29,8 +27,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
         self.needs_grad = needs_grad
-        if DEBUG_CHECK_FINITE and not np.all(np.isfinite(self.data)):
-            raise NdiffError("non-finite values in tensor")
 
     @property
     def shape(self):

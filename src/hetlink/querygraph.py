@@ -182,29 +182,41 @@ def _unknown_types(mention: Mention, kb: HeteroGraph, matched_types: set[str]) -
     return tuple(sorted(out))
 
 
+def _mention_graph(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet,
+                   extractor) -> QueryGraph:
+    """Unfrozen query graph with one typed node per mention and no edges:
+    matched mentions first, then unknown ones with schema-inferred types."""
+    mentions = extract_mentions(snippet, extractor)
+    matched, unknown = match_mentions(mentions, index, kb)
+    matched_types = {t for _, _, types in matched for t in types}
+    nodes = matched + [
+        (m, frozenset(), _unknown_types(m, kb, matched_types) or tuple(sorted(kb.node_types)))
+        for m in unknown]
+    qg = QueryGraph(HeteroGraph())
+    for mention, candidates, types in nodes:
+        nid = qg.graph.add_node(types[0], mention.surface or "?")
+        qg.mentions[nid] = mention
+        qg.matches[nid] = candidates
+        qg.inferred_types[nid] = types
+    qg.unknown_nodes = tuple(qg.mentions)[len(matched):]
+    return qg
+
+
 def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
                         snippet: TextSnippet, extractor) -> QueryGraph:
     """Query graph with KB-derived typed edges and self-loops everywhere."""
     if not kb.frozen:
         raise QueryGraphError("KB must be frozen")
-    mentions = extract_mentions(snippet, extractor)
-    matched, unknown = match_mentions(mentions, index, kb)
-
-    g = HeteroGraph()
-    qg = QueryGraph(g)
-    matched_info: list[tuple[int, frozenset[int], tuple[str, ...]]] = []
-
-    for mention, candidates, types in matched:
-        nid = g.add_node(types[0], mention.surface or "?")
-        qg.mentions[nid] = mention
-        qg.matches[nid] = candidates
-        qg.inferred_types[nid] = types
-        matched_info.append((nid, candidates, types))
+    qg = _mention_graph(kb, index, snippet, extractor)
+    g = qg.graph
+    ids = sorted(qg.mentions)
+    matched = [nid for nid in ids if qg.matches[nid]]
 
     # KB-edge transfer between matched pairs (any candidate pair connected).
     added: set[tuple[int, int, str]] = set()
-    for i, (u_q, u_cands, _) in enumerate(matched_info):
-        for v_q, v_cands, _ in matched_info[i + 1:]:
+    for i, u_q in enumerate(matched):
+        for v_q in matched[i + 1:]:
+            u_cands, v_cands = qg.matches[u_q], qg.matches[v_q]
             for e in kb.edges:
                 if e.type == SELF_EDGE_TYPE:
                     continue
@@ -213,22 +225,14 @@ def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
                 elif e.src in v_cands and e.dst in u_cands:
                     added.add((v_q, u_q, e.type))
 
-    # Unknown mentions: infer types, connect via schema-compatible edge types.
-    matched_types = {t for _, _, types in matched_info for t in types}
-    unknown_ids: list[int] = []
-    for mention in unknown:
-        types = _unknown_types(mention, kb, matched_types)
-        if not types:
-            types = tuple(sorted(kb.node_types))
-        nid = g.add_node(types[0], mention.surface or "?")
-        qg.mentions[nid] = mention
-        qg.matches[nid] = frozenset()
-        qg.inferred_types[nid] = types
-        unknown_ids.append(nid)
-        for v_q in sorted(qg.mentions):
+    # Unknown mentions: connect to every other mention through schema-
+    # compatible edge types.  The wiring of a pair is symmetric, so an
+    # unknown-unknown pair yields the same edges from either end.
+    for nid in qg.unknown_nodes:
+        for v_q in ids:
             if v_q == nid:
                 continue
-            for t_u in types:
+            for t_u in qg.inferred_types[nid]:
                 for t_v in qg.inferred_types[v_q]:
                     for (src, etype, dst) in kb.schema.connecting(t_u, t_v):
                         if src == t_v and dst == t_u:
@@ -238,34 +242,17 @@ def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
 
     for src, dst, etype in sorted(added):
         g.add_edge(src, dst, etype)
-    for nid in sorted(qg.mentions):
+    for nid in ids:
         g.add_edge(nid, nid, SELF_EDGE_TYPE)
     g.freeze()
-    qg.unknown_nodes = tuple(unknown_ids)
     return qg
 
 
 def fully_connected_query_graph(kb: HeteroGraph, index: InvertedIndex,
                                 snippet: TextSnippet, extractor) -> QueryGraph:
     """Untyped baseline: every mention pair connected by a generic edge."""
-    mentions = extract_mentions(snippet, extractor)
-    matched, unknown = match_mentions(mentions, index, kb)
-    g = HeteroGraph()
-    qg = QueryGraph(g)
-    for mention, candidates, types in matched:
-        nid = g.add_node(types[0], mention.surface or "?")
-        qg.mentions[nid] = mention
-        qg.matches[nid] = candidates
-        qg.inferred_types[nid] = types
-    unknown_ids = []
-    matched_types = {t for nid in qg.mentions for t in qg.inferred_types[nid]}
-    for mention in unknown:
-        types = _unknown_types(mention, kb, matched_types) or tuple(sorted(kb.node_types))
-        nid = g.add_node(types[0], mention.surface or "?")
-        qg.mentions[nid] = mention
-        qg.matches[nid] = frozenset()
-        qg.inferred_types[nid] = types
-        unknown_ids.append(nid)
+    qg = _mention_graph(kb, index, snippet, extractor)
+    g = qg.graph
     ids = sorted(qg.mentions)
     for i, u in enumerate(ids):
         for v in ids[i + 1:]:
@@ -274,5 +261,4 @@ def fully_connected_query_graph(kb: HeteroGraph, index: InvertedIndex,
     for nid in ids:
         g.add_edge(nid, nid, SELF_EDGE_TYPE)
     g.freeze()
-    qg.unknown_nodes = tuple(unknown_ids)
     return qg

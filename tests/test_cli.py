@@ -68,6 +68,15 @@ def test_eval_reports_metrics_json(workdir, capsys):
     assert 1 <= report["n_gold"] <= SMALL_GEN["snippets"]
 
 
+def test_eval_attributes_every_error(workdir, capsys):
+    assert main(["eval", "--bundle", str(workdir / "corpus"),
+                 "--model", str(workdir / "model"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_correct"] < report["n_gold"]
+    assert sum(report["errors"].values()) == report["n_gold"] - report["n_correct"]
+
+
 def test_disambiguate_ranks_candidates(workdir, capsys):
     snippets = json.loads((workdir / "corpus" / "snippets.json").read_text())
     one = workdir / "one.json"

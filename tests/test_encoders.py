@@ -13,7 +13,6 @@ from hetlink.encoders import (
     EncoderConfig,
     EncoderError,
     build_encoder_for_graph,
-    encode_metapath_instance,
 )
 from hetlink.hetgraph import HeteroGraph, Metapath
 
@@ -56,7 +55,8 @@ def test_config_magnn_needs_metapaths_and_divisible_heads():
 
 
 def test_config_from_dict_parses_metapaths_and_layers_alias():
-    cfg = EncoderConfig.from_dict({"kind": "magnn", "layers": 3,
+    # attn_dim: a key older model manifests carry, dropped on load
+    cfg = EncoderConfig.from_dict({"kind": "magnn", "layers": 3, "attn_dim": 128,
                                    "metapaths": ["Drug-CAUSE-AdverseEffect"]})
     assert cfg.num_layers == 3
     assert cfg.metapaths[0].node_types == ("Drug", "AdverseEffect")
@@ -131,15 +131,6 @@ def test_magnn_layer_matches_manual_numpy(toy_kb, daf_metapath):
                            for inst in insts])
         expected[i] = _elu(h_inst.mean(axis=0))   # uniform alpha, single path
     np.testing.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_encode_metapath_instance_is_mean_then_projection():
-    w = np.arange(12, dtype=float).reshape(3, 4)
-    feats = np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
-    from hetlink.ndiff import Parameter
-
-    out = encode_metapath_instance(Parameter(w, "w"), feats).data
-    np.testing.assert_allclose(out, feats.mean(axis=0)[None, :] @ w)
 
 
 def test_identity_residual_untrained_graphsage_averages_neighbors(toy_kb):

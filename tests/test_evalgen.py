@@ -212,12 +212,6 @@ def test_single_token_mentions_resolve_to_twin_pairs(small_corpus):
     assert seen > 0
 
 
-def test_corpus_save_writes_expected_files(small_corpus, tmp_path):
-    small_corpus.save(tmp_path)
-    for name in ("nodes.tsv", "edges.tsv", "snippets.json", "wordvecs.txt"):
-        assert (tmp_path / name).exists(), name
-
-
 def test_lexical_candidates_share_a_token_and_keep_type(small_corpus):
     ids = [s.id for s in small_corpus.snippets[:10]]
     items = evalgen.corpus_items(small_corpus, ids)

@@ -1,11 +1,13 @@
-"""Tests for the Siamese matcher: heads, loss, training loop, persistence."""
+"""Tests for the Siamese matcher: head, loss, training loop, ranking,
+persistence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hetlink import evalgen
+from hetlink import cli, evalgen
 from hetlink.matcher import (
     MatcherError,
     MatchingHead,
@@ -15,11 +17,14 @@ from hetlink.matcher import (
     candidate_ids,
     disambiguate,
     load_model,
+    order_by_score,
     pair_loss,
     save_model,
     train,
 )
+from hetlink.hetgraph import build_inverted_index
 from hetlink.ndiff import Tensor
+from hetlink.termembed import init_node_features
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +48,7 @@ def mini():
 
 
 def test_dot_head_is_temperature_scaled_cosine():
-    head = MatchingHead("dot", dim=4)
+    head = MatchingHead()
     u = np.array([[3.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
     v = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
     scores = head.score_pairs(Tensor(u), Tensor(v)).data
@@ -51,40 +56,23 @@ def test_dot_head_is_temperature_scaled_cosine():
     np.testing.assert_allclose(scores, tau * np.array([1.0, 0.0]), atol=1e-12)
 
 
-def test_bilinear_head_matches_quadratic_form():
-    head = MatchingHead("bilinear", dim=3, seed=2)
-    M = head.state_dict()["head.M"]
-    rng = np.random.default_rng(0)
-    u, v = rng.standard_normal((2, 5, 3))
-    scores = head.score_pairs(Tensor(u), Tensor(v)).data
-    np.testing.assert_allclose(scores, np.einsum("ni,ij,nj->n", u, M, v))
-
-
-def test_mlp_head_produces_finite_scalar_per_pair():
-    head = MatchingHead("mlp1", dim=4, seed=1)
-    rng = np.random.default_rng(1)
-    scores = head.score_pairs(Tensor(rng.standard_normal((6, 4))),
-                              Tensor(rng.standard_normal((6, 4)))).data
-    assert scores.shape == (6,)
-    assert np.all(np.isfinite(scores))
-
-
 def test_head_rejects_unknown_kind_and_shape_mismatch():
     with pytest.raises(MatcherError):
-        MatchingHead("cosine", dim=4)
-    head = MatchingHead("dot", dim=4)
+        MatchingHead("cosine")
+    head = MatchingHead()
     with pytest.raises(MatcherError):
         head.score_pairs(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))))
 
 
 def test_score_one_vs_many_agrees_with_score_pairs():
-    head = MatchingHead("bilinear", dim=3, seed=5)
+    head = MatchingHead()
+    head.load_state_dict({"head.tau": np.array([3.7])})
     rng = np.random.default_rng(2)
     q = rng.standard_normal(3)
     cands = rng.standard_normal((7, 3))
     many = head.score_one_vs_many(q, cands)
     pairs = head.score_pairs(Tensor(np.tile(q, (7, 1))), Tensor(cands)).data
-    np.testing.assert_allclose(many, pairs)
+    np.testing.assert_array_equal(many, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +224,15 @@ def test_train_requires_items(mini):
 # inference and persistence
 
 
+def test_order_by_score_breaks_ties_by_ascending_id():
+    ids = [9, 3, 7, 1, 5]
+    scores = np.array([0.5, 0.9, 0.5, -0.0, 0.0])
+    ranked, ranked_scores = order_by_score(ids, scores)
+    reference = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
+    assert ranked == [ids[i] for i in reference] == [3, 7, 9, 1, 5]
+    np.testing.assert_array_equal(ranked_scores, scores[reference])
+
+
 def test_disambiguate_ranks_descending_with_id_ties(mini):
     corpus = mini["corpus"]
     model = _tiny_model(mini)
@@ -271,3 +268,48 @@ def test_save_load_roundtrip_preserves_predictions(mini, tmp_path):
     assert before == after
     assert manifest["encoder"]["kind"] == "graphsage"
     assert manifest["train"]["sampler"] == "uniform"
+
+
+def test_load_model_rejects_other_head_kinds(mini, tmp_path):
+    save_model(_tiny_model(mini), tmp_path / "model")
+    path = tmp_path / "model" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["head"] = "bilinear"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(MatcherError, match="bilinear") as info:
+        load_model(tmp_path / "model")
+    assert "\n" not in str(info.value)
+
+
+def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
+    corpus = mini["corpus"]
+    model = _tiny_model(mini, seed=2)
+    items = mini["train"] + mini["val"]
+    k = 5
+    ranked = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items)
+    for item in items:
+        top = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
+                           item.features, item.mention_node, k)
+        assert [nid for nid, _ in top] == ranked[item.snippet_id][:k]
+
+    # the CLI ranks the same snippets, read back from a bundle, as eval does
+    bundle, model_dir = tmp_path / "bundle", tmp_path / "model"
+    cli.write_bundle(bundle, corpus.kb, corpus.store, corpus.freqs)
+    (bundle / "snippets.json").write_text(
+        json.dumps([s.to_json() for s in corpus.snippets]))
+    save_model(model, model_dir)
+    assert cli.main(["disambiguate", "--bundle", str(bundle), "--model", str(model_dir),
+                     "--snippets", str(bundle / "snippets.json"),
+                     "--top-k", str(k)]) == 0
+    served = {row["snippet"]: [c["id"] for c in row["candidates"]]
+              for row in json.loads(capsys.readouterr().out)}
+    kb, store, freqs = cli.read_bundle(bundle)
+    cli_items = cli._snippet_items(kb, build_inverted_index(kb), store, freqs,
+                                   cli._load_snippets(bundle / "snippets.json"),
+                                   gold_required=False)
+    loaded, _ = load_model(model_dir)
+    shared = evalgen.predict_batch(loaded, kb, init_node_features(kb, store, freqs),
+                                   cli_items)
+    assert served and set(served) == set(shared)
+    for sid, ids in served.items():
+        assert ids == shared[sid][:k]
