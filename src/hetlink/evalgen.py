@@ -335,14 +335,18 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
 
     by_type = {t: [n.id for n in kb.nodes() if n.type == t] for t in config.node_counts}
     for src_t, etype, dst_t, deg in config.triples:
+        dst_ids = np.array(by_type[dst_t])
         for src in by_type[src_t]:
             # a twin is always its lookalike's 1-hop neighbor, so the hard
             # sampler can surface it as a difficult negative
             forced = ([twin_of[src]] if src_t == dst_t == "Finding"
                       and src in twin_of else [])
-            choices = [n for n in by_type[dst_t] if n != src and n not in forced]
+            keep = dst_ids != src
+            for f in forced:
+                keep &= dst_ids != f
+            choices = dst_ids[keep]
             picks = rng.choice(len(choices), size=deg - len(forced), replace=False)
-            for dst in forced + [choices[i] for i in sorted(picks)]:
+            for dst in forced + [int(choices[i]) for i in sorted(picks)]:
                 kb.add_edge(src, dst, etype)
     kb.freeze()
     index = build_inverted_index(kb, acronym_rule=None)
@@ -541,7 +545,7 @@ def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
 def evaluate_text_baseline(corpus: SynthCorpus, items: list[TrainItem]) -> EvalReport:
     predictions = text_baseline_predictions(corpus, items)
     gold = {it.snippet_id: it.gold for it in items}
-    return precision_recall_f1(predictions, gold)
+    return precision_recall_f1(predictions, gold, item_error_contexts(corpus.kb, items))
 
 
 # -- benchmark -------------------------------------------------------------

@@ -135,6 +135,8 @@ class HeteroGraph:
         self._out: dict[tuple[int, str], list[int]] = {}
         self._in: dict[tuple[int, str], list[int]] = {}
         self._schema: Schema | None = None
+        self._sorted_ids: list[int] = []
+        self._ids_by_type: dict[str, list[int]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -203,6 +205,9 @@ class HeteroGraph:
                    for e in self._edges}
         triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
         self._schema = Schema(frozenset(triples))
+        self._sorted_ids = sorted(self._nodes)
+        for nid in self._sorted_ids:
+            self._ids_by_type.setdefault(self._nodes[nid].type, []).append(nid)
         self._frozen = True
         return self
 
@@ -220,6 +225,8 @@ class HeteroGraph:
 
     @property
     def node_ids(self) -> list[int]:
+        if self._frozen:
+            return list(self._sorted_ids)
         return sorted(self._nodes)
 
     @property
@@ -250,6 +257,8 @@ class HeteroGraph:
         return [self._nodes[i] for i in self.node_ids]
 
     def nodes_of_type(self, ntype: str) -> list[int]:
+        if self._frozen:
+            return list(self._ids_by_type.get(ntype, ()))
         return [i for i in self.node_ids if self._nodes[i].type == ntype]
 
     # -- neighborhoods -----------------------------------------------------

@@ -8,7 +8,7 @@ structural rather than a synchronization concern.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,12 +49,12 @@ class MatchingHead:
                                         ndiff.l2_normalize_rows(h_v)))
         return ndiff.mul(cos, self._params["head.tau"])
 
-    def score_one_vs_many(self, h_u: np.ndarray, h_vs: np.ndarray) -> np.ndarray:
-        """Inference-only scores of one query embedding against candidates,
-        the same elementwise products and row sums as score_pairs."""
+    def score_one_vs_many(self, h_u: np.ndarray, unit_vs: np.ndarray) -> np.ndarray:
+        """Inference-only scores of one query embedding against candidate rows
+        already scaled to unit norm (as kb_embeddings returns them), the same
+        elementwise products and row sums as score_pairs."""
         u = ndiff.l2_normalize_rows(h_u[None, :]).data
-        vs = ndiff.l2_normalize_rows(h_vs).data
-        return (u * vs).sum(axis=1) * self._params["head.tau"].data
+        return (u * unit_vs).sum(axis=1) * self._params["head.tau"].data
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {k: p.data.copy() for k, p in self._params.items()}
@@ -84,6 +84,9 @@ def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None,
 class SiameseModel:
     encoder: Encoder
     head: MatchingHead
+    # (encoder, kb, kb_features, encoder parameter values, unit KB rows) of
+    # the last kb_embeddings call that could be reused
+    _kb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[Parameter]:
         return self.encoder.parameters() + self.head.parameters()
@@ -199,35 +202,70 @@ def order_by_score(ids: list[int], scores: np.ndarray) -> tuple[list[int], np.nd
     return [ids[i] for i in order], scores[order]
 
 
-def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_emb: np.ndarray,
+def _frozen_array(a) -> bool:
+    """True when `a` and every array it views are read-only and the last of
+    them owns its memory, so no writeable array shares `a`'s values."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
+                  kb_features: np.ndarray) -> np.ndarray:
+    """The KB encoded in eval mode with unit-norm rows, in kb.node_ids order.
+
+    The result is memoised on the model and reused while the encoder, the
+    frozen `kb` object and the read-only `kb_features` array are the same
+    ones and the encoder's parameters are equal by value to those it was
+    computed with; a writeable `kb_features` array is encoded on every call."""
+    params = model.encoder.parameters()
+    if model._kb_memo is not None:
+        encoder, memo_kb, memo_features, values, unit = model._kb_memo
+        if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
+                and all(np.array_equal(p.data, v) for p, v in zip(params, values))):
+            return unit
+    # take .data first so the encode graph is freed before the rows are scaled
+    emb = model.encoder.encode(kb, kb_features).data
+    unit = ndiff.l2_normalize_rows(emb).data
+    unit.flags.writeable = False
+    if _frozen_array(kb_features):
+        model._kb_memo = (model.encoder, kb, kb_features,
+                          [p.data.copy() for p in params], unit)
+    return unit
+
+
+def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                     q_rows: np.ndarray,
                     pools: list[list[int]]) -> list[tuple[list[int], np.ndarray]]:
-    """Rank each query row's KB candidate pool against the encoded KB.
+    """Rank each query row's KB candidate pool against `kb_unit`, the unit-norm
+    KB rows of kb_embeddings.
 
     Returns one (ids, scores) pair per query, best first, ties by id: the
     single ranking step behind validation, eval and disambiguation."""
     pos = _positions(kb)
     return [order_by_score(pool, model.head.score_one_vs_many(
-                q, kb_emb[_positions_list(pos, pool)]))
+                q, kb_unit[_positions_list(pos, pool)]))
             for q, pool in zip(q_rows, pools)]
 
 
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                items: list[TrainItem],
                pools: list[list[int]]) -> list[tuple[list[int], np.ndarray]]:
-    """Encode the KB once and every item in one QueryBatch, then rank each
-    item's candidate pool."""
+    """Encode every item in one QueryBatch and rank each item's candidate
+    pool against the KB embeddings."""
     batch = build_query_batch(items, model.encoder.feature_dim)
-    kb_emb = model.encoder.encode(kb, kb_features).data
+    kb_unit = kb_embeddings(model, kb, kb_features)
     q_emb = model.encoder.encode(batch.graph, batch.features).data
-    return rank_candidates(model, kb, kb_emb, q_emb[batch.mention_ids], pools)
+    return rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids], pools)
 
 
-def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_emb: np.ndarray,
+def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                     batch: QueryBatch, q_emb: np.ndarray) -> float:
     if not batch.items:
         return 0.0
-    ranked = rank_candidates(model, kb, kb_emb, q_emb[batch.mention_ids],
+    ranked = rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids],
                              [candidate_ids(kb, item) for item in batch.items])
     correct = sum(ids[0] == item.gold for (ids, _), item in zip(ranked, batch.items))
     return correct / len(batch.items)
@@ -307,9 +345,9 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
         # validation metric (eval mode, no dropout)
         if val_batch.items:
-            kb_eval = model.encoder.encode(kb, kb_features).data
+            kb_unit = kb_embeddings(model, kb, kb_features)
             v_eval = model.encoder.encode(val_batch.graph, val_batch.features).data
-            metric = _rank1_accuracy(model, kb, kb_eval, val_batch, v_eval)
+            metric = _rank1_accuracy(model, kb, kb_unit, val_batch, v_eval)
         else:
             metric = -loss_value
         history.append({"epoch": epoch, "loss": loss_value, "val_f1": max(metric, 0.0)})

@@ -165,15 +165,25 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), back)
 
 
+def _row_sums(rows: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
+    """Row i of the result is the sum of `rows[j]` over segments[j] == i.
+
+    A CSR indicator product adds each segment's rows in index order, exactly
+    as np.add.at does, so the sums are bit-for-bit the same, at a fraction of
+    its time on 2-D rows."""
+    n = len(segments)
+    indicator = sp.csr_matrix((np.ones(n), (segments, np.arange(n))),
+                              shape=(num_segments, n))
+    return np.asarray(indicator @ rows)
+
+
 def gather_rows(a, idx) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64)
     out = a.data[idx]
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        return (ga,)
+        return (_row_sums(g, idx, a.shape[0]),)
     return _make(out, (a,), back)
 
 
@@ -195,8 +205,7 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
     """Sum rows of `a` grouped by segment id."""
     a = _as_tensor(a)
     segments = np.asarray(segments, dtype=np.int64)
-    out = np.zeros((num_segments,) + a.shape[1:])
-    np.add.at(out, segments, a.data)
+    out = _row_sums(a.data, segments, num_segments)
 
     def back(g):
         return (g[segments],)
@@ -316,13 +325,11 @@ def segment_softmax(logits, segments, num_segments: int) -> Tensor:
     maxes = np.full(num_segments, -np.inf)
     np.maximum.at(maxes, segments, a.data)
     e = np.exp(a.data - maxes[segments])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, segments, e)
+    denom = np.bincount(segments, weights=e, minlength=num_segments)
     out = e / denom[segments]
 
     def back(g):
-        dot = np.zeros(num_segments)
-        np.add.at(dot, segments, g * out)
+        dot = np.bincount(segments, weights=g * out, minlength=num_segments)
         return (out * (g - dot[segments]),)
     return _make(out, (a,), back)
 

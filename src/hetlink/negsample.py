@@ -132,6 +132,7 @@ class HardNegativeSampler:
         self.embeddings = embeddings
         self.use_names = use_names
         self._ranked: dict[int, list[NegativeCandidate]] = {}
+        self._ids = np.array(kb.node_ids, dtype=np.int64)
 
     def ranked(self, gold: int) -> list[NegativeCandidate]:
         if gold not in self._ranked:
@@ -159,12 +160,12 @@ class HardNegativeSampler:
         negatives = [c.node for c in top]
         provenance = ["hard"] * len(negatives)
         drop = set(negatives) | {gold} | exclude
-        remaining = [n for n in self.kb.node_ids if n not in drop]
+        remaining = self._ids[~np.isin(self._ids, list(drop))]
         fill = k - len(negatives)
         if fill > len(remaining):
             raise NegSampleError("KB too small to draw requested negatives")
         picks = rng.choice(len(remaining), size=fill, replace=False)
-        negatives += [remaining[i] for i in sorted(picks)]
+        negatives += [int(remaining[i]) for i in sorted(picks)]
         provenance += ["uniform"] * fill
         return negatives, provenance
 

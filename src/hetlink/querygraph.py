@@ -212,18 +212,23 @@ def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
     ids = sorted(qg.mentions)
     matched = [nid for nid in ids if qg.matches[nid]]
 
-    # KB-edge transfer between matched pairs (any candidate pair connected).
+    # KB-edge transfer between matched pairs (any candidate pair connected),
+    # walking each candidate's out-edges.  An edge that joins the pair both
+    # ways (its ends in both candidate sets) is transferred as u_q -> v_q only.
+    relations = kb.edge_types - {SELF_EDGE_TYPE}
+    out_edges = {nid: [(src, dst, r) for src in qg.matches[nid] for r in relations
+                       for dst in kb.out_neighbors(src, r)]
+                 for nid in matched}
     added: set[tuple[int, int, str]] = set()
     for i, u_q in enumerate(matched):
         for v_q in matched[i + 1:]:
             u_cands, v_cands = qg.matches[u_q], qg.matches[v_q]
-            for e in kb.edges:
-                if e.type == SELF_EDGE_TYPE:
-                    continue
-                if e.src in u_cands and e.dst in v_cands:
-                    added.add((u_q, v_q, e.type))
-                elif e.src in v_cands and e.dst in u_cands:
-                    added.add((v_q, u_q, e.type))
+            for src, dst, r in out_edges[u_q]:
+                if dst in v_cands:
+                    added.add((u_q, v_q, r))
+            for src, dst, r in out_edges[v_q]:
+                if dst in u_cands and not (src in u_cands and dst in v_cands):
+                    added.add((v_q, u_q, r))
 
     # Unknown mentions: connect to every other mention through schema-
     # compatible edge types.  The wiring of a pair is symmetric, so an

@@ -71,7 +71,7 @@ class WordVectorStore:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for tok in sorted(self._vectors):
-                floats = " ".join(repr(float(x)) for x in self._vectors[tok])
+                floats = " ".join(map(repr, self._vectors[tok].tolist()))
                 fh.write(f"{tok} {floats}\n")
 
 
@@ -86,7 +86,7 @@ def load_word_vectors(path, fallback_seed: int = 0) -> WordVectorStore:
                 continue
             tok, floats = parts[0], parts[1:]
             try:
-                vec = np.array([float(x) for x in floats], dtype=np.float64)
+                vec = np.array(list(map(float, floats)), dtype=np.float64)
             except ValueError:
                 raise TermEmbedError(f"{path}:{lineno}: unparsable float") from None
             if dim is None:
@@ -175,7 +175,9 @@ def term_embedding(term, store: WordVectorStore, freqs: FrequencyTable,
 
 def init_node_features(graph: HeteroGraph, store: WordVectorStore,
                        freqs: FrequencyTable, cfg: SifConfig = SifConfig()) -> np.ndarray:
-    """One row per node (in node-id order); explicit node features win."""
+    """One row per node (in node-id order); explicit node features win.
+
+    The array is read-only, so encodings computed from it can be reused."""
     if not graph.frozen:
         raise TermEmbedError("graph must be frozen")
     rows = []
@@ -188,7 +190,9 @@ def init_node_features(graph: HeteroGraph, store: WordVectorStore,
             rows.append(vec)
         else:
             rows.append(term_embedding(node.name, store, freqs, cfg))
-    return np.stack(rows) if rows else np.zeros((0, store.dim))
+    out = np.stack(rows) if rows else np.zeros((0, store.dim))
+    out.flags.writeable = False
+    return out
 
 
 def random_word_vectors(vocab, dim: int, seed: int = 0) -> WordVectorStore:

@@ -202,3 +202,42 @@ def test_metapath_instances_deterministic_and_typed(seed):
         for seq in inst:
             assert [g.node(n).type for n in seq] == list(path.node_types)
             assert seq[-1] == v
+
+
+def test_frozen_id_accessors_match_uncached_and_return_copies():
+    added = [(7, "Drug"), (2, "Finding"), (11, "Drug"), (0, "Symptom"), (5, "Finding")]
+    g = HeteroGraph()
+    for nid, ntype in added:
+        g.add_node(ntype, f"node {nid}", node_id=nid)
+
+    def expected():
+        by_type = {t: sorted(n for n, nt in added if nt == t) for _, t in added}
+        return sorted(n for n, _ in added), by_type
+
+    # an unfrozen graph sees nodes added after an earlier call
+    ids, by_type = expected()
+    assert g.node_ids == ids
+    assert g.nodes_of_type("Drug") == by_type["Drug"]
+    added.append((3, "Drug"))
+    g.add_node("Drug", "node 3", node_id=3)
+    ids, by_type = expected()
+    assert g.node_ids == ids
+    assert g.nodes_of_type("Drug") == by_type["Drug"]
+
+    g.freeze()
+    assert g.node_ids == ids
+    assert g.node_ids.index(11) == len(ids) - 1
+    for t, members in by_type.items():
+        assert g.nodes_of_type(t) == members
+    assert g.nodes_of_type("NoSuchType") == []
+    assert [n.id for n in g.nodes()] == ids
+
+    # mutating a returned list leaves the graph unchanged
+    g.node_ids.append(99)
+    got = g.node_ids
+    got.reverse()
+    g.nodes_of_type("Drug").clear()
+    g.nodes_of_type("NoSuchType").append(1)
+    assert g.node_ids == ids
+    assert g.nodes_of_type("Drug") == by_type["Drug"]
+    assert g.nodes_of_type("NoSuchType") == []

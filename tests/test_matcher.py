@@ -23,7 +23,7 @@ from hetlink.matcher import (
     train,
 )
 from hetlink.hetgraph import build_inverted_index
-from hetlink.ndiff import Tensor
+from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
 from hetlink.termembed import init_node_features
 
 
@@ -70,7 +70,7 @@ def test_score_one_vs_many_agrees_with_score_pairs():
     rng = np.random.default_rng(2)
     q = rng.standard_normal(3)
     cands = rng.standard_normal((7, 3))
-    many = head.score_one_vs_many(q, cands)
+    many = head.score_one_vs_many(q, l2_normalize_rows(cands).data)
     pairs = head.score_pairs(Tensor(np.tile(q, (7, 1))), Tensor(cands)).data
     np.testing.assert_array_equal(many, pairs)
 
@@ -313,3 +313,81 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     assert served and set(served) == set(shared)
     for sid, ids in served.items():
         assert ids == shared[sid][:k]
+
+
+# ---------------------------------------------------------------------------
+# KB embeddings computed once
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "rgcn", "magnn"])
+def test_kb_embedding_memo_gives_the_uncached_answer(mini, kind):
+    corpus = mini["corpus"]
+    kb, feats = corpus.kb, mini["kb_features"]
+    assert not feats.flags.writeable
+    item = mini["val"][0]
+
+    def build(seed=0):
+        return evalgen.make_model(corpus, kind, seed=seed, num_layers=1, dim=16)
+
+    def ask(model, features=feats):
+        return disambiguate(model, kb, features, item.qgraph, item.features,
+                            item.mention_node, 10)
+
+    def fresh(model, features=feats):
+        """The same weights in a model that has never encoded the KB."""
+        twin = build()
+        twin.load_state_dict(model.state_dict())
+        return ask(twin, features)
+
+    model = build()
+    encoded = []
+    encode = model.encoder.encode
+    model.encoder.encode = lambda graph, *a, **kw: (encoded.append(graph),
+                                                    encode(graph, *a, **kw))[1]
+    first = ask(model)
+    assert encoded.count(kb) == 1
+    assert ask(model) == first == fresh(model)          # a hit, bitwise
+    assert encoded.count(kb) == 1
+
+    model.load_state_dict(build(seed=1).state_dict())
+    answer = ask(model)
+    assert answer == fresh(model) and answer != first
+
+    previous = answer
+    for p in model.parameters():
+        p.grad[...] = 1.0
+    Adam(model.parameters(), lr=0.05).step()
+    answer = ask(model)
+    assert answer == fresh(model) and answer != previous
+
+    previous = answer
+    model.encoder.parameters()[0].data[...] *= 1.5
+    answer = ask(model)
+    assert answer == fresh(model) and answer != previous
+
+    previous = answer
+    other = feats[::-1].copy()
+    other.flags.writeable = False
+    answer = ask(model, other)
+    assert answer == fresh(model, other) and answer != previous
+    assert ask(model) == previous
+
+    # writeable arrays, and read-only views of them, are encoded every time
+    calls = encoded.count(kb)
+    for writeable in (True, False):
+        base = feats.copy()
+        features = base[:]
+        features.flags.writeable = writeable
+        before = ask(model, features)
+        base[...] = other
+        answer = ask(model, features)
+        assert answer == fresh(model, other) and answer != before
+    assert encoded.count(kb) == calls + 4
+
+
+def test_text_baseline_attributes_every_miss(mini):
+    corpus = mini["corpus"]
+    items = evalgen.corpus_items(corpus, [s.id for s in corpus.snippets])
+    report = evalgen.evaluate_text_baseline(corpus, items)
+    assert report.n_gold > report.n_correct
+    assert sum(report.error_counts.values()) == report.n_gold - report.n_correct

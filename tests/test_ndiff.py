@@ -122,6 +122,32 @@ def test_segment_sum_forward_oracle():
     np.testing.assert_allclose(out, [[2.0, 3.0], [10.0, 13.0]])
 
 
+@pytest.mark.parametrize("n, k", [(0, 3), (1, 1), (7, 4), (500, 37)])
+def test_segment_sums_equal_add_at_bitwise(n, k):
+    """segment_sum, gather_rows' gradient and segment_softmax add rows in
+    index order, so they equal the np.add.at loop bit for bit."""
+    rng = np.random.default_rng(n)
+    seg = rng.integers(0, k, n)
+    x = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+
+    ref = np.zeros((k, 5))
+    np.add.at(ref, seg, x)
+    assert ndiff.segment_sum(Tensor(x), seg, k).data.tobytes() == ref.tobytes()
+
+    p = Parameter(rng.standard_normal((k, 5)), "p")
+    backward(ndiff.sum_all(ndiff.mul(ndiff.gather_rows(p, seg), x)))
+    assert p.grad.tobytes() == ref.tobytes()
+
+    logits = x[:, 0]
+    maxes = np.full(k, -np.inf)
+    np.maximum.at(maxes, seg, logits)
+    e = np.exp(logits - maxes[seg])
+    denom = np.zeros(k)
+    np.add.at(denom, seg, e)
+    out = ndiff.segment_softmax(Tensor(logits), seg, k).data
+    assert out.tobytes() == (e / denom[seg]).tobytes()
+
+
 def test_grad_mean_rows_sum_axis1_sum_all():
     check_op(ndiff.mean_rows, RNG.standard_normal((4, 3)))
     check_op(ndiff.sum_axis1, RNG.standard_normal((4, 3)))

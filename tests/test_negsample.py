@@ -156,6 +156,12 @@ def test_hard_sampler_tops_up_with_uniform_when_few_neighbors(toy_kb, toy_emb):
     assert provenance.count("uniform") == 3
     assert gold not in negatives
     assert len(set(negatives)) == 4
+    # the uniform top-up draws what the list-based loop draws, as Python ints
+    top = [c.node for c in sampler.ranked(gold)]
+    remaining = [n for n in toy_kb.node_ids if n not in set(top) | {gold}]
+    picks = np.random.default_rng(0).choice(len(remaining), size=3, replace=False)
+    assert negatives == top + [remaining[i] for i in sorted(picks)]
+    assert all(type(n) is int for n in negatives)
 
 
 def test_hard_sampler_exclude_drops_known_false_negatives(toy_kb, toy_emb):

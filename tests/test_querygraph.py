@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from hetlink.hetgraph import RELATED_EDGE_TYPE, SELF_EDGE_TYPE
+from hetlink import evalgen
+from hetlink.hetgraph import (RELATED_EDGE_TYPE, SELF_EDGE_TYPE, HeteroGraph,
+                              build_inverted_index)
 from hetlink.querygraph import (
     GazetteerExtractor,
     GoldMentionExtractor,
@@ -208,3 +210,75 @@ def test_fully_connected_keeps_same_mentions(toy_kb, toy_index, arf_snippet):
     assert {m.surface for m in aug.mentions.values()} == \
         {m.surface for m in fc.mentions.values()}
     assert len(fc.unknown_nodes) == len(aug.unknown_nodes)
+
+
+# ---------------------------------------------------------------------------
+# KB-edge transfer against the full edge scan
+
+
+def _scanned_kb_edges(kb, qg):
+    """The KB-edge transfer as a scan of every KB edge for every matched pair."""
+    matched = [nid for nid in sorted(qg.mentions) if qg.matches[nid]]
+    added = set()
+    for i, u_q in enumerate(matched):
+        for v_q in matched[i + 1:]:
+            u_cands, v_cands = qg.matches[u_q], qg.matches[v_q]
+            for e in kb.edges:
+                if e.type == SELF_EDGE_TYPE:
+                    continue
+                if e.src in u_cands and e.dst in v_cands:
+                    added.add((u_q, v_q, e.type))
+                elif e.src in v_cands and e.dst in u_cands:
+                    added.add((v_q, u_q, e.type))
+    return added
+
+
+def _transferred_kb_edges(qg):
+    """Query-graph edges between two matched mentions: only the KB-edge
+    transfer adds those (unknown-mention wiring always touches an unknown)."""
+    return {(e.src, e.dst, e.type) for e in qg.graph.edges
+            if e.src != e.dst and qg.matches[e.src] and qg.matches[e.dst]}
+
+
+def _assert_walk_matches_scan(kb, snippets):
+    multi_hit = 0
+    for index in (build_inverted_index(kb), build_inverted_index(kb, acronym_rule=None)):
+        for extractor in (GoldMentionExtractor(), GazetteerExtractor(index)):
+            for snippet in snippets:
+                qg = augment_query_graph(kb, index, snippet, extractor)
+                assert _transferred_kb_edges(qg) == _scanned_kb_edges(kb, qg)
+                multi_hit += any(len(c) > 1 for c in qg.matches.values())
+    return multi_hit
+
+
+def test_kb_edge_walk_matches_scan_on_toy_kb(toy_kb, arf_snippet):
+    snippets = [arf_snippet,
+                TextSnippet("t1", "Metformin causes Diarrhea with Fever"),
+                TextSnippet("t2", "Aspirin for headache, then nausea and ARF")]
+    assert _assert_walk_matches_scan(toy_kb, snippets) > 0   # "ARF" hits two nodes
+
+
+def test_kb_edge_walk_matches_scan_on_synthetic_snippets():
+    corpus = evalgen.generate_synthetic_kb(evalgen.SynthConfig(
+        node_counts={"Drug": 20, "AdverseEffect": 25, "Symptom": 20, "Finding": 40},
+        vocab_size=200, snippets=30, seed=3))
+    _assert_walk_matches_scan(corpus.kb, corpus.snippets)
+
+
+def test_kb_edge_joining_shared_candidates_transfers_one_way():
+    # "AB" twice: both mentions hit {alpha beta, alpha bravo}, whose edges
+    # join the two candidate sets in both directions at once
+    kb = HeteroGraph()
+    a = kb.add_node("T", "alpha beta")
+    b = kb.add_node("T", "alpha bravo")
+    kb.add_edge(a, b, "R")
+    kb.add_edge(b, a, "Q")
+    kb.add_edge(a, a, "L")
+    kb.freeze()
+    index = build_inverted_index(kb)
+    qg = augment_query_graph(kb, index, TextSnippet("s", "AB then AB"),
+                             GazetteerExtractor(index))
+    u_q, v_q = sorted(qg.mentions)
+    assert qg.matches[u_q] == qg.matches[v_q] == {a, b}
+    assert _transferred_kb_edges(qg) == _scanned_kb_edges(kb, qg) == \
+        {(u_q, v_q, "L"), (u_q, v_q, "Q"), (u_q, v_q, "R")}
