@@ -115,9 +115,21 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> sp.csr_matr
 class MetapathBatch:
     """Vectorized view of all instances of one metapath in one graph."""
     avg: sp.csr_matrix            # (instances, n) row-averaging matrix
-    target_pos: np.ndarray        # (instances,) row position of the target node
+    gather: sp.csr_matrix         # (instances, n) picks each instance's target row
     segments: np.ndarray          # (instances,) compact target index
+    indicator: sp.csr_matrix      # (num_targets, instances) segment_indicator(segments)
     covered_pos: np.ndarray       # (num_targets,) row positions with >= 1 instance
+
+
+@dataclass
+class FusionPlan:
+    """Inter-metapath fusion over the metapaths that have instances in a graph:
+    their intra-metapath rows are stacked in metapath order, then summed per
+    covered node."""
+    batches: list[tuple[str, MetapathBatch]]   # (label, batch), metapath order
+    covered_pos: np.ndarray       # row positions covered by any of them, ascending
+    segments: np.ndarray          # (stacked rows,) index into covered_pos
+    indicator: sp.csr_matrix      # segment_indicator(segments)
 
 
 def _metapath_batch(graph: HeteroGraph, path: Metapath) -> MetapathBatch:
@@ -143,14 +155,29 @@ def _metapath_batch(graph: HeteroGraph, path: Metapath) -> MetapathBatch:
                 cols.append(pos[nid])
                 vals.append(w)
         avg = sp.csr_matrix((vals, (rows, cols)), shape=(len(instances), n))
-        covered = sorted(set(targets))
-        compact = {p: i for i, p in enumerate(covered)}
+        covered, segments = np.unique(np.array(targets, dtype=np.int64),
+                                      return_inverse=True)
         cache[key] = MetapathBatch(
             avg=avg,
-            target_pos=np.array(targets, dtype=np.int64),
-            segments=np.array([compact[t] for t in targets], dtype=np.int64),
-            covered_pos=np.array(covered, dtype=np.int64),
+            gather=ndiff.segment_indicator(targets, n).T.tocsr(),
+            segments=segments,
+            indicator=ndiff.segment_indicator(segments, len(covered)),
+            covered_pos=covered,
         )
+    return cache[key]
+
+
+def _fusion_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> FusionPlan:
+    cache = _graph_cache(graph).setdefault("fusion", {})
+    key = tuple(path.label() for path in metapaths)
+    if key not in cache:
+        batches = [(path.label(), _metapath_batch(graph, path)) for path in metapaths
+                   if set(path.node_types) <= graph.node_types]
+        batches = [(label, b) for label, b in batches if b.avg.shape[0]]
+        positions = [np.zeros(0, dtype=np.int64)] + [b.covered_pos for _, b in batches]
+        covered, segments = np.unique(np.concatenate(positions), return_inverse=True)
+        cache[key] = FusionPlan(batches, covered, segments,
+                                ndiff.segment_indicator(segments, len(covered)))
     return cache[key]
 
 
@@ -311,18 +338,15 @@ class Encoder:
     def _magnn_layer(self, graph, x, k, collect) -> Tensor:
         cfg = self.config
         slope = cfg.leaky_slope
-        per_node: list[tuple[np.ndarray, Tensor]] = []   # (covered positions, rows)
-        for path in cfg.metapaths:
-            if not set(path.node_types) <= graph.node_types:
-                continue
-            batch = _metapath_batch(graph, path)
-            if batch.avg.shape[0] == 0:
-                continue
-            label = path.label()
+        plan = _fusion_plan(graph, cfg.metapaths)
+        if not plan.batches:
+            return x
+        intras = []
+        for label, batch in plan.batches:
             n_seg = len(batch.covered_pos)
             h_mean = ndiff.sparse_matmul(batch.avg, x)
             h_inst = ndiff.matmul(h_mean, self._params[f"magnn.W_p[{label}][{k}]"])
-            h_tgt = ndiff.gather_rows(x, batch.target_pos)
+            h_tgt = ndiff.sparse_matmul(batch.gather, x)
             cat = ndiff.concat([h_tgt, h_inst], axis=1)
             head_outs = []
             for h in range(cfg.heads):
@@ -334,24 +358,19 @@ class Encoder:
                         "intra", f"{label}/layer{k}/head{h}",
                         alpha.data.copy(), batch.segments.copy()))
                 weighted = ndiff.mul(ndiff.reshape(alpha, (-1, 1)), h_inst)
-                head_outs.append(ndiff.elu(ndiff.segment_sum(weighted, batch.segments, n_seg)))
-            intra = ndiff.concat(head_outs, axis=1)
-            per_node.append((batch.covered_pos, intra))
+                head_outs.append(ndiff.elu(ndiff.segment_sum(weighted, batch.indicator, n_seg)))
+            intras.append(ndiff.concat(head_outs, axis=1))
 
-        if not per_node:
-            return x
-        stacked = ndiff.concat([rows for _, rows in per_node], axis=0)
-        covered = sorted({int(p) for positions, _ in per_node for p in positions})
-        compact = {p: i for i, p in enumerate(covered)}
-        seg = np.concatenate([[compact[int(p)] for p in positions]
-                              for positions, _ in per_node]).astype(np.int64)
+        n_covered = len(plan.covered_pos)
+        stacked = ndiff.concat(intras, axis=0)
         logits = ndiff.leaky_relu(ndiff.matmul(stacked, self._params[f"magnn.beta[{k}]"]), slope)
-        beta = ndiff.segment_softmax(logits, seg, len(covered))
+        beta = ndiff.segment_softmax(logits, plan.segments, n_covered)
         if collect is not None:
-            collect.append(AttentionRecord("inter", f"layer{k}", beta.data.copy(), seg.copy()))
+            collect.append(AttentionRecord("inter", f"layer{k}", beta.data.copy(),
+                                           plan.segments.copy()))
         fused = ndiff.segment_sum(ndiff.mul(ndiff.reshape(beta, (-1, 1)), stacked),
-                                  seg, len(covered))
-        return ndiff.scatter_rows(x, np.array(covered, dtype=np.int64), fused)
+                                  plan.indicator, n_covered)
+        return ndiff.scatter_rows(x, plan.covered_pos, fused)
 
 
 def build_encoder_for_graph(config: EncoderConfig, graph: HeteroGraph,

@@ -412,5 +412,8 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     encoder = Encoder(enc_cfg, manifest["feature_dim"],
                       manifest["node_types"], manifest["edge_types"])
     model = SiameseModel(encoder, MatchingHead(manifest.get("head")))
+    unexpected = set(params) - {p.name for p in model.parameters()}
+    if unexpected:
+        raise MatcherError(f"unexpected parameters in {directory}: {sorted(unexpected)}")
     model.load_state_dict(params)
     return model, manifest

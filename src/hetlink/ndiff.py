@@ -132,6 +132,19 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), back)
 
 
+def _transpose(s):
+    """`s.T` as CSR, built on the first backward through `s` and kept on it.
+
+    Sparse operands are constants (graph operators built once per graph), so
+    the transpose is built once per operator.  Its product adds each output
+    row's terms in the same order as `s.T @ g`, so gradients are bit-for-bit
+    the same."""
+    t = getattr(s, "_ndiff_transpose", None)
+    if t is None:
+        t = s._ndiff_transpose = s.T.tocsr()
+    return t
+
+
 def sparse_matmul(s, x) -> Tensor:
     """Constant sparse matrix times tensor; s is never differentiated."""
     if not sp.issparse(s):
@@ -140,7 +153,7 @@ def sparse_matmul(s, x) -> Tensor:
     out = np.asarray(s @ x.data)
 
     def back(g):
-        return (np.asarray(s.T @ g),)
+        return (np.asarray(_transpose(s) @ g),)
     return _make(out, (x,), back)
 
 
@@ -165,16 +178,15 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), back)
 
 
-def _row_sums(rows: np.ndarray, segments: np.ndarray, num_segments: int) -> np.ndarray:
-    """Row i of the result is the sum of `rows[j]` over segments[j] == i.
+def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
+    """(num_segments, len(segments)) matrix with a one at (segments[j], j).
 
-    A CSR indicator product adds each segment's rows in index order, exactly
-    as np.add.at does, so the sums are bit-for-bit the same, at a fraction of
-    its time on 2-D rows."""
+    Its product with rows adds each segment's rows in index order, exactly
+    as np.add.at does, so the sums are bit-for-bit the same."""
+    segments = np.asarray(segments, dtype=np.int64)
     n = len(segments)
-    indicator = sp.csr_matrix((np.ones(n), (segments, np.arange(n))),
-                              shape=(num_segments, n))
-    return np.asarray(indicator @ rows)
+    return sp.csr_matrix((np.ones(n), (segments, np.arange(n))),
+                         shape=(num_segments, n))
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -183,7 +195,7 @@ def gather_rows(a, idx) -> Tensor:
     out = a.data[idx]
 
     def back(g):
-        return (_row_sums(g, idx, a.shape[0]),)
+        return (np.asarray(segment_indicator(idx, a.shape[0]) @ g),)
     return _make(out, (a,), back)
 
 
@@ -202,14 +214,17 @@ def scatter_rows(base, idx, rows) -> Tensor:
 
 
 def segment_sum(a, segments, num_segments: int) -> Tensor:
-    """Sum rows of `a` grouped by segment id."""
-    a = _as_tensor(a)
-    segments = np.asarray(segments, dtype=np.int64)
-    out = _row_sums(a.data, segments, num_segments)
+    """Sum rows of `a` grouped by segment id.
 
-    def back(g):
-        return (g[segments],)
-    return _make(out, (a,), back)
+    `segments` is the segment id of each row, or the indicator that
+    `segment_indicator` built from them; pass the indicator when the grouping
+    is reused, so it (and its transpose) is built once."""
+    if not sp.issparse(segments):
+        segments = segment_indicator(segments, num_segments)
+    elif segments.shape[0] != num_segments:
+        raise NdiffError(f"indicator has {segments.shape[0]} segments, "
+                         f"expected {num_segments}")
+    return sparse_matmul(segments, a)
 
 
 def mean_rows(a) -> Tensor:

@@ -133,6 +133,7 @@ class HardNegativeSampler:
         self.use_names = use_names
         self._ranked: dict[int, list[NegativeCandidate]] = {}
         self._ids = np.array(kb.node_ids, dtype=np.int64)
+        self._pos = {nid: i for i, nid in enumerate(kb.node_ids)}
 
     def ranked(self, gold: int) -> list[NegativeCandidate]:
         if gold not in self._ranked:
@@ -160,7 +161,9 @@ class HardNegativeSampler:
         negatives = [c.node for c in top]
         provenance = ["hard"] * len(negatives)
         drop = set(negatives) | {gold} | exclude
-        remaining = self._ids[~np.isin(self._ids, list(drop))]
+        keep = np.ones(len(self._ids), dtype=bool)
+        keep[[self._pos[n] for n in drop if n in self._pos]] = False
+        remaining = self._ids[keep]
         fill = k - len(negatives)
         if fill > len(remaining):
             raise NegSampleError("KB too small to draw requested negatives")

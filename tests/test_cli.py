@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hetlink.cli import main
@@ -136,3 +137,21 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert "bundle version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "disambiguate"])
+def test_model_with_unexpected_parameters_is_rejected(workdir, tmp_path, capsys, command):
+    import shutil
+
+    model = tmp_path / "model"
+    shutil.copytree(workdir / "model", model)
+    with np.load(model / "params.npz") as npz:
+        params = {name: npz[name] for name in npz.files}
+    params["stray"] = np.zeros(2)
+    np.savez(model / "params.npz", **params)
+    code = main([command, "--bundle", str(workdir / "corpus"), "--model", str(model),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "stray" in err
+    assert err.count("\n") == 1

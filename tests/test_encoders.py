@@ -6,7 +6,9 @@ on the toy graph; attention distributions are checked on random graphs.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from hetlink import ndiff
 from hetlink.encoders import (
     AttentionRecord,
     Encoder,
@@ -14,6 +16,7 @@ from hetlink.encoders import (
     EncoderError,
     build_encoder_for_graph,
 )
+from hetlink.evalgen import schema_metapaths
 from hetlink.hetgraph import HeteroGraph, Metapath
 
 from conftest import random_hetero_graph
@@ -217,6 +220,60 @@ def test_permutation_equivariance(kind, toy_kb):
     x2[perm] = x                      # row order follows sorted node id
     out2 = enc.encode(g2, x2, targets=[int(perm[v]) for v in old_ids]).data
     np.testing.assert_allclose(out1, out2, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# per-graph operator cache
+
+
+def _magnn_case():
+    """A fresh graph (nothing cached on it), a MAGNN encoder with one- and
+    two-edge metapaths and two heads, features and an output weighting."""
+    rng = np.random.default_rng(21)
+    g = random_hetero_graph(rng, n_nodes=40, n_types=3, n_edge_types=2, edge_prob=0.12)
+    paths = schema_metapaths(g.schema, limit=0)
+    cfg = EncoderConfig(kind="magnn", num_layers=2, dim=8, heads=2, dropout=0.2,
+                        metapaths=paths[:3] + paths[-3:], seed=2)
+    enc = build_encoder_for_graph(cfg, g, 8)
+    for p in enc.parameters():
+        p.data += rng.standard_normal(p.data.shape) * 0.3
+    return g, enc, rng.standard_normal((len(g), 8)), rng.standard_normal((len(g), 8))
+
+
+def _encode_and_backward(enc, g, x, w):
+    out = enc.encode(g, x, training=True, rng=np.random.default_rng(1))
+    ndiff.backward(ndiff.sum_all(ndiff.mul(out, w)))
+    grads = {p.name: p.grad.tobytes() for p in enc.parameters()}
+    for p in enc.parameters():
+        p.zero_grad()
+    return out.data.tobytes(), grads
+
+
+def test_magnn_encode_and_backward_repeat_bitwise_on_cached_operators():
+    g, enc, x, w = _magnn_case()
+    first = _encode_and_backward(enc, g, x, w)
+    assert any(np.frombuffer(v).any() for v in first[1].values())
+    assert _encode_and_backward(enc, g, x, w) == first
+    assert _encode_and_backward(enc, g, x, w) == first
+
+
+def test_second_encode_of_a_graph_builds_no_sparse_matrix(monkeypatch):
+    g, enc, x, w = _magnn_case()
+    built = []
+    init = sp.csr_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "__init__", counting_init)
+    _encode_and_backward(enc, g, x, w)
+    enc.encode(g, x)
+    assert built, "the first encode should build the graph's operators"
+    built.clear()
+    _encode_and_backward(enc, g, x, w)
+    enc.encode(g, x)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

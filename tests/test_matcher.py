@@ -281,6 +281,17 @@ def test_load_model_rejects_other_head_kinds(mini, tmp_path):
     assert "\n" not in str(info.value)
 
 
+def test_load_model_rejects_unexpected_parameters(mini, tmp_path):
+    model = _tiny_model(mini)
+    save_model(model, tmp_path / "model")
+    state = model.state_dict()
+    state["encoder.stray"] = np.zeros(3)
+    np.savez(tmp_path / "model" / "params.npz", **state)
+    with pytest.raises(MatcherError, match="encoder.stray") as info:
+        load_model(tmp_path / "model")
+    assert "\n" not in str(info.value)
+
+
 def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     corpus = mini["corpus"]
     model = _tiny_model(mini, seed=2)

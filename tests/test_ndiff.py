@@ -123,6 +123,46 @@ def test_segment_sum_forward_oracle():
 
 
 @pytest.mark.parametrize("n, k", [(0, 3), (1, 1), (7, 4), (500, 37)])
+def test_segment_sum_by_indicator_equals_by_index_bitwise(n, k):
+    """A prebuilt indicator gives the index form's sums and gradients, and
+    the gradient is each row's segment gradient, as g[segments] reads it."""
+    rng = np.random.default_rng(n + 1)
+    seg = rng.integers(0, k, n)
+    x = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+    w = rng.standard_normal((k, 5))
+    indicator = ndiff.segment_indicator(seg, k)
+    outs, grads = [], []
+    for segments in (seg, indicator, indicator):
+        p = Parameter(x, "p")
+        out = ndiff.segment_sum(p, segments, k)
+        backward(ndiff.sum_all(ndiff.mul(out, w)))
+        outs.append(out.data.tobytes())
+        grads.append(p.grad.tobytes())
+    assert outs[0] == outs[1] == outs[2]
+    assert grads[0] == grads[1] == grads[2] == w[seg].tobytes()
+    with pytest.raises(NdiffError, match="segments"):
+        ndiff.segment_sum(Tensor(x), indicator, k + 1)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_sparse_matmul_backward_reuses_its_transpose_bitwise(fmt):
+    rng = np.random.default_rng(7)
+    s = sp.random(40, 30, density=0.2, random_state=3, format=fmt)
+    s.data *= 10.0 ** rng.integers(-8, 8, s.nnz)
+    g = rng.standard_normal((40, 4))
+    grads = []
+    for _ in range(2):
+        p = Parameter(rng.standard_normal((30, 4)), "p")
+        backward(ndiff.sum_all(ndiff.mul(ndiff.sparse_matmul(s, p), g)))
+        grads.append(p.grad.tobytes())
+    transpose = s._ndiff_transpose          # built by the first backward, kept
+    assert grads[0] == grads[1] == np.asarray(s.T @ g).tobytes()
+    p = Parameter(np.zeros((30, 4)), "p")
+    backward(ndiff.sum_all(ndiff.sparse_matmul(s, p)))
+    assert s._ndiff_transpose is transpose
+
+
+@pytest.mark.parametrize("n, k", [(0, 3), (1, 1), (7, 4), (500, 37)])
 def test_segment_sums_equal_add_at_bitwise(n, k):
     """segment_sum, gather_rows' gradient and segment_softmax add rows in
     index order, so they equal the np.add.at loop bit for bit."""

@@ -164,6 +164,23 @@ def test_hard_sampler_tops_up_with_uniform_when_few_neighbors(toy_kb, toy_emb):
     assert all(type(n) is int for n in negatives)
 
 
+def test_hard_sampler_top_up_ignores_excluded_ids_outside_the_kb(toy_kb, toy_emb):
+    sampler = HardNegativeSampler(toy_kb, toy_emb)
+    gold = toy_kb.ids["proteinuria"]
+    plain = sampler.sample(gold, 4, np.random.default_rng(0))
+    outside = frozenset({max(toy_kb.node_ids) + 1, -1})
+    assert sampler.sample(gold, 4, np.random.default_rng(0), exclude=outside) == plain
+    # an excluded KB node leaves the top-up pool; the outside ids change nothing
+    dropped = toy_kb.ids["Aspirin"]
+    top = [c.node for c in sampler.ranked(gold) if c.node != dropped]
+    remaining = [n for n in toy_kb.node_ids if n not in set(top) | {gold, dropped}]
+    picks = np.random.default_rng(0).choice(len(remaining), size=4 - len(top),
+                                            replace=False)
+    negatives, _ = sampler.sample(gold, 4, np.random.default_rng(0),
+                                  exclude=outside | {dropped})
+    assert negatives == top + [remaining[i] for i in sorted(picks)]
+
+
 def test_hard_sampler_exclude_drops_known_false_negatives(toy_kb, toy_emb):
     sampler = HardNegativeSampler(toy_kb, toy_emb)
     gold = toy_kb.ids["nausea"]
