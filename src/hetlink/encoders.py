@@ -92,7 +92,7 @@ def _positions(graph: HeteroGraph) -> dict[int, int]:
     return cache["pos"]
 
 
-def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> sp.csr_matrix:
+def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.SparseOperator:
     """Row v holds 1/|N_v^r| over N_v^r, the neighbors through `relation`
     (through every relation when it is None); zero row if there are none."""
     cache = _graph_cache(graph).setdefault("rel_adj", {})
@@ -107,18 +107,19 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> sp.csr_matr
                 rows.append(pos[nid])
                 cols.append(pos[u])
                 vals.append(1.0 / len(neigh))
-        cache[relation] = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        cache[relation] = ndiff.SparseOperator(
+            sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
     return cache[relation]
 
 
 @dataclass
 class MetapathBatch:
     """Vectorized view of all instances of one metapath in one graph."""
-    avg: sp.csr_matrix            # (instances, n) row-averaging matrix
-    gather: sp.csr_matrix         # (instances, n) picks each instance's target row
-    segments: np.ndarray          # (instances,) compact target index
-    indicator: sp.csr_matrix      # (num_targets, instances) segment_indicator(segments)
-    covered_pos: np.ndarray       # (num_targets,) row positions with >= 1 instance
+    avg: ndiff.SparseOperator        # (instances, n) row-averaging matrix
+    gather: ndiff.SparseOperator     # (instances, n) picks each instance's target row
+    segments: np.ndarray             # (instances,) compact target index
+    indicator: ndiff.SparseOperator  # (num_targets, instances) segment_indicator(segments)
+    covered_pos: np.ndarray          # (num_targets,) row positions with >= 1 instance
 
 
 @dataclass
@@ -126,10 +127,10 @@ class FusionPlan:
     """Inter-metapath fusion over the metapaths that have instances in a graph:
     their intra-metapath rows are stacked in metapath order, then summed per
     covered node."""
-    batches: list[tuple[str, MetapathBatch]]   # (label, batch), metapath order
-    covered_pos: np.ndarray       # row positions covered by any of them, ascending
-    segments: np.ndarray          # (stacked rows,) index into covered_pos
-    indicator: sp.csr_matrix      # segment_indicator(segments)
+    batches: list[tuple[str, MetapathBatch]]  # (label, batch), metapath order
+    covered_pos: np.ndarray          # row positions covered by any of them, ascending
+    segments: np.ndarray             # (stacked rows,) index into covered_pos
+    indicator: ndiff.SparseOperator  # segment_indicator(segments)
 
 
 def _metapath_batch(graph: HeteroGraph, path: Metapath) -> MetapathBatch:
@@ -154,14 +155,15 @@ def _metapath_batch(graph: HeteroGraph, path: Metapath) -> MetapathBatch:
                 rows.append(i)
                 cols.append(pos[nid])
                 vals.append(w)
-        avg = sp.csr_matrix((vals, (rows, cols)), shape=(len(instances), n))
+        m = len(instances)
         covered, segments = np.unique(np.array(targets, dtype=np.int64),
                                       return_inverse=True)
         cache[key] = MetapathBatch(
-            avg=avg,
-            gather=ndiff.segment_indicator(targets, n).T.tocsr(),
+            avg=ndiff.SparseOperator(sp.csr_matrix((vals, (rows, cols)), shape=(m, n))),
+            gather=ndiff.SparseOperator(
+                sp.csr_matrix((np.ones(m), (np.arange(m), targets)), shape=(m, n))),
             segments=segments,
-            indicator=ndiff.segment_indicator(segments, len(covered)),
+            indicator=ndiff.SparseOperator(ndiff.segment_indicator(segments, len(covered))),
             covered_pos=covered,
         )
     return cache[key]
@@ -176,8 +178,8 @@ def _fusion_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> FusionPlan:
         batches = [(label, b) for label, b in batches if b.avg.shape[0]]
         positions = [np.zeros(0, dtype=np.int64)] + [b.covered_pos for _, b in batches]
         covered, segments = np.unique(np.concatenate(positions), return_inverse=True)
-        cache[key] = FusionPlan(batches, covered, segments,
-                                ndiff.segment_indicator(segments, len(covered)))
+        cache[key] = FusionPlan(batches, covered, segments, ndiff.SparseOperator(
+            ndiff.segment_indicator(segments, len(covered))))
     return cache[key]
 
 
@@ -319,7 +321,7 @@ class Encoder:
         out = ndiff.matmul(x, self._params[f"rgcn.W0[{k}]"])
         for r in self.edge_types:
             adj = _relation_adjacency(graph, r) if r in graph.edge_types else None
-            if adj is None or adj.nnz == 0:
+            if adj is None or adj.matrix.nnz == 0:
                 continue
             msg = ndiff.sparse_matmul(adj, ndiff.matmul(x, self._params[f"rgcn.W[{r}][{k}]"]))
             out = ndiff.add(out, msg)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 # Reserved edge type used for query-graph self-loops.  Freeze registers a
@@ -138,7 +137,6 @@ class HeteroGraph:
         self._schema: Schema | None = None
         self._sorted_ids: list[int] = []
         self._ids_by_type: dict[str, list[int]] = {}
-        self._edge_tuple: tuple[Edge, ...] = ()
 
     # -- construction ------------------------------------------------------
 
@@ -207,7 +205,6 @@ class HeteroGraph:
                    for e in self._edges}
         triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
         self._schema = Schema(frozenset(triples))
-        self._edge_tuple = tuple(self._edges)
         self._sorted_ids = sorted(self._nodes)
         for nid in self._sorted_ids:
             self._ids_by_type.setdefault(self._nodes[nid].type, []).append(nid)
@@ -241,11 +238,7 @@ class HeteroGraph:
         return set(self._edge_types)
 
     @property
-    def edges(self) -> Sequence[Edge]:
-        """Every edge in insertion order: a tuple built at freeze() on a
-        frozen graph, a fresh list before."""
-        if self._frozen:
-            return self._edge_tuple
+    def edges(self) -> list[Edge]:
         return list(self._edges)
 
     def __len__(self) -> int:

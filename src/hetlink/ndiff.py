@@ -132,28 +132,49 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), back)
 
 
-def _transpose(s):
-    """`s.T` as CSR, built on the first backward through `s` and kept on it.
+class SparseOperator:
+    """A constant sparse matrix that `sparse_matmul` multiplies by many times,
+    such as a graph's adjacency or segment indicator.
 
-    Sparse operands are constants (graph operators built once per graph), so
-    the transpose is built once per operator.  Its product adds each output
-    row's terms in the same order as `s.T @ g`, so gradients are bit-for-bit
-    the same."""
-    t = getattr(s, "_ndiff_transpose", None)
-    if t is None:
-        t = s._ndiff_transpose = s.T.tocsr()
-    return t
+    The operator takes `s` over: it keeps it as CSR (a CSR `s` as is) and
+    makes its arrays read-only, so it cannot be changed in place.  Its CSR
+    transpose is built on the first backward through it and kept with it; its
+    product adds each output row's terms in the order of `s.T @ g`, so
+    gradients are bit-for-bit the same."""
+    __slots__ = ("matrix", "_transpose")
+
+    def __init__(self, s):
+        self.matrix = s.tocsr()
+        for a in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
+            a.flags.writeable = False
+        self._transpose = None
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
+    def transpose(self) -> sp.csr_matrix:
+        if self._transpose is None:
+            self._transpose = self.matrix.T.tocsr()
+        return self._transpose
 
 
 def sparse_matmul(s, x) -> Tensor:
-    """Constant sparse matrix times tensor; s is never differentiated."""
-    if not sp.issparse(s):
-        raise NdiffError("first argument must be a scipy sparse matrix")
+    """Constant sparse matrix times tensor; s is never differentiated.
+
+    `s` is a scipy sparse matrix, whose backward builds `s.T` each time, or a
+    `SparseOperator`, whose backward reuses its kept transpose."""
+    if isinstance(s, SparseOperator):
+        matrix, transpose = s.matrix, s.transpose
+    elif sp.issparse(s):
+        matrix, transpose = s, lambda: s.T
+    else:
+        raise NdiffError("first argument must be a scipy sparse matrix or a SparseOperator")
     x = _as_tensor(x)
-    out = np.asarray(s @ x.data)
+    out = np.asarray(matrix @ x.data)
 
     def back(g):
-        return (np.asarray(_transpose(s) @ g),)
+        return (np.asarray(transpose() @ g),)
     return _make(out, (x,), back)
 
 
@@ -217,9 +238,10 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
     """Sum rows of `a` grouped by segment id.
 
     `segments` is the segment id of each row, or the indicator that
-    `segment_indicator` built from them; pass the indicator when the grouping
-    is reused, so it (and its transpose) is built once."""
-    if not sp.issparse(segments):
+    `segment_indicator` built from them (as a sparse matrix or wrapped in a
+    `SparseOperator`); pass an operator when the grouping is reused, so it and
+    its transpose are built once."""
+    if not (isinstance(segments, SparseOperator) or sp.issparse(segments)):
         segments = segment_indicator(segments, num_segments)
     elif segments.shape[0] != num_segments:
         raise NdiffError(f"indicator has {segments.shape[0]} segments, "

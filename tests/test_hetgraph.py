@@ -241,30 +241,3 @@ def test_frozen_id_accessors_match_uncached_and_return_copies():
     assert g.node_ids == ids
     assert g.nodes_of_type("Drug") == by_type["Drug"]
     assert g.nodes_of_type("NoSuchType") == []
-
-
-def test_frozen_edges_match_uncached_and_cannot_change_the_graph():
-    g = HeteroGraph()
-    for name in ("a", "b", "c"):
-        g.add_node("Drug", name)
-    g.add_edge(0, 1, "treats")
-    assert [(e.src, e.dst, e.type) for e in g.edges] == [(0, 1, "treats")]
-    # an unfrozen graph sees edges added after an earlier call
-    g.add_edge(2, 1, "treats", undirected=True)
-    added = [(0, 1, "treats"), (2, 1, "treats"), (1, 2, "treats")]
-    assert [(e.src, e.dst, e.type) for e in g.edges] == added
-
-    g.freeze(add_reverse=True)
-    expected = added + [(dst, src, "treats~rev") for src, dst, _ in added]
-    assert [(e.src, e.dst, e.type) for e in g.edges] == expected
-    assert g.edges is g.edges                 # built once, at freeze
-    # callers cannot mutate the graph through the result
-    got = g.edges
-    with pytest.raises(AttributeError):
-        got.append(got[0])
-    with pytest.raises(TypeError):
-        got[0] = got[1]
-    with pytest.raises(AttributeError):
-        got[0].src = 2
-    assert [(e.src, e.dst, e.type) for e in g.edges] == expected
-    assert g.out_neighbors(0, "treats") == [1]

@@ -132,7 +132,7 @@ def test_segment_sum_by_indicator_equals_by_index_bitwise(n, k):
     w = rng.standard_normal((k, 5))
     indicator = ndiff.segment_indicator(seg, k)
     outs, grads = [], []
-    for segments in (seg, indicator, indicator):
+    for segments in (seg, indicator, ndiff.SparseOperator(indicator)):
         p = Parameter(x, "p")
         out = ndiff.segment_sum(p, segments, k)
         backward(ndiff.sum_all(ndiff.mul(out, w)))
@@ -142,24 +142,35 @@ def test_segment_sum_by_indicator_equals_by_index_bitwise(n, k):
     assert grads[0] == grads[1] == grads[2] == w[seg].tobytes()
     with pytest.raises(NdiffError, match="segments"):
         ndiff.segment_sum(Tensor(x), indicator, k + 1)
+    with pytest.raises(NdiffError, match="segments"):
+        ndiff.segment_sum(Tensor(x), ndiff.SparseOperator(indicator), k + 1)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
 def test_sparse_matmul_backward_reuses_its_transpose_bitwise(fmt):
+    """An operator's kept transpose gives the gradients of `s.T @ g`; the
+    operator cannot be changed in place, and a plain matrix changed in place
+    gets fresh gradients."""
     rng = np.random.default_rng(7)
     s = sp.random(40, 30, density=0.2, random_state=3, format=fmt)
     s.data *= 10.0 ** rng.integers(-8, 8, s.nnz)
+    op = ndiff.SparseOperator(s.copy())
     g = rng.standard_normal((40, 4))
-    grads = []
-    for _ in range(2):
+
+    def grad(m):
         p = Parameter(rng.standard_normal((30, 4)), "p")
-        backward(ndiff.sum_all(ndiff.mul(ndiff.sparse_matmul(s, p), g)))
-        grads.append(p.grad.tobytes())
-    transpose = s._ndiff_transpose          # built by the first backward, kept
-    assert grads[0] == grads[1] == np.asarray(s.T @ g).tobytes()
-    p = Parameter(np.zeros((30, 4)), "p")
-    backward(ndiff.sum_all(ndiff.sparse_matmul(s, p)))
-    assert s._ndiff_transpose is transpose
+        backward(ndiff.sum_all(ndiff.mul(ndiff.sparse_matmul(m, p), g)))
+        return p.grad.tobytes()
+
+    first = grad(op)
+    transpose = op._transpose               # built by the first backward, kept
+    assert transpose is not None
+    assert first == grad(op) == grad(s) == np.asarray(s.T @ g).tobytes()
+    assert op.transpose() is transpose
+    with pytest.raises(ValueError):
+        op.matrix.data *= 2.0
+    s.data *= 2.0
+    assert grad(s) == np.asarray(s.T @ g).tobytes() != first
 
 
 @pytest.mark.parametrize("n, k", [(0, 3), (1, 1), (7, 4), (500, 37)])
