@@ -19,7 +19,7 @@ from .negsample import HardNegativeSampler, ged_1hop, structural_similarity
 from .matcher import (MatchingHead, SiameseModel, TrainConfig, disambiguate,
                       load_model, save_model, train)
 from .evalgen import (EvalReport, SynthConfig, generate_synthetic_kb,
-                      precision_recall_f1, run_benchmark, split_dataset)
+                      precision_recall_f1, split_dataset)
 
 __all__ = [
     "Edge", "HeteroGraph", "InvertedIndex", "Metapath", "Node", "Schema",
@@ -33,5 +33,5 @@ __all__ = [
     "MatchingHead", "SiameseModel", "TrainConfig", "disambiguate",
     "load_model", "save_model", "train",
     "EvalReport", "SynthConfig", "generate_synthetic_kb",
-    "precision_recall_f1", "run_benchmark", "split_dataset",
+    "precision_recall_f1", "split_dataset",
 ]

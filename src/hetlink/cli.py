@@ -189,12 +189,13 @@ def cmd_train(args) -> int:
         kb, store.dim, opts["encoder"], seed=int(opts["seed"]),
         num_layers=int(opts["layers"]), dim=int(opts["dim"]), heads=int(opts["heads"]),
         dropout=float(opts["dropout"]), metapaths=metapaths or None)
+    train_config = _train_config(opts)
     result = matcher.train(model, kb, kb_feats,
                            [by_id[s] for s in split.train],
                            [by_id[s] for s in split.validation],
-                           _train_config(opts))
+                           train_config)
     os.makedirs(args.out, exist_ok=True)
-    save_model(model, args.out, train_config=_train_config(opts))
+    save_model(model, args.out, train_config=train_config)
     result.write_history_csv(os.path.join(args.out, "history.csv"))
     log.info("best epoch %d metric %.4f; model saved to %s",
              result.best_epoch, result.best_metric, args.out)

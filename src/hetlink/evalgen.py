@@ -9,15 +9,13 @@ Everything is a pure function of the config, seed included.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matcher as matcher_mod
 from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
                        Schema, SELF_EDGE_TYPE, build_inverted_index, tokenize)
-from .matcher import (MatchingHead, SiameseModel, TrainConfig, TrainItem,
+from .matcher import (MatchingHead, SiameseModel, TrainItem,
                       candidate_ids, order_by_score, rank_items)
 from .encoders import Encoder, EncoderConfig, _positions
 from .querygraph import (GoldMentionExtractor, Mention, TextSnippet,
@@ -547,62 +545,3 @@ def evaluate_text_baseline(corpus: SynthCorpus, items: list[TrainItem]) -> EvalR
     gold = {it.snippet_id: it.gold for it in items}
     return precision_recall_f1(predictions, gold, item_error_contexts(corpus.kb, items))
 
-
-# -- benchmark -------------------------------------------------------------
-
-@dataclass
-class BenchmarkRow:
-    encoder: str
-    sampler: str
-    precision: float
-    recall: float
-    f1: float
-    repetitions: int
-
-    def to_dict(self) -> dict:
-        return {"encoder": self.encoder, "sampler": self.sampler,
-                "precision": self.precision, "recall": self.recall,
-                "f1": self.f1, "repetitions": self.repetitions}
-
-
-def run_benchmark(corpus: SynthCorpus, encoder_kinds, sampler_kinds,
-                  train_config: TrainConfig, repetitions: int = 5,
-                  split_seed: int = 0, model_kwargs: dict | None = None) -> list[BenchmarkRow]:
-    """Train each (encoder, sampler) cell on shared splits/seeds and average."""
-    model_kwargs = dict(model_kwargs or {})
-    split = split_dataset([s.id for s in corpus.snippets], seed=split_seed)
-    kb_feats = kb_features(corpus)
-    train_items = corpus_items(corpus, split.train)
-    val_items = corpus_items(corpus, split.validation)
-    test_items = corpus_items(corpus, split.test)
-    rows = []
-    for kind in encoder_kinds:
-        for sampler in sampler_kinds:
-            reports = []
-            for rep in range(repetitions):
-                seed = train_config.seed + rep
-                model = make_model(corpus, kind, seed=seed, **model_kwargs)
-                cfg = TrainConfig(**{**train_config.__dict__,
-                                     "seed": seed, "sampler": sampler})
-                matcher_mod.train(model, corpus.kb, kb_feats, train_items,
-                                  val_items, cfg)
-                reports.append(evaluate_model(model, corpus, test_items, kb_feats))
-            rows.append(BenchmarkRow(
-                kind, sampler,
-                float(np.mean([r.precision for r in reports])),
-                float(np.mean([r.recall for r in reports])),
-                float(np.mean([r.f1 for r in reports])),
-                repetitions))
-    return rows
-
-
-def write_benchmark(rows: list[BenchmarkRow], tsv_path=None, json_path=None) -> None:
-    if tsv_path:
-        with open(tsv_path, "w", encoding="utf-8") as fh:
-            fh.write("encoder\tsampler\tprecision\trecall\tf1\trepetitions\n")
-            for r in rows:
-                fh.write(f"{r.encoder}\t{r.sampler}\t{r.precision:.4f}\t"
-                         f"{r.recall:.4f}\t{r.f1:.4f}\t{r.repetitions}\n")
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump([r.to_dict() for r in rows], fh, indent=2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Reserved edge type used for query-graph self-loops.  Freeze registers a
 # (T, SELF, T) schema triple for every node type so query graphs stay
@@ -162,7 +162,7 @@ class HeteroGraph:
         self._node_types.add(ntype)
         return nid
 
-    def add_edge(self, src: int, dst: int, etype: str, undirected: bool = False) -> None:
+    def add_edge(self, src: int, dst: int, etype: str) -> None:
         self._check_mutable()
         if src not in self._nodes or dst not in self._nodes:
             raise GraphError(f"dangling edge endpoint ({src}, {dst})")
@@ -174,27 +174,12 @@ class HeteroGraph:
         self._edge_set.add(key)
         self._edges.append(Edge(src, dst, etype))
         self._edge_types.add(etype)
-        if undirected and src != dst:
-            self.add_edge(dst, src, etype)
 
-    def freeze(self, add_reverse: bool = False, reverse_suffix: str = "~rev") -> "HeteroGraph":
+    def freeze(self) -> "HeteroGraph":
         """Build adjacency and schema; the graph is immutable afterwards.
-
-        With add_reverse=True every edge (u, v, R) also materializes
-        (v, u, R~rev) so metapaths can traverse against edge direction.
-        Idempotent.
-        """
+        Idempotent."""
         if self._frozen:
             return self
-        if add_reverse:
-            for e in list(self._edges):
-                if e.type.endswith(reverse_suffix):
-                    continue
-                key = (e.dst, e.src, e.type + reverse_suffix)
-                if key not in self._edge_set:
-                    self._edge_set.add(key)
-                    self._edges.append(Edge(*key))
-                    self._edge_types.add(e.type + reverse_suffix)
         for e in self._edges:
             self._out.setdefault((e.src, e.type), []).append(e.dst)
             self._in.setdefault((e.dst, e.type), []).append(e.src)
@@ -464,16 +449,15 @@ def load_edges_tsv(path) -> list[tuple[int, int, str]]:
     return rows
 
 
-def load_graph(nodes_path, edges_path, undirected: bool = False,
-               add_reverse: bool = False) -> HeteroGraph:
+def load_graph(nodes_path, edges_path) -> HeteroGraph:
     g = HeteroGraph()
     for nid, ntype, name, synonyms, features in load_nodes_tsv(nodes_path):
         g.add_node(ntype, name, synonyms=synonyms, features=features, node_id=nid)
     for src, dst, etype in load_edges_tsv(edges_path):
         if src not in g or dst not in g:
             raise GraphError(f"edge ({src}, {dst}, {etype}) references unknown node")
-        g.add_edge(src, dst, etype, undirected=undirected)
-    return g.freeze(add_reverse=add_reverse)
+        g.add_edge(src, dst, etype)
+    return g.freeze()
 
 
 def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:

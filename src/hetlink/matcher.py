@@ -16,7 +16,7 @@ from . import ndiff
 from .encoders import Encoder, EncoderConfig, _positions
 from .hetgraph import HeteroGraph
 from .ndiff import Adam, Parameter, Tensor
-from .negsample import HardNegativeSampler
+from .negsample import HardNegativeSampler, UniformSampler
 from .querygraph import QueryGraph
 
 
@@ -64,19 +64,13 @@ class MatchingHead:
             p.data[...] = np.asarray(state[k], dtype=np.float64)
 
 
-def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None,
-              literal_negative_sign: bool = False) -> Tensor:
-    """-sum log sigmoid(s_pos) - sum log sigmoid(-s_neg), via softplus.
-
-    With literal_negative_sign=True the negative term uses +s_neg instead
-    (the uncorrected printed form, kept for comparison only).
-    """
+def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None) -> Tensor:
+    """-sum log sigmoid(s_pos) - sum log sigmoid(-s_neg), via softplus."""
     if scores_pos.data.size == 0:
         raise MatcherError("pair_loss needs at least one positive score")
     loss = ndiff.sum_all(ndiff.softplus(ndiff.neg(scores_pos)))
     if scores_neg is not None and scores_neg.data.size:
-        neg_arg = ndiff.neg(scores_neg) if literal_negative_sign else scores_neg
-        loss = ndiff.add(loss, ndiff.sum_all(ndiff.softplus(neg_arg)))
+        loss = ndiff.add(loss, ndiff.sum_all(ndiff.softplus(scores_neg)))
     return loss
 
 
@@ -113,7 +107,6 @@ class TrainConfig:
     sampler: str = "uniform"            # uniform | hard
     curriculum: bool = True
     seed: int = 0
-    literal_negative_sign: bool = False
 
     def validate(self) -> None:
         if self.patience > self.epochs:
@@ -286,6 +279,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
         raise MatcherError("no training items")
     if config.sampler == "hard" and hard_sampler is None:
         hard_sampler = HardNegativeSampler(kb, kb_features)
+    uniform = UniformSampler(kb)
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
     val_batch = build_query_batch(val_items, model.encoder.feature_dim)
@@ -316,9 +310,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                 negs, _ = hard_sampler.sample(item.gold, k, rng,
                                               exclude=context - {item.gold})
             else:
-                pool = [n for n in kb.node_ids if n != item.gold]
-                picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
-                negs = [pool[j] for j in sorted(picks)]
+                negs = uniform.draw(min(k, len(kb) - 1), rng, {item.gold})
             neg_q_rows.extend([batch.mention_ids[i]] * len(negs))
             neg_kb_ids.extend(negs)
 
@@ -334,7 +326,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
             h_neg_q = ndiff.gather_rows(h_q_all, neg_q_rows)
             h_neg_kb = ndiff.gather_rows(h_kb_all, _positions_list(kb_pos, neg_kb_ids))
             s_neg = model.head.score_pairs(h_neg_q, h_neg_kb)
-        loss = pair_loss(s_pos, s_neg, config.literal_negative_sign)
+        loss = pair_loss(s_pos, s_neg)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise MatcherError(

@@ -237,11 +237,10 @@ def scatter_rows(base, idx, rows) -> Tensor:
 def segment_sum(a, segments, num_segments: int) -> Tensor:
     """Sum rows of `a` grouped by segment id.
 
-    `segments` is the segment id of each row, or the indicator that
-    `segment_indicator` built from them (as a sparse matrix or wrapped in a
-    `SparseOperator`); pass an operator when the grouping is reused, so it and
-    its transpose are built once."""
-    if not (isinstance(segments, SparseOperator) or sp.issparse(segments)):
+    `segments` is the segment id of each row, or a `SparseOperator` over the
+    indicator that `segment_indicator` built from them; pass an operator when
+    the grouping is reused, so it and its transpose are built once."""
+    if not isinstance(segments, SparseOperator):
         segments = segment_indicator(segments, num_segments)
     elif segments.shape[0] != num_segments:
         raise NdiffError(f"indicator has {segments.shape[0]} segments, "

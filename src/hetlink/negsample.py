@@ -3,18 +3,19 @@
 Candidates for a gold entity are its 1-hop KB neighbors, scored by
 cosine similarity of the initial term embeddings (mapped to [0, 1]) times a
 normalized 1-hop graph-edit-distance similarity; the top of the ranking is
-sampled.  A uniform sampler provides the baseline.
+sampled.  A uniform draw over the KB provides the baseline and tops up
+the hard sampler when a gold entity has too few neighbors.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .encoders import _positions
 from .hetgraph import SELF_EDGE_TYPE, HeteroGraph
 
 log = logging.getLogger(__name__)
@@ -58,10 +59,10 @@ def ged_1hop(sig_u: NeighborhoodSignature, sig_v: NeighborhoodSignature) -> int:
     return cost
 
 
-def structural_similarity(u: int, v: int, kb: HeteroGraph, use_names: bool = True) -> float:
+def structural_similarity(u: int, v: int, kb: HeteroGraph) -> float:
     """1 - cost / (|A| + |B| + 1); the +1 covers the center term."""
-    sig_u = neighborhood_signature(kb, u, use_names)
-    sig_v = neighborhood_signature(kb, v, use_names)
+    sig_u = neighborhood_signature(kb, u)
+    sig_v = neighborhood_signature(kb, v)
     cost = ged_1hop(sig_u, sig_v)
     denom = len(sig_u.triples) + len(sig_v.triples) + 1
     return 1.0 - cost / denom
@@ -79,10 +80,9 @@ def semantic_similarity(u: int, v: int, embeddings: np.ndarray) -> float:
     return (1.0 + cos) / 2.0
 
 
-def score(u: int, v: int, kb: HeteroGraph, embeddings: np.ndarray,
-          use_names: bool = True) -> float:
+def score(u: int, v: int, kb: HeteroGraph, embeddings: np.ndarray) -> float:
     """Product of semantic and structural similarity; symmetric, in [0, 1]."""
-    return semantic_similarity(u, v, embeddings) * structural_similarity(u, v, kb, use_names)
+    return semantic_similarity(u, v, embeddings) * structural_similarity(u, v, kb)
 
 
 @dataclass
@@ -93,54 +93,43 @@ class NegativeCandidate:
     sim: float
 
 
-@dataclass
-class PoolEntry:
-    mention: str
-    gold: int
-    negatives: list[int]
-    provenance: list[str]                 # "hard" or "uniform", per negative
-    ranked: list[NegativeCandidate]
+class UniformSampler:
+    """Uniform draws of distinct KB ids minus an excluded set, over the KB's
+    id array built once."""
 
+    def __init__(self, kb: HeteroGraph):
+        self._ids = np.array(kb.node_ids, dtype=np.int64)
+        self._pos = _positions(kb)
 
-@dataclass
-class NegativePool:
-    entries: list[PoolEntry]
-    seed: int
-
-    def dump_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in self.entries:
-                fh.write(json.dumps({
-                    "mention": e.mention,
-                    "gold": e.gold,
-                    "negatives": [
-                        {"node": c.node, "sim_se": c.sim_se,
-                         "sim_st": c.sim_st, "sim": c.sim}
-                        for c in e.ranked],
-                    "sampled": e.negatives,
-                    "provenance": e.provenance,
-                }) + "\n")
+    def draw(self, k: int, rng: np.random.Generator, exclude: set[int]) -> list[int]:
+        """k ids in KB order, from one rng.choice over the KB ids not in
+        `exclude` (ids outside the KB are ignored)."""
+        keep = np.ones(len(self._ids), dtype=bool)
+        keep[[self._pos[n] for n in exclude if n in self._pos]] = False
+        remaining = self._ids[keep]
+        if k > len(remaining):
+            raise NegSampleError("KB too small to draw requested negatives")
+        picks = rng.choice(len(remaining), size=k, replace=False)
+        return [int(remaining[i]) for i in sorted(picks)]
 
 
 class HardNegativeSampler:
     """Ranks a gold entity's 1-hop neighbors once, then samples per request."""
 
-    def __init__(self, kb: HeteroGraph, embeddings: np.ndarray, use_names: bool = True):
+    def __init__(self, kb: HeteroGraph, embeddings: np.ndarray):
         if not kb.frozen:
             raise NegSampleError("KB must be frozen")
         self.kb = kb
         self.embeddings = embeddings
-        self.use_names = use_names
         self._ranked: dict[int, list[NegativeCandidate]] = {}
-        self._ids = np.array(kb.node_ids, dtype=np.int64)
-        self._pos = {nid: i for i, nid in enumerate(kb.node_ids)}
+        self._uniform = UniformSampler(kb)
 
     def ranked(self, gold: int) -> list[NegativeCandidate]:
         if gold not in self._ranked:
             cands = []
             for c in sorted(self.kb.neighbors(gold) - {gold}):
                 se = semantic_similarity(gold, c, self.embeddings)
-                st = structural_similarity(gold, c, self.kb, self.use_names)
+                st = structural_similarity(gold, c, self.kb)
                 cands.append(NegativeCandidate(c, se, st, se * st))
             cands.sort(key=lambda c: (-c.sim, c.node))
             self._ranked[gold] = cands
@@ -159,47 +148,6 @@ class HardNegativeSampler:
             picks = rng.choice(len(top), size=k, replace=False)
             return [top[i].node for i in sorted(picks)], ["hard"] * k
         negatives = [c.node for c in top]
-        provenance = ["hard"] * len(negatives)
-        drop = set(negatives) | {gold} | exclude
-        keep = np.ones(len(self._ids), dtype=bool)
-        keep[[self._pos[n] for n in drop if n in self._pos]] = False
-        remaining = self._ids[keep]
         fill = k - len(negatives)
-        if fill > len(remaining):
-            raise NegSampleError("KB too small to draw requested negatives")
-        picks = rng.choice(len(remaining), size=fill, replace=False)
-        negatives += [int(remaining[i]) for i in sorted(picks)]
-        provenance += ["uniform"] * fill
-        return negatives, provenance
-
-
-def generate_hard_negatives(positives, kb: HeteroGraph, k: int, seed: int,
-                            embeddings: np.ndarray, use_names: bool = True) -> NegativePool:
-    """positives: iterable of (mention surface, gold node id)."""
-    if k < 1:
-        raise NegSampleError("k must be >= 1")
-    sampler = HardNegativeSampler(kb, embeddings, use_names)
-    rng = np.random.default_rng(seed)
-    entries = []
-    for mention, gold in positives:
-        negatives, provenance = sampler.sample(gold, k, rng)
-        entries.append(PoolEntry(mention, gold, negatives, provenance, sampler.ranked(gold)))
-    return NegativePool(entries, seed)
-
-
-def uniform_negatives(positives, kb: HeteroGraph, k: int, seed: int) -> NegativePool:
-    """k uniform draws from the KB (without replacement), gold excluded."""
-    if k < 1:
-        raise NegSampleError("k must be >= 1")
-    if len(kb) < k + 1:
-        raise NegSampleError("KB smaller than k+1 nodes")
-    rng = np.random.default_rng(seed)
-    entries = []
-    ids = np.array(kb.node_ids)
-    for mention, gold in positives:
-        pool = ids[ids != gold]
-        picks = rng.choice(len(pool), size=k, replace=False)
-        negatives = [int(pool[i]) for i in sorted(picks)]
-        entries.append(PoolEntry(mention, gold, negatives, ["uniform"] * k,
-                                 ranked=[]))
-    return NegativePool(entries, seed)
+        negatives += self._uniform.draw(fill, rng, set(negatives) | {gold} | exclude)
+        return negatives, ["hard"] * len(top) + ["uniform"] * fill

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, GraphError,
-                       HeteroGraph, InvertedIndex, normalize)
+from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph,
+                       InvertedIndex)
 from .termembed import FrequencyTable, SifConfig, WordVectorStore, term_embedding
 
 
@@ -77,14 +77,12 @@ _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
 class GazetteerExtractor:
     """Longest-match lookup over the inverted index, plus an all-caps
-    heuristic that surfaces unknown abbreviation-like tokens."""
+    heuristic that surfaces unknown abbreviation-like tokens (alphabetic,
+    two letters or more)."""
 
-    def __init__(self, index: InvertedIndex, max_tokens: int | None = None,
-                 all_caps_unknown: bool = True, min_caps_len: int = 2):
+    def __init__(self, index: InvertedIndex):
         self.index = index
-        self.max_tokens = max_tokens or max(1, index.max_key_tokens())
-        self.all_caps_unknown = all_caps_unknown
-        self.min_caps_len = min_caps_len
+        self.max_tokens = max(1, index.max_key_tokens())
 
     def __call__(self, snippet: TextSnippet) -> list[Mention]:
         spans = [(m.start(), m.end(), m.group()) for m in _TOKEN_RE.finditer(snippet.text)]
@@ -105,8 +103,7 @@ class GazetteerExtractor:
                 i += width
                 continue
             start, end, tok = spans[i]
-            if (self.all_caps_unknown and tok.isupper() and tok.isalpha()
-                    and len(tok) >= self.min_caps_len):
+            if tok.isupper() and tok.isalpha() and len(tok) >= 2:
                 mentions.append(Mention(tok, start, end))
             i += 1
         return mentions

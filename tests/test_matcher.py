@@ -93,16 +93,6 @@ def test_pair_loss_with_negatives_adds_terms():
     assert loss == pytest.approx(expected, abs=1e-9)
 
 
-def test_pair_loss_literal_sign_flips_negative_term():
-    pos = Tensor(np.array([0.0]))
-    neg = Tensor(np.array([3.0]))
-    corrected = float(pair_loss(pos, neg).data)
-    literal = float(pair_loss(pos, neg, literal_negative_sign=True).data)
-    # the corrected form penalizes a high-scoring negative; the literal
-    # printed form rewards it
-    assert corrected > literal
-
-
 def test_pair_loss_requires_positives():
     with pytest.raises(MatcherError):
         pair_loss(Tensor(np.zeros(0)), None)

@@ -5,7 +5,6 @@ search over the two neighborhood multisets.
 """
 
 import itertools
-import json
 from collections import Counter
 
 import numpy as np
@@ -14,13 +13,12 @@ import pytest
 from hetlink.negsample import (
     HardNegativeSampler,
     NegSampleError,
+    UniformSampler,
     ged_1hop,
-    generate_hard_negatives,
     neighborhood_signature,
     score,
     semantic_similarity,
     structural_similarity,
-    uniform_negatives,
 )
 
 from conftest import random_hetero_graph
@@ -200,43 +198,53 @@ def test_hard_sampler_requires_frozen_kb(toy_emb):
         HardNegativeSampler(g, toy_emb)
 
 
-def test_generate_hard_negatives_deterministic(toy_kb, toy_emb):
-    positives = [("nausea", toy_kb.ids["nausea"]), ("fever", toy_kb.ids["Fever"])]
-    p1 = generate_hard_negatives(positives, toy_kb, k=2, seed=5, embeddings=toy_emb)
-    p2 = generate_hard_negatives(positives, toy_kb, k=2, seed=5, embeddings=toy_emb)
-    p3 = generate_hard_negatives(positives, toy_kb, k=2, seed=6, embeddings=toy_emb)
-    assert [e.negatives for e in p1.entries] == [e.negatives for e in p2.entries]
-    assert [e.negatives for e in p1.entries] != [e.negatives for e in p3.entries]
+def test_hard_sampler_is_deterministic_per_seed(toy_kb, toy_emb):
+    sampler = HardNegativeSampler(toy_kb, toy_emb)
+    golds = [toy_kb.ids["nausea"], toy_kb.ids["Fever"]]
+
+    def draws(seed):
+        rng = np.random.default_rng(seed)
+        return [sampler.sample(gold, 2, rng)[0] for gold in golds]
+    assert draws(5) == draws(5)
+    assert draws(5) != draws(6)
 
 
-def test_uniform_negatives_exclude_gold_and_are_deterministic(toy_kb):
-    positives = [("nausea", toy_kb.ids["nausea"])] * 20
-    pool = uniform_negatives(positives, toy_kb, k=3, seed=1)
-    for e in pool.entries:
-        assert toy_kb.ids["nausea"] not in e.negatives
-        assert len(set(e.negatives)) == 3
-        assert e.provenance == ["uniform"] * 3
-    again = uniform_negatives(positives, toy_kb, k=3, seed=1)
-    assert [e.negatives for e in pool.entries] == [e.negatives for e in again.entries]
+def list_draw(kb, gold, k, rng):
+    """The uniform epoch's draw as matcher.train made it before
+    UniformSampler: a fresh list of the KB ids but the gold, then one
+    rng.choice over it."""
+    pool = [n for n in kb.node_ids if n != gold]
+    picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
+    return [pool[j] for j in sorted(picks)]
 
 
-def test_k_validation_and_small_kb_errors(toy_kb, toy_emb):
-    with pytest.raises(NegSampleError):
-        generate_hard_negatives([], toy_kb, k=0, seed=0, embeddings=toy_emb)
-    with pytest.raises(NegSampleError):
-        uniform_negatives([], toy_kb, k=0, seed=0)
-    with pytest.raises(NegSampleError):
-        uniform_negatives([("x", 0)], toy_kb, k=len(toy_kb), seed=0)
+def test_uniform_draw_equals_list_reference_with_gold_excluded(toy_kb):
+    uniform = UniformSampler(toy_kb)
+    n = len(toy_kb)
+    for k in (1, 3, n - 1, n + 4):
+        size = min(k, n - 1)                 # what matcher.train asks for
+        for gold in toy_kb.node_ids:
+            for epoch in range(3):
+                rng = np.random.default_rng([7, epoch])
+                ref_rng = np.random.default_rng([7, epoch])
+                got = uniform.draw(size, rng, {gold})
+                assert got == list_draw(toy_kb, gold, k, ref_rng)
+                assert all(type(v) is int for v in got)
+                assert gold not in got and len(set(got)) == size
+                # the generator is left where the reference leaves it, so
+                # the epoch's later draws (dropout) are unchanged too
+                assert rng.random() == ref_rng.random()
 
 
-def test_pool_dump_jsonl_roundtrips_fields(toy_kb, toy_emb, tmp_path):
-    pool = generate_hard_negatives([("nausea", toy_kb.ids["nausea"])],
-                                   toy_kb, k=2, seed=0, embeddings=toy_emb)
-    path = tmp_path / "pool.jsonl"
-    pool.dump_jsonl(path)
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(rows) == 1
-    assert rows[0]["mention"] == "nausea"
-    assert rows[0]["sampled"] == pool.entries[0].negatives
-    assert all(set(n) == {"node", "sim_se", "sim_st", "sim"}
-               for n in rows[0]["negatives"])
+def test_uniform_top_up_fails_cleanly_when_the_kb_is_too_small(toy_kb, toy_emb):
+    uniform = UniformSampler(toy_kb)
+    gold = toy_kb.ids["proteinuria"]          # single neighbor
+    n = len(toy_kb)
+    assert len(uniform.draw(n - 1, np.random.default_rng(0), {gold})) == n - 1
+    with pytest.raises(NegSampleError, match="too small"):
+        uniform.draw(n, np.random.default_rng(0), {gold})
+    sampler = HardNegativeSampler(toy_kb, toy_emb)
+    negatives, _ = sampler.sample(gold, n - 1, np.random.default_rng(0))
+    assert sorted(negatives) == sorted(set(toy_kb.node_ids) - {gold})
+    with pytest.raises(NegSampleError, match="too small"):
+        sampler.sample(gold, n, np.random.default_rng(0))
