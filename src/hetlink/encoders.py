@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ndiff
-from .hetgraph import GraphError, HeteroGraph, Metapath, SELF_EDGE_TYPE
+from .hetgraph import HeteroGraph, Metapath, SELF_EDGE_TYPE
 from .ndiff import Parameter, Tensor
 
 ENCODER_KINDS = ("graphsage", "rgcn", "magnn")
@@ -85,28 +85,20 @@ def _graph_cache(graph: HeteroGraph) -> dict:
     return cache
 
 
-def _positions(graph: HeteroGraph) -> dict[int, int]:
-    cache = _graph_cache(graph)
-    if "pos" not in cache:
-        cache["pos"] = {nid: i for i, nid in enumerate(graph.node_ids)}
-    return cache["pos"]
-
-
 def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.SparseOperator:
     """Row v holds 1/|N_v^r| over N_v^r, the neighbors through `relation`
-    (through every relation when it is None); zero row if there are none."""
+    (through every relation when it is None); zero row if there are none.
+    Built from one pass over the edges: N_v^r ignores direction, so each edge
+    links both of its ends, and a pair linked twice counts once."""
     cache = _graph_cache(graph).setdefault("rel_adj", {})
     if relation not in cache:
-        pos = _positions(graph)
         n = len(graph)
-        rows, cols, vals = [], [], []
-        for nid in graph.node_ids:
-            neigh = sorted(graph.neighbors(nid) if relation is None
-                           else graph.neighbors_by_relation(nid, relation))
-            for u in neigh:
-                rows.append(pos[nid])
-                cols.append(pos[u])
-                vals.append(1.0 / len(neigh))
+        edges = [e for e in graph.edges if relation is None or e.type == relation]
+        src = graph.rows([e.src for e in edges])
+        dst = graph.rows([e.dst for e in edges])
+        # one key per (row, neighbor row) pair, ascending by row then column
+        rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)
+        vals = 1.0 / np.bincount(rows, minlength=n)[rows]
         cache[relation] = ndiff.SparseOperator(
             sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
     return cache[relation]
@@ -137,27 +129,22 @@ def _metapath_batch(graph: HeteroGraph, path: Metapath) -> MetapathBatch:
     cache = _graph_cache(graph).setdefault("metapath", {})
     key = path.label()
     if key not in cache:
-        pos = _positions(graph)
         n = len(graph)
         instances: list[tuple[int, ...]] = []
-        targets: list[int] = []
+        target_ids: list[int] = []
         for nid in graph.nodes_of_type(path.tail):
             # simple instances only: cyclic ones re-inject the target's own
             # feature, which drowns the neighborhood signal being compared
             for inst in graph.metapath_instances(nid, path, anchor="end",
                                                  simple=True):
                 instances.append(inst)
-                targets.append(pos[nid])
-        rows, cols, vals = [], [], []
-        for i, inst in enumerate(instances):
-            w = 1.0 / len(inst)
-            for nid in inst:
-                rows.append(i)
-                cols.append(pos[nid])
-                vals.append(w)
-        m = len(instances)
-        covered, segments = np.unique(np.array(targets, dtype=np.int64),
-                                      return_inverse=True)
+                target_ids.append(nid)
+        m, width = len(instances), len(path)
+        targets = graph.rows(target_ids)
+        rows = np.repeat(np.arange(m), width)
+        cols = graph.rows([nid for inst in instances for nid in inst])
+        vals = np.full(m * width, 1.0 / width)
+        covered, segments = np.unique(targets, return_inverse=True)
         cache[key] = MetapathBatch(
             avg=ndiff.SparseOperator(sp.csr_matrix((vals, (rows, cols)), shape=(m, n))),
             gather=ndiff.SparseOperator(
@@ -258,9 +245,6 @@ class Encoder:
     def parameters(self) -> list[Parameter]:
         return [self._params[name] for name in sorted(self._params)]
 
-    def param(self, name: str) -> Parameter:
-        return self._params[name]
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
 
@@ -305,8 +289,7 @@ class Encoder:
             else:
                 x = self._magnn_layer(graph, x, k, collect)
         if targets is not None:
-            pos = _positions(graph)
-            x = ndiff.gather_rows(x, [pos[t] for t in targets])
+            x = ndiff.gather_rows(x, graph.rows(targets))
         return x
 
     def _graphsage_layer(self, graph, x, k) -> Tensor:
@@ -329,10 +312,9 @@ class Encoder:
 
     def _project_types(self, graph, x) -> Tensor:
         """Type-specific input projection into the shared latent space."""
-        pos = _positions(graph)
         out = Tensor(np.zeros((len(graph), self.config.dim)))
         for t in sorted(graph.node_types):
-            idx = np.array([pos[n] for n in graph.nodes_of_type(t)], dtype=np.int64)
+            idx = graph.rows(graph.nodes_of_type(t))
             proj = ndiff.matmul(ndiff.gather_rows(x, idx), self._params[f"magnn.in_proj[{t}]"])
             out = ndiff.scatter_rows(out, idx, proj)
         return out

@@ -17,7 +17,7 @@ from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
                        Schema, SELF_EDGE_TYPE, build_inverted_index, tokenize)
 from .matcher import (MatchingHead, SiameseModel, TrainItem,
                       candidate_ids, order_by_score, rank_items)
-from .encoders import Encoder, EncoderConfig, _positions
+from .encoders import Encoder, EncoderConfig
 from .querygraph import (GoldMentionExtractor, Mention, TextSnippet,
                          augment_query_graph, fully_connected_query_graph)
 from .termembed import (FrequencyTable, SifConfig, WordVectorStore,
@@ -454,18 +454,14 @@ def corpus_items(corpus: SynthCorpus, snippet_ids, query_builder: str = "augment
     return items
 
 
-def build_model(kb: HeteroGraph, feature_dim: int, kind: str, seed: int = 0,
-                num_layers: int = 2, dim: int = 128, heads: int = 2,
-                dropout: float = 0.5, metapaths=None, fc_mode: bool = False,
-                identity_residual: bool = True) -> SiameseModel:
-    """Siamese model over `kb`'s types.  MAGNN defaults to the schema's
-    metapaths; fc_mode also registers the fully connected query graphs'
-    generic edge type."""
+def build_model(kb: HeteroGraph, feature_dim: int, kind: str, metapaths=None,
+                fc_mode: bool = False, **encoder_options) -> SiameseModel:
+    """Siamese model over `kb`'s types; `encoder_options` are EncoderConfig
+    fields.  MAGNN defaults to the schema's metapaths; fc_mode also registers
+    the fully connected query graphs' generic edge type."""
     if metapaths is None and kind == "magnn":
         metapaths = schema_metapaths(kb.schema)
-    cfg = EncoderConfig(kind=kind, num_layers=num_layers, dim=dim, heads=heads,
-                        dropout=dropout, metapaths=metapaths or [], seed=seed,
-                        identity_residual=identity_residual)
+    cfg = EncoderConfig(kind=kind, metapaths=metapaths or [], **encoder_options)
     edge_types = set(kb.edge_types) | {SELF_EDGE_TYPE}
     if fc_mode:
         edge_types.add(RELATED_EDGE_TYPE)
@@ -527,13 +523,12 @@ def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
     """Term-embedding nearest neighbor on the mention surface alone."""
     if kb_feats is None:
         kb_feats = kb_features(corpus)
-    pos = _positions(corpus.kb)
     out = {}
     for it in items:
         mention = it.qgraph.mentions[it.mention_node]
         vec = term_embedding(mention.surface, corpus.store, corpus.freqs)
         cands = candidate_ids(corpus.kb, it)
-        mat = kb_feats[[pos[c] for c in cands]]
+        mat = kb_feats[corpus.kb.rows(cands)]
         norms = np.linalg.norm(mat, axis=1) * (np.linalg.norm(vec) or 1.0)
         norms[norms == 0] = 1.0
         out[it.snippet_id], _ = order_by_score(cands, mat @ vec / norms)

@@ -12,6 +12,8 @@ import re
 import unicodedata
 from dataclasses import dataclass
 
+import numpy as np
+
 # Reserved edge type used for query-graph self-loops.  Freeze registers a
 # (T, SELF, T) schema triple for every node type so query graphs stay
 # schema-consistent.
@@ -136,6 +138,7 @@ class HeteroGraph:
         self._in: dict[tuple[int, str], list[int]] = {}
         self._schema: Schema | None = None
         self._sorted_ids: list[int] = []
+        self._id_array = np.zeros(0, dtype=np.int64)   # sorted ids; row = index
         self._ids_by_type: dict[str, list[int]] = {}
 
     # -- construction ------------------------------------------------------
@@ -191,6 +194,7 @@ class HeteroGraph:
         triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
         self._schema = Schema(frozenset(triples))
         self._sorted_ids = sorted(self._nodes)
+        self._id_array = np.array(self._sorted_ids, dtype=np.int64)
         for nid in self._sorted_ids:
             self._ids_by_type.setdefault(self._nodes[nid].type, []).append(nid)
         self._frozen = True
@@ -238,6 +242,21 @@ class HeteroGraph:
         except KeyError:
             raise GraphError(f"unknown node {nid}") from None
 
+    def rows(self, ids) -> np.ndarray:
+        """Row of each id in node-id order (its index in node_ids), int64.
+
+        The one id-to-row map: encoders, rankers and samplers index node
+        arrays through it."""
+        if not self._frozen:
+            raise GraphError("rows available only on a frozen graph")
+        ids = np.asarray(ids, dtype=np.int64)
+        rows = np.searchsorted(self._id_array, ids)
+        found = rows < len(self._id_array)
+        found[found] = self._id_array[rows[found]] == ids[found]
+        if not found.all():
+            raise GraphError(f"unknown node {ids[~found][0]}")
+        return rows
+
     def nodes(self) -> list[Node]:
         return [self._nodes[i] for i in self.node_ids]
 
@@ -251,10 +270,6 @@ class HeteroGraph:
     def out_neighbors(self, v: int, r: str) -> list[int]:
         self.node(v)
         return list(self._out.get((v, r), ()))
-
-    def in_neighbors(self, v: int, r: str) -> list[int]:
-        self.node(v)
-        return list(self._in.get((v, r), ()))
 
     def neighbors_by_relation(self, v: int, r: str) -> set[int]:
         """N_v^r: nodes incident to v through an edge of relation r."""
@@ -469,13 +484,3 @@ def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:
     with open(edges_path, "w", encoding="utf-8") as fh:
         for e in graph.edges:
             fh.write(f"{e.src}\t{e.dst}\t{e.type}\n")
-
-
-def load_metapaths(path) -> list[Metapath]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(Metapath.parse(line))
-    return out

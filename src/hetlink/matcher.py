@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndiff
-from .encoders import Encoder, EncoderConfig, _positions
+from .encoders import Encoder, EncoderConfig
 from .hetgraph import HeteroGraph
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, UniformSampler
@@ -237,9 +237,7 @@ def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
 
     Returns one (ids, scores) pair per query, best first, ties by id: the
     single ranking step behind validation, eval and disambiguation."""
-    pos = _positions(kb)
-    return [order_by_score(pool, model.head.score_one_vs_many(
-                q, kb_unit[_positions_list(pos, pool)]))
+    return [order_by_score(pool, model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)]))
             for q, pool in zip(q_rows, pools)]
 
 
@@ -264,10 +262,6 @@ def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
     return correct / len(batch.items)
 
 
-def _positions_list(pos_map, ids):
-    return np.array([pos_map[i] for i in ids], dtype=np.int64)
-
-
 def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
           train_items: list[TrainItem], val_items: list[TrainItem],
           config: TrainConfig,
@@ -283,8 +277,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
     val_batch = build_query_batch(val_items, model.encoder.feature_dim)
-    kb_pos = _positions(kb)
-    gold_pos = _positions_list(kb_pos, [it.gold for it in train_items])
+    gold_rows = kb.rows([it.gold for it in train_items])
 
     opt = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     history: list[dict] = []
@@ -319,12 +312,12 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                                        training=True, rng=rng)
         h_kb_all = model.encoder.encode(kb, kb_features, training=True, rng=rng)
         h_pos_q = ndiff.gather_rows(h_q_all, batch.mention_ids)
-        h_pos_kb = ndiff.gather_rows(h_kb_all, gold_pos)
+        h_pos_kb = ndiff.gather_rows(h_kb_all, gold_rows)
         s_pos = model.head.score_pairs(h_pos_q, h_pos_kb)
         s_neg = None
         if neg_kb_ids:
             h_neg_q = ndiff.gather_rows(h_q_all, neg_q_rows)
-            h_neg_kb = ndiff.gather_rows(h_kb_all, _positions_list(kb_pos, neg_kb_ids))
+            h_neg_kb = ndiff.gather_rows(h_kb_all, kb.rows(neg_kb_ids))
             s_neg = model.head.score_pairs(h_neg_q, h_neg_kb)
         loss = pair_loss(s_pos, s_neg)
         loss_value = float(loss.data)

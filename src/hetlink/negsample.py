@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import _positions
 from .hetgraph import SELF_EDGE_TYPE, HeteroGraph
 
 log = logging.getLogger(__name__)
@@ -98,14 +97,14 @@ class UniformSampler:
     id array built once."""
 
     def __init__(self, kb: HeteroGraph):
+        self._kb = kb
         self._ids = np.array(kb.node_ids, dtype=np.int64)
-        self._pos = _positions(kb)
 
     def draw(self, k: int, rng: np.random.Generator, exclude: set[int]) -> list[int]:
         """k ids in KB order, from one rng.choice over the KB ids not in
         `exclude` (ids outside the KB are ignored)."""
         keep = np.ones(len(self._ids), dtype=bool)
-        keep[[self._pos[n] for n in exclude if n in self._pos]] = False
+        keep[self._kb.rows([n for n in exclude if n in self._kb])] = False
         remaining = self._ids[keep]
         if k > len(remaining):
             raise NegSampleError("KB too small to draw requested negatives")

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hetlink import ndiff
+from hetlink import evalgen, ndiff
 from hetlink.encoders import (
     AttentionRecord,
     Encoder,
     EncoderConfig,
     EncoderError,
+    _relation_adjacency,
     build_encoder_for_graph,
 )
 from hetlink.evalgen import schema_metapaths
-from hetlink.hetgraph import HeteroGraph, Metapath
+from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
+from hetlink.matcher import build_query_batch
 
 from conftest import random_hetero_graph
 
@@ -274,6 +276,50 @@ def test_second_encode_of_a_graph_builds_no_sparse_matrix(monkeypatch):
     _encode_and_backward(enc, g, x, w)
     enc.encode(g, x)
     assert built == []
+
+
+def _adjacency_oracle(graph, relation):
+    """The per-node construction: row v lists N_v^r sorted, each 1/|N_v^r|."""
+    row = {nid: i for i, nid in enumerate(graph.node_ids)}
+    rows, cols, vals = [], [], []
+    for nid in graph.node_ids:
+        neigh = sorted(graph.neighbors(nid) if relation is None
+                       else graph.neighbors_by_relation(nid, relation))
+        for u in neigh:
+            rows.append(row[nid])
+            cols.append(row[u])
+            vals.append(1.0 / len(neigh))
+    n = len(graph)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def _assert_adjacency_matches_oracle(graph, relations):
+    for relation in relations:
+        got = _relation_adjacency(graph, relation).matrix
+        want = _adjacency_oracle(graph, relation)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (relation, name)
+
+
+def test_relation_adjacency_matches_per_node_oracle_on_toy_kb(toy_kb):
+    # a sparse-id copy too, so rows and ids differ
+    sparse_ids = _permuted_copy(toy_kb, 3 * np.arange(len(toy_kb)) + 5)
+    for g in (toy_kb, sparse_ids):
+        assert "NO_SUCH_RELATION" not in g.edge_types
+        _assert_adjacency_matches_oracle(
+            g, [None, "NO_SUCH_RELATION", *sorted(g.edge_types)])
+    assert _relation_adjacency(toy_kb, "NO_SUCH_RELATION").matrix.nnz == 0
+
+
+def test_relation_adjacency_matches_per_node_oracle_on_synthetic_kb_and_queries():
+    corpus = evalgen.generate_synthetic_kb(evalgen.SynthConfig(seed=1))
+    _assert_adjacency_matches_oracle(corpus.kb, [None, *sorted(corpus.kb.edge_types)])
+    items = evalgen.corpus_items(corpus, [s.id for s in corpus.snippets[:30]])
+    batch = build_query_batch(items, corpus.config.feature_dim)
+    assert SELF_EDGE_TYPE in batch.graph.edge_types
+    _assert_adjacency_matches_oracle(batch.graph, [None, *sorted(batch.graph.edge_types)])
 
 
 # ---------------------------------------------------------------------------

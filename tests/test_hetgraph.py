@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from hetlink.hetgraph import (GraphError, HeteroGraph, InvertedIndex, Metapath,
                               SELF_EDGE_TYPE, build_inverted_index,
-                              default_acronym_rule, load_graph, load_metapaths,
+                              default_acronym_rule, load_graph,
                               normalize, save_graph, tokenize)
 from conftest import random_hetero_graph
 
@@ -176,14 +176,6 @@ def test_malformed_tsv_reports_line_number(tmp_path):
         load_graph(bad, None)
 
 
-def test_load_metapaths(tmp_path):
-    f = tmp_path / "paths.txt"
-    f.write_text("Drug-CAUSE-AdverseEffect\n\nDrug-TREAT-Symptom\n")
-    paths = load_metapaths(f)
-    assert [p.label() for p in paths] == ["Drug-CAUSE-AdverseEffect",
-                                         "Drug-TREAT-Symptom"]
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_metapath_instances_deterministic_and_typed(seed):
@@ -241,3 +233,23 @@ def test_frozen_id_accessors_match_uncached_and_return_copies():
     assert g.node_ids == ids
     assert g.nodes_of_type("Drug") == by_type["Drug"]
     assert g.nodes_of_type("NoSuchType") == []
+
+
+def test_rows_follow_node_ids_order_on_sparse_ids():
+    # ids as an ingested TSV may carry them: gaps, added out of order
+    g = HeteroGraph()
+    for nid in (40, 7, 123, 0, 9):
+        g.add_node("Drug", f"node {nid}", node_id=nid)
+    with pytest.raises(GraphError):
+        g.rows([7])
+    g.freeze()
+    rows = g.rows([123, 0, 9, 9, 40])
+    assert rows.dtype == np.int64
+    assert rows.tolist() == [g.node_ids.index(n) for n in (123, 0, 9, 9, 40)]
+    assert g.rows(g.node_ids).tolist() == list(range(len(g)))
+    assert g.rows([]).shape == (0,)
+    for unknown in (8, -1, 124):     # between, below and above the ids
+        with pytest.raises(GraphError, match=f"unknown node {unknown}"):
+            g.rows([7, unknown])
+    with pytest.raises(GraphError):
+        HeteroGraph().freeze().rows([0])
