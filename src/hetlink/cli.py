@@ -234,7 +234,8 @@ def cmd_disambiguate(args) -> int:
         out.append({"snippet": item.snippet_id, "mention": mention.surface,
                     "candidates": [{"id": nid, "name": kb.node(nid).surface,
                                     "score": score}
-                                   for nid, score in zip(ids[:k], scores[:k].tolist())]})
+                                   for nid, score in zip(ids[:k].tolist(),
+                                                         scores[:k].tolist())]})
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

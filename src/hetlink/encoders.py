@@ -96,11 +96,13 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.Spars
         edges = [e for e in graph.edges if relation is None or e.type == relation]
         src = graph.rows([e.src for e in edges])
         dst = graph.rows([e.dst for e in edges])
-        # one key per (row, neighbor row) pair, ascending by row then column
+        # one key per (row, neighbor row) pair, ascending by row then column,
+        # which is CSR order: each row's count gives its slice of the columns
         rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)
-        vals = 1.0 / np.bincount(rows, minlength=n)[rows]
+        degree = np.bincount(rows, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(degree)))
         cache[relation] = ndiff.SparseOperator(
-            sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+            sp.csr_matrix((1.0 / degree[rows], cols, indptr), shape=(n, n)))
     return cache[relation]
 
 
@@ -314,7 +316,7 @@ class Encoder:
         """Type-specific input projection into the shared latent space."""
         out = Tensor(np.zeros((len(graph), self.config.dim)))
         for t in sorted(graph.node_types):
-            idx = graph.rows(graph.nodes_of_type(t))
+            idx = graph.rows(graph.ids_of_type(t))
             proj = ndiff.matmul(ndiff.gather_rows(x, idx), self._params[f"magnn.in_proj[{t}]"])
             out = ndiff.scatter_rows(out, idx, proj)
         return out

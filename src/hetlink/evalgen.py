@@ -483,15 +483,16 @@ def lexical_candidates(kb: HeteroGraph, item: TrainItem) -> list[int]:
     overlaps (heavily corrupted surfaces)."""
     mention = item.qgraph.mentions[item.mention_node]
     toks = set(tokenize(mention.surface))
+    pool = candidate_ids(kb, item).tolist()
     cands = []
-    for c in candidate_ids(kb, item):
+    for c in pool:
         node = kb.node(c)
         surface_toks = set(node.name)
         for syn in node.synonyms:
             surface_toks.update(syn)
         if toks & surface_toks:
             cands.append(c)
-    return cands or candidate_ids(kb, item)
+    return cands or pool
 
 
 def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
@@ -505,7 +506,7 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
         raise EvalGenError(f"unknown candidate mode {candidates!r}")
     pool_of = lexical_candidates if candidates == "lexical" else candidate_ids
     ranked = rank_items(model, kb, kb_feats, items, [pool_of(kb, it) for it in items])
-    return {it.snippet_id: ids for it, (ids, _) in zip(items, ranked)}
+    return {it.snippet_id: ids.tolist() for it, (ids, _) in zip(items, ranked)}
 
 
 def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainItem],
@@ -531,7 +532,8 @@ def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
         mat = kb_feats[corpus.kb.rows(cands)]
         norms = np.linalg.norm(mat, axis=1) * (np.linalg.norm(vec) or 1.0)
         norms[norms == 0] = 1.0
-        out[it.snippet_id], _ = order_by_score(cands, mat @ vec / norms)
+        ranked, _ = order_by_score(cands, mat @ vec / norms)
+        out[it.snippet_id] = ranked.tolist()
     return out
 
 

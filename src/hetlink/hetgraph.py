@@ -36,6 +36,14 @@ def tokenize(text: str) -> list[str]:
     return normalize(text).split()
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_NO_IDS = _read_only(np.zeros(0, dtype=np.int64))
+
+
 class GraphError(Exception):
     """Invalid graph construction or query."""
 
@@ -138,8 +146,8 @@ class HeteroGraph:
         self._in: dict[tuple[int, str], list[int]] = {}
         self._schema: Schema | None = None
         self._sorted_ids: list[int] = []
-        self._id_array = np.zeros(0, dtype=np.int64)   # sorted ids; row = index
-        self._ids_by_type: dict[str, list[int]] = {}
+        self._id_array = _NO_IDS                    # sorted ids; row = index
+        self._ids_by_type: dict[str, np.ndarray] = {}   # sorted ids of each type
 
     # -- construction ------------------------------------------------------
 
@@ -194,9 +202,12 @@ class HeteroGraph:
         triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
         self._schema = Schema(frozenset(triples))
         self._sorted_ids = sorted(self._nodes)
-        self._id_array = np.array(self._sorted_ids, dtype=np.int64)
+        self._id_array = _read_only(np.array(self._sorted_ids, dtype=np.int64))
+        by_type: dict[str, list[int]] = {}
         for nid in self._sorted_ids:
-            self._ids_by_type.setdefault(self._nodes[nid].type, []).append(nid)
+            by_type.setdefault(self._nodes[nid].type, []).append(nid)
+        self._ids_by_type = {t: _read_only(np.array(ids, dtype=np.int64))
+                             for t, ids in by_type.items()}
         self._frozen = True
         return self
 
@@ -242,6 +253,20 @@ class HeteroGraph:
         except KeyError:
             raise GraphError(f"unknown node {nid}") from None
 
+    @property
+    def id_array(self) -> np.ndarray:
+        """node_ids of a frozen graph as a read-only int64 array."""
+        if not self._frozen:
+            raise GraphError("id_array available only on a frozen graph")
+        return self._id_array
+
+    def ids_of_type(self, ntype: str) -> np.ndarray:
+        """nodes_of_type of a frozen graph as a read-only int64 array, ascending;
+        empty for a type the graph lacks."""
+        if not self._frozen:
+            raise GraphError("ids_of_type available only on a frozen graph")
+        return self._ids_by_type.get(ntype, _NO_IDS)
+
     def rows(self, ids) -> np.ndarray:
         """Row of each id in node-id order (its index in node_ids), int64.
 
@@ -262,7 +287,7 @@ class HeteroGraph:
 
     def nodes_of_type(self, ntype: str) -> list[int]:
         if self._frozen:
-            return list(self._ids_by_type.get(ntype, ()))
+            return self.ids_of_type(ntype).tolist()
         return [i for i in self.node_ids if self._nodes[i].type == ntype]
 
     # -- neighborhoods -----------------------------------------------------

@@ -156,8 +156,9 @@ def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
     return QueryBatch(union, features, mention_ids, items)
 
 
-def candidate_ids(kb: HeteroGraph, item: TrainItem) -> list[int]:
-    """Type-compatible KB candidates; all nodes when no type is inferred."""
+def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
+    """Type-compatible KB candidates, all nodes when no type is inferred: a
+    read-only int64 array of ascending ids."""
     types: tuple[str, ...] = ()
     if item.category and item.category in kb.node_types:
         types = (item.category,)
@@ -165,11 +166,12 @@ def candidate_ids(kb: HeteroGraph, item: TrainItem) -> list[int]:
         types = tuple(t for t in item.qgraph.inferred_types.get(item.mention_node, ())
                       if t in kb.node_types)
     if not types:
-        return kb.node_ids
-    out: list[int] = []
-    for t in types:
-        out.extend(kb.nodes_of_type(t))
-    return sorted(set(out))
+        return kb.id_array
+    if len(types) == 1:
+        return kb.ids_of_type(types[0])
+    pool = np.unique(np.concatenate([kb.ids_of_type(t) for t in types]))
+    pool.flags.writeable = False
+    return pool
 
 
 @dataclass
@@ -189,10 +191,12 @@ class TrainResult:
                                  "val_f1": f"{row['val_f1']:.12g}"})
 
 
-def order_by_score(ids: list[int], scores: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """`ids` and their `scores` by descending score, ties by ascending id."""
+def order_by_score(ids, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`ids` and their `scores` by descending score, ties by ascending id, as
+    an int64 id array and a score array."""
+    ids = np.asarray(ids, dtype=np.int64)
     order = np.lexsort((ids, -scores))
-    return [ids[i] for i in order], scores[order]
+    return ids[order], scores[order]
 
 
 def _frozen_array(a) -> bool:
@@ -231,19 +235,28 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
 
 def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                     q_rows: np.ndarray,
-                    pools: list[list[int]]) -> list[tuple[list[int], np.ndarray]]:
-    """Rank each query row's KB candidate pool against `kb_unit`, the unit-norm
-    KB rows of kb_embeddings.
+                    pools: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rank each query row's KB candidate pool (ids, as candidate_ids returns
+    them) against `kb_unit`, the unit-norm KB rows of kb_embeddings.
 
-    Returns one (ids, scores) pair per query, best first, ties by id: the
-    single ranking step behind validation, eval and disambiguation."""
-    return [order_by_score(pool, model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)]))
-            for q, pool in zip(q_rows, pools)]
+    Returns one (int64 ids, scores) array pair per query, best first, ties by
+    id: the single ranking step behind validation, eval and disambiguation."""
+    ranked = []
+    for q, pool in zip(q_rows, pools):
+        rows = kb.rows(pool)
+        if rows.size and (np.diff(rows) == 1).all():
+            # one ascending run of rows, as a type whose ids were numbered
+            # together gives: a view scores bit for bit as the gathered copy
+            cands = kb_unit[rows[0]:rows[-1] + 1]
+        else:
+            cands = kb_unit[rows]
+        ranked.append(order_by_score(pool, model.head.score_one_vs_many(q, cands)))
+    return ranked
 
 
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                items: list[TrainItem],
-               pools: list[list[int]]) -> list[tuple[list[int], np.ndarray]]:
+               pools: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Encode every item in one QueryBatch and rank each item's candidate
     pool against the KB embeddings."""
     batch = build_query_batch(items, model.encoder.feature_dim)
@@ -258,7 +271,7 @@ def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
         return 0.0
     ranked = rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids],
                              [candidate_ids(kb, item) for item in batch.items])
-    correct = sum(ids[0] == item.gold for (ids, _), item in zip(ranked, batch.items))
+    correct = sum(int(ids[0]) == item.gold for (ids, _), item in zip(ranked, batch.items))
     return correct / len(batch.items)
 
 
@@ -358,7 +371,7 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
         return []
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
     [(ids, scores)] = rank_items(model, kb, kb_features, [item], [candidate_ids(kb, item)])
-    return list(zip(ids[:k], scores[:k].tolist()))
+    return list(zip(ids[:k].tolist(), scores[:k].tolist()))
 
 
 # -- model persistence -----------------------------------------------------

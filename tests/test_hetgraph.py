@@ -235,6 +235,27 @@ def test_frozen_id_accessors_match_uncached_and_return_copies():
     assert g.nodes_of_type("NoSuchType") == []
 
 
+def test_frozen_id_arrays_are_read_only_int64_copies_of_the_lists():
+    g = HeteroGraph()
+    for nid, ntype in [(7, "Drug"), (2, "Finding"), (11, "Drug"), (0, "Symptom")]:
+        g.add_node(ntype, f"node {nid}", node_id=nid)
+    with pytest.raises(GraphError):
+        g.id_array
+    with pytest.raises(GraphError):
+        g.ids_of_type("Drug")
+    g.freeze()
+    arrays = {None: g.id_array, "NoSuchType": g.ids_of_type("NoSuchType")}
+    arrays.update({t: g.ids_of_type(t) for t in g.node_types})
+    for t, a in arrays.items():
+        assert a.dtype == np.int64 and not a.flags.writeable
+        assert a.tolist() == (g.node_ids if t is None else g.nodes_of_type(t))
+        with pytest.raises(ValueError):
+            a[...] = 0
+    assert g.ids_of_type("Drug").tolist() == [7, 11]
+    assert g.ids_of_type("NoSuchType").shape == (0,)
+    assert HeteroGraph().freeze().id_array.shape == (0,)
+
+
 def test_rows_follow_node_ids_order_on_sparse_ids():
     # ids as an ingested TSV may carry them: gaps, added out of order
     g = HeteroGraph()

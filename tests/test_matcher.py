@@ -3,6 +3,7 @@ persistence."""
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,13 +17,15 @@ from hetlink.matcher import (
     build_query_batch,
     candidate_ids,
     disambiguate,
+    kb_embeddings,
     load_model,
     order_by_score,
     pair_loss,
+    rank_candidates,
     save_model,
     train,
 )
-from hetlink.hetgraph import build_inverted_index
+from hetlink.hetgraph import HeteroGraph, build_inverted_index
 from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
 from hetlink.termembed import init_node_features
 
@@ -116,8 +119,8 @@ def test_candidate_ids_respect_declared_category(mini):
     corpus = mini["corpus"]
     item = mini["train"][0]
     cands = candidate_ids(corpus.kb, item)
-    assert cands == corpus.kb.nodes_of_type("Finding")
-    assert item.gold in cands
+    assert cands.tolist() == corpus.kb.nodes_of_type("Finding")
+    assert item.gold in cands.tolist()
 
 
 def test_candidate_ids_fall_back_to_all_nodes(mini):
@@ -129,9 +132,79 @@ def test_candidate_ids_fall_back_to_all_nodes(mini):
     saved = qg.inferred_types.get(item.mention_node)
     qg.inferred_types[item.mention_node] = ()
     try:
-        assert candidate_ids(corpus.kb, bare) == corpus.kb.node_ids
+        assert candidate_ids(corpus.kb, bare).tolist() == corpus.kb.node_ids
     finally:
         qg.inferred_types[item.mention_node] = saved
+
+
+def _candidate_ids_oracle(kb, item):
+    """The list construction candidate_ids replaced: a sorted set of the
+    type lists, or every node id when no type is known."""
+    if item.category and item.category in kb.node_types:
+        types = (item.category,)
+    else:
+        types = tuple(t for t in item.qgraph.inferred_types.get(item.mention_node, ())
+                      if t in kb.node_types)
+    if not types:
+        return kb.node_ids
+    out = []
+    for t in types:
+        out.extend(kb.nodes_of_type(t))
+    return sorted(set(out))
+
+
+def _sparse_id_kb(rng, n=60, types=("Drug", "AdverseEffect", "Symptom", "Finding")):
+    """Ids with gaps, added out of order, types interleaved across the ids."""
+    kb = HeteroGraph()
+    for nid in rng.permutation(5 * n)[:n].tolist():
+        kb.add_node(types[int(rng.integers(len(types)))], f"node {nid}", node_id=nid)
+    return kb.freeze()
+
+
+def test_candidate_ids_match_the_list_oracle_as_read_only_int64():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        kb = _sparse_id_kb(rng)
+        kb_types = sorted(kb.node_types)
+        cases = [
+            (kb_types[0], ()),                                   # declared category
+            ("NoSuchType", (kb_types[1],)),                      # one inferred type
+            (None, tuple(rng.permutation(kb_types)[:3].tolist()) + ("NoSuchType", kb_types[0])),
+            (None, tuple(kb_types)),                             # several, every type
+            ("NoSuchType", ("Other",)),                          # no type known
+            (None, ()),
+        ]
+        for category, inferred in cases:
+            item = TrainItem("s", SimpleNamespace(inferred_types={0: inferred}),
+                             None, 0, gold=-1, category=category)
+            cands = candidate_ids(kb, item)
+            assert cands.dtype == np.int64 and not cands.flags.writeable
+            assert cands.tolist() == _candidate_ids_oracle(kb, item)
+            with pytest.raises(ValueError):
+                cands[...] = 0
+
+
+def _order_by_score_oracle(ids, scores):
+    """The list reordering order_by_score replaced."""
+    order = np.lexsort((ids, -scores))
+    return [ids[i] for i in order], scores[order]
+
+
+def test_order_by_score_matches_the_list_oracle_on_random_pools():
+    rng = np.random.default_rng(5)
+    for trial in range(200):
+        n = int(rng.integers(0, 40))
+        ids = rng.permutation(1000)[:n].tolist()          # unsorted, with gaps
+        # few distinct values so scores repeat, with +0.0 and -0.0 among them
+        scores = rng.choice(np.array([0.0, -0.0, 0.5, -0.5, 1.25]), size=n)
+        if trial % 3 == 0:
+            scores = rng.standard_normal(n)
+        want_ids, want_scores = _order_by_score_oracle(ids, scores)
+        for pool in (ids, np.array(ids, dtype=np.int64)):
+            got_ids, got_scores = order_by_score(pool, scores)
+            assert got_ids.dtype == np.int64
+            assert got_ids.tolist() == want_ids
+            assert got_scores.tobytes() == want_scores.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +292,26 @@ def test_order_by_score_breaks_ties_by_ascending_id():
     scores = np.array([0.5, 0.9, 0.5, -0.0, 0.0])
     ranked, ranked_scores = order_by_score(ids, scores)
     reference = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
-    assert ranked == [ids[i] for i in reference] == [3, 7, 9, 1, 5]
+    assert ranked.tolist() == [ids[i] for i in reference] == [3, 7, 9, 1, 5]
     np.testing.assert_array_equal(ranked_scores, scores[reference])
+
+
+def test_rank_candidates_matches_gathered_rows_on_runs_and_shuffled_pools(mini):
+    kb = mini["corpus"].kb
+    model = _tiny_model(mini)
+    kb_unit = kb_embeddings(model, kb, mini["kb_features"])
+    ids = kb.id_array
+    rng = np.random.default_rng(7)
+    pools = [ids, kb.ids_of_type("Finding"), ids[5:25], ids[:1], ids[:0],
+             ids[5:25][::-1], rng.permutation(ids[5:25]),
+             ids[[3, 5, 4, 6]], ids[[3, 4, 4, 5]], ids[[2, 4, 6]]]
+    q_rows = rng.standard_normal((len(pools), kb_unit.shape[1]))
+    ranked = rank_candidates(model, kb, kb_unit, q_rows, pools)
+    for q, pool, (got_ids, got_scores) in zip(q_rows, pools, ranked):
+        scores = model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)])
+        want_ids, want_scores = _order_by_score_oracle(pool.tolist(), scores)
+        assert got_ids.tolist() == want_ids
+        assert got_scores.tobytes() == want_scores.tobytes()
 
 
 def test_disambiguate_ranks_descending_with_id_ties(mini):
