@@ -474,25 +474,24 @@ def make_model(corpus: SynthCorpus, kind: str, **options) -> SiameseModel:
     return build_model(corpus.kb, corpus.store.dim, kind, **options)
 
 
-def lexical_candidates(kb: HeteroGraph, item: TrainItem) -> list[int]:
+def lexical_candidates(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
     """Candidate generation by token overlap with the mention surface.
 
     Mirrors how a disambiguation pipeline narrows the KB before ranking:
     type-compatible nodes sharing at least one name/synonym token with the
     mention.  Falls back to the full type-compatible set when nothing
-    overlaps (heavily corrupted surfaces)."""
+    overlaps (heavily corrupted surfaces).  Returns an int64 id array."""
     mention = item.qgraph.mentions[item.mention_node]
     toks = set(tokenize(mention.surface))
-    pool = candidate_ids(kb, item).tolist()
-    cands = []
-    for c in pool:
+    pool = candidate_ids(kb, item)
+    overlaps = np.zeros(len(pool), dtype=bool)
+    for i, c in enumerate(pool.tolist()):
         node = kb.node(c)
         surface_toks = set(node.name)
         for syn in node.synonyms:
             surface_toks.update(syn)
-        if toks & surface_toks:
-            cands.append(c)
-    return cands or pool
+        overlaps[i] = bool(toks & surface_toks)
+    return pool[overlaps] if overlaps.any() else pool
 
 
 def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,

@@ -191,10 +191,9 @@ class TrainResult:
                                  "val_f1": f"{row['val_f1']:.12g}"})
 
 
-def order_by_score(ids, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`ids` and their `scores` by descending score, ties by ascending id, as
-    an int64 id array and a score array."""
-    ids = np.asarray(ids, dtype=np.int64)
+def order_by_score(ids: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`ids` (an int64 array) and their `scores` by descending score, ties by
+    ascending id, as an id array and a score array."""
     order = np.lexsort((ids, -scores))
     return ids[order], scores[order]
 
@@ -236,22 +235,14 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
 def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                     q_rows: np.ndarray,
                     pools: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rank each query row's KB candidate pool (ids, as candidate_ids returns
-    them) against `kb_unit`, the unit-norm KB rows of kb_embeddings.
+    """Rank each query row's KB candidate pool (an int64 id array, as
+    candidate_ids returns it) against `kb_unit`, the unit-norm KB rows of
+    kb_embeddings.
 
     Returns one (int64 ids, scores) array pair per query, best first, ties by
     id: the single ranking step behind validation, eval and disambiguation."""
-    ranked = []
-    for q, pool in zip(q_rows, pools):
-        rows = kb.rows(pool)
-        if rows.size and (np.diff(rows) == 1).all():
-            # one ascending run of rows, as a type whose ids were numbered
-            # together gives: a view scores bit for bit as the gathered copy
-            cands = kb_unit[rows[0]:rows[-1] + 1]
-        else:
-            cands = kb_unit[rows]
-        ranked.append(order_by_score(pool, model.head.score_one_vs_many(q, cands)))
-    return ranked
+    return [order_by_score(pool, model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)]))
+            for q, pool in zip(q_rows, pools)]
 
 
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,

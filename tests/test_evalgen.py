@@ -219,6 +219,7 @@ def test_lexical_candidates_share_a_token_and_keep_type(small_corpus):
             for it in items}
     for it in items:
         cands = evalgen.lexical_candidates(small_corpus.kb, it)
+        assert cands.dtype == np.int64
         assert set(cands) <= full[it.snippet_id]
         surface_toks = set(
             it.qgraph.mentions[it.mention_node].surface.split())
