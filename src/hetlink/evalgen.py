@@ -20,8 +20,8 @@ from .matcher import (MatchingHead, SiameseModel, TrainItem,
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (GoldMentionExtractor, Mention, TextSnippet,
                          augment_query_graph, fully_connected_query_graph)
-from .termembed import (FrequencyTable, SifConfig, WordVectorStore,
-                        init_node_features, random_word_vectors, term_embedding)
+from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
+                        random_word_vectors, term_embedding)
 
 
 class EvalGenError(Exception):
@@ -35,28 +35,27 @@ class Split:
     train: tuple[str, ...]
     validation: tuple[str, ...]
     test: tuple[str, ...]
-    ratios: tuple[float, float, float]
-    seed: int
 
 
-def split_dataset(snippet_ids, ratios=(0.70, 0.15, 0.15), seed: int = 0) -> Split:
-    """Seeded shuffle then partition; deterministic for a given seed."""
+SPLIT_RATIOS = (0.70, 0.15, 0.15)
+
+
+def split_dataset(snippet_ids, seed: int = 0) -> Split:
+    """Seeded shuffle then partition by SPLIT_RATIOS (train, validation,
+    test); deterministic for a given seed."""
     ids = list(snippet_ids)
     if len(ids) < 3:
         raise EvalGenError("need at least 3 snippets to split")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise EvalGenError(f"degenerate split ratios {ratios}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
-    n_train = int(round(ratios[0] * len(ids)))
-    n_val = int(round(ratios[1] * len(ids)))
+    n_train = int(round(SPLIT_RATIOS[0] * len(ids)))
+    n_val = int(round(SPLIT_RATIOS[1] * len(ids)))
     n_train = min(n_train, len(ids) - 2)
     n_val = max(1, min(n_val, len(ids) - n_train - 1))
     return Split(tuple(shuffled[:n_train]),
                  tuple(shuffled[n_train:n_train + n_val]),
-                 tuple(shuffled[n_train + n_val:]),
-                 tuple(ratios), seed)
+                 tuple(shuffled[n_train + n_val:]))
 
 
 # -- metrics ---------------------------------------------------------------
@@ -414,16 +413,15 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
 
 # -- pipeline helpers ------------------------------------------------------
 
-def schema_metapaths(schema: Schema, max_edges: int = 2, limit: int = 8) -> list[Metapath]:
+def schema_metapaths(schema: Schema, limit: int = 8) -> list[Metapath]:
     """Deterministic metapath inventory: all single triples plus two-edge
     chains, SELF excluded, truncated to `limit`."""
     triples = sorted(t for t in schema.triples if t[1] != SELF_EDGE_TYPE)
     paths = [Metapath((s, d), (e,)) for s, e, d in triples]
-    if max_edges >= 2:
-        for s1, e1, d1 in triples:
-            for s2, e2, d2 in triples:
-                if d1 == s2:
-                    paths.append(Metapath((s1, d1, d2), (e1, e2)))
+    for s1, e1, d1 in triples:
+        for s2, e2, d2 in triples:
+            if d1 == s2:
+                paths.append(Metapath((s1, d1, d2), (e1, e2)))
     return paths[:limit] if limit else paths
 
 
@@ -431,8 +429,8 @@ def kb_features(corpus: SynthCorpus) -> np.ndarray:
     return init_node_features(corpus.kb, corpus.store, corpus.freqs)
 
 
-def corpus_items(corpus: SynthCorpus, snippet_ids, query_builder: str = "augmented",
-                 sif: SifConfig = SifConfig()) -> list[TrainItem]:
+def corpus_items(corpus: SynthCorpus, snippet_ids,
+                 query_builder: str = "augmented") -> list[TrainItem]:
     """TrainItems for the given snippets; the ambiguous mention is the one
     with no inverted-index match."""
     build = {"augmented": augment_query_graph,
@@ -448,7 +446,7 @@ def corpus_items(corpus: SynthCorpus, snippet_ids, query_builder: str = "augment
                 f"got {len(qg.unknown_nodes)}")
         mention_node = qg.unknown_nodes[0]
         mention = qg.mentions[mention_node]
-        feats = qg.features(corpus.store, corpus.freqs, sif)
+        feats = qg.features(corpus.store, corpus.freqs)
         items.append(TrainItem(sid, qg, feats, mention_node,
                                gold=int(mention.link_id), category=mention.category))
     return items

@@ -410,12 +410,6 @@ class InvertedIndex:
             return set()
         return set(self._entries.get(key, ()))
 
-    def __contains__(self, surface: str) -> bool:
-        return bool(self.lookup(surface))
-
-    def keys(self) -> set[str]:
-        return set(self._entries)
-
     def max_key_tokens(self) -> int:
         return max((len(k.split()) for k in self._entries), default=0)
 

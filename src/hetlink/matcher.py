@@ -268,15 +268,13 @@ def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
 
 def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
           train_items: list[TrainItem], val_items: list[TrainItem],
-          config: TrainConfig,
-          hard_sampler: HardNegativeSampler | None = None) -> TrainResult:
+          config: TrainConfig) -> TrainResult:
     """Full-batch training with curriculum negative scheduling and early
     stopping on validation rank-1 F1 (training loss when no validation set)."""
     config.validate()
     if not train_items:
         raise MatcherError("no training items")
-    if config.sampler == "hard" and hard_sampler is None:
-        hard_sampler = HardNegativeSampler(kb, kb_features)
+    hard_sampler = HardNegativeSampler(kb, kb_features) if config.sampler == "hard" else None
     uniform = UniformSampler(kb)
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
@@ -367,8 +365,8 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
 # -- model persistence -----------------------------------------------------
 
-def save_model(model: SiameseModel, directory, train_config: TrainConfig | None = None,
-               extra: dict | None = None) -> None:
+def save_model(model: SiameseModel, directory,
+               train_config: TrainConfig | None = None) -> None:
     cfg = model.encoder.config
     manifest = {
         "encoder": {
@@ -390,8 +388,6 @@ def save_model(model: SiameseModel, directory, train_config: TrainConfig | None 
             "sampler": train_config.sampler, "curriculum": train_config.curriculum,
             "seed": train_config.seed,
         }
-    if extra:
-        manifest.update(extra)
     ndiff.save_checkpoint(directory, model.state_dict(), manifest)
 
 

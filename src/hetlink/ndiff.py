@@ -280,12 +280,16 @@ def sum_axis1(a) -> Tensor:
     return _make(out, (a,), back)
 
 
-def l2_normalize_rows(a, eps: float = 1e-12) -> Tensor:
-    """Rows scaled to unit L2 norm (gradient projected off the row direction)."""
+NORM_EPS = 1e-12
+
+
+def l2_normalize_rows(a) -> Tensor:
+    """Rows scaled to unit L2 norm, NORM_EPS added to each norm (gradient
+    projected off the row direction)."""
     a = _as_tensor(a)
     if a.data.ndim != 2:
         raise NdiffError("l2_normalize_rows expects a 2-D tensor")
-    norms = np.sqrt((a.data ** 2).sum(axis=1, keepdims=True)) + eps
+    norms = np.sqrt((a.data ** 2).sum(axis=1, keepdims=True)) + NORM_EPS
     out = a.data / norms
 
     def back(g):
@@ -430,18 +434,22 @@ def backward(loss: Tensor) -> None:
 
 # -- optimizer -------------------------------------------------------------
 
-class Adam:
-    """Adam with decoupled weight decay; zeroes grads after each step."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with decoupled weight decay;
+    zeroes grads after each step."""
+
+    def __init__(self, params, lr: float = 1e-3, weight_decay: float = 0.0):
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise NdiffError("duplicate parameter names")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = {p.name: np.zeros_like(p.data) for p in self.params}
         self._v = {p.name: np.zeros_like(p.data) for p in self.params}
@@ -453,17 +461,13 @@ class Adam:
                 raise NdiffError(f"non-finite gradient for parameter {p.name!r}")
             m = self._m[p.name]
             v = self._v[p.name]
-            m[...] = self.beta1 * m + (1 - self.beta1) * p.grad
-            v[...] = self.beta2 * v + (1 - self.beta2) * p.grad ** 2
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
+            m[...] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * p.grad
+            v[...] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * p.grad ** 2
+            m_hat = m / (1 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1 - ADAM_BETA2 ** self.t)
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.zero_grad()
-
-    def zero_grad(self) -> None:
-        for p in self.params:
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.zero_grad()
 
 

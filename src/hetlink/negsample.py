@@ -68,20 +68,17 @@ def structural_similarity(u: int, v: int, kb: HeteroGraph) -> float:
 
 
 def semantic_similarity(u: int, v: int, embeddings: np.ndarray) -> float:
-    """Cosine of the initial embeddings mapped to [0, 1] via (1 + cos) / 2."""
+    """Cosine of embedding rows `u` and `v` mapped to [0, 1] via (1 + cos) / 2.
+
+    `u` and `v` are row indices, not node ids: map ids through kb.rows."""
     x, y = embeddings[u], embeddings[v]
     nx, ny = np.linalg.norm(x), np.linalg.norm(y)
     if nx == 0.0 or ny == 0.0:
-        log.warning("zero embedding vector for node %s or %s; similarity 0", u, v)
+        log.warning("zero embedding vector in row %s or %s; similarity 0", u, v)
         return 0.0
     cos = float(np.dot(x, y) / (nx * ny))
     cos = min(1.0, max(-1.0, cos))
     return (1.0 + cos) / 2.0
-
-
-def score(u: int, v: int, kb: HeteroGraph, embeddings: np.ndarray) -> float:
-    """Product of semantic and structural similarity; symmetric, in [0, 1]."""
-    return semantic_similarity(u, v, embeddings) * structural_similarity(u, v, kb)
 
 
 @dataclass
@@ -98,7 +95,7 @@ class UniformSampler:
 
     def __init__(self, kb: HeteroGraph):
         self._kb = kb
-        self._ids = np.array(kb.node_ids, dtype=np.int64)
+        self._ids = kb.id_array
 
     def draw(self, k: int, rng: np.random.Generator, exclude: set[int]) -> list[int]:
         """k ids in KB order, from one rng.choice over the KB ids not in
@@ -113,7 +110,9 @@ class UniformSampler:
 
 
 class HardNegativeSampler:
-    """Ranks a gold entity's 1-hop neighbors once, then samples per request."""
+    """Ranks a gold entity's 1-hop neighbors once, then samples per request.
+
+    `embeddings` has one row per KB node, in kb.node_ids order."""
 
     def __init__(self, kb: HeteroGraph, embeddings: np.ndarray):
         if not kb.frozen:
@@ -126,8 +125,10 @@ class HardNegativeSampler:
     def ranked(self, gold: int) -> list[NegativeCandidate]:
         if gold not in self._ranked:
             cands = []
-            for c in sorted(self.kb.neighbors(gold) - {gold}):
-                se = semantic_similarity(gold, c, self.embeddings)
+            neighbors = sorted(self.kb.neighbors(gold) - {gold})
+            gold_row, *rows = self.kb.rows([gold, *neighbors]).tolist()
+            for c, row in zip(neighbors, rows):
+                se = semantic_similarity(gold_row, row, self.embeddings)
                 st = structural_similarity(gold, c, self.kb)
                 cands.append(NegativeCandidate(c, se, st, se * st))
             cands.sort(key=lambda c: (-c.sim, c.node))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph,
                        InvertedIndex)
-from .termembed import FrequencyTable, SifConfig, WordVectorStore, term_embedding
+from .termembed import FrequencyTable, WordVectorStore, term_embedding
 
 
 class QueryGraphError(Exception):
@@ -158,10 +158,9 @@ class QueryGraph:
                 return nid
         raise QueryGraphError(f"no mention node for {surface!r}")
 
-    def features(self, store: WordVectorStore, freqs: FrequencyTable,
-                 cfg: SifConfig = SifConfig()) -> np.ndarray:
+    def features(self, store: WordVectorStore, freqs: FrequencyTable) -> np.ndarray:
         """Surface-string term embeddings, so lexical variants stay distinct."""
-        rows = [term_embedding(self.mentions[nid].surface, store, freqs, cfg)
+        rows = [term_embedding(self.mentions[nid].surface, store, freqs)
                 for nid in self.graph.node_ids]
         return np.stack(rows) if rows else np.zeros((0, store.dim))
 

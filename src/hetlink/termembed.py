@@ -1,14 +1,14 @@
 """Initial node feature vectors from composite terms.
 
 Features are SIF-style frequency-weighted means of per-token word vectors:
-weight(w) = a / (a + p(w)).  Out-of-vocabulary tokens get a deterministic
-seeded-hash unit vector so lookups are total.
+weight(w) = a / (a + p(w)) with a = DEFAULT_SIF_A.  Out-of-vocabulary tokens
+get a unit vector from a hash of the token seeded with FALLBACK_SEED, so
+lookups are total and every store embeds them alike.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,19 +16,11 @@ from .hetgraph import HeteroGraph, tokenize
 
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
+FALLBACK_SEED = 0
 
 
 class TermEmbedError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SifConfig:
-    a: float = DEFAULT_SIF_A
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise TermEmbedError("SIF smoothing parameter must be > 0")
 
 
 def fallback_vector(token: str, d_w: int, seed: int) -> np.ndarray:
@@ -48,13 +40,12 @@ def fallback_vector(token: str, d_w: int, seed: int) -> np.ndarray:
 class WordVectorStore:
     """token -> vector map with a deterministic fallback for OOV tokens."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int, fallback_seed: int = 0):
+    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
         for tok, vec in vectors.items():
             if vec.shape != (dim,):
                 raise TermEmbedError(f"vector for {tok!r} has dim {vec.shape}, expected ({dim},)")
         self._vectors = {t: np.asarray(v, dtype=np.float64) for t, v in vectors.items()}
         self.dim = dim
-        self.fallback_seed = fallback_seed
 
     def __contains__(self, token: str) -> bool:
         return token in self._vectors
@@ -65,7 +56,7 @@ class WordVectorStore:
     def get(self, token: str) -> np.ndarray:
         vec = self._vectors.get(token)
         if vec is None:
-            vec = fallback_vector(token, self.dim, self.fallback_seed)
+            vec = fallback_vector(token, self.dim, FALLBACK_SEED)
         return vec
 
     def save(self, path) -> None:
@@ -75,7 +66,7 @@ class WordVectorStore:
                 fh.write(f"{tok} {floats}\n")
 
 
-def load_word_vectors(path, fallback_seed: int = 0) -> WordVectorStore:
+def load_word_vectors(path) -> WordVectorStore:
     """Load text-format word vectors: one `token f1 f2 ...` line per token."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -98,26 +89,23 @@ def load_word_vectors(path, fallback_seed: int = 0) -> WordVectorStore:
             vectors[tok] = vec  # duplicate tokens: last wins
     if dim is None:
         raise TermEmbedError(f"{path}: empty word-vector file")
-    return WordVectorStore(vectors, dim, fallback_seed=fallback_seed)
+    return WordVectorStore(vectors, dim)
 
 
 class FrequencyTable:
-    """Normalized unigram frequencies p(w) with a default for unseen tokens."""
+    """Normalized unigram frequencies p(w); unseen tokens get DEFAULT_UNSEEN_P."""
 
-    def __init__(self, freqs: dict[str, float], default_p: float = DEFAULT_UNSEEN_P):
-        if default_p <= 0:
-            raise TermEmbedError("default frequency must be > 0")
+    def __init__(self, freqs: dict[str, float]):
         for tok, p in freqs.items():
             if p < 0:
                 raise TermEmbedError(f"negative frequency for {tok!r}")
         self._freqs = dict(freqs)
-        self.default_p = default_p
 
     def p(self, token: str) -> float:
-        return self._freqs.get(token, self.default_p)
+        return self._freqs.get(token, DEFAULT_UNSEEN_P)
 
     @classmethod
-    def from_corpus(cls, token_lists, default_p: float = DEFAULT_UNSEEN_P) -> "FrequencyTable":
+    def from_corpus(cls, token_lists) -> "FrequencyTable":
         counts: dict[str, int] = {}
         total = 0
         for tokens in token_lists:
@@ -125,20 +113,20 @@ class FrequencyTable:
                 counts[tok] = counts.get(tok, 0) + 1
                 total += 1
         if total == 0:
-            return cls({}, default_p)
-        return cls({t: c / total for t, c in counts.items()}, default_p)
+            return cls({})
+        return cls({t: c / total for t, c in counts.items()})
 
     @classmethod
-    def from_graph(cls, graph: HeteroGraph, default_p: float = DEFAULT_UNSEEN_P) -> "FrequencyTable":
+    def from_graph(cls, graph: HeteroGraph) -> "FrequencyTable":
         """Frequencies from the KB's own name/synonym corpus."""
         lists = []
         for node in graph.nodes():
             lists.append(node.name)
             lists.extend(node.synonyms)
-        return cls.from_corpus(lists, default_p)
+        return cls.from_corpus(lists)
 
     @classmethod
-    def load_tsv(cls, path, default_p: float = DEFAULT_UNSEEN_P) -> "FrequencyTable":
+    def load_tsv(cls, path) -> "FrequencyTable":
         freqs = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -150,7 +138,7 @@ class FrequencyTable:
                     freqs[tok] = float(p)
                 except ValueError:
                     raise TermEmbedError(f"{path}:{lineno}: expected token<TAB>p") from None
-        return cls(freqs, default_p)
+        return cls(freqs)
 
     def save_tsv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -158,23 +146,22 @@ class FrequencyTable:
                 fh.write(f"{tok}\t{self._freqs[tok]:.12g}\n")
 
 
-def sif_weight(token: str, freqs: FrequencyTable, cfg: SifConfig) -> float:
-    return cfg.a / (cfg.a + freqs.p(token))
+def sif_weight(token: str, freqs: FrequencyTable) -> float:
+    return DEFAULT_SIF_A / (DEFAULT_SIF_A + freqs.p(token))
 
 
-def term_embedding(term, store: WordVectorStore, freqs: FrequencyTable,
-                   cfg: SifConfig = SifConfig()) -> np.ndarray:
+def term_embedding(term, store: WordVectorStore, freqs: FrequencyTable) -> np.ndarray:
     """Frequency-weighted mean of the constituent word vectors."""
     tokens = tokenize(term) if isinstance(term, str) else list(term)
     if not tokens:
         raise TermEmbedError("empty term")
-    weights = np.array([sif_weight(t, freqs, cfg) for t in tokens])
+    weights = np.array([sif_weight(t, freqs) for t in tokens])
     vecs = np.stack([store.get(t) for t in tokens])
     return weights @ vecs / weights.sum()
 
 
 def init_node_features(graph: HeteroGraph, store: WordVectorStore,
-                       freqs: FrequencyTable, cfg: SifConfig = SifConfig()) -> np.ndarray:
+                       freqs: FrequencyTable) -> np.ndarray:
     """One row per node (in node-id order); explicit node features win.
 
     The array is read-only, so encodings computed from it can be reused."""
@@ -189,14 +176,15 @@ def init_node_features(graph: HeteroGraph, store: WordVectorStore,
                     f"node {node.id} preset features have dim {len(vec)}, expected {store.dim}")
             rows.append(vec)
         else:
-            rows.append(term_embedding(node.name, store, freqs, cfg))
+            rows.append(term_embedding(node.name, store, freqs))
     out = np.stack(rows) if rows else np.zeros((0, store.dim))
     out.flags.writeable = False
     return out
 
 
 def random_word_vectors(vocab, dim: int, seed: int = 0) -> WordVectorStore:
-    """Gaussian vectors for a known vocabulary; handy for synthetic corpora."""
+    """Gaussian vectors for a known vocabulary, drawn from `seed`; handy for
+    synthetic corpora."""
     rng = np.random.default_rng(seed)
     vectors = {tok: rng.standard_normal(dim) / np.sqrt(dim) for tok in sorted(set(vocab))}
-    return WordVectorStore(vectors, dim, fallback_seed=seed)
+    return WordVectorStore(vectors, dim)

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from hetlink.cli import main
+from hetlink import evalgen
+from hetlink.cli import main, read_bundle
+from hetlink.hetgraph import tokenize
 
 
 SMALL_GEN = {
@@ -44,6 +46,22 @@ def test_gen_synth_writes_bundle_and_snippets(workdir):
     manifest = json.loads((corpus / "manifest.json").read_text())
     assert manifest["bundle_version"] == "1"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
+
+
+def test_reloaded_bundle_embeds_unseen_tokens_as_the_generator_did(tmp_path):
+    # acronyms, abbreviations and typos are mention tokens with no word vector
+    gen_cfg = tmp_path / "gen.json"
+    gen_cfg.write_text(json.dumps(SMALL_GEN))
+    assert main(["gen-synth", "--config", str(gen_cfg), "--seed", "1",
+                 "--out", str(tmp_path / "corpus")]) == 0
+    corpus = evalgen.generate_synthetic_kb(
+        evalgen.SynthConfig.from_dict({**SMALL_GEN, "seed": 1}))
+    _, store, _ = read_bundle(tmp_path / "corpus")
+    unseen = sorted({t for s in corpus.snippets for m in s.mentions
+                     for t in tokenize(m.surface) if t not in corpus.store})
+    assert unseen
+    for tok in unseen:
+        np.testing.assert_array_equal(store.get(tok), corpus.store.get(tok))
 
 
 def test_train_writes_model_and_history(workdir):

@@ -16,7 +16,6 @@ from hetlink.negsample import (
     UniformSampler,
     ged_1hop,
     neighborhood_signature,
-    score,
     semantic_similarity,
     structural_similarity,
 )
@@ -115,17 +114,6 @@ def test_structural_similarity_self_is_one(toy_kb):
         assert structural_similarity(v, v, toy_kb) == pytest.approx(1.0)
 
 
-def test_score_is_product_and_symmetric(toy_kb):
-    rng = np.random.default_rng(0)
-    emb = rng.standard_normal((len(toy_kb), 8))
-    u, v = toy_kb.ids["nausea"], toy_kb.ids["Diarrhea"]
-    s = score(u, v, toy_kb, emb)
-    assert s == pytest.approx(semantic_similarity(u, v, emb)
-                              * structural_similarity(u, v, toy_kb))
-    assert s == pytest.approx(score(v, u, toy_kb, emb))
-    assert 0.0 <= s <= 1.0
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -143,6 +131,33 @@ def test_hard_sampler_ranks_neighbors_by_score(toy_kb, toy_emb):
     sims = [c.sim for c in ranked]
     assert sims == sorted(sims, reverse=True)
     assert {c.node for c in ranked} == toy_kb.neighbors(gold)
+
+
+def _relabeled(kb, new_id):
+    """A frozen copy of `kb` with every node id v renamed new_id(v)."""
+    from hetlink.hetgraph import HeteroGraph
+
+    g = HeteroGraph()
+    for n in kb.nodes():
+        g.add_node(n.type, n.name, synonyms=n.synonyms, node_id=new_id(n.id))
+    for e in kb.edges:
+        g.add_edge(new_id(e.src), new_id(e.dst), e.type)
+    g.freeze()
+    return g
+
+
+def test_hard_sampler_reads_feature_rows_not_node_ids(toy_kb, toy_emb):
+    # gapped ids in the same order: node_ids order, and so the feature rows,
+    # stay those of toy_kb, but row != id
+    def new_id(v):
+        return 7 * v + 3
+
+    dense = HardNegativeSampler(toy_kb, toy_emb)
+    sparse = HardNegativeSampler(_relabeled(toy_kb, new_id), toy_emb)
+    for gold in toy_kb.node_ids:
+        want = {new_id(c.node): (c.sim_se, c.sim_st, c.sim) for c in dense.ranked(gold)}
+        got = {c.node: (c.sim_se, c.sim_st, c.sim) for c in sparse.ranked(new_id(gold))}
+        assert got == want
 
 
 def test_hard_sampler_tops_up_with_uniform_when_few_neighbors(toy_kb, toy_emb):

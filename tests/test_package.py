@@ -7,6 +7,9 @@ import hetlink
 
 MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 
+# Optional settings under src/hetlink: raise this only in the diff that adds one.
+OPTIONAL_SETTINGS = 79
+
 
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -73,3 +76,55 @@ def test_no_module_imports_a_private_name_of_another_hetlink_module():
             if ours and any(part.startswith("_") for part in name.split(".")):
                 private.append(f"{path.name}:{line}: {name}")
     assert private == []
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value):
+    return (isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def _optional_settings(tree):
+    """Parameters with a default, plus dataclass fields with a default that
+    are not init=False."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(1 for stmt in node.body
+                         if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         and not _init_false(stmt.value))
+    return count
+
+
+def test_optional_settings_do_not_grow():
+    count = sum(_optional_settings(_tree(path)) for path in MODULES)
+    assert count <= OPTIONAL_SETTINGS, (
+        f"{count} optional settings, {OPTIONAL_SETTINGS} recorded: make the new "
+        f"ones constants, or raise OPTIONAL_SETTINGS in the same change")
+
+
+def test_the_optional_settings_rule_counts_defaults_and_dataclass_fields():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(default=0, init=False)\n"
+        "class D:\n"
+        "    e: int = 2\n"
+        "def f(x, y=1, *, z=2, w):\n"
+        "    return lambda q=3: q\n")
+    assert _optional_settings(tree) == 2 + 2 + 1

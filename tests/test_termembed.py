@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from hetlink.termembed import (
     DEFAULT_SIF_A,
     DEFAULT_UNSEEN_P,
+    FALLBACK_SEED,
     FrequencyTable,
-    SifConfig,
     TermEmbedError,
     WordVectorStore,
     fallback_vector,
@@ -42,9 +42,9 @@ def test_fallback_vector_is_deterministic_and_unit_scale():
 
 
 def test_store_get_unseen_token_uses_fallback():
-    store = WordVectorStore({"a": np.zeros(8)}, dim=8, fallback_seed=5)
+    store = WordVectorStore({"a": np.zeros(8)}, dim=8)
     v = store.get("never-seen")
-    np.testing.assert_array_equal(v, fallback_vector("never-seen", 8, seed=5))
+    np.testing.assert_array_equal(v, fallback_vector("never-seen", 8, seed=FALLBACK_SEED))
 
 
 def test_store_roundtrip_through_text_file(tmp_path):
@@ -55,6 +55,8 @@ def test_store_roundtrip_through_text_file(tmp_path):
     assert loaded.dim == 6
     for tok in ("alpha", "beta", "gamma"):
         np.testing.assert_allclose(loaded.get(tok), store.get(tok), atol=1e-6)
+    # an unseen token's vector does not depend on the seed the store was drawn at
+    np.testing.assert_array_equal(loaded.get("zorp"), store.get("zorp"))
 
 
 def test_load_word_vectors_rejects_ragged_rows(tmp_path):
@@ -95,31 +97,24 @@ def test_frequency_table_tsv_roundtrip(tmp_path):
 
 def test_sif_weight_matches_closed_form():
     freqs = FrequencyTable({"the": 0.05, "nausea": 0.001})
-    cfg = SifConfig(a=1e-3)
-    assert sif_weight("the", freqs, cfg) == pytest.approx(1e-3 / (1e-3 + 0.05))
-    assert sif_weight("nausea", freqs, cfg) == pytest.approx(1e-3 / (1e-3 + 0.001))
+    assert DEFAULT_SIF_A == 1e-3
+    assert sif_weight("the", freqs) == pytest.approx(1e-3 / (1e-3 + 0.05))
+    assert sif_weight("nausea", freqs) == pytest.approx(1e-3 / (1e-3 + 0.001))
 
 
 def test_sif_weight_downweights_frequent_tokens():
     freqs = FrequencyTable({"common": 0.1, "rare": 1e-6})
-    cfg = SifConfig()
-    assert sif_weight("rare", freqs, cfg) > sif_weight("common", freqs, cfg)
-
-
-def test_sif_config_rejects_nonpositive_a():
-    with pytest.raises(TermEmbedError):
-        SifConfig(a=0.0)
+    assert sif_weight("rare", freqs) > sif_weight("common", freqs)
 
 
 def test_term_embedding_matches_manual_weighted_mean():
     store = WordVectorStore({"acute": np.array([1.0, 0.0]),
                              "failure": np.array([0.0, 1.0])}, dim=2)
     freqs = FrequencyTable({"acute": 0.01, "failure": 0.001})
-    cfg = SifConfig(a=1e-3)
     w1 = 1e-3 / (1e-3 + 0.01)
     w2 = 1e-3 / (1e-3 + 0.001)
     expected = (w1 * np.array([1.0, 0.0]) + w2 * np.array([0.0, 1.0])) / (w1 + w2)
-    np.testing.assert_allclose(term_embedding("Acute Failure", store, freqs, cfg), expected)
+    np.testing.assert_allclose(term_embedding("Acute Failure", store, freqs), expected)
 
 
 def test_term_embedding_single_token_equals_its_vector():
