@@ -13,9 +13,11 @@ import json
 import logging
 import os
 import sys
+import typing
+from dataclasses import fields
 
 from . import evalgen, matcher
-from .encoders import ENCODER_KINDS
+from .encoders import ENCODER_KINDS, EncoderConfig
 from .hetgraph import (HeteroGraph, Metapath, build_inverted_index, load_graph,
                        save_graph)
 from .matcher import TrainConfig, load_model, save_model
@@ -28,9 +30,15 @@ log = logging.getLogger("hetlink")
 
 BUNDLE_VERSION = "1"
 
-CONFIG_KEYS = {"encoder", "layers", "dim", "heads", "dropout", "lr",
-               "weight_decay", "epochs", "patience", "sampler", "curriculum",
-               "negatives_per_positive", "seed", "metapaths"}
+# Config keys: every TrainConfig field under its own name, plus these keys
+# for EncoderConfig fields.  The encoder's seed is TrainConfig's.
+ENCODER_KEYS = {"encoder": "kind", "layers": "num_layers", "dim": "dim",
+                "heads": "heads", "dropout": "dropout", "metapaths": "metapaths"}
+TRAIN_KEYS = {f.name: f.name for f in fields(TrainConfig)}
+CONFIG_KEYS = set(ENCODER_KEYS) | set(TRAIN_KEYS)
+
+# the CLI's embedding width; EncoderConfig's own default is wider
+CLI_DIM = 64
 
 
 class CliError(Exception):
@@ -49,18 +57,32 @@ def _load_config(path) -> dict:
 
 
 def _merged_options(args) -> dict:
+    """The config file's keys with the flags that were given laid over them."""
     opts = _load_config(args.config) if args.config else {}
-    for key in CONFIG_KEYS - {"metapaths"}:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    opts.setdefault("encoder", "graphsage")
-    opts.setdefault("layers", 2)
-    opts.setdefault("dim", 64)
-    opts.setdefault("heads", 2)
-    opts.setdefault("dropout", 0.5)
-    opts.setdefault("seed", 0)
+    opts.update((key, getattr(args, key)) for key in CONFIG_KEYS
+                if getattr(args, key, None) is not None)
     return opts
+
+
+def _cast(key: str, kind, value):
+    """`value` of config key `key` as `kind`, the type of the field it sets;
+    CliError when the cast would change the value."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (number and (kind is float or kind is int and float(value).is_integer())
+            or kind in (bool, str) and isinstance(value, kind)):
+        return kind(value)
+    if kind == list[Metapath] and isinstance(value, list) and all(
+            isinstance(m, str) for m in value):
+        return [Metapath.parse(m) for m in value]       # metapaths are written as labels
+    raise CliError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
+def _settings(cls, opts: dict, keys: dict) -> dict:
+    """Fields of dataclass `cls` set by `opts`, whose `keys` maps config keys
+    to field names, each cast to its field's type."""
+    types = typing.get_type_hints(cls)
+    return {field: _cast(key, types[field], opts[key])
+            for key, field in keys.items() if key in opts}
 
 
 # -- KB bundle -------------------------------------------------------------
@@ -99,22 +121,6 @@ def _load_snippets(path) -> list[TextSnippet]:
             for i, d in enumerate(data)]
 
 
-def _train_config(opts: dict) -> TrainConfig:
-    cfg = TrainConfig(seed=int(opts["seed"]))
-    for key in ("epochs", "patience", "negatives_per_positive"):
-        if key in opts:
-            setattr(cfg, key, int(opts[key]))
-    for key in ("lr", "weight_decay"):
-        if key in opts:
-            setattr(cfg, key, float(opts[key]))
-    if "sampler" in opts:
-        cfg.sampler = opts["sampler"]
-    if "curriculum" in opts:
-        cfg.curriculum = bool(opts["curriculum"])
-    cfg.validate()
-    return cfg
-
-
 def _snippet_items(kb, index, store, freqs, snippets, gold_required: bool):
     gazetteer = GazetteerExtractor(index)
     gold_extractor = GoldMentionExtractor()
@@ -132,8 +138,7 @@ def _snippet_items(kb, index, store, freqs, snippets, gold_required: bool):
             raise CliError(f"snippet {snippet.id}: ambiguous mention lacks link_id")
         items.append(matcher.TrainItem(snippet.id, qg, qg.features(store, freqs),
                                        mention_node,
-                                       gold=-1 if gold is None else int(gold),
-                                       category=mention.category))
+                                       gold=-1 if gold is None else int(gold)))
     return items
 
 
@@ -174,6 +179,9 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_train(args) -> int:
     opts = _merged_options(args)
+    train_config = TrainConfig(**_settings(TrainConfig, opts, TRAIN_KEYS))
+    train_config.validate()
+    encoder_options = {"dim": CLI_DIM, **_settings(EncoderConfig, opts, ENCODER_KEYS)}
     kb, store, freqs = read_bundle(args.bundle)
     index = build_inverted_index(kb)
     snippets = _load_snippets(args.snippets)
@@ -181,15 +189,11 @@ def cmd_train(args) -> int:
     if not items:
         raise CliError("no trainable snippets found")
     split = evalgen.split_dataset([it.snippet_id for it in items],
-                                  seed=int(opts["seed"]))
+                                  seed=train_config.seed)
     by_id = {it.snippet_id: it for it in items}
     kb_feats = init_node_features(kb, store, freqs)
-    metapaths = [Metapath.parse(m) for m in opts.get("metapaths") or []]
-    model = evalgen.build_model(
-        kb, store.dim, opts["encoder"], seed=int(opts["seed"]),
-        num_layers=int(opts["layers"]), dim=int(opts["dim"]), heads=int(opts["heads"]),
-        dropout=float(opts["dropout"]), metapaths=metapaths or None)
-    train_config = _train_config(opts)
+    model = evalgen.build_model(kb, store.dim, encoder_options.pop("kind", EncoderConfig.kind),
+                                seed=train_config.seed, **encoder_options)
     result = matcher.train(model, kb, kb_feats,
                            [by_id[s] for s in split.train],
                            [by_id[s] for s in split.validation],
@@ -243,6 +247,14 @@ def cmd_disambiguate(args) -> int:
 
 # -- parser ----------------------------------------------------------------
 
+def _flag_bool(text: str) -> bool:
+    """1/true/yes or 0/false/no, in any case; argparse rejects anything else."""
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if text.lower() not in words:
+        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(words)}, got {text!r}")
+    return words[text.lower()]
+
+
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--encoder", choices=ENCODER_KINDS)
     p.add_argument("--layers", type=int)
@@ -254,7 +266,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--sampler", choices=("uniform", "hard"))
-    p.add_argument("--curriculum", type=lambda s: s.lower() in ("1", "true", "yes"))
+    p.add_argument("--curriculum", type=_flag_bool)
     p.add_argument("--negatives-per-positive", dest="negatives_per_positive", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON config file; flags override it")

@@ -38,7 +38,6 @@ class EncoderConfig:
     dropout: float = 0.5
     metapaths: list[Metapath] = field(default_factory=list)
     leaky_slope: float = 0.01
-    identity_residual: bool = True      # add identity blocks to aggregation weights
     seed: int = 0
 
     def validate(self) -> None:
@@ -196,12 +195,9 @@ class Encoder:
         # preserving neighborhood average.  The first layer reads only the
         # aggregated neighbors (a node's own surface form may be arbitrarily
         # corrupted); later layers keep their input and blend in structure.
-        eye_scale = 0.1 if config.identity_residual else 1.0
-
         def par(name, shape, init="glorot", eye=0.0):
-            data = ndiff.glorot(rng, shape) if init == "glorot" else np.zeros(shape)
-            data = data * eye_scale if init == "glorot" else data
-            if eye and config.identity_residual:
+            data = 0.1 * ndiff.glorot(rng, shape) if init == "glorot" else np.zeros(shape)
+            if eye:
                 data = data + eye * np.eye(shape[0], shape[-1])
             p = Parameter(data, name)
             self._params[name] = p
@@ -212,10 +208,9 @@ class Encoder:
             for k in range(K):
                 d_in = feature_dim if k == 0 else d
                 p = par(f"graphsage.W[{k}]", (2 * d_in, d))
-                if config.identity_residual:
-                    self_w, nbr_w = (0.0, 1.0) if k == 0 else (1.0, 0.3)
-                    p.data[:d_in] += self_w * np.eye(d_in, d)
-                    p.data[d_in:] += nbr_w * np.eye(d_in, d)
+                self_w, nbr_w = (0.0, 1.0) if k == 0 else (1.0, 0.3)
+                p.data[:d_in] += self_w * np.eye(d_in, d)
+                p.data[d_in:] += nbr_w * np.eye(d_in, d)
         elif config.kind == "rgcn":
             for k in range(K):
                 d_in = feature_dim if k == 0 else d

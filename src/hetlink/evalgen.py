@@ -447,17 +447,16 @@ def corpus_items(corpus: SynthCorpus, snippet_ids,
         mention_node = qg.unknown_nodes[0]
         mention = qg.mentions[mention_node]
         feats = qg.features(corpus.store, corpus.freqs)
-        items.append(TrainItem(sid, qg, feats, mention_node,
-                               gold=int(mention.link_id), category=mention.category))
+        items.append(TrainItem(sid, qg, feats, mention_node, gold=int(mention.link_id)))
     return items
 
 
 def build_model(kb: HeteroGraph, feature_dim: int, kind: str, metapaths=None,
                 fc_mode: bool = False, **encoder_options) -> SiameseModel:
     """Siamese model over `kb`'s types; `encoder_options` are EncoderConfig
-    fields.  MAGNN defaults to the schema's metapaths; fc_mode also registers
-    the fully connected query graphs' generic edge type."""
-    if metapaths is None and kind == "magnn":
+    fields.  MAGNN without metapaths takes the schema's; fc_mode also
+    registers the fully connected query graphs' generic edge type."""
+    if not metapaths and kind == "magnn":
         metapaths = schema_metapaths(kb.schema)
     cfg = EncoderConfig(kind=kind, metapaths=metapaths or [], **encoder_options)
     edge_types = set(kb.edge_types) | {SELF_EDGE_TYPE}

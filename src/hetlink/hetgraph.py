@@ -293,6 +293,8 @@ class HeteroGraph:
     # -- neighborhoods -----------------------------------------------------
 
     def out_neighbors(self, v: int, r: str) -> list[int]:
+        if not self._frozen:
+            raise GraphError("graph must be frozen")
         self.node(v)
         return list(self._out.get((v, r), ()))
 

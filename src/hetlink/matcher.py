@@ -8,7 +8,7 @@ structural rather than a synchronization concern.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -20,6 +20,10 @@ from .negsample import HardNegativeSampler, UniformSampler
 from .querygraph import QueryGraph
 
 
+# the matching head's name in model manifests, the only one there is
+HEAD_KIND = "dot"
+
+
 class MatcherError(Exception):
     pass
 
@@ -29,13 +33,10 @@ class MatchingHead:
 
     Rows are unit-normalized and scaled by a learnable temperature: unbounded
     logits otherwise let the optimizer memorize training pairs instead of
-    learning a transferable similarity.  Model manifests name it "dot".
+    learning a transferable similarity.  Model manifests name it HEAD_KIND.
     """
 
-    def __init__(self, kind: str = "dot"):
-        if kind != "dot":
-            raise MatcherError(f"unknown matching head {kind!r}; only 'dot' is supported")
-        self.kind = kind
+    def __init__(self):
         self._params = {"head.tau": Parameter(np.array([10.0]), "head.tau")}
 
     def parameters(self) -> list[Parameter]:
@@ -125,7 +126,6 @@ class TrainItem:
     features: np.ndarray
     mention_node: int
     gold: int
-    category: str | None = None
 
 
 @dataclass
@@ -157,14 +157,11 @@ def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
 
 
 def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
-    """Type-compatible KB candidates, all nodes when no type is inferred: a
-    read-only int64 array of ascending ids."""
-    types: tuple[str, ...] = ()
-    if item.category and item.category in kb.node_types:
-        types = (item.category,)
-    else:
-        types = tuple(t for t in item.qgraph.inferred_types.get(item.mention_node, ())
-                      if t in kb.node_types)
+    """KB candidates of the mention's inferred types (its category, when that
+    is a KB type), all nodes when no type is inferred: a read-only int64 array
+    of ascending ids."""
+    types = tuple(t for t in item.qgraph.inferred_types.get(item.mention_node, ())
+                  if t in kb.node_types)
     if not types:
         return kb.id_array
     if len(types) == 1:
@@ -367,36 +364,30 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
 def save_model(model: SiameseModel, directory,
                train_config: TrainConfig | None = None) -> None:
+    """Parameters and a manifest holding every EncoderConfig field (metapaths
+    as labels) and, when given, every TrainConfig field."""
     cfg = model.encoder.config
     manifest = {
-        "encoder": {
-            "kind": cfg.kind, "num_layers": cfg.num_layers, "dim": cfg.dim,
-            "heads": cfg.heads, "dropout": cfg.dropout,
-            "metapaths": [m.label() for m in cfg.metapaths],
-            "leaky_slope": cfg.leaky_slope, "seed": cfg.seed,
-        },
+        "encoder": {**asdict(cfg), "metapaths": [m.label() for m in cfg.metapaths]},
         "feature_dim": model.encoder.feature_dim,
         "node_types": model.encoder.node_types,
         "edge_types": model.encoder.edge_types,
-        "head": model.head.kind,
+        "head": HEAD_KIND,
     }
     if train_config is not None:
-        manifest["train"] = {
-            "epochs": train_config.epochs, "patience": train_config.patience,
-            "lr": train_config.lr, "weight_decay": train_config.weight_decay,
-            "negatives_per_positive": train_config.negatives_per_positive,
-            "sampler": train_config.sampler, "curriculum": train_config.curriculum,
-            "seed": train_config.seed,
-        }
+        manifest["train"] = asdict(train_config)
     ndiff.save_checkpoint(directory, model.state_dict(), manifest)
 
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
     params, manifest = ndiff.load_checkpoint(directory)
+    if manifest.get("head") != HEAD_KIND:
+        raise MatcherError(f"unknown matching head {manifest.get('head')!r}; "
+                           f"only {HEAD_KIND!r} is supported")
     enc_cfg = EncoderConfig.from_dict(manifest["encoder"])
     encoder = Encoder(enc_cfg, manifest["feature_dim"],
                       manifest["node_types"], manifest["edge_types"])
-    model = SiameseModel(encoder, MatchingHead(manifest.get("head")))
+    model = SiameseModel(encoder, MatchingHead())
     unexpected = set(params) - {p.name for p in model.parameters()}
     if unexpected:
         raise MatcherError(f"unexpected parameters in {directory}: {sorted(unexpected)}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hetlink import evalgen
-from hetlink.cli import main, read_bundle
+from hetlink.cli import build_parser, main, read_bundle
 from hetlink.hetgraph import tokenize
 
 
@@ -132,6 +132,80 @@ def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "banana" in err
+
+
+# every config key at a value neither the CLI nor the library defaults to,
+# and where the model manifest records it
+EVERY_KEY = {
+    "encoder": ("encoder", "kind", "magnn"),
+    "layers": ("encoder", "num_layers", 3),
+    "dim": ("encoder", "dim", 24),
+    "heads": ("encoder", "heads", 3),
+    "dropout": ("encoder", "dropout", 0.25),
+    "metapaths": ("encoder", "metapaths", ["Drug-CAUSE-AdverseEffect"]),
+    "lr": ("train", "lr", 0.01),
+    "weight_decay": ("train", "weight_decay", 0.0),
+    "epochs": ("train", "epochs", 3),
+    "patience": ("train", "patience", 2),
+    "sampler": ("train", "sampler", "hard"),
+    "curriculum": ("train", "curriculum", False),
+    "negatives_per_positive": ("train", "negatives_per_positive", 2),
+    "seed": ("train", "seed", 4),
+}
+
+
+def test_every_config_key_reaches_the_model_manifest(workdir, tmp_path):
+    config = tmp_path / "every.json"
+    config.write_text(json.dumps({key: value for key, (_, _, value) in EVERY_KEY.items()}))
+    assert main(["train", "--bundle", str(workdir / "corpus"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json"),
+                 "--config", str(config), "--out", str(tmp_path / "m")]) == 0
+    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    for key, (section, name, value) in EVERY_KEY.items():
+        assert manifest[section][name] == value, key
+    assert manifest["encoder"]["seed"] == EVERY_KEY["seed"][2]
+
+
+@pytest.mark.parametrize("setting", [{"curriculum": "false"}, {"curriculum": 1},
+                                     {"epochs": 2.9}, {"epochs": True}, {"epochs": "3"},
+                                     {"lr": False}, {"sampler": 1}, {"metapaths": "x"}],
+                         ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))))
+def test_config_value_its_setting_would_change_is_rejected(workdir, tmp_path, capsys,
+                                                           setting):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, **setting}))
+    code = main(["train", "--bundle", str(workdir / "corpus"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json"),
+                 "--config", str(config), "--out", str(tmp_path / "m")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(next(iter(setting))) in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
+def test_whole_float_config_value_sets_an_int(workdir, tmp_path):
+    config = tmp_path / "whole.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "epochs": 2.0, "lr": 1}))
+    assert main(["train", "--bundle", str(workdir / "corpus"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json"),
+                 "--config", str(config), "--out", str(tmp_path / "m")]) == 0
+    train = json.loads((tmp_path / "m" / "manifest.json").read_text())["train"]
+    assert train["epochs"] == 2 and isinstance(train["epochs"], int)
+    assert train["lr"] == 1.0 and isinstance(train["lr"], float)
+
+
+def test_curriculum_flag_takes_only_yes_no_words():
+    def curriculum(word):
+        return build_parser().parse_args(["train", "--bundle", "b", "--snippets", "s",
+                                          "--out", "o", "--curriculum", word]).curriculum
+
+    for word, value in [("1", True), ("true", True), ("YES", True),
+                        ("0", False), ("False", False), ("no", False)]:
+        assert curriculum(word) is value
+    for word in ("on", "off", "ture", ""):
+        with pytest.raises(SystemExit):
+            curriculum(word)
 
 
 def test_missing_bundle_fails_cleanly(tmp_path, capsys):

@@ -74,8 +74,7 @@ def test_config_from_dict_parses_metapaths_and_layers_alias():
 def test_graphsage_layer_matches_manual_numpy(toy_kb):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((len(toy_kb), 6))
-    enc = make_encoder("graphsage", toy_kb, 6, num_layers=1, dim=5,
-                       identity_residual=False, seed=3)
+    enc = make_encoder("graphsage", toy_kb, 6, num_layers=1, dim=5, seed=3)
     out = enc.encode(toy_kb, x).data
 
     W = enc.state_dict()["graphsage.W[0]"]
@@ -92,8 +91,7 @@ def test_graphsage_layer_matches_manual_numpy(toy_kb):
 def test_rgcn_layer_matches_manual_numpy(toy_kb):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((len(toy_kb), 6))
-    enc = make_encoder("rgcn", toy_kb, 6, num_layers=1, dim=4,
-                       identity_residual=False, seed=5)
+    enc = make_encoder("rgcn", toy_kb, 6, num_layers=1, dim=4, seed=5)
     out = enc.encode(toy_kb, x).data
 
     state = enc.state_dict()
@@ -115,7 +113,7 @@ def test_magnn_layer_matches_manual_numpy(toy_kb, daf_metapath):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((len(toy_kb), 6))
     enc = make_encoder("magnn", toy_kb, 6, num_layers=1, dim=4,
-                       metapaths=[daf_metapath], identity_residual=False, seed=7)
+                       metapaths=[daf_metapath], seed=7)
     out = enc.encode(toy_kb, x).data
 
     state = enc.state_dict()

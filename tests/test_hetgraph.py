@@ -41,6 +41,18 @@ def test_mutation_after_freeze_fails(toy_kb):
         toy_kb.add_node("Drug", "late")
 
 
+def test_neighborhoods_need_a_frozen_graph():
+    g = HeteroGraph()
+    a, b = g.add_node("Drug", "a"), g.add_node("AdverseEffect", "b")
+    g.add_edge(a, b, "CAUSE")
+    for query in (lambda: g.out_neighbors(a, "CAUSE"),
+                  lambda: g.neighbors_by_relation(a, "CAUSE")):
+        with pytest.raises(GraphError, match="frozen"):
+            query()
+    g.freeze()
+    assert g.out_neighbors(a, "CAUSE") == [b]
+
+
 def test_neighbors_by_relation_ignores_direction(toy_kb):
     nausea = toy_kb.ids["nausea"]
     assert toy_kb.ids["Aspirin"] in toy_kb.neighbors_by_relation(nausea, "CAUSE")

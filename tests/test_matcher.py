@@ -3,12 +3,14 @@ persistence."""
 
 import json
 import math
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from hetlink import cli, evalgen
+from hetlink.encoders import EncoderConfig
 from hetlink.matcher import (
     MatcherError,
     MatchingHead,
@@ -59,9 +61,7 @@ def test_dot_head_is_temperature_scaled_cosine():
     np.testing.assert_allclose(scores, tau * np.array([1.0, 0.0]), atol=1e-12)
 
 
-def test_head_rejects_unknown_kind_and_shape_mismatch():
-    with pytest.raises(MatcherError):
-        MatchingHead("cosine")
+def test_head_rejects_shape_mismatch():
     head = MatchingHead()
     with pytest.raises(MatcherError):
         head.score_pairs(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))))
@@ -126,13 +126,11 @@ def test_candidate_ids_respect_declared_category(mini):
 def test_candidate_ids_fall_back_to_all_nodes(mini):
     corpus = mini["corpus"]
     item = mini["train"][0]
-    bare = TrainItem(item.snippet_id, item.qgraph, item.features,
-                     item.mention_node, item.gold, category="NoSuchType")
     qg = item.qgraph
     saved = qg.inferred_types.get(item.mention_node)
     qg.inferred_types[item.mention_node] = ()
     try:
-        assert candidate_ids(corpus.kb, bare).tolist() == corpus.kb.node_ids
+        assert candidate_ids(corpus.kb, item).tolist() == corpus.kb.node_ids
     finally:
         qg.inferred_types[item.mention_node] = saved
 
@@ -140,11 +138,8 @@ def test_candidate_ids_fall_back_to_all_nodes(mini):
 def _candidate_ids_oracle(kb, item):
     """The list construction candidate_ids replaced: a sorted set of the
     type lists, or every node id when no type is known."""
-    if item.category and item.category in kb.node_types:
-        types = (item.category,)
-    else:
-        types = tuple(t for t in item.qgraph.inferred_types.get(item.mention_node, ())
-                      if t in kb.node_types)
+    types = tuple(t for t in item.qgraph.inferred_types.get(item.mention_node, ())
+                  if t in kb.node_types)
     if not types:
         return kb.node_ids
     out = []
@@ -167,16 +162,16 @@ def test_candidate_ids_match_the_list_oracle_as_read_only_int64():
         kb = _sparse_id_kb(rng)
         kb_types = sorted(kb.node_types)
         cases = [
-            (kb_types[0], ()),                                   # declared category
-            ("NoSuchType", (kb_types[1],)),                      # one inferred type
-            (None, tuple(rng.permutation(kb_types)[:3].tolist()) + ("NoSuchType", kb_types[0])),
-            (None, tuple(kb_types)),                             # several, every type
-            ("NoSuchType", ("Other",)),                          # no type known
-            (None, ()),
+            (kb_types[0],),                                      # one type: a category
+            ("NoSuchType", kb_types[1]),                         # one of them a KB type
+            tuple(rng.permutation(kb_types)[:3].tolist()) + ("NoSuchType", kb_types[0]),
+            tuple(kb_types),                                     # several, every type
+            ("Other",),                                          # no type known
+            (),
         ]
-        for category, inferred in cases:
+        for inferred in cases:
             item = TrainItem("s", SimpleNamespace(inferred_types={0: inferred}),
-                             None, 0, gold=-1, category=category)
+                             None, 0, gold=-1)
             cands = candidate_ids(kb, item)
             assert cands.dtype == np.int64 and not cands.flags.writeable
             assert cands.tolist() == _candidate_ids_oracle(kb, item)
@@ -337,17 +332,29 @@ def test_disambiguate_rejects_unknown_mention_node(mini):
 
 def test_save_load_roundtrip_preserves_predictions(mini, tmp_path):
     corpus = mini["corpus"]
-    model = _tiny_model(mini, seed=4)
+    # every setting away from its default, so none can come back as one
+    model = evalgen.make_model(
+        corpus, "magnn", metapaths=evalgen.schema_metapaths(corpus.kb.schema, limit=2),
+        num_layers=3, dim=24, heads=3, dropout=0.25, leaky_slope=0.2, seed=4)
+    train_config = TrainConfig(epochs=7, patience=3, lr=0.01, weight_decay=0.0,
+                               negatives_per_positive=2, sampler="hard",
+                               curriculum=False, seed=9)
+    for config, default in ((model.encoder.config, EncoderConfig()),
+                            (train_config, TrainConfig())):
+        for f in fields(config):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
     item = mini["train"][1]
     before = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
                           item.features, item.mention_node, k=3)
-    save_model(model, tmp_path / "model", TrainConfig())
+    save_model(model, tmp_path / "model", train_config)
     loaded, manifest = load_model(tmp_path / "model")
     after = disambiguate(loaded, corpus.kb, mini["kb_features"], item.qgraph,
                          item.features, item.mention_node, k=3)
     assert before == after
-    assert manifest["encoder"]["kind"] == "graphsage"
-    assert manifest["train"]["sampler"] == "uniform"
+    for f in fields(EncoderConfig):
+        assert getattr(loaded.encoder.config, f.name) == getattr(model.encoder.config,
+                                                                 f.name), f.name
+    assert manifest["train"] == asdict(train_config)
 
 
 def test_load_model_rejects_other_head_kinds(mini, tmp_path):

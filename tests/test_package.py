@@ -8,7 +8,7 @@ import hetlink
 MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 
 # Optional settings under src/hetlink: raise this only in the diff that adds one.
-OPTIONAL_SETTINGS = 79
+OPTIONAL_SETTINGS = 76
 
 
 def _tree(path):
