@@ -21,8 +21,7 @@ from .encoders import ENCODER_KINDS, EncoderConfig
 from .hetgraph import (HeteroGraph, Metapath, build_inverted_index, load_graph,
                        save_graph)
 from .matcher import TrainConfig, load_model, save_model
-from .querygraph import (GazetteerExtractor, GoldMentionExtractor, TextSnippet,
-                         augment_query_graph)
+from .querygraph import TextSnippet, augment_query_graph
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
                         load_word_vectors, random_word_vectors)
 
@@ -117,29 +116,33 @@ def _load_snippets(path) -> list[TextSnippet]:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
-    return [TextSnippet.from_json(d, snippet_id=d.get("Id", f"s{i:04d}"))
-            for i, d in enumerate(data)]
+    snippets: dict[str, TextSnippet] = {}
+    for i, d in enumerate(data):
+        try:
+            snippet = TextSnippet.from_json(d, snippet_id=d.get("Id", f"s{i:04d}"))
+        except KeyError as exc:
+            raise CliError(f"snippet {i}: missing key {exc}") from None
+        if snippet.id in snippets:
+            raise CliError(f"duplicate snippet id {snippet.id!r}")
+        snippets[snippet.id] = snippet
+    return list(snippets.values())
 
 
-def _snippet_items(kb, index, store, freqs, snippets, gold_required: bool):
-    gazetteer = GazetteerExtractor(index)
-    gold_extractor = GoldMentionExtractor()
+def _bundle_items(args, gold_required: bool):
+    """The bundle's KB and word vectors, an item per snippet of args.snippets
+    that has an ambiguous mention, and the KB node features."""
+    kb, store, freqs = read_bundle(args.bundle)
+    index = build_inverted_index(kb)
     items = []
-    for snippet in snippets:
-        extractor = gold_extractor if snippet.mentions else gazetteer
-        qg = augment_query_graph(kb, index, snippet, extractor)
-        if not qg.unknown_nodes:
+    for snippet in _load_snippets(args.snippets):
+        item = matcher.snippet_item(kb, index, store, freqs, snippet, augment_query_graph)
+        if item is None:
             log.warning("snippet %s has no ambiguous mention; skipped", snippet.id)
             continue
-        mention_node = qg.unknown_nodes[0]
-        mention = qg.mentions[mention_node]
-        gold = mention.link_id
-        if gold_required and gold is None:
+        if gold_required and item.qgraph.mentions[item.mention_node].link_id is None:
             raise CliError(f"snippet {snippet.id}: ambiguous mention lacks link_id")
-        items.append(matcher.TrainItem(snippet.id, qg, qg.features(store, freqs),
-                                       mention_node,
-                                       gold=-1 if gold is None else int(gold)))
-    return items
+        items.append(item)
+    return kb, store, items, init_node_features(kb, store, freqs)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -182,16 +185,12 @@ def cmd_train(args) -> int:
     train_config = TrainConfig(**_settings(TrainConfig, opts, TRAIN_KEYS))
     train_config.validate()
     encoder_options = {"dim": CLI_DIM, **_settings(EncoderConfig, opts, ENCODER_KEYS)}
-    kb, store, freqs = read_bundle(args.bundle)
-    index = build_inverted_index(kb)
-    snippets = _load_snippets(args.snippets)
-    items = _snippet_items(kb, index, store, freqs, snippets, gold_required=True)
+    kb, store, items, kb_feats = _bundle_items(args, gold_required=True)
     if not items:
         raise CliError("no trainable snippets found")
     split = evalgen.split_dataset([it.snippet_id for it in items],
                                   seed=train_config.seed)
     by_id = {it.snippet_id: it for it in items}
-    kb_feats = init_node_features(kb, store, freqs)
     model = evalgen.build_model(kb, store.dim, encoder_options.pop("kind", EncoderConfig.kind),
                                 seed=train_config.seed, **encoder_options)
     result = matcher.train(model, kb, kb_feats,
@@ -207,28 +206,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    kb, store, freqs = read_bundle(args.bundle)
-    index = build_inverted_index(kb)
     model, _ = load_model(args.model)
-    snippets = _load_snippets(args.snippets)
-    items = _snippet_items(kb, index, store, freqs, snippets, gold_required=True)
-    kb_feats = init_node_features(kb, store, freqs)
-    predictions = evalgen.predict_batch(model, kb, kb_feats, items)
-    gold = {it.snippet_id: it.gold for it in items}
-    report = evalgen.precision_recall_f1(predictions, gold,
-                                         evalgen.item_error_contexts(kb, items))
+    kb, _, items, kb_feats = _bundle_items(args, gold_required=True)
+    report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_feats, items))
     json.dump(report.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
 
 def cmd_disambiguate(args) -> int:
-    kb, store, freqs = read_bundle(args.bundle)
-    index = build_inverted_index(kb)
     model, _ = load_model(args.model)
-    snippets = _load_snippets(args.snippets)
-    items = _snippet_items(kb, index, store, freqs, snippets, gold_required=False)
-    kb_feats = init_node_features(kb, store, freqs)
+    kb, _, items, kb_feats = _bundle_items(args, gold_required=False)
     ranked = matcher.rank_items(model, kb, kb_feats, items,
                                 [matcher.candidate_ids(kb, it) for it in items])
     k = max(args.top_k, 0)

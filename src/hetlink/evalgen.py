@@ -15,11 +15,11 @@ import numpy as np
 
 from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
                        Schema, SELF_EDGE_TYPE, build_inverted_index, tokenize)
-from .matcher import (MatchingHead, SiameseModel, TrainItem,
-                      candidate_ids, order_by_score, rank_items)
+from .matcher import (MatchingHead, SiameseModel, TrainItem, candidate_ids,
+                      order_by_score, rank_items, snippet_item)
 from .encoders import Encoder, EncoderConfig
-from .querygraph import (GoldMentionExtractor, Mention, TextSnippet,
-                         augment_query_graph, fully_connected_query_graph)
+from .querygraph import (Mention, TextSnippet, augment_query_graph,
+                         fully_connected_query_graph)
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
                         random_word_vectors, term_embedding)
 
@@ -91,19 +91,6 @@ def _attribute_error(ctx: ErrorContext) -> str:
     return "similar-nodes"
 
 
-def item_error_contexts(kb: HeteroGraph,
-                        items: list[TrainItem]) -> dict[str, ErrorContext]:
-    """Per snippet id: the gold node's type, the types inferred for the
-    mention, and the mention's non-self degree in its query graph."""
-    contexts = {}
-    for it in items:
-        degree = sum(1 for e in it.qgraph.graph.edges
-                     if e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst))
-        contexts[it.snippet_id] = ErrorContext(
-            kb.node(it.gold).type, it.qgraph.inferred_types.get(it.mention_node, ()), degree)
-    return contexts
-
-
 def precision_recall_f1(predictions: dict, gold: dict,
                         error_contexts: dict | None = None) -> EvalReport:
     """Rank-1 scoring: a prediction is correct iff its top candidate is gold.
@@ -129,6 +116,20 @@ def precision_recall_f1(predictions: dict, gold: dict,
             if key in error_contexts:
                 errors[_attribute_error(error_contexts[key])] += 1
     return EvalReport(precision, recall, f1, len(gold), len(emitted), correct, errors)
+
+
+def score_items(kb: HeteroGraph, items: list[TrainItem], predictions: dict) -> EvalReport:
+    """Rank-1 report of `predictions` (snippet id -> ranked ids) against the
+    items' gold links, each miss attributed by the gold type, the mention's
+    inferred types and its non-self degree in the query graph."""
+    contexts = {}
+    for it in items:
+        degree = sum(1 for e in it.qgraph.graph.edges
+                     if e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst))
+        contexts[it.snippet_id] = ErrorContext(
+            kb.node(it.gold).type, it.qgraph.inferred_types.get(it.mention_node, ()), degree)
+    return precision_recall_f1(predictions, {it.snippet_id: it.gold for it in items},
+                               contexts)
 
 
 # -- synthetic corpus ------------------------------------------------------
@@ -199,18 +200,6 @@ class SynthCorpus:
     store: WordVectorStore
     freqs: FrequencyTable
     config: SynthConfig
-
-    def snippet(self, sid: str) -> TextSnippet:
-        for s in self.snippets:
-            if s.id == sid:
-                return s
-        raise EvalGenError(f"unknown snippet {sid!r}")
-
-    def ambiguous_mention(self, snippet: TextSnippet) -> Mention:
-        for m in snippet.mentions:
-            if not self.index.lookup(m.surface):
-                return m
-        raise EvalGenError(f"snippet {snippet.id} has no ambiguous mention")
 
 
 _CONSONANTS = "bdfgklmnprstvz"
@@ -431,23 +420,25 @@ def kb_features(corpus: SynthCorpus) -> np.ndarray:
 
 def corpus_items(corpus: SynthCorpus, snippet_ids,
                  query_builder: str = "augmented") -> list[TrainItem]:
-    """TrainItems for the given snippets; the ambiguous mention is the one
-    with no inverted-index match."""
+    """TrainItems for the given snippets, built by snippet_item over the
+    corpus's long-form index; each snippet must have exactly one ambiguous
+    mention, and a labelled one."""
     build = {"augmented": augment_query_graph,
              "fc": fully_connected_query_graph}[query_builder]
-    extractor = GoldMentionExtractor()
+    by_id = {s.id: s for s in corpus.snippets}
     items = []
     for sid in snippet_ids:
-        snippet = corpus.snippet(sid)
-        qg = build(corpus.kb, corpus.index, snippet, extractor)
-        if len(qg.unknown_nodes) != 1:
+        if sid not in by_id:
+            raise EvalGenError(f"unknown snippet {sid!r}")
+        item = snippet_item(corpus.kb, corpus.index, corpus.store, corpus.freqs,
+                            by_id[sid], build)
+        n_unknown = len(item.qgraph.unknown_nodes) if item else 0
+        if n_unknown != 1:
             raise EvalGenError(
-                f"snippet {sid}: expected exactly 1 ambiguous mention, "
-                f"got {len(qg.unknown_nodes)}")
-        mention_node = qg.unknown_nodes[0]
-        mention = qg.mentions[mention_node]
-        feats = qg.features(corpus.store, corpus.freqs)
-        items.append(TrainItem(sid, qg, feats, mention_node, gold=int(mention.link_id)))
+                f"snippet {sid}: expected exactly 1 ambiguous mention, got {n_unknown}")
+        if item.qgraph.mentions[item.mention_node].link_id is None:
+            raise EvalGenError(f"snippet {sid}: ambiguous mention lacks link_id")
+        items.append(item)
     return items
 
 
@@ -510,9 +501,8 @@ def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainIt
                    candidates: str = "type") -> EvalReport:
     if kb_feats is None:
         kb_feats = kb_features(corpus)
-    predictions = predict_batch(model, corpus.kb, kb_feats, items, candidates)
-    gold = {it.snippet_id: it.gold for it in items}
-    return precision_recall_f1(predictions, gold, item_error_contexts(corpus.kb, items))
+    return score_items(corpus.kb, items,
+                       predict_batch(model, corpus.kb, kb_feats, items, candidates))
 
 
 def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
@@ -534,7 +524,5 @@ def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
 
 
 def evaluate_text_baseline(corpus: SynthCorpus, items: list[TrainItem]) -> EvalReport:
-    predictions = text_baseline_predictions(corpus, items)
-    gold = {it.snippet_id: it.gold for it in items}
-    return precision_recall_f1(predictions, gold, item_error_contexts(corpus.kb, items))
+    return score_items(corpus.kb, items, text_baseline_predictions(corpus, items))
 

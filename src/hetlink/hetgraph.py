@@ -405,6 +405,7 @@ class InvertedIndex:
 
     def __init__(self, entries: dict[str, set[int]]):
         self._entries = {k: frozenset(v) for k, v in entries.items()}
+        self._max_key_tokens = max((len(k.split()) for k in self._entries), default=0)
 
     def lookup(self, surface: str) -> set[int]:
         key = normalize(surface)
@@ -413,7 +414,7 @@ class InvertedIndex:
         return set(self._entries.get(key, ()))
 
     def max_key_tokens(self) -> int:
-        return max((len(k.split()) for k in self._entries), default=0)
+        return self._max_key_tokens
 
 
 def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) -> InvertedIndex:

@@ -14,10 +14,12 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig
-from .hetgraph import HeteroGraph
+from .hetgraph import HeteroGraph, InvertedIndex
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, UniformSampler
-from .querygraph import QueryGraph
+from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
+                         TextSnippet)
+from .termembed import FrequencyTable, WordVectorStore
 
 
 # the matching head's name in model manifests, the only one there is
@@ -110,6 +112,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        if self.epochs < 1:
+            raise MatcherError("epochs must be >= 1")
         if self.patience > self.epochs:
             raise MatcherError("patience must be <= epochs")
         if self.sampler not in ("uniform", "hard"):
@@ -120,12 +124,30 @@ class TrainConfig:
 
 @dataclass
 class TrainItem:
-    """One labeled snippet: its query graph, features, and the gold link."""
+    """One snippet: its query graph, features, the ambiguous mention's node,
+    and the gold link (-1 when the mention is unlabelled)."""
     snippet_id: str
     qgraph: QueryGraph
     features: np.ndarray
     mention_node: int
     gold: int
+
+
+def snippet_item(kb: HeteroGraph, index: InvertedIndex, store: WordVectorStore,
+                 freqs: FrequencyTable, snippet: TextSnippet, build) -> TrainItem | None:
+    """The one snippet -> item rule.  Mentions are the gold ones if the snippet
+    has any, else the gazetteer's over `index`; the first that `index` does
+    not match is the ambiguous one.  `build` makes the query graph
+    (augment_query_graph, or fully_connected_query_graph for the ablation).
+    None when `index` matches every mention."""
+    extractor = GoldMentionExtractor() if snippet.mentions else GazetteerExtractor(index)
+    qg = build(kb, index, snippet, extractor)
+    if not qg.unknown_nodes:
+        return None
+    node = qg.unknown_nodes[0]
+    link = qg.mentions[node].link_id
+    return TrainItem(snippet.id, qg, qg.features(store, freqs), node,
+                     gold=-1 if link is None else int(link))
 
 
 @dataclass

@@ -247,3 +247,47 @@ def test_model_with_unexpected_parameters_is_rejected(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "stray" in err
     assert err.count("\n") == 1
+
+
+def test_zero_epochs_is_rejected_before_any_model_is_written(workdir, tmp_path, capsys):
+    config = tmp_path / "zero.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "epochs": 0, "patience": 0}))
+    code = main(["train", "--bundle", str(workdir / "corpus"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json"),
+                 "--config", str(config), "--out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: epochs must be >= 1\n"
+    assert not (tmp_path / "m").exists()
+
+
+def _snippet_rows(workdir):
+    return json.loads((workdir / "corpus" / "snippets.json").read_text())
+
+
+def _run_on_rows(workdir, tmp_path, command, rows):
+    path = tmp_path / "snippets.json"
+    path.write_text(json.dumps(rows))
+    target = (["--config", str(workdir / "train.json"), "--out", str(tmp_path / "m")]
+              if command == "train" else ["--model", str(workdir / "model")])
+    return main([command, "--bundle", str(workdir / "corpus"), "--snippets", str(path)]
+                + target)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "disambiguate"])
+def test_repeated_snippet_id_is_rejected(workdir, tmp_path, capsys, command):
+    rows = [{**row, "id": "dup"} for row in _snippet_rows(workdir)]
+    assert _run_on_rows(workdir, tmp_path, command, rows) == 1
+    assert capsys.readouterr().err == "error: duplicate snippet id 'dup'\n"
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("key", ["Text", "end_offset"])
+def test_snippet_missing_a_key_names_it_and_its_index(workdir, tmp_path, capsys, key):
+    rows = _snippet_rows(workdir)
+    bad = rows[3]
+    if key == "Text":
+        del bad["Text"]
+    else:
+        del bad["Mentions"][0]["end_offset"]
+    assert _run_on_rows(workdir, tmp_path, "eval", rows) == 1
+    assert capsys.readouterr().err == f"error: snippet 3: missing key {key!r}\n"

@@ -26,6 +26,13 @@ def small_corpus():
     return generate_synthetic_kb(SynthConfig(**SMALL))
 
 
+def _ambiguous_mention(corpus, snippet):
+    """The snippet's one mention that the corpus index does not match."""
+    unmatched = [m for m in snippet.mentions if not corpus.index.lookup(m.surface)]
+    assert len(unmatched) == 1, snippet.id
+    return unmatched[0]
+
+
 # ---------------------------------------------------------------------------
 # splits
 
@@ -156,17 +163,16 @@ def test_generator_node_counts_match_config(small_corpus):
 
 
 def test_every_snippet_has_exactly_one_ambiguous_mention(small_corpus):
-    for snippet in small_corpus.snippets:
-        unmatched = [m for m in snippet.mentions
-                     if not small_corpus.index.lookup(m.surface)]
-        assert len(unmatched) == 1, snippet.id
-        assert unmatched[0] == small_corpus.ambiguous_mention(snippet)
+    items = evalgen.corpus_items(small_corpus, [s.id for s in small_corpus.snippets])
+    for snippet, item in zip(small_corpus.snippets, items):
+        assert item.qgraph.mentions[item.mention_node] == _ambiguous_mention(
+            small_corpus, snippet)
 
 
 def test_ambiguous_mention_links_to_a_finding_near_context(small_corpus):
     kb = small_corpus.kb
     for snippet in small_corpus.snippets:
-        gold = small_corpus.ambiguous_mention(snippet).link_id
+        gold = _ambiguous_mention(small_corpus, snippet).link_id
         assert kb.node(gold).type == "Finding"
         context = [m.link_id for m in snippet.mentions if m.link_id != gold]
         within2 = kb.neighbors(gold)
@@ -196,7 +202,7 @@ def test_single_token_mentions_resolve_to_twin_pairs(small_corpus):
     kb = small_corpus.kb
     seen = 0
     for snippet in small_corpus.snippets:
-        m = small_corpus.ambiguous_mention(snippet)
+        m = _ambiguous_mention(small_corpus, snippet)
         if " " in m.surface or not any(
                 kb.node(n).name[0] == m.surface for n in kb.nodes_of_type("Finding")):
             continue
@@ -229,13 +235,17 @@ def test_lexical_candidates_share_a_token_and_keep_type(small_corpus):
 
 
 def test_corpus_items_build_one_item_per_snippet(small_corpus):
-    ids = [s.id for s in small_corpus.snippets[:5]]
-    items = evalgen.corpus_items(small_corpus, ids)
-    assert [it.snippet_id for it in items] == ids
-    for it in items:
+    snippets = small_corpus.snippets[:5]
+    items = evalgen.corpus_items(small_corpus, [s.id for s in snippets])
+    assert [it.snippet_id for it in items] == [s.id for s in snippets]
+    for it, snippet in zip(items, snippets):
         assert it.qgraph.unknown_nodes == (it.mention_node,)
-        assert it.gold == small_corpus.ambiguous_mention(
-            small_corpus.snippet(it.snippet_id)).link_id
+        assert it.gold == _ambiguous_mention(small_corpus, snippet).link_id
+
+
+def test_corpus_items_reject_an_unknown_snippet_id(small_corpus):
+    with pytest.raises(EvalGenError, match="unknown snippet 'nope'"):
+        evalgen.corpus_items(small_corpus, [small_corpus.snippets[0].id, "nope"])
 
 
 # ---------------------------------------------------------------------------

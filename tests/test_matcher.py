@@ -25,10 +25,13 @@ from hetlink.matcher import (
     pair_loss,
     rank_candidates,
     save_model,
+    snippet_item,
     train,
 )
-from hetlink.hetgraph import HeteroGraph, build_inverted_index
+from hetlink.hetgraph import RELATED_EDGE_TYPE, HeteroGraph, build_inverted_index
 from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
+from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
+                                fully_connected_query_graph)
 from hetlink.termembed import init_node_features
 
 
@@ -269,6 +272,8 @@ def test_train_config_validation():
         TrainConfig(sampler="adversarial").validate()
     with pytest.raises(MatcherError):
         TrainConfig(negatives_per_positive=-1).validate()
+    with pytest.raises(MatcherError, match="epochs must be >= 1"):
+        TrainConfig(epochs=0, patience=0).validate()
 
 
 def test_train_requires_items(mini):
@@ -402,15 +407,73 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     served = {row["snippet"]: [c["id"] for c in row["candidates"]]
               for row in json.loads(capsys.readouterr().out)}
     kb, store, freqs = cli.read_bundle(bundle)
-    cli_items = cli._snippet_items(kb, build_inverted_index(kb), store, freqs,
-                                   cli._load_snippets(bundle / "snippets.json"),
-                                   gold_required=False)
+    index = build_inverted_index(kb)
+    cli_items = [item for snippet in cli._load_snippets(bundle / "snippets.json")
+                 if (item := snippet_item(kb, index, store, freqs, snippet,
+                                          augment_query_graph))]
     loaded, _ = load_model(model_dir)
     shared = evalgen.predict_batch(loaded, kb, init_node_features(kb, store, freqs),
                                    cli_items)
     assert served and set(served) == set(shared)
     for sid, ids in served.items():
         assert ids == shared[sid][:k]
+
+
+# ---------------------------------------------------------------------------
+# snippet -> item
+
+
+def _labelled_snippet(kb):
+    """Two unindexed mentions ("ARF" and "ckd") among indexed context, every
+    mention linked; link ids are strings, as a JSON file may hold them."""
+    text = "Aspirin can cause nausea indicating a potential ARF or ckd"
+    links = [("Aspirin", "Aspirin"), ("nausea", "nausea"),
+             ("ARF", "acute renal failure"), ("ckd", "nephrotoxicity")]
+    return TextSnippet("lab", text, tuple(
+        Mention(surface, text.index(surface), text.index(surface) + len(surface),
+                link_id=str(kb.ids[node])) for surface, node in links))
+
+
+def test_snippet_item_takes_the_first_unknown_mention_and_an_int_gold(
+        toy_kb, toy_store, toy_freqs):
+    index = build_inverted_index(toy_kb, acronym_rule=None)
+    item = snippet_item(toy_kb, index, toy_store, toy_freqs, _labelled_snippet(toy_kb),
+                        augment_query_graph)
+    qg = item.qgraph
+    assert len(qg.unknown_nodes) == 2
+    assert item.mention_node == qg.unknown_nodes[0]
+    assert qg.mentions[item.mention_node].surface == "ARF"
+    assert item.gold == toy_kb.ids["acute renal failure"] and type(item.gold) is int
+    np.testing.assert_array_equal(item.features, qg.features(toy_store, toy_freqs))
+
+
+def test_snippet_item_is_none_when_the_index_matches_every_mention(
+        toy_kb, toy_index, toy_store, toy_freqs, arf_snippet):
+    # the acronym rule indexes "ARF", so no mention of the snippet is unknown
+    assert snippet_item(toy_kb, toy_index, toy_store, toy_freqs, arf_snippet,
+                        augment_query_graph) is None
+
+
+def test_snippet_item_reads_unlabelled_text_with_the_gazetteer(toy_kb, toy_store, toy_freqs):
+    index = build_inverted_index(toy_kb, acronym_rule=None)
+    text = TextSnippet("raw", "Aspirin can cause nausea indicating a potential ARF")
+    item = snippet_item(toy_kb, index, toy_store, toy_freqs, text, augment_query_graph)
+    assert sorted(m.surface for m in item.qgraph.mentions.values()) == [
+        "ARF", "Aspirin", "nausea"]
+    assert item.qgraph.mentions[item.mention_node].surface == "ARF"
+    assert item.gold == -1
+
+
+def test_snippet_item_builds_with_the_given_query_graph_builder(toy_kb, toy_store,
+                                                                toy_freqs):
+    index = build_inverted_index(toy_kb, acronym_rule=None)
+    snippet = _labelled_snippet(toy_kb)
+    typed = snippet_item(toy_kb, index, toy_store, toy_freqs, snippet, augment_query_graph)
+    fc = snippet_item(toy_kb, index, toy_store, toy_freqs, snippet,
+                      fully_connected_query_graph)
+    assert RELATED_EDGE_TYPE in {e.type for e in fc.qgraph.graph.edges}
+    assert RELATED_EDGE_TYPE not in {e.type for e in typed.qgraph.graph.edges}
+    assert (fc.mention_node, fc.gold) == (typed.mention_node, typed.gold)
 
 
 # ---------------------------------------------------------------------------
