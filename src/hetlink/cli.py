@@ -21,7 +21,7 @@ from .encoders import ENCODER_KINDS, EncoderConfig
 from .hetgraph import (HeteroGraph, Metapath, build_inverted_index, load_graph,
                        save_graph)
 from .matcher import TrainConfig, load_model, save_model
-from .querygraph import TextSnippet, augment_query_graph
+from .querygraph import QueryGraphError, TextSnippet, augment_query_graph
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
                         load_word_vectors, random_word_vectors)
 
@@ -116,12 +116,17 @@ def _load_snippets(path) -> list[TextSnippet]:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise CliError(f"a snippet file holds a JSON object or list, "
+                       f"not {type(data).__name__}")
     snippets: dict[str, TextSnippet] = {}
     for i, d in enumerate(data):
         try:
-            snippet = TextSnippet.from_json(d, snippet_id=d.get("Id", f"s{i:04d}"))
+            snippet = TextSnippet.from_json(d, f"s{i:04d}")
         except KeyError as exc:
             raise CliError(f"snippet {i}: missing key {exc}") from None
+        except QueryGraphError as exc:
+            raise CliError(f"snippet {i}: {exc}") from None
         if snippet.id in snippets:
             raise CliError(f"duplicate snippet id {snippet.id!r}")
         snippets[snippet.id] = snippet
@@ -197,7 +202,6 @@ def cmd_train(args) -> int:
                            [by_id[s] for s in split.train],
                            [by_id[s] for s in split.validation],
                            train_config)
-    os.makedirs(args.out, exist_ok=True)
     save_model(model, args.out, train_config=train_config)
     result.write_history_csv(os.path.join(args.out, "history.csv"))
     log.info("best epoch %d metric %.4f; model saved to %s",

@@ -240,20 +240,8 @@ class Encoder:
     # -- parameter access --------------------------------------------------
 
     def parameters(self) -> list[Parameter]:
-        return [self._params[name] for name in sorted(self._params)]
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        if missing:
-            raise EncoderError(f"checkpoint missing parameters: {sorted(missing)}")
-        for name, p in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != p.data.shape:
-                raise EncoderError(f"shape mismatch for {name}: {arr.shape} vs {p.data.shape}")
-            p.data[...] = arr
+        """Every parameter, in the order the constructor made them."""
+        return list(self._params.values())
 
     # -- forward -----------------------------------------------------------
 

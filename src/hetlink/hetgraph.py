@@ -292,23 +292,26 @@ class HeteroGraph:
 
     # -- neighborhoods -----------------------------------------------------
 
-    def out_neighbors(self, v: int, r: str) -> list[int]:
+    def _check_frozen_node(self, v: int) -> None:
         if not self._frozen:
             raise GraphError("graph must be frozen")
         self.node(v)
+
+    def out_neighbors(self, v: int, r: str) -> list[int]:
+        self._check_frozen_node(v)
         return list(self._out.get((v, r), ()))
 
     def neighbors_by_relation(self, v: int, r: str) -> set[int]:
         """N_v^r: nodes incident to v through an edge of relation r."""
-        if not self._frozen:
-            raise GraphError("graph must be frozen")
-        self.node(v)
+        self._check_frozen_node(v)
         return set(self._out.get((v, r), ())) | set(self._in.get((v, r), ()))
 
     def neighbors(self, v: int) -> set[int]:
+        """Nodes incident to v through an edge of any relation."""
+        self._check_frozen_node(v)
         out: set[int] = set()
         for r in self._edge_types:
-            out |= self.neighbors_by_relation(v, r)
+            out.update(self._out.get((v, r), ()), self._in.get((v, r), ()))
         return out
 
     # -- metapaths ---------------------------------------------------------
@@ -342,35 +345,17 @@ class HeteroGraph:
             path.validate(self.schema)
         except GraphError:
             return []           # this graph never realizes the pattern
+        # walk out of v one level at a time: along the path over out-edges
+        # from its start, along the reversed path over in-edges from its end
         anchor = self._resolve_anchor(v, path, anchor)
-        m = len(path.edge_types)
-        results: list[tuple[int, ...]] = []
-
-        if anchor == "end":
-            def back(pos: int, suffix: tuple[int, ...]):
-                # suffix holds nodes at positions pos..m
-                if pos == 0:
-                    results.append(suffix)
-                    return
-                cur = suffix[0]
-                et = path.edge_types[pos - 1]
-                want = path.node_types[pos - 1]
-                for u in self._in.get((cur, et), ()):
-                    if self._nodes[u].type == want:
-                        back(pos - 1, (u,) + suffix)
-            back(m, (v,))
-        else:
-            def fwd(pos: int, prefix: tuple[int, ...]):
-                if pos == m:
-                    results.append(prefix)
-                    return
-                cur = prefix[-1]
-                et = path.edge_types[pos]
-                want = path.node_types[pos + 1]
-                for u in self._out.get((cur, et), ()):
-                    if self._nodes[u].type == want:
-                        fwd(pos + 1, prefix + (u,))
-            fwd(0, (v,))
+        step = 1 if anchor == "start" else -1
+        adj = self._out if anchor == "start" else self._in
+        results = [(v,)]
+        for et, want in zip(path.edge_types[::step], path.node_types[::step][1:]):
+            results = [walk + (u,) for walk in results for u in adj.get((walk[-1], et), ())
+                       if self._nodes[u].type == want]
+        if step == -1:
+            results = [walk[::-1] for walk in results]
         if simple:
             results = [seq for seq in results if len(set(seq)) == len(seq)]
         return sorted(set(results))

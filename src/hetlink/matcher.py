@@ -8,6 +8,8 @@ structural rather than a synchronization concern.
 from __future__ import annotations
 
 import csv
+import json
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,10 +41,10 @@ class MatchingHead:
     """
 
     def __init__(self):
-        self._params = {"head.tau": Parameter(np.array([10.0]), "head.tau")}
+        self.tau = Parameter(np.array([10.0]), "head.tau")
 
     def parameters(self) -> list[Parameter]:
-        return [self._params[k] for k in sorted(self._params)]
+        return [self.tau]
 
     def score_pairs(self, h_u: Tensor, h_v: Tensor) -> Tensor:
         """Row-wise logits for aligned (n, d) embedding pairs."""
@@ -50,21 +52,14 @@ class MatchingHead:
             raise MatcherError(f"embedding shape mismatch {h_u.shape} vs {h_v.shape}")
         cos = ndiff.sum_axis1(ndiff.mul(ndiff.l2_normalize_rows(h_u),
                                         ndiff.l2_normalize_rows(h_v)))
-        return ndiff.mul(cos, self._params["head.tau"])
+        return ndiff.mul(cos, self.tau)
 
     def score_one_vs_many(self, h_u: np.ndarray, unit_vs: np.ndarray) -> np.ndarray:
         """Inference-only scores of one query embedding against candidate rows
         already scaled to unit norm (as kb_embeddings returns them), the same
         elementwise products and row sums as score_pairs."""
         u = ndiff.l2_normalize_rows(h_u[None, :]).data
-        return (u * unit_vs).sum(axis=1) * self._params["head.tau"].data
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: p.data.copy() for k, p in self._params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for k, p in self._params.items():
-            p.data[...] = np.asarray(state[k], dtype=np.float64)
+        return (u * unit_vs).sum(axis=1) * self.tau.data
 
 
 def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None) -> Tensor:
@@ -86,18 +81,29 @@ class SiameseModel:
     _kb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[Parameter]:
+        """The encoder's parameters in construction order, then the head's."""
         return self.encoder.parameters() + self.head.parameters()
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        state = self.encoder.state_dict()
-        state.update(self.head.state_dict())
-        return state
+        """A copy of every parameter's value by name, in parameters() order."""
+        return {p.name: p.data.copy() for p in self.parameters()}
 
     def load_state_dict(self, state) -> None:
-        self.encoder.load_state_dict({k: v for k, v in state.items()
-                                      if not k.startswith("head.")})
-        self.head.load_state_dict({k: v for k, v in state.items()
-                                   if k.startswith("head.")})
+        """Set every parameter from `state`, or none: MatcherError when a
+        parameter is missing, unexpected, misshapen or not finite."""
+        params = {p.name: p for p in self.parameters()}
+        missing, unexpected = sorted(set(params) - set(state)), sorted(set(state) - set(params))
+        if missing or unexpected:
+            raise MatcherError(f"parameters missing: {missing}, unexpected: {unexpected}")
+        values = {name: np.asarray(state[name], dtype=np.float64) for name in params}
+        for name, p in params.items():
+            if values[name].shape != p.data.shape:
+                raise MatcherError(f"parameter {name} has shape {values[name].shape}, "
+                                   f"expected {p.data.shape}")
+            if not np.isfinite(values[name]).all():
+                raise MatcherError(f"parameter {name} holds non-finite values")
+        for name, p in params.items():
+            p.data[...] = values[name]
 
 
 @dataclass
@@ -386,8 +392,9 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
 def save_model(model: SiameseModel, directory,
                train_config: TrainConfig | None = None) -> None:
-    """Parameters and a manifest holding every EncoderConfig field (metapaths
-    as labels) and, when given, every TrainConfig field."""
+    """`directory` (made if need be) with the model's state_dict in
+    params.npz and manifest.json holding every EncoderConfig field
+    (metapaths as labels) and, when given, every TrainConfig field."""
     cfg = model.encoder.config
     manifest = {
         "encoder": {**asdict(cfg), "metapaths": [m.label() for m in cfg.metapaths]},
@@ -398,20 +405,28 @@ def save_model(model: SiameseModel, directory,
     }
     if train_config is not None:
         manifest["train"] = asdict(train_config)
-    ndiff.save_checkpoint(directory, model.state_dict(), manifest)
+    os.makedirs(directory, exist_ok=True)
+    np.savez(os.path.join(directory, "params.npz"), **model.state_dict())
+    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
-    params, manifest = ndiff.load_checkpoint(directory)
+    """The model save_model wrote to `directory`, and its manifest; MatcherError
+    for another head, a missing manifest key, or parameters that
+    SiameseModel.load_state_dict rejects."""
+    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
     if manifest.get("head") != HEAD_KIND:
         raise MatcherError(f"unknown matching head {manifest.get('head')!r}; "
                            f"only {HEAD_KIND!r} is supported")
-    enc_cfg = EncoderConfig.from_dict(manifest["encoder"])
-    encoder = Encoder(enc_cfg, manifest["feature_dim"],
+    missing = [k for k in ("encoder", "feature_dim", "node_types", "edge_types")
+               if k not in manifest]
+    if missing:
+        raise MatcherError(f"model manifest lacks {missing}")
+    encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), manifest["feature_dim"],
                       manifest["node_types"], manifest["edge_types"])
     model = SiameseModel(encoder, MatchingHead())
-    unexpected = set(params) - {p.name for p in model.parameters()}
-    if unexpected:
-        raise MatcherError(f"unexpected parameters in {directory}: {sorted(unexpected)}")
-    model.load_state_dict(params)
+    with np.load(os.path.join(directory, "params.npz")) as npz:
+        model.load_state_dict({name: npz[name] for name in npz.files})
     return model, manifest

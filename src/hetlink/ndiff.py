@@ -8,9 +8,6 @@ topological order and accumulates gradients into every reachable
 
 from __future__ import annotations
 
-import json
-import os
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -476,20 +473,3 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
-
-# -- checkpoints -----------------------------------------------------------
-
-def save_checkpoint(directory, params: dict[str, np.ndarray], manifest: dict) -> None:
-    os.makedirs(directory, exist_ok=True)
-    np.savez(os.path.join(directory, "params.npz"),
-             **{name: np.asarray(v, dtype=np.float64) for name, v in params.items()})
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_checkpoint(directory) -> tuple[dict[str, np.ndarray], dict]:
-    npz = np.load(os.path.join(directory, "params.npz"))
-    params = {name: npz[name] for name in npz.files}
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    return params, manifest

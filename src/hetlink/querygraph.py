@@ -37,6 +37,18 @@ class Mention:
             raise QueryGraphError(f"mention surface does not equal its span: {self}")
 
 
+def _json_value(obj, key: str, kind):
+    """obj[key] when it is a `kind` (never a bool); None when `key` is
+    missing and `kind` admits None.  KeyError for another missing key,
+    QueryGraphError naming `key` for a value of another type."""
+    if not isinstance(obj, dict):
+        raise QueryGraphError(f"expected a JSON object, got {type(obj).__name__}")
+    value = obj.get(key) if isinstance(None, kind) else obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise QueryGraphError(f"key {key!r} has the wrong type ({type(value).__name__})")
+    return value
+
+
 @dataclass(frozen=True)
 class TextSnippet:
     id: str
@@ -51,11 +63,20 @@ class TextSnippet:
 
     @classmethod
     def from_json(cls, data: dict, snippet_id: str = "s0") -> "TextSnippet":
-        mentions = tuple(
-            Mention(m["mention"], m["start_offset"], m["end_offset"],
-                    m.get("category"), m.get("link_id"))
-            for m in data.get("Mentions", []))
-        return cls(str(data.get("id", snippet_id)), data["Text"], mentions)
+        """The snippet of a JSON object, its id from "id", else "Id", else
+        `snippet_id`.  KeyError for a missing key; QueryGraphError for a value
+        of the wrong type, or a link_id that is not an integer."""
+        text = _json_value(data, "Text", str)
+        mentions = []
+        for m in _json_value(data, "Mentions", list) if "Mentions" in data else ():
+            link = _json_value(m, "link_id", (int, str, type(None)))
+            if isinstance(link, str) and not re.fullmatch(r"-?\d+", link):
+                raise QueryGraphError(f"key 'link_id' is not an integer: {link!r}")
+            mentions.append(Mention(_json_value(m, "mention", str),
+                                    _json_value(m, "start_offset", int),
+                                    _json_value(m, "end_offset", int),
+                                    _json_value(m, "category", (str, type(None))), link))
+        return cls(str(data.get("id", data.get("Id", snippet_id))), text, tuple(mentions))
 
     def to_json(self) -> dict:
         return {

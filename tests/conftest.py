@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,29 @@ def toy_store(toy_kb):
 @pytest.fixture
 def toy_freqs(toy_kb):
     return FrequencyTable.from_graph(toy_kb)
+
+
+def break_params(model_dir, how) -> str:
+    """Rewrite the params.npz of `model_dir` with one parameter broken `how`:
+    head.tau "missing", head.tau "misshapen" (a scalar), a NaN in the first
+    parameter ("nan") or an inf in head.tau ("inf").  Returns the error
+    load_model gives for it."""
+    path = Path(model_dir) / "params.npz"
+    with np.load(path) as npz:
+        state = {name: npz[name] for name in npz.files}
+    name = next(iter(state)) if how == "nan" else "head.tau"
+    if how == "missing":
+        del state[name]
+        error = f"parameters missing: ['{name}'], unexpected: []"
+    elif how == "misshapen":
+        state[name] = state[name].reshape(())
+        error = f"parameter {name} has shape (), expected (1,)"
+    else:
+        state[name] = state[name].copy()
+        state[name].flat[0] = np.nan if how == "nan" else np.inf
+        error = f"parameter {name} holds non-finite values"
+    np.savez(path, **state)
+    return error
 
 
 def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,

@@ -1,13 +1,16 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from hetlink import evalgen
-from hetlink.cli import build_parser, main, read_bundle
+from hetlink.cli import CONFIG_KEYS, build_parser, main, read_bundle
 from hetlink.hetgraph import tokenize
+
+from conftest import break_params
 
 
 SMALL_GEN = {
@@ -233,8 +236,6 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "disambiguate"])
 def test_model_with_unexpected_parameters_is_rejected(workdir, tmp_path, capsys, command):
-    import shutil
-
     model = tmp_path / "model"
     shutil.copytree(workdir / "model", model)
     with np.load(model / "params.npz") as npz:
@@ -281,13 +282,56 @@ def test_repeated_snippet_id_is_rejected(workdir, tmp_path, capsys, command):
     assert not (tmp_path / "m").exists()
 
 
-@pytest.mark.parametrize("key", ["Text", "end_offset"])
+# how snippet 3 (or the whole file) is broken: the error it ends in
+SNIPPET_ERRORS = {
+    "Text": "snippet 3: missing key 'Text'",
+    "end_offset": "snippet 3: missing key 'end_offset'",
+    "snippet=oops": "snippet 3: expected a JSON object, got str",
+    "file=7": "a snippet file holds a JSON object or list, not int",
+    "start_offset=str": "snippet 3: key 'start_offset' has the wrong type (str)",
+    "link_id=C426": "snippet 3: key 'link_id' is not an integer: 'C426'",
+    "Text=5": "snippet 3: key 'Text' has the wrong type (int)",
+    "Mentions=x": "snippet 3: key 'Mentions' has the wrong type (str)",
+}
+
+
+@pytest.mark.parametrize("key", SNIPPET_ERRORS)
 def test_snippet_missing_a_key_names_it_and_its_index(workdir, tmp_path, capsys, key):
     rows = _snippet_rows(workdir)
-    bad = rows[3]
+    bad, mention = rows[3], rows[3]["Mentions"][0]
     if key == "Text":
         del bad["Text"]
+    elif key == "end_offset":
+        del mention["end_offset"]
+    elif key == "snippet=oops":
+        rows[3] = "oops"
+    elif key == "file=7":
+        rows = 7
+    elif key == "start_offset=str":
+        mention["start_offset"] = str(mention["start_offset"])
+    elif key == "link_id=C426":
+        mention["link_id"] = "C426"
+    elif key == "Text=5":
+        bad["Text"] = 5
     else:
-        del bad["Mentions"][0]["end_offset"]
+        bad["Mentions"] = "x"
     assert _run_on_rows(workdir, tmp_path, "eval", rows) == 1
-    assert capsys.readouterr().err == f"error: snippet 3: missing key {key!r}\n"
+    assert capsys.readouterr().err == f"error: {SNIPPET_ERRORS[key]}\n"
+
+
+@pytest.mark.parametrize("how", ["missing", "misshapen", "nan", "inf"])
+def test_eval_rejects_a_model_with_a_broken_parameter(workdir, tmp_path, capsys, how):
+    shutil.copytree(workdir / "model", tmp_path / "model")
+    error = break_params(tmp_path / "model", how)
+    code = main(["eval", "--bundle", str(workdir / "corpus"),
+                 "--model", str(tmp_path / "model"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_train_flags_are_the_config_keys_but_metapaths():
+    args = build_parser().parse_args(["train", "--bundle", "b", "--snippets", "s",
+                                      "--out", "o"])
+    flags = set(vars(args)) - {"command", "func", "bundle", "snippets", "out", "config"}
+    assert flags == CONFIG_KEYS - {"metapaths"}

@@ -19,13 +19,17 @@ from hetlink.encoders import (
 )
 from hetlink.evalgen import schema_metapaths
 from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
-from hetlink.matcher import build_query_batch
+from hetlink.matcher import MatcherError, MatchingHead, SiameseModel, build_query_batch
 
 from conftest import random_hetero_graph
 
 
 def _elu(x):
     return np.where(x > 0, x, np.expm1(x))
+
+
+def _weights(enc):
+    return {p.name: p.data for p in enc.parameters()}
 
 
 def make_encoder(kind, graph, feature_dim, **kw):
@@ -77,7 +81,7 @@ def test_graphsage_layer_matches_manual_numpy(toy_kb):
     enc = make_encoder("graphsage", toy_kb, 6, num_layers=1, dim=5, seed=3)
     out = enc.encode(toy_kb, x).data
 
-    W = enc.state_dict()["graphsage.W[0]"]
+    W = _weights(enc)["graphsage.W[0]"]
     agg = np.zeros_like(x)
     ids = list(toy_kb.node_ids)
     for i, nid in enumerate(ids):
@@ -94,7 +98,7 @@ def test_rgcn_layer_matches_manual_numpy(toy_kb):
     enc = make_encoder("rgcn", toy_kb, 6, num_layers=1, dim=4, seed=5)
     out = enc.encode(toy_kb, x).data
 
-    state = enc.state_dict()
+    state = _weights(enc)
     ids = list(toy_kb.node_ids)
     expected = x @ state["rgcn.W0[0]"]
     for r in sorted(toy_kb.edge_types):
@@ -116,7 +120,7 @@ def test_magnn_layer_matches_manual_numpy(toy_kb, daf_metapath):
                        metapaths=[daf_metapath], seed=7)
     out = enc.encode(toy_kb, x).data
 
-    state = enc.state_dict()
+    state = _weights(enc)
     ids = list(toy_kb.node_ids)
     label = daf_metapath.label()
     proj = np.zeros((len(ids), 4))
@@ -353,20 +357,23 @@ def test_training_mode_dropout_needs_rng(toy_kb):
 
 
 def test_state_dict_roundtrip_and_mismatch(toy_kb):
-    enc1 = make_encoder("rgcn", toy_kb, 8, seed=0)
-    enc2 = make_encoder("rgcn", toy_kb, 8, seed=99)
-    enc2.load_state_dict(enc1.state_dict())
+    # an encoder's state lives in the SiameseModel that holds it
+    model1 = SiameseModel(make_encoder("rgcn", toy_kb, 8, seed=0), MatchingHead())
+    model2 = SiameseModel(make_encoder("rgcn", toy_kb, 8, seed=99), MatchingHead())
+    model2.load_state_dict(model1.state_dict())
     x = np.random.default_rng(6).standard_normal((len(toy_kb), 8))
-    assert np.array_equal(enc1.encode(toy_kb, x).data, enc2.encode(toy_kb, x).data)
-    state = enc1.state_dict()
+    assert np.array_equal(model1.encoder.encode(toy_kb, x).data,
+                          model2.encoder.encode(toy_kb, x).data)
+    state = model1.state_dict()
     state.pop(sorted(state)[0])
-    with pytest.raises(EncoderError, match="missing"):
-        enc2.load_state_dict(state)
+    with pytest.raises(MatcherError, match="missing"):
+        model2.load_state_dict(state)
 
 
 def test_encoders_are_deterministic_given_seed(toy_kb):
     for kind in ("graphsage", "rgcn", "magnn"):
         e1 = make_encoder(kind, toy_kb, 8, seed=11)
         e2 = make_encoder(kind, toy_kb, 8, seed=11)
-        for name, arr in e1.state_dict().items():
-            np.testing.assert_array_equal(arr, e2.state_dict()[name])
+        assert [p.name for p in e1.parameters()] == [p.name for p in e2.parameters()]
+        for p1, p2 in zip(e1.parameters(), e2.parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data)

@@ -53,6 +53,22 @@ def test_neighborhoods_need_a_frozen_graph():
     assert g.out_neighbors(a, "CAUSE") == [b]
 
 
+def test_neighbors_rejects_an_unfrozen_graph_and_an_unknown_id():
+    g = HeteroGraph()
+    a, b = g.add_node("Drug", "a"), g.add_node("AdverseEffect", "b")
+    g.add_edge(a, b, "CAUSE")
+    with pytest.raises(GraphError, match="frozen"):
+        g.neighbors(a)
+    g.freeze()
+    assert g.neighbors(a) == {b}
+    lone = HeteroGraph()
+    lone.add_node("Drug", "c")
+    lone.freeze()
+    assert lone.neighbors(0) == set()
+    with pytest.raises(GraphError, match="unknown node 999"):
+        lone.neighbors(999)
+
+
 def test_neighbors_by_relation_ignores_direction(toy_kb):
     nausea = toy_kb.ids["nausea"]
     assert toy_kb.ids["Aspirin"] in toy_kb.neighbors_by_relation(nausea, "CAUSE")

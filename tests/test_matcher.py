@@ -34,6 +34,8 @@ from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
                                 fully_connected_query_graph)
 from hetlink.termembed import init_node_features
 
+from conftest import break_params
+
 
 @pytest.fixture(scope="module")
 def mini():
@@ -60,7 +62,7 @@ def test_dot_head_is_temperature_scaled_cosine():
     u = np.array([[3.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
     v = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]])
     scores = head.score_pairs(Tensor(u), Tensor(v)).data
-    tau = head.state_dict()["head.tau"][0]
+    tau = head.tau.data[0]
     np.testing.assert_allclose(scores, tau * np.array([1.0, 0.0]), atol=1e-12)
 
 
@@ -72,7 +74,7 @@ def test_head_rejects_shape_mismatch():
 
 def test_score_one_vs_many_agrees_with_score_pairs():
     head = MatchingHead()
-    head.load_state_dict({"head.tau": np.array([3.7])})
+    head.tau.data[...] = 3.7
     rng = np.random.default_rng(2)
     q = rng.standard_normal(3)
     cands = rng.standard_normal((7, 3))
@@ -371,6 +373,43 @@ def test_load_model_rejects_other_head_kinds(mini, tmp_path):
     with pytest.raises(MatcherError, match="bilinear") as info:
         load_model(tmp_path / "model")
     assert "\n" not in str(info.value)
+
+
+def test_save_model_writes_parameters_in_order_and_load_model_reads_them_back(mini,
+                                                                             tmp_path):
+    model = evalgen.make_model(mini["corpus"], "rgcn", seed=1, num_layers=1, dim=8)
+    save_model(model, tmp_path / "model")
+    with np.load(tmp_path / "model" / "params.npz") as npz:
+        names = npz.files
+        # the encoder's parameters in construction order, then the head's
+        assert names == (["rgcn.W0[0]"] + [f"rgcn.W[{r}][0]" for r in model.encoder.edge_types]
+                         + ["head.tau"])
+        for p in model.parameters():
+            np.testing.assert_array_equal(npz[p.name], p.data)
+    loaded, _ = load_model(tmp_path / "model")
+    assert [p.name for p in loaded.parameters()] == names
+    for p, q in zip(loaded.parameters(), model.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+@pytest.mark.parametrize("how", ["missing", "misshapen", "nan", "inf"])
+def test_load_model_rejects_a_broken_parameter(mini, tmp_path, how):
+    save_model(_tiny_model(mini), tmp_path / "model")
+    error = break_params(tmp_path / "model", how)
+    with pytest.raises(MatcherError) as info:
+        load_model(tmp_path / "model")
+    assert str(info.value) == error
+
+
+@pytest.mark.parametrize("key", ["encoder", "feature_dim", "node_types", "edge_types"])
+def test_load_model_names_a_missing_manifest_key(mini, tmp_path, key):
+    save_model(_tiny_model(mini), tmp_path / "model")
+    path = tmp_path / "model" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[key]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(MatcherError, match=rf"lacks \['{key}'\]$"):
+        load_model(tmp_path / "model")
 
 
 def test_load_model_rejects_unexpected_parameters(mini, tmp_path):

@@ -382,16 +382,3 @@ def test_glorot_respects_limit_and_seed():
     limit = np.sqrt(6.0 / 80)
     assert np.all(np.abs(r1) <= limit)
 
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    params = {"w": np.arange(6, dtype=float).reshape(2, 3), "b": np.zeros(3)}
-    manifest = {"encoder": "graphsage", "dim": 3}
-    ndiff.save_checkpoint(tmp_path / "ckpt", params, manifest)
-    loaded, mf = ndiff.load_checkpoint(tmp_path / "ckpt")
-    assert mf == manifest
-    assert set(loaded) == {"w", "b"}
-    np.testing.assert_array_equal(loaded["w"], params["w"])
