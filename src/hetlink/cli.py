@@ -222,16 +222,14 @@ def cmd_disambiguate(args) -> int:
     model, _ = load_model(args.model)
     kb, _, items, kb_feats = _bundle_items(args, gold_required=False)
     ranked = matcher.rank_items(model, kb, kb_feats, items,
-                                [matcher.candidate_ids(kb, it) for it in items])
-    k = max(args.top_k, 0)
+                                [matcher.candidate_ids(kb, it) for it in items], args.top_k)
     out = []
     for item, (ids, scores) in zip(items, ranked):
         mention = item.qgraph.mentions[item.mention_node]
         out.append({"snippet": item.snippet_id, "mention": mention.surface,
                     "candidates": [{"id": nid, "name": kb.node(nid).surface,
                                     "score": score}
-                                   for nid, score in zip(ids[:k].tolist(),
-                                                         scores[:k].tolist())]})
+                                   for nid, score in zip(ids.tolist(), scores.tolist())]})
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -245,6 +243,13 @@ def _flag_bool(text: str) -> bool:
     if text.lower() not in words:
         raise argparse.ArgumentTypeError(f"expected one of {'/'.join(words)}, got {text!r}")
     return words[text.lower()]
+
+
+def _flag_count(text: str) -> int:
+    """A non-negative integer; argparse rejects anything else."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--snippets", required=True)
-    p.add_argument("--top-k", dest="top_k", type=int, default=5)
+    p.add_argument("--top-k", dest="top_k", type=_flag_count, default=5)
     p.set_defaults(func=cmd_disambiguate)
     return parser
 

@@ -13,7 +13,7 @@ passes are built from ndiff ops so gradients flow to every parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +55,8 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EncoderConfig":
+        if not isinstance(data, dict):
+            raise EncoderError(f"encoder config must be a JSON object, got {type(data).__name__}")
         data = dict(data)
         if "metapaths" in data:
             data["metapaths"] = [m if isinstance(m, Metapath) else Metapath.parse(m)
@@ -62,6 +64,9 @@ class EncoderConfig:
         if "layers" in data:
             data["num_layers"] = data.pop("layers")
         data.pop("attn_dim", None)          # written by older manifests, never read
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise EncoderError(f"unknown encoder config keys {unknown}")
         cfg = cls(**data)
         cfg.validate()
         return cfg

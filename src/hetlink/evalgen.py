@@ -485,14 +485,15 @@ def lexical_candidates(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
 def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
                   items: list[TrainItem],
                   candidates: str = "type") -> dict[str, list[int]]:
-    """Ranked candidate ids per snippet id, one shared KB encoding.
+    """The rank-1 candidate id per snippet id, as a list (empty for an empty
+    pool), from one shared KB encoding.
 
     `candidates` picks the pool each mention is ranked against: "type" uses
     every type-compatible KB node, "lexical" narrows to token overlap."""
     if candidates not in ("type", "lexical"):
         raise EvalGenError(f"unknown candidate mode {candidates!r}")
     pool_of = lexical_candidates if candidates == "lexical" else candidate_ids
-    ranked = rank_items(model, kb, kb_feats, items, [pool_of(kb, it) for it in items])
+    ranked = rank_items(model, kb, kb_feats, items, [pool_of(kb, it) for it in items], 1)
     return {it.snippet_id: ids.tolist() for it, (ids, _) in zip(items, ranked)}
 
 
@@ -518,7 +519,7 @@ def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
         mat = kb_feats[corpus.kb.rows(cands)]
         norms = np.linalg.norm(mat, axis=1) * (np.linalg.norm(vec) or 1.0)
         norms[norms == 0] = 1.0
-        ranked, _ = order_by_score(cands, mat @ vec / norms)
+        ranked, _ = order_by_score(cands, mat @ vec / norms, len(cands))
         out[it.snippet_id] = ranked.tolist()
     return out
 

@@ -148,6 +148,8 @@ class HeteroGraph:
         self._sorted_ids: list[int] = []
         self._id_array = _NO_IDS                    # sorted ids; row = index
         self._ids_by_type: dict[str, np.ndarray] = {}   # sorted ids of each type
+        # row_selector's memo: id() of id_array or an ids_of_type array -> (it, its rows)
+        self._row_selectors: dict[int, tuple[np.ndarray, slice | np.ndarray]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -280,6 +282,23 @@ class HeteroGraph:
         found[found] = self._id_array[rows[found]] == ids[found]
         if not found.all():
             raise GraphError(f"unknown node {ids[~found][0]}")
+        return rows
+
+    def row_selector(self, ids: np.ndarray) -> slice | np.ndarray:
+        """rows(ids) as an index into node arrays.  For id_array or an
+        ids_of_type array itself (by identity) it is worked out on the first
+        call and kept: a slice, so indexing gives a view, when the rows form
+        one span, else a read-only int64 array."""
+        entry = self._row_selectors.get(id(ids))
+        if entry is not None:
+            return entry[1]
+        rows = self.rows(ids)
+        if ids is self._id_array or any(ids is a for a in self._ids_by_type.values()):
+            span = len(rows) > 0 and rows[-1] - rows[0] + 1 == len(rows)
+            selector = slice(int(rows[0]), int(rows[-1]) + 1) if span else _read_only(rows)
+            # the entry holds `ids` alive, so no other object can take its id()
+            self._row_selectors[id(ids)] = (ids, selector)
+            return selector
         return rows
 
     def nodes(self) -> list[Node]:

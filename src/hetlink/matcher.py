@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ndiff
-from .encoders import Encoder, EncoderConfig
+from .encoders import Encoder, EncoderConfig, EncoderError
 from .hetgraph import HeteroGraph, InvertedIndex
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, UniformSampler
@@ -216,10 +216,22 @@ class TrainResult:
                                  "val_f1": f"{row['val_f1']:.12g}"})
 
 
-def order_by_score(ids: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`ids` (an int64 array) and their `scores` by descending score, ties by
-    ascending id, as an id array and a score array."""
-    order = np.lexsort((ids, -scores))
+def order_by_score(ids: np.ndarray, scores: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first `k` of `ids` (an int64 array) and their `scores` by
+    descending score, ties by ascending id, as an id array and a score array.
+
+    Only the ids scoring at least the k-th best score are sorted, so the
+    result equals the first k of the full sort, ties at the k-th score
+    included."""
+    if k <= 0:
+        return ids[:0], scores[:0]
+    if k < len(ids):
+        neg = -scores
+        kth = np.partition(neg, k - 1)[k - 1]
+        keep = ~(neg > kth)         # NaN scores, which sort last, are kept too
+        ids, scores = ids[keep], scores[keep]
+    order = np.lexsort((ids, -scores))[:k]
     return ids[order], scores[order]
 
 
@@ -258,27 +270,30 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
 
 
 def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
-                    q_rows: np.ndarray,
-                    pools: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+                    q_rows: np.ndarray, pools: list[np.ndarray],
+                    k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rank each query row's KB candidate pool (an int64 id array, as
     candidate_ids returns it) against `kb_unit`, the unit-norm KB rows of
-    kb_embeddings.
+    kb_embeddings.  A pool that is kb.id_array or a kb.ids_of_type array
+    reads its rows through kb.row_selector, a view when they form one span.
 
-    Returns one (int64 ids, scores) array pair per query, best first, ties by
-    id: the single ranking step behind validation, eval and disambiguation."""
-    return [order_by_score(pool, model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)]))
+    Returns one (int64 ids, scores) array pair per query, its top `k`, best
+    first, ties by id: the single ranking step behind validation, eval and
+    disambiguation."""
+    return [order_by_score(pool, model.head.score_one_vs_many(
+                q, kb_unit[kb.row_selector(pool)]), k)
             for q, pool in zip(q_rows, pools)]
 
 
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
-               items: list[TrainItem],
-               pools: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Encode every item in one QueryBatch and rank each item's candidate
-    pool against the KB embeddings."""
+               items: list[TrainItem], pools: list[np.ndarray],
+               k: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Encode every item in one QueryBatch and rank the top `k` of each
+    item's candidate pool against the KB embeddings."""
     batch = build_query_batch(items, model.encoder.feature_dim)
     kb_unit = kb_embeddings(model, kb, kb_features)
     q_emb = model.encoder.encode(batch.graph, batch.features).data
-    return rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids], pools)
+    return rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids], pools, k)
 
 
 def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
@@ -286,7 +301,7 @@ def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
     if not batch.items:
         return 0.0
     ranked = rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids],
-                             [candidate_ids(kb, item) for item in batch.items])
+                             [candidate_ids(kb, item) for item in batch.items], 1)
     correct = sum(int(ids[0]) == item.gold for (ids, _), item in zip(ranked, batch.items))
     return correct / len(batch.items)
 
@@ -381,11 +396,9 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     """Top-k (node id, score) for one mention, descending score, ties by id."""
     if mention_node not in qgraph.graph:
         raise MatcherError(f"unknown mention node {mention_node}")
-    if k <= 0:
-        return []
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
-    [(ids, scores)] = rank_items(model, kb, kb_features, [item], [candidate_ids(kb, item)])
-    return list(zip(ids[:k].tolist(), scores[:k].tolist()))
+    [(ids, scores)] = rank_items(model, kb, kb_features, [item], [candidate_ids(kb, item)], k)
+    return list(zip(ids.tolist(), scores.tolist()))
 
 
 # -- model persistence -----------------------------------------------------
@@ -413,10 +426,12 @@ def save_model(model: SiameseModel, directory,
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
     """The model save_model wrote to `directory`, and its manifest; MatcherError
-    for another head, a missing manifest key, or parameters that
-    SiameseModel.load_state_dict rejects."""
+    for a manifest that is not a JSON object, another head, a missing key, an
+    encoder it cannot build, or parameters load_state_dict rejects."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise MatcherError(f"model manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("head") != HEAD_KIND:
         raise MatcherError(f"unknown matching head {manifest.get('head')!r}; "
                            f"only {HEAD_KIND!r} is supported")
@@ -424,8 +439,11 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
                if k not in manifest]
     if missing:
         raise MatcherError(f"model manifest lacks {missing}")
-    encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), manifest["feature_dim"],
-                      manifest["node_types"], manifest["edge_types"])
+    try:
+        encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), manifest["feature_dim"],
+                          manifest["node_types"], manifest["edge_types"])
+    except EncoderError as exc:
+        raise MatcherError(f"model manifest: {exc}") from None
     model = SiameseModel(encoder, MatchingHead())
     with np.load(os.path.join(directory, "params.npz")) as npz:
         model.load_state_dict({name: npz[name] for name in npz.files})

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,28 @@ def break_params(model_dir, how) -> str:
         state[name].flat[0] = np.nan if how == "nan" else np.inf
         error = f"parameter {name} holds non-finite values"
     np.savez(path, **state)
+    return error
+
+
+MANIFEST_BREAKS = ["not-object", "encoder-not-object", "encoder-unknown-key"]
+
+
+def break_manifest(model_dir, how) -> str:
+    """Rewrite the manifest.json of `model_dir` broken `how` (one of
+    MANIFEST_BREAKS): a JSON list for the whole manifest, a string for its
+    encoder, or an extra key "bogus" in its encoder.  Returns the error
+    load_model gives for it."""
+    path = Path(model_dir) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    if how == "not-object":
+        manifest, error = [1], "model manifest must be a JSON object, got list"
+    elif how == "encoder-not-object":
+        manifest["encoder"] = "graphsage"
+        error = "model manifest: encoder config must be a JSON object, got str"
+    else:
+        manifest["encoder"]["bogus"] = 1
+        error = "model manifest: unknown encoder config keys ['bogus']"
+    path.write_text(json.dumps(manifest))
     return error
 
 

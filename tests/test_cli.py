@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from hetlink import evalgen
-from hetlink.cli import CONFIG_KEYS, build_parser, main, read_bundle
-from hetlink.hetgraph import tokenize
+from hetlink.cli import CONFIG_KEYS, _load_snippets, build_parser, main, read_bundle
+from hetlink.hetgraph import build_inverted_index, tokenize
+from hetlink.matcher import candidate_ids, snippet_item
+from hetlink.querygraph import augment_query_graph
 
-from conftest import break_params
+from conftest import MANIFEST_BREAKS, break_manifest, break_params
 
 
 SMALL_GEN = {
@@ -113,6 +115,41 @@ def test_disambiguate_ranks_candidates(workdir, capsys):
     scores = [c["score"] for c in cands]
     assert scores == sorted(scores, reverse=True)
     assert all(set(c) == {"id", "name", "score"} for c in cands)
+
+
+def _disambiguated(workdir, capsys, top_k: str) -> list[dict]:
+    assert main(["disambiguate", "--bundle", str(workdir / "corpus"),
+                 "--model", str(workdir / "model"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json"),
+                 "--top-k", top_k]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_disambiguate_top_k_zero_and_above_the_pool(workdir, capsys):
+    answers = _disambiguated(workdir, capsys, "0")
+    assert answers and all(row["candidates"] == [] for row in answers)
+    kb, store, freqs = read_bundle(workdir / "corpus")
+    index = build_inverted_index(kb)
+    items = [item for snippet in _load_snippets(workdir / "corpus" / "snippets.json")
+             if (item := snippet_item(kb, index, store, freqs, snippet,
+                                      augment_query_graph))]
+    whole = _disambiguated(workdir, capsys, str(len(kb) + 1))
+    assert [row["snippet"] for row in whole] == [it.snippet_id for it in items]
+    for row, item in zip(whole, items):
+        assert sorted(c["id"] for c in row["candidates"]) == candidate_ids(kb, item).tolist()
+    top = _disambiguated(workdir, capsys, "3")
+    assert [row["candidates"] for row in top] == [row["candidates"][:3] for row in whole]
+
+
+@pytest.mark.parametrize("top_k", ["-1", "two"])
+def test_disambiguate_rejects_a_top_k_that_is_not_a_count(workdir, capsys, top_k):
+    with pytest.raises(SystemExit) as info:
+        main(["disambiguate", "--bundle", str(workdir / "corpus"),
+              "--model", str(workdir / "model"),
+              "--snippets", str(workdir / "corpus" / "snippets.json"), "--top-k", top_k])
+    assert info.value.code == 2
+    assert (f"argument --top-k: expected a non-negative integer, got '{top_k}'"
+            in capsys.readouterr().err)
 
 
 def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):
@@ -248,6 +285,19 @@ def test_model_with_unexpected_parameters_is_rejected(workdir, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and "stray" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "disambiguate"])
+@pytest.mark.parametrize("how", MANIFEST_BREAKS)
+def test_model_with_a_malformed_manifest_is_rejected(workdir, tmp_path, capsys,
+                                                     command, how):
+    shutil.copytree(workdir / "model", tmp_path / "model")
+    error = break_manifest(tmp_path / "model", how)
+    code = main([command, "--bundle", str(workdir / "corpus"),
+                 "--model", str(tmp_path / "model"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_zero_epochs_is_rejected_before_any_model_is_written(workdir, tmp_path, capsys):

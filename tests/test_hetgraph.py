@@ -302,3 +302,31 @@ def test_rows_follow_node_ids_order_on_sparse_ids():
             g.rows([7, unknown])
     with pytest.raises(GraphError):
         HeteroGraph().freeze().rows([0])
+
+
+def test_row_selector_is_a_span_slice_or_the_gapped_rows_of_a_frozen_id_array():
+    g = HeteroGraph()
+    for nid, ntype in [(9, "Drug"), (2, "Finding"), (7, "Drug"), (0, "Symptom"), (4, "Drug")]:
+        g.add_node(ntype, f"node {nid}", node_id=nid)
+    with pytest.raises(GraphError):
+        g.row_selector(np.array([7]))
+    g.freeze()
+    # rows: 0 Symptom, 2 Finding, 4 Drug, 7 Drug, 9 Drug
+    assert g.row_selector(g.id_array) == slice(0, 5)
+    assert g.row_selector(g.ids_of_type("Drug")) == slice(2, 5)
+    assert g.row_selector(g.ids_of_type("Finding")) == slice(1, 2)
+    table = np.arange(10.0).reshape(5, 2)
+    for ids in [g.id_array, *(g.ids_of_type(t) for t in g.node_types),
+                g.ids_of_type("Drug").copy(), g.id_array[::-1], g.ids_of_type("NoSuchType")]:
+        np.testing.assert_array_equal(table[g.row_selector(ids)], table[g.rows(ids)])
+    # an equal array that is not the graph's own is looked up
+    assert g.row_selector(g.ids_of_type("Drug").copy()).tolist() == [2, 3, 4]
+
+    g = HeteroGraph()
+    for nid, ntype in enumerate(["Drug", "Finding", "Drug", "Finding", "Finding"]):
+        g.add_node(ntype, f"node {nid}", node_id=nid)
+    g.freeze()
+    rows = g.row_selector(g.ids_of_type("Finding"))
+    assert rows.dtype == np.int64 and not rows.flags.writeable
+    assert rows.tolist() == [1, 3, 4]
+    assert g.row_selector(g.ids_of_type("Drug")).tolist() == [0, 2]

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetlink import cli, evalgen
 from hetlink.encoders import EncoderConfig
@@ -24,6 +25,7 @@ from hetlink.matcher import (
     order_by_score,
     pair_loss,
     rank_candidates,
+    rank_items,
     save_model,
     snippet_item,
     train,
@@ -34,7 +36,7 @@ from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
                                 fully_connected_query_graph)
 from hetlink.termembed import init_node_features
 
-from conftest import break_params
+from conftest import MANIFEST_BREAKS, break_manifest, break_params
 
 
 @pytest.fixture(scope="module")
@@ -200,10 +202,26 @@ def test_order_by_score_matches_the_list_oracle_on_random_pools():
         if trial % 3 == 0:
             scores = rng.standard_normal(n)
         want_ids, want_scores = _order_by_score_oracle(ids, scores)
-        got_ids, got_scores = order_by_score(np.array(ids, dtype=np.int64), scores)
+        got_ids, got_scores = order_by_score(np.array(ids, dtype=np.int64), scores, n)
         assert got_ids.dtype == np.int64
         assert got_ids.tolist() == want_ids
         assert got_scores.tobytes() == want_scores.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(st.integers(0, 10**6), unique=True, max_size=40),
+       data=st.data())
+def test_order_by_score_top_k_is_the_first_k_of_the_full_sort(ids, data):
+    # a handful of score values, so the k-th score is usually tied
+    values = [0.0, -0.0, 0.5, -0.5, 1.25, np.inf, np.nan]
+    scores = np.array(data.draw(st.lists(st.sampled_from(values),
+                                         min_size=len(ids), max_size=len(ids))))
+    n = len(ids)
+    want_ids, want_scores = _order_by_score_oracle(ids, scores)
+    for k in {0, 1, 5, max(n - 1, 0), n, n + 3}:
+        got_ids, got_scores = order_by_score(np.array(ids, dtype=np.int64), scores, k)
+        assert got_ids.tolist() == want_ids[:k]
+        assert got_scores.tobytes() == want_scores[:k].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +309,23 @@ def test_train_requires_items(mini):
 def test_order_by_score_breaks_ties_by_ascending_id():
     ids = [9, 3, 7, 1, 5]
     scores = np.array([0.5, 0.9, 0.5, -0.0, 0.0])
-    ranked, ranked_scores = order_by_score(np.array(ids, dtype=np.int64), scores)
+    ranked, ranked_scores = order_by_score(np.array(ids, dtype=np.int64), scores, len(ids))
     reference = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))
     assert ranked.tolist() == [ids[i] for i in reference] == [3, 7, 9, 1, 5]
     np.testing.assert_array_equal(ranked_scores, scores[reference])
+
+
+def _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng):
+    """rank_candidates at several k against the gather through kb.rows and
+    the full sort, bit for bit."""
+    q_rows = rng.standard_normal((len(pools), kb_unit.shape[1]))
+    for k in (1, 5, len(kb)):
+        ranked = rank_candidates(model, kb, kb_unit, q_rows, pools, k)
+        for q, pool, (got_ids, got_scores) in zip(q_rows, pools, ranked):
+            scores = model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)])
+            want_ids, want_scores = _order_by_score_oracle(pool.tolist(), scores)
+            assert got_ids.tolist() == want_ids[:k]
+            assert got_scores.tobytes() == want_scores[:k].tobytes()
 
 
 def test_rank_candidates_matches_the_list_oracle_on_odd_pools(mini):
@@ -303,16 +334,40 @@ def test_rank_candidates_matches_the_list_oracle_on_odd_pools(mini):
     kb_unit = kb_embeddings(model, kb, mini["kb_features"])
     ids = kb.id_array
     rng = np.random.default_rng(7)
+    # a gen-synth KB holds each type's rows in one span: pools of one type
+    # are read as views of kb_unit
+    assert all(isinstance(kb.row_selector(kb.ids_of_type(t)), slice) for t in kb.node_types)
     pools = [ids, kb.ids_of_type("Finding"), ids[5:25], ids[:1], ids[:0],
              ids[5:25][::-1], rng.permutation(ids[5:25]),
              ids[[3, 5, 4, 6]], ids[[3, 4, 4, 5]], ids[[2, 4, 6]]]
-    q_rows = rng.standard_normal((len(pools), kb_unit.shape[1]))
-    ranked = rank_candidates(model, kb, kb_unit, q_rows, pools)
-    for q, pool, (got_ids, got_scores) in zip(q_rows, pools, ranked):
-        scores = model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)])
-        want_ids, want_scores = _order_by_score_oracle(pool.tolist(), scores)
-        assert got_ids.tolist() == want_ids
-        assert got_scores.tobytes() == want_scores.tobytes()
+    pools += [kb.ids_of_type(t) for t in sorted(kb.node_types)]
+    _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng)
+
+
+def _interleaved_copy(kb: HeteroGraph, rng) -> HeteroGraph:
+    """`kb` with its node ids permuted, so every type's rows are gapped."""
+    new_id = dict(zip(kb.node_ids, rng.permutation(len(kb)).tolist()))
+    copy = HeteroGraph()
+    for node in kb.nodes():
+        copy.add_node(node.type, node.name, synonyms=node.synonyms, node_id=new_id[node.id])
+    for e in kb.edges:
+        copy.add_edge(new_id[e.src], new_id[e.dst], e.type)
+    return copy.freeze()
+
+
+def test_rank_candidates_matches_the_list_oracle_on_interleaved_types(mini):
+    corpus = mini["corpus"]
+    rng = np.random.default_rng(11)
+    kb = _interleaved_copy(corpus.kb, rng)
+    assert all(isinstance(kb.row_selector(kb.ids_of_type(t)), np.ndarray)
+               for t in kb.node_types)
+    model = _tiny_model(mini)
+    kb_unit = kb_embeddings(model, kb, init_node_features(kb, corpus.store, corpus.freqs))
+    types = sorted(kb.node_types)
+    pools = [kb.id_array, *(kb.ids_of_type(t) for t in types),
+             np.unique(np.concatenate([kb.ids_of_type(t) for t in types[:2]])),
+             kb.ids_of_type(types[0]).copy(), kb.ids_of_type(types[1])[::3]]
+    _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng)
 
 
 def test_disambiguate_ranks_descending_with_id_ties(mini):
@@ -412,6 +467,15 @@ def test_load_model_names_a_missing_manifest_key(mini, tmp_path, key):
         load_model(tmp_path / "model")
 
 
+@pytest.mark.parametrize("how", MANIFEST_BREAKS)
+def test_load_model_rejects_a_malformed_manifest(mini, tmp_path, how):
+    save_model(_tiny_model(mini), tmp_path / "model")
+    error = break_manifest(tmp_path / "model", how)
+    with pytest.raises(MatcherError) as info:
+        load_model(tmp_path / "model")
+    assert str(info.value) == error
+
+
 def test_load_model_rejects_unexpected_parameters(mini, tmp_path):
     model = _tiny_model(mini)
     save_model(model, tmp_path / "model")
@@ -428,11 +492,14 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     model = _tiny_model(mini, seed=2)
     items = mini["train"] + mini["val"]
     k = 5
-    ranked = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items)
-    for item in items:
+    ranked = rank_items(model, corpus.kb, mini["kb_features"], items,
+                        [candidate_ids(corpus.kb, it) for it in items], k)
+    rank1 = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items)
+    for item, (ids, _) in zip(items, ranked):
         top = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
                            item.features, item.mention_node, k)
-        assert [nid for nid, _ in top] == ranked[item.snippet_id][:k]
+        assert [nid for nid, _ in top] == ids.tolist()
+        assert rank1[item.snippet_id] == [top[0][0]]
 
     # the CLI ranks the same snippets, read back from a bundle, as eval does
     bundle, model_dir = tmp_path / "bundle", tmp_path / "model"
@@ -451,11 +518,14 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
                  if (item := snippet_item(kb, index, store, freqs, snippet,
                                           augment_query_graph))]
     loaded, _ = load_model(model_dir)
-    shared = evalgen.predict_batch(loaded, kb, init_node_features(kb, store, freqs),
-                                   cli_items)
-    assert served and set(served) == set(shared)
-    for sid, ids in served.items():
-        assert ids == shared[sid][:k]
+    kb_feats = init_node_features(kb, store, freqs)
+    shared = rank_items(loaded, kb, kb_feats, cli_items,
+                        [candidate_ids(kb, it) for it in cli_items], k)
+    shared_rank1 = evalgen.predict_batch(loaded, kb, kb_feats, cli_items)
+    assert served and list(served) == [it.snippet_id for it in cli_items]
+    for item, (ids, _) in zip(cli_items, shared):
+        assert served[item.snippet_id] == ids.tolist()
+        assert shared_rank1[item.snippet_id] == ids[:1].tolist()
 
 
 # ---------------------------------------------------------------------------
