@@ -102,6 +102,8 @@ def read_bundle(bundle_dir):
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise CliError(f"bundle manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
         raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r}")
     kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
@@ -221,7 +223,8 @@ def cmd_eval(args) -> int:
 def cmd_disambiguate(args) -> int:
     model, _ = load_model(args.model)
     kb, _, items, kb_feats = _bundle_items(args, gold_required=False)
-    ranked = matcher.rank_items(model, kb, kb_feats, items,
+    batch = matcher.build_query_batch(items, model.encoder.feature_dim)
+    ranked = matcher.rank_items(model, kb, kb_feats, batch,
                                 [matcher.candidate_ids(kb, it) for it in items], args.top_k)
     out = []
     for item, (ids, scores) in zip(items, ranked):

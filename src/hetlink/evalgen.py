@@ -9,14 +9,14 @@ Everything is a pure function of the config, seed included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
                        Schema, SELF_EDGE_TYPE, build_inverted_index, tokenize)
-from .matcher import (MatchingHead, SiameseModel, TrainItem, candidate_ids,
-                      order_by_score, rank_items, snippet_item)
+from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
+                      candidate_ids, order_by_score, rank_items, snippet_item)
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
@@ -181,6 +181,11 @@ class SynthConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthConfig":
+        if not isinstance(data, dict):
+            raise EvalGenError(f"synth config must be a JSON object, got {type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise EvalGenError(f"unknown synth config keys {unknown}")
         data = dict(data)
         if "triples" in data:
             data["triples"] = tuple(tuple(t) for t in data["triples"])
@@ -396,8 +401,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
     all_tokens = [tok for s in used_surfaces for tok in s.split()]
     store = random_word_vectors(set(all_tokens) | set(variants.values()),
                                 config.feature_dim, seed=config.seed)
-    freqs = FrequencyTable.from_corpus([s.split() for s in used_surfaces])
-    return SynthCorpus(kb, index, snippets, store, freqs, config)
+    return SynthCorpus(kb, index, snippets, store, FrequencyTable.from_graph(kb), config)
 
 
 # -- pipeline helpers ------------------------------------------------------
@@ -493,7 +497,8 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
     if candidates not in ("type", "lexical"):
         raise EvalGenError(f"unknown candidate mode {candidates!r}")
     pool_of = lexical_candidates if candidates == "lexical" else candidate_ids
-    ranked = rank_items(model, kb, kb_feats, items, [pool_of(kb, it) for it in items], 1)
+    batch = build_query_batch(items, model.encoder.feature_dim)
+    ranked = rank_items(model, kb, kb_feats, batch, [pool_of(kb, it) for it in items], 1)
     return {it.snippet_id: ids.tolist() for it, (ids, _) in zip(items, ranked)}
 
 

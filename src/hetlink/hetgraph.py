@@ -148,8 +148,6 @@ class HeteroGraph:
         self._sorted_ids: list[int] = []
         self._id_array = _NO_IDS                    # sorted ids; row = index
         self._ids_by_type: dict[str, np.ndarray] = {}   # sorted ids of each type
-        # row_selector's memo: id() of id_array or an ids_of_type array -> (it, its rows)
-        self._row_selectors: dict[int, tuple[np.ndarray, slice | np.ndarray]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -285,21 +283,13 @@ class HeteroGraph:
         return rows
 
     def row_selector(self, ids: np.ndarray) -> slice | np.ndarray:
-        """rows(ids) as an index into node arrays.  For id_array or an
-        ids_of_type array itself (by identity) it is worked out on the first
-        call and kept: a slice, so indexing gives a view, when the rows form
-        one span, else a read-only int64 array."""
-        entry = self._row_selectors.get(id(ids))
-        if entry is not None:
-            return entry[1]
-        rows = self.rows(ids)
-        if ids is self._id_array or any(ids is a for a in self._ids_by_type.values()):
-            span = len(rows) > 0 and rows[-1] - rows[0] + 1 == len(rows)
-            selector = slice(int(rows[0]), int(rows[-1]) + 1) if span else _read_only(rows)
-            # the entry holds `ids` alive, so no other object can take its id()
-            self._row_selectors[id(ids)] = (ids, selector)
-            return selector
-        return rows
+        """rows(ids) as an index into node arrays: a slice, so indexing gives
+        a view, when `ids` is a run of node_ids, else the rows(ids) array."""
+        if len(ids):
+            lo, hi = np.searchsorted(self._id_array, (ids[0], ids[-1]))
+            if hi - lo + 1 == len(ids) and np.array_equal(self._id_array[lo:hi + 1], ids):
+                return slice(int(lo), int(hi) + 1)
+        return self.rows(ids)
 
     def nodes(self) -> list[Node]:
         return [self._nodes[i] for i in self.node_ids]
@@ -469,6 +459,8 @@ def load_nodes_tsv(path) -> list[tuple]:
                     features = [float(x) for x in parts[4].split(",")]
                 except ValueError:
                     raise GraphError(f"{path}:{lineno}: bad feature floats") from None
+                if not np.isfinite(features).all():
+                    raise GraphError(f"{path}:{lineno}: non-finite feature float")
             rows.append((nid, parts[1], parts[2], synonyms, features))
     return rows
 

@@ -162,7 +162,6 @@ class QueryBatch:
     graph: HeteroGraph
     features: np.ndarray
     mention_ids: list[int]              # global node id of each item's mention
-    items: list[TrainItem]
 
 
 def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
@@ -181,7 +180,7 @@ def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
     union.freeze()
     features = (np.concatenate(feats, axis=0) if feats
                 else np.zeros((0, feature_dim)))
-    return QueryBatch(union, features, mention_ids, items)
+    return QueryBatch(union, features, mention_ids)
 
 
 def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
@@ -274,8 +273,8 @@ def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                     k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rank each query row's KB candidate pool (an int64 id array, as
     candidate_ids returns it) against `kb_unit`, the unit-norm KB rows of
-    kb_embeddings.  A pool that is kb.id_array or a kb.ids_of_type array
-    reads its rows through kb.row_selector, a view when they form one span.
+    kb_embeddings.  Pools read their rows through kb.row_selector, a view
+    when the pool is a run of kb.node_ids.
 
     Returns one (int64 ids, scores) array pair per query, its top `k`, best
     first, ties by id: the single ranking step behind validation, eval and
@@ -286,24 +285,13 @@ def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
 
 
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
-               items: list[TrainItem], pools: list[np.ndarray],
+               batch: QueryBatch, pools: list[np.ndarray],
                k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Encode every item in one QueryBatch and rank the top `k` of each
-    item's candidate pool against the KB embeddings."""
-    batch = build_query_batch(items, model.encoder.feature_dim)
+    """Encode `batch` in eval mode and rank the top `k` of each of its
+    mentions' candidate pools against the KB embeddings."""
     kb_unit = kb_embeddings(model, kb, kb_features)
     q_emb = model.encoder.encode(batch.graph, batch.features).data
     return rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids], pools, k)
-
-
-def _rank1_accuracy(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
-                    batch: QueryBatch, q_emb: np.ndarray) -> float:
-    if not batch.items:
-        return 0.0
-    ranked = rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids],
-                             [candidate_ids(kb, item) for item in batch.items], 1)
-    correct = sum(int(ids[0]) == item.gold for (ids, _), item in zip(ranked, batch.items))
-    return correct / len(batch.items)
 
 
 def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
@@ -319,6 +307,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
     val_batch = build_query_batch(val_items, model.encoder.feature_dim)
+    val_pools = [candidate_ids(kb, item) for item in val_items]
     gold_rows = kb.rows([it.gold for it in train_items])
 
     opt = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
@@ -371,10 +360,10 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
         opt.step()
 
         # validation metric (eval mode, no dropout)
-        if val_batch.items:
-            kb_unit = kb_embeddings(model, kb, kb_features)
-            v_eval = model.encoder.encode(val_batch.graph, val_batch.features).data
-            metric = _rank1_accuracy(model, kb, kb_unit, val_batch, v_eval)
+        if val_items:
+            ranked = rank_items(model, kb, kb_features, val_batch, val_pools, 1)
+            metric = sum(int(ids[0]) == item.gold
+                         for (ids, _), item in zip(ranked, val_items)) / len(val_items)
         else:
             metric = -loss_value
         history.append({"epoch": epoch, "loss": loss_value, "val_f1": max(metric, 0.0)})
@@ -397,7 +386,8 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     if mention_node not in qgraph.graph:
         raise MatcherError(f"unknown mention node {mention_node}")
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
-    [(ids, scores)] = rank_items(model, kb, kb_features, [item], [candidate_ids(kb, item)], k)
+    batch = build_query_batch([item], model.encoder.feature_dim)
+    [(ids, scores)] = rank_items(model, kb, kb_features, batch, [candidate_ids(kb, item)], k)
     return list(zip(ids.tolist(), scores.tolist()))
 
 

@@ -80,6 +80,8 @@ def load_word_vectors(path) -> WordVectorStore:
                 vec = np.array(list(map(float, floats)), dtype=np.float64)
             except ValueError:
                 raise TermEmbedError(f"{path}:{lineno}: unparsable float") from None
+            if not np.isfinite(vec).all():
+                raise TermEmbedError(f"{path}:{lineno}: non-finite float")
             if dim is None:
                 dim = len(vec)
                 if dim == 0:
@@ -138,6 +140,9 @@ class FrequencyTable:
                     freqs[tok] = float(p)
                 except ValueError:
                     raise TermEmbedError(f"{path}:{lineno}: expected token<TAB>p") from None
+                if not 0 <= freqs[tok] < np.inf:
+                    raise TermEmbedError(
+                        f"{path}:{lineno}: frequency must be finite and >= 0, got {p!r}")
         return cls(freqs)
 
     def save_tsv(self, path) -> None:

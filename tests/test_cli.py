@@ -43,6 +43,18 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.mark.parametrize("config, error", [
+    ({"bogus": 1, "seed": 2}, "unknown synth config keys ['bogus']"),
+    ([1], "synth config must be a JSON object, got list"),
+])
+def test_gen_synth_rejects_a_malformed_config(tmp_path, capsys, config, error):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config))
+    assert main(["gen-synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_synth_writes_bundle_and_snippets(workdir):
     corpus = workdir / "corpus"
     for name in ("nodes.tsv", "edges.tsv", "wordvecs.txt", "freqs.tsv",
@@ -269,6 +281,45 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert "bundle version" in capsys.readouterr().err
+
+
+def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    (bundle / "manifest.json").write_text("[1]")
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: bundle manifest must be a JSON object, got list\n"
+
+
+# (bundle file, the field of its first line that is set, the value, the error)
+BUNDLE_NUMBER_BREAKS = [
+    ("wordvecs.txt", 1, "nan", "non-finite float"),
+    ("wordvecs.txt", 3, "inf", "non-finite float"),
+    ("freqs.tsv", 1, "nan", "frequency must be finite and >= 0, got 'nan'"),
+    ("freqs.tsv", 1, "inf", "frequency must be finite and >= 0, got 'inf'"),
+    ("freqs.tsv", 1, "-0.25", "frequency must be finite and >= 0, got '-0.25'"),
+    ("nodes.tsv", 4, "0.5,nan", "non-finite feature float"),
+    ("nodes.tsv", 4, "-inf", "non-finite feature float"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, error", BUNDLE_NUMBER_BREAKS)
+def test_eval_rejects_a_bundle_number_that_is_not_finite(workdir, tmp_path, capsys,
+                                                         name, field, value, error):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    path = bundle / name
+    sep = " " if name == "wordvecs.txt" else "\t"
+    first, rest = path.read_text().split("\n", 1)
+    fields = first.split(sep)
+    fields[field] = value
+    path.write_text(sep.join(fields) + "\n" + rest)
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}:1: {error}\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "disambiguate"])

@@ -285,6 +285,19 @@ def test_train_without_validation_uses_loss(mini):
         -min(row["loss"] for row in result.history))
 
 
+def test_validation_ranks_as_eval_does(mini):
+    kb, kb_features = mini["corpus"].kb, mini["kb_features"]
+    model = _tiny_model(mini, seed=1)
+    result = train(model, kb, kb_features, mini["train"], mini["val"],
+                   TrainConfig(epochs=8, patience=8, lr=1e-2, seed=3))
+    # the model now holds the best epoch's state (an inner epoch here); eval
+    # ranks with it
+    predicted = evalgen.predict_batch(model, kb, kb_features, mini["val"])
+    correct = sum(predicted[it.snippet_id] == [it.gold] for it in mini["val"])
+    assert result.best_metric == correct / len(mini["val"])
+    assert result.history[result.best_epoch]["val_f1"] == result.best_metric
+
+
 def test_train_config_validation():
     with pytest.raises(MatcherError):
         TrainConfig(epochs=5, patience=10).validate()
@@ -492,7 +505,8 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     model = _tiny_model(mini, seed=2)
     items = mini["train"] + mini["val"]
     k = 5
-    ranked = rank_items(model, corpus.kb, mini["kb_features"], items,
+    ranked = rank_items(model, corpus.kb, mini["kb_features"],
+                        build_query_batch(items, corpus.config.feature_dim),
                         [candidate_ids(corpus.kb, it) for it in items], k)
     rank1 = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items)
     for item, (ids, _) in zip(items, ranked):
@@ -519,7 +533,7 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
                                           augment_query_graph))]
     loaded, _ = load_model(model_dir)
     kb_feats = init_node_features(kb, store, freqs)
-    shared = rank_items(loaded, kb, kb_feats, cli_items,
+    shared = rank_items(loaded, kb, kb_feats, build_query_batch(cli_items, store.dim),
                         [candidate_ids(kb, it) for it in cli_items], k)
     shared_rank1 = evalgen.predict_batch(loaded, kb, kb_feats, cli_items)
     assert served and list(served) == [it.snippet_id for it in cli_items]

@@ -11,7 +11,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 76
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3312
+SRC_LINES = 3307
 
 
 def _tree(path):
