@@ -18,9 +18,9 @@ from dataclasses import fields
 
 from . import evalgen, matcher
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .hetgraph import (HeteroGraph, Metapath, build_inverted_index, load_graph,
+from .hetgraph import (HeteroGraph, build_inverted_index, load_graph, read_settings,
                        save_graph)
-from .matcher import TrainConfig, load_model, save_model
+from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import QueryGraphError, TextSnippet, augment_query_graph
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
                         load_word_vectors, random_word_vectors)
@@ -44,44 +44,25 @@ class CliError(Exception):
     pass
 
 
-def _load_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise CliError("config file must hold a JSON object")
-    unknown = set(data) - CONFIG_KEYS
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-    return data
+def _config(args, keys):
+    """The JSON in the --config file ({} without one) with the flags among
+    `keys` that were given laid over it, when it is an object."""
+    data = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            data = json.load(fh)
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
+    return {**data, **flags} if isinstance(data, dict) else data
 
 
-def _merged_options(args) -> dict:
-    """The config file's keys with the flags that were given laid over them."""
-    opts = _load_config(args.config) if args.config else {}
-    opts.update((key, getattr(args, key)) for key in CONFIG_KEYS
-                if getattr(args, key, None) is not None)
-    return opts
-
-
-def _cast(key: str, kind, value):
-    """`value` of config key `key` as `kind`, the type of the field it sets;
-    CliError when the cast would change the value."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if (number and (kind is float or kind is int and float(value).is_integer())
-            or kind in (bool, str) and isinstance(value, kind)):
-        return kind(value)
-    if kind == list[Metapath] and isinstance(value, list) and all(
-            isinstance(m, str) for m in value):
-        return [Metapath.parse(m) for m in value]       # metapaths are written as labels
-    raise CliError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
-
-
-def _settings(cls, opts: dict, keys: dict) -> dict:
-    """Fields of dataclass `cls` set by `opts`, whose `keys` maps config keys
-    to field names, each cast to its field's type."""
-    types = typing.get_type_hints(cls)
-    return {field: _cast(key, types[field], opts[key])
-            for key, field in keys.items() if key in opts}
+def _train_settings(opts) -> tuple[TrainConfig, dict]:
+    """The validated TrainConfig and the EncoderConfig fields that the config
+    object `opts` sets, over the CLI's dim; each read skips the other's keys."""
+    train_config = TrainConfig(**read_settings(
+        TrainConfig, opts, {**dict.fromkeys(ENCODER_KEYS), **TRAIN_KEYS}, CliError, "config"))
+    train_config.validate()
+    return train_config, {"dim": CLI_DIM, **read_settings(
+        EncoderConfig, opts, {**dict.fromkeys(TRAIN_KEYS), **ENCODER_KEYS}, CliError, "config")}
 
 
 # -- KB bundle -------------------------------------------------------------
@@ -169,15 +150,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = evalgen.SynthConfig.from_dict(json.load(fh))
-    else:
-        cfg = evalgen.SynthConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.snippets is not None:
-        cfg.snippets = args.snippets
+    cfg = evalgen.SynthConfig.from_dict(_config(args, ("seed", "snippets")))
     corpus = evalgen.generate_synthetic_kb(cfg)
     write_bundle(args.out, corpus.kb, corpus.store, corpus.freqs)
     with open(os.path.join(args.out, "snippets.json"), "w", encoding="utf-8") as fh:
@@ -188,10 +161,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    opts = _merged_options(args)
-    train_config = TrainConfig(**_settings(TrainConfig, opts, TRAIN_KEYS))
-    train_config.validate()
-    encoder_options = {"dim": CLI_DIM, **_settings(EncoderConfig, opts, ENCODER_KEYS)}
+    train_config, encoder_options = _train_settings(_config(args, CONFIG_KEYS))
     kb, store, items, kb_feats = _bundle_items(args, gold_required=True)
     if not items:
         raise CliError("no trainable snippets found")
@@ -256,19 +226,15 @@ def _flag_count(text: str) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--encoder", choices=ENCODER_KINDS)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--sampler", choices=("uniform", "hard"))
-    p.add_argument("--curriculum", type=_flag_bool)
-    p.add_argument("--negatives-per-positive", dest="negatives_per_positive", type=int)
-    p.add_argument("--seed", type=int)
+    """A flag per config key but metapaths, typed as the field it sets."""
+    for cls, keys in ((EncoderConfig, ENCODER_KEYS), (TrainConfig, TRAIN_KEYS)):
+        hints = typing.get_type_hints(cls)
+        for key, name in keys.items():
+            if key != "metapaths":
+                kind = hints[name]
+                p.add_argument("--" + key.replace("_", "-"),
+                               choices={"encoder": ENCODER_KINDS, "sampler": SAMPLERS}.get(key),
+                               type=_flag_bool if kind is bool else kind)
     p.add_argument("--config", help="JSON config file; flags override it")
 
 

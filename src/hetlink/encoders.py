@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ndiff
-from .hetgraph import HeteroGraph, Metapath, SELF_EDGE_TYPE
+from .hetgraph import HeteroGraph, Metapath, SELF_EDGE_TYPE, read_settings
 from .ndiff import Parameter, Tensor
 
 ENCODER_KINDS = ("graphsage", "rgcn", "magnn")
@@ -45,8 +45,14 @@ class EncoderConfig:
             raise EncoderError(f"unknown encoder kind {self.kind!r}")
         if not 1 <= self.num_layers <= 4:
             raise EncoderError("num_layers must be in [1, 4]")
+        if self.dim < 1:
+            raise EncoderError("dim must be >= 1")
+        if not 0 <= self.dropout < 1:
+            raise EncoderError("dropout must be in [0, 1)")
         if self.heads < 1:
             raise EncoderError("heads must be >= 1")
+        if self.seed < 0:
+            raise EncoderError("seed must be >= 0")
         if self.kind == "magnn":
             if not self.metapaths:
                 raise EncoderError("magnn needs at least one metapath")
@@ -54,20 +60,10 @@ class EncoderConfig:
                 raise EncoderError("dim must be divisible by heads")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EncoderConfig":
-        if not isinstance(data, dict):
-            raise EncoderError(f"encoder config must be a JSON object, got {type(data).__name__}")
-        data = dict(data)
-        if "metapaths" in data:
-            data["metapaths"] = [m if isinstance(m, Metapath) else Metapath.parse(m)
-                                 for m in data["metapaths"]]
-        if "layers" in data:
-            data["num_layers"] = data.pop("layers")
-        data.pop("attn_dim", None)          # written by older manifests, never read
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise EncoderError(f"unknown encoder config keys {unknown}")
-        cfg = cls(**data)
+    def from_dict(cls, data) -> "EncoderConfig":
+        # "layers" is the CLI's name; older manifests carry attn_dim, never read
+        keys = {**{f.name: f.name for f in fields(cls)}, "layers": "num_layers", "attn_dim": None}
+        cfg = cls(**read_settings(cls, data, keys, EncoderError, "encoder config"))
         cfg.validate()
         return cfg
 
@@ -183,9 +179,16 @@ class Encoder:
     is what makes the Siamese pairing weight-shared by construction.
     """
 
+    # the types load_model reads these as from a model manifest
+    feature_dim: int
+    node_types: list[str]
+    edge_types: list[str]
+
     def __init__(self, config: EncoderConfig, feature_dim: int,
                  node_types, edge_types):
         config.validate()
+        if feature_dim < 1:
+            raise EncoderError("feature_dim must be >= 1")
         self.config = config
         self.feature_dim = feature_dim
         self.node_types = sorted(node_types)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
-                       Schema, SELF_EDGE_TYPE, build_inverted_index, tokenize)
+                       Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings,
+                       tokenize)
 from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
                       candidate_ids, order_by_score, rank_items, snippet_item)
 from .encoders import Encoder, EncoderConfig
@@ -149,7 +150,7 @@ DEFAULT_AMBIGUITY_MIX = {"acronym": 0.18, "abbreviation": 0.10, "synonym": 0.17,
 @dataclass
 class SynthConfig:
     node_counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_NODE_COUNTS))
-    triples: tuple = DEFAULT_TRIPLES
+    triples: tuple[tuple[str, str, str, int], ...] = DEFAULT_TRIPLES
     vocab_size: int = 600
     name_tokens: tuple[int, int] = (2, 3)
     synonym_fraction: float = 0.15
@@ -165,8 +166,19 @@ class SynthConfig:
     def validate(self) -> None:
         if abs(sum(self.ambiguity_mix.values()) - 1.0) > 1e-9:
             raise EvalGenError("ambiguity mix probabilities must sum to 1")
-        if not 0.0 <= self.twin_fraction <= 1.0:
-            raise EvalGenError("twin_fraction must be in [0, 1]")
+        if min(self.ambiguity_mix.values()) < 0.0:
+            raise EvalGenError("ambiguity mix probabilities must be >= 0")
+        for name in ("synonym_fraction", "two_hop_fraction", "twin_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise EvalGenError(f"{name} must be in [0, 1]")
+        for name, low in (("snippets", 0), ("vocab_size", 1), ("feature_dim", 1),
+                          ("max_retries", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise EvalGenError(f"{name} must be >= {low}")
+        if not 1 <= self.name_tokens[0] <= self.name_tokens[1]:
+            raise EvalGenError("name_tokens must be [lo, hi] with 1 <= lo <= hi")
+        if not 0 <= self.context_mentions[0] <= self.context_mentions[1]:
+            raise EvalGenError("context_mentions must be [lo, hi] with 0 <= lo <= hi")
         if self.ambiguity_mix.get("twin", 0.0) > 0.0 and (
                 self.twin_fraction <= 0.0 or self.node_counts.get("Finding", 0) < 2):
             raise EvalGenError("twin ambiguity needs twin_fraction > 0 and >= 2 Findings")
@@ -180,19 +192,9 @@ class SynthConfig:
                 raise EvalGenError(f"unsatisfiable density: {deg} out-edges to {dst}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SynthConfig":
-        if not isinstance(data, dict):
-            raise EvalGenError(f"synth config must be a JSON object, got {type(data).__name__}")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise EvalGenError(f"unknown synth config keys {unknown}")
-        data = dict(data)
-        if "triples" in data:
-            data["triples"] = tuple(tuple(t) for t in data["triples"])
-        for key in ("name_tokens", "context_mentions"):
-            if key in data:
-                data[key] = tuple(data[key])
-        cfg = cls(**data)
+    def from_dict(cls, data) -> "SynthConfig":
+        keys = {f.name: f.name for f in fields(cls)}
+        cfg = cls(**read_settings(cls, data, keys, EvalGenError, "synth config"))
         cfg.validate()
         return cfg
 

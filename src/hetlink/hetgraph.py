@@ -8,7 +8,9 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import re
+import typing
 import unicodedata
 from dataclasses import dataclass
 
@@ -502,3 +504,51 @@ def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:
     with open(edges_path, "w", encoding="utf-8") as fh:
         for e in graph.edges:
             fh.write(f"{e.src}\t{e.dst}\t{e.type}\n")
+
+
+def read_settings(cls, data, keys: dict, error: type[Exception], what: str) -> dict:
+    """The fields of `cls` that the JSON object `data` sets: `keys` maps each
+    key `data` may hold to its field (None: read and ignored), and values are
+    cast to the fields' type hints, into dicts, lists and tuples, parsing
+    metapath labels.  `error`, one line, for a non-object, an unknown key, a
+    non-finite float or a value the cast would change ("epochs": 2.9)."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise error(f"unknown {what} keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for key, name in ((key, keys[key]) for key in data if keys[key]):
+        try:
+            out[name] = _cast(hints[name], data[key])
+        except (TypeError, ValueError, OverflowError, GraphError):
+            raise error(f"{what} key {key!r} must be {_hint_name(hints[name])}, "
+                        f"got {data[key]!r}") from None
+    return out
+
+
+def _cast(kind, value):
+    """`value` as type hint `kind`; an error read_settings catches if it can't be."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            return origin(map(_cast, args, value))
+    elif origin is dict and isinstance(value, dict):
+        return {_cast(args[0], k): _cast(args[1], v) for k, v in value.items()}
+    elif kind is int and type(value) in (int, float) and int(value) == value:
+        return int(value)
+    elif kind is float and type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    elif kind in (bool, str) and type(value) is kind:
+        return value
+    elif kind is Metapath and type(value) is str:
+        return Metapath.parse(value)
+    raise TypeError(kind)
+
+
+def _hint_name(kind) -> str:
+    args = ", ".join("..." if a is Ellipsis else _hint_name(a) for a in typing.get_args(kind))
+    return f"{kind.__name__}[{args}]" if args else kind.__name__

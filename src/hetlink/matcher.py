@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig, EncoderError
-from .hetgraph import HeteroGraph, InvertedIndex
+from .hetgraph import HeteroGraph, InvertedIndex, read_settings
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, UniformSampler
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
@@ -26,6 +26,12 @@ from .termembed import FrequencyTable, WordVectorStore
 
 # the matching head's name in model manifests, the only one there is
 HEAD_KIND = "dot"
+# the negative samplers TrainConfig.sampler names
+SAMPLERS = ("uniform", "hard")
+# model manifest keys: three Encoder attributes, and the entries load_model
+# reads apart ("encoder", "head") or hands back ("train")
+MANIFEST_KEYS = {"feature_dim": "feature_dim", "node_types": "node_types",
+                 "edge_types": "edge_types", "encoder": None, "head": None, "train": None}
 
 
 class MatcherError(Exception):
@@ -120,12 +126,18 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise MatcherError("epochs must be >= 1")
-        if self.patience > self.epochs:
-            raise MatcherError("patience must be <= epochs")
-        if self.sampler not in ("uniform", "hard"):
+        if not 0 <= self.patience <= self.epochs:
+            raise MatcherError("patience must be in [0, epochs]")
+        if self.lr <= 0:
+            raise MatcherError("lr must be > 0")
+        if self.weight_decay < 0:
+            raise MatcherError("weight_decay must be >= 0")
+        if self.sampler not in SAMPLERS:
             raise MatcherError(f"unknown sampler {self.sampler!r}")
         if self.negatives_per_positive < 0:
             raise MatcherError("negatives_per_positive must be >= 0")
+        if self.seed < 0:
+            raise MatcherError("seed must be >= 0")
 
 
 @dataclass
@@ -416,12 +428,12 @@ def save_model(model: SiameseModel, directory,
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
     """The model save_model wrote to `directory`, and its manifest; MatcherError
-    for a manifest that is not a JSON object, another head, a missing key, an
-    encoder it cannot build, or parameters load_state_dict rejects."""
+    for a manifest that is not a JSON object, an unknown key or a value of the
+    wrong type, another head, a missing key, an encoder it cannot build, or
+    parameters load_state_dict rejects."""
     with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict):
-        raise MatcherError(f"model manifest must be a JSON object, got {type(manifest).__name__}")
+    shape = read_settings(Encoder, manifest, MANIFEST_KEYS, MatcherError, "model manifest")
     if manifest.get("head") != HEAD_KIND:
         raise MatcherError(f"unknown matching head {manifest.get('head')!r}; "
                            f"only {HEAD_KIND!r} is supported")
@@ -430,8 +442,7 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     if missing:
         raise MatcherError(f"model manifest lacks {missing}")
     try:
-        encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), manifest["feature_dim"],
-                          manifest["node_types"], manifest["edge_types"])
+        encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), **shape)
     except EncoderError as exc:
         raise MatcherError(f"model manifest: {exc}") from None
     model = SiameseModel(encoder, MatchingHead())

@@ -104,13 +104,15 @@ def break_params(model_dir, how) -> str:
     return error
 
 
-MANIFEST_BREAKS = ["not-object", "encoder-not-object", "encoder-unknown-key"]
+MANIFEST_BREAKS = ["not-object", "encoder-not-object", "encoder-unknown-key",
+                   "encoder-wrong-type", "wrong-type"]
 
 
 def break_manifest(model_dir, how) -> str:
     """Rewrite the manifest.json of `model_dir` broken `how` (one of
     MANIFEST_BREAKS): a JSON list for the whole manifest, a string for its
-    encoder, or an extra key "bogus" in its encoder.  Returns the error
+    encoder, an extra key "bogus" in its encoder, true for its encoder's
+    num_layers, or a string for its node_types.  Returns the error
     load_model gives for it."""
     path = Path(model_dir) / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -119,9 +121,15 @@ def break_manifest(model_dir, how) -> str:
     elif how == "encoder-not-object":
         manifest["encoder"] = "graphsage"
         error = "model manifest: encoder config must be a JSON object, got str"
-    else:
+    elif how == "encoder-unknown-key":
         manifest["encoder"]["bogus"] = 1
         error = "model manifest: unknown encoder config keys ['bogus']"
+    elif how == "encoder-wrong-type":
+        manifest["encoder"]["num_layers"] = True
+        error = "model manifest: encoder config key 'num_layers' must be int, got True"
+    else:
+        manifest["node_types"] = "Drug"
+        error = "model manifest key 'node_types' must be list[str], got 'Drug'"
     path.write_text(json.dumps(manifest))
     return error
 

@@ -2,14 +2,18 @@
 
 import json
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hetlink import evalgen
-from hetlink.cli import CONFIG_KEYS, _load_snippets, build_parser, main, read_bundle
+from hetlink.cli import (CONFIG_KEYS, CliError, _load_snippets, _train_settings,
+                         build_parser, main, read_bundle)
+from hetlink.encoders import EncoderConfig, EncoderError
 from hetlink.hetgraph import build_inverted_index, tokenize
-from hetlink.matcher import candidate_ids, snippet_item
+from hetlink.matcher import MatcherError, candidate_ids, snippet_item
 from hetlink.querygraph import augment_query_graph
 
 from conftest import MANIFEST_BREAKS, break_manifest, break_params
@@ -46,13 +50,56 @@ def workdir(tmp_path_factory):
 @pytest.mark.parametrize("config, error", [
     ({"bogus": 1, "seed": 2}, "unknown synth config keys ['bogus']"),
     ([1], "synth config must be a JSON object, got list"),
+    ({"node_counts": 5}, "synth config key 'node_counts' must be dict[str, int], got 5"),
+    ({"seed": "x"}, "synth config key 'seed' must be int, got 'x'"),
+    ({"name_tokens": [2]}, "synth config key 'name_tokens' must be tuple[int, int], got [2]"),
+    ({"snippets": -1}, "snippets must be >= 0"),
+    (({}, ["--snippets", "-1"]), "snippets must be >= 0"),    # (config, flags)
 ])
 def test_gen_synth_rejects_a_malformed_config(tmp_path, capsys, config, error):
+    config, flags = config if isinstance(config, tuple) else (config, [])
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(config))
-    assert main(["gen-synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert main(["gen-synth", "--config", str(path), *flags,
+                 "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _cli_train_config(opts):
+    train_config, encoder_options = _train_settings(opts)
+    EncoderConfig(**encoder_options).validate()
+    return train_config
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+# reader, the keys it takes, the errors it may raise
+CONFIG_READERS = {
+    "gen-synth": (evalgen.SynthConfig.from_dict,
+                  [f.name for f in fields(evalgen.SynthConfig)], (evalgen.EvalGenError,)),
+    "manifest-encoder": (EncoderConfig.from_dict,
+                         [f.name for f in fields(EncoderConfig)] + ["layers", "attn_dim"],
+                         (EncoderError,)),
+    "cli-train": (_cli_train_config, sorted(CONFIG_KEYS),
+                  (CliError, MatcherError, EncoderError)),
+}
+
+
+@pytest.mark.parametrize("reader", CONFIG_READERS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_json_value_at_any_key_builds_a_config_or_fails_in_one_line(reader, data):
+    read, keys, errors = CONFIG_READERS[reader]
+    config = data.draw(st.dictionaries(st.sampled_from(keys + ["bogus"]), JSON_VALUES,
+                                       max_size=3) | JSON_VALUES)
+    try:
+        read(config)
+    except errors as exc:
+        assert "\n" not in str(exc)
 
 
 def test_gen_synth_writes_bundle_and_snippets(workdir):
@@ -220,7 +267,8 @@ def test_every_config_key_reaches_the_model_manifest(workdir, tmp_path):
 
 @pytest.mark.parametrize("setting", [{"curriculum": "false"}, {"curriculum": 1},
                                      {"epochs": 2.9}, {"epochs": True}, {"epochs": "3"},
-                                     {"lr": False}, {"sampler": 1}, {"metapaths": "x"}],
+                                     {"lr": False}, {"lr": float("inf")}, {"sampler": 1},
+                                     {"metapaths": "x"}],
                          ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))))
 def test_config_value_its_setting_would_change_is_rejected(workdir, tmp_path, capsys,
                                                            setting):

@@ -52,6 +52,13 @@ def test_config_rejects_unknown_kind_and_bad_layers():
         EncoderConfig(num_layers=0).validate()
     with pytest.raises(EncoderError):
         EncoderConfig(num_layers=5).validate()
+    with pytest.raises(EncoderError, match="dim must be >= 1"):
+        EncoderConfig(dim=0).validate()
+    with pytest.raises(EncoderError, match="seed must be >= 0"):
+        EncoderConfig(seed=-1).validate()
+    for rate in (-0.1, 1.0):
+        with pytest.raises(EncoderError, match=r"dropout must be in \[0, 1\)"):
+            EncoderConfig(dropout=rate).validate()
 
 
 def test_config_magnn_needs_metapaths_and_divisible_heads():

@@ -126,6 +126,25 @@ def test_config_mix_must_sum_to_one():
         SynthConfig(ambiguity_mix={"acronym": 0.5}).validate()
 
 
+@pytest.mark.parametrize("setting, error", [
+    ({"snippets": -1}, "snippets must be >= 0"),
+    ({"vocab_size": 0}, "vocab_size must be >= 1"),
+    ({"feature_dim": 0}, "feature_dim must be >= 1"),
+    ({"max_retries": 0}, "max_retries must be >= 1"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"ambiguity_mix": {"acronym": 1.5, "twin": -0.5}}, "must be >= 0"),
+    ({"synonym_fraction": 2.0}, r"synonym_fraction must be in \[0, 1\]"),
+    ({"two_hop_fraction": -1.0}, r"two_hop_fraction must be in \[0, 1\]"),
+    ({"name_tokens": (0, 2)}, "name_tokens"),
+    ({"name_tokens": (3, 2)}, "name_tokens"),
+    ({"context_mentions": (-1, 2)}, "context_mentions"),
+    ({"context_mentions": (4, 2)}, "context_mentions"),
+])
+def test_config_rejects_an_out_of_range_value(setting, error):
+    with pytest.raises(EvalGenError, match=error):
+        SynthConfig(**setting).validate()
+
+
 def test_config_twin_requires_twin_fraction():
     with pytest.raises(EvalGenError, match="twin"):
         SynthConfig(ambiguity_mix={"twin": 1.0}, twin_fraction=0.0).validate()

@@ -307,6 +307,10 @@ def test_train_config_validation():
         TrainConfig(negatives_per_positive=-1).validate()
     with pytest.raises(MatcherError, match="epochs must be >= 1"):
         TrainConfig(epochs=0, patience=0).validate()
+    for bad in ({"lr": 0.0}, {"lr": -0.5}, {"weight_decay": -1.0}, {"patience": -1},
+                {"seed": -1}):
+        with pytest.raises(MatcherError, match=next(iter(bad))):
+            TrainConfig(**bad).validate()
 
 
 def test_train_requires_items(mini):

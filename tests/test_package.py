@@ -1,9 +1,15 @@
 """Tests for the package's top-level exports and its import hygiene."""
 
 import ast
+import json
+from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import hetlink
+from hetlink import EncoderConfig, Metapath, SynthConfig, TrainConfig
+from hetlink.hetgraph import read_settings
 
 MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 
@@ -11,7 +17,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 76
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3307
+SRC_LINES = 3339
 
 
 def _tree(path):
@@ -138,3 +144,12 @@ def test_the_optional_settings_rule_counts_defaults_and_dataclass_fields():
         "def f(x, y=1, *, z=2, w):\n"
         "    return lambda q=3: q\n")
     assert _optional_settings(tree) == 2 + 2 + 1
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, EncoderConfig, SynthConfig])
+def test_every_setting_default_reads_back_from_json(cls):
+    # a field whose type read_settings cannot cast (a bare tuple, say) fails here
+    default = cls()
+    keys = {f.name: f.name for f in fields(cls)}
+    text = json.dumps({name: getattr(default, name) for name in keys}, default=Metapath.label)
+    assert cls(**read_settings(cls, json.loads(text), keys, ValueError, cls.__name__)) == default
