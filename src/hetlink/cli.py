@@ -89,6 +89,10 @@ def read_bundle(bundle_dir):
         raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r}")
     kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
                     os.path.join(bundle_dir, "edges.tsv"))
+    listed, loaded = (manifest.get("nodes"), manifest.get("edges")), (len(kb), len(kb.edges))
+    if listed != loaded:
+        raise CliError(f"bundle manifest lists {listed[0]} nodes and {listed[1]} edges, "
+                       f"its files hold {loaded[0]} and {loaded[1]}")
     store = load_word_vectors(os.path.join(bundle_dir, "wordvecs.txt"))
     freqs = FrequencyTable.load_tsv(os.path.join(bundle_dir, "freqs.tsv"))
     return kb, store, freqs

@@ -164,6 +164,10 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        unknown = sorted(set(self.ambiguity_mix) - set(DEFAULT_AMBIGUITY_MIX))
+        if unknown:
+            raise EvalGenError(f"unknown ambiguity kinds {unknown}; "
+                               f"known: {sorted(DEFAULT_AMBIGUITY_MIX)}")
         if abs(sum(self.ambiguity_mix.values()) - 1.0) > 1e-9:
             raise EvalGenError("ambiguity mix probabilities must sum to 1")
         if min(self.ambiguity_mix.values()) < 0.0:
@@ -184,8 +188,12 @@ class SynthConfig:
             raise EvalGenError("twin ambiguity needs twin_fraction > 0 and >= 2 Findings")
         if any(c <= 0 for c in self.node_counts.values()):
             raise EvalGenError("node counts must be positive")
-        for src, _, dst, deg in self.triples:
-            limit = self.node_counts.get(dst, 0)
+        for src, etype, dst, deg in self.triples:
+            missing = sorted({src, dst} - set(self.node_counts))
+            if missing:
+                raise EvalGenError(f"triple {src}-{etype}-{dst} names node types {missing} "
+                                   f"that node_counts lacks")
+            limit = self.node_counts[dst]
             if src == dst:
                 limit -= 1
             if deg > limit:

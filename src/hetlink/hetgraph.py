@@ -63,8 +63,7 @@ class Node:
         return " ".join(self.name)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(typing.NamedTuple):
     src: int
     dst: int
     type: str
@@ -138,14 +137,13 @@ class HeteroGraph:
 
     def __init__(self):
         self._nodes: dict[int, Node] = {}
-        self._edges: list[Edge] = []
-        self._edge_set: set[tuple[int, int, str]] = set()
+        self._edges: dict[Edge, None] = {}         # in insertion order
         self._node_types: set[str] = set()
         self._edge_types: set[str] = set()
         self._frozen = False
         # built at freeze
-        self._out: dict[tuple[int, str], list[int]] = {}
-        self._in: dict[tuple[int, str], list[int]] = {}
+        self._out: dict[tuple[int, str], tuple[int, ...]] = {}
+        self._in: dict[tuple[int, str], tuple[int, ...]] = {}
         self._schema: Schema | None = None
         self._sorted_ids: list[int] = []
         self._id_array = _NO_IDS                    # sorted ids; row = index
@@ -159,48 +157,65 @@ class HeteroGraph:
 
     def add_node(self, ntype: str, name, synonyms=(), features=None,
                  node_id: int | None = None) -> int:
-        self._check_mutable()
-        if not ntype:
-            raise GraphError("empty node type")
-        tokens = tuple(tokenize(name)) if isinstance(name, str) else tuple(name)
-        if not tokens:
-            raise GraphError("node name must have at least one token")
-        nid = len(self._nodes) if node_id is None else node_id
-        if nid in self._nodes:
-            raise GraphError(f"duplicate node id {nid}")
-        syns = tuple(tuple(tokenize(s)) if isinstance(s, str) else tuple(s)
-                     for s in synonyms)
-        feats = None if features is None else tuple(float(x) for x in features)
-        self._nodes[nid] = Node(nid, ntype, tokens, syns, feats)
-        self._node_types.add(ntype)
-        return nid
+        return self._add_nodes(((node_id, ntype, name, synonyms, features),))
 
     def add_edge(self, src: int, dst: int, etype: str) -> None:
+        self._add_edges((Edge(src, dst, etype),))
+
+    def _add_nodes(self, rows) -> int:
+        """Add (id, type, name, synonyms, features) rows in order, as add_node
+        would one at a time, and return the last id (None for no rows); an id
+        of None takes the next dense one.  The node rules: a type, a name of
+        at least one token, an id not taken.  A row that breaks one raises;
+        the rows before it stay added."""
         self._check_mutable()
-        if src not in self._nodes or dst not in self._nodes:
-            raise GraphError(f"dangling edge endpoint ({src}, {dst})")
-        if not etype:
-            raise GraphError("empty edge type")
-        key = (src, dst, etype)
-        if key in self._edge_set:
-            raise GraphError(f"duplicate edge {key}")
-        self._edge_set.add(key)
-        self._edges.append(Edge(src, dst, etype))
-        self._edge_types.add(etype)
+        nid = None
+        for nid, ntype, name, synonyms, features in rows:
+            if not ntype:
+                raise GraphError("empty node type")
+            tokens = tuple(tokenize(name)) if isinstance(name, str) else tuple(name)
+            if not tokens:
+                raise GraphError("node name must have at least one token")
+            nid = len(self._nodes) if nid is None else nid
+            if nid in self._nodes:
+                raise GraphError(f"duplicate node id {nid}")
+            syns = tuple(tuple(tokenize(s)) if isinstance(s, str) else tuple(s)
+                         for s in synonyms)
+            feats = None if features is None else tuple(float(x) for x in features)
+            self._nodes[nid] = Node(nid, ntype, tokens, syns, feats)
+            self._node_types.add(ntype)
+        return nid
+
+    def _add_edges(self, edges) -> None:
+        """Add `edges` in order, as add_edge would one at a time.  The edge
+        rules: both ends known, a type, not yet present.  An edge that breaks
+        one raises; the edges before it stay added."""
+        self._check_mutable()
+        for edge in edges:
+            src, dst, etype = edge
+            if src not in self._nodes or dst not in self._nodes:
+                raise GraphError(f"edge ({src}, {dst}, {etype}) references unknown node")
+            if not etype:
+                raise GraphError("empty edge type")
+            if edge in self._edges:
+                raise GraphError(f"duplicate edge {(src, dst, etype)}")
+            self._edges[edge] = None
+            self._edge_types.add(etype)
 
     def freeze(self) -> "HeteroGraph":
         """Build adjacency and schema; the graph is immutable afterwards.
         Idempotent."""
         if self._frozen:
             return self
-        for e in self._edges:
-            self._out.setdefault((e.src, e.type), []).append(e.dst)
-            self._in.setdefault((e.dst, e.type), []).append(e.src)
+        for src, dst, etype in self._edges:
+            self._out.setdefault((src, etype), []).append(dst)
+            self._in.setdefault((dst, etype), []).append(src)
+        # tuples of ints, which the garbage collector stops tracking
         for adj in (self._out, self._in):
-            for key in adj:
-                adj[key] = sorted(adj[key])
-        triples = {(self._nodes[e.src].type, e.type, self._nodes[e.dst].type)
-                   for e in self._edges}
+            for key, ids in adj.items():
+                adj[key] = tuple(sorted(ids))
+        triples = {(self._nodes[src].type, etype, self._nodes[dst].type)
+                   for src, dst, etype in self._edges}
         triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
         self._schema = Schema(frozenset(triples))
         self._sorted_ids = sorted(self._nodes)
@@ -454,7 +469,7 @@ def load_nodes_tsv(path) -> list[tuple]:
                 nid = int(parts[0])
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
-            synonyms = [s for s in (parts[3].split("|") if len(parts) > 3 else []) if s]
+            synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
             features = None
             if len(parts) > 4 and parts[4]:
                 try:
@@ -467,7 +482,7 @@ def load_nodes_tsv(path) -> list[tuple]:
     return rows
 
 
-def load_edges_tsv(path) -> list[tuple[int, int, str]]:
+def load_edges_tsv(path) -> list[Edge]:
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -478,7 +493,7 @@ def load_edges_tsv(path) -> list[tuple[int, int, str]]:
             if len(parts) != 3:
                 raise GraphError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
             try:
-                rows.append((int(parts[0]), int(parts[1]), parts[2]))
+                rows.append(Edge(int(parts[0]), int(parts[1]), parts[2]))
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: bad endpoint id") from None
     return rows
@@ -486,12 +501,8 @@ def load_edges_tsv(path) -> list[tuple[int, int, str]]:
 
 def load_graph(nodes_path, edges_path) -> HeteroGraph:
     g = HeteroGraph()
-    for nid, ntype, name, synonyms, features in load_nodes_tsv(nodes_path):
-        g.add_node(ntype, name, synonyms=synonyms, features=features, node_id=nid)
-    for src, dst, etype in load_edges_tsv(edges_path):
-        if src not in g or dst not in g:
-            raise GraphError(f"edge ({src}, {dst}, {etype}) references unknown node")
-        g.add_edge(src, dst, etype)
+    g._add_nodes(load_nodes_tsv(nodes_path))
+    g._add_edges(load_edges_tsv(edges_path))
     return g.freeze()
 
 

@@ -17,6 +17,9 @@ from .hetgraph import HeteroGraph, tokenize
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
 FALLBACK_SEED = 0
+# names whose token vectors init_node_features gathers at once: 1,024 names of
+# 3 tokens at 128 dimensions are 3 MB
+FEATURE_CHUNK = 1024
 
 
 class TermEmbedError(Exception):
@@ -169,20 +172,37 @@ def init_node_features(graph: HeteroGraph, store: WordVectorStore,
                        freqs: FrequencyTable) -> np.ndarray:
     """One row per node (in node-id order); explicit node features win.
 
-    The array is read-only, so encodings computed from it can be reused."""
+    Every other row is term_embedding of the node's name, bit for bit: the
+    names of one token count are weighted together, FEATURE_CHUNK at a time,
+    as one batched product over the vectors and SIF weights of the tokens
+    the names use.  The array is read-only, so encodings computed from it
+    can be reused."""
     if not graph.frozen:
         raise TermEmbedError("graph must be frozen")
-    rows = []
-    for node in graph.nodes():
+    nodes = graph.nodes()
+    out = np.zeros((len(nodes), store.dim))
+    vocab: dict[str, int] = {}
+    by_count: dict[int, tuple[list, list]] = {}     # token count -> (rows, token ids)
+    for row, node in enumerate(nodes):
         if node.features is not None:
             vec = np.asarray(node.features, dtype=np.float64)
             if vec.shape != (store.dim,):
                 raise TermEmbedError(
                     f"node {node.id} preset features have dim {len(vec)}, expected {store.dim}")
-            rows.append(vec)
+            out[row] = vec
         else:
-            rows.append(term_embedding(node.name, store, freqs))
-    out = np.stack(rows) if rows else np.zeros((0, store.dim))
+            rows, toks = by_count.setdefault(len(node.name), ([], []))
+            rows.append(row)
+            toks.append([vocab.setdefault(t, len(vocab)) for t in node.name])
+    vectors = np.array([store.get(t) for t in vocab]).reshape(len(vocab), store.dim)
+    weights = np.array([sif_weight(t, freqs) for t in vocab])
+    for rows, toks in by_count.values():
+        rows, toks = np.array(rows), np.array(toks)
+        for lo in range(0, len(rows), FEATURE_CHUNK):
+            chunk = toks[lo:lo + FEATURE_CHUNK]
+            w = weights[chunk]
+            out[rows[lo:lo + FEATURE_CHUNK]] = ((w[:, None, :] @ vectors[chunk])[:, 0]
+                                                / w.sum(1, keepdims=True))
     out.flags.writeable = False
     return out
 

@@ -55,6 +55,11 @@ def workdir(tmp_path_factory):
     ({"name_tokens": [2]}, "synth config key 'name_tokens' must be tuple[int, int], got [2]"),
     ({"snippets": -1}, "snippets must be >= 0"),
     (({}, ["--snippets", "-1"]), "snippets must be >= 0"),    # (config, flags)
+    ({"triples": [["Nope", "X", "Drug", 1]]},
+     "triple Nope-X-Drug names node types ['Nope'] that node_counts lacks"),
+    ({"ambiguity_mix": {"bogus": 1.0}},
+     "unknown ambiguity kinds ['bogus']; known: ['abbreviation', 'acronym', 'simplification', "
+     "'synonym', 'twin', 'typo']"),
 ])
 def test_gen_synth_rejects_a_malformed_config(tmp_path, capsys, config, error):
     config, flags = config if isinstance(config, tuple) else (config, [])
@@ -339,6 +344,28 @@ def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, ca
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert capsys.readouterr().err == "error: bundle manifest must be a JSON object, got list\n"
+
+
+# (bundle file, how its rows change) for files that disagree with the manifest
+ROW_CUTS = {"edges.tsv": lambda rows: rows[:len(rows) * 2 // 3],
+            "nodes.tsv": lambda rows: rows + ["99999\tFinding\textra\t\t\n"]}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CUTS))
+def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, tmp_path,
+                                                                       capsys, name):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    rows = ROW_CUTS[name]((bundle / name).read_text().splitlines(keepends=True))
+    (bundle / name).write_text("".join(rows))
+    held = {"nodes": manifest["nodes"], "edges": manifest["edges"], name[:-4]: len(rows)}
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: bundle manifest lists {manifest['nodes']} nodes and {manifest['edges']} "
+        f"edges, its files hold {held['nodes']} and {held['edges']}\n")
 
 
 # (bundle file, the field of its first line that is set, the value, the error)

@@ -1,11 +1,18 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hetlink.cli import main, write_bundle
 from hetlink.hetgraph import (GraphError, HeteroGraph, InvertedIndex, Metapath,
                               SELF_EDGE_TYPE, build_inverted_index,
-                              default_acronym_rule, load_graph,
-                              normalize, save_graph, tokenize)
+                              default_acronym_rule, load_edges_tsv, load_graph,
+                              load_nodes_tsv, normalize, save_graph, tokenize)
+from hetlink.termembed import FrequencyTable, random_word_vectors
 from conftest import random_hetero_graph
 
 
@@ -202,6 +209,110 @@ def test_malformed_tsv_reports_line_number(tmp_path):
     bad.write_text("0\tDrug\taspirin\t\t\n1\tDrug\n")
     with pytest.raises(GraphError, match=":2:"):
         load_graph(bad, None)
+
+
+TOKENS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
+
+
+@st.composite
+def valid_graphs(draw):
+    """A frozen graph with sparse ids, multi-token names, synonyms, preset
+    features on some nodes and typed edges, self-loops included."""
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=10, unique=True))
+    g = HeteroGraph()
+    for nid in ids:
+        g.add_node(draw(st.sampled_from(["Drug", "Finding", "Symptom"])),
+                   draw(st.lists(TOKENS, min_size=1, max_size=3)),
+                   synonyms=draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2), max_size=2)),
+                   features=draw(st.none() | st.lists(
+                       st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)),
+                   node_id=nid)
+    for edge in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                        st.sampled_from(["TREAT", "CAUSE", "ASSOC"])),
+                              unique=True, max_size=25)):
+        g.add_edge(*edge)
+    return g.freeze()
+
+
+def _saved(graph, tmp):
+    paths = os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv")
+    save_graph(graph, *paths)
+    return paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=valid_graphs())
+def test_a_valid_graph_survives_save_and_load(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        nodes_path, edges_path = _saved(g, tmp)
+        assert len(load_nodes_tsv(nodes_path)) == len(g)
+        assert load_edges_tsv(edges_path) == g.edges
+        back = load_graph(nodes_path, edges_path)
+    assert back.nodes() == g.nodes()
+    assert back.edges == g.edges
+    assert back.schema == g.schema
+    assert (back.node_types, back.edge_types) == (g.node_types, g.edge_types)
+    for v in g.node_ids:
+        assert back.neighbors(v) == g.neighbors(v)
+        for r in g.edge_types:
+            assert back.out_neighbors(v, r) == g.out_neighbors(v, r)
+            assert back.neighbors_by_relation(v, r) == g.neighbors_by_relation(v, r)
+
+
+# rows a bundle file must not hold; {old} is a node id of the graph, {new} one
+# it lacks
+MALFORMED_ROWS = {
+    "nodes.tsv": ["x\tDrug\ta", "{new}\tDrug", "{new}\t\ta", "{new}\tDrug\t!?",
+                  "{old}\tDrug\ta", "{new}\tDrug\ta\t\t1.0,x", "{new}\tDrug\ta\t\tnan"],
+    "edges.tsv": ["{old}\t{old}", "{old}\tx\tTREAT", "{old}\t{new}\tTREAT",
+                  "{old}\t{old}\t", "{old}\t{old}\tTREAT\n{old}\t{old}\tTREAT"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=valid_graphs(), data=st.data())
+def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
+    name = data.draw(st.sampled_from(sorted(MALFORMED_ROWS)))
+    row = data.draw(st.sampled_from(MALFORMED_ROWS[name])).format(
+        old=data.draw(st.sampled_from(g.node_ids)), new=max(g.node_ids) + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_bundle(tmp, g, random_word_vectors({t for n in g.nodes() for t in n.name}, 4),
+                     FrequencyTable.from_graph(g))
+        path = os.path.join(tmp, name)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines.insert(data.draw(st.integers(0, len(lines))), row)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(GraphError) as exc:
+            load_graph(os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv"))
+        assert "\n" not in str(exc.value)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["train", "--bundle", tmp, "--snippets", os.path.join(tmp, "none.json"),
+                         "--out", os.path.join(tmp, "model")])
+        assert (code, err.getvalue()) == (1, f"error: {exc.value}\n")
+        assert not os.path.exists(os.path.join(tmp, "model"))
+
+
+def test_add_edge_and_load_graph_share_the_edge_rules(tmp_path):
+    g = HeteroGraph()
+    g.add_node("Drug", "a")
+    g.add_node("Finding", "b")
+    g.add_edge(0, 1, "CAUSE")
+    for edge, error in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node"),
+                        ((0, 1, ""), "empty edge type"),
+                        ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')")]:
+        with pytest.raises(GraphError) as exc:
+            g.add_edge(*edge)
+        assert str(exc.value) == error
+        nodes_path, edges_path = _saved(g, tmp_path)
+        with open(edges_path, "a", encoding="utf-8") as fh:
+            fh.write("\t".join(map(str, edge)) + "\n")
+        with pytest.raises(GraphError) as exc:
+            load_graph(nodes_path, edges_path)
+        assert str(exc.value) == error
+    assert g.edges == [(0, 1, "CAUSE")]
 
 
 @settings(max_examples=25, deadline=None)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hetlink import termembed
+from hetlink.evalgen import SynthConfig, generate_synthetic_kb
+from hetlink.hetgraph import HeteroGraph
 from hetlink.termembed import (
     DEFAULT_SIF_A,
     DEFAULT_UNSEEN_P,
@@ -161,6 +164,37 @@ def test_init_node_features_prefers_preset_features(toy_store, toy_freqs):
     g.freeze()
     feats = init_node_features(g, toy_store, toy_freqs)
     np.testing.assert_array_equal(feats[0], np.arange(16, dtype=float))
+
+
+def _term_embedding_rows(graph, store, freqs):
+    """init_node_features the slow way: term_embedding node by node."""
+    return np.stack([term_embedding(n.name, store, freqs) if n.features is None
+                     else np.asarray(n.features) for n in graph.nodes()])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_init_node_features_is_term_embedding_bit_for_bit_on_synthetic_kbs(seed):
+    corpus = generate_synthetic_kb(SynthConfig(seed=seed, snippets=0))
+    feats = init_node_features(corpus.kb, corpus.store, corpus.freqs)
+    assert np.array_equal(feats, _term_embedding_rows(corpus.kb, corpus.store, corpus.freqs))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+def test_init_node_features_keeps_preset_rows_and_embeds_unseen_tokens(monkeypatch, chunk):
+    monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
+    store = random_word_vectors(["aspirin", "renal", "failure", "acute"], 8, seed=3)
+    freqs = FrequencyTable({"renal": 0.2, "failure": 0.05})
+    g = HeteroGraph()
+    for nid, name, features in [(4, "acute renal failure", None), (9, "aspirin", None),
+                                (2, "zzyzx renal", None), (7, "preset", np.linspace(-1, 1, 8)),
+                                (5, "renal failure", None), (0, "failure", None)]:
+        g.add_node("Finding", name, features=features, node_id=nid)
+    g.freeze()
+    feats = init_node_features(g, store, freqs)
+    assert "zzyzx" not in store and "preset" not in store
+    assert np.array_equal(feats, _term_embedding_rows(g, store, freqs))
+    assert np.array_equal(feats[g.rows([7])[0]], np.linspace(-1, 1, 8))
+    assert not feats.flags.writeable
 
 
 def test_init_node_features_requires_frozen_graph(toy_store, toy_freqs):
