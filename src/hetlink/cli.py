@@ -133,6 +133,9 @@ def _bundle_items(args, gold_required: bool):
             continue
         if gold_required and item.qgraph.mentions[item.mention_node].link_id is None:
             raise CliError(f"snippet {snippet.id}: ambiguous mention lacks link_id")
+        if gold_required and item.gold not in kb:
+            raise CliError(f"snippet {snippet.id}: link_id {item.gold} "
+                           f"is not a node of the bundle's KB")
         items.append(item)
     return kb, store, items, init_node_features(kb, store, freqs)
 

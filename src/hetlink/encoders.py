@@ -1,4 +1,4 @@
-"""Graph encoders producing node embeddings from a frozen HeteroGraph.
+"""Graph encoders producing node embeddings from a HeteroGraph.
 
 Three interchangeable kinds share one interface:
 
@@ -261,8 +261,6 @@ class Encoder:
         `features` is an (n, feature_dim) array/tensor in node-id order.
         Dropout is applied to the input of every layer in training mode.
         """
-        if not graph.frozen:
-            raise EncoderError("graph must be frozen")
         x = features if isinstance(features, Tensor) else Tensor(features)
         if x.shape != (len(graph), self.feature_dim):
             raise EncoderError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hetgraph import (HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
+from .hetgraph import (Edge, HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
                        Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings,
                        tokenize)
 from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
@@ -291,7 +291,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
         seen.add(v)
         variants[w] = v
 
-    kb = HeteroGraph()
+    rows: list[tuple] = []          # node rows; an id is the row's position
     used_surfaces: set[str] = set()
     lo, hi = config.name_tokens
     twin_of: dict[int, int] = {}
@@ -311,8 +311,8 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                 else:
                     raise EvalGenError("could not draw a fresh twin pair")
                 used_surfaces.update((s1, s2))
-                a = kb.add_node(ntype, s1)
-                b = kb.add_node(ntype, s2)
+                a, b = len(rows), len(rows) + 1
+                rows += [(a, ntype, s1, (), None), (b, ntype, s2, (), None)]
                 twin_of[a], twin_of[b] = b, a
             count -= 2 * n_pairs
         for _ in range(count):
@@ -325,16 +325,17 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             else:
                 raise EvalGenError("could not draw a fresh node name; vocab too small")
             used_surfaces.add(surface)
-            synonyms = []
+            synonyms = ()
             if len(toks) >= 2 and rng.random() < config.synonym_fraction:
                 i = int(rng.integers(len(toks)))
                 syn = " ".join(toks[:i] + (variants[toks[i]],) + toks[i + 1:])
                 if syn not in used_surfaces:
                     used_surfaces.add(syn)
-                    synonyms.append(syn)
-            kb.add_node(ntype, surface, synonyms=synonyms)
+                    synonyms = (syn,)
+            rows.append((len(rows), ntype, surface, synonyms, None))
 
-    by_type = {t: [n.id for n in kb.nodes() if n.type == t] for t in config.node_counts}
+    by_type = {t: [nid for nid, nt, *_ in rows if nt == t] for t in config.node_counts}
+    edges = []
     for src_t, etype, dst_t, deg in config.triples:
         dst_ids = np.array(by_type[dst_t])
         for src in by_type[src_t]:
@@ -348,8 +349,8 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             choices = dst_ids[keep]
             picks = rng.choice(len(choices), size=deg - len(forced), replace=False)
             for dst in forced + [int(choices[i]) for i in sorted(picks)]:
-                kb.add_edge(src, dst, etype)
-    kb.freeze()
+                edges.append(Edge(src, dst, etype))
+    kb = HeteroGraph(rows, edges)
     index = build_inverted_index(kb, acronym_rule=None)
 
     kinds = sorted(config.ambiguity_mix)

@@ -1,9 +1,9 @@
 """Typed heterogeneous graph storage, schema, metapaths, and mention index.
 
 The same structure serves as both the knowledge base (reference graph) and
-the per-snippet query graph.  Graphs are mutable until :meth:`HeteroGraph.freeze`
-is called; frozen graphs and the indexes derived from them are immutable and
-safe to share across threads.
+the per-snippet query graph.  A graph is built whole from its node rows and
+edges by the HeteroGraph constructor; graphs and the indexes derived from them
+are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reserved edge type used for query-graph self-loops.  Freeze registers a
-# (T, SELF, T) schema triple for every node type so query graphs stay
+# Reserved edge type used for query-graph self-loops.  A graph's schema has a
+# (T, SELF, T) triple for each of its node types so query graphs stay
 # schema-consistent.
 SELF_EDGE_TYPE = "SELF"
 # Reserved edge type for the fully-connected, untyped query-graph baseline.
@@ -116,7 +116,7 @@ class Metapath:
 
 @dataclass(frozen=True)
 class Schema:
-    """(srcType, edgeType, dstType) triples derived from a frozen graph."""
+    """(srcType, edgeType, dstType) triples derived from a graph."""
 
     triples: frozenset[tuple[str, str, str]]
 
@@ -133,50 +133,23 @@ class Schema:
 
 
 class HeteroGraph:
-    """Typed directed multigraph with composite-term node attributes."""
+    """Typed directed multigraph with composite-term node attributes, built
+    whole by its constructor and immutable afterwards."""
 
-    def __init__(self):
+    def __init__(self, nodes, edges):
+        """The graph of `nodes`, (id, type, name, synonyms, features) rows, and
+        `edges`, (src, dst, type) triples stored as Edge, each kept in the
+        order given.  The node rules: a type, a name of at least one token, an
+        id not taken.  The edge rules: both ends known, a type, not yet
+        present.  GraphError for the first row that breaks one."""
         self._nodes: dict[int, Node] = {}
-        self._edges: dict[Edge, None] = {}         # in insertion order
         self._node_types: set[str] = set()
-        self._edge_types: set[str] = set()
-        self._frozen = False
-        # built at freeze
-        self._out: dict[tuple[int, str], tuple[int, ...]] = {}
-        self._in: dict[tuple[int, str], tuple[int, ...]] = {}
-        self._schema: Schema | None = None
-        self._sorted_ids: list[int] = []
-        self._id_array = _NO_IDS                    # sorted ids; row = index
-        self._ids_by_type: dict[str, np.ndarray] = {}   # sorted ids of each type
-
-    # -- construction ------------------------------------------------------
-
-    def _check_mutable(self):
-        if self._frozen:
-            raise GraphError("graph is frozen")
-
-    def add_node(self, ntype: str, name, synonyms=(), features=None,
-                 node_id: int | None = None) -> int:
-        return self._add_nodes(((node_id, ntype, name, synonyms, features),))
-
-    def add_edge(self, src: int, dst: int, etype: str) -> None:
-        self._add_edges((Edge(src, dst, etype),))
-
-    def _add_nodes(self, rows) -> int:
-        """Add (id, type, name, synonyms, features) rows in order, as add_node
-        would one at a time, and return the last id (None for no rows); an id
-        of None takes the next dense one.  The node rules: a type, a name of
-        at least one token, an id not taken.  A row that breaks one raises;
-        the rows before it stay added."""
-        self._check_mutable()
-        nid = None
-        for nid, ntype, name, synonyms, features in rows:
+        for nid, ntype, name, synonyms, features in nodes:
             if not ntype:
                 raise GraphError("empty node type")
             tokens = tuple(tokenize(name)) if isinstance(name, str) else tuple(name)
             if not tokens:
                 raise GraphError("node name must have at least one token")
-            nid = len(self._nodes) if nid is None else nid
             if nid in self._nodes:
                 raise GraphError(f"duplicate node id {nid}")
             syns = tuple(tuple(tokenize(s)) if isinstance(s, str) else tuple(s)
@@ -184,13 +157,8 @@ class HeteroGraph:
             feats = None if features is None else tuple(float(x) for x in features)
             self._nodes[nid] = Node(nid, ntype, tokens, syns, feats)
             self._node_types.add(ntype)
-        return nid
-
-    def _add_edges(self, edges) -> None:
-        """Add `edges` in order, as add_edge would one at a time.  The edge
-        rules: both ends known, a type, not yet present.  An edge that breaks
-        one raises; the edges before it stay added."""
-        self._check_mutable()
+        self._edges: dict[Edge, None] = {}         # in the order given
+        self._edge_types: set[str] = set()
         for edge in edges:
             src, dst, etype = edge
             if src not in self._nodes or dst not in self._nodes:
@@ -199,14 +167,12 @@ class HeteroGraph:
                 raise GraphError("empty edge type")
             if edge in self._edges:
                 raise GraphError(f"duplicate edge {(src, dst, etype)}")
-            self._edges[edge] = None
+            # an Edge is kept as given: allocating each edge of a bulk load
+            # again costs garbage-collector passes over the whole graph
+            self._edges[edge if type(edge) is Edge else Edge(src, dst, etype)] = None
             self._edge_types.add(etype)
-
-    def freeze(self) -> "HeteroGraph":
-        """Build adjacency and schema; the graph is immutable afterwards.
-        Idempotent."""
-        if self._frozen:
-            return self
+        self._out: dict[tuple[int, str], tuple[int, ...]] = {}
+        self._in: dict[tuple[int, str], tuple[int, ...]] = {}
         for src, dst, etype in self._edges:
             self._out.setdefault((src, etype), []).append(dst)
             self._in.setdefault((dst, etype), []).append(src)
@@ -217,34 +183,21 @@ class HeteroGraph:
         triples = {(self._nodes[src].type, etype, self._nodes[dst].type)
                    for src, dst, etype in self._edges}
         triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
-        self._schema = Schema(frozenset(triples))
+        self.schema = Schema(frozenset(triples))
         self._sorted_ids = sorted(self._nodes)
-        self._id_array = _read_only(np.array(self._sorted_ids, dtype=np.int64))
+        # node_ids as a read-only int64 array: the row of each id is its index
+        self.id_array = _read_only(np.array(self._sorted_ids, dtype=np.int64))
         by_type: dict[str, list[int]] = {}
         for nid in self._sorted_ids:
             by_type.setdefault(self._nodes[nid].type, []).append(nid)
         self._ids_by_type = {t: _read_only(np.array(ids, dtype=np.int64))
                              for t, ids in by_type.items()}
-        self._frozen = True
-        return self
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    @property
-    def schema(self) -> Schema:
-        if self._schema is None:
-            raise GraphError("schema available only on a frozen graph")
-        return self._schema
-
-    @property
     def node_ids(self) -> list[int]:
-        if self._frozen:
-            return list(self._sorted_ids)
-        return sorted(self._nodes)
+        return list(self._sorted_ids)
 
     @property
     def node_types(self) -> set[str]:
@@ -270,18 +223,9 @@ class HeteroGraph:
         except KeyError:
             raise GraphError(f"unknown node {nid}") from None
 
-    @property
-    def id_array(self) -> np.ndarray:
-        """node_ids of a frozen graph as a read-only int64 array."""
-        if not self._frozen:
-            raise GraphError("id_array available only on a frozen graph")
-        return self._id_array
-
     def ids_of_type(self, ntype: str) -> np.ndarray:
-        """nodes_of_type of a frozen graph as a read-only int64 array, ascending;
-        empty for a type the graph lacks."""
-        if not self._frozen:
-            raise GraphError("ids_of_type available only on a frozen graph")
+        """nodes_of_type as a read-only int64 array, ascending; empty for a
+        type the graph lacks."""
         return self._ids_by_type.get(ntype, _NO_IDS)
 
     def rows(self, ids) -> np.ndarray:
@@ -289,12 +233,10 @@ class HeteroGraph:
 
         The one id-to-row map: encoders, rankers and samplers index node
         arrays through it."""
-        if not self._frozen:
-            raise GraphError("rows available only on a frozen graph")
         ids = np.asarray(ids, dtype=np.int64)
-        rows = np.searchsorted(self._id_array, ids)
-        found = rows < len(self._id_array)
-        found[found] = self._id_array[rows[found]] == ids[found]
+        rows = np.searchsorted(self.id_array, ids)
+        found = rows < len(self.id_array)
+        found[found] = self.id_array[rows[found]] == ids[found]
         if not found.all():
             raise GraphError(f"unknown node {ids[~found][0]}")
         return rows
@@ -303,38 +245,31 @@ class HeteroGraph:
         """rows(ids) as an index into node arrays: a slice, so indexing gives
         a view, when `ids` is a run of node_ids, else the rows(ids) array."""
         if len(ids):
-            lo, hi = np.searchsorted(self._id_array, (ids[0], ids[-1]))
-            if hi - lo + 1 == len(ids) and np.array_equal(self._id_array[lo:hi + 1], ids):
+            lo, hi = np.searchsorted(self.id_array, (ids[0], ids[-1]))
+            if hi - lo + 1 == len(ids) and np.array_equal(self.id_array[lo:hi + 1], ids):
                 return slice(int(lo), int(hi) + 1)
         return self.rows(ids)
 
     def nodes(self) -> list[Node]:
-        return [self._nodes[i] for i in self.node_ids]
+        return [self._nodes[i] for i in self._sorted_ids]
 
     def nodes_of_type(self, ntype: str) -> list[int]:
-        if self._frozen:
-            return self.ids_of_type(ntype).tolist()
-        return [i for i in self.node_ids if self._nodes[i].type == ntype]
+        return self.ids_of_type(ntype).tolist()
 
     # -- neighborhoods -----------------------------------------------------
 
-    def _check_frozen_node(self, v: int) -> None:
-        if not self._frozen:
-            raise GraphError("graph must be frozen")
-        self.node(v)
-
     def out_neighbors(self, v: int, r: str) -> list[int]:
-        self._check_frozen_node(v)
+        self.node(v)
         return list(self._out.get((v, r), ()))
 
     def neighbors_by_relation(self, v: int, r: str) -> set[int]:
         """N_v^r: nodes incident to v through an edge of relation r."""
-        self._check_frozen_node(v)
+        self.node(v)
         return set(self._out.get((v, r), ())) | set(self._in.get((v, r), ()))
 
     def neighbors(self, v: int) -> set[int]:
         """Nodes incident to v through an edge of any relation."""
-        self._check_frozen_node(v)
+        self.node(v)
         out: set[int] = set()
         for r in self._edge_types:
             out.update(self._out.get((v, r), ()), self._in.get((v, r), ()))
@@ -365,8 +300,6 @@ class HeteroGraph:
         are allowed unless simple=True.  Deterministic: lexicographic by
         node-id sequence.
         """
-        if not self._frozen:
-            raise GraphError("graph must be frozen")
         try:
             path.validate(self.schema)
         except GraphError:
@@ -418,11 +351,8 @@ class InvertedIndex:
         self._entries = {k: frozenset(v) for k, v in entries.items()}
         self._max_key_tokens = max((len(k.split()) for k in self._entries), default=0)
 
-    def lookup(self, surface: str) -> set[int]:
-        key = normalize(surface)
-        if not key:
-            return set()
-        return set(self._entries.get(key, ()))
+    def lookup(self, surface: str) -> frozenset[int]:
+        return self._entries.get(normalize(surface), frozenset())
 
     def max_key_tokens(self) -> int:
         return self._max_key_tokens
@@ -433,8 +363,6 @@ def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) 
 
     Pass acronym_rule=None to index long forms only.
     """
-    if not graph.frozen:
-        raise GraphError("index requires a frozen graph")
     entries: dict[str, set[int]] = {}
 
     def put(tokens, nid):
@@ -500,10 +428,7 @@ def load_edges_tsv(path) -> list[Edge]:
 
 
 def load_graph(nodes_path, edges_path) -> HeteroGraph:
-    g = HeteroGraph()
-    g._add_nodes(load_nodes_tsv(nodes_path))
-    g._add_edges(load_edges_tsv(edges_path))
-    return g.freeze()
+    return HeteroGraph(load_nodes_tsv(nodes_path), load_edges_tsv(edges_path))
 
 
 def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig, EncoderError
-from .hetgraph import HeteroGraph, InvertedIndex, read_settings
+from .hetgraph import Edge, HeteroGraph, InvertedIndex, read_settings
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, UniformSampler
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
@@ -177,22 +177,21 @@ class QueryBatch:
 
 
 def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
-    union = HeteroGraph()
-    feats = []
+    """The disjoint union of the items' query graphs, in item order.  A query
+    graph's node ids are its rows 0..n-1, so each item's nodes and edges are
+    its own shifted by the node count of the items before it."""
+    nodes: list[tuple] = []
+    edges: list[Edge] = []
     mention_ids = []
     for item in items:
+        offset = len(nodes)
         g = item.qgraph.graph
-        remap = {}
-        for node in g.nodes():
-            remap[node.id] = union.add_node(node.type, node.name)
-        for e in g.edges:
-            union.add_edge(remap[e.src], remap[e.dst], e.type)
-        feats.append(item.features)
-        mention_ids.append(remap[item.mention_node])
-    union.freeze()
-    features = (np.concatenate(feats, axis=0) if feats
+        nodes += [(offset + n.id, n.type, n.name, (), None) for n in g.nodes()]
+        edges += [Edge(offset + src, offset + dst, etype) for src, dst, etype in g.edges]
+        mention_ids.append(offset + item.mention_node)
+    features = (np.concatenate([item.features for item in items], axis=0) if items
                 else np.zeros((0, feature_dim)))
-    return QueryBatch(union, features, mention_ids)
+    return QueryBatch(HeteroGraph(nodes, edges), features, mention_ids)
 
 
 def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
@@ -261,7 +260,7 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
     """The KB encoded in eval mode with unit-norm rows, in kb.node_ids order.
 
     The result is memoised on the model and reused while the encoder, the
-    frozen `kb` object and the read-only `kb_features` array are the same
+    `kb` graph object and the read-only `kb_features` array are the same
     ones and the encoder's parameters are equal by value to those it was
     computed with; a writeable `kb_features` array is encoded on every call."""
     params = model.encoder.parameters()

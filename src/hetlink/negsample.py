@@ -115,8 +115,6 @@ class HardNegativeSampler:
     `embeddings` has one row per KB node, in kb.node_ids order."""
 
     def __init__(self, kb: HeteroGraph, embeddings: np.ndarray):
-        if not kb.frozen:
-            raise NegSampleError("KB must be frozen")
         self.kb = kb
         self.embeddings = embeddings
         self._ranked: dict[int, list[NegativeCandidate]] = {}

@@ -9,13 +9,13 @@ are connected through schema-compatible edge types.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph,
-                       InvertedIndex)
-from .termembed import FrequencyTable, WordVectorStore, term_embedding
+                       InvertedIndex, tokenize)
+from .termembed import FrequencyTable, WordVectorStore, init_node_features
 
 
 class QueryGraphError(Exception):
@@ -35,6 +35,8 @@ class Mention:
             raise QueryGraphError(f"mention span out of bounds: {self}")
         if text[self.start_offset:self.end_offset] != self.surface:
             raise QueryGraphError(f"mention surface does not equal its span: {self}")
+        if not tokenize(self.surface):
+            raise QueryGraphError(f"mention surface has no word character: {self}")
 
 
 def _json_value(obj, key: str, kind):
@@ -157,7 +159,7 @@ def match_mentions(mentions, index: InvertedIndex, graph: HeteroGraph):
         candidates = index.lookup(m.surface)
         if candidates:
             types = tuple(sorted({graph.node(c).type for c in candidates}))
-            matched.append((m, frozenset(candidates), types))
+            matched.append((m, candidates, types))
         else:
             unknown.append(m)
     return matched, unknown
@@ -168,10 +170,10 @@ def match_mentions(mentions, index: InvertedIndex, graph: HeteroGraph):
 @dataclass
 class QueryGraph:
     graph: HeteroGraph
-    mentions: dict[int, Mention] = field(default_factory=dict)        # node id -> mention
-    matches: dict[int, frozenset[int]] = field(default_factory=dict)  # node id -> KB ids
-    inferred_types: dict[int, tuple[str, ...]] = field(default_factory=dict)
-    unknown_nodes: tuple[int, ...] = ()
+    mentions: dict[int, Mention]                # node id -> mention
+    matches: dict[int, frozenset[int]]          # node id -> KB ids
+    inferred_types: dict[int, tuple[str, ...]]
+    unknown_nodes: tuple[int, ...]
 
     def node_for_mention(self, surface: str) -> int:
         for nid, m in self.mentions.items():
@@ -180,10 +182,9 @@ class QueryGraph:
         raise QueryGraphError(f"no mention node for {surface!r}")
 
     def features(self, store: WordVectorStore, freqs: FrequencyTable) -> np.ndarray:
-        """Surface-string term embeddings, so lexical variants stay distinct."""
-        rows = [term_embedding(self.mentions[nid].surface, store, freqs)
-                for nid in self.graph.node_ids]
-        return np.stack(rows) if rows else np.zeros((0, store.dim))
+        """init_node_features of the graph, whose node names are the mention
+        surfaces, so lexical variants stay distinct."""
+        return init_node_features(self.graph, store, freqs)
 
 
 def _unknown_types(mention: Mention, kb: HeteroGraph, matched_types: set[str]) -> tuple[str, ...]:
@@ -199,47 +200,47 @@ def _unknown_types(mention: Mention, kb: HeteroGraph, matched_types: set[str]) -
     return tuple(sorted(out))
 
 
-def _mention_graph(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet,
-                   extractor) -> QueryGraph:
-    """Unfrozen query graph with one typed node per mention and no edges:
-    matched mentions first, then unknown ones with schema-inferred types."""
+def _mention_nodes(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet, extractor):
+    """The mentions, KB candidates and inferred types of the query-graph
+    nodes, three lists indexed by node id: matched mentions first, then
+    unknown ones, which have no candidates and schema-inferred types."""
     mentions = extract_mentions(snippet, extractor)
     matched, unknown = match_mentions(mentions, index, kb)
     matched_types = {t for _, _, types in matched for t in types}
     nodes = matched + [
         (m, frozenset(), _unknown_types(m, kb, matched_types) or tuple(sorted(kb.node_types)))
         for m in unknown]
-    qg = QueryGraph(HeteroGraph())
-    for mention, candidates, types in nodes:
-        nid = qg.graph.add_node(types[0], mention.surface or "?")
-        qg.mentions[nid] = mention
-        qg.matches[nid] = candidates
-        qg.inferred_types[nid] = types
-    qg.unknown_nodes = tuple(qg.mentions)[len(matched):]
-    return qg
+    return [m for m, _, _ in nodes], [c for _, c, _ in nodes], [t for _, _, t in nodes]
+
+
+def _query_graph(mentions, cands, types, edges) -> QueryGraph:
+    """The query graph of _mention_nodes' lists, each node typed by its first
+    inferred type, with `edges` and then a self-loop on every node."""
+    ids = range(len(mentions))
+    graph = HeteroGraph([(nid, types[nid][0], mentions[nid].surface, (), None) for nid in ids],
+                        [*edges, *((nid, nid, SELF_EDGE_TYPE) for nid in ids)])
+    return QueryGraph(graph, dict(zip(ids, mentions)), dict(zip(ids, cands)),
+                      dict(zip(ids, types)), tuple(nid for nid in ids if not cands[nid]))
 
 
 def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
                         snippet: TextSnippet, extractor) -> QueryGraph:
     """Query graph with KB-derived typed edges and self-loops everywhere."""
-    if not kb.frozen:
-        raise QueryGraphError("KB must be frozen")
-    qg = _mention_graph(kb, index, snippet, extractor)
-    g = qg.graph
-    ids = sorted(qg.mentions)
-    matched = [nid for nid in ids if qg.matches[nid]]
+    mentions, cands, types = _mention_nodes(kb, index, snippet, extractor)
+    ids = range(len(mentions))
+    matched = [nid for nid in ids if cands[nid]]
 
     # KB-edge transfer between matched pairs (any candidate pair connected),
     # walking each candidate's out-edges.  An edge that joins the pair both
     # ways (its ends in both candidate sets) is transferred as u_q -> v_q only.
     relations = kb.edge_types - {SELF_EDGE_TYPE}
-    out_edges = {nid: [(src, dst, r) for src in qg.matches[nid] for r in relations
+    out_edges = {nid: [(src, dst, r) for src in cands[nid] for r in relations
                        for dst in kb.out_neighbors(src, r)]
                  for nid in matched}
     added: set[tuple[int, int, str]] = set()
     for i, u_q in enumerate(matched):
         for v_q in matched[i + 1:]:
-            u_cands, v_cands = qg.matches[u_q], qg.matches[v_q]
+            u_cands, v_cands = cands[u_q], cands[v_q]
             for src, dst, r in out_edges[u_q]:
                 if dst in v_cands:
                     added.add((u_q, v_q, r))
@@ -250,37 +251,25 @@ def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
     # Unknown mentions: connect to every other mention through schema-
     # compatible edge types.  The wiring of a pair is symmetric, so an
     # unknown-unknown pair yields the same edges from either end.
-    for nid in qg.unknown_nodes:
+    for nid in ids[len(matched):]:
         for v_q in ids:
             if v_q == nid:
                 continue
-            for t_u in qg.inferred_types[nid]:
-                for t_v in qg.inferred_types[v_q]:
+            for t_u in types[nid]:
+                for t_v in types[v_q]:
                     for (src, etype, dst) in kb.schema.connecting(t_u, t_v):
                         if src == t_v and dst == t_u:
                             added.add((v_q, nid, etype))
                         if src == t_u and dst == t_v:
                             added.add((nid, v_q, etype))
-
-    for src, dst, etype in sorted(added):
-        g.add_edge(src, dst, etype)
-    for nid in ids:
-        g.add_edge(nid, nid, SELF_EDGE_TYPE)
-    g.freeze()
-    return qg
+    return _query_graph(mentions, cands, types, sorted(added))
 
 
 def fully_connected_query_graph(kb: HeteroGraph, index: InvertedIndex,
                                 snippet: TextSnippet, extractor) -> QueryGraph:
     """Untyped baseline: every mention pair connected by a generic edge."""
-    qg = _mention_graph(kb, index, snippet, extractor)
-    g = qg.graph
-    ids = sorted(qg.mentions)
-    for i, u in enumerate(ids):
-        for v in ids[i + 1:]:
-            g.add_edge(u, v, RELATED_EDGE_TYPE)
-            g.add_edge(v, u, RELATED_EDGE_TYPE)
-    for nid in ids:
-        g.add_edge(nid, nid, SELF_EDGE_TYPE)
-    g.freeze()
-    return qg
+    mentions, cands, types = _mention_nodes(kb, index, snippet, extractor)
+    n = len(mentions)
+    edges = [edge for u in range(n) for v in range(u + 1, n)
+             for edge in ((u, v, RELATED_EDGE_TYPE), (v, u, RELATED_EDGE_TYPE))]
+    return _query_graph(mentions, cands, types, edges)

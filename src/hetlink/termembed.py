@@ -177,8 +177,6 @@ def init_node_features(graph: HeteroGraph, store: WordVectorStore,
     as one batched product over the vectors and SIF weights of the tokens
     the names use.  The array is read-only, so encodings computed from it
     can be reused."""
-    if not graph.frozen:
-        raise TermEmbedError("graph must be frozen")
     nodes = graph.nodes()
     out = np.zeros((len(nodes), store.dim))
     vocab: dict[str, int] = {}

@@ -17,32 +17,29 @@ def toy_kb():
     Aspirin causes nausea which indicates renal findings, and the ambiguous
     "ARF" surface resolves between the two acute-failure findings.
     """
-    g = HeteroGraph()
-    ids = {}
-    for name, ntype, syns in [
-        ("Aspirin", "Drug", ()),
-        ("Metformin", "Drug", ()),
-        ("nausea", "AdverseEffect", ()),
-        ("Diarrhea", "AdverseEffect", ()),
-        ("headache", "Symptom", ()),
-        ("acute renal failure", "Finding", ()),
-        ("acute respiratory failure", "Finding", ()),
-        ("nephrotoxicity", "Finding", ()),
-        ("proteinuria", "Finding", ()),
-        ("Fever", "Finding", ()),
-    ]:
-        ids[name] = g.add_node(ntype, name, synonyms=syns)
-    for src, dst, etype in [
-        ("Aspirin", "headache", "TREAT"),
-        ("Aspirin", "nausea", "CAUSE"),
-        ("Metformin", "Diarrhea", "CAUSE"),
-        ("Diarrhea", "Fever", "INDICATE"),
-        ("nausea", "acute renal failure", "INDICATE"),
-        ("nausea", "nephrotoxicity", "INDICATE"),
-        ("nausea", "proteinuria", "INDICATE"),
-    ]:
-        g.add_edge(ids[src], ids[dst], etype)
-    g.freeze()
+    names = [
+        ("Aspirin", "Drug"),
+        ("Metformin", "Drug"),
+        ("nausea", "AdverseEffect"),
+        ("Diarrhea", "AdverseEffect"),
+        ("headache", "Symptom"),
+        ("acute renal failure", "Finding"),
+        ("acute respiratory failure", "Finding"),
+        ("nephrotoxicity", "Finding"),
+        ("proteinuria", "Finding"),
+        ("Fever", "Finding"),
+    ]
+    ids = {name: nid for nid, (name, _) in enumerate(names)}
+    g = HeteroGraph([(nid, ntype, name, (), None) for nid, (name, ntype) in enumerate(names)],
+                    [(ids[src], ids[dst], etype) for src, dst, etype in [
+                        ("Aspirin", "headache", "TREAT"),
+                        ("Aspirin", "nausea", "CAUSE"),
+                        ("Metformin", "Diarrhea", "CAUSE"),
+                        ("Diarrhea", "Fever", "INDICATE"),
+                        ("nausea", "acute renal failure", "INDICATE"),
+                        ("nausea", "nephrotoxicity", "INDICATE"),
+                        ("nausea", "proteinuria", "INDICATE"),
+                    ]])
     g.ids = ids
     return g
 
@@ -136,13 +133,13 @@ def break_manifest(model_dir, how) -> str:
 
 def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
                         edge_prob=0.15, max_degree=None):
-    """Random typed graph for property tests; returns a frozen HeteroGraph."""
-    g = HeteroGraph()
+    """Random typed graph for property tests."""
     types = [f"T{i}" for i in range(n_types)]
-    for i in range(n_nodes):
-        g.add_node(types[int(rng.integers(n_types))], f"node {i}")
+    nodes = [(i, types[int(rng.integers(n_types))], f"node {i}", (), None)
+             for i in range(n_nodes)]
     etypes = [f"R{i}" for i in range(n_edge_types)]
     degree = {i: 0 for i in range(n_nodes)}
+    edges = []
     for u in range(n_nodes):
         for v in range(n_nodes):
             if u == v or rng.random() >= edge_prob:
@@ -150,8 +147,7 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
             if max_degree is not None and (degree[u] >= max_degree
                                            or degree[v] >= max_degree):
                 continue
-            g.add_edge(u, v, etypes[int(rng.integers(n_edge_types))])
+            edges.append((u, v, etypes[int(rng.integers(n_edge_types))]))
             degree[u] += 1
             degree[v] += 1
-    g.freeze()
-    return g
+    return HeteroGraph(nodes, edges)

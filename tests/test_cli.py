@@ -468,6 +468,8 @@ SNIPPET_ERRORS = {
     "link_id=C426": "snippet 3: key 'link_id' is not an integer: 'C426'",
     "Text=5": "snippet 3: key 'Text' has the wrong type (int)",
     "Mentions=x": "snippet 3: key 'Mentions' has the wrong type (str)",
+    "mention=--": "snippet 3: mention surface has no word character: Mention(surface='--', "
+                  "start_offset=2, end_offset=4, category=None, link_id=None)",
 }
 
 
@@ -489,10 +491,24 @@ def test_snippet_missing_a_key_names_it_and_its_index(workdir, tmp_path, capsys,
         mention["link_id"] = "C426"
     elif key == "Text=5":
         bad["Text"] = 5
+    elif key == "mention=--":
+        bad["Text"], bad["Mentions"] = "x --", [{"mention": "--", "start_offset": 2,
+                                                 "end_offset": 4}]
     else:
         bad["Mentions"] = "x"
     assert _run_on_rows(workdir, tmp_path, "eval", rows) == 1
     assert capsys.readouterr().err == f"error: {SNIPPET_ERRORS[key]}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_gold_link_id_outside_the_kb_is_rejected(workdir, tmp_path, capsys, command):
+    rows = _snippet_rows(workdir)
+    for mention in rows[3]["Mentions"]:
+        mention["link_id"] = 99999
+    assert _run_on_rows(workdir, tmp_path, command, rows) == 1
+    assert capsys.readouterr().err == (f"error: snippet {rows[3]['id']}: link_id 99999 "
+                                       f"is not a node of the bundle's KB\n")
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize("how", ["missing", "misshapen", "nan", "inf"])

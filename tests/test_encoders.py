@@ -199,13 +199,9 @@ def test_magnn_attention_weights_are_distributions(graph_seed):
 
 def _permuted_copy(graph, perm):
     """Rebuild `graph` with node id v renamed to perm[v]."""
-    g = HeteroGraph()
-    for n in graph.nodes():
-        g.add_node(n.type, n.name, synonyms=n.synonyms, node_id=int(perm[n.id]))
-    for e in graph.edges:
-        g.add_edge(int(perm[e.src]), int(perm[e.dst]), e.type)
-    g.freeze()
-    return g
+    return HeteroGraph(
+        [(int(perm[n.id]), n.type, n.name, n.synonyms, None) for n in graph.nodes()],
+        [(int(perm[e.src]), int(perm[e.dst]), e.type) for e in graph.edges])
 
 
 @pytest.mark.parametrize("kind", ["graphsage", "rgcn", "magnn"])
@@ -335,21 +331,15 @@ def test_relation_adjacency_matches_per_node_oracle_on_synthetic_kb_and_queries(
 # interface contracts
 
 
-def test_encode_rejects_unfrozen_graph_and_bad_shapes(toy_kb):
+def test_encode_rejects_bad_shapes(toy_kb):
     enc = make_encoder("graphsage", toy_kb, 8)
     with pytest.raises(EncoderError, match="shape"):
         enc.encode(toy_kb, np.zeros((len(toy_kb), 9)))
-    g = HeteroGraph()
-    g.add_node("a", "Drug", "Aspirin")
-    with pytest.raises(EncoderError, match="frozen"):
-        enc.encode(g, np.zeros((1, 8)))
 
 
 def test_encode_rejects_unregistered_node_type(toy_kb):
     enc = make_encoder("graphsage", toy_kb, 8)
-    g = HeteroGraph()
-    g.add_node("x", "Gene", "BRCA1")
-    g.freeze()
+    g = HeteroGraph([(0, "Gene", "BRCA1", (), None)], [])
     with pytest.raises(EncoderError, match="unregistered"):
         enc.encode(g, np.zeros((1, 8)))
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetlink.cli import main, write_bundle
-from hetlink.hetgraph import (GraphError, HeteroGraph, InvertedIndex, Metapath,
-                              SELF_EDGE_TYPE, build_inverted_index,
+from hetlink.hetgraph import (Edge, GraphError, HeteroGraph, InvertedIndex, Metapath,
+                              Node, SELF_EDGE_TYPE, build_inverted_index,
                               default_acronym_rule, load_edges_tsv, load_graph,
                               load_nodes_tsv, normalize, save_graph, tokenize)
 from hetlink.termembed import FrequencyTable, random_word_vectors
@@ -21,56 +21,54 @@ def test_normalize_casefolds_and_strips_punctuation():
     assert tokenize("Aspirin, 100mg") == ["aspirin", "100mg"]
 
 
-def test_add_node_assigns_dense_ids():
-    g = HeteroGraph()
-    assert g.add_node("Drug", "a") == 0
-    assert g.add_node("Drug", "b") == 1
-    assert g.node(1).surface == "b"
+def _graph(nodes, edges=()):
+    """A graph of (id, type, name) nodes without synonyms or features."""
+    return HeteroGraph([(nid, ntype, name, (), None) for nid, ntype, name in nodes], edges)
 
 
 def test_edge_requires_known_endpoints():
-    g = HeteroGraph()
-    g.add_node("Drug", "a")
     with pytest.raises(GraphError):
-        g.add_edge(0, 5, "TREAT")
+        _graph([(0, "Drug", "a")], [(0, 5, "TREAT")])
 
 
-def test_freeze_adds_self_loop_schema_and_is_idempotent(toy_kb):
-    assert toy_kb.frozen
-    assert ("Drug", SELF_EDGE_TYPE, "Drug") in toy_kb.schema.triples
-    before = len(toy_kb.edges)
-    toy_kb.freeze()
-    assert len(toy_kb.edges) == before
+@pytest.mark.parametrize("nodes, edges, error", [
+    ([(0, "", "a")], [], "empty node type"),
+    ([(0, "Drug", "--")], [], "node name must have at least one token"),
+    ([(0, "Drug", ())], [], "node name must have at least one token"),
+    ([(3, "Drug", "a"), (3, "Finding", "b")], [], "duplicate node id 3"),
+    ([(0, "Drug", "a")], [(0, 1, "CAUSE")], "edge (0, 1, CAUSE) references unknown node"),
+    ([(0, "Drug", "a")], [(0, 0, "")], "empty edge type"),
+    ([(0, "Drug", "a")], [(0, 0, "R"), (0, 0, "R")], "duplicate edge (0, 0, 'R')"),
+])
+def test_constructor_raises_the_node_and_edge_rule_texts(nodes, edges, error):
+    with pytest.raises(GraphError) as exc:
+        _graph(nodes, edges)
+    assert str(exc.value) == error
 
 
-def test_mutation_after_freeze_fails(toy_kb):
-    with pytest.raises(GraphError):
-        toy_kb.add_node("Drug", "late")
+def test_constructor_keeps_rows_and_edges_in_the_order_given():
+    g = HeteroGraph([(5, "Drug", "Acute  Failure", ["kidney-failure"], [1, 2]),
+                     (1, "Finding", ("x", "y"), (), None)],
+                    [(5, 1, "CAUSE"), (1, 5, "ASSOC"), (5, 5, "SELF")])
+    assert g.node_ids == [1, 5]
+    assert g.node(5) == Node(5, "Drug", ("acute", "failure"), (("kidney", "failure"),),
+                             (1.0, 2.0))
+    assert g.node(1).name == ("x", "y")
+    assert g.edges == [(5, 1, "CAUSE"), (1, 5, "ASSOC"), (5, 5, "SELF")]
+    assert all(type(e) is Edge for e in g.edges)
 
 
-def test_neighborhoods_need_a_frozen_graph():
-    g = HeteroGraph()
-    a, b = g.add_node("Drug", "a"), g.add_node("AdverseEffect", "b")
-    g.add_edge(a, b, "CAUSE")
-    for query in (lambda: g.out_neighbors(a, "CAUSE"),
-                  lambda: g.neighbors_by_relation(a, "CAUSE")):
-        with pytest.raises(GraphError, match="frozen"):
-            query()
-    g.freeze()
-    assert g.out_neighbors(a, "CAUSE") == [b]
+def test_schema_has_a_self_loop_triple_per_node_type(toy_kb):
+    assert {t for t in toy_kb.schema.triples if t[1] == SELF_EDGE_TYPE} == \
+        {(t, SELF_EDGE_TYPE, t) for t in toy_kb.node_types}
+    assert all(e.type != SELF_EDGE_TYPE for e in toy_kb.edges)
 
 
-def test_neighbors_rejects_an_unfrozen_graph_and_an_unknown_id():
-    g = HeteroGraph()
-    a, b = g.add_node("Drug", "a"), g.add_node("AdverseEffect", "b")
-    g.add_edge(a, b, "CAUSE")
-    with pytest.raises(GraphError, match="frozen"):
-        g.neighbors(a)
-    g.freeze()
-    assert g.neighbors(a) == {b}
-    lone = HeteroGraph()
-    lone.add_node("Drug", "c")
-    lone.freeze()
+def test_neighbors_rejects_an_unknown_id():
+    g = _graph([(0, "Drug", "a"), (1, "AdverseEffect", "b")], [(0, 1, "CAUSE")])
+    assert g.neighbors(0) == {1}
+    assert g.out_neighbors(0, "CAUSE") == [1]
+    lone = _graph([(0, "Drug", "c")])
     assert lone.neighbors(0) == set()
     with pytest.raises(GraphError, match="unknown node 999"):
         lone.neighbors(999)
@@ -167,9 +165,7 @@ def test_metapath_neighbors_excludes_anchor(toy_kb, daf_metapath):
 
 
 def test_inverted_index_covers_names_synonyms_acronyms():
-    g = HeteroGraph()
-    g.add_node("Finding", "acute renal failure", synonyms=("kidney failure",))
-    g.freeze()
+    g = HeteroGraph([(0, "Finding", "acute renal failure", ("kidney failure",), None)], [])
     idx = build_inverted_index(g)
     assert idx.lookup("Acute Renal Failure") == {0}
     assert idx.lookup("kidney failure") == {0}
@@ -183,10 +179,7 @@ def test_acronym_rule_needs_two_tokens():
 
 
 def test_index_merges_colliding_keys():
-    g = HeteroGraph()
-    g.add_node("Finding", "acute renal failure")
-    g.add_node("Finding", "acute respiratory failure")
-    g.freeze()
+    g = _graph([(0, "Finding", "acute renal failure"), (1, "Finding", "acute respiratory failure")])
     idx = build_inverted_index(g)
     assert idx.lookup("ARF") == {0, 1}
 
@@ -216,22 +209,19 @@ TOKENS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
 
 @st.composite
 def valid_graphs(draw):
-    """A frozen graph with sparse ids, multi-token names, synonyms, preset
-    features on some nodes and typed edges, self-loops included."""
+    """A graph with sparse ids, multi-token names, synonyms, preset features
+    on some nodes and typed edges, self-loops included."""
     ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=10, unique=True))
-    g = HeteroGraph()
-    for nid in ids:
-        g.add_node(draw(st.sampled_from(["Drug", "Finding", "Symptom"])),
-                   draw(st.lists(TOKENS, min_size=1, max_size=3)),
-                   synonyms=draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2), max_size=2)),
-                   features=draw(st.none() | st.lists(
-                       st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)),
-                   node_id=nid)
-    for edge in draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
-                                        st.sampled_from(["TREAT", "CAUSE", "ASSOC"])),
-                              unique=True, max_size=25)):
-        g.add_edge(*edge)
-    return g.freeze()
+    nodes = [(nid, draw(st.sampled_from(["Drug", "Finding", "Symptom"])),
+              draw(st.lists(TOKENS, min_size=1, max_size=3)),
+              draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2), max_size=2)),
+              draw(st.none() | st.lists(
+                  st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)))
+             for nid in ids]
+    return HeteroGraph(nodes, draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                  st.sampled_from(["TREAT", "CAUSE", "ASSOC"])),
+        unique=True, max_size=25)))
 
 
 def _saved(graph, tmp):
@@ -295,16 +285,14 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
         assert not os.path.exists(os.path.join(tmp, "model"))
 
 
-def test_add_edge_and_load_graph_share_the_edge_rules(tmp_path):
-    g = HeteroGraph()
-    g.add_node("Drug", "a")
-    g.add_node("Finding", "b")
-    g.add_edge(0, 1, "CAUSE")
+def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):
+    nodes = [(0, "Drug", "a"), (1, "Finding", "b")]
+    g = _graph(nodes, [(0, 1, "CAUSE")])
     for edge, error in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node"),
                         ((0, 1, ""), "empty edge type"),
                         ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')")]:
         with pytest.raises(GraphError) as exc:
-            g.add_edge(*edge)
+            _graph(nodes, [*g.edges, edge])
         assert str(exc.value) == error
         nodes_path, edges_path = _saved(g, tmp_path)
         with open(edges_path, "a", encoding="utf-8") as fh:
@@ -312,7 +300,6 @@ def test_add_edge_and_load_graph_share_the_edge_rules(tmp_path):
         with pytest.raises(GraphError) as exc:
             load_graph(nodes_path, edges_path)
         assert str(exc.value) == error
-    assert g.edges == [(0, 1, "CAUSE")]
 
 
 @settings(max_examples=25, deadline=None)
@@ -336,26 +323,11 @@ def test_metapath_instances_deterministic_and_typed(seed):
 
 
 def test_frozen_id_accessors_match_uncached_and_return_copies():
-    added = [(7, "Drug"), (2, "Finding"), (11, "Drug"), (0, "Symptom"), (5, "Finding")]
-    g = HeteroGraph()
-    for nid, ntype in added:
-        g.add_node(ntype, f"node {nid}", node_id=nid)
-
-    def expected():
-        by_type = {t: sorted(n for n, nt in added if nt == t) for _, t in added}
-        return sorted(n for n, _ in added), by_type
-
-    # an unfrozen graph sees nodes added after an earlier call
-    ids, by_type = expected()
-    assert g.node_ids == ids
-    assert g.nodes_of_type("Drug") == by_type["Drug"]
-    added.append((3, "Drug"))
-    g.add_node("Drug", "node 3", node_id=3)
-    ids, by_type = expected()
-    assert g.node_ids == ids
-    assert g.nodes_of_type("Drug") == by_type["Drug"]
-
-    g.freeze()
+    added = [(7, "Drug"), (2, "Finding"), (11, "Drug"), (0, "Symptom"), (5, "Finding"),
+             (3, "Drug")]
+    g = _graph([(nid, ntype, f"node {nid}") for nid, ntype in added])
+    ids = sorted(n for n, _ in added)
+    by_type = {t: sorted(n for n, nt in added if nt == t) for _, t in added}
     assert g.node_ids == ids
     assert g.node_ids.index(11) == len(ids) - 1
     for t, members in by_type.items():
@@ -375,14 +347,8 @@ def test_frozen_id_accessors_match_uncached_and_return_copies():
 
 
 def test_frozen_id_arrays_are_read_only_int64_copies_of_the_lists():
-    g = HeteroGraph()
-    for nid, ntype in [(7, "Drug"), (2, "Finding"), (11, "Drug"), (0, "Symptom")]:
-        g.add_node(ntype, f"node {nid}", node_id=nid)
-    with pytest.raises(GraphError):
-        g.id_array
-    with pytest.raises(GraphError):
-        g.ids_of_type("Drug")
-    g.freeze()
+    g = _graph([(nid, ntype, f"node {nid}")
+                for nid, ntype in [(7, "Drug"), (2, "Finding"), (11, "Drug"), (0, "Symptom")]])
     arrays = {None: g.id_array, "NoSuchType": g.ids_of_type("NoSuchType")}
     arrays.update({t: g.ids_of_type(t) for t in g.node_types})
     for t, a in arrays.items():
@@ -392,17 +358,12 @@ def test_frozen_id_arrays_are_read_only_int64_copies_of_the_lists():
             a[...] = 0
     assert g.ids_of_type("Drug").tolist() == [7, 11]
     assert g.ids_of_type("NoSuchType").shape == (0,)
-    assert HeteroGraph().freeze().id_array.shape == (0,)
+    assert HeteroGraph([], []).id_array.shape == (0,)
 
 
 def test_rows_follow_node_ids_order_on_sparse_ids():
-    # ids as an ingested TSV may carry them: gaps, added out of order
-    g = HeteroGraph()
-    for nid in (40, 7, 123, 0, 9):
-        g.add_node("Drug", f"node {nid}", node_id=nid)
-    with pytest.raises(GraphError):
-        g.rows([7])
-    g.freeze()
+    # ids as an ingested TSV may carry them: gaps, listed out of order
+    g = _graph([(nid, "Drug", f"node {nid}") for nid in (40, 7, 123, 0, 9)])
     rows = g.rows([123, 0, 9, 9, 40])
     assert rows.dtype == np.int64
     assert rows.tolist() == [g.node_ids.index(n) for n in (123, 0, 9, 9, 40)]
@@ -412,16 +373,12 @@ def test_rows_follow_node_ids_order_on_sparse_ids():
         with pytest.raises(GraphError, match=f"unknown node {unknown}"):
             g.rows([7, unknown])
     with pytest.raises(GraphError):
-        HeteroGraph().freeze().rows([0])
+        HeteroGraph([], []).rows([0])
 
 
 def test_row_selector_is_a_span_slice_or_the_gapped_rows_of_a_frozen_id_array():
-    g = HeteroGraph()
-    for nid, ntype in [(9, "Drug"), (2, "Finding"), (7, "Drug"), (0, "Symptom"), (4, "Drug")]:
-        g.add_node(ntype, f"node {nid}", node_id=nid)
-    with pytest.raises(GraphError):
-        g.row_selector(np.array([7]))
-    g.freeze()
+    g = _graph([(nid, ntype, f"node {nid}") for nid, ntype in
+                [(9, "Drug"), (2, "Finding"), (7, "Drug"), (0, "Symptom"), (4, "Drug")]])
     # rows: 0 Symptom, 2 Finding, 4 Drug, 7 Drug, 9 Drug
     assert g.row_selector(g.id_array) == slice(0, 5)
     assert g.row_selector(g.ids_of_type("Drug")) == slice(2, 5)
@@ -433,10 +390,8 @@ def test_row_selector_is_a_span_slice_or_the_gapped_rows_of_a_frozen_id_array():
     # an equal array that is not the graph's own is a run too
     assert g.row_selector(g.ids_of_type("Drug").copy()) == slice(2, 5)
 
-    g = HeteroGraph()
-    for nid, ntype in enumerate(["Drug", "Finding", "Drug", "Finding", "Finding"]):
-        g.add_node(ntype, f"node {nid}", node_id=nid)
-    g.freeze()
+    g = _graph([(nid, ntype, f"node {nid}") for nid, ntype in
+                enumerate(["Drug", "Finding", "Drug", "Finding", "Finding"])])
     rows = g.row_selector(g.ids_of_type("Finding"))
     assert rows.dtype == np.int64 and rows.flags.writeable
     assert rows.tolist() == [1, 3, 4]

@@ -115,11 +115,19 @@ def test_pair_loss_requires_positives():
 def test_build_query_batch_is_disjoint_union(mini):
     items = mini["train"][:4]
     batch = build_query_batch(items, mini["corpus"].config.feature_dim)
-    assert len(batch.graph) == sum(len(it.qgraph.graph) for it in items)
-    assert batch.features.shape[0] == len(batch.graph)
-    assert len(batch.mention_ids) == 4
-    total_edges = sum(len(it.qgraph.graph.edges) for it in items)
-    assert len(batch.graph.edges) == total_edges
+    # each item's nodes, edges, mention and features in order, shifted by the
+    # nodes of the items before it
+    offset, edges = 0, batch.graph.edges
+    for item, mention in zip(items, batch.mention_ids, strict=True):
+        g = item.qgraph.graph
+        assert [(n.type, n.name) for n in map(batch.graph.node, range(offset, offset + len(g)))] \
+            == [(n.type, n.name) for n in g.nodes()]
+        assert edges[:len(g.edges)] == [(offset + s, offset + d, t) for s, d, t in g.edges]
+        assert mention == offset + item.mention_node
+        np.testing.assert_array_equal(batch.features[offset:offset + len(g)], item.features)
+        offset, edges = offset + len(g), edges[len(g.edges):]
+    assert batch.graph.node_ids == list(range(offset)) and edges == []
+    assert batch.features.shape[0] == offset
 
 
 def test_candidate_ids_respect_declared_category(mini):
@@ -156,11 +164,9 @@ def _candidate_ids_oracle(kb, item):
 
 
 def _sparse_id_kb(rng, n=60, types=("Drug", "AdverseEffect", "Symptom", "Finding")):
-    """Ids with gaps, added out of order, types interleaved across the ids."""
-    kb = HeteroGraph()
-    for nid in rng.permutation(5 * n)[:n].tolist():
-        kb.add_node(types[int(rng.integers(len(types)))], f"node {nid}", node_id=nid)
-    return kb.freeze()
+    """Ids with gaps, listed out of order, types interleaved across the ids."""
+    return HeteroGraph([(nid, types[int(rng.integers(len(types)))], f"node {nid}", (), None)
+                        for nid in rng.permutation(5 * n)[:n].tolist()], [])
 
 
 def test_candidate_ids_match_the_list_oracle_as_read_only_int64():
@@ -364,12 +370,8 @@ def test_rank_candidates_matches_the_list_oracle_on_odd_pools(mini):
 def _interleaved_copy(kb: HeteroGraph, rng) -> HeteroGraph:
     """`kb` with its node ids permuted, so every type's rows are gapped."""
     new_id = dict(zip(kb.node_ids, rng.permutation(len(kb)).tolist()))
-    copy = HeteroGraph()
-    for node in kb.nodes():
-        copy.add_node(node.type, node.name, synonyms=node.synonyms, node_id=new_id[node.id])
-    for e in kb.edges:
-        copy.add_edge(new_id[e.src], new_id[e.dst], e.type)
-    return copy.freeze()
+    return HeteroGraph([(new_id[n.id], n.type, n.name, n.synonyms, None) for n in kb.nodes()],
+                       [(new_id[e.src], new_id[e.dst], e.type) for e in kb.edges])
 
 
 def test_rank_candidates_matches_the_list_oracle_on_interleaved_types(mini):

@@ -155,15 +155,6 @@ def test_mention_category_pins_unknown_type(toy_kb, toy_index):
     assert qg.inferred_types[qg.unknown_nodes[0]] == ("AdverseEffect",)
 
 
-def test_augment_requires_frozen_kb(toy_index):
-    from hetlink.hetgraph import HeteroGraph
-
-    g = HeteroGraph()
-    g.add_node("Drug", "Aspirin")
-    with pytest.raises(QueryGraphError, match="frozen"):
-        augment_query_graph(g, toy_index, TextSnippet("s", "x"), GoldMentionExtractor())
-
-
 def test_query_features_use_surface_strings(toy_kb, toy_index, arf_snippet,
                                             toy_store, toy_freqs):
     qg = augment_query_graph(toy_kb, toy_index, arf_snippet, GoldMentionExtractor())
@@ -264,13 +255,9 @@ def test_kb_edge_walk_matches_scan_on_synthetic_snippets():
 def test_kb_edge_joining_shared_candidates_transfers_one_way():
     # "AB" twice: both mentions hit {alpha beta, alpha bravo}, whose edges
     # join the two candidate sets in both directions at once
-    kb = HeteroGraph()
-    a = kb.add_node("T", "alpha beta")
-    b = kb.add_node("T", "alpha bravo")
-    kb.add_edge(a, b, "R")
-    kb.add_edge(b, a, "Q")
-    kb.add_edge(a, a, "L")
-    kb.freeze()
+    a, b = 0, 1
+    kb = HeteroGraph([(a, "T", "alpha beta", (), None), (b, "T", "alpha bravo", (), None)],
+                     [(a, b, "R"), (b, a, "Q"), (a, a, "L")])
     index = build_inverted_index(kb)
     qg = augment_query_graph(kb, index, TextSnippet("s", "AB then AB"),
                              GazetteerExtractor(index))

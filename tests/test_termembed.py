@@ -159,9 +159,7 @@ def test_init_node_features_orders_rows_by_node_id(toy_kb, toy_store, toy_freqs)
 def test_init_node_features_prefers_preset_features(toy_store, toy_freqs):
     from hetlink.hetgraph import HeteroGraph
 
-    g = HeteroGraph()
-    g.add_node("a", "Drug", "Aspirin", features=np.arange(16, dtype=float))
-    g.freeze()
+    g = HeteroGraph([(0, "Drug", "Aspirin", (), np.arange(16, dtype=float))], [])
     feats = init_node_features(g, toy_store, toy_freqs)
     np.testing.assert_array_equal(feats[0], np.arange(16, dtype=float))
 
@@ -184,23 +182,13 @@ def test_init_node_features_keeps_preset_rows_and_embeds_unseen_tokens(monkeypat
     monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
     store = random_word_vectors(["aspirin", "renal", "failure", "acute"], 8, seed=3)
     freqs = FrequencyTable({"renal": 0.2, "failure": 0.05})
-    g = HeteroGraph()
-    for nid, name, features in [(4, "acute renal failure", None), (9, "aspirin", None),
-                                (2, "zzyzx renal", None), (7, "preset", np.linspace(-1, 1, 8)),
-                                (5, "renal failure", None), (0, "failure", None)]:
-        g.add_node("Finding", name, features=features, node_id=nid)
-    g.freeze()
+    g = HeteroGraph([(nid, "Finding", name, (), features) for nid, name, features in [
+        (4, "acute renal failure", None), (9, "aspirin", None), (2, "zzyzx renal", None),
+        (7, "preset", np.linspace(-1, 1, 8)), (5, "renal failure", None), (0, "failure", None)]],
+        [])
     feats = init_node_features(g, store, freqs)
     assert "zzyzx" not in store and "preset" not in store
     assert np.array_equal(feats, _term_embedding_rows(g, store, freqs))
     assert np.array_equal(feats[g.rows([7])[0]], np.linspace(-1, 1, 8))
     assert not feats.flags.writeable
 
-
-def test_init_node_features_requires_frozen_graph(toy_store, toy_freqs):
-    from hetlink.hetgraph import HeteroGraph
-
-    g = HeteroGraph()
-    g.add_node("a", "Drug", "Aspirin")
-    with pytest.raises(TermEmbedError):
-        init_node_features(g, toy_store, toy_freqs)
