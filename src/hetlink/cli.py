@@ -146,10 +146,13 @@ def cmd_ingest(args) -> int:
     kb = load_graph(args.nodes, args.edges)
     if args.wordvecs:
         store = load_word_vectors(args.wordvecs)
+    elif args.dim < 1:
+        raise CliError(f"--dim must be >= 1, got {args.dim}")
     else:
         vocab = {t for n in kb.nodes() for t in n.name}
         store = random_word_vectors(vocab, args.dim, seed=args.seed or 0)
     freqs = FrequencyTable.from_graph(kb)
+    init_node_features(kb, store, freqs)    # train's check that preset features fit
     write_bundle(args.out, kb, store, freqs)
     log.info("wrote bundle with %d nodes / %d edges to %s",
              len(kb), len(kb.edges), args.out)

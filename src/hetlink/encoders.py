@@ -106,68 +106,43 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.Spars
     return cache[relation]
 
 
-@dataclass
-class MetapathBatch:
-    """Vectorized view of all instances of one metapath in one graph."""
-    avg: ndiff.SparseOperator        # (instances, n) row-averaging matrix
-    gather: ndiff.SparseOperator     # (instances, n) picks each instance's target row
-    segments: np.ndarray             # (instances,) compact target index
-    indicator: ndiff.SparseOperator  # (num_targets, instances) segment_indicator(segments)
-    covered_pos: np.ndarray          # (num_targets,) row positions with >= 1 instance
+def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
+    """Every sparse operator a MAGNN layer multiplies by on `graph`, built once
+    per metapath list: `(per_path, covered, segments, indicator)`.
 
-
-@dataclass
-class FusionPlan:
-    """Inter-metapath fusion over the metapaths that have instances in a graph:
-    their intra-metapath rows are stacked in metapath order, then summed per
-    covered node."""
-    batches: list[tuple[str, MetapathBatch]]  # (label, batch), metapath order
-    covered_pos: np.ndarray          # row positions covered by any of them, ascending
-    segments: np.ndarray             # (stacked rows,) index into covered_pos
-    indicator: ndiff.SparseOperator  # segment_indicator(segments)
-
-
-def _metapath_batch(graph: HeteroGraph, path: Metapath) -> MetapathBatch:
-    cache = _graph_cache(graph).setdefault("metapath", {})
-    key = path.label()
-    if key not in cache:
-        n = len(graph)
-        instances: list[tuple[int, ...]] = []
-        target_ids: list[int] = []
-        for nid in graph.nodes_of_type(path.tail):
-            # simple instances only: cyclic ones re-inject the target's own
-            # feature, which drowns the neighborhood signal being compared
-            for inst in graph.metapath_instances(nid, path, anchor="end",
-                                                 simple=True):
-                instances.append(inst)
-                target_ids.append(nid)
-        m, width = len(instances), len(path)
-        targets = graph.rows(target_ids)
-        rows = np.repeat(np.arange(m), width)
-        cols = graph.rows([nid for inst in instances for nid in inst])
-        vals = np.full(m * width, 1.0 / width)
-        covered, segments = np.unique(targets, return_inverse=True)
-        cache[key] = MetapathBatch(
-            avg=ndiff.SparseOperator(sp.csr_matrix((vals, (rows, cols)), shape=(m, n))),
-            gather=ndiff.SparseOperator(
-                sp.csr_matrix((np.ones(m), (np.arange(m), targets)), shape=(m, n))),
-            segments=segments,
-            indicator=ndiff.SparseOperator(ndiff.segment_indicator(segments, len(covered))),
-            covered_pos=covered,
-        )
-    return cache[key]
-
-
-def _fusion_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> FusionPlan:
-    cache = _graph_cache(graph).setdefault("fusion", {})
+    `per_path` holds `(label, avg, gather, segments, indicator)` for each metapath
+    with a simple end-anchored instance, in metapath order: `avg` averages the
+    rows of each instance, `gather` picks its target's row, `segments` numbers
+    its target among that metapath's targets (ascending), and `indicator`
+    sums per target.  The fusion stacks those metapaths' target rows and sums
+    them per node: `covered` are the rows with any instance, ascending, and
+    `segments` maps each stacked row to its index in `covered`."""
+    cache = _graph_cache(graph).setdefault("magnn", {})
     key = tuple(path.label() for path in metapaths)
     if key not in cache:
-        batches = [(path.label(), _metapath_batch(graph, path)) for path in metapaths
-                   if set(path.node_types) <= graph.node_types]
-        batches = [(label, b) for label, b in batches if b.avg.shape[0]]
-        positions = [np.zeros(0, dtype=np.int64)] + [b.covered_pos for _, b in batches]
+        n = len(graph)
+        per_path, positions = [], [np.zeros(0, dtype=np.int64)]
+        for path in metapaths:
+            # simple instances only: cyclic ones re-inject the target's own
+            # feature, which drowns the neighborhood signal being compared
+            instances = [inst for nid in graph.nodes_of_type(path.tail)
+                         for inst in graph.metapath_instances(nid, path, anchor="end",
+                                                              simple=True)]
+            if not instances:
+                continue
+            m, width = len(instances), len(path)
+            cols = graph.rows([nid for inst in instances for nid in inst])
+            targets = cols[width - 1::width]        # an instance ends at its target
+            covered, segments = np.unique(targets, return_inverse=True)
+            avg = sp.csr_matrix((np.full(m * width, 1.0 / width),
+                                 (np.repeat(np.arange(m), width), cols)), shape=(m, n))
+            gather = sp.csr_matrix((np.ones(m), (np.arange(m), targets)), shape=(m, n))
+            indicator = ndiff.SparseOperator(ndiff.segment_indicator(segments, len(covered)))
+            per_path.append((path.label(), ndiff.SparseOperator(avg),
+                             ndiff.SparseOperator(gather), segments, indicator))
+            positions.append(covered)
         covered, segments = np.unique(np.concatenate(positions), return_inverse=True)
-        cache[key] = FusionPlan(batches, covered, segments, ndiff.SparseOperator(
+        cache[key] = (per_path, covered, segments, ndiff.SparseOperator(
             ndiff.segment_indicator(segments, len(covered))))
     return cache[key]
 
@@ -313,39 +288,38 @@ class Encoder:
     def _magnn_layer(self, graph, x, k, collect) -> Tensor:
         cfg = self.config
         slope = cfg.leaky_slope
-        plan = _fusion_plan(graph, cfg.metapaths)
-        if not plan.batches:
+        per_path, covered, fusion_segments, fusion_indicator = _magnn_plan(graph, cfg.metapaths)
+        if not per_path:
             return x
         intras = []
-        for label, batch in plan.batches:
-            n_seg = len(batch.covered_pos)
-            h_mean = ndiff.sparse_matmul(batch.avg, x)
+        for label, avg, gather, segments, indicator in per_path:
+            n_seg = indicator.shape[0]
+            h_mean = ndiff.sparse_matmul(avg, x)
             h_inst = ndiff.matmul(h_mean, self._params[f"magnn.W_p[{label}][{k}]"])
-            h_tgt = ndiff.sparse_matmul(batch.gather, x)
+            h_tgt = ndiff.sparse_matmul(gather, x)
             cat = ndiff.concat([h_tgt, h_inst], axis=1)
             head_outs = []
             for h in range(cfg.heads):
                 a = self._params[f"magnn.a[{label}][{k}][h{h}]"]
                 logits = ndiff.leaky_relu(ndiff.matmul(cat, a), slope)
-                alpha = ndiff.segment_softmax(logits, batch.segments, n_seg)
+                alpha = ndiff.segment_softmax(logits, segments, n_seg)
                 if collect is not None:
                     collect.append(AttentionRecord(
                         "intra", f"{label}/layer{k}/head{h}",
-                        alpha.data.copy(), batch.segments.copy()))
+                        alpha.data.copy(), segments.copy()))
                 weighted = ndiff.mul(ndiff.reshape(alpha, (-1, 1)), h_inst)
-                head_outs.append(ndiff.elu(ndiff.segment_sum(weighted, batch.indicator, n_seg)))
+                head_outs.append(ndiff.elu(ndiff.segment_sum(weighted, indicator, n_seg)))
             intras.append(ndiff.concat(head_outs, axis=1))
 
-        n_covered = len(plan.covered_pos)
         stacked = ndiff.concat(intras, axis=0)
         logits = ndiff.leaky_relu(ndiff.matmul(stacked, self._params[f"magnn.beta[{k}]"]), slope)
-        beta = ndiff.segment_softmax(logits, plan.segments, n_covered)
+        beta = ndiff.segment_softmax(logits, fusion_segments, len(covered))
         if collect is not None:
             collect.append(AttentionRecord("inter", f"layer{k}", beta.data.copy(),
-                                           plan.segments.copy()))
+                                           fusion_segments.copy()))
         fused = ndiff.segment_sum(ndiff.mul(ndiff.reshape(beta, (-1, 1)), stacked),
-                                  plan.indicator, n_covered)
-        return ndiff.scatter_rows(x, plan.covered_pos, fused)
+                                  fusion_indicator, len(covered))
+        return ndiff.scatter_rows(x, covered, fused)
 
 
 def build_encoder_for_graph(config: EncoderConfig, graph: HeteroGraph,

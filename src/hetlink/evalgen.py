@@ -22,7 +22,7 @@ from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
-                        random_word_vectors, term_embedding)
+                        random_word_vectors)
 
 
 class EvalGenError(Exception):
@@ -524,13 +524,14 @@ def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainIt
 
 def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
                               kb_feats: np.ndarray | None = None) -> dict[str, list[int]]:
-    """Term-embedding nearest neighbor on the mention surface alone."""
+    """Term-embedding nearest neighbor on the mention surface alone: the
+    mention's row of the item's features (node ids of a query graph are its
+    rows) against each candidate's KB feature, by cosine."""
     if kb_feats is None:
         kb_feats = kb_features(corpus)
     out = {}
     for it in items:
-        mention = it.qgraph.mentions[it.mention_node]
-        vec = term_embedding(mention.surface, corpus.store, corpus.freqs)
+        vec = it.features[it.mention_node]
         cands = candidate_ids(corpus.kb, it)
         mat = kb_feats[corpus.kb.rows(cands)]
         norms = np.linalg.norm(mat, axis=1) * (np.linalg.norm(vec) or 1.0)

@@ -159,7 +159,10 @@ def sif_weight(token: str, freqs: FrequencyTable) -> float:
 
 
 def term_embedding(term, store: WordVectorStore, freqs: FrequencyTable) -> np.ndarray:
-    """Frequency-weighted mean of the constituent word vectors."""
+    """Frequency-weighted mean of the constituent word vectors.
+
+    No program path calls it: init_node_features computes the same rows in
+    batches, and tests compare the two bit for bit."""
     tokens = tokenize(term) if isinstance(term, str) else list(term)
     if not tokens:
         raise TermEmbedError("empty term")

@@ -1,7 +1,11 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import io
 import json
+import os
 import shutil
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +19,7 @@ from hetlink.encoders import EncoderConfig, EncoderError
 from hetlink.hetgraph import build_inverted_index, tokenize
 from hetlink.matcher import MatcherError, candidate_ids, snippet_item
 from hetlink.querygraph import augment_query_graph
+from hetlink.termembed import TermEmbedError, load_word_vectors
 
 from conftest import MANIFEST_BREAKS, break_manifest, break_params
 
@@ -224,6 +229,21 @@ def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):
                  "--out", str(tmp_path / "bundle")]) == 0
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
+
+
+@pytest.mark.parametrize("nodes, dim, error", [
+    ("0\tDrug\taspirin\n", "0", "--dim must be >= 1, got 0"),
+    ("0\tDrug\taspirin\t\t0.5,0.25\n1\tFinding\tfever\n", "8",
+     "node 0 preset features have dim 2, expected 8"),
+])
+def test_ingest_rejects_a_bundle_train_could_not_read(tmp_path, capsys, nodes, dim, error):
+    (tmp_path / "nodes.tsv").write_text(nodes)
+    (tmp_path / "edges.tsv").write_text("")
+    assert main(["ingest", "--nodes", str(tmp_path / "nodes.tsv"),
+                 "--edges", str(tmp_path / "edges.tsv"), "--dim", dim,
+                 "--out", str(tmp_path / "bundle")]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):
@@ -527,3 +547,89 @@ def test_train_flags_are_the_config_keys_but_metapaths():
                                       "--out", "o"])
     flags = set(vars(args)) - {"command", "func", "bundle", "snippets", "out", "config"}
     assert flags == CONFIG_KEYS - {"metapaths"}
+
+
+# -- fuzzed loaders: whatever a file holds, the CLI ends in one line --------
+
+def _main_quietly(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr, its stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_one_line_exit(code, err, error):
+    """`error`, a loader's message, is what main printed; with none, main
+    exited 0 or printed one error line."""
+    if error is not None:
+        assert "\n" not in error
+        assert (code, err) == (1, f"error: {error}\n")
+    elif code:
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+
+
+ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_snippet_file_loads_or_ends_in_one_line_and_exit_1(workdir, data):
+    rows = _snippet_rows(workdir)[:3]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    row, mention = rows[i], rows[i]["Mentions"][0]
+    where = data.draw(st.sampled_from(["text", "file", "row", *row, *mention]))
+    value = data.draw(JSON_VALUES)
+    if where == "file":
+        rows = value
+    elif where == "row":
+        rows[i] = value
+    elif where != "text":
+        obj = row if where in row else mention
+        if data.draw(st.booleans()):
+            del obj[where]
+        else:
+            obj[where] = value
+    text = data.draw(ANY_TEXT) if where == "text" else json.dumps(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snippets.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        try:
+            _load_snippets(path)
+            error = None
+        except (CliError, json.JSONDecodeError) as exc:
+            error = str(exc)
+        code, err = _main_quietly(["eval", "--bundle", str(workdir / "corpus"),
+                                   "--model", str(workdir / "model"), "--snippets", path])
+    _assert_one_line_exit(code, err, error)
+
+
+WORDVEC_PARTS = st.sampled_from(["tok", "1.0", "-2.5e-3", "1_0", "nan", "-inf", "1e999",
+                                 "0x10", "1,0", "x", ""]) | ANY_TEXT
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_word_vector_file_loads_or_ends_in_one_line_and_exit_1(workdir, data):
+    lines = (workdir / "corpus" / "wordvecs.txt").read_text(encoding="utf-8").splitlines()
+    drawn = [data.draw(st.lists(WORDVEC_PARTS, max_size=5).map(" ".join))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    at = data.draw(st.integers(0, len(lines)))
+    lines = drawn if data.draw(st.booleans()) else lines[:at] + drawn + lines[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = os.path.join(tmp, "bundle")
+        shutil.copytree(workdir / "corpus", bundle)
+        path = os.path.join(bundle, "wordvecs.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        try:
+            load_word_vectors(path)
+            error = None
+        except TermEmbedError as exc:
+            error = str(exc)
+        # train reads the bundle before the snippet file, which is missing
+        code, err = _main_quietly(["train", "--bundle", bundle, "--out", os.path.join(tmp, "m"),
+                                   "--snippets", os.path.join(tmp, "none.json")])
+        assert not os.path.exists(os.path.join(tmp, "m"))
+    _assert_one_line_exit(code, err, error)

@@ -14,6 +14,7 @@ from hetlink.encoders import (
     Encoder,
     EncoderConfig,
     EncoderError,
+    _magnn_plan,
     _relation_adjacency,
     build_encoder_for_graph,
 )
@@ -22,6 +23,7 @@ from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
 from hetlink.matcher import MatcherError, MatchingHead, SiameseModel, build_query_batch
 
 from conftest import random_hetero_graph
+from test_hetgraph import _brute_force_instances
 
 
 def _elu(x):
@@ -325,6 +327,79 @@ def test_relation_adjacency_matches_per_node_oracle_on_synthetic_kb_and_queries(
     batch = build_query_batch(items, corpus.config.feature_dim)
     assert SELF_EDGE_TYPE in batch.graph.edge_types
     _assert_adjacency_matches_oracle(batch.graph, [None, *sorted(batch.graph.edge_types)])
+
+
+# ---------------------------------------------------------------------------
+# MAGNN operators against a brute-force oracle
+
+
+def _one_hot(segments, num_segments):
+    out = np.zeros((num_segments, len(segments)))
+    out[segments, np.arange(len(segments))] = 1.0
+    return out
+
+
+def _assert_magnn_plan_matches_oracle(graph, paths):
+    """Each metapath's operators and the fusion's, rebuilt from the simple
+    instances that _brute_force_instances enumerates target by target."""
+    per_path, covered, segments, indicator = _magnn_plan(graph, paths)
+    row = {nid: i for i, nid in enumerate(graph.node_ids)}
+    want, stacked = [], []
+    for path in paths:
+        instances = [inst for v in graph.node_ids
+                     for inst in _brute_force_instances(graph, path, v)
+                     if len(set(inst)) == len(inst)]
+        if not instances:
+            continue
+        ends = [row[inst[-1]] for inst in instances]
+        targets = sorted(set(ends))
+        avg, gather = np.zeros((2, len(instances), len(graph)))
+        for i, inst in enumerate(instances):
+            avg[i, [row[nid] for nid in inst]] = 1.0 / len(path)
+            gather[i, ends[i]] = 1.0
+        want.append((path.label(), avg, gather, [targets.index(t) for t in ends]))
+        stacked += targets
+    assert [entry[0] for entry in per_path] == [entry[0] for entry in want]
+    for (_, avg, gather, seg, ind), (label, *want_ops) in zip(per_path, want):
+        want_avg, want_gather, want_seg = want_ops
+        assert np.array_equal(avg.matrix.toarray(), want_avg), label
+        assert np.array_equal(gather.matrix.toarray(), want_gather), label
+        assert seg.tolist() == want_seg, label
+        assert np.array_equal(ind.matrix.toarray(), _one_hot(want_seg, len(set(want_seg)))), label
+    # the fusion covers exactly the rows that are the target of an instance
+    assert covered.tolist() == sorted(set(stacked))
+    assert segments.tolist() == [covered.tolist().index(t) for t in stacked]
+    assert np.array_equal(indicator.matrix.toarray(), _one_hot(segments, len(covered)))
+    return per_path, covered
+
+
+def test_magnn_plan_matches_oracle_on_toy_kb_and_skips_what_it_lacks(toy_kb):
+    present = [Metapath.parse(text) for text in (
+        "Drug-CAUSE-AdverseEffect", "AdverseEffect-INDICATE-Finding",
+        "Drug-CAUSE-AdverseEffect-INDICATE-Finding", "Drug-TREAT-Symptom")]
+    # a triple the schema lacks, a node type the graph lacks, and both
+    lacking = [Metapath.parse(text) for text in (
+        "Drug-TREAT-Finding", "Drug-CAUSE-Gene", "Gene-BIND-AdverseEffect-INDICATE-Finding")]
+    per_path, covered = _assert_magnn_plan_matches_oracle(toy_kb, present)
+    assert [entry[0] for entry in per_path] == [path.label() for path in present]
+    mixed, mixed_covered = _assert_magnn_plan_matches_oracle(
+        toy_kb, [lacking[0], *present[:2], lacking[1], *present[2:], lacking[2]])
+    assert [entry[0] for entry in mixed] == [entry[0] for entry in per_path]
+    assert np.array_equal(mixed_covered, covered)
+    none, none_covered = _assert_magnn_plan_matches_oracle(toy_kb, lacking)
+    assert (none, none_covered.tolist()) == ([], [])
+
+
+@pytest.mark.parametrize("graph_seed", range(12))
+def test_magnn_plan_matches_oracle_on_random_graphs(graph_seed):
+    rng = np.random.default_rng(graph_seed)
+    g = random_hetero_graph(rng, n_nodes=int(rng.integers(5, 14)), n_types=3,
+                            n_edge_types=2, edge_prob=0.2)
+    inventory = schema_metapaths(g.schema, limit=0)
+    picks = rng.choice(len(inventory), size=min(6, len(inventory)), replace=False)
+    paths = [inventory[i] for i in sorted(picks)]
+    paths += [Metapath(("T0", "T9"), ("R0",)), Metapath(("T1", "T2"), ("R9",))]
+    _assert_magnn_plan_matches_oracle(g, paths)
 
 
 # ---------------------------------------------------------------------------
