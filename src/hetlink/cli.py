@@ -18,8 +18,8 @@ from dataclasses import fields
 
 from . import evalgen, matcher
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .hetgraph import (HeteroGraph, build_inverted_index, load_graph, read_settings,
-                       save_graph)
+from .hetgraph import (HeteroGraph, build_inverted_index, load_graph, read_json,
+                       read_settings, save_graph)
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import QueryGraphError, TextSnippet, augment_query_graph
 from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
@@ -47,10 +47,7 @@ class CliError(Exception):
 def _config(args, keys):
     """The JSON in the --config file ({} without one) with the flags among
     `keys` that were given laid over it, when it is an object."""
-    data = {}
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = read_json(args.config, CliError) if args.config else {}
     flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return {**data, **flags} if isinstance(data, dict) else data
 
@@ -80,9 +77,7 @@ def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore,
 
 
 def read_bundle(bundle_dir):
-    manifest_path = os.path.join(bundle_dir, "manifest.json")
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(bundle_dir, "manifest.json"), CliError)
     if not isinstance(manifest, dict):
         raise CliError(f"bundle manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
@@ -99,8 +94,7 @@ def read_bundle(bundle_dir):
 
 
 def _load_snippets(path) -> list[TextSnippet]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path, CliError)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):

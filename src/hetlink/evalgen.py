@@ -62,13 +62,6 @@ def split_dataset(snippet_ids, seed: int = 0) -> Split:
 # -- metrics ---------------------------------------------------------------
 
 @dataclass
-class ErrorContext:
-    gold_type: str
-    inferred_types: tuple[str, ...]
-    mention_degree: int                # non-self edges incident to the mention
-
-
-@dataclass
 class EvalReport:
     precision: float
     recall: float
@@ -76,7 +69,7 @@ class EvalReport:
     n_gold: int
     n_emitted: int
     n_correct: int
-    error_counts: dict[str, int] = field(default_factory=dict)
+    error_counts: dict[str, int]
 
     def to_dict(self) -> dict:
         return {"precision": self.precision, "recall": self.recall, "f1": self.f1,
@@ -84,20 +77,12 @@ class EvalReport:
                 "n_correct": self.n_correct, "errors": dict(self.error_counts)}
 
 
-def _attribute_error(ctx: ErrorContext) -> str:
-    if ctx.gold_type not in ctx.inferred_types:
-        return "construction"
-    if ctx.mention_degree <= 1:
-        return "insufficient-structure"
-    return "similar-nodes"
-
-
-def precision_recall_f1(predictions: dict, gold: dict,
-                        error_contexts: dict | None = None) -> EvalReport:
+def precision_recall_f1(predictions: dict, gold: dict) -> EvalReport:
     """Rank-1 scoring: a prediction is correct iff its top candidate is gold.
 
     `predictions` maps mention key -> ranked candidate id list (may be empty);
-    `gold` maps mention key -> the single gold node id.
+    `gold` maps mention key -> the single gold node id.  Every miss cause
+    counts 0: only score_items attributes misses.
     """
     unknown = set(predictions) - set(gold)
     if unknown:
@@ -107,30 +92,31 @@ def precision_recall_f1(predictions: dict, gold: dict,
     precision = correct / len(emitted) if emitted else 0.0
     recall = correct / len(gold) if gold else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
-    errors: dict[str, int] = {"construction": 0, "insufficient-structure": 0,
-                              "similar-nodes": 0}
-    if error_contexts:
-        for key in gold:
-            ranked = predictions.get(key) or []
-            if ranked and ranked[0] == gold[key]:
-                continue
-            if key in error_contexts:
-                errors[_attribute_error(error_contexts[key])] += 1
+    errors = {"construction": 0, "insufficient-structure": 0, "similar-nodes": 0}
     return EvalReport(precision, recall, f1, len(gold), len(emitted), correct, errors)
 
 
 def score_items(kb: HeteroGraph, items: list[TrainItem], predictions: dict) -> EvalReport:
     """Rank-1 report of `predictions` (snippet id -> ranked ids) against the
-    items' gold links, each miss attributed by the gold type, the mention's
-    inferred types and its non-self degree in the query graph."""
-    contexts = {}
-    for it in items:
-        degree = sum(1 for e in it.qgraph.graph.edges
-                     if e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst))
-        contexts[it.snippet_id] = ErrorContext(
-            kb.node(it.gold).type, it.qgraph.inferred_types.get(it.mention_node, ()), degree)
-    return precision_recall_f1(predictions, {it.snippet_id: it.gold for it in items},
-                               contexts)
+    items' gold links.  Each miss counts once, under the first cause that
+    holds: "construction" when the gold node's type is not among the
+    mention's inferred types, "insufficient-structure" when the mention has
+    at most one non-self edge in its query graph, else "similar-nodes"."""
+    by_id = {it.snippet_id: it for it in items}
+    report = precision_recall_f1(predictions, {sid: it.gold for sid, it in by_id.items()})
+    for it in by_id.values():
+        ranked = predictions.get(it.snippet_id) or []
+        if ranked and ranked[0] == it.gold:
+            continue
+        if kb.node(it.gold).type not in it.qgraph.inferred_types.get(it.mention_node, ()):
+            cause = "construction"
+        elif sum(e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst)
+                 for e in it.qgraph.graph.edges) <= 1:
+            cause = "insufficient-structure"
+        else:
+            cause = "similar-nodes"
+        report.error_counts[cause] += 1
+    return report
 
 
 # -- synthetic corpus ------------------------------------------------------
@@ -514,21 +500,16 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
 
 
 def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainItem],
-                   kb_feats: np.ndarray | None = None,
-                   candidates: str = "type") -> EvalReport:
-    if kb_feats is None:
-        kb_feats = kb_features(corpus)
+                   kb_feats: np.ndarray, candidates: str = "type") -> EvalReport:
     return score_items(corpus.kb, items,
                        predict_batch(model, corpus.kb, kb_feats, items, candidates))
 
 
-def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem],
-                              kb_feats: np.ndarray | None = None) -> dict[str, list[int]]:
+def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem]) -> dict[str, list[int]]:
     """Term-embedding nearest neighbor on the mention surface alone: the
     mention's row of the item's features (node ids of a query graph are its
     rows) against each candidate's KB feature, by cosine."""
-    if kb_feats is None:
-        kb_feats = kb_features(corpus)
+    kb_feats = kb_features(corpus)
     out = {}
     for it in items:
         vec = it.features[it.mention_node]

@@ -8,6 +8,8 @@ are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import re
 import typing
@@ -106,12 +108,6 @@ class Metapath:
         if len(parts) < 3 or len(parts) % 2 == 0:
             raise GraphError(f"malformed metapath: {text!r}")
         return cls(tuple(parts[0::2]), tuple(parts[1::2]))
-
-    def validate(self, schema: "Schema") -> None:
-        for i, et in enumerate(self.edge_types):
-            triple = (self.node_types[i], et, self.node_types[i + 1])
-            if triple not in schema.triples:
-                raise GraphError(f"metapath triple {triple} not in schema")
 
 
 @dataclass(frozen=True)
@@ -300,10 +296,6 @@ class HeteroGraph:
         are allowed unless simple=True.  Deterministic: lexicographic by
         node-id sequence.
         """
-        try:
-            path.validate(self.schema)
-        except GraphError:
-            return []           # this graph never realizes the pattern
         # walk out of v one level at a time: along the path over out-edges
         # from its start, along the reversed path over in-edges from its end
         anchor = self._resolve_anchor(v, path, anchor)
@@ -382,10 +374,38 @@ def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) 
 
 # -- TSV / config file formats ---------------------------------------------
 
+@contextlib.contextmanager
+def open_text(path, error: type[Exception]):
+    """`path` open for reading as UTF-8.  A byte that is not UTF-8 ends in
+    `error` "<path>:<line>: not UTF-8", its line found in the file's bytes."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                data = raw.read()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise error(f"{path}:{line}: not UTF-8") from None
+            raise
+
+
+def read_json(path, error: type[Exception]):
+    """The JSON value in file `path`; `error`, one line that names the file,
+    for text that is not UTF-8 or not JSON."""
+    with open_text(path, error) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}: not JSON: {exc}") from None
+
+
 def load_nodes_tsv(path) -> list[tuple]:
     """Rows of (id, type, name, synonyms, features) from the node list file."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, GraphError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -412,7 +432,7 @@ def load_nodes_tsv(path) -> list[tuple]:
 
 def load_edges_tsv(path) -> list[Edge]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, GraphError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):

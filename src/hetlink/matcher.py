@@ -16,9 +16,9 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig, EncoderError
-from .hetgraph import Edge, HeteroGraph, InvertedIndex, read_settings
+from .hetgraph import Edge, HeteroGraph, InvertedIndex, read_json, read_settings
 from .ndiff import Adam, Parameter, Tensor
-from .negsample import HardNegativeSampler, UniformSampler
+from .negsample import HardNegativeSampler, uniform_negatives
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
                          TextSnippet)
 from .termembed import FrequencyTable, WordVectorStore
@@ -314,7 +314,6 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     if not train_items:
         raise MatcherError("no training items")
     hard_sampler = HardNegativeSampler(kb, kb_features) if config.sampler == "hard" else None
-    uniform = UniformSampler(kb)
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
     val_batch = build_query_batch(val_items, model.encoder.feature_dim)
@@ -345,7 +344,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                 negs, _ = hard_sampler.sample(item.gold, k, rng,
                                               exclude=context - {item.gold})
             else:
-                negs = uniform.draw(min(k, len(kb) - 1), rng, {item.gold})
+                negs = uniform_negatives(kb, min(k, len(kb) - 1), rng, {item.gold})
             neg_q_rows.extend([batch.mention_ids[i]] * len(negs))
             neg_kb_ids.extend(negs)
 
@@ -427,11 +426,10 @@ def save_model(model: SiameseModel, directory,
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
     """The model save_model wrote to `directory`, and its manifest; MatcherError
-    for a manifest that is not a JSON object, an unknown key or a value of the
-    wrong type, another head, a missing key, an encoder it cannot build, or
-    parameters load_state_dict rejects."""
-    with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    for a manifest that is not UTF-8 JSON or not a JSON object, an unknown key
+    or a value of the wrong type, another head, a missing key, an encoder it
+    cannot build, or parameters load_state_dict rejects."""
+    manifest = read_json(os.path.join(directory, "manifest.json"), MatcherError)
     shape = read_settings(Encoder, manifest, MANIFEST_KEYS, MatcherError, "model manifest")
     if manifest.get("head") != HEAD_KIND:
         raise MatcherError(f"unknown matching head {manifest.get('head')!r}; "

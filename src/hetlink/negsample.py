@@ -89,24 +89,18 @@ class NegativeCandidate:
     sim: float
 
 
-class UniformSampler:
-    """Uniform draws of distinct KB ids minus an excluded set, over the KB's
-    id array built once."""
-
-    def __init__(self, kb: HeteroGraph):
-        self._kb = kb
-        self._ids = kb.id_array
-
-    def draw(self, k: int, rng: np.random.Generator, exclude: set[int]) -> list[int]:
-        """k ids in KB order, from one rng.choice over the KB ids not in
-        `exclude` (ids outside the KB are ignored)."""
-        keep = np.ones(len(self._ids), dtype=bool)
-        keep[self._kb.rows([n for n in exclude if n in self._kb])] = False
-        remaining = self._ids[keep]
-        if k > len(remaining):
-            raise NegSampleError("KB too small to draw requested negatives")
-        picks = rng.choice(len(remaining), size=k, replace=False)
-        return [int(remaining[i]) for i in sorted(picks)]
+def uniform_negatives(kb: HeteroGraph, k: int, rng: np.random.Generator,
+                      exclude: set[int]) -> list[int]:
+    """k distinct KB ids in KB order, from one rng.choice over the KB ids not
+    in `exclude` (ids outside the KB are ignored)."""
+    ids = kb.id_array
+    keep = np.ones(len(ids), dtype=bool)
+    keep[kb.rows([n for n in exclude if n in kb])] = False
+    remaining = ids[keep]
+    if k > len(remaining):
+        raise NegSampleError("KB too small to draw requested negatives")
+    picks = rng.choice(len(remaining), size=k, replace=False)
+    return [int(remaining[i]) for i in sorted(picks)]
 
 
 class HardNegativeSampler:
@@ -118,7 +112,6 @@ class HardNegativeSampler:
         self.kb = kb
         self.embeddings = embeddings
         self._ranked: dict[int, list[NegativeCandidate]] = {}
-        self._uniform = UniformSampler(kb)
 
     def ranked(self, gold: int) -> list[NegativeCandidate]:
         if gold not in self._ranked:
@@ -147,5 +140,6 @@ class HardNegativeSampler:
             return [top[i].node for i in sorted(picks)], ["hard"] * k
         negatives = [c.node for c in top]
         fill = k - len(negatives)
-        negatives += self._uniform.draw(fill, rng, set(negatives) | {gold} | exclude)
+        negatives += uniform_negatives(self.kb, fill, rng,
+                                       set(negatives) | {gold} | exclude)
         return negatives, ["hard"] * len(top) + ["uniform"] * fill

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-from .hetgraph import HeteroGraph, tokenize
+from .hetgraph import HeteroGraph, open_text, tokenize
 
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
@@ -73,7 +73,7 @@ def load_word_vectors(path) -> WordVectorStore:
     """Load text-format word vectors: one `token f1 f2 ...` line per token."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, TermEmbedError) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
@@ -133,7 +133,7 @@ class FrequencyTable:
     @classmethod
     def load_tsv(cls, path) -> "FrequencyTable":
         freqs = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, TermEmbedError) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:

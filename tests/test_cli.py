@@ -417,6 +417,63 @@ def test_eval_rejects_a_bundle_number_that_is_not_finite(workdir, tmp_path, caps
     assert capsys.readouterr().err == f"error: {path}:1: {error}\n"
 
 
+NOT_JSON = '[{"Text": "x"\n]'
+
+
+def _put_ff(path, line) -> int:
+    """`path` with a byte 0xff put at the start of its line `line`, which may
+    be one past its last line; returns `line`."""
+    lines = path.read_bytes().splitlines(keepends=True) + [b""]
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+    return line
+
+
+def _unreadable_file(case, workdir, tmp_path):
+    """(argv, the file `case` breaks, what main's error says after its path)."""
+    bundle, model = tmp_path / "bundle", tmp_path / "model"
+    shutil.copytree(workdir / "corpus", bundle)
+    shutil.copytree(workdir / "model", model)
+    snippets = bundle / "snippets.json"
+    run = {"eval": ["eval", "--bundle", str(bundle), "--model", str(model),
+                    "--snippets", str(snippets)],
+           "train": ["train", "--bundle", str(bundle), "--snippets", str(snippets),
+                     "--out", str(tmp_path / "out"), "--config", str(tmp_path / "train.json")],
+           "ingest": ["ingest", "--nodes", str(bundle / "nodes.tsv"),
+                      "--edges", str(bundle / "edges.tsv"), "--out", str(tmp_path / "out")]}
+    try:
+        json.loads(NOT_JSON)
+    except json.JSONDecodeError as exc:
+        not_json = f": not JSON: {exc}"
+    if case == "snippets not UTF-8":
+        return run["eval"], snippets, f":{_put_ff(snippets, 3)}: not UTF-8"
+    if case == "snippets not JSON":
+        snippets.write_text(NOT_JSON)
+        return run["eval"], snippets, not_json
+    if case == "wordvecs.txt not UTF-8":
+        path = bundle / "wordvecs.txt"
+        n_lines = len(path.read_bytes().splitlines())
+        return run["eval"], path, f":{_put_ff(path, n_lines + 1)}: not UTF-8"
+    if case == "train config not JSON":
+        (tmp_path / "train.json").write_text(NOT_JSON)
+        return run["train"], tmp_path / "train.json", not_json
+    if case == "model manifest not JSON":
+        (model / "manifest.json").write_text(NOT_JSON)
+        return run["eval"], model / "manifest.json", not_json
+    assert case == "ingest nodes not UTF-8"
+    return run["ingest"], bundle / "nodes.tsv", f":{_put_ff(bundle / 'nodes.tsv', 5)}: not UTF-8"
+
+
+@pytest.mark.parametrize("case", ["snippets not UTF-8", "snippets not JSON",
+                                  "wordvecs.txt not UTF-8", "train config not JSON",
+                                  "model manifest not JSON", "ingest nodes not UTF-8"])
+def test_an_unreadable_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys, case):
+    argv, path, error = _unreadable_file(case, workdir, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}{error}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "disambiguate"])
 def test_model_with_unexpected_parameters_is_rejected(workdir, tmp_path, capsys, command):
     model = tmp_path / "model"

@@ -1,17 +1,20 @@
 """Tests for splits, metrics, and the synthetic corpus generator."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hetlink import evalgen
-from hetlink.matcher import candidate_ids
+from hetlink.hetgraph import HeteroGraph
+from hetlink.matcher import TrainItem, candidate_ids
 from hetlink.evalgen import (
-    ErrorContext,
     EvalGenError,
     SynthConfig,
     generate_synthetic_kb,
     precision_recall_f1,
     schema_metapaths,
+    score_items,
     split_dataset,
 )
 
@@ -103,18 +106,38 @@ def test_metrics_all_empty():
     assert report.n_gold == 0
 
 
-def test_error_attribution_categories():
-    gold = {"a": 1, "b": 2, "c": 3}
-    preds = {"a": [9], "b": [9], "c": [9]}
-    contexts = {
-        "a": ErrorContext("Finding", ("Drug",), 3),          # wrong type inferred
-        "b": ErrorContext("Finding", ("Finding",), 1),       # lonely mention
-        "c": ErrorContext("Finding", ("Finding",), 4),       # genuine confusion
-    }
-    report = precision_recall_f1(preds, gold, contexts)
-    assert report.error_counts == {"construction": 1,
-                                   "insufficient-structure": 1,
-                                   "similar-nodes": 1}
+MISS_CAUSES = ["construction", "insufficient-structure", "similar-nodes"]
+
+
+def test_metrics_count_every_miss_cause_at_zero():
+    report = precision_recall_f1({"m1": [5]}, {"m1": 3, "m2": 7})
+    assert list(report.error_counts.items()) == [(cause, 0) for cause in MISS_CAUSES]
+
+
+def _scored_item(sid, gold, inferred, degree):
+    """An item whose mention, node 0 of its query graph, has `degree` non-self
+    edges (alternately in and out) and a self-loop, and infers `inferred`."""
+    rows = [(n, "Finding", f"n{n}", (), None) for n in range(degree + 1)]
+    edges = [(0, n, "ASSOC") if n % 2 else (n, 0, "ASSOC") for n in range(1, degree + 1)]
+    graph = HeteroGraph(rows, edges + [(0, 0, "SELF")])
+    qgraph = SimpleNamespace(graph=graph, inferred_types={0: inferred})
+    return TrainItem(sid, qgraph, None, 0, gold)
+
+
+def test_score_items_attributes_each_miss_to_its_first_cause():
+    kb = HeteroGraph([(0, "Finding", "alpha", (), None), (1, "Finding", "beta", (), None),
+                      (2, "Drug", "gamma", (), None)], [(2, 0, "CAUSE")])
+    items = [
+        _scored_item("hit", 0, ("Drug",), 0),                 # a hit is never a miss
+        _scored_item("wrong-type", 0, ("Drug",), 3),          # gold type not inferred
+        _scored_item("lonely", 0, ("Finding",), 1),           # one non-self edge
+        _scored_item("confused", 0, ("Drug", "Finding"), 2),  # type and structure fine
+    ]
+    predictions = {"hit": [0, 1], "wrong-type": [1], "lonely": [1, 0], "confused": []}
+    report = score_items(kb, items, predictions)
+    assert list(report.error_counts.items()) == [(cause, 1) for cause in MISS_CAUSES]
+    assert (report.n_gold, report.n_emitted, report.n_correct) == (4, 3, 1)
+    assert report.to_dict()["errors"] == dict.fromkeys(MISS_CAUSES, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +302,7 @@ def test_schema_metapaths_cover_schema(small_corpus):
     assert {(p.node_types[0], p.edge_types[0], p.node_types[1])
             for p in singles} == non_self
     for p in paths:
-        p.validate(schema)
+        assert set(zip(p.node_types, p.edge_types, p.node_types[1:])) <= non_self
 
 
 def test_schema_metapaths_limit_truncates(small_corpus):

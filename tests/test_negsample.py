@@ -13,11 +13,11 @@ import pytest
 from hetlink.negsample import (
     HardNegativeSampler,
     NegSampleError,
-    UniformSampler,
     ged_1hop,
     neighborhood_signature,
     semantic_similarity,
     structural_similarity,
+    uniform_negatives,
 )
 
 from conftest import random_hetero_graph
@@ -213,7 +213,7 @@ def test_hard_sampler_is_deterministic_per_seed(toy_kb, toy_emb):
 
 def list_draw(kb, gold, k, rng):
     """The uniform epoch's draw as matcher.train made it before
-    UniformSampler: a fresh list of the KB ids but the gold, then one
+    uniform_negatives: a fresh list of the KB ids but the gold, then one
     rng.choice over it."""
     pool = [n for n in kb.node_ids if n != gold]
     picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
@@ -221,7 +221,6 @@ def list_draw(kb, gold, k, rng):
 
 
 def test_uniform_draw_equals_list_reference_with_gold_excluded(toy_kb):
-    uniform = UniformSampler(toy_kb)
     n = len(toy_kb)
     for k in (1, 3, n - 1, n + 4):
         size = min(k, n - 1)                 # what matcher.train asks for
@@ -229,7 +228,7 @@ def test_uniform_draw_equals_list_reference_with_gold_excluded(toy_kb):
             for epoch in range(3):
                 rng = np.random.default_rng([7, epoch])
                 ref_rng = np.random.default_rng([7, epoch])
-                got = uniform.draw(size, rng, {gold})
+                got = uniform_negatives(toy_kb, size, rng, {gold})
                 assert got == list_draw(toy_kb, gold, k, ref_rng)
                 assert all(type(v) is int for v in got)
                 assert gold not in got and len(set(got)) == size
@@ -239,12 +238,11 @@ def test_uniform_draw_equals_list_reference_with_gold_excluded(toy_kb):
 
 
 def test_uniform_top_up_fails_cleanly_when_the_kb_is_too_small(toy_kb, toy_emb):
-    uniform = UniformSampler(toy_kb)
     gold = toy_kb.ids["proteinuria"]          # single neighbor
     n = len(toy_kb)
-    assert len(uniform.draw(n - 1, np.random.default_rng(0), {gold})) == n - 1
+    assert len(uniform_negatives(toy_kb, n - 1, np.random.default_rng(0), {gold})) == n - 1
     with pytest.raises(NegSampleError, match="too small"):
-        uniform.draw(n, np.random.default_rng(0), {gold})
+        uniform_negatives(toy_kb, n, np.random.default_rng(0), {gold})
     sampler = HardNegativeSampler(toy_kb, toy_emb)
     negatives, _ = sampler.sample(gold, n - 1, np.random.default_rng(0))
     assert sorted(negatives) == sorted(set(toy_kb.node_ids) - {gold})

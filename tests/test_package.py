@@ -14,10 +14,10 @@ from hetlink.hetgraph import read_settings
 MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 
 # Optional settings under src/hetlink: raise this only in the diff that adds one.
-OPTIONAL_SETTINGS = 69
+OPTIONAL_SETTINGS = 65
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3274
+SRC_LINES = 3261
 
 
 def _tree(path):
