@@ -188,7 +188,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, _ = load_model(args.model)
     kb, _, items, kb_feats = _bundle_items(args, gold_required=True)
-    report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_feats, items))
+    report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_feats, items,
+                                                                  candidates="lexical"))
     json.dump(report.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -199,7 +200,7 @@ def cmd_disambiguate(args) -> int:
     kb, _, items, kb_feats = _bundle_items(args, gold_required=False)
     batch = matcher.build_query_batch(items, model.encoder.feature_dim)
     ranked = matcher.rank_items(model, kb, kb_feats, batch,
-                                [matcher.candidate_ids(kb, it) for it in items], args.top_k)
+                                [matcher.candidate_pool(kb, it) for it in items], args.top_k)
     out = []
     for item, (ids, scores) in zip(items, ranked):
         mention = item.qgraph.mentions[item.mention_node]

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .hetgraph import (Edge, HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
-                       Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings,
-                       tokenize)
+                       Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings)
 from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
-                      candidate_ids, order_by_score, rank_items, snippet_item)
+                      candidate_ids, candidate_pool, order_by_score, rank_items,
+                      snippet_item)
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
@@ -463,26 +463,6 @@ def make_model(corpus: SynthCorpus, kind: str, **options) -> SiameseModel:
     return build_model(corpus.kb, corpus.store.dim, kind, **options)
 
 
-def lexical_candidates(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
-    """Candidate generation by token overlap with the mention surface.
-
-    Mirrors how a disambiguation pipeline narrows the KB before ranking:
-    type-compatible nodes sharing at least one name/synonym token with the
-    mention.  Falls back to the full type-compatible set when nothing
-    overlaps (heavily corrupted surfaces).  Returns an int64 id array."""
-    mention = item.qgraph.mentions[item.mention_node]
-    toks = set(tokenize(mention.surface))
-    pool = candidate_ids(kb, item)
-    overlaps = np.zeros(len(pool), dtype=bool)
-    for i, c in enumerate(pool.tolist()):
-        node = kb.node(c)
-        surface_toks = set(node.name)
-        for syn in node.synonyms:
-            surface_toks.update(syn)
-        overlaps[i] = bool(toks & surface_toks)
-    return pool[overlaps] if overlaps.any() else pool
-
-
 def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
                   items: list[TrainItem],
                   candidates: str = "type") -> dict[str, list[int]]:
@@ -490,10 +470,11 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
     pool), from one shared KB encoding.
 
     `candidates` picks the pool each mention is ranked against: "type" uses
-    every type-compatible KB node, "lexical" narrows to token overlap."""
+    every type-compatible KB node (candidate_ids), "lexical" those sharing a
+    token with the mention (candidate_pool, as CLI eval does)."""
     if candidates not in ("type", "lexical"):
         raise EvalGenError(f"unknown candidate mode {candidates!r}")
-    pool_of = lexical_candidates if candidates == "lexical" else candidate_ids
+    pool_of = candidate_pool if candidates == "lexical" else candidate_ids
     batch = build_query_batch(items, model.encoder.feature_dim)
     ranked = rank_items(model, kb, kb_feats, batch, [pool_of(kb, it) for it in items], 1)
     return {it.snippet_id: ids.tolist() for it, (ids, _) in zip(items, ranked)}

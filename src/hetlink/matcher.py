@@ -16,7 +16,8 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig, EncoderError
-from .hetgraph import Edge, HeteroGraph, InvertedIndex, read_json, read_settings
+from .hetgraph import (Edge, HeteroGraph, InvertedIndex, read_json, read_settings,
+                       tokenize)
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, uniform_negatives
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
@@ -127,7 +128,8 @@ class TrainConfig:
         if self.epochs < 1:
             raise MatcherError("epochs must be >= 1")
         if not 0 <= self.patience <= self.epochs:
-            raise MatcherError("patience must be in [0, epochs]")
+            raise MatcherError(f"patience {self.patience} must be in [0, {self.epochs}] "
+                               f"(epochs {self.epochs})")
         if self.lr <= 0:
             raise MatcherError("lr must be > 0")
         if self.weight_decay < 0:
@@ -209,6 +211,45 @@ def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
     return pool
 
 
+def _token_ids(kb: HeteroGraph) -> dict[str, np.ndarray]:
+    """Each name or synonym token of `kb` -> the ids of the nodes holding it,
+    a read-only ascending int64 array; built in one pass over the nodes and
+    kept on the graph object, as the encoders keep their operators."""
+    table = getattr(kb, "_token_ids", None)
+    if table is None:
+        holders: dict[str, list[int]] = {}
+        for node in kb.nodes():         # ascending ids, so each list ascends
+            for tok in set(node.name).union(*node.synonyms):
+                holders.setdefault(tok, []).append(node.id)
+        table = {tok: np.array(ids, dtype=np.int64) for tok, ids in holders.items()}
+        for ids in table.values():
+            ids.flags.writeable = False
+        kb._token_ids = table
+    return table
+
+
+def candidate_pool(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
+    """The pool that eval and disambiguate rank: the candidate_ids nodes that
+    share a name or synonym token with the mention, all of them when none
+    does; a read-only int64 array of ascending ids.
+
+    The union of the mention tokens' ids (a few dozen) is looked up in the
+    type pool by binary search, so the pool itself is never scanned."""
+    pool = candidate_ids(kb, item)
+    table = _token_ids(kb)
+    hits = [table[t] for t in set(tokenize(item.qgraph.mentions[item.mention_node].surface))
+            if t in table]
+    if not hits:
+        return pool
+    hits = hits[0] if len(hits) == 1 else np.unique(np.concatenate(hits))
+    at = np.minimum(np.searchsorted(pool, hits), len(pool) - 1)
+    narrowed = hits[pool[at] == hits]
+    if not len(narrowed):
+        return pool
+    narrowed.flags.writeable = False
+    return narrowed
+
+
 @dataclass
 class TrainResult:
     history: list[dict]
@@ -283,7 +324,7 @@ def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                     q_rows: np.ndarray, pools: list[np.ndarray],
                     k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Rank each query row's KB candidate pool (an int64 id array, as
-    candidate_ids returns it) against `kb_unit`, the unit-norm KB rows of
+    candidate_ids and candidate_pool return it) against `kb_unit`, the unit-norm KB rows of
     kb_embeddings.  Pools read their rows through kb.row_selector, a view
     when the pool is a run of kb.node_ids.
 
@@ -309,7 +350,8 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
           train_items: list[TrainItem], val_items: list[TrainItem],
           config: TrainConfig) -> TrainResult:
     """Full-batch training with curriculum negative scheduling and early
-    stopping on validation rank-1 F1 (training loss when no validation set)."""
+    stopping on validation rank-1 F1 over each mention's whole candidate_ids
+    pool (training loss when no validation set)."""
     config.validate()
     if not train_items:
         raise MatcherError("no training items")
@@ -392,12 +434,13 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                  qgraph: QueryGraph, q_features: np.ndarray, mention_node: int,
                  k: int) -> list[tuple[int, float]]:
-    """Top-k (node id, score) for one mention, descending score, ties by id."""
+    """Top-k (node id, score) of the mention's candidate_pool, descending
+    score, ties by id."""
     if mention_node not in qgraph.graph:
         raise MatcherError(f"unknown mention node {mention_node}")
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
     batch = build_query_batch([item], model.encoder.feature_dim)
-    [(ids, scores)] = rank_items(model, kb, kb_features, batch, [candidate_ids(kb, item)], k)
+    [(ids, scores)] = rank_items(model, kb, kb_features, batch, [candidate_pool(kb, item)], k)
     return list(zip(ids.tolist(), scores.tolist()))
 
 

@@ -4,8 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hetlink.hetgraph import HeteroGraph, Metapath, build_inverted_index
-from hetlink.querygraph import Mention, TextSnippet
+from hetlink.cli import _load_snippets, read_bundle
+from hetlink.hetgraph import HeteroGraph, Metapath, build_inverted_index, tokenize
+from hetlink.matcher import candidate_ids, snippet_item
+from hetlink.querygraph import Mention, TextSnippet, augment_query_graph
 from hetlink.termembed import FrequencyTable, random_word_vectors
 
 
@@ -151,3 +153,31 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
             degree[u] += 1
             degree[v] += 1
     return HeteroGraph(nodes, edges)
+
+
+def cli_items(bundle):
+    """The KB, word vectors and frequencies of `bundle` (a Path), and the
+    items the CLI builds from its snippets.json with the acronym index."""
+    kb, store, freqs = read_bundle(bundle)
+    index = build_inverted_index(kb)
+    items = [item for snippet in _load_snippets(bundle / "snippets.json")
+             if (item := snippet_item(kb, index, store, freqs, snippet,
+                                      augment_query_graph))]
+    return kb, store, freqs, items
+
+
+def lexical_pool_oracle(kb, item) -> list[int]:
+    """The per-node loop matcher.candidate_pool replaced: the candidate_ids
+    nodes whose name or synonyms share a token with the mention surface, or
+    all of them when none does."""
+    toks = set(tokenize(item.qgraph.mentions[item.mention_node].surface))
+    pool = candidate_ids(kb, item).tolist()
+    keep = []
+    for c in pool:
+        node = kb.node(c)
+        surface_toks = set(node.name)
+        for syn in node.synonyms:
+            surface_toks.update(syn)
+        if toks & surface_toks:
+            keep.append(c)
+    return keep or pool

@@ -16,12 +16,11 @@ from hetlink import evalgen
 from hetlink.cli import (CONFIG_KEYS, CliError, _load_snippets, _train_settings,
                          build_parser, main, read_bundle)
 from hetlink.encoders import EncoderConfig, EncoderError
-from hetlink.hetgraph import build_inverted_index, tokenize
-from hetlink.matcher import MatcherError, candidate_ids, snippet_item
-from hetlink.querygraph import augment_query_graph
-from hetlink.termembed import TermEmbedError, load_word_vectors
+from hetlink.hetgraph import tokenize
+from hetlink.matcher import MatcherError, candidate_pool, load_model
+from hetlink.termembed import TermEmbedError, init_node_features, load_word_vectors
 
-from conftest import MANIFEST_BREAKS, break_manifest, break_params
+from conftest import MANIFEST_BREAKS, break_manifest, break_params, cli_items
 
 
 SMALL_GEN = {
@@ -171,9 +170,12 @@ def test_eval_attributes_every_error(workdir, capsys):
 
 
 def test_disambiguate_ranks_candidates(workdir, capsys):
+    kb, _, _, items = cli_items(workdir / "corpus")
+    # a snippet whose candidate pool holds more than the top 3
+    sid = next(it.snippet_id for it in items if len(candidate_pool(kb, it)) > 3)
     snippets = json.loads((workdir / "corpus" / "snippets.json").read_text())
     one = workdir / "one.json"
-    one.write_text(json.dumps([snippets[0]]))
+    one.write_text(json.dumps([row for row in snippets if row["id"] == sid]))
     assert main(["disambiguate", "--bundle", str(workdir / "corpus"),
                  "--model", str(workdir / "model"),
                  "--snippets", str(one), "--top-k", "3"]) == 0
@@ -197,17 +199,33 @@ def _disambiguated(workdir, capsys, top_k: str) -> list[dict]:
 def test_disambiguate_top_k_zero_and_above_the_pool(workdir, capsys):
     answers = _disambiguated(workdir, capsys, "0")
     assert answers and all(row["candidates"] == [] for row in answers)
-    kb, store, freqs = read_bundle(workdir / "corpus")
-    index = build_inverted_index(kb)
-    items = [item for snippet in _load_snippets(workdir / "corpus" / "snippets.json")
-             if (item := snippet_item(kb, index, store, freqs, snippet,
-                                      augment_query_graph))]
+    kb, _, _, items = cli_items(workdir / "corpus")
     whole = _disambiguated(workdir, capsys, str(len(kb) + 1))
     assert [row["snippet"] for row in whole] == [it.snippet_id for it in items]
     for row, item in zip(whole, items):
-        assert sorted(c["id"] for c in row["candidates"]) == candidate_ids(kb, item).tolist()
+        assert sorted(c["id"] for c in row["candidates"]) == candidate_pool(kb, item).tolist()
     top = _disambiguated(workdir, capsys, "3")
     assert [row["candidates"] for row in top] == [row["candidates"][:3] for row in whole]
+
+
+def test_eval_and_disambiguate_rank_the_candidate_pool(workdir, capsys):
+    """CLI eval scores what evaluate_model scores on lexical pools, and CLI
+    disambiguate lists only members of each item's candidate_pool."""
+    corpus = evalgen.generate_synthetic_kb(evalgen.SynthConfig(**SMALL_GEN))
+    kb, store, freqs, items = cli_items(workdir / "corpus")
+    model, _ = load_model(workdir / "model")
+    expected = evalgen.evaluate_model(model, corpus, items,
+                                      init_node_features(kb, store, freqs),
+                                      candidates="lexical")
+    assert main(["eval", "--bundle", str(workdir / "corpus"),
+                 "--model", str(workdir / "model"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == expected.to_dict()
+    pools = {it.snippet_id: set(candidate_pool(kb, it).tolist()) for it in items}
+    assert any(len(pool) < len(kb.ids_of_type("Finding")) for pool in pools.values())
+    for row in _disambiguated(workdir, capsys, "5"):
+        ids = [c["id"] for c in row["candidates"]]
+        assert ids and set(ids) <= pools[row["snippet"]]
 
 
 @pytest.mark.parametrize("top_k", ["-1", "two"])
@@ -511,6 +529,18 @@ def test_zero_epochs_is_rejected_before_any_model_is_written(workdir, tmp_path, 
                  "--config", str(config), "--out", str(tmp_path / "m")])
     assert code == 1
     assert capsys.readouterr().err == "error: epochs must be >= 1\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_patience_above_epochs_names_both_numbers(tmp_path, capsys):
+    assert main(["gen-synth", "--seed", "1", "--snippets", "60",
+                 "--out", str(tmp_path / "bundle")]) == 0
+    capsys.readouterr()
+    code = main(["train", "--bundle", str(tmp_path / "bundle"),
+                 "--snippets", str(tmp_path / "bundle" / "snippets.json"),
+                 "--epochs", "2", "--out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: patience 30 must be in [0, 2] (epochs 2)\n"
     assert not (tmp_path / "m").exists()
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hetlink import evalgen
 from hetlink.hetgraph import HeteroGraph
-from hetlink.matcher import TrainItem, candidate_ids
+from hetlink.matcher import TrainItem, candidate_ids, candidate_pool
 from hetlink.evalgen import (
     EvalGenError,
     SynthConfig,
@@ -262,7 +262,7 @@ def test_lexical_candidates_share_a_token_and_keep_type(small_corpus):
     full = {it.snippet_id: set(candidate_ids(small_corpus.kb, it))
             for it in items}
     for it in items:
-        cands = evalgen.lexical_candidates(small_corpus.kb, it)
+        cands = candidate_pool(small_corpus.kb, it)
         assert cands.dtype == np.int64
         assert set(cands) <= full[it.snippet_id]
         surface_toks = set(

@@ -19,6 +19,7 @@ from hetlink.matcher import (
     TrainItem,
     build_query_batch,
     candidate_ids,
+    candidate_pool,
     disambiguate,
     kb_embeddings,
     load_model,
@@ -36,7 +37,8 @@ from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
                                 fully_connected_query_graph)
 from hetlink.termembed import init_node_features
 
-from conftest import MANIFEST_BREAKS, break_manifest, break_params
+from conftest import (MANIFEST_BREAKS, break_manifest, break_params, cli_items,
+                      lexical_pool_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,40 @@ def test_candidate_ids_match_the_list_oracle_as_read_only_int64():
             assert cands.tolist() == _candidate_ids_oracle(kb, item)
             with pytest.raises(ValueError):
                 cands[...] = 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_candidate_pool_matches_the_token_loop_and_keeps_gold(tmp_path, seed):
+    """Every item the CLI builds from a gen-synth bundle (acronym-enabled
+    index) gets the lexical pool of the per-node loop, as a read-only
+    ascending int64 array that holds its gold entity."""
+    assert cli.main(["gen-synth", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    kb, _, _, items = cli_items(tmp_path)
+    assert len(items) > 200
+    narrowed = 0
+    for item in items:
+        pool = candidate_pool(kb, item)
+        assert pool.dtype == np.int64 and not pool.flags.writeable
+        assert pool.tolist() == lexical_pool_oracle(kb, item)
+        assert item.gold in pool.tolist()
+        narrowed += len(pool) < len(candidate_ids(kb, item))
+    assert narrowed > len(items) // 2
+
+
+def test_candidate_pool_reuses_the_token_map_of_a_kb(mini, monkeypatch):
+    corpus = mini["corpus"]
+    items = mini["train"]
+    first = [candidate_pool(corpus.kb, it) for it in items]
+    # a second call reads the map kept on the graph and never walks the nodes
+    monkeypatch.setattr(corpus.kb, "nodes", lambda: pytest.fail("token map rebuilt"))
+    again = [candidate_pool(corpus.kb, it) for it in items]
+    assert [p.tolist() for p in again] == [p.tolist() for p in first]
+    monkeypatch.undo()
+    # an equal graph that is another object builds its own map
+    twin = HeteroGraph([(n.id, n.type, n.name, n.synonyms, None) for n in corpus.kb.nodes()],
+                       corpus.kb.edges)
+    assert [candidate_pool(twin, it).tolist() for it in items] == [p.tolist() for p in first]
+    assert twin._token_ids is not corpus.kb._token_ids
 
 
 def _order_by_score_oracle(ids, scores):
@@ -513,8 +549,9 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     k = 5
     ranked = rank_items(model, corpus.kb, mini["kb_features"],
                         build_query_batch(items, corpus.config.feature_dim),
-                        [candidate_ids(corpus.kb, it) for it in items], k)
-    rank1 = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items)
+                        [candidate_pool(corpus.kb, it) for it in items], k)
+    rank1 = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items,
+                                  candidates="lexical")
     for item, (ids, _) in zip(items, ranked):
         top = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
                            item.features, item.mention_node, k)
@@ -540,8 +577,9 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     loaded, _ = load_model(model_dir)
     kb_feats = init_node_features(kb, store, freqs)
     shared = rank_items(loaded, kb, kb_feats, build_query_batch(cli_items, store.dim),
-                        [candidate_ids(kb, it) for it in cli_items], k)
-    shared_rank1 = evalgen.predict_batch(loaded, kb, kb_feats, cli_items)
+                        [candidate_pool(kb, it) for it in cli_items], k)
+    shared_rank1 = evalgen.predict_batch(loaded, kb, kb_feats, cli_items,
+                                         candidates="lexical")
     assert served and list(served) == [it.snippet_id for it in cli_items]
     for item, (ids, _) in zip(cli_items, shared):
         assert served[item.snippet_id] == ids.tolist()
