@@ -1,0 +1,13 @@
+#!/bin/sh
+# Runs the installed `hetlink` console script end to end on a small bundle:
+# gen-synth, MAGNN train, eval and disambiguate. Run it from an empty
+# directory after `pip install`.
+set -eu
+hetlink gen-synth --seed 1 --snippets 60 --out smoke
+hetlink train --bundle smoke --snippets smoke/snippets.json --out smoke-model \
+  --encoder magnn --sampler hard --epochs 2 --patience 2
+hetlink eval --bundle smoke --model smoke-model --snippets smoke/snippets.json > eval.json
+python3 -c 'import json, sys; sys.exit(0 if "f1" in json.load(open("eval.json")) else 1)'
+hetlink disambiguate --bundle smoke --model smoke-model \
+  --snippets smoke/snippets.json --top-k 3 > ranked.json
+python3 -c 'import json, sys; out = json.load(open("ranked.json")); sys.exit(0 if isinstance(out, list) and out else 1)'

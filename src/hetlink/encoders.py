@@ -134,9 +134,12 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
             cols = graph.rows([nid for inst in instances for nid in inst])
             targets = cols[width - 1::width]        # an instance ends at its target
             covered, segments = np.unique(targets, return_inverse=True)
+            # built in CSR order, each row's columns ascending as scipy's COO
+            # conversion leaves them, so every product adds in the same order
             avg = sp.csr_matrix((np.full(m * width, 1.0 / width),
-                                 (np.repeat(np.arange(m), width), cols)), shape=(m, n))
-            gather = sp.csr_matrix((np.ones(m), (np.arange(m), targets)), shape=(m, n))
+                                 np.sort(cols.reshape(m, width), axis=1).ravel(),
+                                 np.arange(0, m * width + 1, width)), shape=(m, n))
+            gather = sp.csr_matrix((np.ones(m), targets, np.arange(m + 1)), shape=(m, n))
             indicator = ndiff.SparseOperator(ndiff.segment_indicator(segments, len(covered)))
             per_path.append((path.label(), ndiff.SparseOperator(avg),
                              ndiff.SparseOperator(gather), segments, indicator))

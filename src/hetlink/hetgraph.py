@@ -27,6 +27,8 @@ RELATED_EDGE_TYPE = "RELATED"
 
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
+# text that normalize() returns unchanged: lowercase ASCII words, one space apart
+_NORMAL_RE = re.compile(r"[a-z0-9_]+( [a-z0-9_]+)*")
 
 
 def normalize(text: str) -> str:
@@ -37,6 +39,8 @@ def normalize(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
+    if _NORMAL_RE.fullmatch(text):
+        return text.split(" ")
     return normalize(text).split()
 
 

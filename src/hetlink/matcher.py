@@ -83,8 +83,8 @@ def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None) -> Tensor:
 class SiameseModel:
     encoder: Encoder
     head: MatchingHead
-    # (encoder, kb, kb_features, encoder parameter values, unit KB rows) of
-    # the last kb_embeddings call that could be reused
+    # (encoder, kb, kb_features, encoder parameter values as one flat array,
+    # unit KB rows) of the last kb_embeddings call that could be reused
     _kb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[Parameter]:
@@ -304,19 +304,19 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
     `kb` graph object and the read-only `kb_features` array are the same
     ones and the encoder's parameters are equal by value to those it was
     computed with; a writeable `kb_features` array is encoded on every call."""
-    params = model.encoder.parameters()
+    # one flat copy of every parameter value: one comparison checks them all
+    values = np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
     if model._kb_memo is not None:
-        encoder, memo_kb, memo_features, values, unit = model._kb_memo
+        encoder, memo_kb, memo_features, memo_values, unit = model._kb_memo
         if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
-                and all(np.array_equal(p.data, v) for p, v in zip(params, values))):
+                and np.array_equal(values, memo_values)):
             return unit
     # take .data first so the encode graph is freed before the rows are scaled
     emb = model.encoder.encode(kb, kb_features).data
     unit = ndiff.l2_normalize_rows(emb).data
     unit.flags.writeable = False
     if _frozen_array(kb_features):
-        model._kb_memo = (model.encoder, kb, kb_features,
-                          [p.data.copy() for p in params], unit)
+        model._kb_memo = (model.encoder, kb, kb_features, values, unit)
     return unit
 
 

@@ -203,7 +203,12 @@ def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
     as np.add.at does, so the sums are bit-for-bit the same."""
     segments = np.asarray(segments, dtype=np.int64)
     n = len(segments)
-    return sp.csr_matrix((np.ones(n), (segments, np.arange(n))),
+    if n and not 0 <= segments.min() <= segments.max() < num_segments:
+        bad = segments.min() if segments.min() < 0 else segments.max()
+        raise NdiffError(f"segment id {bad} outside the {num_segments} segments")
+    # CSR order, as scipy's COO conversion leaves it: by segment, then by index
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(segments, minlength=num_segments))))
+    return sp.csr_matrix((np.ones(n), np.argsort(segments, kind="stable"), indptr),
                          shape=(num_segments, n))
 
 

@@ -133,6 +133,12 @@ def break_manifest(model_dir, how) -> str:
     return error
 
 
+def csr_arrays(m):
+    """Shape, then dtype and bytes of each CSR array: equal values mean the
+    same matrix bit for bit, built in the same order."""
+    return m.shape, [(a.dtype.str, a.tobytes()) for a in (m.data, m.indices, m.indptr)]
+
+
 def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
                         edge_prob=0.15, max_degree=None):
     """Random typed graph for property tests."""

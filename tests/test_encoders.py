@@ -22,7 +22,7 @@ from hetlink.evalgen import schema_metapaths
 from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
 from hetlink.matcher import MatcherError, MatchingHead, SiameseModel, build_query_batch
 
-from conftest import random_hetero_graph
+from conftest import csr_arrays, random_hetero_graph
 from test_hetgraph import _brute_force_instances
 
 
@@ -303,11 +303,7 @@ def _adjacency_oracle(graph, relation):
 def _assert_adjacency_matches_oracle(graph, relations):
     for relation in relations:
         got = _relation_adjacency(graph, relation).matrix
-        want = _adjacency_oracle(graph, relation)
-        assert got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (relation, name)
+        assert csr_arrays(got) == csr_arrays(_adjacency_oracle(graph, relation)), relation
 
 
 def test_relation_adjacency_matches_per_node_oracle_on_toy_kb(toy_kb):
@@ -333,43 +329,47 @@ def test_relation_adjacency_matches_per_node_oracle_on_synthetic_kb_and_queries(
 # MAGNN operators against a brute-force oracle
 
 
-def _one_hot(segments, num_segments):
-    out = np.zeros((num_segments, len(segments)))
-    out[segments, np.arange(len(segments))] = 1.0
-    return out
+def _coo(values, rows, cols, shape):
+    return sp.csr_matrix((values, (rows, cols)), shape=shape)
 
 
 def _assert_magnn_plan_matches_oracle(graph, paths):
-    """Each metapath's operators and the fusion's, rebuilt from the simple
-    instances that _brute_force_instances enumerates target by target."""
+    """Each metapath's operators and the fusion's, rebuilt through scipy's
+    COO constructor from the simple instances that _brute_force_instances
+    enumerates target by target.  Each operator and its transpose must hold
+    the same arrays bit for bit, so every product adds in the same order."""
     per_path, covered, segments, indicator = _magnn_plan(graph, paths)
     row = {nid: i for i, nid in enumerate(graph.node_ids)}
-    want, stacked = [], []
+    n, want, stacked = len(graph), [], []
     for path in paths:
         instances = [inst for v in graph.node_ids
                      for inst in _brute_force_instances(graph, path, v)
                      if len(set(inst)) == len(inst)]
         if not instances:
             continue
+        m, width = len(instances), len(path)
         ends = [row[inst[-1]] for inst in instances]
         targets = sorted(set(ends))
-        avg, gather = np.zeros((2, len(instances), len(graph)))
-        for i, inst in enumerate(instances):
-            avg[i, [row[nid] for nid in inst]] = 1.0 / len(path)
-            gather[i, ends[i]] = 1.0
-        want.append((path.label(), avg, gather, [targets.index(t) for t in ends]))
+        seg = [targets.index(t) for t in ends]
+        avg = _coo(np.full(m * width, 1.0 / width), np.repeat(np.arange(m), width),
+                   [row[nid] for inst in instances for nid in inst], (m, n))
+        gather = _coo(np.ones(m), np.arange(m), ends, (m, n))
+        ind = _coo(np.ones(m), seg, np.arange(m), (len(targets), m))
+        want.append((path.label(), seg, [avg, gather, ind]))
         stacked += targets
-    assert [entry[0] for entry in per_path] == [entry[0] for entry in want]
-    for (_, avg, gather, seg, ind), (label, *want_ops) in zip(per_path, want):
-        want_avg, want_gather, want_seg = want_ops
-        assert np.array_equal(avg.matrix.toarray(), want_avg), label
-        assert np.array_equal(gather.matrix.toarray(), want_gather), label
-        assert seg.tolist() == want_seg, label
-        assert np.array_equal(ind.matrix.toarray(), _one_hot(want_seg, len(set(want_seg)))), label
+    assert [(label, seg.tolist()) for label, _, _, seg, _ in per_path] == [
+        (label, seg) for label, seg, _ in want]
     # the fusion covers exactly the rows that are the target of an instance
     assert covered.tolist() == sorted(set(stacked))
     assert segments.tolist() == [covered.tolist().index(t) for t in stacked]
-    assert np.array_equal(indicator.matrix.toarray(), _one_hot(segments, len(covered)))
+    k = len(stacked)
+    got = [op for _, avg, gather, _, ind in per_path for op in (avg, gather, ind)]
+    refs = [op for _, _, ops in want for op in ops]
+    got.append(indicator)
+    refs.append(_coo(np.ones(k), segments, np.arange(k), (len(covered), k)))
+    for op, ref in zip(got, refs, strict=True):
+        assert csr_arrays(op.matrix) == csr_arrays(ref)
+        assert csr_arrays(op.transpose()) == csr_arrays(ref.T.tocsr())
     return per_path, covered
 
 
@@ -400,6 +400,16 @@ def test_magnn_plan_matches_oracle_on_random_graphs(graph_seed):
     paths = [inventory[i] for i in sorted(picks)]
     paths += [Metapath(("T0", "T9"), ("R0",)), Metapath(("T1", "T2"), ("R9",))]
     _assert_magnn_plan_matches_oracle(g, paths)
+
+
+def test_magnn_plan_matches_oracle_on_a_synthetic_query_batch():
+    corpus = evalgen.generate_synthetic_kb(evalgen.SynthConfig(seed=1))
+    items = evalgen.corpus_items(corpus, [s.id for s in corpus.snippets[:4]])
+    batch = build_query_batch(items, corpus.config.feature_dim)
+    per_path, _ = _assert_magnn_plan_matches_oracle(
+        batch.graph, schema_metapaths(corpus.kb.schema, limit=0))
+    assert any(avg.matrix.nnz == 3 * avg.shape[0] for _, avg, *_ in per_path), (
+        "no metapath of three nodes has an instance")
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,18 @@ def test_normalize_casefolds_and_strips_punctuation():
     assert tokenize("Aspirin, 100mg") == ["aspirin", "100mg"]
 
 
+# already-normal text, near misses of it, and any text at all
+_TEXT = st.one_of(st.text(alphabet="az09_ ", max_size=12),
+                  st.text(alphabet="aZ9_ \t\n.-é\u0301\u00a0", max_size=12),
+                  st.text(max_size=12))
+
+
+@given(_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_tokenize_splits_what_normalize_returns(text):
+    assert tokenize(text) == normalize(text).split()
+
+
 def _graph(nodes, edges=()):
     """A graph of (id, type, name) nodes without synonyms or features."""
     return HeteroGraph([(nid, ntype, name, (), None) for nid, ntype, name in nodes], edges)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hetlink import cli, evalgen
@@ -693,6 +694,14 @@ def test_kb_embedding_memo_gives_the_uncached_answer(mini, kind):
     answer = ask(model)
     assert answer == fresh(model) and answer != previous
 
+    # one value written in place in the last parameter, then in a middle one
+    params = model.encoder.parameters()
+    for p in (params[-1], params[len(params) // 2]):
+        calls = encoded.count(kb)
+        p.data.flat[p.data.size // 2] += 1.0
+        answer = ask(model)
+        assert encoded.count(kb) == calls + 1 and answer == fresh(model)
+
     previous = answer
     other = feats[::-1].copy()
     other.flags.writeable = False
@@ -711,6 +720,27 @@ def test_kb_embedding_memo_gives_the_uncached_answer(mini, kind):
         answer = ask(model, features)
         assert answer == fresh(model, other) and answer != before
     assert encoded.count(kb) == calls + 4
+
+
+def test_magnn_disambiguate_builds_no_coo_matrix(mini, monkeypatch):
+    """Every sparse operator of a request, the KB's and the query graph's,
+    is built straight in CSR."""
+    corpus, item = mini["corpus"], mini["val"][0]
+    model = evalgen.make_model(corpus, "magnn", seed=0, num_layers=1, dim=16)
+    built = []
+    init = sp.coo_matrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "__init__", counting_init)
+    sp.csr_matrix((np.ones(1), ([0], [0])), shape=(1, 1))
+    assert built, "a COO build should be counted"
+    built.clear()
+    ranked = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
+                          item.features, item.mention_node, 10)
+    assert ranked and built == []
 
 
 def test_text_baseline_attributes_every_miss(mini):

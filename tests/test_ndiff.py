@@ -7,10 +7,12 @@ random inputs kept away from non-smooth points (relu kinks, softmax ties).
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hetlink import ndiff
 from hetlink.ndiff import Adam, NdiffError, Parameter, Tensor, backward, glorot
+
+from conftest import csr_arrays
 
 
 def fd_grad(fn, x, h=1e-6):
@@ -143,6 +145,32 @@ def test_segment_sum_by_indicator_equals_by_index_bitwise(n, k):
     assert grads[0] == grads[1] == w[seg].tobytes()
     with pytest.raises(NdiffError, match="segments"):
         ndiff.segment_sum(Tensor(x), indicator, k + 1)
+
+
+@given(st.integers(1, 40).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k - 1), max_size=60))))
+@example((3, [2, 0, 1, 0, 2, 2, 1]))    # unsorted
+@example((8, [4, 4, 1, 6, 1]))          # segments 0, 2, 3, 5 and 7 empty
+@example((3, []))                       # every segment empty
+@example((0, []))
+@example((1, [0, 0, 0, 0]))             # a single row
+@settings(max_examples=60, deadline=None)
+def test_segment_indicator_holds_the_coo_build_bitwise(case):
+    """The direct CSR build holds the arrays scipy's COO constructor makes
+    from the same entries, so its products add in the same order."""
+    k, segments = case
+    seg, n = np.asarray(segments, dtype=np.int64), len(segments)
+    coo = sp.csr_matrix((np.ones(n), (seg, np.arange(n))), shape=(k, n))
+    assert csr_arrays(ndiff.segment_indicator(seg, k)) == csr_arrays(coo)
+
+
+@pytest.mark.parametrize("segments, k, bad", [
+    ([0, -1, 1], 3, -1), ([0, 3, 1], 3, 3), ([0, 5, -2], 3, -2), ([0], 0, 0)])
+def test_segment_indicator_names_a_segment_id_outside_its_range(segments, k, bad):
+    with pytest.raises(NdiffError, match=rf"^segment id {bad} outside the {k} segments$"):
+        ndiff.segment_indicator(segments, k)
+    with pytest.raises(NdiffError, match=rf"^segment id {bad} outside"):
+        ndiff.segment_sum(Tensor(np.ones((len(segments), 2))), segments, k)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
