@@ -13,6 +13,8 @@ passes are built from ndiff ops so gradients flow to every parameter.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -77,10 +79,37 @@ class AttentionRecord:
     segments: np.ndarray       # group id per weight
 
 
+# A graph of at most SHAPE_NODE_LIMIT nodes (a query graph has 3-5) shares its
+# operators with every graph of its typed shape, kept for the SHAPE_CACHE_SIZE
+# shapes used last (about 12 KB each).  A larger graph (a KB, a batch) keeps
+# its own: its shape seldom repeats, and its key costs about what its
+# operators do to build.
+SHAPE_NODE_LIMIT = 8
+SHAPE_CACHE_SIZE = 1024
+_shapes: OrderedDict[tuple, dict] = OrderedDict()
+_shapes_lock = threading.Lock()
+
+
 def _graph_cache(graph: HeteroGraph) -> dict:
+    """The dict of `graph`'s operators, resolved once and kept on the graph.
+
+    Every operator is a function of the typed graph in row space, so graphs
+    of one shape share one dict; a race on a key builds it twice and keeps
+    the first.  Each array in it is read-only."""
     cache = getattr(graph, "_encoder_cache", None)
     if cache is None:
-        cache = {}
+        if len(graph) > SHAPE_NODE_LIMIT:
+            cache = {}
+        else:
+            key = graph.typed_shape()
+            with _shapes_lock:
+                cache = _shapes.get(key)
+                if cache is None:
+                    cache = _shapes[key] = {}
+                    if len(_shapes) > SHAPE_CACHE_SIZE:
+                        _shapes.popitem(last=False)
+                else:
+                    _shapes.move_to_end(key)
         graph._encoder_cache = cache
     return cache
 
@@ -100,9 +129,11 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.Spars
         # which is CSR order: each row's count gives its slice of the columns
         rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)
         degree = np.bincount(rows, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(degree)))
-        cache[relation] = ndiff.SparseOperator(
-            sp.csr_matrix((1.0 / degree[rows], cols, indptr), shape=(n, n)))
+        idx = ndiff.index_dtype((n, n), len(cols))
+        indptr = np.zeros(n + 1, dtype=idx)
+        np.cumsum(degree, out=indptr[1:])
+        cache.setdefault(relation, ndiff.SparseOperator(
+            sp.csr_matrix((1.0 / degree[rows], cols.astype(idx), indptr), shape=(n, n))))
     return cache[relation]
 
 
@@ -123,6 +154,10 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
         n = len(graph)
         per_path, positions = [], [np.zeros(0, dtype=np.int64)]
         for path in metapaths:
+            # a path with an edge triple the graph lacks has no instance
+            if not set(zip(path.node_types, path.edge_types,
+                           path.node_types[1:])) <= graph.schema.triples:
+                continue
             # simple instances only: cyclic ones re-inject the target's own
             # feature, which drowns the neighborhood signal being compared
             instances = [inst for nid in graph.nodes_of_type(path.tail)
@@ -134,19 +169,23 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
             cols = graph.rows([nid for inst in instances for nid in inst])
             targets = cols[width - 1::width]        # an instance ends at its target
             covered, segments = np.unique(targets, return_inverse=True)
+            segments.flags.writeable = False
             # built in CSR order, each row's columns ascending as scipy's COO
             # conversion leaves them, so every product adds in the same order
+            idx = ndiff.index_dtype((m, n), m * width)
             avg = sp.csr_matrix((np.full(m * width, 1.0 / width),
-                                 np.sort(cols.reshape(m, width), axis=1).ravel(),
-                                 np.arange(0, m * width + 1, width)), shape=(m, n))
-            gather = sp.csr_matrix((np.ones(m), targets, np.arange(m + 1)), shape=(m, n))
+                                 np.sort(cols.reshape(m, width), axis=1).ravel().astype(idx),
+                                 np.arange(0, m * width + 1, width, dtype=idx)), shape=(m, n))
+            gather = sp.csr_matrix((np.ones(m), targets.astype(idx), np.arange(m + 1, dtype=idx)),
+                                   shape=(m, n))
             indicator = ndiff.SparseOperator(ndiff.segment_indicator(segments, len(covered)))
             per_path.append((path.label(), ndiff.SparseOperator(avg),
                              ndiff.SparseOperator(gather), segments, indicator))
             positions.append(covered)
         covered, segments = np.unique(np.concatenate(positions), return_inverse=True)
-        cache[key] = (per_path, covered, segments, ndiff.SparseOperator(
-            ndiff.segment_indicator(segments, len(covered))))
+        covered.flags.writeable = segments.flags.writeable = False
+        cache.setdefault(key, (per_path, covered, segments, ndiff.SparseOperator(
+            ndiff.segment_indicator(segments, len(covered)))))
     return cache[key]
 
 

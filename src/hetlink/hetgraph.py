@@ -253,6 +253,14 @@ class HeteroGraph:
     def nodes(self) -> list[Node]:
         return [self._nodes[i] for i in self._sorted_ids]
 
+    def typed_shape(self) -> tuple:
+        """The graph less its ids, names and features: each row's node type,
+        and the set of (src row, dst row, edge type) of its edges.  Anything
+        built from rows, types and edges alone is the same for one shape."""
+        row = {nid: r for r, nid in enumerate(self._sorted_ids)}
+        return (tuple(self._nodes[nid].type for nid in self._sorted_ids),
+                frozenset((row[src], row[dst], etype) for src, dst, etype in self._edges))
+
     def nodes_of_type(self, ntype: str) -> list[int]:
         return self.ids_of_type(ntype).tolist()
 

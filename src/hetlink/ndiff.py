@@ -129,21 +129,25 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), back)
 
 
+def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
+    for a in (m.data, m.indices, m.indptr):
+        a.flags.writeable = False
+    return m
+
+
 class SparseOperator:
     """A constant sparse matrix that `sparse_matmul` multiplies by many times,
     such as a graph's adjacency or segment indicator.
 
     The operator takes `s` over: it keeps it as CSR (a CSR `s` as is) and
     makes its arrays read-only, so it cannot be changed in place.  Its CSR
-    transpose is built on the first backward through it and kept with it; its
-    product adds each output row's terms in the order of `s.T @ g`, so
-    gradients are bit-for-bit the same."""
+    transpose, read-only too, is built on the first backward through it and
+    kept with it; its product adds each output row's terms in the order of
+    `s.T @ g`, so gradients are bit-for-bit the same."""
     __slots__ = ("matrix", "_transpose")
 
     def __init__(self, s):
-        self.matrix = s.tocsr()
-        for a in (self.matrix.data, self.matrix.indices, self.matrix.indptr):
-            a.flags.writeable = False
+        self.matrix = _read_only_csr(s.tocsr())
         self._transpose = None
 
     @property
@@ -152,7 +156,7 @@ class SparseOperator:
 
     def transpose(self) -> sp.csr_matrix:
         if self._transpose is None:
-            self._transpose = self.matrix.T.tocsr()
+            self._transpose = _read_only_csr(self.matrix.T.tocsr())
         return self._transpose
 
 
@@ -196,6 +200,13 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), back)
 
 
+def index_dtype(shape, nnz: int) -> type:
+    """The dtype scipy keeps a sparse matrix's indices in: int32, or int64
+    once a dimension or the entry count reaches 2**31.  Index arrays handed
+    to its constructor in that dtype spare it a scan of their contents."""
+    return np.int32 if max(*shape, nnz) < 2**31 else np.int64
+
+
 def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
     """(num_segments, len(segments)) matrix with a one at (segments[j], j).
 
@@ -207,8 +218,10 @@ def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
         bad = segments.min() if segments.min() < 0 else segments.max()
         raise NdiffError(f"segment id {bad} outside the {num_segments} segments")
     # CSR order, as scipy's COO conversion leaves it: by segment, then by index
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(segments, minlength=num_segments))))
-    return sp.csr_matrix((np.ones(n), np.argsort(segments, kind="stable"), indptr),
+    idx = index_dtype((num_segments, n), n)
+    indptr = np.zeros(num_segments + 1, dtype=idx)
+    np.cumsum(np.bincount(segments, minlength=num_segments), out=indptr[1:])
+    return sp.csr_matrix((np.ones(n), np.argsort(segments, kind="stable").astype(idx), indptr),
                          shape=(num_segments, n))
 
 

@@ -4,16 +4,21 @@ Layer semantics are checked against straight-line numpy re-implementations
 on the toy graph; attention distributions are checked on random graphs.
 """
 
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hetlink import evalgen, ndiff
+from hetlink import encoders, evalgen, ndiff
 from hetlink.encoders import (
     AttentionRecord,
     Encoder,
     EncoderConfig,
     EncoderError,
+    _graph_cache,
     _magnn_plan,
     _relation_adjacency,
     build_encoder_for_graph,
@@ -283,6 +288,172 @@ def test_second_encode_of_a_graph_builds_no_sparse_matrix(monkeypatch):
     _encode_and_backward(enc, g, x, w)
     enc.encode(g, x)
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# operators shared by graphs of one typed shape
+
+QUERY_PATHS = [Metapath.parse(text) for text in (
+    "Drug-CAUSE-AdverseEffect", "AdverseEffect-INDICATE-Finding",
+    "Drug-CAUSE-AdverseEffect-INDICATE-Finding", "Drug-TREAT-Finding")]
+
+
+@pytest.fixture
+def shapes(monkeypatch):
+    """An empty shape cache for the test, restored after it."""
+    fresh = OrderedDict()
+    monkeypatch.setattr(encoders, "_shapes", fresh)
+    return fresh
+
+
+def _query_graph(ids=(0, 1, 2, 3), names=("aspirin", "nausea", "fever", "ibuprofen"),
+                 edges=((0, 1, "CAUSE"), (1, 2, "INDICATE"), (3, 1, "CAUSE")),
+                 types=("Drug", "AdverseEffect", "Finding", "Drug")):
+    """A query-sized graph; `edges` name their ends by position in `ids`."""
+    return HeteroGraph([(i, t, name, (), None) for i, t, name in zip(ids, types, names)],
+                       [(ids[s], ids[d], r) for s, d, r in edges])
+
+
+def _renamed_query_graph():
+    """_query_graph's shape with other ids and names, its edges in another order."""
+    return _query_graph(ids=(7, 20, 21, 96), names=("metformin", "rash", "cough", "x"),
+                        edges=((3, 1, "CAUSE"), (1, 2, "INDICATE"), (0, 1, "CAUSE")))
+
+
+def _query_encoder(kind):
+    g = _query_graph()
+    cfg = EncoderConfig(kind=kind, num_layers=2, dim=8, heads=2, dropout=0.2,
+                        metapaths=QUERY_PATHS, seed=3)
+    enc = build_encoder_for_graph(cfg, g, 8)
+    rng = np.random.default_rng(8)
+    for p in enc.parameters():
+        p.data += rng.standard_normal(p.data.shape) * 0.3
+    return enc, rng.standard_normal((len(g), 8)), rng.standard_normal((len(g), 8))
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "rgcn", "magnn"])
+def test_graphs_of_one_shape_share_operators_that_encode_as_a_cold_build(kind, shapes):
+    enc, x, w = _query_encoder(kind)
+    first, second = _query_graph(), _renamed_query_graph()
+    warm = [_encode_and_backward(enc, g, x, w) for g in (first, second)]
+    assert len(shapes) == 1 and _graph_cache(first) is _graph_cache(second)
+    assert warm[0] == warm[1]
+    shapes.clear()
+    assert _encode_and_backward(enc, _renamed_query_graph(), x, w) == warm[1]
+
+
+@pytest.mark.parametrize("change", [
+    {"edges": ((0, 1, "CAUSE"), (1, 2, "INDICATE"), (3, 1, "CAUSE"), (3, 2, "INDICATE"))},
+    {"edges": ((0, 1, "CAUSE"), (1, 2, "INDICATE"), (3, 1, "TREAT"))},
+    {"types": ("Drug", "AdverseEffect", "Finding", "Symptom")},
+], ids=["extra edge", "edge type", "node type"])
+def test_another_shape_gets_its_own_operators(change, shapes):
+    base, other = _query_graph(), _query_graph(**change)
+    assert _graph_cache(base) is not _graph_cache(other)
+    assert len(shapes) == 2
+    _magnn_plan(base, QUERY_PATHS)
+    assert _graph_cache(other) == {}
+
+
+def test_the_shape_cache_drops_its_least_recently_used_shape(shapes, monkeypatch):
+    monkeypatch.setattr(encoders, "SHAPE_CACHE_SIZE", 2)
+
+    def of_type(t):
+        return _query_graph(types=("Drug", "AdverseEffect", "Finding", t))
+
+    a = of_type("Drug")
+    entry_a = _graph_cache(a)
+    _graph_cache(of_type("Symptom"))
+    assert _graph_cache(of_type("Drug")) is entry_a     # the Drug shape is now the recent one
+    _graph_cache(of_type("Finding"))
+    assert list(shapes) == [of_type("Drug").typed_shape(), of_type("Finding").typed_shape()]
+    _graph_cache(of_type("Symptom"))
+    assert a.typed_shape() not in shapes
+    # a graph keeps the entry it resolved once the cache has dropped it
+    assert _graph_cache(a) is entry_a
+    assert _graph_cache(of_type("Drug")) is not entry_a
+
+
+def test_a_graph_above_the_node_limit_keeps_its_own_operators(shapes):
+    n = encoders.SHAPE_NODE_LIMIT + 1
+    big = [HeteroGraph([(i, "Drug", f"d{i}", (), None) for i in range(n)],
+                       [(i, i + 1, "CAUSE") for i in range(n - 1)]) for _ in range(2)]
+    assert _relation_adjacency(big[0], None) is not _relation_adjacency(big[1], None)
+    assert len(shapes) == 0
+    small = _query_graph()
+    _relation_adjacency(small, None)
+    assert len(shapes) == 1
+
+
+def test_every_array_of_a_shared_entry_is_read_only(shapes):
+    enc, x, w = _query_encoder("magnn")
+    g = _query_graph()
+    _encode_and_backward(enc, g, x, w)          # builds the transposes too
+    for relation in (None, "CAUSE"):
+        _relation_adjacency(g, relation).transpose()
+    per_path, covered, segments, indicator = _magnn_plan(g, QUERY_PATHS)
+    assert per_path
+    operators = [indicator, *_graph_cache(g)["rel_adj"].values()]
+    arrays = [covered, segments]
+    for _, avg, gather, path_segments, path_indicator in per_path:
+        operators += [avg, gather, path_indicator]
+        arrays.append(path_segments)
+    for op in operators:
+        for m in (op.matrix, op.transpose()):
+            arrays += [m.data, m.indices, m.indptr]
+    for a in arrays:
+        assert a.size
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+
+
+def test_four_threads_encoding_one_shape_at_once_agree(shapes, monkeypatch):
+    monkeypatch.setattr(encoders, "SHAPE_CACHE_SIZE", 3)
+    enc, x, _ = _query_encoder("magnn")
+    graphs = [_query_graph() if i % 2 else _renamed_query_graph() for i in range(4)]
+    others = [_query_graph(types=("Drug", "AdverseEffect", "Finding", t))
+              for t in ("Symptom", "Finding", "AdverseEffect")]
+    start = threading.Barrier(len(graphs))
+    out = [None] * len(graphs)
+
+    def encode(i):
+        start.wait()
+        out[i] = enc.encode(graphs[i], x).data
+        for g in others:            # more shapes than the cache holds
+            _graph_cache(g)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode, args=(i,)) for i in range(len(graphs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(shapes) == 3
+    shapes.clear()
+    cold = enc.encode(_query_graph(), x).data
+    assert all(o is not None and np.array_equal(o, cold) for o in out)
+
+
+def test_magnn_plan_walks_no_metapath_whose_triples_the_graph_lacks(shapes, monkeypatch):
+    walked = []
+    instances = HeteroGraph.metapath_instances
+
+    def counting(self, v, path, *args, **kwargs):
+        walked.append(path.label())
+        return instances(self, v, path, *args, **kwargs)
+
+    g = _query_graph()
+    monkeypatch.setattr(HeteroGraph, "metapath_instances", counting)
+    per_path, *_ = _magnn_plan(g, QUERY_PATHS)
+    live = [path.label() for path in QUERY_PATHS[:3]]
+    assert [entry[0] for entry in per_path] == live
+    # Drug-TREAT-Finding has no TREAT edge to walk, so none of its Findings is
+    assert sorted(set(walked)) == sorted(live)
 
 
 def _adjacency_oracle(graph, relation):
