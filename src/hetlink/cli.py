@@ -77,11 +77,14 @@ def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore,
 
 
 def read_bundle(bundle_dir):
-    manifest = read_json(os.path.join(bundle_dir, "manifest.json"), CliError)
+    manifest_path = os.path.join(bundle_dir, "manifest.json")
+    manifest = read_json(manifest_path, CliError)
     if not isinstance(manifest, dict):
         raise CliError(f"bundle manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
         raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r}")
+    if manifest.get("nodes") == 0:
+        raise CliError(f"{manifest_path}: lists 0 nodes")
     kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
                     os.path.join(bundle_dir, "edges.tsv"))
     listed, loaded = (manifest.get("nodes"), manifest.get("edges")), (len(kb), len(kb.edges))
@@ -138,6 +141,8 @@ def _bundle_items(args, gold_required: bool):
 
 def cmd_ingest(args) -> int:
     kb = load_graph(args.nodes, args.edges)
+    if not len(kb):
+        raise CliError(f"{args.nodes}: no nodes")
     if args.wordvecs:
         store = load_word_vectors(args.wordvecs)
     elif args.dim < 1:

@@ -13,12 +13,10 @@ passes are built from ndiff ops so gradients flow to every parameter.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import ndiff
 from .hetgraph import HeteroGraph, Metapath, SELF_EDGE_TYPE, read_settings
@@ -86,30 +84,24 @@ class AttentionRecord:
 # operators do to build.
 SHAPE_NODE_LIMIT = 8
 SHAPE_CACHE_SIZE = 1024
-_shapes: OrderedDict[tuple, dict] = OrderedDict()
-_shapes_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape_entry(shape: tuple) -> dict:
+    """The operator dict that the graphs of typed shape `shape` share."""
+    return {}
 
 
 def _graph_cache(graph: HeteroGraph) -> dict:
     """The dict of `graph`'s operators, resolved once and kept on the graph.
 
     Every operator is a function of the typed graph in row space, so graphs
-    of one shape share one dict; a race on a key builds it twice and keeps
-    the first.  Each array in it is read-only."""
+    of one shape share one dict (two threads missing a shape at once may
+    each get an equal one of their own); a race on a key builds it twice and
+    keeps the first.  Each array in it is read-only."""
     cache = getattr(graph, "_encoder_cache", None)
     if cache is None:
-        if len(graph) > SHAPE_NODE_LIMIT:
-            cache = {}
-        else:
-            key = graph.typed_shape()
-            with _shapes_lock:
-                cache = _shapes.get(key)
-                if cache is None:
-                    cache = _shapes[key] = {}
-                    if len(_shapes) > SHAPE_CACHE_SIZE:
-                        _shapes.popitem(last=False)
-                else:
-                    _shapes.move_to_end(key)
+        cache = {} if len(graph) > SHAPE_NODE_LIMIT else _shape_entry(graph.typed_shape())
         graph._encoder_cache = cache
     return cache
 
@@ -129,11 +121,8 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.Spars
         # which is CSR order: each row's count gives its slice of the columns
         rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)
         degree = np.bincount(rows, minlength=n)
-        idx = ndiff.index_dtype((n, n), len(cols))
-        indptr = np.zeros(n + 1, dtype=idx)
-        np.cumsum(degree, out=indptr[1:])
         cache.setdefault(relation, ndiff.SparseOperator(
-            sp.csr_matrix((1.0 / degree[rows], cols.astype(idx), indptr), shape=(n, n))))
+            ndiff.constant_csr(1.0 / degree[rows], cols, degree, n)))
     return cache[relation]
 
 
@@ -172,15 +161,13 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
             segments.flags.writeable = False
             # built in CSR order, each row's columns ascending as scipy's COO
             # conversion leaves them, so every product adds in the same order
-            idx = ndiff.index_dtype((m, n), m * width)
-            avg = sp.csr_matrix((np.full(m * width, 1.0 / width),
-                                 np.sort(cols.reshape(m, width), axis=1).ravel().astype(idx),
-                                 np.arange(0, m * width + 1, width, dtype=idx)), shape=(m, n))
-            gather = sp.csr_matrix((np.ones(m), targets.astype(idx), np.arange(m + 1, dtype=idx)),
-                                   shape=(m, n))
-            indicator = ndiff.SparseOperator(ndiff.segment_indicator(segments, len(covered)))
-            per_path.append((path.label(), ndiff.SparseOperator(avg),
-                             ndiff.SparseOperator(gather), segments, indicator))
+            avg = ndiff.constant_csr(np.full(m * width, 1.0 / width),
+                                     np.sort(cols.reshape(m, width), axis=1).ravel(),
+                                     np.full(m, width), n)
+            gather = ndiff.constant_csr(np.ones(m), targets, np.ones(m, dtype=np.int64), n)
+            indicator = ndiff.segment_indicator(segments, len(covered))
+            per_path.append((path.label(), ndiff.SparseOperator(avg), ndiff.SparseOperator(gather),
+                             segments, ndiff.SparseOperator(indicator)))
             positions.append(covered)
         covered, segments = np.unique(np.concatenate(positions), return_inverse=True)
         covered.flags.writeable = segments.flags.writeable = False

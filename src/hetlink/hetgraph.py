@@ -9,6 +9,7 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import re
@@ -263,6 +264,17 @@ class HeteroGraph:
 
     def nodes_of_type(self, ntype: str) -> list[int]:
         return self.ids_of_type(ntype).tolist()
+
+    @functools.cached_property
+    def token_ids(self) -> dict[str, np.ndarray]:
+        """Each name or synonym token -> the ids of the nodes holding it, a
+        read-only ascending int64 array; built in one pass over the nodes on
+        first use and kept with the graph."""
+        holders: dict[str, list[int]] = {}
+        for node in self.nodes():           # ascending ids, so each list ascends
+            for tok in set(node.name).union(*node.synonyms):
+                holders.setdefault(tok, []).append(node.id)
+        return {tok: _read_only(np.array(ids, dtype=np.int64)) for tok, ids in holders.items()}
 
     # -- neighborhoods -----------------------------------------------------
 

@@ -211,23 +211,6 @@ def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
     return pool
 
 
-def _token_ids(kb: HeteroGraph) -> dict[str, np.ndarray]:
-    """Each name or synonym token of `kb` -> the ids of the nodes holding it,
-    a read-only ascending int64 array; built in one pass over the nodes and
-    kept on the graph object, as the encoders keep their operators."""
-    table = getattr(kb, "_token_ids", None)
-    if table is None:
-        holders: dict[str, list[int]] = {}
-        for node in kb.nodes():         # ascending ids, so each list ascends
-            for tok in set(node.name).union(*node.synonyms):
-                holders.setdefault(tok, []).append(node.id)
-        table = {tok: np.array(ids, dtype=np.int64) for tok, ids in holders.items()}
-        for ids in table.values():
-            ids.flags.writeable = False
-        kb._token_ids = table
-    return table
-
-
 def candidate_pool(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
     """The pool that eval and disambiguate rank: the candidate_ids nodes that
     share a name or synonym token with the mention, all of them when none
@@ -236,7 +219,7 @@ def candidate_pool(kb: HeteroGraph, item: TrainItem) -> np.ndarray:
     The union of the mention tokens' ids (a few dozen) is looked up in the
     type pool by binary search, so the pool itself is never scanned."""
     pool = candidate_ids(kb, item)
-    table = _token_ids(kb)
+    table = kb.token_ids
     hits = [table[t] for t in set(tokenize(item.qgraph.mentions[item.mention_node].surface))
             if t in table]
     if not hits:
@@ -439,7 +422,7 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     if mention_node not in qgraph.graph:
         raise MatcherError(f"unknown mention node {mention_node}")
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
-    batch = build_query_batch([item], model.encoder.feature_dim)
+    batch = QueryBatch(qgraph.graph, q_features, [mention_node])
     [(ids, scores)] = rank_items(model, kb, kb_features, batch, [candidate_pool(kb, item)], k)
     return list(zip(ids.tolist(), scores.tolist()))
 

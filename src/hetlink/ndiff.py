@@ -200,11 +200,17 @@ def reshape(a, shape) -> Tensor:
     return _make(out, (a,), back)
 
 
-def index_dtype(shape, nnz: int) -> type:
-    """The dtype scipy keeps a sparse matrix's indices in: int32, or int64
-    once a dimension or the entry count reaches 2**31.  Index arrays handed
-    to its constructor in that dtype spare it a scan of their contents."""
-    return np.int32 if max(*shape, nnz) < 2**31 else np.int64
+def constant_csr(data, cols, counts, n_cols: int) -> sp.csr_matrix:
+    """The (len(counts), n_cols) CSR matrix whose row i holds the next
+    counts[i] of `data`, at the same places of `cols`.  The one builder of the
+    package's sparse operators: its index arrays are int32, or int64 once a
+    dimension or the entry count reaches 2**31, which is how scipy stores
+    them, so it skips a scan of their contents."""
+    shape = (len(counts), n_cols)
+    idx = np.int32 if max(*shape, len(cols)) < 2**31 else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=idx)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((data, cols.astype(idx), indptr), shape=shape)
 
 
 def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
@@ -218,11 +224,8 @@ def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
         bad = segments.min() if segments.min() < 0 else segments.max()
         raise NdiffError(f"segment id {bad} outside the {num_segments} segments")
     # CSR order, as scipy's COO conversion leaves it: by segment, then by index
-    idx = index_dtype((num_segments, n), n)
-    indptr = np.zeros(num_segments + 1, dtype=idx)
-    np.cumsum(np.bincount(segments, minlength=num_segments), out=indptr[1:])
-    return sp.csr_matrix((np.ones(n), np.argsort(segments, kind="stable").astype(idx), indptr),
-                         shape=(num_segments, n))
+    return constant_csr(np.ones(n), np.argsort(segments, kind="stable"),
+                        np.bincount(segments, minlength=num_segments), n)
 
 
 def gather_rows(a, idx) -> Tensor:

@@ -253,6 +253,7 @@ def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):
     ("0\tDrug\taspirin\n", "0", "--dim must be >= 1, got 0"),
     ("0\tDrug\taspirin\t\t0.5,0.25\n1\tFinding\tfever\n", "8",
      "node 0 preset features have dim 2, expected 8"),
+    ("# id\ttype\tname\n", "8", "{nodes}: no nodes"),
 ])
 def test_ingest_rejects_a_bundle_train_could_not_read(tmp_path, capsys, nodes, dim, error):
     (tmp_path / "nodes.tsv").write_text(nodes)
@@ -260,8 +261,24 @@ def test_ingest_rejects_a_bundle_train_could_not_read(tmp_path, capsys, nodes, d
     assert main(["ingest", "--nodes", str(tmp_path / "nodes.tsv"),
                  "--edges", str(tmp_path / "edges.tsv"), "--dim", dim,
                  "--out", str(tmp_path / "bundle")]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert capsys.readouterr().err == f"error: {error.format(nodes=tmp_path / 'nodes.tsv')}\n"
     assert not (tmp_path / "bundle").exists()
+
+
+def test_a_bundle_whose_manifest_lists_no_nodes_is_rejected(workdir, tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    for name in ("nodes.tsv", "edges.tsv"):
+        (bundle / name).write_text("")
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    (bundle / "manifest.json").write_text(json.dumps({**manifest, "nodes": 0, "edges": 0}))
+    for command in (["eval", "--model", str(workdir / "model")],
+                    ["disambiguate", "--model", str(workdir / "model")],
+                    ["train", "--out", str(tmp_path / "model")]):
+        assert main([*command, "--bundle", str(bundle),
+                     "--snippets", str(bundle / "snippets.json")]) == 1
+        assert capsys.readouterr().err == f"error: {bundle / 'manifest.json'}: lists 0 nodes\n"
+    assert not (tmp_path / "model").exists()
 
 
 def test_unknown_config_key_is_rejected(workdir, tmp_path, capsys):

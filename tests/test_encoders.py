@@ -4,9 +4,9 @@ Layer semantics are checked against straight-line numpy re-implementations
 on the toy graph; attention distributions are checked on random graphs.
 """
 
+import functools
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -298,12 +298,16 @@ QUERY_PATHS = [Metapath.parse(text) for text in (
     "Drug-CAUSE-AdverseEffect-INDICATE-Finding", "Drug-TREAT-Finding")]
 
 
+def _fresh_shapes(monkeypatch, size=encoders.SHAPE_CACHE_SIZE):
+    """An empty shape cache of `size` shapes for the test, restored after it."""
+    fresh = functools.lru_cache(maxsize=size)(encoders._shape_entry.__wrapped__)
+    monkeypatch.setattr(encoders, "_shape_entry", fresh)
+    return fresh
+
+
 @pytest.fixture
 def shapes(monkeypatch):
-    """An empty shape cache for the test, restored after it."""
-    fresh = OrderedDict()
-    monkeypatch.setattr(encoders, "_shapes", fresh)
-    return fresh
+    return _fresh_shapes(monkeypatch)
 
 
 def _query_graph(ids=(0, 1, 2, 3), names=("aspirin", "nausea", "fever", "ibuprofen"),
@@ -336,9 +340,9 @@ def test_graphs_of_one_shape_share_operators_that_encode_as_a_cold_build(kind, s
     enc, x, w = _query_encoder(kind)
     first, second = _query_graph(), _renamed_query_graph()
     warm = [_encode_and_backward(enc, g, x, w) for g in (first, second)]
-    assert len(shapes) == 1 and _graph_cache(first) is _graph_cache(second)
+    assert shapes.cache_info().currsize == 1 and _graph_cache(first) is _graph_cache(second)
     assert warm[0] == warm[1]
-    shapes.clear()
+    shapes.cache_clear()
     assert _encode_and_backward(enc, _renamed_query_graph(), x, w) == warm[1]
 
 
@@ -350,25 +354,26 @@ def test_graphs_of_one_shape_share_operators_that_encode_as_a_cold_build(kind, s
 def test_another_shape_gets_its_own_operators(change, shapes):
     base, other = _query_graph(), _query_graph(**change)
     assert _graph_cache(base) is not _graph_cache(other)
-    assert len(shapes) == 2
+    assert shapes.cache_info().currsize == 2
     _magnn_plan(base, QUERY_PATHS)
     assert _graph_cache(other) == {}
 
 
-def test_the_shape_cache_drops_its_least_recently_used_shape(shapes, monkeypatch):
-    monkeypatch.setattr(encoders, "SHAPE_CACHE_SIZE", 2)
+def test_the_shape_cache_drops_its_least_recently_used_shape(monkeypatch):
+    shapes = _fresh_shapes(monkeypatch, 2)
 
     def of_type(t):
         return _query_graph(types=("Drug", "AdverseEffect", "Finding", t))
 
     a = of_type("Drug")
     entry_a = _graph_cache(a)
-    _graph_cache(of_type("Symptom"))
+    entry_symptom = _graph_cache(of_type("Symptom"))
     assert _graph_cache(of_type("Drug")) is entry_a     # the Drug shape is now the recent one
-    _graph_cache(of_type("Finding"))
-    assert list(shapes) == [of_type("Drug").typed_shape(), of_type("Finding").typed_shape()]
-    _graph_cache(of_type("Symptom"))
-    assert a.typed_shape() not in shapes
+    entry_finding = _graph_cache(of_type("Finding"))    # drops Symptom, the oldest
+    assert shapes.cache_info().currsize == 2
+    assert _graph_cache(of_type("Drug")) is entry_a
+    assert _graph_cache(of_type("Finding")) is entry_finding
+    assert _graph_cache(of_type("Symptom")) is not entry_symptom    # drops Drug
     # a graph keeps the entry it resolved once the cache has dropped it
     assert _graph_cache(a) is entry_a
     assert _graph_cache(of_type("Drug")) is not entry_a
@@ -379,10 +384,10 @@ def test_a_graph_above_the_node_limit_keeps_its_own_operators(shapes):
     big = [HeteroGraph([(i, "Drug", f"d{i}", (), None) for i in range(n)],
                        [(i, i + 1, "CAUSE") for i in range(n - 1)]) for _ in range(2)]
     assert _relation_adjacency(big[0], None) is not _relation_adjacency(big[1], None)
-    assert len(shapes) == 0
+    assert shapes.cache_info().currsize == 0
     small = _query_graph()
     _relation_adjacency(small, None)
-    assert len(shapes) == 1
+    assert shapes.cache_info().currsize == 1
 
 
 def test_every_array_of_a_shared_entry_is_read_only(shapes):
@@ -407,8 +412,8 @@ def test_every_array_of_a_shared_entry_is_read_only(shapes):
             a[0] = a[0]
 
 
-def test_four_threads_encoding_one_shape_at_once_agree(shapes, monkeypatch):
-    monkeypatch.setattr(encoders, "SHAPE_CACHE_SIZE", 3)
+def test_four_threads_encoding_one_shape_at_once_agree(monkeypatch):
+    shapes = _fresh_shapes(monkeypatch, 3)
     enc, x, _ = _query_encoder("magnn")
     graphs = [_query_graph() if i % 2 else _renamed_query_graph() for i in range(4)]
     others = [_query_graph(types=("Drug", "AdverseEffect", "Finding", t))
@@ -433,8 +438,8 @@ def test_four_threads_encoding_one_shape_at_once_agree(shapes, monkeypatch):
     finally:
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
-    assert len(shapes) == 3
-    shapes.clear()
+    assert shapes.cache_info().currsize == 3
+    shapes.cache_clear()
     cold = enc.encode(_query_graph(), x).data
     assert all(o is not None and np.array_equal(o, cold) for o in out)
 

@@ -236,6 +236,22 @@ def valid_graphs(draw):
         unique=True, max_size=25)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=valid_graphs())
+def test_token_ids_maps_each_name_and_synonym_token_to_its_holders(g):
+    holders = {}
+    for nid in g.node_ids:
+        node = g.node(nid)
+        for tok in {*node.name, *(t for syn in node.synonyms for t in syn)}:
+            holders.setdefault(tok, set()).add(nid)
+    table = g.token_ids
+    assert {tok: set(ids.tolist()) for tok, ids in table.items()} == holders
+    for ids in table.values():
+        assert ids.dtype == np.int64 and (np.diff(ids) > 0).all()
+        assert not ids.flags.writeable
+    assert g.token_ids is table         # built once, then kept with the graph
+
+
 def _saved(graph, tmp):
     paths = os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv")
     save_graph(graph, *paths)

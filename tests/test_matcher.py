@@ -226,7 +226,7 @@ def test_candidate_pool_reuses_the_token_map_of_a_kb(mini, monkeypatch):
     twin = HeteroGraph([(n.id, n.type, n.name, n.synonyms, None) for n in corpus.kb.nodes()],
                        corpus.kb.edges)
     assert [candidate_pool(twin, it).tolist() for it in items] == [p.tolist() for p in first]
-    assert twin._token_ids is not corpus.kb._token_ids
+    assert twin.token_ids is not corpus.kb.token_ids
 
 
 def _order_by_score_oracle(ids, scores):
@@ -720,6 +720,37 @@ def test_kb_embedding_memo_gives_the_uncached_answer(mini, kind):
         answer = ask(model, features)
         assert answer == fresh(model, other) and answer != before
     assert encoded.count(kb) == calls + 4
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "rgcn", "magnn"])
+def test_a_warm_request_ranks_the_query_graph_it_is_given(mini, monkeypatch, kind):
+    """disambiguate builds no graph once warm, and ranks as rank_items does
+    over the one-item batch, bit for bit."""
+    corpus, kb_feats = mini["corpus"], mini["kb_features"]
+    model = evalgen.make_model(corpus, kind, seed=1, num_layers=2, dim=16)
+    items = mini["train"] + mini["val"]
+    k = 5
+
+    def ask():
+        return [disambiguate(model, corpus.kb, kb_feats, item.qgraph, item.features,
+                             item.mention_node, k) for item in items]
+
+    batched = [rank_items(model, corpus.kb, kb_feats,
+                          build_query_batch([item], corpus.config.feature_dim),
+                          [candidate_pool(corpus.kb, item)], k)[0] for item in items]
+    ask()
+    built = []
+    init = HeteroGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HeteroGraph, "__init__", counting_init)
+    served = ask()
+    assert built == []
+    assert served == [list(zip(ids.tolist(), scores.tolist())) for ids, scores in batched]
+    assert any(len(top) > 1 for top in served)
 
 
 def test_magnn_disambiguate_builds_no_coo_matrix(mini, monkeypatch):
