@@ -134,9 +134,11 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
     with a simple end-anchored instance, in metapath order: `avg` averages the
     rows of each instance, `gather` picks its target's row, `segments` numbers
     its target among that metapath's targets (ascending), and `indicator`
-    sums per target.  The fusion stacks those metapaths' target rows and sums
-    them per node: `covered` are the rows with any instance, ascending, and
-    `segments` maps each stacked row to its index in `covered`."""
+    sums per target.  Instances come target by target, so `segments` never
+    decreases: each target's instances are one run of rows.  The fusion stacks
+    those metapaths' target rows and sums them per node: `covered` are the rows
+    with any instance, ascending, and `segments` maps each stacked row to its
+    index in `covered`."""
     cache = _graph_cache(graph).setdefault("magnn", {})
     key = tuple(path.label() for path in metapaths)
     if key not in cache:
@@ -322,23 +324,14 @@ class Encoder:
             return x
         intras = []
         for label, avg, gather, segments, indicator in per_path:
-            n_seg = indicator.shape[0]
-            h_mean = ndiff.sparse_matmul(avg, x)
-            h_inst = ndiff.matmul(h_mean, self._params[f"magnn.W_p[{label}][{k}]"])
-            h_tgt = ndiff.sparse_matmul(gather, x)
-            cat = ndiff.concat([h_tgt, h_inst], axis=1)
-            head_outs = []
-            for h in range(cfg.heads):
-                a = self._params[f"magnn.a[{label}][{k}][h{h}]"]
-                logits = ndiff.leaky_relu(ndiff.matmul(cat, a), slope)
-                alpha = ndiff.segment_softmax(logits, segments, n_seg)
-                if collect is not None:
-                    collect.append(AttentionRecord(
-                        "intra", f"{label}/layer{k}/head{h}",
-                        alpha.data.copy(), segments.copy()))
-                weighted = ndiff.mul(ndiff.reshape(alpha, (-1, 1)), h_inst)
-                head_outs.append(ndiff.elu(ndiff.segment_sum(weighted, indicator, n_seg)))
-            intras.append(ndiff.concat(head_outs, axis=1))
+            heads = [self._params[f"magnn.a[{label}][{k}][h{h}]"] for h in range(cfg.heads)]
+            intra, alpha = _metapath_attention(x, self._params[f"magnn.W_p[{label}][{k}]"], heads,
+                                               avg, gather, segments, indicator, slope)
+            if collect is not None:
+                collect.extend(AttentionRecord("intra", f"{label}/layer{k}/head{h}",
+                                               alpha[:, h].copy(), segments.copy())
+                               for h in range(cfg.heads))
+            intras.append(intra)
 
         stacked = ndiff.concat(intras, axis=0)
         logits = ndiff.leaky_relu(ndiff.matmul(stacked, self._params[f"magnn.beta[{k}]"]), slope)
@@ -349,6 +342,63 @@ class Encoder:
         fused = ndiff.segment_sum(ndiff.mul(ndiff.reshape(beta, (-1, 1)), stacked),
                                   fusion_indicator, len(covered))
         return ndiff.scatter_rows(x, covered, fused)
+
+
+def _metapath_attention(x: Tensor, w_p: Parameter, heads: list[Parameter],
+                        avg: ndiff.SparseOperator, gather: ndiff.SparseOperator,
+                        segments: np.ndarray, indicator: ndiff.SparseOperator,
+                        slope: float) -> tuple[Tensor, np.ndarray]:
+    """One metapath's intra-metapath attention on every head, as one tape node.
+
+    Each instance is encoded as `avg @ x @ w_p`; head h scores it by
+    LeakyReLU([gather @ x, encoding] . heads[h]), softmaxes the scores over
+    the instances of each target and takes ELU of the weighted sum of
+    encodings: the (targets, H * d_head) result holds the heads side by side.
+    Returns it with the (instances, H) attention weights.
+
+    Every value and gradient is bit for bit what the per-head chain of ndiff
+    ops (matmul, leaky_relu, segment_softmax, mul, segment_sum, elu) gives:
+    each step does the same float operations in the same order, a head's
+    scores take one matrix-vector product each (one (D, H) product adds in
+    another order), and gradients that chain summed are summed in its order."""
+    n_heads = len(heads)
+    h_mean = np.asarray(avg.matrix @ x.data)
+    h_inst = h_mean @ w_p.data
+    cat = np.concatenate([np.asarray(gather.matrix @ x.data), h_inst], axis=1)
+    m, d_head = h_inst.shape
+    z = np.empty((m, n_heads))
+    for h, a in enumerate(heads):
+        z[:, h] = cat @ a.data
+    logits = np.where(z >= 0, z, slope * z)
+    # each target's instances are one run of rows (see _magnn_plan)
+    e = np.exp(logits - np.maximum.reduceat(logits, indicator.matrix.indptr[:-1])[segments])
+    alpha = e / np.asarray(indicator.matrix @ e)[segments]
+    summed = np.asarray(indicator.matrix @ (alpha[:, :, None] * h_inst[:, None, :]).reshape(m, -1))
+    out = np.where(summed > 0, summed, np.expm1(np.minimum(summed, 0.0)))
+
+    def back(g):
+        g_weighted = np.asarray(indicator.transpose() @ (g * np.where(summed > 0, 1.0, out + 1.0)))
+        g_weighted = g_weighted.reshape(m, n_heads, d_head)
+        g_alpha = (g_weighted * h_inst[:, None, :]).sum(axis=2)
+        g_logits = alpha * (g_alpha - np.asarray(indicator.matrix @ (g_alpha * alpha))[segments])
+        g_z = g_logits * np.where(z >= 0, 1.0, slope)
+        g_heads, g_cat = [], None
+        for h, a in enumerate(heads):
+            g_zh = np.ascontiguousarray(g_z[:, h])    # the chain's vector was contiguous
+            g_heads.append(cat.T @ g_zh)
+            g_cat = np.outer(g_zh, a.data) if g_cat is None else g_cat + np.outer(g_zh, a.data)
+        # the chain adds h_inst's gradient over the heads' products, then the
+        # concat's part; x's comes from gather, then from avg
+        g_by_head = g_weighted * alpha[:, :, None]
+        g_inst = g_by_head[:, 0]
+        for h in range(1, n_heads):
+            g_inst = g_inst + g_by_head[:, h]
+        g_tgt, g_inst_cat = np.split(g_cat, [x.shape[1]], axis=1)
+        g_inst = g_inst + g_inst_cat
+        return (np.asarray(gather.transpose() @ g_tgt),
+                np.asarray(avg.transpose() @ (g_inst @ w_p.data.T)),
+                h_mean.T @ g_inst, *g_heads)
+    return ndiff.tape_node(out, (x, x, w_p, *heads), back), alpha
 
 
 def build_encoder_for_graph(config: EncoderConfig, graph: HeteroGraph,

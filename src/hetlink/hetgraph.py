@@ -427,8 +427,9 @@ def read_json(path, error: type[Exception]):
 
 
 def load_nodes_tsv(path) -> list[tuple]:
-    """Rows of (id, type, name, synonyms, features) from the node list file."""
-    rows = []
+    """Rows of (id, type, name, synonyms, features) from the node list file,
+    each id on one row."""
+    rows, ids = [], set()
     with open_text(path, GraphError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -441,6 +442,9 @@ def load_nodes_tsv(path) -> list[tuple]:
                 nid = int(parts[0])
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
+            if nid in ids:
+                raise GraphError(f"{path}:{lineno}: duplicate node id {nid}")
+            ids.add(nid)
             synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
             features = None
             if len(parts) > 4 and parts[4]:
@@ -454,7 +458,8 @@ def load_nodes_tsv(path) -> list[tuple]:
     return rows
 
 
-def load_edges_tsv(path) -> list[Edge]:
+def load_edges_tsv(path, node_ids) -> list[Edge]:
+    """The edges of the edge list file, each end one of `node_ids`."""
     rows = []
     with open_text(path, GraphError) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -465,14 +470,19 @@ def load_edges_tsv(path) -> list[Edge]:
             if len(parts) != 3:
                 raise GraphError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
             try:
-                rows.append(Edge(int(parts[0]), int(parts[1]), parts[2]))
+                edge = Edge(int(parts[0]), int(parts[1]), parts[2])
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: bad endpoint id") from None
+            if edge.src not in node_ids or edge.dst not in node_ids:
+                raise GraphError(f"{path}:{lineno}: edge ({edge.src}, {edge.dst}, "
+                                 f"{edge.type}) references unknown node")
+            rows.append(edge)
     return rows
 
 
 def load_graph(nodes_path, edges_path) -> HeteroGraph:
-    return HeteroGraph(load_nodes_tsv(nodes_path), load_edges_tsv(edges_path))
+    nodes = load_nodes_tsv(nodes_path)
+    return HeteroGraph(nodes, load_edges_tsv(edges_path, {row[0] for row in nodes}))
 
 
 def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:

@@ -294,9 +294,8 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
         if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
                 and np.array_equal(values, memo_values)):
             return unit
-    # take .data first so the encode graph is freed before the rows are scaled
-    emb = model.encoder.encode(kb, kb_features).data
-    unit = ndiff.l2_normalize_rows(emb).data
+    with ndiff.no_grad():
+        unit = ndiff.l2_normalize_rows(model.encoder.encode(kb, kb_features)).data
     unit.flags.writeable = False
     if _frozen_array(kb_features):
         model._kb_memo = (model.encoder, kb, kb_features, values, unit)
@@ -325,7 +324,8 @@ def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     """Encode `batch` in eval mode and rank the top `k` of each of its
     mentions' candidate pools against the KB embeddings."""
     kb_unit = kb_embeddings(model, kb, kb_features)
-    q_emb = model.encoder.encode(batch.graph, batch.features).data
+    with ndiff.no_grad():
+        q_emb = model.encoder.encode(batch.graph, batch.features).data
     return rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids], pools, k)
 
 

@@ -3,10 +3,14 @@
 Everything is float64 numpy underneath.  A forward pass builds an implicit
 tape through parent links; ``backward(loss)`` walks it once in reverse
 topological order and accumulates gradients into every reachable
-:class:`Parameter`.  Rank <= 2 tensors are sufficient for all encoders.
+:class:`Parameter`.  Inside ``with no_grad():`` no op records a node.  Rank
+<= 2 tensors are sufficient for all encoders.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,9 +58,25 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data, parents, backward) -> Tensor:
-    needs = any(p.needs_grad for p in parents)
-    if not needs:
+# per thread (and asyncio task): one thread's no_grad leaves another's tape be
+_recording = contextvars.ContextVar("ndiff_recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within it, ops return constant tensors: no tape, so no backward."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
+def tape_node(data, parents, backward) -> Tensor:
+    """The op result `data`, recorded on the tape with `backward` (the
+    gradient of each parent, in order, from the result's) when a parent needs
+    a gradient and no no_grad is open; a constant tensor otherwise."""
+    if not (_recording.get() and any(p.needs_grad for p in parents)):
         return Tensor(data)
     return Tensor(data, parents=tuple(parents), backward=backward, needs_grad=True)
 
@@ -79,7 +99,7 @@ def add(a, b) -> Tensor:
 
     def back(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-    return _make(out, (a, b), back)
+    return tape_node(out, (a, b), back)
 
 
 def sub(a, b) -> Tensor:
@@ -88,7 +108,7 @@ def sub(a, b) -> Tensor:
 
     def back(g):
         return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
-    return _make(out, (a, b), back)
+    return tape_node(out, (a, b), back)
 
 
 def mul(a, b) -> Tensor:
@@ -97,7 +117,7 @@ def mul(a, b) -> Tensor:
 
     def back(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-    return _make(out, (a, b), back)
+    return tape_node(out, (a, b), back)
 
 
 def scalar_mul(a, c: float) -> Tensor:
@@ -106,7 +126,7 @@ def scalar_mul(a, c: float) -> Tensor:
 
     def back(g):
         return (g * c,)
-    return _make(a.data * c, (a,), back)
+    return tape_node(a.data * c, (a,), back)
 
 
 def neg(a) -> Tensor:
@@ -126,7 +146,7 @@ def matmul(a, b) -> Tensor:
         if b.data.ndim == 1:
             return np.outer(g, b.data), a.data.T @ g
         return g @ b.data.T, a.data.T @ g
-    return _make(out, (a, b), back)
+    return tape_node(out, (a, b), back)
 
 
 def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
@@ -176,7 +196,7 @@ def sparse_matmul(s, x) -> Tensor:
 
     def back(g):
         return (np.asarray(transpose() @ g),)
-    return _make(out, (x,), back)
+    return tape_node(out, (x,), back)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -188,7 +208,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
 
     def back(g):
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
-    return _make(out, tensors, back)
+    return tape_node(out, tensors, back)
 
 
 def reshape(a, shape) -> Tensor:
@@ -197,7 +217,7 @@ def reshape(a, shape) -> Tensor:
 
     def back(g):
         return (g.reshape(a.shape),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def constant_csr(data, cols, counts, n_cols: int) -> sp.csr_matrix:
@@ -235,7 +255,7 @@ def gather_rows(a, idx) -> Tensor:
 
     def back(g):
         return (np.asarray(segment_indicator(idx, a.shape[0]) @ g),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def scatter_rows(base, idx, rows) -> Tensor:
@@ -249,7 +269,7 @@ def scatter_rows(base, idx, rows) -> Tensor:
         gb = g.copy()
         gb[idx] = 0.0
         return gb, g[idx]
-    return _make(out, (base, rows), back)
+    return tape_node(out, (base, rows), back)
 
 
 def segment_sum(a, segments, num_segments: int) -> Tensor:
@@ -276,7 +296,7 @@ def mean_rows(a) -> Tensor:
 
     def back(g):
         return (np.broadcast_to(g / n, a.shape).copy(),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def sum_all(a) -> Tensor:
@@ -284,7 +304,7 @@ def sum_all(a) -> Tensor:
 
     def back(g):
         return (np.full(a.shape, float(g)),)
-    return _make(a.data.sum(), (a,), back)
+    return tape_node(a.data.sum(), (a,), back)
 
 
 def sum_axis1(a) -> Tensor:
@@ -295,7 +315,7 @@ def sum_axis1(a) -> Tensor:
 
     def back(g):
         return (np.repeat(g[:, None], a.shape[1], axis=1),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 NORM_EPS = 1e-12
@@ -313,7 +333,7 @@ def l2_normalize_rows(a) -> Tensor:
     def back(g):
         dots = (g * out).sum(axis=1, keepdims=True)
         return ((g - out * dots) / norms,)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 # -- activations -----------------------------------------------------------
@@ -324,7 +344,7 @@ def leaky_relu(a, slope: float = 0.01) -> Tensor:
 
     def back(g):
         return (g * np.where(a.data >= 0, 1.0, slope),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def elu(a) -> Tensor:
@@ -333,7 +353,7 @@ def elu(a) -> Tensor:
 
     def back(g):
         return (g * np.where(a.data > 0, 1.0, out + 1.0),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def sigmoid(a) -> Tensor:
@@ -346,7 +366,7 @@ def sigmoid(a) -> Tensor:
 
     def back(g):
         return (g * out * (1.0 - out),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def softplus(a) -> Tensor:
@@ -357,7 +377,7 @@ def softplus(a) -> Tensor:
 
     def back(g):
         return (g * sig,)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def softmax(a) -> Tensor:
@@ -371,7 +391,7 @@ def softmax(a) -> Tensor:
 
     def back(g):
         return (out * (g - np.dot(g, out)),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def segment_softmax(logits, segments, num_segments: int) -> Tensor:
@@ -389,7 +409,7 @@ def segment_softmax(logits, segments, num_segments: int) -> Tensor:
     def back(g):
         dot = np.bincount(segments, weights=g * out, minlength=num_segments)
         return (out * (g - dot[segments]),)
-    return _make(out, (a,), back)
+    return tape_node(out, (a,), back)
 
 
 def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
@@ -405,7 +425,7 @@ def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = No
 
     def back(g):
         return (g * mask,)
-    return _make(a.data * mask, (a,), back)
+    return tape_node(a.data * mask, (a,), back)
 
 
 # -- backward pass ---------------------------------------------------------

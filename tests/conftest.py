@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hetlink import ndiff
 from hetlink.cli import _load_snippets, read_bundle
+from hetlink.encoders import AttentionRecord, _magnn_plan
 from hetlink.hetgraph import HeteroGraph, Metapath, build_inverted_index, tokenize
 from hetlink.matcher import candidate_ids, snippet_item
 from hetlink.querygraph import Mention, TextSnippet, augment_query_graph
@@ -187,3 +189,43 @@ def lexical_pool_oracle(kb, item) -> list[int]:
         if toks & surface_toks:
             keep.append(c)
     return keep or pool
+
+
+def magnn_layer_per_op(encoder, graph, x, k, collect):
+    """The MAGNN layer as a chain of ndiff ops, each head on its own: the
+    reference that Encoder._magnn_layer's fused per-metapath attention must
+    equal bit for bit, in output, gradients and attention records."""
+    cfg = encoder.config
+    slope = cfg.leaky_slope
+    per_path, covered, fusion_segments, fusion_indicator = _magnn_plan(graph, cfg.metapaths)
+    if not per_path:
+        return x
+    intras = []
+    for label, avg, gather, segments, indicator in per_path:
+        n_seg = indicator.shape[0]
+        h_mean = ndiff.sparse_matmul(avg, x)
+        h_inst = ndiff.matmul(h_mean, encoder._params[f"magnn.W_p[{label}][{k}]"])
+        h_tgt = ndiff.sparse_matmul(gather, x)
+        cat = ndiff.concat([h_tgt, h_inst], axis=1)
+        head_outs = []
+        for h in range(cfg.heads):
+            a = encoder._params[f"magnn.a[{label}][{k}][h{h}]"]
+            logits = ndiff.leaky_relu(ndiff.matmul(cat, a), slope)
+            alpha = ndiff.segment_softmax(logits, segments, n_seg)
+            if collect is not None:
+                collect.append(AttentionRecord(
+                    "intra", f"{label}/layer{k}/head{h}",
+                    alpha.data.copy(), segments.copy()))
+            weighted = ndiff.mul(ndiff.reshape(alpha, (-1, 1)), h_inst)
+            head_outs.append(ndiff.elu(ndiff.segment_sum(weighted, indicator, n_seg)))
+        intras.append(ndiff.concat(head_outs, axis=1))
+
+    stacked = ndiff.concat(intras, axis=0)
+    logits = ndiff.leaky_relu(ndiff.matmul(stacked, encoder._params[f"magnn.beta[{k}]"]), slope)
+    beta = ndiff.segment_softmax(logits, fusion_segments, len(covered))
+    if collect is not None:
+        collect.append(AttentionRecord("inter", f"layer{k}", beta.data.copy(),
+                                       fusion_segments.copy()))
+    fused = ndiff.segment_sum(ndiff.mul(ndiff.reshape(beta, (-1, 1)), stacked),
+                              fusion_indicator, len(covered))
+    return ndiff.scatter_rows(x, covered, fused)

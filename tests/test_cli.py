@@ -265,6 +265,23 @@ def test_ingest_rejects_a_bundle_train_could_not_read(tmp_path, capsys, nodes, d
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("nodes, edges, error", [
+    ("0\tDrug\taspirin\n", "0\t5\tCAUSE\n",
+     "{edges}:1: edge (0, 5, CAUSE) references unknown node"),
+    ("# id\ttype\tname\n0\tDrug\taspirin\n0\tFinding\tfever\n", "",
+     "{nodes}:3: duplicate node id 0"),
+])
+def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, capsys,
+                                                                  nodes, edges, error):
+    paths = {name: tmp_path / f"{name}.tsv" for name in ("nodes", "edges")}
+    paths["nodes"].write_text(nodes)
+    paths["edges"].write_text(edges)
+    assert main(["ingest", "--nodes", str(paths["nodes"]), "--edges", str(paths["edges"]),
+                 "--out", str(tmp_path / "bundle")]) == 1
+    assert capsys.readouterr().err == f"error: {error.format(**paths)}\n"
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_a_bundle_whose_manifest_lists_no_nodes_is_rejected(workdir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)

@@ -27,8 +27,9 @@ from hetlink.evalgen import schema_metapaths
 from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
 from hetlink.matcher import MatcherError, MatchingHead, SiameseModel, build_query_batch
 
-from conftest import csr_arrays, random_hetero_graph
+from conftest import csr_arrays, magnn_layer_per_op, random_hetero_graph
 from test_hetgraph import _brute_force_instances
+from test_ndiff import fd_grad
 
 
 def _elu(x):
@@ -291,6 +292,104 @@ def test_second_encode_of_a_graph_builds_no_sparse_matrix(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the fused per-metapath attention against the per-op chain it replaced
+
+
+def _encode_record(enc, g, features, w):
+    """Output, input and parameter gradients and attention records of one
+    training-mode encode, as bytes."""
+    x = ndiff.Parameter(features, "features")
+    collect = []
+    out = enc.encode(g, x, training=True, rng=np.random.default_rng(3), collect=collect)
+    ndiff.backward(ndiff.sum_all(ndiff.mul(out, w)))
+    grads = {p.name: p.grad.tobytes() for p in [x, *enc.parameters()]}
+    for p in enc.parameters():
+        p.zero_grad()
+    records = [(r.kind, r.label, r.weights.dtype.str, r.weights.tobytes(),
+                r.segments.dtype.str, r.segments.tobytes()) for r in collect]
+    return out.data.tobytes(), grads, records
+
+
+def _assert_fused_layer_matches_per_op(monkeypatch, g, paths, features, heads, seed, kb=None):
+    """A 2-layer MAGNN encoder over the types of `kb` (default `g`), with
+    perturbed parameters and dropout on, encodes `g` and backpropagates bit
+    for bit as with the per-op layer."""
+    rng = np.random.default_rng(seed)
+    cfg = EncoderConfig(kind="magnn", num_layers=2, dim=8, heads=heads, dropout=0.2,
+                        metapaths=paths, seed=seed)
+    enc = build_encoder_for_graph(cfg, g if kb is None else kb, features.shape[1])
+    for p in enc.parameters():
+        p.data += rng.standard_normal(p.data.shape) * 0.3
+    w = rng.standard_normal((len(g), 8))
+    fused = _encode_record(enc, g, features, w)
+    with monkeypatch.context() as patch:
+        patch.setattr(Encoder, "_magnn_layer", magnn_layer_per_op)
+        per_op = _encode_record(enc, g, features, w)
+    assert fused[2] == per_op[2]
+    assert any(np.frombuffer(v).any() for name, v in fused[1].items() if ".a[" in name)
+    assert fused[1] == per_op[1]
+    assert fused[0] == per_op[0]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("graph_seed", range(4))
+def test_fused_magnn_layer_matches_per_op_chain_on_random_graphs(monkeypatch, heads, graph_seed):
+    rng = np.random.default_rng(100 + graph_seed)
+    g = random_hetero_graph(rng, n_nodes=int(rng.integers(12, 40)), n_types=3,
+                            n_edge_types=2, edge_prob=0.12)
+    paths = schema_metapaths(g.schema, limit=0)
+    _assert_fused_layer_matches_per_op(monkeypatch, g, paths, rng.standard_normal((len(g), 6)),
+                                       heads, graph_seed)
+
+
+def test_magnn_gradients_match_finite_differences_at_two_heads():
+    """The fused attention's hand-written backward, on heads that disagree
+    (the acceptance gate's check runs one head)."""
+    rng = np.random.default_rng(4)
+    g = random_hetero_graph(rng, n_nodes=10, n_types=2, n_edge_types=2, edge_prob=0.35)
+    paths = [Metapath.parse(text) for text in ("T1-R1-T1", "T1-R0-T1", "T1-R0-T1-R1-T1")]
+    # each metapath has a target of two instances or more: a softmax to differentiate
+    plan = _magnn_plan(g, paths)[0]
+    assert len(plan) == 3 and all(avg.shape[0] > ind.shape[0] for _, avg, _, _, ind in plan)
+    enc = make_encoder("magnn", g, 4, dim=4, num_layers=2, heads=2, metapaths=paths, seed=1)
+    for p in enc.parameters():
+        p.data += rng.standard_normal(p.data.shape) * 0.3
+    x = ndiff.Parameter(rng.standard_normal((len(g), 4)), "features")
+    w = rng.standard_normal((len(g), 4))
+
+    def loss():
+        return ndiff.sum_all(ndiff.mul(enc.encode(g, x), w))
+
+    ndiff.backward(loss())
+    for p in [x, *enc.parameters()]:
+        expected = fd_grad(lambda _: float(loss().data), p.data, h=1e-5)
+        np.testing.assert_allclose(p.grad, expected, rtol=1e-3, atol=1e-6, err_msg=p.name)
+
+
+@pytest.fixture(scope="module")
+def synth_corpus():
+    return evalgen.generate_synthetic_kb(evalgen.SynthConfig(seed=1))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_fused_magnn_layer_matches_per_op_chain_on_the_synthetic_kb(monkeypatch, synth_corpus,
+                                                                    heads):
+    kb = synth_corpus.kb
+    _assert_fused_layer_matches_per_op(monkeypatch, kb, schema_metapaths(kb.schema),
+                                       evalgen.kb_features(synth_corpus), heads, 7)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_fused_magnn_layer_matches_per_op_chain_on_a_query_batch(monkeypatch, synth_corpus,
+                                                                 heads):
+    items = evalgen.corpus_items(synth_corpus, [s.id for s in synth_corpus.snippets[:4]])
+    batch = build_query_batch(items, synth_corpus.config.feature_dim)
+    kb = synth_corpus.kb
+    _assert_fused_layer_matches_per_op(monkeypatch, batch.graph, schema_metapaths(kb.schema),
+                                       batch.features, heads, 8, kb=kb)
+
+
+# ---------------------------------------------------------------------------
 # operators shared by graphs of one typed shape
 
 QUERY_PATHS = [Metapath.parse(text) for text in (
@@ -535,6 +634,8 @@ def _assert_magnn_plan_matches_oracle(graph, paths):
         stacked += targets
     assert [(label, seg.tolist()) for label, _, _, seg, _ in per_path] == [
         (label, seg) for label, seg, _ in want]
+    # each target's instances are one run, which the attention's segment max reads
+    assert all((np.diff(seg) >= 0).all() for _, _, _, seg, _ in per_path)
     # the fusion covers exactly the rows that are the target of an instance
     assert covered.tolist() == sorted(set(stacked))
     assert segments.tolist() == [covered.tolist().index(t) for t in stacked]

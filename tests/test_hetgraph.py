@@ -264,7 +264,7 @@ def test_a_valid_graph_survives_save_and_load(g):
     with tempfile.TemporaryDirectory() as tmp:
         nodes_path, edges_path = _saved(g, tmp)
         assert len(load_nodes_tsv(nodes_path)) == len(g)
-        assert load_edges_tsv(edges_path) == g.edges
+        assert load_edges_tsv(edges_path, g.node_ids) == g.edges
         back = load_graph(nodes_path, edges_path)
     assert back.nodes() == g.nodes()
     assert back.edges == g.edges
@@ -316,9 +316,11 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
 def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):
     nodes = [(0, "Drug", "a"), (1, "Finding", "b")]
     g = _graph(nodes, [(0, 1, "CAUSE")])
-    for edge, error in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node"),
-                        ((0, 1, ""), "empty edge type"),
-                        ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')")]:
+    # the loader, which knows the row, names an unknown end's file and line
+    for edge, error, where in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node",
+                                "{}:2: "),
+                               ((0, 1, ""), "empty edge type", ""),
+                               ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')", "")]:
         with pytest.raises(GraphError) as exc:
             _graph(nodes, [*g.edges, edge])
         assert str(exc.value) == error
@@ -327,7 +329,7 @@ def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):
             fh.write("\t".join(map(str, edge)) + "\n")
         with pytest.raises(GraphError) as exc:
             load_graph(nodes_path, edges_path)
-        assert str(exc.value) == error
+        assert str(exc.value) == where.format(edges_path) + error
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from hetlink import cli, evalgen
+from hetlink import cli, evalgen, ndiff
 from hetlink.encoders import EncoderConfig
 from hetlink.matcher import (
     MatcherError,
@@ -386,6 +386,34 @@ def _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng):
             want_ids, want_scores = _order_by_score_oracle(pool.tolist(), scores)
             assert got_ids.tolist() == want_ids[:k]
             assert got_scores.tobytes() == want_scores[:k].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["graphsage", "magnn"])
+def test_kb_embeddings_and_rank_items_record_no_tape(mini, monkeypatch, kind):
+    """Both encode under ndiff.no_grad, to the values a recorded encode gives."""
+    corpus = mini["corpus"]
+    model = evalgen.make_model(corpus, kind, seed=1, num_layers=2, dim=16)
+    items = mini["val"]
+    batch = build_query_batch(items, corpus.config.feature_dim)
+    pools = [candidate_pool(corpus.kb, it) for it in items]
+    kb_unit = l2_normalize_rows(model.encoder.encode(corpus.kb, mini["kb_features"])).data
+    q_rows = model.encoder.encode(batch.graph, batch.features).data[batch.mention_ids]
+    want = rank_candidates(model, corpus.kb, kb_unit, q_rows, pools, 5)
+    recorded = []
+    tape_node = ndiff.tape_node
+
+    def counting_tape_node(data, parents, backward):
+        out = tape_node(data, parents, backward)
+        recorded.append(out.needs_grad)
+        return out
+
+    monkeypatch.setattr(ndiff, "tape_node", counting_tape_node)
+    got_unit = kb_embeddings(model, corpus.kb, mini["kb_features"])
+    got = rank_items(model, corpus.kb, mini["kb_features"], batch, pools, 5)
+    assert recorded and not any(recorded)
+    assert got_unit.tobytes() == kb_unit.tobytes()
+    assert [(i.tobytes(), s.tobytes()) for i, s in got] == [
+        (i.tobytes(), s.tobytes()) for i, s in want]
 
 
 def test_rank_candidates_matches_the_list_oracle_on_odd_pools(mini):

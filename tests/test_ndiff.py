@@ -4,6 +4,8 @@ Every differentiable op is checked against central finite differences at
 random inputs kept away from non-smooth points (relu kinks, softmax ties).
 """
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -337,6 +339,43 @@ def test_constants_do_not_get_grads():
     backward(ndiff.sum_all(ndiff.mul(p, t)))
     assert not t.needs_grad
     np.testing.assert_allclose(p.grad, np.ones(3))
+
+
+def test_no_grad_records_no_tape_until_it_closes():
+    p = Parameter(np.array([1.0, -2.0, 3.0]), "p")
+    with ndiff.no_grad():
+        with ndiff.no_grad():
+            inner = ndiff.mul(p, p)
+        outer = ndiff.add(inner, p)
+    for t in (inner, outer):
+        assert not t.needs_grad and t._parents == () and t._backward is None
+    assert outer.data.tobytes() == ndiff.add(ndiff.mul(p, p), p).data.tobytes()
+    with pytest.raises(ValueError):
+        with ndiff.no_grad():
+            raise ValueError
+    backward(ndiff.sum_all(ndiff.mul(p, p)))
+    np.testing.assert_array_equal(p.grad, 2 * p.data)
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    p = Parameter(np.ones(2), "p")
+    opened, checked = threading.Event(), threading.Event()
+    seen = []
+
+    def hold_no_grad():
+        with ndiff.no_grad():
+            opened.set()
+            checked.wait(10)
+            seen.append(ndiff.mul(p, p).needs_grad)
+
+    worker = threading.Thread(target=hold_no_grad)
+    worker.start()
+    assert opened.wait(10)
+    assert ndiff.mul(p, p).needs_grad
+    checked.set()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert seen == [False]
 
 
 @settings(max_examples=30, deadline=None)
