@@ -27,7 +27,7 @@ from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
 
 log = logging.getLogger("hetlink")
 
-BUNDLE_VERSION = "1"
+BUNDLE_VERSION = "2"
 
 # Config keys: every TrainConfig field under its own name, plus these keys
 # for EncoderConfig fields.  The encoder's seed is TrainConfig's.
@@ -67,9 +67,10 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
 def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore,
                  freqs: FrequencyTable) -> None:
     os.makedirs(outdir, exist_ok=True)
+    # first, so a store that save refuses leaves no bundle file behind
+    store.save(os.path.join(outdir, "wordvecs.npz"))
     save_graph(kb, os.path.join(outdir, "nodes.tsv"),
                os.path.join(outdir, "edges.tsv"))
-    store.save(os.path.join(outdir, "wordvecs.txt"))
     freqs.save_tsv(os.path.join(outdir, "freqs.tsv"))
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"bundle_version": BUNDLE_VERSION, "nodes": len(kb),
@@ -82,7 +83,9 @@ def read_bundle(bundle_dir):
     if not isinstance(manifest, dict):
         raise CliError(f"bundle manifest must be a JSON object, got {type(manifest).__name__}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
-        raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r}")
+        raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r} "
+                       f"(this hetlink reads version {BUNDLE_VERSION}): re-run gen-synth or "
+                       f"ingest to rebuild the bundle")
     if manifest.get("nodes") == 0:
         raise CliError(f"{manifest_path}: lists 0 nodes")
     kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
@@ -91,7 +94,7 @@ def read_bundle(bundle_dir):
     if listed != loaded:
         raise CliError(f"bundle manifest lists {listed[0]} nodes and {listed[1]} edges, "
                        f"its files hold {loaded[0]} and {loaded[1]}")
-    store = load_word_vectors(os.path.join(bundle_dir, "wordvecs.txt"))
+    store = WordVectorStore.load(os.path.join(bundle_dir, "wordvecs.npz"))
     freqs = FrequencyTable.load_tsv(os.path.join(bundle_dir, "freqs.tsv"))
     return kb, store, freqs
 

@@ -126,9 +126,10 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.Spars
     return cache[relation]
 
 
-def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
+def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath], key: tuple) -> tuple:
     """Every sparse operator a MAGNN layer multiplies by on `graph`, built once
-    per metapath list: `(per_path, covered, segments, indicator)`.
+    per metapath list, which `key` (the metapaths' labels) names:
+    `(per_path, covered, segments, indicator)`.
 
     `per_path` holds `(label, avg, gather, segments, indicator)` for each metapath
     with a simple end-anchored instance, in metapath order: `avg` averages the
@@ -140,7 +141,6 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath]) -> tuple:
     with any instance, ascending, and `segments` maps each stacked row to its
     index in `covered`."""
     cache = _graph_cache(graph).setdefault("magnn", {})
-    key = tuple(path.label() for path in metapaths)
     if key not in cache:
         n = len(graph)
         per_path, positions = [], [np.zeros(0, dtype=np.int64)]
@@ -243,12 +243,16 @@ class Encoder:
             d_head = d // config.heads
             for t in self.node_types:
                 par(f"magnn.in_proj[{t}]", (feature_dim, d), eye=1.0)
+            # _magnn_plan's cache key, and per layer each metapath's
+            # (W_p, per-head attention vectors): resolved once, not per call
+            self._magnn_key = tuple(path.label() for path in config.metapaths)
+            self._magnn_params = []
             for k in range(K):
-                for path in config.metapaths:
-                    label = path.label()
-                    par(f"magnn.W_p[{label}][{k}]", (d, d_head), eye=1.0)
-                    for h in range(config.heads):
-                        par(f"magnn.a[{label}][{k}][h{h}]", (d + d_head,), init="zeros")
+                self._magnn_params.append({
+                    label: (par(f"magnn.W_p[{label}][{k}]", (d, d_head), eye=1.0),
+                            [par(f"magnn.a[{label}][{k}][h{h}]", (d + d_head,), init="zeros")
+                             for h in range(config.heads)])
+                    for label in self._magnn_key})
                 par(f"magnn.beta[{k}]", (d,), init="zeros")
 
     # -- parameter access --------------------------------------------------
@@ -319,14 +323,15 @@ class Encoder:
     def _magnn_layer(self, graph, x, k, collect) -> Tensor:
         cfg = self.config
         slope = cfg.leaky_slope
-        per_path, covered, fusion_segments, fusion_indicator = _magnn_plan(graph, cfg.metapaths)
+        per_path, covered, fusion_segments, fusion_indicator = _magnn_plan(
+            graph, cfg.metapaths, self._magnn_key)
         if not per_path:
             return x
         intras = []
         for label, avg, gather, segments, indicator in per_path:
-            heads = [self._params[f"magnn.a[{label}][{k}][h{h}]"] for h in range(cfg.heads)]
-            intra, alpha = _metapath_attention(x, self._params[f"magnn.W_p[{label}][{k}]"], heads,
-                                               avg, gather, segments, indicator, slope)
+            w_p, heads = self._magnn_params[k][label]
+            intra, alpha = _metapath_attention(x, w_p, heads, avg, gather, segments, indicator,
+                                               slope)
             if collect is not None:
                 collect.extend(AttentionRecord("intra", f"{label}/layer{k}/head{h}",
                                                alpha[:, h].copy(), segments.copy())

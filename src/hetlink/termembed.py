@@ -9,6 +9,7 @@ lookups are total and every store embeds them alike.
 from __future__ import annotations
 
 import hashlib
+import zipfile
 
 import numpy as np
 
@@ -63,14 +64,60 @@ class WordVectorStore:
         return vec
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in sorted(self._vectors):
-                floats = " ".join(map(repr, self._vectors[tok].tolist()))
-                fh.write(f"{tok} {floats}\n")
+        """Write the store as one .npz archive: a `tokens` string array in
+        sorted order and a float64 `vectors` matrix with one row per token.
+        `load` reads back exactly what was stored.  A numpy string array drops
+        a trailing NUL, so a token ending in one is refused.  numpy stamps
+        each member with the fixed date 1980-01-01: equal stores write equal
+        bytes."""
+        tokens = sorted(self._vectors)
+        for tok in tokens:
+            if tok.endswith("\x00"):
+                raise TermEmbedError(
+                    f"{path}: token {tok!r} ends in NUL, which a .npz string array drops")
+        # a file object, so numpy appends no ".npz" to the name
+        with open(path, "wb") as fh:
+            np.savez(fh, tokens=np.array(tokens, dtype=str),
+                     vectors=np.array([self._vectors[t] for t in tokens]).reshape(-1, self.dim))
+
+    @classmethod
+    def load(cls, path) -> "WordVectorStore":
+        """The store that `save` wrote to `path`.  Any other file ends in
+        TermEmbedError, one line that names it."""
+        try:
+            npz = np.load(path, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile):
+                raise TermEmbedError(f"{path}: not a .npz archive")
+            with npz:
+                missing = sorted({"tokens", "vectors"} - set(npz.files))
+                if missing:
+                    raise TermEmbedError(f"{path}: no {missing[0]!r} array")
+                tokens, vectors = npz["tokens"], npz["vectors"]
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            raise TermEmbedError(f"{path}: not a readable .npz archive") from None
+        if tokens.ndim != 1 or tokens.dtype.kind != "U":
+            raise TermEmbedError(f"{path}: tokens must be a 1-D string array, "
+                                 f"got {tokens.dtype} of shape {tokens.shape}")
+        if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] < 1:
+            raise TermEmbedError(f"{path}: vectors must be a 2-D float64 matrix with at least "
+                                 f"one column, got {vectors.dtype} of shape {vectors.shape}")
+        if len(vectors) != len(tokens):
+            raise TermEmbedError(f"{path}: {len(vectors)} vector rows for {len(tokens)} tokens")
+        names = tokens.tolist()
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise TermEmbedError(f"{path}: row {row} ({names[row]!r}): non-finite float")
+        store = cls(dict(zip(names, vectors)), vectors.shape[1])
+        if len(store) != len(names):
+            unique, counts = np.unique(tokens, return_counts=True)
+            raise TermEmbedError(f"{path}: duplicate token {str(unique[counts > 1][0])!r}")
+        return store
 
 
 def load_word_vectors(path) -> WordVectorStore:
-    """Load text-format word vectors: one `token f1 f2 ...` line per token."""
+    """Load text-format word vectors: one `token f1 f2 ...` line per token.
+    `ingest --wordvecs` reads this format; a bundle holds WordVectorStore.save's."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open_text(path, TermEmbedError) as fh:

@@ -191,13 +191,18 @@ def lexical_pool_oracle(kb, item) -> list[int]:
     return keep or pool
 
 
+def magnn_plan(graph, paths):
+    """encoders._magnn_plan under the cache key an encoder of `paths` uses."""
+    return _magnn_plan(graph, paths, tuple(path.label() for path in paths))
+
+
 def magnn_layer_per_op(encoder, graph, x, k, collect):
     """The MAGNN layer as a chain of ndiff ops, each head on its own: the
     reference that Encoder._magnn_layer's fused per-metapath attention must
     equal bit for bit, in output, gradients and attention records."""
     cfg = encoder.config
     slope = cfg.leaky_slope
-    per_path, covered, fusion_segments, fusion_indicator = _magnn_plan(graph, cfg.metapaths)
+    per_path, covered, fusion_segments, fusion_indicator = magnn_plan(graph, cfg.metapaths)
     if not per_path:
         return x
     intras = []

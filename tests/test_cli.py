@@ -34,14 +34,26 @@ TRAIN_CONFIG = {"encoder": "graphsage", "layers": 1, "dim": 32,
                 "epochs": 2, "patience": 2, "seed": 0}
 
 
+def write_word_vector_text(npz_path, path) -> None:
+    """The vectors of the bundle file `npz_path` in the text format that
+    `ingest --wordvecs` reads: a `token f1 f2 ...` line per token, each float
+    as repr prints it, so the text holds every bit."""
+    with np.load(npz_path) as npz:
+        rows = zip(npz["tokens"].tolist(), npz["vectors"].tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(" ".join([tok, *map(repr, vec)]) + "\n" for tok, vec in rows)
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    """Generated corpus plus a trained model, shared across CLI tests."""
+    """Generated corpus plus a trained model, shared across CLI tests, and the
+    corpus's word vectors as text (wordvecs.txt)."""
     root = tmp_path_factory.mktemp("cli")
     gen_cfg = root / "gen.json"
     gen_cfg.write_text(json.dumps(SMALL_GEN))
     assert main(["gen-synth", "--config", str(gen_cfg),
                  "--out", str(root / "corpus")]) == 0
+    write_word_vector_text(root / "corpus" / "wordvecs.npz", root / "wordvecs.txt")
     train_cfg = root / "train.json"
     train_cfg.write_text(json.dumps(TRAIN_CONFIG))
     assert main(["train", "--bundle", str(root / "corpus"),
@@ -113,11 +125,10 @@ def test_any_json_value_at_any_key_builds_a_config_or_fails_in_one_line(reader, 
 
 def test_gen_synth_writes_bundle_and_snippets(workdir):
     corpus = workdir / "corpus"
-    for name in ("nodes.tsv", "edges.tsv", "wordvecs.txt", "freqs.tsv",
-                 "manifest.json", "snippets.json"):
-        assert (corpus / name).exists(), name
+    assert sorted(os.listdir(corpus)) == ["edges.tsv", "freqs.tsv", "manifest.json",
+                                          "nodes.tsv", "snippets.json", "wordvecs.npz"]
     manifest = json.loads((corpus / "manifest.json").read_text())
-    assert manifest["bundle_version"] == "1"
+    assert manifest["bundle_version"] == "2"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
 
 
@@ -243,10 +254,43 @@ def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):
     corpus = workdir / "corpus"
     assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
                  "--edges", str(corpus / "edges.tsv"),
-                 "--wordvecs", str(corpus / "wordvecs.txt"),
+                 "--wordvecs", str(workdir / "wordvecs.txt"),
                  "--out", str(tmp_path / "bundle")]) == 0
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
+    # the text's vectors, read back, are the generator's to the bit
+    assert ((tmp_path / "bundle" / "wordvecs.npz").read_bytes()
+            == (corpus / "wordvecs.npz").read_bytes())
+
+
+@pytest.mark.parametrize("field, value", [(1, "nan"), (3, "inf")])
+def test_ingest_rejects_a_word_vector_number_that_is_not_finite(workdir, tmp_path, capsys,
+                                                                 field, value):
+    path = tmp_path / "wordvecs.txt"
+    first, rest = (workdir / "wordvecs.txt").read_text().split("\n", 1)
+    fields = first.split(" ")
+    fields[field] = value
+    path.write_text(" ".join(fields) + "\n" + rest)
+    corpus = workdir / "corpus"
+    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
+                 "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+                 "--out", str(tmp_path / "bundle")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:1: non-finite float\n"
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
+    # a numpy string array drops a trailing NUL, so the token would not come back
+    path = tmp_path / "wordvecs.txt"
+    floats = (workdir / "wordvecs.txt").read_text().split("\n", 1)[0].split(" ", 1)[1]
+    path.write_text(f"fever\x00 {floats}\n")
+    corpus, bundle = workdir / "corpus", tmp_path / "bundle"
+    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
+                 "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+                 "--out", str(bundle)]) == 1
+    assert capsys.readouterr().err == (f"error: {bundle / 'wordvecs.npz'}: token 'fever\\x00' "
+                                       f"ends in NUL, which a .npz string array drops\n")
+    assert os.listdir(bundle) == []
 
 
 @pytest.mark.parametrize("nodes, dim, error", [
@@ -408,6 +452,97 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
     assert "bundle version" in capsys.readouterr().err
 
 
+def test_a_version_1_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir, tmp_path,
+                                                                        capsys):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    os.remove(bundle / "wordvecs.npz")
+    shutil.copy(workdir / "wordvecs.txt", bundle / "wordvecs.txt")
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    (bundle / "manifest.json").write_text(json.dumps({**manifest, "bundle_version": "1"}))
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: unsupported bundle version '1' (this hetlink reads version 2): "
+        "re-run gen-synth or ingest to rebuild the bundle\n")
+
+
+def _with_row(vectors, row, value):
+    out = vectors.copy()
+    out[row] = value
+    return out
+
+
+# how a bundle's wordvecs.npz breaks: (tokens, vectors) -> (the arrays written,
+# what the error says after the file's path)
+NPZ_BREAKS = {
+    "no tokens": lambda t, v: ({"vectors": v}, "no 'tokens' array"),
+    "no vectors": lambda t, v: ({"tokens": t}, "no 'vectors' array"),
+    "float32 vectors": lambda t, v: (
+        {"tokens": t, "vectors": v.astype(np.float32)},
+        f"vectors must be a 2-D float64 matrix with at least one column, "
+        f"got float32 of shape {v.shape}"),
+    "1-D vectors": lambda t, v: (
+        {"tokens": t, "vectors": v.ravel()},
+        f"vectors must be a 2-D float64 matrix with at least one column, "
+        f"got float64 of shape ({v.size},)"),
+    "no columns": lambda t, v: (
+        {"tokens": t, "vectors": v[:, :0]},
+        f"vectors must be a 2-D float64 matrix with at least one column, "
+        f"got float64 of shape ({len(v)}, 0)"),
+    "numeric tokens": lambda t, v: (
+        {"tokens": np.arange(len(t), dtype=np.int64), "vectors": v},
+        f"tokens must be a 1-D string array, got int64 of shape ({len(t)},)"),
+    "a row short": lambda t, v: (
+        {"tokens": t, "vectors": v[:-1]}, f"{len(v) - 1} vector rows for {len(t)} tokens"),
+    "nan": lambda t, v: (
+        {"tokens": t, "vectors": _with_row(v, 3, np.nan)},
+        f"row 3 ({str(t[3])!r}): non-finite float"),
+    "inf": lambda t, v: (
+        {"tokens": t, "vectors": _with_row(v, -1, -np.inf)},
+        f"row {len(v) - 1} ({str(t[-1])!r}): non-finite float"),
+    "duplicate token": lambda t, v: (
+        {"tokens": np.where(t == t[5], t[4], t), "vectors": v},
+        f"duplicate token {str(t[4])!r}"),
+}
+
+
+def _break_word_vectors(path, case) -> str:
+    """Rewrite the bundle file `path` broken as `case` says; returns what the
+    error says after the path."""
+    data = path.read_bytes()
+    if case == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+        return ": not a readable .npz archive"
+    if case == "not a zip":
+        path.write_bytes(b"fever 0.5 0.25\n")
+        return ": not a readable .npz archive"
+    with np.load(path) as npz:
+        tokens, vectors = npz["tokens"], npz["vectors"]
+    if case == "one .npy array":
+        with open(path, "wb") as fh:
+            np.save(fh, vectors)
+        return ": not a .npz archive"
+    arrays, error = NPZ_BREAKS[case](tokens, vectors)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return f": {error}"
+
+
+@pytest.mark.parametrize("case", ["truncated", "not a zip", "one .npy array", *NPZ_BREAKS])
+def test_a_broken_word_vector_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys,
+                                                                  case):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    path = bundle / "wordvecs.npz"
+    error = _break_word_vectors(path, case)
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}{error}\n"
+
+
 def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
@@ -442,8 +577,6 @@ def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, t
 
 # (bundle file, the field of its first line that is set, the value, the error)
 BUNDLE_NUMBER_BREAKS = [
-    ("wordvecs.txt", 1, "nan", "non-finite float"),
-    ("wordvecs.txt", 3, "inf", "non-finite float"),
     ("freqs.tsv", 1, "nan", "frequency must be finite and >= 0, got 'nan'"),
     ("freqs.tsv", 1, "inf", "frequency must be finite and >= 0, got 'inf'"),
     ("freqs.tsv", 1, "-0.25", "frequency must be finite and >= 0, got '-0.25'"),
@@ -458,11 +591,10 @@ def test_eval_rejects_a_bundle_number_that_is_not_finite(workdir, tmp_path, caps
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
     path = bundle / name
-    sep = " " if name == "wordvecs.txt" else "\t"
     first, rest = path.read_text().split("\n", 1)
-    fields = first.split(sep)
+    fields = first.split("\t")
     fields[field] = value
-    path.write_text(sep.join(fields) + "\n" + rest)
+    path.write_text("\t".join(fields) + "\n" + rest)
     code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
@@ -503,9 +635,11 @@ def _unreadable_file(case, workdir, tmp_path):
         snippets.write_text(NOT_JSON)
         return run["eval"], snippets, not_json
     if case == "wordvecs.txt not UTF-8":
-        path = bundle / "wordvecs.txt"
+        path = tmp_path / "wordvecs.txt"
+        shutil.copy(workdir / "wordvecs.txt", path)
         n_lines = len(path.read_bytes().splitlines())
-        return run["eval"], path, f":{_put_ff(path, n_lines + 1)}: not UTF-8"
+        return (run["ingest"] + ["--wordvecs", str(path)], path,
+                f":{_put_ff(path, n_lines + 1)}: not UTF-8")
     if case == "train config not JSON":
         (tmp_path / "train.json").write_text(NOT_JSON)
         return run["train"], tmp_path / "train.json", not_json
@@ -733,15 +867,14 @@ WORDVEC_PARTS = st.sampled_from(["tok", "1.0", "-2.5e-3", "1_0", "nan", "-inf", 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_any_word_vector_file_loads_or_ends_in_one_line_and_exit_1(workdir, data):
-    lines = (workdir / "corpus" / "wordvecs.txt").read_text(encoding="utf-8").splitlines()
+    lines = (workdir / "wordvecs.txt").read_text(encoding="utf-8").splitlines()
     drawn = [data.draw(st.lists(WORDVEC_PARTS, max_size=5).map(" ".join))
              for _ in range(data.draw(st.integers(1, 3)))]
     at = data.draw(st.integers(0, len(lines)))
     lines = drawn if data.draw(st.booleans()) else lines[:at] + drawn + lines[at:]
+    corpus = workdir / "corpus"
     with tempfile.TemporaryDirectory() as tmp:
-        bundle = os.path.join(tmp, "bundle")
-        shutil.copytree(workdir / "corpus", bundle)
-        path = os.path.join(bundle, "wordvecs.txt")
+        path = os.path.join(tmp, "wordvecs.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         try:
@@ -749,8 +882,7 @@ def test_any_word_vector_file_loads_or_ends_in_one_line_and_exit_1(workdir, data
             error = None
         except TermEmbedError as exc:
             error = str(exc)
-        # train reads the bundle before the snippet file, which is missing
-        code, err = _main_quietly(["train", "--bundle", bundle, "--out", os.path.join(tmp, "m"),
-                                   "--snippets", os.path.join(tmp, "none.json")])
-        assert not os.path.exists(os.path.join(tmp, "m"))
+        code, err = _main_quietly(["ingest", "--nodes", str(corpus / "nodes.tsv"),
+                                   "--edges", str(corpus / "edges.tsv"), "--wordvecs", path,
+                                   "--out", os.path.join(tmp, "bundle")])
     _assert_one_line_exit(code, err, error)

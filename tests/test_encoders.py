@@ -19,7 +19,6 @@ from hetlink.encoders import (
     EncoderConfig,
     EncoderError,
     _graph_cache,
-    _magnn_plan,
     _relation_adjacency,
     build_encoder_for_graph,
 )
@@ -27,7 +26,7 @@ from hetlink.evalgen import schema_metapaths
 from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
 from hetlink.matcher import MatcherError, MatchingHead, SiameseModel, build_query_batch
 
-from conftest import csr_arrays, magnn_layer_per_op, random_hetero_graph
+from conftest import csr_arrays, magnn_layer_per_op, magnn_plan, random_hetero_graph
 from test_hetgraph import _brute_force_instances
 from test_ndiff import fd_grad
 
@@ -349,7 +348,7 @@ def test_magnn_gradients_match_finite_differences_at_two_heads():
     g = random_hetero_graph(rng, n_nodes=10, n_types=2, n_edge_types=2, edge_prob=0.35)
     paths = [Metapath.parse(text) for text in ("T1-R1-T1", "T1-R0-T1", "T1-R0-T1-R1-T1")]
     # each metapath has a target of two instances or more: a softmax to differentiate
-    plan = _magnn_plan(g, paths)[0]
+    plan = magnn_plan(g, paths)[0]
     assert len(plan) == 3 and all(avg.shape[0] > ind.shape[0] for _, avg, _, _, ind in plan)
     enc = make_encoder("magnn", g, 4, dim=4, num_layers=2, heads=2, metapaths=paths, seed=1)
     for p in enc.parameters():
@@ -454,7 +453,7 @@ def test_another_shape_gets_its_own_operators(change, shapes):
     base, other = _query_graph(), _query_graph(**change)
     assert _graph_cache(base) is not _graph_cache(other)
     assert shapes.cache_info().currsize == 2
-    _magnn_plan(base, QUERY_PATHS)
+    magnn_plan(base, QUERY_PATHS)
     assert _graph_cache(other) == {}
 
 
@@ -495,7 +494,7 @@ def test_every_array_of_a_shared_entry_is_read_only(shapes):
     _encode_and_backward(enc, g, x, w)          # builds the transposes too
     for relation in (None, "CAUSE"):
         _relation_adjacency(g, relation).transpose()
-    per_path, covered, segments, indicator = _magnn_plan(g, QUERY_PATHS)
+    per_path, covered, segments, indicator = magnn_plan(g, QUERY_PATHS)
     assert per_path
     operators = [indicator, *_graph_cache(g)["rel_adj"].values()]
     arrays = [covered, segments]
@@ -553,7 +552,7 @@ def test_magnn_plan_walks_no_metapath_whose_triples_the_graph_lacks(shapes, monk
 
     g = _query_graph()
     monkeypatch.setattr(HeteroGraph, "metapath_instances", counting)
-    per_path, *_ = _magnn_plan(g, QUERY_PATHS)
+    per_path, *_ = magnn_plan(g, QUERY_PATHS)
     live = [path.label() for path in QUERY_PATHS[:3]]
     assert [entry[0] for entry in per_path] == live
     # Drug-TREAT-Finding has no TREAT edge to walk, so none of its Findings is
@@ -613,7 +612,7 @@ def _assert_magnn_plan_matches_oracle(graph, paths):
     COO constructor from the simple instances that _brute_force_instances
     enumerates target by target.  Each operator and its transpose must hold
     the same arrays bit for bit, so every product adds in the same order."""
-    per_path, covered, segments, indicator = _magnn_plan(graph, paths)
+    per_path, covered, segments, indicator = magnn_plan(graph, paths)
     row = {nid: i for i, nid in enumerate(graph.node_ids)}
     n, want, stacked = len(graph), [], []
     for path in paths:

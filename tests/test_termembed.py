@@ -1,5 +1,7 @@
 """Tests for SIF-weighted term embeddings and their supporting tables."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -50,16 +52,36 @@ def test_store_get_unseen_token_uses_fallback():
     np.testing.assert_array_equal(v, fallback_vector("never-seen", 8, seed=FALLBACK_SEED))
 
 
-def test_store_roundtrip_through_text_file(tmp_path):
-    store = random_word_vectors(["alpha", "beta", "gamma"], dim=6, seed=2)
-    path = tmp_path / "vecs.txt"
+def test_store_roundtrips_exactly_through_its_npz_file(tmp_path):
+    tokens = ["alpha", "béta", "γάμμα", "日本語", "nul\x00inside", "", "\x00lead"]
+    rng = np.random.default_rng(2)
+    store = WordVectorStore({tok: rng.standard_normal(6) for tok in tokens}, dim=6)
+    path = tmp_path / "vecs.npz"
     store.save(path)
-    loaded = load_word_vectors(path)
-    assert loaded.dim == 6
-    for tok in ("alpha", "beta", "gamma"):
-        np.testing.assert_allclose(loaded.get(tok), store.get(tok), atol=1e-6)
-    # an unseen token's vector does not depend on the seed the store was drawn at
+    loaded = WordVectorStore.load(path)
+    assert (loaded.dim, len(loaded)) == (6, len(tokens))
+    for tok in tokens:
+        assert tok in loaded
+        np.testing.assert_array_equal(loaded.get(tok), store.get(tok))
+    # an unseen token's vector does not depend on the vectors the store holds
     np.testing.assert_array_equal(loaded.get("zorp"), store.get("zorp"))
+
+
+def test_store_save_refuses_a_token_that_ends_in_nul(tmp_path):
+    # a numpy string array drops trailing NULs: "a\x00" would come back as "a"
+    store = WordVectorStore({"a": np.zeros(3), "b\x00": np.ones(3)}, dim=3)
+    path = tmp_path / "vecs.npz"
+    with pytest.raises(TermEmbedError, match=r"token 'b\\x00' ends in NUL"):
+        store.save(path)
+    assert not path.exists()
+
+
+def test_store_save_writes_the_same_bytes_at_any_clock_time(tmp_path, monkeypatch):
+    store = random_word_vectors(["alpha", "beta"], dim=4, seed=1)
+    store.save(tmp_path / "now.npz")
+    monkeypatch.setattr(time, "time", lambda: 2.0e9)
+    store.save(tmp_path / "later.npz")
+    assert (tmp_path / "now.npz").read_bytes() == (tmp_path / "later.npz").read_bytes()
 
 
 def test_load_word_vectors_rejects_ragged_rows(tmp_path):
