@@ -1,9 +1,11 @@
 #!/bin/sh
 # Runs the installed `hetlink` console script end to end on a small bundle:
-# gen-synth, MAGNN train, eval and disambiguate. Run it from an empty
-# directory after `pip install`.
+# gen-synth, ingest of its graph, MAGNN train, eval and disambiguate. Run it
+# from an empty directory after `pip install`.
 set -eu
 hetlink gen-synth --seed 1 --snippets 60 --out smoke
+hetlink ingest --nodes smoke/nodes.tsv --edges smoke/edges.tsv --dim 8 --out smoke-ingest
+test -s smoke-ingest/wordvecs.npz && test -s smoke-ingest/manifest.json
 hetlink train --bundle smoke --snippets smoke/snippets.json --out smoke-model \
   --encoder magnn --sampler hard --epochs 2 --patience 2
 hetlink eval --bundle smoke --model smoke-model --snippets smoke/snippets.json > eval.json

@@ -66,8 +66,8 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
 
 def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore,
                  freqs: FrequencyTable) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    # first, so a store that save refuses leaves no bundle file behind
+    # first: save refuses a store before it makes `outdir`, so a refused
+    # bundle leaves no directory or file behind
     store.save(os.path.join(outdir, "wordvecs.npz"))
     save_graph(kb, os.path.join(outdir, "nodes.tsv"),
                os.path.join(outdir, "edges.tsv"))

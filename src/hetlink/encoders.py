@@ -121,8 +121,7 @@ def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.Spars
         # which is CSR order: each row's count gives its slice of the columns
         rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)
         degree = np.bincount(rows, minlength=n)
-        cache.setdefault(relation, ndiff.SparseOperator(
-            ndiff.constant_csr(1.0 / degree[rows], cols, degree, n)))
+        cache.setdefault(relation, ndiff.constant_csr(1.0 / degree[rows], cols, degree, n))
     return cache[relation]
 
 
@@ -167,14 +166,13 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath], key: tuple) -> tu
                                      np.sort(cols.reshape(m, width), axis=1).ravel(),
                                      np.full(m, width), n)
             gather = ndiff.constant_csr(np.ones(m), targets, np.ones(m, dtype=np.int64), n)
-            indicator = ndiff.segment_indicator(segments, len(covered))
-            per_path.append((path.label(), ndiff.SparseOperator(avg), ndiff.SparseOperator(gather),
-                             segments, ndiff.SparseOperator(indicator)))
+            per_path.append((path.label(), avg, gather, segments,
+                             ndiff.segment_indicator(segments, len(covered))))
             positions.append(covered)
         covered, segments = np.unique(np.concatenate(positions), return_inverse=True)
         covered.flags.writeable = segments.flags.writeable = False
-        cache.setdefault(key, (per_path, covered, segments, ndiff.SparseOperator(
-            ndiff.segment_indicator(segments, len(covered)))))
+        cache.setdefault(key, (per_path, covered, segments,
+                               ndiff.segment_indicator(segments, len(covered))))
     return cache[key]
 
 
@@ -303,11 +301,10 @@ class Encoder:
         if unseen:
             raise EncoderError(f"unseen relations at forward time: {sorted(unseen)}")
         out = ndiff.matmul(x, self._params[f"rgcn.W0[{k}]"])
-        for r in self.edge_types:
-            adj = _relation_adjacency(graph, r) if r in graph.edge_types else None
-            if adj is None or adj.matrix.nnz == 0:
-                continue
-            msg = ndiff.sparse_matmul(adj, ndiff.matmul(x, self._params[f"rgcn.W[{r}][{k}]"]))
+        # a relation the graph has links at least one pair of rows
+        for r in sorted(graph.edge_types):
+            msg = ndiff.sparse_matmul(_relation_adjacency(graph, r),
+                                      ndiff.matmul(x, self._params[f"rgcn.W[{r}][{k}]"]))
             out = ndiff.add(out, msg)
         return ndiff.elu(out)
 
@@ -367,25 +364,26 @@ def _metapath_attention(x: Tensor, w_p: Parameter, heads: list[Parameter],
     scores take one matrix-vector product each (one (D, H) product adds in
     another order), and gradients that chain summed are summed in its order."""
     n_heads = len(heads)
-    h_mean = np.asarray(avg.matrix @ x.data)
+    h_mean = avg @ x.data
     h_inst = h_mean @ w_p.data
-    cat = np.concatenate([np.asarray(gather.matrix @ x.data), h_inst], axis=1)
+    cat = np.concatenate([gather @ x.data, h_inst], axis=1)
     m, d_head = h_inst.shape
     z = np.empty((m, n_heads))
     for h, a in enumerate(heads):
         z[:, h] = cat @ a.data
     logits = np.where(z >= 0, z, slope * z)
     # each target's instances are one run of rows (see _magnn_plan)
-    e = np.exp(logits - np.maximum.reduceat(logits, indicator.matrix.indptr[:-1])[segments])
-    alpha = e / np.asarray(indicator.matrix @ e)[segments]
-    summed = np.asarray(indicator.matrix @ (alpha[:, :, None] * h_inst[:, None, :]).reshape(m, -1))
+    starts = np.searchsorted(segments, np.arange(indicator.shape[0]))
+    e = np.exp(logits - np.maximum.reduceat(logits, starts)[segments])
+    alpha = e / (indicator @ e)[segments]
+    summed = indicator @ (alpha[:, :, None] * h_inst[:, None, :]).reshape(m, -1)
     out = np.where(summed > 0, summed, np.expm1(np.minimum(summed, 0.0)))
 
     def back(g):
-        g_weighted = np.asarray(indicator.transpose() @ (g * np.where(summed > 0, 1.0, out + 1.0)))
+        g_weighted = indicator.T @ (g * np.where(summed > 0, 1.0, out + 1.0))
         g_weighted = g_weighted.reshape(m, n_heads, d_head)
         g_alpha = (g_weighted * h_inst[:, None, :]).sum(axis=2)
-        g_logits = alpha * (g_alpha - np.asarray(indicator.matrix @ (g_alpha * alpha))[segments])
+        g_logits = alpha * (g_alpha - (indicator @ (g_alpha * alpha))[segments])
         g_z = g_logits * np.where(z >= 0, 1.0, slope)
         g_heads, g_cat = [], None
         for h, a in enumerate(heads):
@@ -400,8 +398,7 @@ def _metapath_attention(x: Tensor, w_p: Parameter, heads: list[Parameter],
             g_inst = g_inst + g_by_head[:, h]
         g_tgt, g_inst_cat = np.split(g_cat, [x.shape[1]], axis=1)
         g_inst = g_inst + g_inst_cat
-        return (np.asarray(gather.transpose() @ g_tgt),
-                np.asarray(avg.transpose() @ (g_inst @ w_p.data.T)),
+        return (gather.T @ g_tgt, avg.T @ (g_inst @ w_p.data.T),
                 h_mean.T @ g_inst, *g_heads)
     return ndiff.tape_node(out, (x, x, w_p, *heads), back), alpha
 

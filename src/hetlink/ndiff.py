@@ -4,7 +4,9 @@ Everything is float64 numpy underneath.  A forward pass builds an implicit
 tape through parent links; ``backward(loss)`` walks it once in reverse
 topological order and accumulates gradients into every reachable
 :class:`Parameter`.  Inside ``with no_grad():`` no op records a node.  Rank
-<= 2 tensors are sufficient for all encoders.
+<= 2 tensors are sufficient for all encoders.  Only this module knows that a
+:class:`SparseOperator`, which ``constant_csr`` returns, holds a scipy CSR
+matrix: callers use its ``@`` and ``.T``.
 """
 
 from __future__ import annotations
@@ -149,54 +151,49 @@ def matmul(a, b) -> Tensor:
     return tape_node(out, (a, b), back)
 
 
-def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
-    for a in (m.data, m.indices, m.indptr):
-        a.flags.writeable = False
-    return m
-
-
 class SparseOperator:
     """A constant sparse matrix that `sparse_matmul` multiplies by many times,
-    such as a graph's adjacency or segment indicator.
+    such as a graph's adjacency; `constant_csr` builds every one.
 
-    The operator takes `s` over: it keeps it as CSR (a CSR `s` as is) and
-    makes its arrays read-only, so it cannot be changed in place.  Its CSR
-    transpose, read-only too, is built on the first backward through it and
-    kept with it; its product adds each output row's terms in the order of
-    `s.T @ g`, so gradients are bit-for-bit the same."""
+    It answers `op @ x` with an ndarray and `op.T` with its transpose, as a
+    scipy matrix does, and `sparse_matmul` and the encoders use nothing else.
+    It takes the CSR `matrix` over and makes its arrays read-only.  The
+    transpose, an operator too, is built on first use and kept; its product
+    adds each output row's terms in the order of `matrix.T @ g`, so gradients
+    are bit-for-bit the same."""
     __slots__ = ("matrix", "_transpose")
 
-    def __init__(self, s):
-        self.matrix = _read_only_csr(s.tocsr())
+    def __init__(self, matrix):
+        for a in (matrix.data, matrix.indices, matrix.indptr):
+            a.flags.writeable = False
+        self.matrix = matrix
         self._transpose = None
 
     @property
     def shape(self):
         return self.matrix.shape
 
-    def transpose(self) -> sp.csr_matrix:
+    def __matmul__(self, x) -> np.ndarray:
+        return self.matrix @ x
+
+    @property
+    def T(self) -> "SparseOperator":
         if self._transpose is None:
-            self._transpose = _read_only_csr(self.matrix.T.tocsr())
+            self._transpose = SparseOperator(self.matrix.T.tocsr())
         return self._transpose
 
 
 def sparse_matmul(s, x) -> Tensor:
     """Constant sparse matrix times tensor; s is never differentiated.
 
-    `s` is a scipy sparse matrix, whose backward builds `s.T` each time, or a
-    `SparseOperator`, whose backward reuses its kept transpose."""
-    if isinstance(s, SparseOperator):
-        matrix, transpose = s.matrix, s.transpose
-    elif sp.issparse(s):
-        matrix, transpose = s, lambda: s.T
-    else:
-        raise NdiffError("first argument must be a scipy sparse matrix or a SparseOperator")
+    `s` is anything with `@` and `.T`: a `SparseOperator`, whose backward
+    reuses its kept transpose, or a scipy sparse matrix, whose `.T` is made
+    anew on each backward."""
     x = _as_tensor(x)
-    out = np.asarray(matrix @ x.data)
 
     def back(g):
-        return (np.asarray(transpose() @ g),)
-    return tape_node(out, (x,), back)
+        return (s.T @ g,)
+    return tape_node(s @ x.data, (x,), back)
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -220,21 +217,21 @@ def reshape(a, shape) -> Tensor:
     return tape_node(out, (a,), back)
 
 
-def constant_csr(data, cols, counts, n_cols: int) -> sp.csr_matrix:
-    """The (len(counts), n_cols) CSR matrix whose row i holds the next
-    counts[i] of `data`, at the same places of `cols`.  The one builder of the
-    package's sparse operators: its index arrays are int32, or int64 once a
-    dimension or the entry count reaches 2**31, which is how scipy stores
-    them, so it skips a scan of their contents."""
+def constant_csr(data, cols, counts, n_cols: int) -> SparseOperator:
+    """The operator of the (len(counts), n_cols) CSR matrix whose row i holds
+    the next counts[i] of `data`, at the same places of `cols`.  The one
+    builder of the package's sparse operators: its index arrays are int32, or
+    int64 once a dimension or the entry count reaches 2**31, which is how
+    scipy stores them, so it skips a scan of their contents."""
     shape = (len(counts), n_cols)
     idx = np.int32 if max(*shape, len(cols)) < 2**31 else np.int64
     indptr = np.zeros(shape[0] + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
-    return sp.csr_matrix((data, cols.astype(idx), indptr), shape=shape)
+    return SparseOperator(sp.csr_matrix((data, cols.astype(idx), indptr), shape=shape))
 
 
-def segment_indicator(segments, num_segments: int) -> sp.csr_matrix:
-    """(num_segments, len(segments)) matrix with a one at (segments[j], j).
+def segment_indicator(segments, num_segments: int) -> SparseOperator:
+    """(num_segments, len(segments)) operator with a one at (segments[j], j).
 
     Its product with rows adds each segment's rows in index order, exactly
     as np.add.at does, so the sums are bit-for-bit the same."""
@@ -254,7 +251,7 @@ def gather_rows(a, idx) -> Tensor:
     out = a.data[idx]
 
     def back(g):
-        return (np.asarray(segment_indicator(idx, a.shape[0]) @ g),)
+        return (segment_indicator(idx, a.shape[0]) @ g,)
     return tape_node(out, (a,), back)
 
 
@@ -275,9 +272,9 @@ def scatter_rows(base, idx, rows) -> Tensor:
 def segment_sum(a, segments, num_segments: int) -> Tensor:
     """Sum rows of `a` grouped by segment id.
 
-    `segments` is the segment id of each row, or a `SparseOperator` over the
-    indicator that `segment_indicator` built from them; pass an operator when
-    the grouping is reused, so it and its transpose are built once."""
+    `segments` is the segment id of each row, or the operator that
+    `segment_indicator` built from them; pass the operator when the grouping
+    is reused, so it and its transpose are built once."""
     if not isinstance(segments, SparseOperator):
         segments = segment_indicator(segments, num_segments)
     elif segments.shape[0] != num_segments:

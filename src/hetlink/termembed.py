@@ -9,6 +9,7 @@ lookups are total and every store embeds them alike.
 from __future__ import annotations
 
 import hashlib
+import os
 import zipfile
 
 import numpy as np
@@ -67,14 +68,15 @@ class WordVectorStore:
         """Write the store as one .npz archive: a `tokens` string array in
         sorted order and a float64 `vectors` matrix with one row per token.
         `load` reads back exactly what was stored.  A numpy string array drops
-        a trailing NUL, so a token ending in one is refused.  numpy stamps
-        each member with the fixed date 1980-01-01: equal stores write equal
-        bytes."""
+        a trailing NUL, so a token ending in one is refused, before the file's
+        missing directories are made.  numpy stamps each member with the fixed
+        date 1980-01-01: equal stores write equal bytes."""
         tokens = sorted(self._vectors)
         for tok in tokens:
             if tok.endswith("\x00"):
                 raise TermEmbedError(
                     f"{path}: token {tok!r} ends in NUL, which a .npz string array drops")
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         # a file object, so numpy appends no ".npz" to the name
         with open(path, "wb") as fh:
             np.savez(fh, tokens=np.array(tokens, dtype=str),

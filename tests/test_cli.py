@@ -280,17 +280,26 @@ def test_ingest_rejects_a_word_vector_number_that_is_not_finite(workdir, tmp_pat
 
 
 def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
+    """A refused store leaves --out as it was: a missing one (its parent
+    too) is not made, and an existing one keeps just the file it held."""
     # a numpy string array drops a trailing NUL, so the token would not come back
     path = tmp_path / "wordvecs.txt"
     floats = (workdir / "wordvecs.txt").read_text().split("\n", 1)[0].split(" ", 1)[1]
     path.write_text(f"fever\x00 {floats}\n")
-    corpus, bundle = workdir / "corpus", tmp_path / "bundle"
-    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
-                 "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
-                 "--out", str(bundle)]) == 1
-    assert capsys.readouterr().err == (f"error: {bundle / 'wordvecs.npz'}: token 'fever\\x00' "
-                                       f"ends in NUL, which a .npz string array drops\n")
-    assert os.listdir(bundle) == []
+    corpus = workdir / "corpus"
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("kept\n")
+    for bundle in (tmp_path / "bundle", tmp_path / "new" / "bundle", kept):
+        assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
+                     "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+                     "--out", str(bundle)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bundle / 'wordvecs.npz'}: token 'fever\\x00' "
+            f"ends in NUL, which a .npz string array drops\n")
+    assert sorted(os.listdir(tmp_path)) == ["kept", "wordvecs.txt"]
+    assert os.listdir(kept) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("nodes, dim, error", [

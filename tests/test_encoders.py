@@ -493,7 +493,7 @@ def test_every_array_of_a_shared_entry_is_read_only(shapes):
     g = _query_graph()
     _encode_and_backward(enc, g, x, w)          # builds the transposes too
     for relation in (None, "CAUSE"):
-        _relation_adjacency(g, relation).transpose()
+        _relation_adjacency(g, relation).T
     per_path, covered, segments, indicator = magnn_plan(g, QUERY_PATHS)
     assert per_path
     operators = [indicator, *_graph_cache(g)["rel_adj"].values()]
@@ -502,7 +502,7 @@ def test_every_array_of_a_shared_entry_is_read_only(shapes):
         operators += [avg, gather, path_indicator]
         arrays.append(path_segments)
     for op in operators:
-        for m in (op.matrix, op.transpose()):
+        for m in (op.matrix, op.T.matrix):
             arrays += [m.data, m.indices, m.indptr]
     for a in arrays:
         assert a.size
@@ -645,7 +645,7 @@ def _assert_magnn_plan_matches_oracle(graph, paths):
     refs.append(_coo(np.ones(k), segments, np.arange(k), (len(covered), k)))
     for op, ref in zip(got, refs, strict=True):
         assert csr_arrays(op.matrix) == csr_arrays(ref)
-        assert csr_arrays(op.transpose()) == csr_arrays(ref.T.tocsr())
+        assert csr_arrays(op.T.matrix) == csr_arrays(ref.T.tocsr())
     return per_path, covered
 
 

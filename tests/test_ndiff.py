@@ -135,7 +135,7 @@ def test_segment_sum_by_indicator_equals_by_index_bitwise(n, k):
     seg = rng.integers(0, k, n)
     x = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-8, 8, (n, 1))
     w = rng.standard_normal((k, 5))
-    indicator = ndiff.SparseOperator(ndiff.segment_indicator(seg, k))
+    indicator = ndiff.segment_indicator(seg, k)
     outs, grads = [], []
     for segments in (seg, indicator):
         p = Parameter(x, "p")
@@ -163,7 +163,7 @@ def test_segment_indicator_holds_the_coo_build_bitwise(case):
     k, segments = case
     seg, n = np.asarray(segments, dtype=np.int64), len(segments)
     coo = sp.csr_matrix((np.ones(n), (seg, np.arange(n))), shape=(k, n))
-    assert csr_arrays(ndiff.segment_indicator(seg, k)) == csr_arrays(coo)
+    assert csr_arrays(ndiff.segment_indicator(seg, k).matrix) == csr_arrays(coo)
 
 
 @pytest.mark.parametrize("segments, k, bad", [
@@ -177,29 +177,41 @@ def test_segment_indicator_names_a_segment_id_outside_its_range(segments, k, bad
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
 def test_sparse_matmul_backward_reuses_its_transpose_bitwise(fmt):
-    """An operator's kept transpose gives the gradients of `s.T @ g`; the
-    operator cannot be changed in place, and a plain matrix changed in place
-    gets fresh gradients."""
+    """A scipy matrix, an operator over its CSR copy and the operator
+    constant_csr builds from that copy's arrays give the same products and
+    the gradients of `s.T @ g`; an operator's kept transpose is built by the
+    first backward, and neither it nor the operator can be changed in place,
+    while a plain matrix changed in place gets fresh gradients."""
     rng = np.random.default_rng(7)
     s = sp.random(40, 30, density=0.2, random_state=3, format=fmt)
     s.data *= 10.0 ** rng.integers(-8, 8, s.nnz)
-    op = ndiff.SparseOperator(s.copy())
+    csr = s.tocsr(copy=True)
+    op = ndiff.SparseOperator(csr.copy())
+    built = ndiff.constant_csr(csr.data, csr.indices, np.diff(csr.indptr), 30)
+    assert csr_arrays(built.matrix) == csr_arrays(csr)
+    x = rng.standard_normal((30, 4))
     g = rng.standard_normal((40, 4))
 
     def grad(m):
-        p = Parameter(rng.standard_normal((30, 4)), "p")
-        backward(ndiff.sum_all(ndiff.mul(ndiff.sparse_matmul(m, p), g)))
-        return p.grad.tobytes()
+        p = Parameter(x, "p")
+        out = ndiff.sparse_matmul(m, p)
+        backward(ndiff.sum_all(ndiff.mul(out, g)))
+        return out.data.tobytes(), p.grad.tobytes()
 
     first = grad(op)
-    transpose = op._transpose               # built by the first backward, kept
-    assert transpose is not None
-    assert first == grad(op) == grad(s) == np.asarray(s.T @ g).tobytes()
-    assert op.transpose() is transpose
-    with pytest.raises(ValueError):
-        op.matrix.data *= 2.0
+    assert first == grad(built)
+    transposes = [op._transpose, built._transpose]
+    assert None not in transposes
+    assert first == grad(op) == grad(built) == grad(s)
+    assert first == (np.asarray(s @ x).tobytes(), np.asarray(s.T @ g).tobytes())
+    for operator, transpose in zip((op, built), transposes):
+        assert operator.T is operator.T is transpose
+        for m in (operator.matrix, transpose.matrix):
+            for a in (m.data, m.indices, m.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
     s.data *= 2.0
-    assert grad(s) == np.asarray(s.T @ g).tobytes() != first
+    assert grad(s)[1] == np.asarray(s.T @ g).tobytes() != first[1]
 
 
 @pytest.mark.parametrize("n, k", [(0, 3), (1, 1), (7, 4), (500, 37)])
