@@ -3,11 +3,14 @@
 # gen-synth, ingest of its graph, MAGNN train, eval and disambiguate. Run it
 # from an empty directory after `pip install`.
 set -eu
+# the files of a directory, one space after each
+files() { ls "$1" | tr '\n' ' '; }
 hetlink gen-synth --seed 1 --snippets 60 --out smoke
+test "$(files smoke)" = "edges.tsv manifest.json nodes.tsv snippets.json wordvecs.npz "
 hetlink ingest --nodes smoke/nodes.tsv --edges smoke/edges.tsv --dim 8 --out smoke-ingest
-test -s smoke-ingest/wordvecs.npz && test -s smoke-ingest/manifest.json
+test "$(files smoke-ingest)" = "edges.tsv manifest.json nodes.tsv wordvecs.npz "
 hetlink train --bundle smoke --snippets smoke/snippets.json --out smoke-model \
-  --encoder magnn --sampler hard --epochs 2 --patience 2
+  --encoder magnn --sampler hard --epochs 2
 hetlink eval --bundle smoke --model smoke-model --snippets smoke/snippets.json > eval.json
 python3 -c 'import json, sys; sys.exit(0 if "f1" in json.load(open("eval.json")) else 1)'
 hetlink disambiguate --bundle smoke --model smoke-model \

@@ -64,20 +64,21 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
 
 # -- KB bundle -------------------------------------------------------------
 
-def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore,
-                 freqs: FrequencyTable) -> None:
+def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore) -> None:
     # first: save refuses a store before it makes `outdir`, so a refused
     # bundle leaves no directory or file behind
     store.save(os.path.join(outdir, "wordvecs.npz"))
     save_graph(kb, os.path.join(outdir, "nodes.tsv"),
                os.path.join(outdir, "edges.tsv"))
-    freqs.save_tsv(os.path.join(outdir, "freqs.tsv"))
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"bundle_version": BUNDLE_VERSION, "nodes": len(kb),
                    "edges": len(kb.edges)}, fh, indent=2)
 
 
 def read_bundle(bundle_dir):
+    """The bundle's KB, word vectors and the KB's token frequencies, derived
+    from its names and synonyms as the library derives them.  A bundle stores
+    no frequencies, and a frequency file an older writer left is not read."""
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     manifest = read_json(manifest_path, CliError)
     if not isinstance(manifest, dict):
@@ -95,8 +96,7 @@ def read_bundle(bundle_dir):
         raise CliError(f"bundle manifest lists {listed[0]} nodes and {listed[1]} edges, "
                        f"its files hold {loaded[0]} and {loaded[1]}")
     store = WordVectorStore.load(os.path.join(bundle_dir, "wordvecs.npz"))
-    freqs = FrequencyTable.load_tsv(os.path.join(bundle_dir, "freqs.tsv"))
-    return kb, store, freqs
+    return kb, store, FrequencyTable.from_graph(kb)
 
 
 def _load_snippets(path) -> list[TextSnippet]:
@@ -153,9 +153,9 @@ def cmd_ingest(args) -> int:
     else:
         vocab = {t for n in kb.nodes() for t in n.name}
         store = random_word_vectors(vocab, args.dim, seed=args.seed or 0)
-    freqs = FrequencyTable.from_graph(kb)
-    init_node_features(kb, store, freqs)    # train's check that preset features fit
-    write_bundle(args.out, kb, store, freqs)
+    # train's check that preset features fit
+    init_node_features(kb, store, FrequencyTable.from_graph(kb))
+    write_bundle(args.out, kb, store)
     log.info("wrote bundle with %d nodes / %d edges to %s",
              len(kb), len(kb.edges), args.out)
     return 0
@@ -164,7 +164,7 @@ def cmd_ingest(args) -> int:
 def cmd_gen_synth(args) -> int:
     cfg = evalgen.SynthConfig.from_dict(_config(args, ("seed", "snippets")))
     corpus = evalgen.generate_synthetic_kb(cfg)
-    write_bundle(args.out, corpus.kb, corpus.store, corpus.freqs)
+    write_bundle(args.out, corpus.kb, corpus.store)
     with open(os.path.join(args.out, "snippets.json"), "w", encoding="utf-8") as fh:
         json.dump([s.to_json() for s in corpus.snippets], fh, indent=2)
     log.info("generated %d nodes, %d snippets into %s",

@@ -15,6 +15,7 @@ import math
 import re
 import typing
 import unicodedata
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,15 @@ _NO_IDS = _read_only(np.zeros(0, dtype=np.int64))
 
 class GraphError(Exception):
     """Invalid graph construction or query."""
+
+
+class GraphRowError(GraphError):
+    """A row that breaks a rule of the HeteroGraph constructor; `row` is
+    ("nodes" or "edges", its index among the rows given)."""
+
+    def __init__(self, message: str, row: tuple[str, int]):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -142,17 +152,17 @@ class HeteroGraph:
         `edges`, (src, dst, type) triples stored as Edge, each kept in the
         order given.  The node rules: a type, a name of at least one token, an
         id not taken.  The edge rules: both ends known, a type, not yet
-        present.  GraphError for the first row that breaks one."""
+        present.  GraphRowError for the first row that breaks one."""
         self._nodes: dict[int, Node] = {}
         self._node_types: set[str] = set()
-        for nid, ntype, name, synonyms, features in nodes:
+        for i, (nid, ntype, name, synonyms, features) in enumerate(nodes):
             if not ntype:
-                raise GraphError("empty node type")
+                raise GraphRowError("empty node type", ("nodes", i))
             tokens = tuple(tokenize(name)) if isinstance(name, str) else tuple(name)
             if not tokens:
-                raise GraphError("node name must have at least one token")
+                raise GraphRowError("node name must have at least one token", ("nodes", i))
             if nid in self._nodes:
-                raise GraphError(f"duplicate node id {nid}")
+                raise GraphRowError(f"duplicate node id {nid}", ("nodes", i))
             syns = tuple(tuple(tokenize(s)) if isinstance(s, str) else tuple(s)
                          for s in synonyms)
             feats = None if features is None else tuple(float(x) for x in features)
@@ -160,14 +170,15 @@ class HeteroGraph:
             self._node_types.add(ntype)
         self._edges: dict[Edge, None] = {}         # in the order given
         self._edge_types: set[str] = set()
-        for edge in edges:
+        for i, edge in enumerate(edges):
             src, dst, etype = edge
             if src not in self._nodes or dst not in self._nodes:
-                raise GraphError(f"edge ({src}, {dst}, {etype}) references unknown node")
+                raise GraphRowError(f"edge ({src}, {dst}, {etype}) references unknown node",
+                                    ("edges", i))
             if not etype:
-                raise GraphError("empty edge type")
+                raise GraphRowError("empty edge type", ("edges", i))
             if edge in self._edges:
-                raise GraphError(f"duplicate edge {(src, dst, etype)}")
+                raise GraphRowError(f"duplicate edge {(src, dst, etype)}", ("edges", i))
             # an Edge is kept as given: allocating each edge of a bulk load
             # again costs garbage-collector passes over the whole graph
             self._edges[edge if type(edge) is Edge else Edge(src, dst, etype)] = None
@@ -426,63 +437,77 @@ def read_json(path, error: type[Exception]):
             raise error(f"{path}: not JSON: {exc}") from None
 
 
-def load_nodes_tsv(path) -> list[tuple]:
-    """Rows of (id, type, name, synonyms, features) from the node list file,
-    each id on one row."""
-    rows, ids = [], set()
+def read_npz(path, error: type[Exception]) -> dict[str, np.ndarray]:
+    """Each array of the .npz archive in file `path`, by name; `error`, one
+    line that names the file, for any other file or an array that needs
+    pickle."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if isinstance(npz, np.lib.npyio.NpzFile):     # not one bare .npy array
+            with npz:
+                return {name: npz[name] for name in npz.files}
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        pass
+    raise error(f"{path}: not a readable .npz archive")
+
+
+def _tsv_rows(path):
+    """(line number, tab-separated fields) of each line of file `path` that
+    is neither blank nor a # comment."""
     with open_text(path, GraphError) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) < 3:
-                raise GraphError(f"{path}:{lineno}: expected at least 3 columns")
+            if line and not line.startswith("#"):
+                yield lineno, line.split("\t")
+
+
+def load_nodes_tsv(path) -> dict[int, tuple]:
+    """The (id, type, name, synonyms, features) row of each line of the node
+    list file, by line number."""
+    rows = {}
+    for lineno, parts in _tsv_rows(path):
+        if len(parts) < 3:
+            raise GraphError(f"{path}:{lineno}: expected at least 3 columns")
+        try:
+            nid = int(parts[0])
+        except ValueError:
+            raise GraphError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
+        synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
+        features = None
+        if len(parts) > 4 and parts[4]:
             try:
-                nid = int(parts[0])
+                features = [float(x) for x in parts[4].split(",")]
             except ValueError:
-                raise GraphError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
-            if nid in ids:
-                raise GraphError(f"{path}:{lineno}: duplicate node id {nid}")
-            ids.add(nid)
-            synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
-            features = None
-            if len(parts) > 4 and parts[4]:
-                try:
-                    features = [float(x) for x in parts[4].split(",")]
-                except ValueError:
-                    raise GraphError(f"{path}:{lineno}: bad feature floats") from None
-                if not np.isfinite(features).all():
-                    raise GraphError(f"{path}:{lineno}: non-finite feature float")
-            rows.append((nid, parts[1], parts[2], synonyms, features))
+                raise GraphError(f"{path}:{lineno}: bad feature floats") from None
+            if not np.isfinite(features).all():
+                raise GraphError(f"{path}:{lineno}: non-finite feature float")
+        rows[lineno] = (nid, parts[1], parts[2], synonyms, features)
     return rows
 
 
-def load_edges_tsv(path, node_ids) -> list[Edge]:
-    """The edges of the edge list file, each end one of `node_ids`."""
-    rows = []
-    with open_text(path, GraphError) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise GraphError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
-            try:
-                edge = Edge(int(parts[0]), int(parts[1]), parts[2])
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: bad endpoint id") from None
-            if edge.src not in node_ids or edge.dst not in node_ids:
-                raise GraphError(f"{path}:{lineno}: edge ({edge.src}, {edge.dst}, "
-                                 f"{edge.type}) references unknown node")
-            rows.append(edge)
+def load_edges_tsv(path) -> dict[int, Edge]:
+    """The edge of each line of the edge list file, by line number."""
+    rows = {}
+    for lineno, parts in _tsv_rows(path):
+        if len(parts) != 3:
+            raise GraphError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
+        try:
+            rows[lineno] = Edge(int(parts[0]), int(parts[1]), parts[2])
+        except ValueError:
+            raise GraphError(f"{path}:{lineno}: bad endpoint id") from None
     return rows
 
 
 def load_graph(nodes_path, edges_path) -> HeteroGraph:
-    nodes = load_nodes_tsv(nodes_path)
-    return HeteroGraph(nodes, load_edges_tsv(edges_path, {row[0] for row in nodes}))
+    """The graph of the node and edge list files.  A row that the HeteroGraph
+    constructor rejects ends in GraphError "<path>:<line>: <rule broken>"."""
+    nodes, edges = load_nodes_tsv(nodes_path), load_edges_tsv(edges_path)
+    try:
+        return HeteroGraph(nodes.values(), edges.values())
+    except GraphRowError as exc:
+        part, index = exc.row
+        path, rows = (nodes_path, nodes) if part == "nodes" else (edges_path, edges)
+        raise GraphError(f"{path}:{list(rows)[index]}: {exc}") from None
 
 
 def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig, EncoderError
-from .hetgraph import (Edge, HeteroGraph, InvertedIndex, read_json, read_settings,
-                       tokenize)
+from .hetgraph import (Edge, HeteroGraph, InvertedIndex, read_json, read_npz,
+                       read_settings, tokenize)
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, uniform_negatives
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
@@ -127,9 +127,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.epochs < 1:
             raise MatcherError("epochs must be >= 1")
-        if not 0 <= self.patience <= self.epochs:
-            raise MatcherError(f"patience {self.patience} must be in [0, {self.epochs}] "
-                               f"(epochs {self.epochs})")
+        if self.patience < 0:
+            raise MatcherError("patience must be >= 0")
         if self.lr <= 0:
             raise MatcherError("lr must be > 0")
         if self.weight_decay < 0:
@@ -454,7 +453,8 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     """The model save_model wrote to `directory`, and its manifest; MatcherError
     for a manifest that is not UTF-8 JSON or not a JSON object, an unknown key
     or a value of the wrong type, another head, a missing key, an encoder it
-    cannot build, or parameters load_state_dict rejects."""
+    cannot build, a params.npz that is not a readable .npz archive, or
+    parameters load_state_dict rejects."""
     manifest = read_json(os.path.join(directory, "manifest.json"), MatcherError)
     shape = read_settings(Encoder, manifest, MANIFEST_KEYS, MatcherError, "model manifest")
     if manifest.get("head") != HEAD_KIND:
@@ -469,6 +469,5 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     except EncoderError as exc:
         raise MatcherError(f"model manifest: {exc}") from None
     model = SiameseModel(encoder, MatchingHead())
-    with np.load(os.path.join(directory, "params.npz")) as npz:
-        model.load_state_dict({name: npz[name] for name in npz.files})
+    model.load_state_dict(read_npz(os.path.join(directory, "params.npz"), MatcherError))
     return model, manifest

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import zipfile
 
 import numpy as np
 
-from .hetgraph import HeteroGraph, open_text, tokenize
+from .hetgraph import HeteroGraph, open_text, read_npz, tokenize
 
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
@@ -86,17 +85,11 @@ class WordVectorStore:
     def load(cls, path) -> "WordVectorStore":
         """The store that `save` wrote to `path`.  Any other file ends in
         TermEmbedError, one line that names it."""
-        try:
-            npz = np.load(path, allow_pickle=False)
-            if not isinstance(npz, np.lib.npyio.NpzFile):
-                raise TermEmbedError(f"{path}: not a .npz archive")
-            with npz:
-                missing = sorted({"tokens", "vectors"} - set(npz.files))
-                if missing:
-                    raise TermEmbedError(f"{path}: no {missing[0]!r} array")
-                tokens, vectors = npz["tokens"], npz["vectors"]
-        except (ValueError, EOFError, zipfile.BadZipFile):
-            raise TermEmbedError(f"{path}: not a readable .npz archive") from None
+        arrays = read_npz(path, TermEmbedError)
+        missing = sorted({"tokens", "vectors"} - set(arrays))
+        if missing:
+            raise TermEmbedError(f"{path}: no {missing[0]!r} array")
+        tokens, vectors = arrays["tokens"], arrays["vectors"]
         if tokens.ndim != 1 or tokens.dtype.kind != "U":
             raise TermEmbedError(f"{path}: tokens must be a 1-D string array, "
                                  f"got {tokens.dtype} of shape {tokens.shape}")
@@ -140,7 +133,9 @@ def load_word_vectors(path) -> WordVectorStore:
                     raise TermEmbedError(f"{path}:{lineno}: no floats on first line")
             elif len(vec) != dim:
                 raise TermEmbedError(f"{path}:{lineno}: dim {len(vec)} != {dim}")
-            vectors[tok] = vec  # duplicate tokens: last wins
+            if tok in vectors:
+                raise TermEmbedError(f"{path}:{lineno}: duplicate token {tok!r}")
+            vectors[tok] = vec
     if dim is None:
         raise TermEmbedError(f"{path}: empty word-vector file")
     return WordVectorStore(vectors, dim)
@@ -178,29 +173,6 @@ class FrequencyTable:
             lists.append(node.name)
             lists.extend(node.synonyms)
         return cls.from_corpus(lists)
-
-    @classmethod
-    def load_tsv(cls, path) -> "FrequencyTable":
-        freqs = {}
-        with open_text(path, TermEmbedError) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    tok, p = line.split("\t")
-                    freqs[tok] = float(p)
-                except ValueError:
-                    raise TermEmbedError(f"{path}:{lineno}: expected token<TAB>p") from None
-                if not 0 <= freqs[tok] < np.inf:
-                    raise TermEmbedError(
-                        f"{path}:{lineno}: frequency must be finite and >= 0, got {p!r}")
-        return cls(freqs)
-
-    def save_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in sorted(self._freqs):
-                fh.write(f"{tok}\t{self._freqs[tok]:.12g}\n")
 
 
 def sif_weight(token: str, freqs: FrequencyTable) -> float:

@@ -125,8 +125,8 @@ def test_any_json_value_at_any_key_builds_a_config_or_fails_in_one_line(reader, 
 
 def test_gen_synth_writes_bundle_and_snippets(workdir):
     corpus = workdir / "corpus"
-    assert sorted(os.listdir(corpus)) == ["edges.tsv", "freqs.tsv", "manifest.json",
-                                          "nodes.tsv", "snippets.json", "wordvecs.npz"]
+    assert sorted(os.listdir(corpus)) == ["edges.tsv", "manifest.json", "nodes.tsv",
+                                          "snippets.json", "wordvecs.npz"]
     manifest = json.loads((corpus / "manifest.json").read_text())
     assert manifest["bundle_version"] == "2"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
@@ -146,6 +146,35 @@ def test_reloaded_bundle_embeds_unseen_tokens_as_the_generator_did(tmp_path):
     assert unseen
     for tok in unseen:
         np.testing.assert_array_equal(store.get(tok), corpus.store.get(tok))
+
+
+def test_cli_kb_features_equal_the_librarys_bit_for_bit(tmp_path):
+    # a bundle holds no frequencies: read_bundle derives them from the KB, as
+    # the generator does, so no weight passes through a decimal text
+    gen_cfg = tmp_path / "gen.json"
+    gen_cfg.write_text(json.dumps(SMALL_GEN))
+    assert main(["gen-synth", "--config", str(gen_cfg), "--seed", "1",
+                 "--out", str(tmp_path / "corpus")]) == 0
+    corpus = evalgen.generate_synthetic_kb(
+        evalgen.SynthConfig.from_dict({**SMALL_GEN, "seed": 1}))
+    kb, store, freqs = read_bundle(tmp_path / "corpus")
+    cli_feats, lib_feats = init_node_features(kb, store, freqs), evalgen.kb_features(corpus)
+    assert (cli_feats.shape, cli_feats.dtype) == (lib_feats.shape, lib_feats.dtype)
+    assert cli_feats.tobytes() == lib_feats.tobytes()
+
+
+def test_a_freqs_file_left_in_a_bundle_is_not_read(workdir, tmp_path, capsys):
+    # bundles written before frequencies were derived hold a freqs.tsv
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    outputs = []
+    for garbage in (None, b"fever\tnan\n-0.25\nnot a row\n\xff\n"):
+        if garbage is not None:
+            (bundle / "freqs.tsv").write_bytes(garbage)
+        assert main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                     "--snippets", str(bundle / "snippets.json")]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and '"f1"' in outputs[0]
 
 
 def test_train_writes_model_and_history(workdir):
@@ -279,6 +308,17 @@ def test_ingest_rejects_a_word_vector_number_that_is_not_finite(workdir, tmp_pat
     assert not (tmp_path / "bundle").exists()
 
 
+def test_ingest_refuses_a_repeated_word_vector_token(workdir, tmp_path, capsys):
+    path = tmp_path / "wordvecs.txt"
+    path.write_text("a 1 2\nb 3 4\n\na 5 6\n")
+    corpus = workdir / "corpus"
+    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
+                 "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+                 "--out", str(tmp_path / "bundle")]) == 1
+    assert capsys.readouterr().err == f"error: {path}:4: duplicate token 'a'\n"
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
     """A refused store leaves --out as it was: a missing one (its parent
     too) is not made, and an existing one keeps just the file it held."""
@@ -318,11 +358,19 @@ def test_ingest_rejects_a_bundle_train_could_not_read(tmp_path, capsys, nodes, d
     assert not (tmp_path / "bundle").exists()
 
 
+TWO_NODES = "0\tDrug\taspirin\n1\tFinding\tfever\n"
+
+
 @pytest.mark.parametrize("nodes, edges, error", [
     ("0\tDrug\taspirin\n", "0\t5\tCAUSE\n",
      "{edges}:1: edge (0, 5, CAUSE) references unknown node"),
     ("# id\ttype\tname\n0\tDrug\taspirin\n0\tFinding\tfever\n", "",
      "{nodes}:3: duplicate node id 0"),
+    ("0\tDrug\taspirin\n\n# no type\n1\t\tfever\n", "", "{nodes}:4: empty node type"),
+    ("0\tDrug\taspirin\n1\tFinding\t?!\n", "",
+     "{nodes}:2: node name must have at least one token"),
+    (TWO_NODES, "# src\tdst\ttype\n0\t1\tCAUSE\n1\t0\t\n", "{edges}:3: empty edge type"),
+    (TWO_NODES, "0\t1\tCAUSE\n\n0\t1\tCAUSE\n", "{edges}:3: duplicate edge (0, 1, 'CAUSE')"),
 ])
 def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, capsys,
                                                                   nodes, edges, error):
@@ -532,7 +580,7 @@ def _break_word_vectors(path, case) -> str:
     if case == "one .npy array":
         with open(path, "wb") as fh:
             np.save(fh, vectors)
-        return ": not a .npz archive"
+        return ": not a readable .npz archive"
     arrays, error = NPZ_BREAKS[case](tokens, vectors)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -586,9 +634,6 @@ def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, t
 
 # (bundle file, the field of its first line that is set, the value, the error)
 BUNDLE_NUMBER_BREAKS = [
-    ("freqs.tsv", 1, "nan", "frequency must be finite and >= 0, got 'nan'"),
-    ("freqs.tsv", 1, "inf", "frequency must be finite and >= 0, got 'inf'"),
-    ("freqs.tsv", 1, "-0.25", "frequency must be finite and >= 0, got '-0.25'"),
     ("nodes.tsv", 4, "0.5,nan", "non-finite feature float"),
     ("nodes.tsv", 4, "-inf", "non-finite feature float"),
 ]
@@ -685,6 +730,35 @@ def test_model_with_unexpected_parameters_is_rejected(workdir, tmp_path, capsys,
     assert err.count("\n") == 1
 
 
+def _break_params_archive(path, case) -> None:
+    """Rewrite the model file `path` as a file np.load cannot read as a
+    parameter archive without pickle."""
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+        return
+    with np.load(path) as npz:
+        params = {name: npz[name] for name in npz.files}
+    with open(path, "wb") as fh:
+        if case == "one .npy array":
+            np.save(fh, params["head.tau"])
+        else:
+            np.savez(fh, **{**params, "head.tau": np.array([0.5, None], dtype=object)})
+
+
+@pytest.mark.parametrize("command", ["eval", "disambiguate"])
+@pytest.mark.parametrize("case", ["truncated", "one .npy array", "object array"])
+def test_a_broken_params_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys,
+                                                              command, case):
+    model = tmp_path / "model"
+    shutil.copytree(workdir / "model", model)
+    _break_params_archive(model / "params.npz", case)
+    code = main([command, "--bundle", str(workdir / "corpus"), "--model", str(model),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {model / 'params.npz'}: not a readable .npz archive\n")
+
+
 @pytest.mark.parametrize("command", ["eval", "disambiguate"])
 @pytest.mark.parametrize("how", MANIFEST_BREAKS)
 def test_model_with_a_malformed_manifest_is_rejected(workdir, tmp_path, capsys,
@@ -709,16 +783,16 @@ def test_zero_epochs_is_rejected_before_any_model_is_written(workdir, tmp_path, 
     assert not (tmp_path / "m").exists()
 
 
-def test_patience_above_epochs_names_both_numbers(tmp_path, capsys):
+def test_patience_above_epochs_trains_every_epoch(tmp_path):
+    # the default patience, 30, is above --epochs 2: early stopping never fires
     assert main(["gen-synth", "--seed", "1", "--snippets", "60",
                  "--out", str(tmp_path / "bundle")]) == 0
-    capsys.readouterr()
-    code = main(["train", "--bundle", str(tmp_path / "bundle"),
+    assert main(["train", "--bundle", str(tmp_path / "bundle"),
                  "--snippets", str(tmp_path / "bundle" / "snippets.json"),
-                 "--epochs", "2", "--out", str(tmp_path / "m")])
-    assert code == 1
-    assert capsys.readouterr().err == "error: patience 30 must be in [0, 2] (epochs 2)\n"
-    assert not (tmp_path / "m").exists()
+                 "--epochs", "2", "--out", str(tmp_path / "m")]) == 0
+    assert json.loads((tmp_path / "m" / "manifest.json").read_text())["train"]["patience"] == 30
+    header, *rows = (tmp_path / "m" / "history.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
 
 
 def _snippet_rows(workdir):

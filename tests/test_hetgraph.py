@@ -12,7 +12,7 @@ from hetlink.hetgraph import (Edge, GraphError, HeteroGraph, InvertedIndex, Meta
                               Node, SELF_EDGE_TYPE, build_inverted_index,
                               default_acronym_rule, load_edges_tsv, load_graph,
                               load_nodes_tsv, normalize, save_graph, tokenize)
-from hetlink.termembed import FrequencyTable, random_word_vectors
+from hetlink.termembed import random_word_vectors
 from conftest import random_hetero_graph
 
 
@@ -56,6 +56,8 @@ def test_constructor_raises_the_node_and_edge_rule_texts(nodes, edges, error):
     with pytest.raises(GraphError) as exc:
         _graph(nodes, edges)
     assert str(exc.value) == error
+    # each case breaks a rule on its last row, which the error names
+    assert exc.value.row == (("edges", len(edges) - 1) if edges else ("nodes", len(nodes) - 1))
 
 
 def test_constructor_keeps_rows_and_edges_in_the_order_given():
@@ -264,7 +266,7 @@ def test_a_valid_graph_survives_save_and_load(g):
     with tempfile.TemporaryDirectory() as tmp:
         nodes_path, edges_path = _saved(g, tmp)
         assert len(load_nodes_tsv(nodes_path)) == len(g)
-        assert load_edges_tsv(edges_path, g.node_ids) == g.edges
+        assert list(load_edges_tsv(edges_path).values()) == g.edges
         back = load_graph(nodes_path, edges_path)
     assert back.nodes() == g.nodes()
     assert back.edges == g.edges
@@ -294,8 +296,7 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
     row = data.draw(st.sampled_from(MALFORMED_ROWS[name])).format(
         old=data.draw(st.sampled_from(g.node_ids)), new=max(g.node_ids) + 1)
     with tempfile.TemporaryDirectory() as tmp:
-        write_bundle(tmp, g, random_word_vectors({t for n in g.nodes() for t in n.name}, 4),
-                     FrequencyTable.from_graph(g))
+        write_bundle(tmp, g, random_word_vectors({t for n in g.nodes() for t in n.name}, 4))
         path = os.path.join(tmp, name)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -316,20 +317,19 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
 def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):
     nodes = [(0, "Drug", "a"), (1, "Finding", "b")]
     g = _graph(nodes, [(0, 1, "CAUSE")])
-    # the loader, which knows the row, names an unknown end's file and line
-    for edge, error, where in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node",
-                                "{}:2: "),
-                               ((0, 1, ""), "empty edge type", ""),
-                               ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')", "")]:
+    # the constructor names the row, and the loader its file and line
+    for edge, error in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node"),
+                        ((0, 1, ""), "empty edge type"),
+                        ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')")]:
         with pytest.raises(GraphError) as exc:
             _graph(nodes, [*g.edges, edge])
-        assert str(exc.value) == error
+        assert (str(exc.value), exc.value.row) == (error, ("edges", 1))
         nodes_path, edges_path = _saved(g, tmp_path)
         with open(edges_path, "a", encoding="utf-8") as fh:
             fh.write("\t".join(map(str, edge)) + "\n")
         with pytest.raises(GraphError) as exc:
             load_graph(nodes_path, edges_path)
-        assert str(exc.value) == where.format(edges_path) + error
+        assert str(exc.value) == f"{edges_path}:2: {error}"
 
 
 @settings(max_examples=25, deadline=None)

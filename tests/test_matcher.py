@@ -342,8 +342,8 @@ def test_validation_ranks_as_eval_does(mini):
 
 
 def test_train_config_validation():
-    with pytest.raises(MatcherError):
-        TrainConfig(epochs=5, patience=10).validate()
+    # patience above epochs is allowed: early stopping then never fires
+    TrainConfig(epochs=5, patience=10).validate()
     with pytest.raises(MatcherError):
         TrainConfig(sampler="adversarial").validate()
     with pytest.raises(MatcherError):
@@ -589,7 +589,7 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
 
     # the CLI ranks the same snippets, read back from a bundle, as eval does
     bundle, model_dir = tmp_path / "bundle", tmp_path / "model"
-    cli.write_bundle(bundle, corpus.kb, corpus.store, corpus.freqs)
+    cli.write_bundle(bundle, corpus.kb, corpus.store)
     (bundle / "snippets.json").write_text(
         json.dumps([s.to_json() for s in corpus.snippets]))
     save_model(model, model_dir)

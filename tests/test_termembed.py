@@ -107,15 +107,6 @@ def test_frequency_table_unseen_token_default():
     assert t.p("zzz") == DEFAULT_UNSEEN_P
 
 
-def test_frequency_table_tsv_roundtrip(tmp_path):
-    t = FrequencyTable.from_corpus([["x", "y", "y"]])
-    path = tmp_path / "freqs.tsv"
-    t.save_tsv(path)
-    loaded = FrequencyTable.load_tsv(path)
-    for tok in ("x", "y"):
-        assert loaded.p(tok) == pytest.approx(t.p(tok), rel=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # SIF weighting
 
