@@ -1,7 +1,8 @@
 #!/bin/sh
 # Runs the installed `hetlink` console script end to end on a small bundle:
-# gen-synth, ingest of its graph, MAGNN train, eval and disambiguate. Run it
-# from an empty directory after `pip install`.
+# gen-synth, ingest of its graph, MAGNN train, eval and disambiguate, then eval
+# on a broken copy of the bundle. Run it from an empty directory after
+# `pip install`.
 set -eu
 # the files of a directory, one space after each
 files() { ls "$1" | tr '\n' ' '; }
@@ -16,3 +17,13 @@ python3 -c 'import json, sys; sys.exit(0 if "f1" in json.load(open("eval.json"))
 hetlink disambiguate --bundle smoke --model smoke-model \
   --snippets smoke/snippets.json --top-k 3 > ranked.json
 python3 -c 'import json, sys; out = json.load(open("ranked.json")); sys.exit(0 if isinstance(out, list) and out else 1)'
+# a bundle whose manifest lists its node count as a string: exit status 1 and
+# one stderr line that starts "error: "
+cp -r smoke smoke-bad
+python3 -c 'import json; p = "smoke-bad/manifest.json"; m = json.load(open(p)); m["nodes"] = str(m["nodes"]); json.dump(m, open(p, "w"))'
+status=0
+hetlink eval --bundle smoke-bad --model smoke-model --snippets smoke/snippets.json \
+  > /dev/null 2> bad.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < bad.err)" -eq 1
+grep -q '^error: ' bad.err

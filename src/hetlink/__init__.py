@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .hetgraph import (Edge, HeteroGraph, InvertedIndex, Metapath, Node,
                        Schema, build_inverted_index, load_graph)
-from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
-                        term_embedding)
+from .termembed import (WordVectorStore, init_node_features, term_embedding,
+                        token_frequencies)
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, QueryGraph, TextSnippet,
                          augment_query_graph, fully_connected_query_graph)
@@ -24,7 +24,7 @@ from .evalgen import (EvalReport, SynthConfig, generate_synthetic_kb,
 __all__ = [
     "Edge", "HeteroGraph", "InvertedIndex", "Metapath", "Node", "Schema",
     "build_inverted_index", "load_graph",
-    "FrequencyTable", "WordVectorStore", "init_node_features", "term_embedding",
+    "token_frequencies", "WordVectorStore", "init_node_features", "term_embedding",
     "Encoder", "EncoderConfig",
     "Mention", "QueryGraph", "TextSnippet", "augment_query_graph",
     "fully_connected_query_graph",

@@ -22,8 +22,8 @@ from .hetgraph import (HeteroGraph, build_inverted_index, load_graph, read_json,
                        read_settings, save_graph)
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import QueryGraphError, TextSnippet, augment_query_graph
-from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
-                        load_word_vectors, random_word_vectors)
+from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
+                        random_word_vectors, token_frequencies)
 
 log = logging.getLogger("hetlink")
 
@@ -87,16 +87,20 @@ def read_bundle(bundle_dir):
         raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r} "
                        f"(this hetlink reads version {BUNDLE_VERSION}): re-run gen-synth or "
                        f"ingest to rebuild the bundle")
-    if manifest.get("nodes") == 0:
+    listed = manifest.get("nodes"), manifest.get("edges")
+    for key, count in zip(("nodes", "edges"), listed):
+        if type(count) is not int:
+            raise CliError(f'{manifest_path}: "{key}" must be an integer, got {count!r}')
+    if listed[0] == 0:
         raise CliError(f"{manifest_path}: lists 0 nodes")
     kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
                     os.path.join(bundle_dir, "edges.tsv"))
-    listed, loaded = (manifest.get("nodes"), manifest.get("edges")), (len(kb), len(kb.edges))
+    loaded = len(kb), len(kb.edges)
     if listed != loaded:
         raise CliError(f"bundle manifest lists {listed[0]} nodes and {listed[1]} edges, "
                        f"its files hold {loaded[0]} and {loaded[1]}")
     store = WordVectorStore.load(os.path.join(bundle_dir, "wordvecs.npz"))
-    return kb, store, FrequencyTable.from_graph(kb)
+    return kb, store, token_frequencies(kb)
 
 
 def _load_snippets(path) -> list[TextSnippet]:
@@ -154,7 +158,7 @@ def cmd_ingest(args) -> int:
         vocab = {t for n in kb.nodes() for t in n.name}
         store = random_word_vectors(vocab, args.dim, seed=args.seed or 0)
     # train's check that preset features fit
-    init_node_features(kb, store, FrequencyTable.from_graph(kb))
+    init_node_features(kb, store, token_frequencies(kb))
     write_bundle(args.out, kb, store)
     log.info("wrote bundle with %d nodes / %d edges to %s",
              len(kb), len(kb.edges), args.out)

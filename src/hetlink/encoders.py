@@ -151,8 +151,8 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath], key: tuple) -> tu
             # simple instances only: cyclic ones re-inject the target's own
             # feature, which drowns the neighborhood signal being compared
             instances = [inst for nid in graph.nodes_of_type(path.tail)
-                         for inst in graph.metapath_instances(nid, path, anchor="end",
-                                                              simple=True)]
+                         for inst in graph.metapath_instances(nid, path, anchor="end")
+                         if len(set(inst)) == len(inst)]
             if not instances:
                 continue
             m, width = len(instances), len(path)

@@ -21,8 +21,8 @@ from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
-from .termembed import (FrequencyTable, WordVectorStore, init_node_features,
-                        random_word_vectors)
+from .termembed import (WordVectorStore, init_node_features, random_word_vectors,
+                        token_frequencies)
 
 
 class EvalGenError(Exception):
@@ -199,7 +199,6 @@ class SynthCorpus:
     index: InvertedIndex      # long forms + registered synonyms, no acronyms
     snippets: list[TextSnippet]
     store: WordVectorStore
-    freqs: FrequencyTable
     config: SynthConfig
 
 
@@ -398,7 +397,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
     all_tokens = [tok for s in used_surfaces for tok in s.split()]
     store = random_word_vectors(set(all_tokens) | set(variants.values()),
                                 config.feature_dim, seed=config.seed)
-    return SynthCorpus(kb, index, snippets, store, FrequencyTable.from_graph(kb), config)
+    return SynthCorpus(kb, index, snippets, store, config)
 
 
 # -- pipeline helpers ------------------------------------------------------
@@ -416,7 +415,7 @@ def schema_metapaths(schema: Schema, limit: int = 8) -> list[Metapath]:
 
 
 def kb_features(corpus: SynthCorpus) -> np.ndarray:
-    return init_node_features(corpus.kb, corpus.store, corpus.freqs)
+    return init_node_features(corpus.kb, corpus.store, token_frequencies(corpus.kb))
 
 
 def corpus_items(corpus: SynthCorpus, snippet_ids,
@@ -427,12 +426,12 @@ def corpus_items(corpus: SynthCorpus, snippet_ids,
     build = {"augmented": augment_query_graph,
              "fc": fully_connected_query_graph}[query_builder]
     by_id = {s.id: s for s in corpus.snippets}
+    freqs = token_frequencies(corpus.kb)
     items = []
     for sid in snippet_ids:
         if sid not in by_id:
             raise EvalGenError(f"unknown snippet {sid!r}")
-        item = snippet_item(corpus.kb, corpus.index, corpus.store, corpus.freqs,
-                            by_id[sid], build)
+        item = snippet_item(corpus.kb, corpus.index, corpus.store, freqs, by_id[sid], build)
         n_unknown = len(item.qgraph.unknown_nodes) if item else 0
         if n_unknown != 1:
             raise EvalGenError(

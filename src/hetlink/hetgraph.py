@@ -131,10 +131,6 @@ class Schema:
 
     triples: frozenset[tuple[str, str, str]]
 
-    def edge_types_for(self, node_type: str) -> set[tuple[str, str, str]]:
-        """All triples in which `node_type` participates on either end."""
-        return {t for t in self.triples if node_type in (t[0], t[2]) and t[1] != SELF_EDGE_TYPE}
-
     def connecting(self, type_a: str, type_b: str) -> list[tuple[str, str, str]]:
         """Triples linking type_a to type_b in either direction (no self-loops)."""
         out = [t for t in self.triples
@@ -321,15 +317,14 @@ class HeteroGraph:
             raise GraphError(f"node {v} of type {vtype} does not match metapath type {expect}")
         return anchor
 
-    def metapath_instances(self, v: int, path: Metapath, anchor: str = "end",
-                           simple: bool = False) -> list[tuple[int, ...]]:
+    def metapath_instances(self, v: int, path: Metapath,
+                           anchor: str = "end") -> list[tuple[int, ...]]:
         """All instances of `path` anchored at v, ordered as written.
 
         anchor="end" enumerates instances terminating at v (walking in-edges
         backward); anchor="start" enumerates instances originating at v;
         anchor="auto" picks by v's node type (end preferred).  Node revisits
-        are allowed unless simple=True.  Deterministic: lexicographic by
-        node-id sequence.
+        are allowed.  Deterministic: lexicographic by node-id sequence.
         """
         # walk out of v one level at a time: along the path over out-edges
         # from its start, along the reversed path over in-edges from its end
@@ -342,8 +337,6 @@ class HeteroGraph:
                        if self._nodes[u].type == want]
         if step == -1:
             results = [walk[::-1] for walk in results]
-        if simple:
-            results = [seq for seq in results if len(set(seq)) == len(seq)]
         return sorted(set(results))
 
     def metapath_neighbors(self, v: int, path: Metapath, anchor: str = "auto") -> set[int]:

@@ -22,7 +22,7 @@ from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, uniform_negatives
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
                          TextSnippet)
-from .termembed import FrequencyTable, WordVectorStore
+from .termembed import WordVectorStore
 
 
 # the matching head's name in model manifests, the only one there is
@@ -153,7 +153,7 @@ class TrainItem:
 
 
 def snippet_item(kb: HeteroGraph, index: InvertedIndex, store: WordVectorStore,
-                 freqs: FrequencyTable, snippet: TextSnippet, build) -> TrainItem | None:
+                 freqs: dict[str, float], snippet: TextSnippet, build) -> TrainItem | None:
     """The one snippet -> item rule.  Mentions are the gold ones if the snippet
     has any, else the gazetteer's over `index`; the first that `index` does
     not match is the ambiguous one.  `build` makes the query graph

@@ -15,7 +15,7 @@ import numpy as np
 
 from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph,
                        InvertedIndex, tokenize)
-from .termembed import FrequencyTable, WordVectorStore, init_node_features
+from .termembed import WordVectorStore, init_node_features
 
 
 class QueryGraphError(Exception):
@@ -181,7 +181,7 @@ class QueryGraph:
                 return nid
         raise QueryGraphError(f"no mention node for {surface!r}")
 
-    def features(self, store: WordVectorStore, freqs: FrequencyTable) -> np.ndarray:
+    def features(self, store: WordVectorStore, freqs: dict[str, float]) -> np.ndarray:
         """init_node_features of the graph, whose node names are the mention
         surfaces, so lexical variants stay distinct."""
         return init_node_features(self.graph, store, freqs)
@@ -191,13 +191,8 @@ def _unknown_types(mention: Mention, kb: HeteroGraph, matched_types: set[str]) -
     if mention.category and mention.category in kb.node_types:
         return (mention.category,)
     # No usable category: any KB type the schema can connect to a matched type.
-    out = set()
-    for t in kb.node_types:
-        for (src, _, dst) in kb.schema.edge_types_for(t):
-            other = dst if src == t else src
-            if other in matched_types:
-                out.add(t)
-    return tuple(sorted(out))
+    return tuple(t for t in sorted(kb.node_types)
+                 if any(kb.schema.connecting(t, m) for m in matched_types))
 
 
 def _mention_nodes(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet, extractor):

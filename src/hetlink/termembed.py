@@ -141,45 +141,24 @@ def load_word_vectors(path) -> WordVectorStore:
     return WordVectorStore(vectors, dim)
 
 
-class FrequencyTable:
-    """Normalized unigram frequencies p(w); unseen tokens get DEFAULT_UNSEEN_P."""
-
-    def __init__(self, freqs: dict[str, float]):
-        for tok, p in freqs.items():
-            if p < 0:
-                raise TermEmbedError(f"negative frequency for {tok!r}")
-        self._freqs = dict(freqs)
-
-    def p(self, token: str) -> float:
-        return self._freqs.get(token, DEFAULT_UNSEEN_P)
-
-    @classmethod
-    def from_corpus(cls, token_lists) -> "FrequencyTable":
-        counts: dict[str, int] = {}
-        total = 0
-        for tokens in token_lists:
-            for tok in tokens:
+def token_frequencies(graph: HeteroGraph) -> dict[str, float]:
+    """p(w) over the KB's own corpus: each name and synonym token's count over
+    the count of all their tokens."""
+    counts: dict[str, int] = {}
+    for node in graph.nodes():
+        for term in (node.name, *node.synonyms):
+            for tok in term:
                 counts[tok] = counts.get(tok, 0) + 1
-                total += 1
-        if total == 0:
-            return cls({})
-        return cls({t: c / total for t, c in counts.items()})
-
-    @classmethod
-    def from_graph(cls, graph: HeteroGraph) -> "FrequencyTable":
-        """Frequencies from the KB's own name/synonym corpus."""
-        lists = []
-        for node in graph.nodes():
-            lists.append(node.name)
-            lists.extend(node.synonyms)
-        return cls.from_corpus(lists)
+    total = sum(counts.values())
+    return {t: c / total for t, c in counts.items()}
 
 
-def sif_weight(token: str, freqs: FrequencyTable) -> float:
-    return DEFAULT_SIF_A / (DEFAULT_SIF_A + freqs.p(token))
+def sif_weight(token: str, freqs: dict[str, float]) -> float:
+    """Unseen tokens count as DEFAULT_UNSEEN_P."""
+    return DEFAULT_SIF_A / (DEFAULT_SIF_A + freqs.get(token, DEFAULT_UNSEEN_P))
 
 
-def term_embedding(term, store: WordVectorStore, freqs: FrequencyTable) -> np.ndarray:
+def term_embedding(term, store: WordVectorStore, freqs: dict[str, float]) -> np.ndarray:
     """Frequency-weighted mean of the constituent word vectors.
 
     No program path calls it: init_node_features computes the same rows in
@@ -193,7 +172,7 @@ def term_embedding(term, store: WordVectorStore, freqs: FrequencyTable) -> np.nd
 
 
 def init_node_features(graph: HeteroGraph, store: WordVectorStore,
-                       freqs: FrequencyTable) -> np.ndarray:
+                       freqs: dict[str, float]) -> np.ndarray:
     """One row per node (in node-id order); explicit node features win.
 
     Every other row is term_embedding of the node's name, bit for bit: the

@@ -10,7 +10,7 @@ from hetlink.encoders import AttentionRecord, _magnn_plan
 from hetlink.hetgraph import HeteroGraph, Metapath, build_inverted_index, tokenize
 from hetlink.matcher import candidate_ids, snippet_item
 from hetlink.querygraph import Mention, TextSnippet, augment_query_graph
-from hetlink.termembed import FrequencyTable, random_word_vectors
+from hetlink.termembed import random_word_vectors, token_frequencies
 
 
 @pytest.fixture
@@ -79,7 +79,7 @@ def toy_store(toy_kb):
 
 @pytest.fixture
 def toy_freqs(toy_kb):
-    return FrequencyTable.from_graph(toy_kb)
+    return token_frequencies(toy_kb)
 
 
 def break_params(model_dir, how) -> str:

@@ -632,6 +632,29 @@ def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, t
         f"edges, its files hold {held['nodes']} and {held['edges']}\n")
 
 
+# a manifest count that is not an integer: (key, value, its repr; None: drop the key)
+COUNT_BREAKS = [("nodes", "900", "'900'"), ("nodes", True, "True"), ("edges", 2250.5, "2250.5"),
+                ("nodes", 900.0, "900.0"), ("edges", None, "None"), ("nodes", False, "False")]
+
+
+@pytest.mark.parametrize("key, value, shown", COUNT_BREAKS)
+def test_eval_rejects_a_manifest_count_that_is_not_an_integer(workdir, tmp_path, capsys,
+                                                              key, value, shown):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    if value is None:
+        del manifest[key]
+    else:
+        manifest[key] = value
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f'error: {bundle / "manifest.json"}: "{key}" must be an integer, got {shown}\n')
+
+
 # (bundle file, the field of its first line that is set, the value, the error)
 BUNDLE_NUMBER_BREAKS = [
     ("nodes.tsv", 4, "0.5,nan", "non-finite feature float"),

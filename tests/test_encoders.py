@@ -145,7 +145,8 @@ def test_magnn_layer_matches_manual_numpy(toy_kb, daf_metapath):
     Wp = state[f"magnn.W_p[{label}][0]"]
     for nid in toy_kb.nodes_of_type(daf_metapath.tail):
         i = ids.index(nid)
-        insts = toy_kb.metapath_instances(nid, daf_metapath, anchor="end", simple=True)
+        insts = [inst for inst in toy_kb.metapath_instances(nid, daf_metapath, anchor="end")
+                 if len(set(inst)) == len(inst)]
         if not insts:
             continue
         h_inst = np.stack([proj[[ids.index(u) for u in inst]].mean(axis=0) @ Wp

@@ -36,7 +36,7 @@ from hetlink.hetgraph import RELATED_EDGE_TYPE, HeteroGraph, build_inverted_inde
 from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
 from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
                                 fully_connected_query_graph)
-from hetlink.termembed import init_node_features
+from hetlink.termembed import init_node_features, token_frequencies
 
 from conftest import (MANIFEST_BREAKS, break_manifest, break_params, cli_items,
                       lexical_pool_oracle)
@@ -446,7 +446,8 @@ def test_rank_candidates_matches_the_list_oracle_on_interleaved_types(mini):
     assert all(isinstance(kb.row_selector(kb.ids_of_type(t)), np.ndarray)
                for t in kb.node_types)
     model = _tiny_model(mini)
-    kb_unit = kb_embeddings(model, kb, init_node_features(kb, corpus.store, corpus.freqs))
+    kb_unit = kb_embeddings(model, kb,
+                            init_node_features(kb, corpus.store, token_frequencies(kb)))
     types = sorted(kb.node_types)
     pools = [kb.id_array, *(kb.ids_of_type(t) for t in types),
              np.unique(np.concatenate([kb.ids_of_type(t) for t in types[:2]])),

@@ -14,10 +14,10 @@ from hetlink.hetgraph import read_settings
 MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 
 # Optional settings under src/hetlink: raise this only in the diff that adds one.
-OPTIONAL_SETTINGS = 65
+OPTIONAL_SETTINGS = 64
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3475
+SRC_LINES = 3445
 
 
 def _tree(path):

@@ -155,6 +155,17 @@ def test_mention_category_pins_unknown_type(toy_kb, toy_index):
     assert qg.inferred_types[qg.unknown_nodes[0]] == ("AdverseEffect",)
 
 
+def test_schema_types_an_unknown_mention_without_a_category(toy_kb, toy_index):
+    # every KB type the schema links with the matched Drug, sorted; the first
+    # one types the node
+    snip = TextSnippet("s", "Aspirin was stopped after XYZ")
+    qg = augment_query_graph(toy_kb, toy_index, snip, GazetteerExtractor(toy_index))
+    (xyz,) = qg.unknown_nodes
+    assert qg.mentions[xyz].surface == "XYZ" and qg.mentions[xyz].category is None
+    assert qg.inferred_types[xyz] == ("AdverseEffect", "Symptom")
+    assert qg.graph.node(xyz).type == "AdverseEffect"
+
+
 def test_query_features_use_surface_strings(toy_kb, toy_index, arf_snippet,
                                             toy_store, toy_freqs):
     qg = augment_query_graph(toy_kb, toy_index, arf_snippet, GoldMentionExtractor())

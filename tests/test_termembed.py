@@ -13,7 +13,6 @@ from hetlink.termembed import (
     DEFAULT_SIF_A,
     DEFAULT_UNSEEN_P,
     FALLBACK_SEED,
-    FrequencyTable,
     TermEmbedError,
     WordVectorStore,
     fallback_vector,
@@ -22,6 +21,7 @@ from hetlink.termembed import (
     random_word_vectors,
     sif_weight,
     term_embedding,
+    token_frequencies,
 )
 
 
@@ -92,19 +92,20 @@ def test_load_word_vectors_rejects_ragged_rows(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# frequency table
+# token frequencies
 
 
-def test_frequency_table_from_corpus_normalizes():
-    t = FrequencyTable.from_corpus([["a", "a", "b"], ["b", "c", "b"]])
-    assert t.p("a") == pytest.approx(2 / 6)
-    assert t.p("b") == pytest.approx(3 / 6)
-    assert t.p("c") == pytest.approx(1 / 6)
+def test_token_frequencies_count_name_and_synonym_tokens_over_their_total():
+    g = HeteroGraph([(0, "Drug", "aspirin aspirin tablet", ("ASA tablet",), None),
+                     (1, "Finding", "renal failure", (), None)], [])
+    assert token_frequencies(g) == {"aspirin": 2 / 7, "tablet": 2 / 7, "asa": 1 / 7,
+                                    "renal": 1 / 7, "failure": 1 / 7}
 
 
 def test_frequency_table_unseen_token_default():
-    t = FrequencyTable({"a": 1.0})
-    assert t.p("zzz") == DEFAULT_UNSEEN_P
+    # a token missing from the frequencies weighs as if p(w) = DEFAULT_UNSEEN_P
+    freqs = {"a": 1.0}
+    assert sif_weight("zzz", freqs) == sif_weight("x", {"x": DEFAULT_UNSEEN_P})
 
 
 # ---------------------------------------------------------------------------
@@ -112,21 +113,22 @@ def test_frequency_table_unseen_token_default():
 
 
 def test_sif_weight_matches_closed_form():
-    freqs = FrequencyTable({"the": 0.05, "nausea": 0.001})
-    assert DEFAULT_SIF_A == 1e-3
+    freqs = {"the": 0.05, "nausea": 0.001}
+    assert DEFAULT_SIF_A == 1e-3 and DEFAULT_UNSEEN_P == 1e-4
     assert sif_weight("the", freqs) == pytest.approx(1e-3 / (1e-3 + 0.05))
     assert sif_weight("nausea", freqs) == pytest.approx(1e-3 / (1e-3 + 0.001))
+    assert sif_weight("zzz", freqs) == pytest.approx(1e-3 / (1e-3 + 1e-4))
 
 
 def test_sif_weight_downweights_frequent_tokens():
-    freqs = FrequencyTable({"common": 0.1, "rare": 1e-6})
+    freqs = {"common": 0.1, "rare": 1e-6}
     assert sif_weight("rare", freqs) > sif_weight("common", freqs)
 
 
 def test_term_embedding_matches_manual_weighted_mean():
     store = WordVectorStore({"acute": np.array([1.0, 0.0]),
                              "failure": np.array([0.0, 1.0])}, dim=2)
-    freqs = FrequencyTable({"acute": 0.01, "failure": 0.001})
+    freqs = {"acute": 0.01, "failure": 0.001}
     w1 = 1e-3 / (1e-3 + 0.01)
     w2 = 1e-3 / (1e-3 + 0.001)
     expected = (w1 * np.array([1.0, 0.0]) + w2 * np.array([0.0, 1.0])) / (w1 + w2)
@@ -135,14 +137,14 @@ def test_term_embedding_matches_manual_weighted_mean():
 
 def test_term_embedding_single_token_equals_its_vector():
     store = random_word_vectors(["solo"], dim=5, seed=0)
-    freqs = FrequencyTable({"solo": 0.2})
+    freqs = {"solo": 0.2}
     np.testing.assert_allclose(term_embedding("solo", store, freqs), store.get("solo"))
 
 
 def test_term_embedding_empty_term_raises():
     store = random_word_vectors(["a"], dim=4)
     with pytest.raises(TermEmbedError):
-        term_embedding([], store, FrequencyTable({"a": 1.0}))
+        term_embedding([], store, {"a": 1.0})
 
 
 @given(st.lists(st.sampled_from(["red", "green", "blue", "cyan"]), min_size=1, max_size=6))
@@ -150,7 +152,7 @@ def test_term_embedding_in_convex_hull_of_word_vectors(tokens):
     # A weighted mean with positive weights stays inside the per-coordinate
     # range of its inputs.
     store = random_word_vectors(["red", "green", "blue", "cyan"], dim=4, seed=9)
-    freqs = FrequencyTable.from_corpus([["red", "green", "green", "blue", "cyan"]])
+    freqs = {"red": 0.2, "green": 0.4, "blue": 0.2, "cyan": 0.2}
     emb = term_embedding(tokens, store, freqs)
     vecs = np.stack([store.get(t) for t in tokens])
     assert np.all(emb >= vecs.min(axis=0) - 1e-12)
@@ -186,15 +188,16 @@ def _term_embedding_rows(graph, store, freqs):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_init_node_features_is_term_embedding_bit_for_bit_on_synthetic_kbs(seed):
     corpus = generate_synthetic_kb(SynthConfig(seed=seed, snippets=0))
-    feats = init_node_features(corpus.kb, corpus.store, corpus.freqs)
-    assert np.array_equal(feats, _term_embedding_rows(corpus.kb, corpus.store, corpus.freqs))
+    freqs = token_frequencies(corpus.kb)
+    feats = init_node_features(corpus.kb, corpus.store, freqs)
+    assert np.array_equal(feats, _term_embedding_rows(corpus.kb, corpus.store, freqs))
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 1024])
 def test_init_node_features_keeps_preset_rows_and_embeds_unseen_tokens(monkeypatch, chunk):
     monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
     store = random_word_vectors(["aspirin", "renal", "failure", "acute"], 8, seed=3)
-    freqs = FrequencyTable({"renal": 0.2, "failure": 0.05})
+    freqs = {"renal": 0.2, "failure": 0.05}
     g = HeteroGraph([(nid, "Finding", name, (), features) for nid, name, features in [
         (4, "acute renal failure", None), (9, "aspirin", None), (2, "zzyzx renal", None),
         (7, "preset", np.linspace(-1, 1, 8)), (5, "renal failure", None), (0, "failure", None)]],
