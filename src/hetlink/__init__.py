@@ -8,8 +8,8 @@ candidates for each ambiguous mention.
 
 __version__ = "0.1.0"
 
-from .hetgraph import (Edge, HeteroGraph, InvertedIndex, Metapath, Node,
-                       Schema, build_inverted_index, load_graph)
+from .hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
+                       Node, Schema, build_inverted_index, load_graph)
 from .termembed import (WordVectorStore, init_node_features, term_embedding,
                         token_frequencies)
 from .encoders import Encoder, EncoderConfig
@@ -22,8 +22,8 @@ from .evalgen import (EvalReport, SynthConfig, generate_synthetic_kb,
                       precision_recall_f1, split_dataset)
 
 __all__ = [
-    "Edge", "HeteroGraph", "InvertedIndex", "Metapath", "Node", "Schema",
-    "build_inverted_index", "load_graph",
+    "Edge", "HeteroGraph", "HetlinkError", "InvertedIndex", "Metapath", "Node",
+    "Schema", "build_inverted_index", "load_graph",
     "token_frequencies", "WordVectorStore", "init_node_features", "term_embedding",
     "Encoder", "EncoderConfig",
     "Mention", "QueryGraph", "TextSnippet", "augment_query_graph",

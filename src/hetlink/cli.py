@@ -18,10 +18,10 @@ from dataclasses import fields
 
 from . import evalgen, matcher
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .hetgraph import (HeteroGraph, build_inverted_index, load_graph, read_json,
-                       read_settings, save_graph)
+from .hetgraph import (HeteroGraph, HetlinkError, build_inverted_index, load_graph,
+                       read_json, read_settings, save_graph)
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
-from .querygraph import QueryGraphError, TextSnippet, augment_query_graph
+from .querygraph import TextSnippet, augment_query_graph
 from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
                         random_word_vectors, token_frequencies)
 
@@ -40,14 +40,10 @@ CONFIG_KEYS = set(ENCODER_KEYS) | set(TRAIN_KEYS)
 CLI_DIM = 64
 
 
-class CliError(Exception):
-    pass
-
-
 def _config(args, keys):
     """The JSON in the --config file ({} without one) with the flags among
     `keys` that were given laid over it, when it is an object."""
-    data = read_json(args.config, CliError) if args.config else {}
+    data = read_json(args.config) if args.config else {}
     flags = {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
     return {**data, **flags} if isinstance(data, dict) else data
 
@@ -56,10 +52,10 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
     """The validated TrainConfig and the EncoderConfig fields that the config
     object `opts` sets, over the CLI's dim; each read skips the other's keys."""
     train_config = TrainConfig(**read_settings(
-        TrainConfig, opts, {**dict.fromkeys(ENCODER_KEYS), **TRAIN_KEYS}, CliError, "config"))
+        TrainConfig, opts, {**dict.fromkeys(ENCODER_KEYS), **TRAIN_KEYS}, "config"))
     train_config.validate()
     return train_config, {"dim": CLI_DIM, **read_settings(
-        EncoderConfig, opts, {**dict.fromkeys(TRAIN_KEYS), **ENCODER_KEYS}, CliError, "config")}
+        EncoderConfig, opts, {**dict.fromkeys(TRAIN_KEYS), **ENCODER_KEYS}, "config")}
 
 
 # -- KB bundle -------------------------------------------------------------
@@ -80,46 +76,49 @@ def read_bundle(bundle_dir):
     from its names and synonyms as the library derives them.  A bundle stores
     no frequencies, and a frequency file an older writer left is not read."""
     manifest_path = os.path.join(bundle_dir, "manifest.json")
-    manifest = read_json(manifest_path, CliError)
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
-        raise CliError(f"bundle manifest must be a JSON object, got {type(manifest).__name__}")
+        raise HetlinkError(f"{manifest_path}: bundle manifest must be a JSON object, "
+                           f"got {type(manifest).__name__}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
-        raise CliError(f"unsupported bundle version {manifest.get('bundle_version')!r} "
-                       f"(this hetlink reads version {BUNDLE_VERSION}): re-run gen-synth or "
-                       f"ingest to rebuild the bundle")
+        raise HetlinkError(f"unsupported bundle version {manifest.get('bundle_version')!r} "
+                           f"(this hetlink reads version {BUNDLE_VERSION}): re-run gen-synth or "
+                           f"ingest to rebuild the bundle")
     listed = manifest.get("nodes"), manifest.get("edges")
     for key, count in zip(("nodes", "edges"), listed):
         if type(count) is not int:
-            raise CliError(f'{manifest_path}: "{key}" must be an integer, got {count!r}')
+            raise HetlinkError(f'{manifest_path}: "{key}" must be an integer, got {count!r}')
+        if count < 0:
+            raise HetlinkError(f'{manifest_path}: "{key}" must be >= 0, got {count}')
     if listed[0] == 0:
-        raise CliError(f"{manifest_path}: lists 0 nodes")
+        raise HetlinkError(f"{manifest_path}: lists 0 nodes")
     kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
                     os.path.join(bundle_dir, "edges.tsv"))
     loaded = len(kb), len(kb.edges)
     if listed != loaded:
-        raise CliError(f"bundle manifest lists {listed[0]} nodes and {listed[1]} edges, "
-                       f"its files hold {loaded[0]} and {loaded[1]}")
+        raise HetlinkError(f"{manifest_path}: lists {listed[0]} nodes and {listed[1]} edges, "
+                           f"its files hold {loaded[0]} and {loaded[1]}")
     store = WordVectorStore.load(os.path.join(bundle_dir, "wordvecs.npz"))
     return kb, store, token_frequencies(kb)
 
 
 def _load_snippets(path) -> list[TextSnippet]:
-    data = read_json(path, CliError)
+    data = read_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
-        raise CliError(f"a snippet file holds a JSON object or list, "
-                       f"not {type(data).__name__}")
+        raise HetlinkError(f"a snippet file holds a JSON object or list, "
+                           f"not {type(data).__name__}")
     snippets: dict[str, TextSnippet] = {}
     for i, d in enumerate(data):
         try:
             snippet = TextSnippet.from_json(d, f"s{i:04d}")
         except KeyError as exc:
-            raise CliError(f"snippet {i}: missing key {exc}") from None
-        except QueryGraphError as exc:
-            raise CliError(f"snippet {i}: {exc}") from None
+            raise HetlinkError(f"snippet {i}: missing key {exc}") from None
+        except HetlinkError as exc:
+            raise HetlinkError(f"snippet {i}: {exc}") from None
         if snippet.id in snippets:
-            raise CliError(f"duplicate snippet id {snippet.id!r}")
+            raise HetlinkError(f"duplicate snippet id {snippet.id!r}")
         snippets[snippet.id] = snippet
     return list(snippets.values())
 
@@ -136,10 +135,10 @@ def _bundle_items(args, gold_required: bool):
             log.warning("snippet %s has no ambiguous mention; skipped", snippet.id)
             continue
         if gold_required and item.qgraph.mentions[item.mention_node].link_id is None:
-            raise CliError(f"snippet {snippet.id}: ambiguous mention lacks link_id")
+            raise HetlinkError(f"snippet {snippet.id}: ambiguous mention lacks link_id")
         if gold_required and item.gold not in kb:
-            raise CliError(f"snippet {snippet.id}: link_id {item.gold} "
-                           f"is not a node of the bundle's KB")
+            raise HetlinkError(f"snippet {snippet.id}: link_id {item.gold} "
+                               f"is not a node of the bundle's KB")
         items.append(item)
     return kb, store, items, init_node_features(kb, store, freqs)
 
@@ -149,11 +148,11 @@ def _bundle_items(args, gold_required: bool):
 def cmd_ingest(args) -> int:
     kb = load_graph(args.nodes, args.edges)
     if not len(kb):
-        raise CliError(f"{args.nodes}: no nodes")
+        raise HetlinkError(f"{args.nodes}: no nodes")
     if args.wordvecs:
         store = load_word_vectors(args.wordvecs)
     elif args.dim < 1:
-        raise CliError(f"--dim must be >= 1, got {args.dim}")
+        raise HetlinkError(f"--dim must be >= 1, got {args.dim}")
     else:
         vocab = {t for n in kb.nodes() for t in n.name}
         store = random_word_vectors(vocab, args.dim, seed=args.seed or 0)
@@ -180,7 +179,7 @@ def cmd_train(args) -> int:
     train_config, encoder_options = _train_settings(_config(args, CONFIG_KEYS))
     kb, store, items, kb_feats = _bundle_items(args, gold_required=True)
     if not items:
-        raise CliError("no trainable snippets found")
+        raise HetlinkError("no trainable snippets found")
     split = evalgen.split_dataset([it.snippet_id for it in items],
                                   seed=train_config.seed)
     by_id = {it.snippet_id: it for it in items}

@@ -19,14 +19,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import ndiff
-from .hetgraph import HeteroGraph, Metapath, SELF_EDGE_TYPE, read_settings
+from .hetgraph import HeteroGraph, HetlinkError, Metapath, SELF_EDGE_TYPE, read_settings
 from .ndiff import Parameter, Tensor
 
 ENCODER_KINDS = ("graphsage", "rgcn", "magnn")
-
-
-class EncoderError(Exception):
-    pass
 
 
 @dataclass
@@ -42,28 +38,28 @@ class EncoderConfig:
 
     def validate(self) -> None:
         if self.kind not in ENCODER_KINDS:
-            raise EncoderError(f"unknown encoder kind {self.kind!r}")
+            raise HetlinkError(f"unknown encoder kind {self.kind!r}")
         if not 1 <= self.num_layers <= 4:
-            raise EncoderError("num_layers must be in [1, 4]")
+            raise HetlinkError("num_layers must be in [1, 4]")
         if self.dim < 1:
-            raise EncoderError("dim must be >= 1")
+            raise HetlinkError("dim must be >= 1")
         if not 0 <= self.dropout < 1:
-            raise EncoderError("dropout must be in [0, 1)")
+            raise HetlinkError("dropout must be in [0, 1)")
         if self.heads < 1:
-            raise EncoderError("heads must be >= 1")
+            raise HetlinkError("heads must be >= 1")
         if self.seed < 0:
-            raise EncoderError("seed must be >= 0")
+            raise HetlinkError("seed must be >= 0")
         if self.kind == "magnn":
             if not self.metapaths:
-                raise EncoderError("magnn needs at least one metapath")
+                raise HetlinkError("magnn needs at least one metapath")
             if self.dim % self.heads != 0:
-                raise EncoderError("dim must be divisible by heads")
+                raise HetlinkError("dim must be divisible by heads")
 
     @classmethod
     def from_dict(cls, data) -> "EncoderConfig":
         # "layers" is the CLI's name; older manifests carry attn_dim, never read
         keys = {**{f.name: f.name for f in fields(cls)}, "layers": "num_layers", "attn_dim": None}
-        cfg = cls(**read_settings(cls, data, keys, EncoderError, "encoder config"))
+        cfg = cls(**read_settings(cls, data, keys, "encoder config"))
         cfg.validate()
         return cfg
 
@@ -192,7 +188,7 @@ class Encoder:
                  node_types, edge_types):
         config.validate()
         if feature_dim < 1:
-            raise EncoderError("feature_dim must be >= 1")
+            raise HetlinkError("feature_dim must be >= 1")
         self.config = config
         self.feature_dim = feature_dim
         self.node_types = sorted(node_types)
@@ -237,7 +233,7 @@ class Encoder:
                 path_types = set(path.node_types)
                 missing = path_types - set(self.node_types)
                 if missing:
-                    raise EncoderError(f"metapath uses unknown node types {missing}")
+                    raise HetlinkError(f"metapath uses unknown node types {missing}")
             d_head = d // config.heads
             for t in self.node_types:
                 par(f"magnn.in_proj[{t}]", (feature_dim, d), eye=1.0)
@@ -271,11 +267,11 @@ class Encoder:
         """
         x = features if isinstance(features, Tensor) else Tensor(features)
         if x.shape != (len(graph), self.feature_dim):
-            raise EncoderError(
+            raise HetlinkError(
                 f"features shape {x.shape} != ({len(graph)}, {self.feature_dim})")
         unknown_types = graph.node_types - set(self.node_types)
         if unknown_types:
-            raise EncoderError(f"graph has unregistered node types {sorted(unknown_types)}")
+            raise HetlinkError(f"graph has unregistered node types {sorted(unknown_types)}")
 
         if self.config.kind == "magnn":
             x = self._project_types(graph, x)
@@ -299,7 +295,7 @@ class Encoder:
     def _rgcn_layer(self, graph, x, k) -> Tensor:
         unseen = graph.edge_types - set(self.edge_types)
         if unseen:
-            raise EncoderError(f"unseen relations at forward time: {sorted(unseen)}")
+            raise HetlinkError(f"unseen relations at forward time: {sorted(unseen)}")
         out = ndiff.matmul(x, self._params[f"rgcn.W0[{k}]"])
         # a relation the graph has links at least one pair of rows
         for r in sorted(graph.edge_types):

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hetgraph import (Edge, HeteroGraph, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
-                       Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings)
+from .hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
+                       RELATED_EDGE_TYPE, Schema, SELF_EDGE_TYPE, build_inverted_index,
+                       read_settings)
 from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
                       candidate_ids, candidate_pool, order_by_score, rank_items,
                       snippet_item)
@@ -23,10 +24,6 @@ from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
 from .termembed import (WordVectorStore, init_node_features, random_word_vectors,
                         token_frequencies)
-
-
-class EvalGenError(Exception):
-    pass
 
 
 # -- splits ----------------------------------------------------------------
@@ -46,7 +43,7 @@ def split_dataset(snippet_ids, seed: int = 0) -> Split:
     test); deterministic for a given seed."""
     ids = list(snippet_ids)
     if len(ids) < 3:
-        raise EvalGenError("need at least 3 snippets to split")
+        raise HetlinkError("need at least 3 snippets to split")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     shuffled = [ids[i] for i in order]
@@ -86,7 +83,7 @@ def precision_recall_f1(predictions: dict, gold: dict) -> EvalReport:
     """
     unknown = set(predictions) - set(gold)
     if unknown:
-        raise EvalGenError(f"predictions for unknown mentions: {sorted(unknown)[:3]}")
+        raise HetlinkError(f"predictions for unknown mentions: {sorted(unknown)[:3]}")
     emitted = {k: v for k, v in predictions.items() if v}
     correct = sum(1 for k, v in emitted.items() if v[0] == gold[k])
     precision = correct / len(emitted) if emitted else 0.0
@@ -152,43 +149,46 @@ class SynthConfig:
     def validate(self) -> None:
         unknown = sorted(set(self.ambiguity_mix) - set(DEFAULT_AMBIGUITY_MIX))
         if unknown:
-            raise EvalGenError(f"unknown ambiguity kinds {unknown}; "
+            raise HetlinkError(f"unknown ambiguity kinds {unknown}; "
                                f"known: {sorted(DEFAULT_AMBIGUITY_MIX)}")
         if abs(sum(self.ambiguity_mix.values()) - 1.0) > 1e-9:
-            raise EvalGenError("ambiguity mix probabilities must sum to 1")
+            raise HetlinkError("ambiguity mix probabilities must sum to 1")
         if min(self.ambiguity_mix.values()) < 0.0:
-            raise EvalGenError("ambiguity mix probabilities must be >= 0")
+            raise HetlinkError("ambiguity mix probabilities must be >= 0")
         for name in ("synonym_fraction", "two_hop_fraction", "twin_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:
-                raise EvalGenError(f"{name} must be in [0, 1]")
+                raise HetlinkError(f"{name} must be in [0, 1]")
         for name, low in (("snippets", 0), ("vocab_size", 1), ("feature_dim", 1),
                           ("max_retries", 1), ("seed", 0)):
             if getattr(self, name) < low:
-                raise EvalGenError(f"{name} must be >= {low}")
+                raise HetlinkError(f"{name} must be >= {low}")
         if not 1 <= self.name_tokens[0] <= self.name_tokens[1]:
-            raise EvalGenError("name_tokens must be [lo, hi] with 1 <= lo <= hi")
+            raise HetlinkError("name_tokens must be [lo, hi] with 1 <= lo <= hi")
         if not 0 <= self.context_mentions[0] <= self.context_mentions[1]:
-            raise EvalGenError("context_mentions must be [lo, hi] with 0 <= lo <= hi")
+            raise HetlinkError("context_mentions must be [lo, hi] with 0 <= lo <= hi")
         if self.ambiguity_mix.get("twin", 0.0) > 0.0 and (
                 self.twin_fraction <= 0.0 or self.node_counts.get("Finding", 0) < 2):
-            raise EvalGenError("twin ambiguity needs twin_fraction > 0 and >= 2 Findings")
+            raise HetlinkError("twin ambiguity needs twin_fraction > 0 and >= 2 Findings")
         if any(c <= 0 for c in self.node_counts.values()):
-            raise EvalGenError("node counts must be positive")
+            raise HetlinkError("node counts must be positive")
         for src, etype, dst, deg in self.triples:
+            if etype == SELF_EDGE_TYPE:
+                raise HetlinkError(f"triple {src}-{etype}-{dst}: edge type {etype!r} "
+                                   f"is reserved for query graphs")
             missing = sorted({src, dst} - set(self.node_counts))
             if missing:
-                raise EvalGenError(f"triple {src}-{etype}-{dst} names node types {missing} "
+                raise HetlinkError(f"triple {src}-{etype}-{dst} names node types {missing} "
                                    f"that node_counts lacks")
             limit = self.node_counts[dst]
             if src == dst:
                 limit -= 1
             if deg > limit:
-                raise EvalGenError(f"unsatisfiable density: {deg} out-edges to {dst}")
+                raise HetlinkError(f"unsatisfiable density: {deg} out-edges to {dst}")
 
     @classmethod
     def from_dict(cls, data) -> "SynthConfig":
         keys = {f.name: f.name for f in fields(cls)}
-        cfg = cls(**read_settings(cls, data, keys, EvalGenError, "synth config"))
+        cfg = cls(**read_settings(cls, data, keys, "synth config"))
         cfg.validate()
         return cfg
 
@@ -249,7 +249,7 @@ def _corrupt(kind: str, tokens: tuple[str, ...], variants: dict[str, str],
         if repl == tok[j]:
             repl = alphabet[(alphabet.index(repl) + 1) % len(alphabet)]
         return " ".join(tokens[:i] + (tok[:j] + repl + tok[j + 1:],) + tokens[i + 1:])
-    raise EvalGenError(f"unknown corruption kind {kind!r}")
+    raise HetlinkError(f"unknown corruption kind {kind!r}")
 
 
 _FILLERS = ("the chart mentions", "alongside", "with recurrent", "suggesting",
@@ -294,7 +294,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                     if d1 != d2 and s1 not in used_surfaces and s2 not in used_surfaces:
                         break
                 else:
-                    raise EvalGenError("could not draw a fresh twin pair")
+                    raise HetlinkError("could not draw a fresh twin pair")
                 used_surfaces.update((s1, s2))
                 a, b = len(rows), len(rows) + 1
                 rows += [(a, ntype, s1, (), None), (b, ntype, s2, (), None)]
@@ -308,7 +308,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                 if surface not in used_surfaces:
                     break
             else:
-                raise EvalGenError("could not draw a fresh node name; vocab too small")
+                raise HetlinkError("could not draw a fresh node name; vocab too small")
             used_surfaces.add(surface)
             synonyms = ()
             if len(toks) >= 2 and rng.random() < config.synonym_fraction:
@@ -342,7 +342,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
     probs = np.array([config.ambiguity_mix[k] for k in kinds])
     gold_pool = [n for n in by_type["Finding"] if len(kb.neighbors(n)) >= 2]
     if not gold_pool:
-        raise EvalGenError("no Finding node has enough neighbors for snippets")
+        raise HetlinkError("no Finding node has enough neighbors for snippets")
     twin_pool = [n for n in gold_pool if n in twin_of]
 
     snippets: list[TextSnippet] = []
@@ -358,7 +358,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             if corrupted and not index.lookup(corrupted):
                 break
         else:
-            raise EvalGenError("exhausted retries generating an ambiguous mention")
+            raise HetlinkError("exhausted retries generating an ambiguous mention")
 
         neighbors = sorted(kb.neighbors(gold) - {gold})
         two_hop = sorted({w for u in neighbors for w in kb.neighbors(u)}
@@ -404,8 +404,8 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
 
 def schema_metapaths(schema: Schema, limit: int = 8) -> list[Metapath]:
     """Deterministic metapath inventory: all single triples plus two-edge
-    chains, SELF excluded, truncated to `limit`."""
-    triples = sorted(t for t in schema.triples if t[1] != SELF_EDGE_TYPE)
+    chains, truncated to `limit`."""
+    triples = sorted(schema.triples)
     paths = [Metapath((s, d), (e,)) for s, e, d in triples]
     for s1, e1, d1 in triples:
         for s2, e2, d2 in triples:
@@ -430,14 +430,14 @@ def corpus_items(corpus: SynthCorpus, snippet_ids,
     items = []
     for sid in snippet_ids:
         if sid not in by_id:
-            raise EvalGenError(f"unknown snippet {sid!r}")
+            raise HetlinkError(f"unknown snippet {sid!r}")
         item = snippet_item(corpus.kb, corpus.index, corpus.store, freqs, by_id[sid], build)
         n_unknown = len(item.qgraph.unknown_nodes) if item else 0
         if n_unknown != 1:
-            raise EvalGenError(
+            raise HetlinkError(
                 f"snippet {sid}: expected exactly 1 ambiguous mention, got {n_unknown}")
         if item.qgraph.mentions[item.mention_node].link_id is None:
-            raise EvalGenError(f"snippet {sid}: ambiguous mention lacks link_id")
+            raise HetlinkError(f"snippet {sid}: ambiguous mention lacks link_id")
         items.append(item)
     return items
 
@@ -472,7 +472,7 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
     every type-compatible KB node (candidate_ids), "lexical" those sharing a
     token with the mention (candidate_pool, as CLI eval does)."""
     if candidates not in ("type", "lexical"):
-        raise EvalGenError(f"unknown candidate mode {candidates!r}")
+        raise HetlinkError(f"unknown candidate mode {candidates!r}")
     pool_of = candidate_pool if candidates == "lexical" else candidate_ids
     batch = build_query_batch(items, model.encoder.feature_dim)
     ranked = rank_items(model, kb, kb_feats, batch, [pool_of(kb, it) for it in items], 1)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Reserved edge type used for query-graph self-loops.  A graph's schema has a
-# (T, SELF, T) triple for each of its node types so query graphs stay
-# schema-consistent.
+# Reserved edge type for query-graph self-loops: a KB edge file may not use
+# it, and a graph's schema leaves it out.
 SELF_EDGE_TYPE = "SELF"
 # Reserved edge type for the fully-connected, untyped query-graph baseline.
 RELATED_EDGE_TYPE = "RELATED"
@@ -54,11 +53,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _NO_IDS = _read_only(np.zeros(0, dtype=np.int64))
 
 
-class GraphError(Exception):
-    """Invalid graph construction or query."""
+class HetlinkError(Exception):
+    """A rejected input or a failed operation; its message is one line."""
 
 
-class GraphRowError(GraphError):
+class GraphRowError(HetlinkError):
     """A row that breaks a rule of the HeteroGraph constructor; `row` is
     ("nodes" or "edges", its index among the rows given)."""
 
@@ -95,9 +94,9 @@ class Metapath:
 
     def __post_init__(self):
         if len(self.node_types) < 2:
-            raise GraphError("metapath needs at least 2 node types")
+            raise HetlinkError("metapath needs at least 2 node types")
         if len(self.edge_types) != len(self.node_types) - 1:
-            raise GraphError("metapath type counts inconsistent")
+            raise HetlinkError("metapath type counts inconsistent")
 
     @property
     def head(self) -> str:
@@ -121,22 +120,15 @@ class Metapath:
         """Parse the one-per-line config form, e.g. Drug-CAUSE-AdverseEffect."""
         parts = [p.strip() for p in text.strip().split("-")]
         if len(parts) < 3 or len(parts) % 2 == 0:
-            raise GraphError(f"malformed metapath: {text!r}")
+            raise HetlinkError(f"malformed metapath: {text!r}")
         return cls(tuple(parts[0::2]), tuple(parts[1::2]))
 
 
 @dataclass(frozen=True)
 class Schema:
-    """(srcType, edgeType, dstType) triples derived from a graph."""
+    """(srcType, edgeType, dstType) triples of a graph's edges, SELF ones left out."""
 
     triples: frozenset[tuple[str, str, str]]
-
-    def connecting(self, type_a: str, type_b: str) -> list[tuple[str, str, str]]:
-        """Triples linking type_a to type_b in either direction (no self-loops)."""
-        out = [t for t in self.triples
-               if t[1] != SELF_EDGE_TYPE
-               and ((t[0] == type_a and t[2] == type_b) or (t[0] == type_b and t[2] == type_a))]
-        return sorted(out)
 
 
 class HeteroGraph:
@@ -188,10 +180,9 @@ class HeteroGraph:
         for adj in (self._out, self._in):
             for key, ids in adj.items():
                 adj[key] = tuple(sorted(ids))
-        triples = {(self._nodes[src].type, etype, self._nodes[dst].type)
-                   for src, dst, etype in self._edges}
-        triples |= {(t, SELF_EDGE_TYPE, t) for t in self._node_types}
-        self.schema = Schema(frozenset(triples))
+        self.schema = Schema(frozenset((self._nodes[src].type, etype, self._nodes[dst].type)
+                                       for src, dst, etype in self._edges
+                                       if etype != SELF_EDGE_TYPE))
         self._sorted_ids = sorted(self._nodes)
         # node_ids as a read-only int64 array: the row of each id is its index
         self.id_array = _read_only(np.array(self._sorted_ids, dtype=np.int64))
@@ -229,7 +220,7 @@ class HeteroGraph:
         try:
             return self._nodes[nid]
         except KeyError:
-            raise GraphError(f"unknown node {nid}") from None
+            raise HetlinkError(f"unknown node {nid}") from None
 
     def ids_of_type(self, ntype: str) -> np.ndarray:
         """nodes_of_type as a read-only int64 array, ascending; empty for a
@@ -246,7 +237,7 @@ class HeteroGraph:
         found = rows < len(self.id_array)
         found[found] = self.id_array[rows[found]] == ids[found]
         if not found.all():
-            raise GraphError(f"unknown node {ids[~found][0]}")
+            raise HetlinkError(f"unknown node {ids[~found][0]}")
         return rows
 
     def row_selector(self, ids: np.ndarray) -> slice | np.ndarray:
@@ -311,10 +302,10 @@ class HeteroGraph:
                 return "end"
             if vtype == path.head:
                 return "start"
-            raise GraphError(f"node {v} of type {vtype} matches neither end of {path.label()}")
+            raise HetlinkError(f"node {v} of type {vtype} matches neither end of {path.label()}")
         expect = path.tail if anchor == "end" else path.head
         if vtype != expect:
-            raise GraphError(f"node {v} of type {vtype} does not match metapath type {expect}")
+            raise HetlinkError(f"node {v} of type {vtype} does not match metapath type {expect}")
         return anchor
 
     def metapath_instances(self, v: int, path: Metapath,
@@ -403,9 +394,9 @@ def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) 
 # -- TSV / config file formats ---------------------------------------------
 
 @contextlib.contextmanager
-def open_text(path, error: type[Exception]):
+def open_text(path):
     """`path` open for reading as UTF-8.  A byte that is not UTF-8 ends in
-    `error` "<path>:<line>: not UTF-8", its line found in the file's bytes."""
+    HetlinkError "<path>:<line>: not UTF-8", its line found in the file's bytes."""
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
@@ -416,23 +407,23 @@ def open_text(path, error: type[Exception]):
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 line = data.count(b"\n", 0, exc.start) + 1
-                raise error(f"{path}:{line}: not UTF-8") from None
+                raise HetlinkError(f"{path}:{line}: not UTF-8") from None
             raise
 
 
-def read_json(path, error: type[Exception]):
-    """The JSON value in file `path`; `error`, one line that names the file,
-    for text that is not UTF-8 or not JSON."""
-    with open_text(path, error) as fh:
+def read_json(path):
+    """The JSON value in file `path`; HetlinkError, one line that names the
+    file, for text that is not UTF-8 or not JSON."""
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise error(f"{path}: not JSON: {exc}") from None
+            raise HetlinkError(f"{path}: not JSON: {exc}") from None
 
 
-def read_npz(path, error: type[Exception]) -> dict[str, np.ndarray]:
-    """Each array of the .npz archive in file `path`, by name; `error`, one
-    line that names the file, for any other file or an array that needs
+def read_npz(path) -> dict[str, np.ndarray]:
+    """Each array of the .npz archive in file `path`, by name; HetlinkError,
+    one line that names the file, for any other file or an array that needs
     pickle."""
     try:
         npz = np.load(path, allow_pickle=False)
@@ -441,13 +432,13 @@ def read_npz(path, error: type[Exception]) -> dict[str, np.ndarray]:
                 return {name: npz[name] for name in npz.files}
     except (ValueError, EOFError, zipfile.BadZipFile):
         pass
-    raise error(f"{path}: not a readable .npz archive")
+    raise HetlinkError(f"{path}: not a readable .npz archive")
 
 
 def _tsv_rows(path):
     """(line number, tab-separated fields) of each line of file `path` that
     is neither blank nor a # comment."""
-    with open_text(path, GraphError) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if line and not line.startswith("#"):
@@ -460,20 +451,20 @@ def load_nodes_tsv(path) -> dict[int, tuple]:
     rows = {}
     for lineno, parts in _tsv_rows(path):
         if len(parts) < 3:
-            raise GraphError(f"{path}:{lineno}: expected at least 3 columns")
+            raise HetlinkError(f"{path}:{lineno}: expected at least 3 columns")
         try:
             nid = int(parts[0])
         except ValueError:
-            raise GraphError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
+            raise HetlinkError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
         synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
         features = None
         if len(parts) > 4 and parts[4]:
             try:
                 features = [float(x) for x in parts[4].split(",")]
             except ValueError:
-                raise GraphError(f"{path}:{lineno}: bad feature floats") from None
+                raise HetlinkError(f"{path}:{lineno}: bad feature floats") from None
             if not np.isfinite(features).all():
-                raise GraphError(f"{path}:{lineno}: non-finite feature float")
+                raise HetlinkError(f"{path}:{lineno}: non-finite feature float")
         rows[lineno] = (nid, parts[1], parts[2], synonyms, features)
     return rows
 
@@ -483,24 +474,27 @@ def load_edges_tsv(path) -> dict[int, Edge]:
     rows = {}
     for lineno, parts in _tsv_rows(path):
         if len(parts) != 3:
-            raise GraphError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
+            raise HetlinkError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
         try:
             rows[lineno] = Edge(int(parts[0]), int(parts[1]), parts[2])
         except ValueError:
-            raise GraphError(f"{path}:{lineno}: bad endpoint id") from None
+            raise HetlinkError(f"{path}:{lineno}: bad endpoint id") from None
+        if parts[2] == SELF_EDGE_TYPE:
+            raise HetlinkError(f"{path}:{lineno}: edge type {SELF_EDGE_TYPE!r} "
+                               f"is reserved for query graphs")
     return rows
 
 
 def load_graph(nodes_path, edges_path) -> HeteroGraph:
     """The graph of the node and edge list files.  A row that the HeteroGraph
-    constructor rejects ends in GraphError "<path>:<line>: <rule broken>"."""
+    constructor rejects ends in HetlinkError "<path>:<line>: <rule broken>"."""
     nodes, edges = load_nodes_tsv(nodes_path), load_edges_tsv(edges_path)
     try:
         return HeteroGraph(nodes.values(), edges.values())
     except GraphRowError as exc:
         part, index = exc.row
         path, rows = (nodes_path, nodes) if part == "nodes" else (edges_path, edges)
-        raise GraphError(f"{path}:{list(rows)[index]}: {exc}") from None
+        raise HetlinkError(f"{path}:{list(rows)[index]}: {exc}") from None
 
 
 def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:
@@ -514,25 +508,25 @@ def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:
             fh.write(f"{e.src}\t{e.dst}\t{e.type}\n")
 
 
-def read_settings(cls, data, keys: dict, error: type[Exception], what: str) -> dict:
+def read_settings(cls, data, keys: dict, what: str) -> dict:
     """The fields of `cls` that the JSON object `data` sets: `keys` maps each
     key `data` may hold to its field (None: read and ignored), and values are
     cast to the fields' type hints, into dicts, lists and tuples, parsing
-    metapath labels.  `error`, one line, for a non-object, an unknown key, a
-    non-finite float or a value the cast would change ("epochs": 2.9)."""
+    metapath labels.  HetlinkError, one line, for a non-object, an unknown
+    key, a non-finite float or a value the cast would change ("epochs": 2.9)."""
     if not isinstance(data, dict):
-        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+        raise HetlinkError(f"{what} must be a JSON object, got {type(data).__name__}")
     unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise error(f"unknown {what} keys {unknown}")
+        raise HetlinkError(f"unknown {what} keys {unknown}")
     hints = typing.get_type_hints(cls)
     out = {}
     for key, name in ((key, keys[key]) for key in data if keys[key]):
         try:
             out[name] = _cast(hints[name], data[key])
-        except (TypeError, ValueError, OverflowError, GraphError):
-            raise error(f"{what} key {key!r} must be {_hint_name(hints[name])}, "
-                        f"got {data[key]!r}") from None
+        except (TypeError, ValueError, OverflowError, HetlinkError):
+            raise HetlinkError(f"{what} key {key!r} must be {_hint_name(hints[name])}, "
+                               f"got {data[key]!r}") from None
     return out
 
 

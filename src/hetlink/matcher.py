@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import ndiff
-from .encoders import Encoder, EncoderConfig, EncoderError
-from .hetgraph import (Edge, HeteroGraph, InvertedIndex, read_json, read_npz,
+from .encoders import Encoder, EncoderConfig
+from .hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, read_json, read_npz,
                        read_settings, tokenize)
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, uniform_negatives
@@ -33,10 +33,6 @@ SAMPLERS = ("uniform", "hard")
 # reads apart ("encoder", "head") or hands back ("train")
 MANIFEST_KEYS = {"feature_dim": "feature_dim", "node_types": "node_types",
                  "edge_types": "edge_types", "encoder": None, "head": None, "train": None}
-
-
-class MatcherError(Exception):
-    pass
 
 
 class MatchingHead:
@@ -56,7 +52,7 @@ class MatchingHead:
     def score_pairs(self, h_u: Tensor, h_v: Tensor) -> Tensor:
         """Row-wise logits for aligned (n, d) embedding pairs."""
         if h_u.shape != h_v.shape:
-            raise MatcherError(f"embedding shape mismatch {h_u.shape} vs {h_v.shape}")
+            raise HetlinkError(f"embedding shape mismatch {h_u.shape} vs {h_v.shape}")
         cos = ndiff.sum_axis1(ndiff.mul(ndiff.l2_normalize_rows(h_u),
                                         ndiff.l2_normalize_rows(h_v)))
         return ndiff.mul(cos, self.tau)
@@ -72,7 +68,7 @@ class MatchingHead:
 def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None) -> Tensor:
     """-sum log sigmoid(s_pos) - sum log sigmoid(-s_neg), via softplus."""
     if scores_pos.data.size == 0:
-        raise MatcherError("pair_loss needs at least one positive score")
+        raise HetlinkError("pair_loss needs at least one positive score")
     loss = ndiff.sum_all(ndiff.softplus(ndiff.neg(scores_pos)))
     if scores_neg is not None and scores_neg.data.size:
         loss = ndiff.add(loss, ndiff.sum_all(ndiff.softplus(scores_neg)))
@@ -96,19 +92,19 @@ class SiameseModel:
         return {p.name: p.data.copy() for p in self.parameters()}
 
     def load_state_dict(self, state) -> None:
-        """Set every parameter from `state`, or none: MatcherError when a
+        """Set every parameter from `state`, or none: HetlinkError when a
         parameter is missing, unexpected, misshapen or not finite."""
         params = {p.name: p for p in self.parameters()}
         missing, unexpected = sorted(set(params) - set(state)), sorted(set(state) - set(params))
         if missing or unexpected:
-            raise MatcherError(f"parameters missing: {missing}, unexpected: {unexpected}")
+            raise HetlinkError(f"parameters missing: {missing}, unexpected: {unexpected}")
         values = {name: np.asarray(state[name], dtype=np.float64) for name in params}
         for name, p in params.items():
             if values[name].shape != p.data.shape:
-                raise MatcherError(f"parameter {name} has shape {values[name].shape}, "
+                raise HetlinkError(f"parameter {name} has shape {values[name].shape}, "
                                    f"expected {p.data.shape}")
             if not np.isfinite(values[name]).all():
-                raise MatcherError(f"parameter {name} holds non-finite values")
+                raise HetlinkError(f"parameter {name} holds non-finite values")
         for name, p in params.items():
             p.data[...] = values[name]
 
@@ -126,19 +122,19 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.epochs < 1:
-            raise MatcherError("epochs must be >= 1")
+            raise HetlinkError("epochs must be >= 1")
         if self.patience < 0:
-            raise MatcherError("patience must be >= 0")
+            raise HetlinkError("patience must be >= 0")
         if self.lr <= 0:
-            raise MatcherError("lr must be > 0")
+            raise HetlinkError("lr must be > 0")
         if self.weight_decay < 0:
-            raise MatcherError("weight_decay must be >= 0")
+            raise HetlinkError("weight_decay must be >= 0")
         if self.sampler not in SAMPLERS:
-            raise MatcherError(f"unknown sampler {self.sampler!r}")
+            raise HetlinkError(f"unknown sampler {self.sampler!r}")
         if self.negatives_per_positive < 0:
-            raise MatcherError("negatives_per_positive must be >= 0")
+            raise HetlinkError("negatives_per_positive must be >= 0")
         if self.seed < 0:
-            raise MatcherError("seed must be >= 0")
+            raise HetlinkError("seed must be >= 0")
 
 
 @dataclass
@@ -336,7 +332,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     pool (training loss when no validation set)."""
     config.validate()
     if not train_items:
-        raise MatcherError("no training items")
+        raise HetlinkError("no training items")
     hard_sampler = HardNegativeSampler(kb, kb_features) if config.sampler == "hard" else None
 
     batch = build_query_batch(train_items, model.encoder.feature_dim)
@@ -387,7 +383,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
         loss = pair_loss(s_pos, s_neg)
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
-            raise MatcherError(
+            raise HetlinkError(
                 f"non-finite loss {loss_value} at epoch {epoch}; "
                 f"pos range [{s_pos.data.min()}, {s_pos.data.max()}]")
         ndiff.backward(loss)
@@ -419,7 +415,7 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     """Top-k (node id, score) of the mention's candidate_pool, descending
     score, ties by id."""
     if mention_node not in qgraph.graph:
-        raise MatcherError(f"unknown mention node {mention_node}")
+        raise HetlinkError(f"unknown mention node {mention_node}")
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
     batch = QueryBatch(qgraph.graph, q_features, [mention_node])
     [(ids, scores)] = rank_items(model, kb, kb_features, batch, [candidate_pool(kb, item)], k)
@@ -450,24 +446,24 @@ def save_model(model: SiameseModel, directory,
 
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
-    """The model save_model wrote to `directory`, and its manifest; MatcherError
+    """The model save_model wrote to `directory`, and its manifest; HetlinkError
     for a manifest that is not UTF-8 JSON or not a JSON object, an unknown key
     or a value of the wrong type, another head, a missing key, an encoder it
     cannot build, a params.npz that is not a readable .npz archive, or
     parameters load_state_dict rejects."""
-    manifest = read_json(os.path.join(directory, "manifest.json"), MatcherError)
-    shape = read_settings(Encoder, manifest, MANIFEST_KEYS, MatcherError, "model manifest")
+    manifest = read_json(os.path.join(directory, "manifest.json"))
+    shape = read_settings(Encoder, manifest, MANIFEST_KEYS, "model manifest")
     if manifest.get("head") != HEAD_KIND:
-        raise MatcherError(f"unknown matching head {manifest.get('head')!r}; "
+        raise HetlinkError(f"unknown matching head {manifest.get('head')!r}; "
                            f"only {HEAD_KIND!r} is supported")
     missing = [k for k in ("encoder", "feature_dim", "node_types", "edge_types")
                if k not in manifest]
     if missing:
-        raise MatcherError(f"model manifest lacks {missing}")
+        raise HetlinkError(f"model manifest lacks {missing}")
     try:
         encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), **shape)
-    except EncoderError as exc:
-        raise MatcherError(f"model manifest: {exc}") from None
+    except HetlinkError as exc:
+        raise HetlinkError(f"model manifest: {exc}") from None
     model = SiameseModel(encoder, MatchingHead())
-    model.load_state_dict(read_npz(os.path.join(directory, "params.npz"), MatcherError))
+    model.load_state_dict(read_npz(os.path.join(directory, "params.npz")))
     return model, manifest

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hetgraph import SELF_EDGE_TYPE, HeteroGraph
+from .hetgraph import SELF_EDGE_TYPE, HeteroGraph, HetlinkError
 
 log = logging.getLogger(__name__)
-
-
-class NegSampleError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ def uniform_negatives(kb: HeteroGraph, k: int, rng: np.random.Generator,
     keep[kb.rows([n for n in exclude if n in kb])] = False
     remaining = ids[keep]
     if k > len(remaining):
-        raise NegSampleError("KB too small to draw requested negatives")
+        raise HetlinkError("KB too small to draw requested negatives")
     picks = rng.choice(len(remaining), size=k, replace=False)
     return [int(remaining[i]) for i in sorted(picks)]
 

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph,
+from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph, HetlinkError,
                        InvertedIndex, tokenize)
 from .termembed import WordVectorStore, init_node_features
-
-
-class QueryGraphError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -32,22 +28,22 @@ class Mention:
 
     def check_against(self, text: str) -> None:
         if not (0 <= self.start_offset < self.end_offset <= len(text)):
-            raise QueryGraphError(f"mention span out of bounds: {self}")
+            raise HetlinkError(f"mention span out of bounds: {self}")
         if text[self.start_offset:self.end_offset] != self.surface:
-            raise QueryGraphError(f"mention surface does not equal its span: {self}")
+            raise HetlinkError(f"mention surface does not equal its span: {self}")
         if not tokenize(self.surface):
-            raise QueryGraphError(f"mention surface has no word character: {self}")
+            raise HetlinkError(f"mention surface has no word character: {self}")
 
 
 def _json_value(obj, key: str, kind):
     """obj[key] when it is a `kind` (never a bool); None when `key` is
     missing and `kind` admits None.  KeyError for another missing key,
-    QueryGraphError naming `key` for a value of another type."""
+    HetlinkError naming `key` for a value of another type."""
     if not isinstance(obj, dict):
-        raise QueryGraphError(f"expected a JSON object, got {type(obj).__name__}")
+        raise HetlinkError(f"expected a JSON object, got {type(obj).__name__}")
     value = obj.get(key) if isinstance(None, kind) else obj[key]
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise QueryGraphError(f"key {key!r} has the wrong type ({type(value).__name__})")
+        raise HetlinkError(f"key {key!r} has the wrong type ({type(value).__name__})")
     return value
 
 
@@ -59,21 +55,21 @@ class TextSnippet:
 
     def __post_init__(self):
         if not self.text:
-            raise QueryGraphError("empty snippet text")
+            raise HetlinkError("empty snippet text")
         for m in self.mentions:
             m.check_against(self.text)
 
     @classmethod
     def from_json(cls, data: dict, snippet_id: str = "s0") -> "TextSnippet":
         """The snippet of a JSON object, its id from "id", else "Id", else
-        `snippet_id`.  KeyError for a missing key; QueryGraphError for a value
+        `snippet_id`.  KeyError for a missing key; HetlinkError for a value
         of the wrong type, or a link_id that is not an integer."""
         text = _json_value(data, "Text", str)
         mentions = []
         for m in _json_value(data, "Mentions", list) if "Mentions" in data else ():
             link = _json_value(m, "link_id", (int, str, type(None)))
             if isinstance(link, str) and not re.fullmatch(r"-?\d+", link):
-                raise QueryGraphError(f"key 'link_id' is not an integer: {link!r}")
+                raise HetlinkError(f"key 'link_id' is not an integer: {link!r}")
             mentions.append(Mention(_json_value(m, "mention", str),
                                     _json_value(m, "start_offset", int),
                                     _json_value(m, "end_offset", int),
@@ -179,7 +175,7 @@ class QueryGraph:
         for nid, m in self.mentions.items():
             if m.surface == surface:
                 return nid
-        raise QueryGraphError(f"no mention node for {surface!r}")
+        raise HetlinkError(f"no mention node for {surface!r}")
 
     def features(self, store: WordVectorStore, freqs: dict[str, float]) -> np.ndarray:
         """init_node_features of the graph, whose node names are the mention
@@ -190,9 +186,10 @@ class QueryGraph:
 def _unknown_types(mention: Mention, kb: HeteroGraph, matched_types: set[str]) -> tuple[str, ...]:
     if mention.category and mention.category in kb.node_types:
         return (mention.category,)
-    # No usable category: any KB type the schema can connect to a matched type.
-    return tuple(t for t in sorted(kb.node_types)
-                 if any(kb.schema.connecting(t, m) for m in matched_types))
+    # No usable category: the KB types a triple links with a matched type, else all.
+    linked = {b for src, _, dst in kb.schema.triples
+              for a, b in ((src, dst), (dst, src)) if a in matched_types}
+    return tuple(sorted(linked or kb.node_types))
 
 
 def _mention_nodes(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet, extractor):
@@ -202,9 +199,7 @@ def _mention_nodes(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet, 
     mentions = extract_mentions(snippet, extractor)
     matched, unknown = match_mentions(mentions, index, kb)
     matched_types = {t for _, _, types in matched for t in types}
-    nodes = matched + [
-        (m, frozenset(), _unknown_types(m, kb, matched_types) or tuple(sorted(kb.node_types)))
-        for m in unknown]
+    nodes = matched + [(m, frozenset(), _unknown_types(m, kb, matched_types)) for m in unknown]
     return [m for m, _, _ in nodes], [c for _, c, _ in nodes], [t for _, _, t in nodes]
 
 
@@ -243,20 +238,18 @@ def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
                 if dst in u_cands and not (src in u_cands and dst in v_cands):
                     added.add((v_q, u_q, r))
 
-    # Unknown mentions: connect to every other mention through schema-
-    # compatible edge types.  The wiring of a pair is symmetric, so an
-    # unknown-unknown pair yields the same edges from either end.
+    # Unknown mentions: connect to every other mention through each schema
+    # triple between their inferred types.  The wiring of a pair is symmetric,
+    # so an unknown-unknown pair yields the same edges from either end.
     for nid in ids[len(matched):]:
         for v_q in ids:
             if v_q == nid:
                 continue
-            for t_u in types[nid]:
-                for t_v in types[v_q]:
-                    for (src, etype, dst) in kb.schema.connecting(t_u, t_v):
-                        if src == t_v and dst == t_u:
-                            added.add((v_q, nid, etype))
-                        if src == t_u and dst == t_v:
-                            added.add((nid, v_q, etype))
+            for src, etype, dst in kb.schema.triples:
+                if src in types[nid] and dst in types[v_q]:
+                    added.add((nid, v_q, etype))
+                if src in types[v_q] and dst in types[nid]:
+                    added.add((v_q, nid, etype))
     return _query_graph(mentions, cands, types, sorted(added))
 
 

@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .hetgraph import HeteroGraph, open_text, read_npz, tokenize
+from .hetgraph import HeteroGraph, HetlinkError, open_text, read_npz, tokenize
 
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
@@ -23,14 +23,10 @@ FALLBACK_SEED = 0
 FEATURE_CHUNK = 1024
 
 
-class TermEmbedError(Exception):
-    pass
-
-
 def fallback_vector(token: str, d_w: int, seed: int) -> np.ndarray:
     """Unit-norm vector from a seeded hash of the token; stable across runs."""
     if d_w <= 0:
-        raise TermEmbedError("dimension must be positive")
+        raise HetlinkError("dimension must be positive")
     digest = hashlib.sha256(f"{seed}:{token}".encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     vec = rng.standard_normal(d_w)
@@ -47,7 +43,7 @@ class WordVectorStore:
     def __init__(self, vectors: dict[str, np.ndarray], dim: int):
         for tok, vec in vectors.items():
             if vec.shape != (dim,):
-                raise TermEmbedError(f"vector for {tok!r} has dim {vec.shape}, expected ({dim},)")
+                raise HetlinkError(f"vector for {tok!r} has dim {vec.shape}, expected ({dim},)")
         self._vectors = {t: np.asarray(v, dtype=np.float64) for t, v in vectors.items()}
         self.dim = dim
 
@@ -73,7 +69,7 @@ class WordVectorStore:
         tokens = sorted(self._vectors)
         for tok in tokens:
             if tok.endswith("\x00"):
-                raise TermEmbedError(
+                raise HetlinkError(
                     f"{path}: token {tok!r} ends in NUL, which a .npz string array drops")
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         # a file object, so numpy appends no ".npz" to the name
@@ -84,29 +80,29 @@ class WordVectorStore:
     @classmethod
     def load(cls, path) -> "WordVectorStore":
         """The store that `save` wrote to `path`.  Any other file ends in
-        TermEmbedError, one line that names it."""
-        arrays = read_npz(path, TermEmbedError)
+        HetlinkError, one line that names it."""
+        arrays = read_npz(path)
         missing = sorted({"tokens", "vectors"} - set(arrays))
         if missing:
-            raise TermEmbedError(f"{path}: no {missing[0]!r} array")
+            raise HetlinkError(f"{path}: no {missing[0]!r} array")
         tokens, vectors = arrays["tokens"], arrays["vectors"]
         if tokens.ndim != 1 or tokens.dtype.kind != "U":
-            raise TermEmbedError(f"{path}: tokens must be a 1-D string array, "
-                                 f"got {tokens.dtype} of shape {tokens.shape}")
+            raise HetlinkError(f"{path}: tokens must be a 1-D string array, "
+                               f"got {tokens.dtype} of shape {tokens.shape}")
         if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] < 1:
-            raise TermEmbedError(f"{path}: vectors must be a 2-D float64 matrix with at least "
-                                 f"one column, got {vectors.dtype} of shape {vectors.shape}")
+            raise HetlinkError(f"{path}: vectors must be a 2-D float64 matrix with at least "
+                               f"one column, got {vectors.dtype} of shape {vectors.shape}")
         if len(vectors) != len(tokens):
-            raise TermEmbedError(f"{path}: {len(vectors)} vector rows for {len(tokens)} tokens")
+            raise HetlinkError(f"{path}: {len(vectors)} vector rows for {len(tokens)} tokens")
         names = tokens.tolist()
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
-            raise TermEmbedError(f"{path}: row {row} ({names[row]!r}): non-finite float")
+            raise HetlinkError(f"{path}: row {row} ({names[row]!r}): non-finite float")
         store = cls(dict(zip(names, vectors)), vectors.shape[1])
         if len(store) != len(names):
             unique, counts = np.unique(tokens, return_counts=True)
-            raise TermEmbedError(f"{path}: duplicate token {str(unique[counts > 1][0])!r}")
+            raise HetlinkError(f"{path}: duplicate token {str(unique[counts > 1][0])!r}")
         return store
 
 
@@ -115,7 +111,7 @@ def load_word_vectors(path) -> WordVectorStore:
     `ingest --wordvecs` reads this format; a bundle holds WordVectorStore.save's."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open_text(path, TermEmbedError) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
             if not parts:
@@ -124,20 +120,20 @@ def load_word_vectors(path) -> WordVectorStore:
             try:
                 vec = np.array(list(map(float, floats)), dtype=np.float64)
             except ValueError:
-                raise TermEmbedError(f"{path}:{lineno}: unparsable float") from None
+                raise HetlinkError(f"{path}:{lineno}: unparsable float") from None
             if not np.isfinite(vec).all():
-                raise TermEmbedError(f"{path}:{lineno}: non-finite float")
+                raise HetlinkError(f"{path}:{lineno}: non-finite float")
             if dim is None:
                 dim = len(vec)
                 if dim == 0:
-                    raise TermEmbedError(f"{path}:{lineno}: no floats on first line")
+                    raise HetlinkError(f"{path}:{lineno}: no floats on first line")
             elif len(vec) != dim:
-                raise TermEmbedError(f"{path}:{lineno}: dim {len(vec)} != {dim}")
+                raise HetlinkError(f"{path}:{lineno}: dim {len(vec)} != {dim}")
             if tok in vectors:
-                raise TermEmbedError(f"{path}:{lineno}: duplicate token {tok!r}")
+                raise HetlinkError(f"{path}:{lineno}: duplicate token {tok!r}")
             vectors[tok] = vec
     if dim is None:
-        raise TermEmbedError(f"{path}: empty word-vector file")
+        raise HetlinkError(f"{path}: empty word-vector file")
     return WordVectorStore(vectors, dim)
 
 
@@ -165,7 +161,7 @@ def term_embedding(term, store: WordVectorStore, freqs: dict[str, float]) -> np.
     batches, and tests compare the two bit for bit."""
     tokens = tokenize(term) if isinstance(term, str) else list(term)
     if not tokens:
-        raise TermEmbedError("empty term")
+        raise HetlinkError("empty term")
     weights = np.array([sif_weight(t, freqs) for t in tokens])
     vecs = np.stack([store.get(t) for t in tokens])
     return weights @ vecs / weights.sum()
@@ -188,7 +184,7 @@ def init_node_features(graph: HeteroGraph, store: WordVectorStore,
         if node.features is not None:
             vec = np.asarray(node.features, dtype=np.float64)
             if vec.shape != (store.dim,):
-                raise TermEmbedError(
+                raise HetlinkError(
                     f"node {node.id} preset features have dim {len(vec)}, expected {store.dim}")
             out[row] = vec
         else:

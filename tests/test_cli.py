@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetlink import evalgen
-from hetlink.cli import (CONFIG_KEYS, CliError, _load_snippets, _train_settings,
+from hetlink import HetlinkError, evalgen
+from hetlink.cli import (CONFIG_KEYS, _load_snippets, _train_settings,
                          build_parser, main, read_bundle)
-from hetlink.encoders import EncoderConfig, EncoderError
+from hetlink.encoders import EncoderConfig
 from hetlink.hetgraph import tokenize
-from hetlink.matcher import MatcherError, candidate_pool, load_model
-from hetlink.termembed import TermEmbedError, init_node_features, load_word_vectors
+from hetlink.matcher import candidate_pool, load_model
+from hetlink.termembed import init_node_features, load_word_vectors
 
 from conftest import MANIFEST_BREAKS, break_manifest, break_params, cli_items
 
@@ -98,15 +98,12 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=4),
     max_leaves=8)
-# reader, the keys it takes, the errors it may raise
+# reader, and the keys it takes
 CONFIG_READERS = {
-    "gen-synth": (evalgen.SynthConfig.from_dict,
-                  [f.name for f in fields(evalgen.SynthConfig)], (evalgen.EvalGenError,)),
+    "gen-synth": (evalgen.SynthConfig.from_dict, [f.name for f in fields(evalgen.SynthConfig)]),
     "manifest-encoder": (EncoderConfig.from_dict,
-                         [f.name for f in fields(EncoderConfig)] + ["layers", "attn_dim"],
-                         (EncoderError,)),
-    "cli-train": (_cli_train_config, sorted(CONFIG_KEYS),
-                  (CliError, MatcherError, EncoderError)),
+                         [f.name for f in fields(EncoderConfig)] + ["layers", "attn_dim"]),
+    "cli-train": (_cli_train_config, sorted(CONFIG_KEYS)),
 }
 
 
@@ -114,12 +111,12 @@ CONFIG_READERS = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_any_json_value_at_any_key_builds_a_config_or_fails_in_one_line(reader, data):
-    read, keys, errors = CONFIG_READERS[reader]
+    read, keys = CONFIG_READERS[reader]
     config = data.draw(st.dictionaries(st.sampled_from(keys + ["bogus"]), JSON_VALUES,
                                        max_size=3) | JSON_VALUES)
     try:
         read(config)
-    except errors as exc:
+    except HetlinkError as exc:
         assert "\n" not in str(exc)
 
 
@@ -371,6 +368,8 @@ TWO_NODES = "0\tDrug\taspirin\n1\tFinding\tfever\n"
      "{nodes}:2: node name must have at least one token"),
     (TWO_NODES, "# src\tdst\ttype\n0\t1\tCAUSE\n1\t0\t\n", "{edges}:3: empty edge type"),
     (TWO_NODES, "0\t1\tCAUSE\n\n0\t1\tCAUSE\n", "{edges}:3: duplicate edge (0, 1, 'CAUSE')"),
+    (TWO_NODES, "0\t1\tCAUSE\n1\t1\tSELF\n",
+     "{edges}:2: edge type 'SELF' is reserved for query graphs"),
 ])
 def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, capsys,
                                                                   nodes, edges, error):
@@ -607,7 +606,8 @@ def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, ca
     code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
-    assert capsys.readouterr().err == "error: bundle manifest must be a JSON object, got list\n"
+    assert capsys.readouterr().err == (
+        f"error: {bundle / 'manifest.json'}: bundle manifest must be a JSON object, got list\n")
 
 
 # (bundle file, how its rows change) for files that disagree with the manifest
@@ -628,8 +628,8 @@ def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, t
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: bundle manifest lists {manifest['nodes']} nodes and {manifest['edges']} "
-        f"edges, its files hold {held['nodes']} and {held['edges']}\n")
+        f"error: {bundle / 'manifest.json'}: lists {manifest['nodes']} nodes and "
+        f"{manifest['edges']} edges, its files hold {held['nodes']} and {held['edges']}\n")
 
 
 # a manifest count that is not an integer: (key, value, its repr; None: drop the key)
@@ -653,6 +653,19 @@ def test_eval_rejects_a_manifest_count_that_is_not_an_integer(workdir, tmp_path,
     assert code == 1
     assert capsys.readouterr().err == (
         f'error: {bundle / "manifest.json"}: "{key}" must be an integer, got {shown}\n')
+
+
+@pytest.mark.parametrize("key, value", [("edges", -3), ("nodes", -1)])
+def test_eval_rejects_a_negative_manifest_count(workdir, tmp_path, capsys, key, value):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    (bundle / "manifest.json").write_text(json.dumps({**manifest, key: value}))
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f'error: {bundle / "manifest.json"}: "{key}" must be >= 0, got {value}\n')
 
 
 # (bundle file, the field of its first line that is set, the value, the error)
@@ -959,7 +972,7 @@ def test_any_snippet_file_loads_or_ends_in_one_line_and_exit_1(workdir, data):
         try:
             _load_snippets(path)
             error = None
-        except (CliError, json.JSONDecodeError) as exc:
+        except (HetlinkError, json.JSONDecodeError) as exc:
             error = str(exc)
         code, err = _main_quietly(["eval", "--bundle", str(workdir / "corpus"),
                                    "--model", str(workdir / "model"), "--snippets", path])
@@ -986,7 +999,7 @@ def test_any_word_vector_file_loads_or_ends_in_one_line_and_exit_1(workdir, data
         try:
             load_word_vectors(path)
             error = None
-        except TermEmbedError as exc:
+        except HetlinkError as exc:
             error = str(exc)
         code, err = _main_quietly(["ingest", "--nodes", str(corpus / "nodes.tsv"),
                                    "--edges", str(corpus / "edges.tsv"), "--wordvecs", path,

@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hetlink import encoders, evalgen, ndiff
+from hetlink import HetlinkError, encoders, evalgen, ndiff
 from hetlink.encoders import (
     AttentionRecord,
     Encoder,
     EncoderConfig,
-    EncoderError,
     _graph_cache,
     _relation_adjacency,
     build_encoder_for_graph,
 )
 from hetlink.evalgen import schema_metapaths
 from hetlink.hetgraph import SELF_EDGE_TYPE, HeteroGraph, Metapath
-from hetlink.matcher import MatcherError, MatchingHead, SiameseModel, build_query_batch
+from hetlink.matcher import MatchingHead, SiameseModel, build_query_batch
 
 from conftest import csr_arrays, magnn_layer_per_op, magnn_plan, random_hetero_graph
 from test_hetgraph import _brute_force_instances
@@ -53,26 +52,26 @@ def make_encoder(kind, graph, feature_dim, **kw):
 
 
 def test_config_rejects_unknown_kind_and_bad_layers():
-    with pytest.raises(EncoderError):
+    with pytest.raises(HetlinkError):
         EncoderConfig(kind="gcn").validate()
-    with pytest.raises(EncoderError):
+    with pytest.raises(HetlinkError):
         EncoderConfig(num_layers=0).validate()
-    with pytest.raises(EncoderError):
+    with pytest.raises(HetlinkError):
         EncoderConfig(num_layers=5).validate()
-    with pytest.raises(EncoderError, match="dim must be >= 1"):
+    with pytest.raises(HetlinkError, match="dim must be >= 1"):
         EncoderConfig(dim=0).validate()
-    with pytest.raises(EncoderError, match="seed must be >= 0"):
+    with pytest.raises(HetlinkError, match="seed must be >= 0"):
         EncoderConfig(seed=-1).validate()
     for rate in (-0.1, 1.0):
-        with pytest.raises(EncoderError, match=r"dropout must be in \[0, 1\)"):
+        with pytest.raises(HetlinkError, match=r"dropout must be in \[0, 1\)"):
             EncoderConfig(dropout=rate).validate()
 
 
 def test_config_magnn_needs_metapaths_and_divisible_heads():
-    with pytest.raises(EncoderError):
+    with pytest.raises(HetlinkError):
         EncoderConfig(kind="magnn").validate()
     path = [Metapath.parse("Drug-CAUSE-AdverseEffect")]
-    with pytest.raises(EncoderError):
+    with pytest.raises(HetlinkError):
         EncoderConfig(kind="magnn", metapaths=path, dim=10, heads=4).validate()
     EncoderConfig(kind="magnn", metapaths=path, dim=12, heads=4).validate()
 
@@ -695,14 +694,14 @@ def test_magnn_plan_matches_oracle_on_a_synthetic_query_batch():
 
 def test_encode_rejects_bad_shapes(toy_kb):
     enc = make_encoder("graphsage", toy_kb, 8)
-    with pytest.raises(EncoderError, match="shape"):
+    with pytest.raises(HetlinkError, match="shape"):
         enc.encode(toy_kb, np.zeros((len(toy_kb), 9)))
 
 
 def test_encode_rejects_unregistered_node_type(toy_kb):
     enc = make_encoder("graphsage", toy_kb, 8)
     g = HeteroGraph([(0, "Gene", "BRCA1", (), None)], [])
-    with pytest.raises(EncoderError, match="unregistered"):
+    with pytest.raises(HetlinkError, match="unregistered"):
         enc.encode(g, np.zeros((1, 8)))
 
 
@@ -725,7 +724,7 @@ def test_state_dict_roundtrip_and_mismatch(toy_kb):
                           model2.encoder.encode(toy_kb, x).data)
     state = model1.state_dict()
     state.pop(sorted(state)[0])
-    with pytest.raises(MatcherError, match="missing"):
+    with pytest.raises(HetlinkError, match="missing"):
         model2.load_state_dict(state)
 
 

@@ -5,11 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hetlink import evalgen
+from hetlink import HetlinkError, evalgen
 from hetlink.hetgraph import HeteroGraph
 from hetlink.matcher import TrainItem, candidate_ids, candidate_pool
 from hetlink.evalgen import (
-    EvalGenError,
     SynthConfig,
     generate_synthetic_kb,
     precision_recall_f1,
@@ -64,7 +63,7 @@ def test_split_tiny_dataset_keeps_all_parts_nonempty():
 
 
 def test_split_validation_errors():
-    with pytest.raises(EvalGenError):
+    with pytest.raises(HetlinkError):
         split_dataset(["a", "b"])
 
 
@@ -96,7 +95,7 @@ def test_metrics_rank1_only_top_counts():
 
 
 def test_metrics_reject_unknown_mention_keys():
-    with pytest.raises(EvalGenError, match="unknown"):
+    with pytest.raises(HetlinkError, match="unknown"):
         precision_recall_f1({"zzz": [1]}, {"m1": 1})
 
 
@@ -145,7 +144,7 @@ def test_score_items_attributes_each_miss_to_its_first_cause():
 
 
 def test_config_mix_must_sum_to_one():
-    with pytest.raises(EvalGenError, match="sum to 1"):
+    with pytest.raises(HetlinkError, match="sum to 1"):
         SynthConfig(ambiguity_mix={"acronym": 0.5}).validate()
 
 
@@ -164,20 +163,25 @@ def test_config_mix_must_sum_to_one():
     ({"context_mentions": (4, 2)}, "context_mentions"),
 ])
 def test_config_rejects_an_out_of_range_value(setting, error):
-    with pytest.raises(EvalGenError, match=error):
+    with pytest.raises(HetlinkError, match=error):
         SynthConfig(**setting).validate()
 
 
 def test_config_twin_requires_twin_fraction():
-    with pytest.raises(EvalGenError, match="twin"):
+    with pytest.raises(HetlinkError, match="twin"):
         SynthConfig(ambiguity_mix={"twin": 1.0}, twin_fraction=0.0).validate()
 
 
 def test_config_detects_unsatisfiable_density():
-    with pytest.raises(EvalGenError, match="density"):
+    with pytest.raises(HetlinkError, match="density"):
         SynthConfig(node_counts={"Drug": 5, "AdverseEffect": 2, "Symptom": 5,
                                  "Finding": 5},
                     triples=(("Drug", "CAUSE", "AdverseEffect", 3),)).validate()
+
+
+def test_config_refuses_a_triple_of_the_query_graph_self_loop_type():
+    with pytest.raises(HetlinkError, match="Drug-SELF-Drug: edge type 'SELF' is reserved"):
+        SynthConfig(triples=(*SynthConfig().triples, ("Drug", "SELF", "Drug", 1))).validate()
 
 
 def test_config_from_dict_roundtrip():
@@ -286,7 +290,7 @@ def test_corpus_items_build_one_item_per_snippet(small_corpus):
 
 
 def test_corpus_items_reject_an_unknown_snippet_id(small_corpus):
-    with pytest.raises(EvalGenError, match="unknown snippet 'nope'"):
+    with pytest.raises(HetlinkError, match="unknown snippet 'nope'"):
         evalgen.corpus_items(small_corpus, [small_corpus.snippets[0].id, "nope"])
 
 

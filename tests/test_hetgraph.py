@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetlink.cli import main, write_bundle
-from hetlink.hetgraph import (Edge, GraphError, HeteroGraph, InvertedIndex, Metapath,
+from hetlink.hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
                               Node, SELF_EDGE_TYPE, build_inverted_index,
                               default_acronym_rule, load_edges_tsv, load_graph,
                               load_nodes_tsv, normalize, save_graph, tokenize)
@@ -39,7 +39,7 @@ def _graph(nodes, edges=()):
 
 
 def test_edge_requires_known_endpoints():
-    with pytest.raises(GraphError):
+    with pytest.raises(HetlinkError):
         _graph([(0, "Drug", "a")], [(0, 5, "TREAT")])
 
 
@@ -53,7 +53,7 @@ def test_edge_requires_known_endpoints():
     ([(0, "Drug", "a")], [(0, 0, "R"), (0, 0, "R")], "duplicate edge (0, 0, 'R')"),
 ])
 def test_constructor_raises_the_node_and_edge_rule_texts(nodes, edges, error):
-    with pytest.raises(GraphError) as exc:
+    with pytest.raises(HetlinkError) as exc:
         _graph(nodes, edges)
     assert str(exc.value) == error
     # each case breaks a rule on its last row, which the error names
@@ -72,10 +72,10 @@ def test_constructor_keeps_rows_and_edges_in_the_order_given():
     assert all(type(e) is Edge for e in g.edges)
 
 
-def test_schema_has_a_self_loop_triple_per_node_type(toy_kb):
-    assert {t for t in toy_kb.schema.triples if t[1] == SELF_EDGE_TYPE} == \
-        {(t, SELF_EDGE_TYPE, t) for t in toy_kb.node_types}
-    assert all(e.type != SELF_EDGE_TYPE for e in toy_kb.edges)
+def test_schema_leaves_out_self_loop_edges():
+    g = _graph([(0, "Drug", "a"), (1, "AdverseEffect", "b")],
+               [(0, 1, "CAUSE"), (0, 0, SELF_EDGE_TYPE), (1, 1, SELF_EDGE_TYPE)])
+    assert g.schema.triples == {("Drug", "CAUSE", "AdverseEffect")}
 
 
 def test_neighbors_rejects_an_unknown_id():
@@ -84,7 +84,7 @@ def test_neighbors_rejects_an_unknown_id():
     assert g.out_neighbors(0, "CAUSE") == [1]
     lone = _graph([(0, "Drug", "c")])
     assert lone.neighbors(0) == set()
-    with pytest.raises(GraphError, match="unknown node 999"):
+    with pytest.raises(HetlinkError, match="unknown node 999"):
         lone.neighbors(999)
 
 
@@ -95,11 +95,6 @@ def test_neighbors_by_relation_ignores_direction(toy_kb):
         toy_kb.neighbors_by_relation(nausea, "INDICATE")
 
 
-def test_schema_connecting(toy_kb):
-    triples = toy_kb.schema.connecting("Drug", "AdverseEffect")
-    assert ("Drug", "CAUSE", "AdverseEffect") in triples
-
-
 def test_metapath_parse_roundtrip():
     p = Metapath.parse("Drug-CAUSE-AdverseEffect-INDICATE-Finding")
     assert p.node_types == ("Drug", "AdverseEffect", "Finding")
@@ -108,7 +103,7 @@ def test_metapath_parse_roundtrip():
 
 
 def test_metapath_rejects_malformed():
-    with pytest.raises(GraphError):
+    with pytest.raises(HetlinkError):
         Metapath.parse("Drug-CAUSE")
 
 
@@ -151,7 +146,7 @@ def test_metapath_instances_match_brute_force_oracle():
         if not etypes:
             continue
         # random walk over schema triples so the path is always valid
-        triples = sorted(t for t in g.schema.triples if t[1] != SELF_EDGE_TYPE)
+        triples = sorted(g.schema.triples)
         if not triples:
             continue
         length = int(rng.integers(1, 5))
@@ -214,7 +209,7 @@ def test_tsv_roundtrip(tmp_path, toy_kb):
 def test_malformed_tsv_reports_line_number(tmp_path):
     bad = tmp_path / "nodes.tsv"
     bad.write_text("0\tDrug\taspirin\t\t\n1\tDrug\n")
-    with pytest.raises(GraphError, match=":2:"):
+    with pytest.raises(HetlinkError, match=":2:"):
         load_graph(bad, None)
 
 
@@ -303,7 +298,7 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
         lines.insert(data.draw(st.integers(0, len(lines))), row)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        with pytest.raises(GraphError) as exc:
+        with pytest.raises(HetlinkError) as exc:
             load_graph(os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv"))
         assert "\n" not in str(exc.value)
         err = io.StringIO()
@@ -321,13 +316,13 @@ def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):
     for edge, error in [((0, 5, "CAUSE"), "edge (0, 5, CAUSE) references unknown node"),
                         ((0, 1, ""), "empty edge type"),
                         ((0, 1, "CAUSE"), "duplicate edge (0, 1, 'CAUSE')")]:
-        with pytest.raises(GraphError) as exc:
+        with pytest.raises(HetlinkError) as exc:
             _graph(nodes, [*g.edges, edge])
         assert (str(exc.value), exc.value.row) == (error, ("edges", 1))
         nodes_path, edges_path = _saved(g, tmp_path)
         with open(edges_path, "a", encoding="utf-8") as fh:
             fh.write("\t".join(map(str, edge)) + "\n")
-        with pytest.raises(GraphError) as exc:
+        with pytest.raises(HetlinkError) as exc:
             load_graph(nodes_path, edges_path)
         assert str(exc.value) == f"{edges_path}:2: {error}"
 
@@ -337,7 +332,7 @@ def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):
 def test_metapath_instances_deterministic_and_typed(seed):
     rng = np.random.default_rng(seed)
     g = random_hetero_graph(rng, n_nodes=12)
-    triples = sorted(t for t in g.schema.triples if t[1] != SELF_EDGE_TYPE)
+    triples = sorted(g.schema.triples)
     if not triples:
         return
     s, e, d = triples[int(rng.integers(len(triples)))]
@@ -400,9 +395,9 @@ def test_rows_follow_node_ids_order_on_sparse_ids():
     assert g.rows(g.node_ids).tolist() == list(range(len(g)))
     assert g.rows([]).shape == (0,)
     for unknown in (8, -1, 124):     # between, below and above the ids
-        with pytest.raises(GraphError, match=f"unknown node {unknown}"):
+        with pytest.raises(HetlinkError, match=f"unknown node {unknown}"):
             g.rows([7, unknown])
-    with pytest.raises(GraphError):
+    with pytest.raises(HetlinkError):
         HeteroGraph([], []).rows([0])
 
 

@@ -11,10 +11,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from hetlink import cli, evalgen, ndiff
+from hetlink import HetlinkError, cli, evalgen, ndiff
 from hetlink.encoders import EncoderConfig
 from hetlink.matcher import (
-    MatcherError,
     MatchingHead,
     TrainConfig,
     TrainItem,
@@ -73,7 +72,7 @@ def test_dot_head_is_temperature_scaled_cosine():
 
 def test_head_rejects_shape_mismatch():
     head = MatchingHead()
-    with pytest.raises(MatcherError):
+    with pytest.raises(HetlinkError):
         head.score_pairs(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))))
 
 
@@ -107,7 +106,7 @@ def test_pair_loss_with_negatives_adds_terms():
 
 
 def test_pair_loss_requires_positives():
-    with pytest.raises(MatcherError):
+    with pytest.raises(HetlinkError):
         pair_loss(Tensor(np.zeros(0)), None)
 
 
@@ -344,20 +343,20 @@ def test_validation_ranks_as_eval_does(mini):
 def test_train_config_validation():
     # patience above epochs is allowed: early stopping then never fires
     TrainConfig(epochs=5, patience=10).validate()
-    with pytest.raises(MatcherError):
+    with pytest.raises(HetlinkError):
         TrainConfig(sampler="adversarial").validate()
-    with pytest.raises(MatcherError):
+    with pytest.raises(HetlinkError):
         TrainConfig(negatives_per_positive=-1).validate()
-    with pytest.raises(MatcherError, match="epochs must be >= 1"):
+    with pytest.raises(HetlinkError, match="epochs must be >= 1"):
         TrainConfig(epochs=0, patience=0).validate()
     for bad in ({"lr": 0.0}, {"lr": -0.5}, {"weight_decay": -1.0}, {"patience": -1},
                 {"seed": -1}):
-        with pytest.raises(MatcherError, match=next(iter(bad))):
+        with pytest.raises(HetlinkError, match=next(iter(bad))):
             TrainConfig(**bad).validate()
 
 
 def test_train_requires_items(mini):
-    with pytest.raises(MatcherError):
+    with pytest.raises(HetlinkError):
         train(_tiny_model(mini), mini["corpus"].kb, mini["kb_features"],
               [], [], TrainConfig(epochs=1, patience=1))
 
@@ -472,7 +471,7 @@ def test_disambiguate_rejects_unknown_mention_node(mini):
     corpus = mini["corpus"]
     model = _tiny_model(mini)
     item = mini["train"][0]
-    with pytest.raises(MatcherError):
+    with pytest.raises(HetlinkError):
         disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
                      item.features, 10_000, k=3)
 
@@ -510,7 +509,7 @@ def test_load_model_rejects_other_head_kinds(mini, tmp_path):
     manifest = json.loads(path.read_text())
     manifest["head"] = "bilinear"
     path.write_text(json.dumps(manifest))
-    with pytest.raises(MatcherError, match="bilinear") as info:
+    with pytest.raises(HetlinkError, match="bilinear") as info:
         load_model(tmp_path / "model")
     assert "\n" not in str(info.value)
 
@@ -536,7 +535,7 @@ def test_save_model_writes_parameters_in_order_and_load_model_reads_them_back(mi
 def test_load_model_rejects_a_broken_parameter(mini, tmp_path, how):
     save_model(_tiny_model(mini), tmp_path / "model")
     error = break_params(tmp_path / "model", how)
-    with pytest.raises(MatcherError) as info:
+    with pytest.raises(HetlinkError) as info:
         load_model(tmp_path / "model")
     assert str(info.value) == error
 
@@ -548,7 +547,7 @@ def test_load_model_names_a_missing_manifest_key(mini, tmp_path, key):
     manifest = json.loads(path.read_text())
     del manifest[key]
     path.write_text(json.dumps(manifest))
-    with pytest.raises(MatcherError, match=rf"lacks \['{key}'\]$"):
+    with pytest.raises(HetlinkError, match=rf"lacks \['{key}'\]$"):
         load_model(tmp_path / "model")
 
 
@@ -556,7 +555,7 @@ def test_load_model_names_a_missing_manifest_key(mini, tmp_path, key):
 def test_load_model_rejects_a_malformed_manifest(mini, tmp_path, how):
     save_model(_tiny_model(mini), tmp_path / "model")
     error = break_manifest(tmp_path / "model", how)
-    with pytest.raises(MatcherError) as info:
+    with pytest.raises(HetlinkError) as info:
         load_model(tmp_path / "model")
     assert str(info.value) == error
 
@@ -567,7 +566,7 @@ def test_load_model_rejects_unexpected_parameters(mini, tmp_path):
     state = model.state_dict()
     state["encoder.stray"] = np.zeros(3)
     np.savez(tmp_path / "model" / "params.npz", **state)
-    with pytest.raises(MatcherError, match="encoder.stray") as info:
+    with pytest.raises(HetlinkError, match="encoder.stray") as info:
         load_model(tmp_path / "model")
     assert "\n" not in str(info.value)
 

@@ -10,9 +10,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hetlink import HetlinkError
 from hetlink.negsample import (
     HardNegativeSampler,
-    NegSampleError,
     ged_1hop,
     neighborhood_signature,
     semantic_similarity,
@@ -241,10 +241,10 @@ def test_uniform_top_up_fails_cleanly_when_the_kb_is_too_small(toy_kb, toy_emb):
     gold = toy_kb.ids["proteinuria"]          # single neighbor
     n = len(toy_kb)
     assert len(uniform_negatives(toy_kb, n - 1, np.random.default_rng(0), {gold})) == n - 1
-    with pytest.raises(NegSampleError, match="too small"):
+    with pytest.raises(HetlinkError, match="too small"):
         uniform_negatives(toy_kb, n, np.random.default_rng(0), {gold})
     sampler = HardNegativeSampler(toy_kb, toy_emb)
     negatives, _ = sampler.sample(gold, n - 1, np.random.default_rng(0))
     assert sorted(negatives) == sorted(set(toy_kb.node_ids) - {gold})
-    with pytest.raises(NegSampleError, match="too small"):
+    with pytest.raises(HetlinkError, match="too small"):
         sampler.sample(gold, n, np.random.default_rng(0))

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from hetlink import evalgen
+from hetlink import HetlinkError, evalgen
 from hetlink.hetgraph import (RELATED_EDGE_TYPE, SELF_EDGE_TYPE, HeteroGraph,
                               build_inverted_index)
 from hetlink.querygraph import (
     GazetteerExtractor,
     GoldMentionExtractor,
     Mention,
-    QueryGraphError,
     TextSnippet,
     augment_query_graph,
     extract_mentions,
@@ -24,9 +23,9 @@ from hetlink.querygraph import (
 
 
 def test_mention_span_must_match_text():
-    with pytest.raises(QueryGraphError, match="span"):
+    with pytest.raises(HetlinkError, match="span"):
         TextSnippet("s", "Aspirin helps", (Mention("nausea", 0, 6),))
-    with pytest.raises(QueryGraphError, match="bounds"):
+    with pytest.raises(HetlinkError, match="bounds"):
         TextSnippet("s", "short", (Mention("x", 4, 99),))
 
 
@@ -45,7 +44,7 @@ def test_snippet_from_json_defaults():
 
 
 def test_empty_snippet_rejected():
-    with pytest.raises(QueryGraphError):
+    with pytest.raises(HetlinkError):
         TextSnippet("s", "")
 
 
@@ -166,6 +165,16 @@ def test_schema_types_an_unknown_mention_without_a_category(toy_kb, toy_index):
     assert qg.graph.node(xyz).type == "AdverseEffect"
 
 
+def test_schema_wires_an_unknown_mention_without_a_category(toy_kb, toy_index):
+    # each KB triple from Drug to one of XYZ's inferred types gives an edge
+    # from Aspirin to XYZ; no triple runs the other way
+    snip = TextSnippet("s", "Aspirin was stopped after XYZ")
+    qg = augment_query_graph(toy_kb, toy_index, snip, GazetteerExtractor(toy_index))
+    aspirin, xyz = qg.node_for_mention("Aspirin"), qg.node_for_mention("XYZ")
+    assert qg.graph.edges == [(aspirin, xyz, "CAUSE"), (aspirin, xyz, "TREAT"),
+                              (aspirin, aspirin, SELF_EDGE_TYPE), (xyz, xyz, SELF_EDGE_TYPE)]
+
+
 def test_query_features_use_surface_strings(toy_kb, toy_index, arf_snippet,
                                             toy_store, toy_freqs):
     qg = augment_query_graph(toy_kb, toy_index, arf_snippet, GoldMentionExtractor())
@@ -181,7 +190,7 @@ def test_query_features_use_surface_strings(toy_kb, toy_index, arf_snippet,
 
 def test_node_for_mention_unknown_surface_raises(toy_kb, toy_index, arf_snippet):
     qg = augment_query_graph(toy_kb, toy_index, arf_snippet, GoldMentionExtractor())
-    with pytest.raises(QueryGraphError):
+    with pytest.raises(HetlinkError):
         qg.node_for_mention("nonexistent")
 
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hetlink import termembed
+from hetlink import HetlinkError, termembed
 from hetlink.evalgen import SynthConfig, generate_synthetic_kb
 from hetlink.hetgraph import HeteroGraph
 from hetlink.termembed import (
     DEFAULT_SIF_A,
     DEFAULT_UNSEEN_P,
     FALLBACK_SEED,
-    TermEmbedError,
     WordVectorStore,
     fallback_vector,
     init_node_features,
@@ -71,7 +70,7 @@ def test_store_save_refuses_a_token_that_ends_in_nul(tmp_path):
     # a numpy string array drops trailing NULs: "a\x00" would come back as "a"
     store = WordVectorStore({"a": np.zeros(3), "b\x00": np.ones(3)}, dim=3)
     path = tmp_path / "vecs.npz"
-    with pytest.raises(TermEmbedError, match=r"token 'b\\x00' ends in NUL"):
+    with pytest.raises(HetlinkError, match=r"token 'b\\x00' ends in NUL"):
         store.save(path)
     assert not path.exists()
 
@@ -87,7 +86,7 @@ def test_store_save_writes_the_same_bytes_at_any_clock_time(tmp_path, monkeypatc
 def test_load_word_vectors_rejects_ragged_rows(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("a 1.0 2.0\nb 1.0\n")
-    with pytest.raises(TermEmbedError):
+    with pytest.raises(HetlinkError):
         load_word_vectors(path)
 
 
@@ -143,7 +142,7 @@ def test_term_embedding_single_token_equals_its_vector():
 
 def test_term_embedding_empty_term_raises():
     store = random_word_vectors(["a"], dim=4)
-    with pytest.raises(TermEmbedError):
+    with pytest.raises(HetlinkError):
         term_embedding([], store, {"a": 1.0})
 
 
