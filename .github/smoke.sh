@@ -1,8 +1,8 @@
 #!/bin/sh
 # Runs the installed `hetlink` console script end to end on a small bundle:
 # gen-synth, ingest of its graph, MAGNN train, eval and disambiguate, then eval
-# on a broken copy of the bundle. Run it from an empty directory after
-# `pip install`.
+# on a broken copy of the bundle and on a bundle that is not there. Run it from
+# an empty directory after `pip install`.
 set -eu
 # the files of a directory, one space after each
 files() { ls "$1" | tr '\n' ' '; }
@@ -27,3 +27,11 @@ hetlink eval --bundle smoke-bad --model smoke-model --snippets smoke/snippets.js
 test "$status" -eq 1
 test "$(wc -l < bad.err)" -eq 1
 grep -q '^error: ' bad.err
+# a bundle directory that does not exist: exit status 1 and one stderr line
+# that names its manifest
+status=0
+hetlink eval --bundle missing --model smoke-model --snippets smoke/snippets.json \
+  > /dev/null 2> missing.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < missing.err)" -eq 1
+grep -q '^error: missing/manifest.json: ' missing.err

@@ -53,7 +53,6 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
     object `opts` sets, over the CLI's dim; each read skips the other's keys."""
     train_config = TrainConfig(**read_settings(
         TrainConfig, opts, {**dict.fromkeys(ENCODER_KEYS), **TRAIN_KEYS}, "config"))
-    train_config.validate()
     return train_config, {"dim": CLI_DIM, **read_settings(
         EncoderConfig, opts, {**dict.fromkeys(TRAIN_KEYS), **ENCODER_KEYS}, "config")}
 

@@ -25,7 +25,7 @@ from .ndiff import Parameter, Tensor
 ENCODER_KINDS = ("graphsage", "rgcn", "magnn")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderConfig:
     kind: str = "graphsage"
     num_layers: int = 2
@@ -36,7 +36,7 @@ class EncoderConfig:
     leaky_slope: float = 0.01
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise HetlinkError(f"unknown encoder kind {self.kind!r}")
         if not 1 <= self.num_layers <= 4:
@@ -59,9 +59,7 @@ class EncoderConfig:
     def from_dict(cls, data) -> "EncoderConfig":
         # "layers" is the CLI's name; older manifests carry attn_dim, never read
         keys = {**{f.name: f.name for f in fields(cls)}, "layers": "num_layers", "attn_dim": None}
-        cfg = cls(**read_settings(cls, data, keys, "encoder config"))
-        cfg.validate()
-        return cfg
+        return cls(**read_settings(cls, data, keys, "encoder config"))
 
 
 @dataclass
@@ -186,7 +184,6 @@ class Encoder:
 
     def __init__(self, config: EncoderConfig, feature_dim: int,
                  node_types, edge_types):
-        config.validate()
         if feature_dim < 1:
             raise HetlinkError("feature_dim must be >= 1")
         self.config = config

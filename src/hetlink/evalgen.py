@@ -130,7 +130,7 @@ DEFAULT_AMBIGUITY_MIX = {"acronym": 0.18, "abbreviation": 0.10, "synonym": 0.17,
                          "simplification": 0.14, "typo": 0.11, "twin": 0.30}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     node_counts: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_NODE_COUNTS))
     triples: tuple[tuple[str, str, str, int], ...] = DEFAULT_TRIPLES
@@ -146,7 +146,7 @@ class SynthConfig:
     max_retries: int = 50
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         unknown = sorted(set(self.ambiguity_mix) - set(DEFAULT_AMBIGUITY_MIX))
         if unknown:
             raise HetlinkError(f"unknown ambiguity kinds {unknown}; "
@@ -188,9 +188,7 @@ class SynthConfig:
     @classmethod
     def from_dict(cls, data) -> "SynthConfig":
         keys = {f.name: f.name for f in fields(cls)}
-        cfg = cls(**read_settings(cls, data, keys, "synth config"))
-        cfg.validate()
-        return cfg
+        return cls(**read_settings(cls, data, keys, "synth config"))
 
 
 @dataclass
@@ -258,7 +256,6 @@ _FILLERS = ("the chart mentions", "alongside", "with recurrent", "suggesting",
 
 def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
     """Deterministic KB + snippet corpus; see the module docstring."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
 
     vocab: list[str] = []
@@ -336,7 +333,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             for dst in forced + [int(choices[i]) for i in sorted(picks)]:
                 edges.append(Edge(src, dst, etype))
     kb = HeteroGraph(rows, edges)
-    index = build_inverted_index(kb, acronym_rule=None)
+    index = build_inverted_index(kb, acronyms=False)
 
     kinds = sorted(config.ambiguity_mix)
     probs = np.array([config.ambiguity_mix[k] for k in kinds])

@@ -347,14 +347,6 @@ class HeteroGraph:
 
 # -- inverted index --------------------------------------------------------
 
-def default_acronym_rule(tokens: tuple[str, ...]) -> list[str]:
-    """Initial letters of multi-token names, minimum length 2."""
-    if len(tokens) < 2:
-        return []
-    acro = "".join(t[0] for t in tokens if t)
-    return [acro] if len(acro) >= 2 else []
-
-
 class InvertedIndex:
     """Normalized surface string -> set of node ids (names, synonyms, acronyms)."""
 
@@ -369,11 +361,9 @@ class InvertedIndex:
         return self._max_key_tokens
 
 
-def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) -> InvertedIndex:
-    """Index every node under its name, synonyms, and generated acronyms.
-
-    Pass acronym_rule=None to index long forms only.
-    """
+def build_inverted_index(graph: HeteroGraph, acronyms: bool = True) -> InvertedIndex:
+    """Index every node under its name and synonyms and, with `acronyms`, a
+    name of two or more tokens under its tokens' initials."""
     entries: dict[str, set[int]] = {}
 
     def put(tokens, nid):
@@ -385,9 +375,9 @@ def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) 
         put(node.name, node.id)
         for syn in node.synonyms:
             put(syn, node.id)
-        if acronym_rule is not None:
-            for acro in acronym_rule(node.name):
-                put(tuple(tokenize(acro)), node.id)
+        initials = "".join(t[:1] for t in node.name) if acronyms else ""
+        if len(initials) >= 2:
+            put(tokenize(initials), node.id)
     return InvertedIndex(entries)
 
 
@@ -395,9 +385,14 @@ def build_inverted_index(graph: HeteroGraph, acronym_rule=default_acronym_rule) 
 
 @contextlib.contextmanager
 def open_text(path):
-    """`path` open for reading as UTF-8.  A byte that is not UTF-8 ends in
-    HetlinkError "<path>:<line>: not UTF-8", its line found in the file's bytes."""
-    with open(path, encoding="utf-8") as fh:
+    """`path` open for reading as UTF-8.  A file that cannot be opened ends in
+    HetlinkError "<path>: <reason>", and a byte that is not UTF-8 in
+    "<path>:<line>: not UTF-8", its line found in the file's bytes."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise HetlinkError(f"{path}: {exc.strerror}") from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError:
@@ -423,13 +418,15 @@ def read_json(path):
 
 def read_npz(path) -> dict[str, np.ndarray]:
     """Each array of the .npz archive in file `path`, by name; HetlinkError,
-    one line that names the file, for any other file or an array that needs
-    pickle."""
+    one line that names the file, for a file that cannot be opened, any other
+    file or an array that needs pickle."""
     try:
         npz = np.load(path, allow_pickle=False)
         if isinstance(npz, np.lib.npyio.NpzFile):     # not one bare .npy array
             with npz:
                 return {name: npz[name] for name in npz.files}
+    except OSError as exc:
+        raise HetlinkError(f"{path}: {exc.strerror}") from None
     except (ValueError, EOFError, zipfile.BadZipFile):
         pass
     raise HetlinkError(f"{path}: not a readable .npz archive")

@@ -109,7 +109,7 @@ class SiameseModel:
             p.data[...] = values[name]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 100
     patience: int = 30
@@ -120,7 +120,7 @@ class TrainConfig:
     curriculum: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.epochs < 1:
             raise HetlinkError("epochs must be >= 1")
         if self.patience < 0:
@@ -330,7 +330,6 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     """Full-batch training with curriculum negative scheduling and early
     stopping on validation rank-1 F1 over each mention's whole candidate_ids
     pool (training loss when no validation set)."""
-    config.validate()
     if not train_items:
         raise HetlinkError("no training items")
     hard_sampler = HardNegativeSampler(kb, kb_features) if config.sampler == "hard" else None
@@ -364,7 +363,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                 negs, _ = hard_sampler.sample(item.gold, k, rng,
                                               exclude=context - {item.gold})
             else:
-                negs = uniform_negatives(kb, min(k, len(kb) - 1), rng, {item.gold})
+                negs = uniform_negatives(kb, k, rng, {item.gold})
             neg_q_rows.extend([batch.mention_ids[i]] * len(negs))
             neg_kb_ids.extend(negs)
 

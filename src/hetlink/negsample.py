@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hetgraph import SELF_EDGE_TYPE, HeteroGraph, HetlinkError
+from .hetgraph import SELF_EDGE_TYPE, HeteroGraph
 
 log = logging.getLogger(__name__)
 
@@ -88,14 +88,13 @@ class NegativeCandidate:
 def uniform_negatives(kb: HeteroGraph, k: int, rng: np.random.Generator,
                       exclude: set[int]) -> list[int]:
     """k distinct KB ids in KB order, from one rng.choice over the KB ids not
-    in `exclude` (ids outside the KB are ignored)."""
+    in `exclude` (ids outside the KB are ignored); every one of those ids
+    when fewer than k remain."""
     ids = kb.id_array
     keep = np.ones(len(ids), dtype=bool)
     keep[kb.rows([n for n in exclude if n in kb])] = False
     remaining = ids[keep]
-    if k > len(remaining):
-        raise HetlinkError("KB too small to draw requested negatives")
-    picks = rng.choice(len(remaining), size=k, replace=False)
+    picks = rng.choice(len(remaining), size=min(k, len(remaining)), replace=False)
     return [int(remaining[i]) for i in sorted(picks)]
 
 
@@ -125,7 +124,8 @@ class HardNegativeSampler:
     def sample(self, gold: int, k: int, rng: np.random.Generator,
                exclude: frozenset[int] = frozenset()) -> tuple[list[int], list[str]]:
         """k negatives: uniform over the top max(2k, 5) ranked candidates,
-        topped up with uniform KB sampling when too few candidates exist.
+        topped up by uniform_negatives when too few candidates exist (fewer
+        than k when the KB holds fewer).
 
         `exclude` drops known false negatives (e.g. entities that appear in
         the query context itself) from the candidate ranking."""
@@ -135,7 +135,6 @@ class HardNegativeSampler:
             picks = rng.choice(len(top), size=k, replace=False)
             return [top[i].node for i in sorted(picks)], ["hard"] * k
         negatives = [c.node for c in top]
-        fill = k - len(negatives)
-        negatives += uniform_negatives(self.kb, fill, rng,
-                                       set(negatives) | {gold} | exclude)
-        return negatives, ["hard"] * len(top) + ["uniform"] * fill
+        fill = uniform_negatives(self.kb, k - len(negatives), rng,
+                                 set(negatives) | {gold} | exclude)
+        return negatives + fill, ["hard"] * len(top) + ["uniform"] * len(fill)

@@ -89,7 +89,7 @@ def test_gen_synth_rejects_a_malformed_config(tmp_path, capsys, config, error):
 
 def _cli_train_config(opts):
     train_config, encoder_options = _train_settings(opts)
-    EncoderConfig(**encoder_options).validate()
+    EncoderConfig(**encoder_options)
     return train_config
 
 
@@ -493,6 +493,19 @@ def test_missing_bundle_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("case", ["missing", "directory"])
+def test_a_bundle_manifest_that_cannot_be_opened_ends_in_one_line_that_names_it(
+        workdir, tmp_path, capsys, case):
+    manifest = tmp_path / "bundle" / "manifest.json"
+    if case == "directory":
+        manifest.mkdir(parents=True)
+    code = main(["eval", "--bundle", str(tmp_path / "bundle"), "--model", str(workdir / "model"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json")])
+    assert code == 1
+    reason = "Is a directory" if case == "directory" else "No such file or directory"
+    assert capsys.readouterr().err == f"error: {manifest}: {reason}\n"
+
+
 def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
     import shutil
 
@@ -829,6 +842,24 @@ def test_patience_above_epochs_trains_every_epoch(tmp_path):
     assert json.loads((tmp_path / "m" / "manifest.json").read_text())["train"]["patience"] == 30
     header, *rows = (tmp_path / "m" / "history.csv").read_text().splitlines()
     assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "hard"])
+def test_train_on_a_kb_smaller_than_the_negatives_asked_for(tmp_path, sampler):
+    # 9 nodes, 10 negatives per positive: each draw takes every node but the gold
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({"node_counts": {"Drug": 1, "AdverseEffect": 3, "Symptom": 2,
+                                               "Finding": 3},
+                               "vocab_size": 40, "snippets": 20, "seed": 1}))
+    assert main(["gen-synth", "--config", str(gen), "--out", str(tmp_path / "bundle")]) == 0
+    assert len(read_bundle(tmp_path / "bundle")[0]) == 9
+    assert main(["train", "--bundle", str(tmp_path / "bundle"),
+                 "--snippets", str(tmp_path / "bundle" / "snippets.json"),
+                 "--sampler", sampler, "--negatives-per-positive", "10", "--epochs", "3",
+                 "--encoder", "graphsage", "--layers", "1", "--dim", "8",
+                 "--out", str(tmp_path / "m")]) == 0
+    header, *rows = (tmp_path / "m" / "history.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
 
 
 def _snippet_rows(workdir):

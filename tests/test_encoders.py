@@ -53,27 +53,27 @@ def make_encoder(kind, graph, feature_dim, **kw):
 
 def test_config_rejects_unknown_kind_and_bad_layers():
     with pytest.raises(HetlinkError):
-        EncoderConfig(kind="gcn").validate()
+        EncoderConfig(kind="gcn")
     with pytest.raises(HetlinkError):
-        EncoderConfig(num_layers=0).validate()
+        EncoderConfig(num_layers=0)
     with pytest.raises(HetlinkError):
-        EncoderConfig(num_layers=5).validate()
+        EncoderConfig(num_layers=5)
     with pytest.raises(HetlinkError, match="dim must be >= 1"):
-        EncoderConfig(dim=0).validate()
+        EncoderConfig(dim=0)
     with pytest.raises(HetlinkError, match="seed must be >= 0"):
-        EncoderConfig(seed=-1).validate()
+        EncoderConfig(seed=-1)
     for rate in (-0.1, 1.0):
         with pytest.raises(HetlinkError, match=r"dropout must be in \[0, 1\)"):
-            EncoderConfig(dropout=rate).validate()
+            EncoderConfig(dropout=rate)
 
 
 def test_config_magnn_needs_metapaths_and_divisible_heads():
     with pytest.raises(HetlinkError):
-        EncoderConfig(kind="magnn").validate()
+        EncoderConfig(kind="magnn")
     path = [Metapath.parse("Drug-CAUSE-AdverseEffect")]
     with pytest.raises(HetlinkError):
-        EncoderConfig(kind="magnn", metapaths=path, dim=10, heads=4).validate()
-    EncoderConfig(kind="magnn", metapaths=path, dim=12, heads=4).validate()
+        EncoderConfig(kind="magnn", metapaths=path, dim=10, heads=4)
+    EncoderConfig(kind="magnn", metapaths=path, dim=12, heads=4)
 
 
 def test_config_from_dict_parses_metapaths_and_layers_alias():

@@ -145,7 +145,7 @@ def test_score_items_attributes_each_miss_to_its_first_cause():
 
 def test_config_mix_must_sum_to_one():
     with pytest.raises(HetlinkError, match="sum to 1"):
-        SynthConfig(ambiguity_mix={"acronym": 0.5}).validate()
+        SynthConfig(ambiguity_mix={"acronym": 0.5})
 
 
 @pytest.mark.parametrize("setting, error", [
@@ -164,24 +164,24 @@ def test_config_mix_must_sum_to_one():
 ])
 def test_config_rejects_an_out_of_range_value(setting, error):
     with pytest.raises(HetlinkError, match=error):
-        SynthConfig(**setting).validate()
+        SynthConfig(**setting)
 
 
 def test_config_twin_requires_twin_fraction():
     with pytest.raises(HetlinkError, match="twin"):
-        SynthConfig(ambiguity_mix={"twin": 1.0}, twin_fraction=0.0).validate()
+        SynthConfig(ambiguity_mix={"twin": 1.0}, twin_fraction=0.0)
 
 
 def test_config_detects_unsatisfiable_density():
     with pytest.raises(HetlinkError, match="density"):
         SynthConfig(node_counts={"Drug": 5, "AdverseEffect": 2, "Symptom": 5,
                                  "Finding": 5},
-                    triples=(("Drug", "CAUSE", "AdverseEffect", 3),)).validate()
+                    triples=(("Drug", "CAUSE", "AdverseEffect", 3),))
 
 
 def test_config_refuses_a_triple_of_the_query_graph_self_loop_type():
     with pytest.raises(HetlinkError, match="Drug-SELF-Drug: edge type 'SELF' is reserved"):
-        SynthConfig(triples=(*SynthConfig().triples, ("Drug", "SELF", "Drug", 1))).validate()
+        SynthConfig(triples=(*SynthConfig().triples, ("Drug", "SELF", "Drug", 1)))
 
 
 def test_config_from_dict_roundtrip():

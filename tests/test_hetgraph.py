@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetlink.cli import main, write_bundle
+from hetlink.evalgen import SynthConfig, generate_synthetic_kb
 from hetlink.hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
-                              Node, SELF_EDGE_TYPE, build_inverted_index,
-                              default_acronym_rule, load_edges_tsv, load_graph,
-                              load_nodes_tsv, normalize, save_graph, tokenize)
+                              Node, SELF_EDGE_TYPE, build_inverted_index, load_edges_tsv,
+                              load_graph, load_nodes_tsv, normalize, save_graph, tokenize)
 from hetlink.termembed import random_word_vectors
 from conftest import random_hetero_graph
 
@@ -182,9 +182,38 @@ def test_inverted_index_covers_names_synonyms_acronyms():
     assert idx.lookup("unrelated") == set()
 
 
-def test_acronym_rule_needs_two_tokens():
-    assert default_acronym_rule(("fever",)) == []
-    assert default_acronym_rule(("acute", "renal", "failure")) == ["arf"]
+def test_acronyms_index_a_name_of_two_or_more_tokens_under_its_initials():
+    g = _graph([(0, "Finding", "fever"), (1, "Finding", "acute renal failure")])
+    for acronyms, arf in ((True, {1}), (False, set())):
+        idx = build_inverted_index(g, acronyms=acronyms)
+        assert idx.lookup("f") == set()
+        assert idx.lookup("arf") == arf
+        assert idx.lookup("fever") == {0}
+
+
+def _index_oracle(graph, acronyms):
+    """The index entries of the acronym rule function the `acronyms` flag
+    replaced: a name's initials when it has two or more tokens and they
+    give at least two letters."""
+    entries = {}
+    for node in graph.nodes():
+        keys = [node.name, *node.synonyms]
+        acro = "".join(t[0] for t in node.name if t)
+        if acronyms and len(node.name) >= 2 and len(acro) >= 2:
+            keys.append(tuple(tokenize(acro)))
+        for key in filter(None, map(" ".join, keys)):
+            entries.setdefault(key, set()).add(node.id)
+    return {key: frozenset(ids) for key, ids in entries.items()}
+
+
+@pytest.mark.parametrize("acronyms", [True, False])
+def test_index_equals_the_acronym_rule_oracle(acronyms):
+    graphs = [generate_synthetic_kb(SynthConfig(seed=seed, snippets=0)).kb for seed in (1, 2, 3)]
+    # names given as tuples may hold empty tokens and initials tokenize drops
+    graphs.append(_graph([(0, "X", ("a", "")), (1, "X", ("", "b", "c")), (2, "X", ("-", "x"))]))
+    for graph in graphs:
+        assert build_inverted_index(graph, acronyms=acronyms)._entries == \
+            _index_oracle(graph, acronyms)
 
 
 def test_index_merges_colliding_keys():

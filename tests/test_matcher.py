@@ -342,17 +342,17 @@ def test_validation_ranks_as_eval_does(mini):
 
 def test_train_config_validation():
     # patience above epochs is allowed: early stopping then never fires
-    TrainConfig(epochs=5, patience=10).validate()
+    TrainConfig(epochs=5, patience=10)
     with pytest.raises(HetlinkError):
-        TrainConfig(sampler="adversarial").validate()
+        TrainConfig(sampler="adversarial")
     with pytest.raises(HetlinkError):
-        TrainConfig(negatives_per_positive=-1).validate()
+        TrainConfig(negatives_per_positive=-1)
     with pytest.raises(HetlinkError, match="epochs must be >= 1"):
-        TrainConfig(epochs=0, patience=0).validate()
+        TrainConfig(epochs=0, patience=0)
     for bad in ({"lr": 0.0}, {"lr": -0.5}, {"weight_decay": -1.0}, {"patience": -1},
                 {"seed": -1}):
         with pytest.raises(HetlinkError, match=next(iter(bad))):
-            TrainConfig(**bad).validate()
+            TrainConfig(**bad)
 
 
 def test_train_requires_items(mini):
@@ -632,7 +632,7 @@ def _labelled_snippet(kb):
 
 def test_snippet_item_takes_the_first_unknown_mention_and_an_int_gold(
         toy_kb, toy_store, toy_freqs):
-    index = build_inverted_index(toy_kb, acronym_rule=None)
+    index = build_inverted_index(toy_kb, acronyms=False)
     item = snippet_item(toy_kb, index, toy_store, toy_freqs, _labelled_snippet(toy_kb),
                         augment_query_graph)
     qg = item.qgraph
@@ -651,7 +651,7 @@ def test_snippet_item_is_none_when_the_index_matches_every_mention(
 
 
 def test_snippet_item_reads_unlabelled_text_with_the_gazetteer(toy_kb, toy_store, toy_freqs):
-    index = build_inverted_index(toy_kb, acronym_rule=None)
+    index = build_inverted_index(toy_kb, acronyms=False)
     text = TextSnippet("raw", "Aspirin can cause nausea indicating a potential ARF")
     item = snippet_item(toy_kb, index, toy_store, toy_freqs, text, augment_query_graph)
     assert sorted(m.surface for m in item.qgraph.mentions.values()) == [
@@ -662,7 +662,7 @@ def test_snippet_item_reads_unlabelled_text_with_the_gazetteer(toy_kb, toy_store
 
 def test_snippet_item_builds_with_the_given_query_graph_builder(toy_kb, toy_store,
                                                                 toy_freqs):
-    index = build_inverted_index(toy_kb, acronym_rule=None)
+    index = build_inverted_index(toy_kb, acronyms=False)
     snippet = _labelled_snippet(toy_kb)
     typed = snippet_item(toy_kb, index, toy_store, toy_freqs, snippet, augment_query_graph)
     fc = snippet_item(toy_kb, index, toy_store, toy_freqs, snippet,

@@ -10,7 +10,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hetlink import HetlinkError
 from hetlink.negsample import (
     HardNegativeSampler,
     ged_1hop,
@@ -223,28 +222,31 @@ def list_draw(kb, gold, k, rng):
 def test_uniform_draw_equals_list_reference_with_gold_excluded(toy_kb):
     n = len(toy_kb)
     for k in (1, 3, n - 1, n + 4):
-        size = min(k, n - 1)                 # what matcher.train asks for
         for gold in toy_kb.node_ids:
             for epoch in range(3):
                 rng = np.random.default_rng([7, epoch])
                 ref_rng = np.random.default_rng([7, epoch])
-                got = uniform_negatives(toy_kb, size, rng, {gold})
+                got = uniform_negatives(toy_kb, k, rng, {gold})
                 assert got == list_draw(toy_kb, gold, k, ref_rng)
                 assert all(type(v) is int for v in got)
-                assert gold not in got and len(set(got)) == size
+                assert gold not in got and len(set(got)) == min(k, n - 1)
                 # the generator is left where the reference leaves it, so
                 # the epoch's later draws (dropout) are unchanged too
                 assert rng.random() == ref_rng.random()
 
 
-def test_uniform_top_up_fails_cleanly_when_the_kb_is_too_small(toy_kb, toy_emb):
+def test_uniform_draw_returns_every_remaining_id_when_fewer_than_k_remain(toy_kb, toy_emb):
     gold = toy_kb.ids["proteinuria"]          # single neighbor
     n = len(toy_kb)
-    assert len(uniform_negatives(toy_kb, n - 1, np.random.default_rng(0), {gold})) == n - 1
-    with pytest.raises(HetlinkError, match="too small"):
-        uniform_negatives(toy_kb, n, np.random.default_rng(0), {gold})
+    rest = sorted(set(toy_kb.node_ids) - {gold})
+    for k in (n - 1, n, n + 5):
+        assert uniform_negatives(toy_kb, k, np.random.default_rng(0), {gold}) == rest
+    assert uniform_negatives(toy_kb, 2, np.random.default_rng(0), set(toy_kb.node_ids)) == []
     sampler = HardNegativeSampler(toy_kb, toy_emb)
-    negatives, _ = sampler.sample(gold, n - 1, np.random.default_rng(0))
-    assert sorted(negatives) == sorted(set(toy_kb.node_ids) - {gold})
-    with pytest.raises(HetlinkError, match="too small"):
-        sampler.sample(gold, n, np.random.default_rng(0))
+    for k in (n - 1, n):
+        negatives, labels = sampler.sample(gold, k, np.random.default_rng(0))
+        assert sorted(negatives) == rest
+        # the one neighbor is hard; the top-up's draws, all it returned, uniform
+        assert labels == ["hard"] + ["uniform"] * (n - 2)
+
+

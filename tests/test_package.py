@@ -2,7 +2,7 @@
 
 import ast
 import json
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -10,8 +10,9 @@ import pytest
 import hetlink
 from hetlink import EncoderConfig, HetlinkError, Metapath, SynthConfig, TrainConfig
 from hetlink.cli import read_bundle
-from hetlink.hetgraph import read_settings
-from hetlink.negsample import uniform_negatives
+from hetlink.evalgen import build_model
+from hetlink.hetgraph import read_json, read_settings
+from hetlink.termembed import WordVectorStore, load_word_vectors
 
 MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 
@@ -19,7 +20,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 64
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3415
+SRC_LINES = 3403
 
 
 def _tree(path):
@@ -122,10 +123,8 @@ def _write(path, text):
 FAILURES = {
     "hetgraph": lambda tmp: hetlink.HeteroGraph([(0, "", "a", (), None)], []),
     "termembed": lambda tmp: hetlink.WordVectorStore.load(_write(tmp / "v.npz", "not npz")),
-    "encoders": lambda tmp: EncoderConfig(kind="x").validate(),
+    "encoders": lambda tmp: EncoderConfig(kind="x"),
     "querygraph": lambda tmp: hetlink.TextSnippet("s", ""),
-    "negsample": lambda tmp: uniform_negatives(
-        hetlink.HeteroGraph([(0, "Drug", "a", (), None)], []), 2, None, set()),
     "matcher": lambda tmp: hetlink.load_model(_write(tmp / "manifest.json", "{}").parent),
     "evalgen": lambda tmp: hetlink.split_dataset(["a"]),
     "cli": lambda tmp: read_bundle(_write(tmp / "manifest.json", "[1]").parent),
@@ -138,6 +137,34 @@ def test_every_module_fails_with_a_hetlink_error(tmp_path, module):
     with pytest.raises(HetlinkError) as exc:
         FAILURES[module](tmp_path)
     assert "\n" not in str(exc.value)
+
+
+# each reader, and the file in the directory it is given that it opens
+UNOPENABLE = {
+    "read_json": (lambda d: read_json(d / "f.json"), "f.json"),
+    "load_graph": (lambda d: hetlink.load_graph(d / "nodes.tsv", d / "edges.tsv"), "nodes.tsv"),
+    "WordVectorStore.load": (lambda d: WordVectorStore.load(d / "v.npz"), "v.npz"),
+    "load_word_vectors": (lambda d: load_word_vectors(d / "v.txt"), "v.txt"),
+    "load_model": (hetlink.load_model, "params.npz"),      # its manifest.json is there
+    "read_bundle": (read_bundle, "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory"])
+@pytest.mark.parametrize("reader", UNOPENABLE)
+def test_a_file_that_cannot_be_opened_fails_with_a_hetlink_error_naming_it(
+        tmp_path, toy_kb, reader, case):
+    call, name = UNOPENABLE[reader]
+    path = tmp_path / name
+    if reader == "load_model":
+        hetlink.save_model(build_model(toy_kb, 4, "graphsage", dim=4), tmp_path)
+        path.unlink()
+    if case == "directory":
+        path.mkdir()
+    with pytest.raises(HetlinkError) as exc:
+        call(tmp_path)
+    reason = "Is a directory" if case == "directory" else "No such file or directory"
+    assert str(exc.value) == f"{path}: {reason}"
 
 
 # what a scipy matrix is made of: only ndiff, whose SparseOperator holds one,
@@ -225,3 +252,89 @@ def test_every_setting_default_reads_back_from_json(cls):
     keys = {f.name: f.name for f in fields(cls)}
     text = json.dumps({name: getattr(default, name) for name in keys}, default=Metapath.label)
     assert cls(**read_settings(cls, json.loads(text), keys, cls.__name__)) == default
+
+
+_MIX = ["abbreviation", "acronym", "simplification", "synonym", "twin", "typo"]
+_PATHS = [Metapath.parse("Drug-CAUSE-AdverseEffect")]
+# each rule of each config: a setting that breaks it, and the whole message
+BAD_SETTINGS = {
+    EncoderConfig: [
+        ({"kind": "gcn"}, "unknown encoder kind 'gcn'"),
+        ({"num_layers": 0}, "num_layers must be in [1, 4]"),
+        ({"num_layers": 5}, "num_layers must be in [1, 4]"),
+        ({"dim": 0}, "dim must be >= 1"),
+        ({"dropout": 1.0}, "dropout must be in [0, 1)"),
+        ({"heads": 0}, "heads must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"kind": "magnn"}, "magnn needs at least one metapath"),
+        ({"kind": "magnn", "metapaths": _PATHS, "dim": 10, "heads": 4},
+         "dim must be divisible by heads"),
+    ],
+    TrainConfig: [
+        ({"epochs": 0}, "epochs must be >= 1"),
+        ({"patience": -1}, "patience must be >= 0"),
+        ({"lr": 0.0}, "lr must be > 0"),
+        ({"weight_decay": -1.0}, "weight_decay must be >= 0"),
+        ({"sampler": "x"}, "unknown sampler 'x'"),
+        ({"negatives_per_positive": -1}, "negatives_per_positive must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0"),
+    ],
+    SynthConfig: [
+        ({"ambiguity_mix": {"bogus": 1.0}}, f"unknown ambiguity kinds ['bogus']; known: {_MIX}"),
+        ({"ambiguity_mix": {"acronym": 0.5}}, "ambiguity mix probabilities must sum to 1"),
+        ({"ambiguity_mix": {"acronym": 1.5, "twin": -0.5}},
+         "ambiguity mix probabilities must be >= 0"),
+        ({"synonym_fraction": 2.0}, "synonym_fraction must be in [0, 1]"),
+        ({"two_hop_fraction": -1.0}, "two_hop_fraction must be in [0, 1]"),
+        ({"twin_fraction": 1.5}, "twin_fraction must be in [0, 1]"),
+        ({"snippets": -1}, "snippets must be >= 0"),
+        ({"vocab_size": 0}, "vocab_size must be >= 1"),
+        ({"feature_dim": 0}, "feature_dim must be >= 1"),
+        ({"max_retries": 0}, "max_retries must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"name_tokens": (2, 1)}, "name_tokens must be [lo, hi] with 1 <= lo <= hi"),
+        ({"context_mentions": (-1, 2)}, "context_mentions must be [lo, hi] with 0 <= lo <= hi"),
+        ({"twin_fraction": 0.0}, "twin ambiguity needs twin_fraction > 0 and >= 2 Findings"),
+        ({"node_counts": {"Drug": 0, "Finding": 2}}, "node counts must be positive"),
+        ({"triples": (("Drug", "SELF", "Drug", 1),)},
+         "triple Drug-SELF-Drug: edge type 'SELF' is reserved for query graphs"),
+        ({"triples": (("Drug", "X", "Gene", 1),)},
+         "triple Drug-X-Gene names node types ['Gene'] that node_counts lacks"),
+        ({"triples": (("Drug", "X", "Drug", 150),)}, "unsatisfiable density: 150 out-edges to Drug"),
+    ],
+}
+
+
+@pytest.mark.parametrize("cls", BAD_SETTINGS, ids=lambda cls: cls.__name__)
+def test_a_config_is_checked_when_built_and_frozen(cls):
+    for setting, error in BAD_SETTINGS[cls]:
+        with pytest.raises(HetlinkError) as exc:
+            cls(**setting)
+        assert str(exc.value) == error
+    config = cls()
+    for f in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
+def _frozen(decorator):
+    return isinstance(decorator, ast.Call) and any(
+        k.arg == "frozen" and getattr(k.value, "value", None) is True for k in decorator.keywords)
+
+
+def test_every_config_is_frozen_and_checked_when_built():
+    configs, found = [], []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.FunctionDef) and node.name == "validate":
+                found.append(f"{path.name}:{node.lineno}: def validate")
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config") \
+                    and _is_dataclass(node):
+                configs.append(node.name)
+                if not any(map(_frozen, node.decorator_list)):
+                    found.append(f"{path.name}:{node.lineno}: {node.name} is not frozen")
+                if not any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+                           for stmt in node.body):
+                    found.append(f"{path.name}:{node.lineno}: {node.name} has no __post_init__")
+    assert sorted(configs) == ["EncoderConfig", "SynthConfig", "TrainConfig"]
+    assert found == []

@@ -249,7 +249,7 @@ def _transferred_kb_edges(qg):
 
 def _assert_walk_matches_scan(kb, snippets):
     multi_hit = 0
-    for index in (build_inverted_index(kb), build_inverted_index(kb, acronym_rule=None)):
+    for index in (build_inverted_index(kb), build_inverted_index(kb, acronyms=False)):
         for extractor in (GoldMentionExtractor(), GazetteerExtractor(index)):
             for snippet in snippets:
                 qg = augment_query_graph(kb, index, snippet, extractor)
