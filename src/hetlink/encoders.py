@@ -14,7 +14,7 @@ passes are built from ndiff ops so gradients flow to every parameter.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,11 +32,12 @@ class EncoderConfig:
     dim: int = 128
     heads: int = 2
     dropout: float = 0.5
-    metapaths: list[Metapath] = field(default_factory=list)
+    metapaths: tuple[Metapath, ...] = ()
     leaky_slope: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "metapaths", tuple(self.metapaths))
         if self.kind not in ENCODER_KINDS:
             raise HetlinkError(f"unknown encoder kind {self.kind!r}")
         if not 1 <= self.num_layers <= 4:

@@ -10,6 +10,7 @@ Everything is a pure function of the config, seed included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -147,6 +148,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("node_counts", "ambiguity_mix"):     # read-only copies
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         unknown = sorted(set(self.ambiguity_mix) - set(DEFAULT_AMBIGUITY_MIX))
         if unknown:
             raise HetlinkError(f"unknown ambiguity kinds {unknown}; "

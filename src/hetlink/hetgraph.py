@@ -142,7 +142,6 @@ class HeteroGraph:
         id not taken.  The edge rules: both ends known, a type, not yet
         present.  GraphRowError for the first row that breaks one."""
         self._nodes: dict[int, Node] = {}
-        self._node_types: set[str] = set()
         for i, (nid, ntype, name, synonyms, features) in enumerate(nodes):
             if not ntype:
                 raise GraphRowError("empty node type", ("nodes", i))
@@ -155,7 +154,6 @@ class HeteroGraph:
                          for s in synonyms)
             feats = None if features is None else tuple(float(x) for x in features)
             self._nodes[nid] = Node(nid, ntype, tokens, syns, feats)
-            self._node_types.add(ntype)
         self._edges: dict[Edge, None] = {}         # in the order given
         self._edge_types: set[str] = set()
         for i, edge in enumerate(edges):
@@ -200,7 +198,7 @@ class HeteroGraph:
 
     @property
     def node_types(self) -> set[str]:
-        return set(self._node_types)
+        return set(self._ids_by_type)
 
     @property
     def edge_types(self) -> set[str]:
@@ -308,8 +306,7 @@ class HeteroGraph:
             raise HetlinkError(f"node {v} of type {vtype} does not match metapath type {expect}")
         return anchor
 
-    def metapath_instances(self, v: int, path: Metapath,
-                           anchor: str = "end") -> list[tuple[int, ...]]:
+    def metapath_instances(self, v: int, path: Metapath, anchor: str) -> list[tuple[int, ...]]:
         """All instances of `path` anchored at v, ordered as written.
 
         anchor="end" enumerates instances terminating at v (walking in-edges

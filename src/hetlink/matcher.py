@@ -297,31 +297,23 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
     return unit
 
 
-def rank_candidates(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
-                    q_rows: np.ndarray, pools: list[np.ndarray],
-                    k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rank each query row's KB candidate pool (an int64 id array, as
-    candidate_ids and candidate_pool return it) against `kb_unit`, the unit-norm KB rows of
-    kb_embeddings.  Pools read their rows through kb.row_selector, a view
-    when the pool is a run of kb.node_ids.
-
-    Returns one (int64 ids, scores) array pair per query, its top `k`, best
-    first, ties by id: the single ranking step behind validation, eval and
-    disambiguation."""
-    return [order_by_score(pool, model.head.score_one_vs_many(
-                q, kb_unit[kb.row_selector(pool)]), k)
-            for q, pool in zip(q_rows, pools)]
-
-
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                batch: QueryBatch, pools: list[np.ndarray],
                k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Encode `batch` in eval mode and rank the top `k` of each of its
-    mentions' candidate pools against the KB embeddings."""
+    """Encode `batch` in eval mode and rank each of its mentions' KB candidate
+    pools (int64 id arrays, as candidate_ids and candidate_pool return them)
+    against the unit-norm KB rows of kb_embeddings.  Pools read their rows
+    through kb.row_selector, a view when the pool is a run of kb.node_ids.
+
+    Returns one (int64 ids, scores) array pair per mention, its top `k`, best
+    first, ties by id: the single ranking step behind validation, eval and
+    disambiguation."""
     kb_unit = kb_embeddings(model, kb, kb_features)
     with ndiff.no_grad():
         q_emb = model.encoder.encode(batch.graph, batch.features).data
-    return rank_candidates(model, kb, kb_unit, q_emb[batch.mention_ids], pools, k)
+    return [order_by_score(pool, model.head.score_one_vs_many(
+                q, kb_unit[kb.row_selector(pool)]), k)
+            for q, pool in zip(q_emb[batch.mention_ids], pools)]
 
 
 def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
@@ -338,6 +330,8 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     val_batch = build_query_batch(val_items, model.encoder.feature_dim)
     val_pools = [candidate_ids(kb, item) for item in val_items]
     gold_rows = kb.rows([it.gold for it in train_items])
+    contexts = [frozenset().union(*item.qgraph.matches.values()) - {item.gold}
+                for item in train_items]
 
     opt = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     history: list[dict] = []
@@ -358,10 +352,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
             if k == 0:
                 continue
             if use_hard:
-                context = frozenset().union(*item.qgraph.matches.values()) \
-                    if item.qgraph.matches else frozenset()
-                negs, _ = hard_sampler.sample(item.gold, k, rng,
-                                              exclude=context - {item.gold})
+                negs, _ = hard_sampler.sample(item.gold, k, rng, exclude=contexts[i])
             else:
                 negs = uniform_negatives(kb, k, rng, {item.gold})
             neg_q_rows.extend([batch.mention_ids[i]] * len(negs))

@@ -22,9 +22,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class NeighborhoodSignature:
-    """Center type/name plus the multiset of 1-hop typed neighbor triples."""
+    """Center type plus the multiset of 1-hop typed neighbor triples."""
     center_type: str
-    center_name: str
     triples: tuple[tuple[str, str, str], ...]   # (edgeType, neighborType, neighborName)
 
 
@@ -40,7 +39,7 @@ def neighborhood_signature(kb: HeteroGraph, v: int, use_names: bool = True) -> N
             other = kb.node(u)
             name = other.surface if use_names else ""
             triples.append((r, other.type, name))
-    return NeighborhoodSignature(node.type, node.surface, tuple(sorted(triples)))
+    return NeighborhoodSignature(node.type, tuple(sorted(triples)))
 
 
 def ged_1hop(sig_u: NeighborhoodSignature, sig_v: NeighborhoodSignature) -> int:

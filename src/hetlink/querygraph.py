@@ -58,6 +58,10 @@ class TextSnippet:
             raise HetlinkError("empty snippet text")
         for m in self.mentions:
             m.check_against(self.text)
+        spans = sorted(self.mentions, key=lambda m: (m.start_offset, m.end_offset))
+        for a, b in zip(spans, spans[1:]):
+            if b.start_offset < a.end_offset:
+                raise HetlinkError(f"mentions {a.surface!r} and {b.surface!r} overlap")
 
     @classmethod
     def from_json(cls, data: dict, snippet_id: str = "s0") -> "TextSnippet":
@@ -132,7 +136,7 @@ class GoldMentionExtractor:
     """Reproduce the snippet's annotated mention list verbatim."""
 
     def __call__(self, snippet: TextSnippet) -> list[Mention]:
-        return sorted(snippet.mentions, key=lambda m: m.start_offset)
+        return list(snippet.mentions)
 
 
 def extract_mentions(snippet: TextSnippet, extractor) -> list[Mention]:
@@ -145,20 +149,6 @@ def extract_mentions(snippet: TextSnippet, extractor) -> list[Mention]:
             out.append(m)
             last_end = m.end_offset
     return out
-
-
-def match_mentions(mentions, index: InvertedIndex, graph: HeteroGraph):
-    """Split mentions into (matched with candidate ids + types, unknown)."""
-    matched: list[tuple[Mention, frozenset[int], tuple[str, ...]]] = []
-    unknown: list[Mention] = []
-    for m in mentions:
-        candidates = index.lookup(m.surface)
-        if candidates:
-            types = tuple(sorted({graph.node(c).type for c in candidates}))
-            matched.append((m, candidates, types))
-        else:
-            unknown.append(m)
-    return matched, unknown
 
 
 # -- query graph -----------------------------------------------------------
@@ -194,13 +184,14 @@ def _unknown_types(mention: Mention, kb: HeteroGraph, matched_types: set[str]) -
 
 def _mention_nodes(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet, extractor):
     """The mentions, KB candidates and inferred types of the query-graph
-    nodes, three lists indexed by node id: matched mentions first, then
-    unknown ones, which have no candidates and schema-inferred types."""
-    mentions = extract_mentions(snippet, extractor)
-    matched, unknown = match_mentions(mentions, index, kb)
-    matched_types = {t for _, _, types in matched for t in types}
-    nodes = matched + [(m, frozenset(), _unknown_types(m, kb, matched_types)) for m in unknown]
-    return [m for m, _, _ in nodes], [c for _, c, _ in nodes], [t for _, _, t in nodes]
+    nodes, three lists indexed by node id: matched mentions first, typed by
+    their candidates' KB types, then unknown ones, typed by _unknown_types."""
+    nodes = [(m, index.lookup(m.surface)) for m in extract_mentions(snippet, extractor)]
+    nodes.sort(key=lambda node: not node[1])        # matched first, each in text order
+    types = [tuple(sorted({kb.node(c).type for c in cands})) for _, cands in nodes if cands]
+    matched_types = set().union(*types)
+    types += [_unknown_types(m, kb, matched_types) for m, cands in nodes if not cands]
+    return [m for m, _ in nodes], [c for _, c in nodes], types
 
 
 def _query_graph(mentions, cands, types, edges) -> QueryGraph:

@@ -925,6 +925,17 @@ def test_snippet_missing_a_key_names_it_and_its_index(workdir, tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {SNIPPET_ERRORS[key]}\n"
 
 
+def test_eval_refuses_a_snippet_whose_mentions_overlap(workdir, tmp_path, capsys):
+    rows = _snippet_rows(workdir)
+    mention = rows[0]["Mentions"][-1]
+    start, end = mention["start_offset"], mention["end_offset"] - 1
+    prefix = rows[0]["Text"][start:end]         # the mention less its last letter
+    rows[0]["Mentions"].insert(0, {"mention": prefix, "start_offset": start, "end_offset": end})
+    assert _run_on_rows(workdir, tmp_path, "eval", rows) == 1
+    assert capsys.readouterr().err == (f"error: snippet 0: mentions {prefix!r} and "
+                                       f"{mention['mention']!r} overlap\n")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_gold_link_id_outside_the_kb_is_rejected(workdir, tmp_path, capsys, command):
     rows = _snippet_rows(workdir)

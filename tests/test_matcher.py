@@ -25,7 +25,6 @@ from hetlink.matcher import (
     load_model,
     order_by_score,
     pair_loss,
-    rank_candidates,
     rank_items,
     save_model,
     snippet_item,
@@ -374,12 +373,16 @@ def test_order_by_score_breaks_ties_by_ascending_id():
     np.testing.assert_array_equal(ranked_scores, scores[reference])
 
 
-def _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng):
-    """rank_candidates at several k against the gather through kb.rows and
+def _assert_rank_items_match_the_oracle(model, kb, kb_features, items, pools):
+    """rank_items at several k, one pool per item of `items` repeated in turn,
+    against the mention rows of a plain encode, the gather through kb.rows and
     the full sort, bit for bit."""
-    q_rows = rng.standard_normal((len(pools), kb_unit.shape[1]))
+    batch = build_query_batch([items[i % len(items)] for i in range(len(pools))],
+                              model.encoder.feature_dim)
+    kb_unit = kb_embeddings(model, kb, kb_features)
+    q_rows = model.encoder.encode(batch.graph, batch.features).data[batch.mention_ids]
     for k in (1, 5, len(kb)):
-        ranked = rank_candidates(model, kb, kb_unit, q_rows, pools, k)
+        ranked = rank_items(model, kb, kb_features, batch, pools, k)
         for q, pool, (got_ids, got_scores) in zip(q_rows, pools, ranked):
             scores = model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)])
             want_ids, want_scores = _order_by_score_oracle(pool.tolist(), scores)
@@ -397,7 +400,8 @@ def test_kb_embeddings_and_rank_items_record_no_tape(mini, monkeypatch, kind):
     pools = [candidate_pool(corpus.kb, it) for it in items]
     kb_unit = l2_normalize_rows(model.encoder.encode(corpus.kb, mini["kb_features"])).data
     q_rows = model.encoder.encode(batch.graph, batch.features).data[batch.mention_ids]
-    want = rank_candidates(model, corpus.kb, kb_unit, q_rows, pools, 5)
+    want = [order_by_score(pool, model.head.score_one_vs_many(
+                q, kb_unit[corpus.kb.rows(pool)]), 5) for q, pool in zip(q_rows, pools)]
     recorded = []
     tape_node = ndiff.tape_node
 
@@ -415,10 +419,9 @@ def test_kb_embeddings_and_rank_items_record_no_tape(mini, monkeypatch, kind):
         (i.tobytes(), s.tobytes()) for i, s in want]
 
 
-def test_rank_candidates_matches_the_list_oracle_on_odd_pools(mini):
+def test_rank_items_matches_the_list_oracle_on_odd_pools(mini):
     kb = mini["corpus"].kb
     model = _tiny_model(mini)
-    kb_unit = kb_embeddings(model, kb, mini["kb_features"])
     ids = kb.id_array
     rng = np.random.default_rng(7)
     # a gen-synth KB holds each type's rows in one span: pools of one type
@@ -428,7 +431,7 @@ def test_rank_candidates_matches_the_list_oracle_on_odd_pools(mini):
              ids[5:25][::-1], rng.permutation(ids[5:25]),
              ids[[3, 5, 4, 6]], ids[[3, 4, 4, 5]], ids[[2, 4, 6]]]
     pools += [kb.ids_of_type(t) for t in sorted(kb.node_types)]
-    _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng)
+    _assert_rank_items_match_the_oracle(model, kb, mini["kb_features"], mini["val"], pools)
 
 
 def _interleaved_copy(kb: HeteroGraph, rng) -> HeteroGraph:
@@ -438,20 +441,19 @@ def _interleaved_copy(kb: HeteroGraph, rng) -> HeteroGraph:
                        [(new_id[e.src], new_id[e.dst], e.type) for e in kb.edges])
 
 
-def test_rank_candidates_matches_the_list_oracle_on_interleaved_types(mini):
+def test_rank_items_matches_the_list_oracle_on_interleaved_types(mini):
     corpus = mini["corpus"]
     rng = np.random.default_rng(11)
     kb = _interleaved_copy(corpus.kb, rng)
     assert all(isinstance(kb.row_selector(kb.ids_of_type(t)), np.ndarray)
                for t in kb.node_types)
     model = _tiny_model(mini)
-    kb_unit = kb_embeddings(model, kb,
-                            init_node_features(kb, corpus.store, token_frequencies(kb)))
+    kb_features = init_node_features(kb, corpus.store, token_frequencies(kb))
     types = sorted(kb.node_types)
     pools = [kb.id_array, *(kb.ids_of_type(t) for t in types),
              np.unique(np.concatenate([kb.ids_of_type(t) for t in types[:2]])),
              kb.ids_of_type(types[0]).copy(), kb.ids_of_type(types[1])[::3]]
-    _assert_rank_candidates_match_the_oracle(model, kb, kb_unit, pools, rng)
+    _assert_rank_items_match_the_oracle(model, kb, kb_features, mini["val"], pools)
 
 
 def test_disambiguate_ranks_descending_with_id_ties(mini):

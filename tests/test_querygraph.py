@@ -14,7 +14,6 @@ from hetlink.querygraph import (
     augment_query_graph,
     extract_mentions,
     fully_connected_query_graph,
-    match_mentions,
 )
 
 
@@ -41,6 +40,18 @@ def test_snippet_from_json_defaults():
     snip = TextSnippet.from_json({"Text": "hello world"}, snippet_id="abc")
     assert snip.id == "abc"
     assert snip.mentions == ()
+
+
+def test_snippet_refuses_overlapping_mentions():
+    text = "with recurrent kanini"
+    kanini, recurrent = Mention("kanini", 15, 21), Mention("recurrent kanini", 5, 21)
+    with pytest.raises(HetlinkError) as exc:
+        TextSnippet("s", text, (kanini, recurrent))
+    assert str(exc.value) == "mentions 'recurrent kanini' and 'kanini' overlap"
+    with pytest.raises(HetlinkError, match="overlap"):
+        TextSnippet("s", text, (kanini, kanini))
+    # touching spans do not overlap
+    TextSnippet("s", text, (Mention("with", 0, 4), Mention("recurrent", 5, 14), kanini))
 
 
 def test_empty_snippet_rejected():
@@ -86,14 +97,13 @@ def test_extract_mentions_drops_overlaps():
     assert [m.surface for m in out] == ["acute", "failure"]
 
 
-def test_match_mentions_split(toy_kb, toy_index):
-    mentions = [Mention("nausea", 0, 6), Mention("XYZQ", 7, 11)]
-    matched, unknown = match_mentions(mentions, toy_index, toy_kb)
-    assert len(matched) == 1 and len(unknown) == 1
-    m, cands, types = matched[0]
-    assert cands == frozenset({toy_kb.ids["nausea"]})
-    assert types == ("AdverseEffect",)
-    assert unknown[0].surface == "XYZQ"
+def test_query_graph_puts_matched_mentions_before_unknown(toy_kb, toy_index):
+    snip = TextSnippet("s", "XYZQ and nausea", (Mention("XYZQ", 0, 4), Mention("nausea", 9, 15)))
+    qg = augment_query_graph(toy_kb, toy_index, snip, GoldMentionExtractor())
+    assert [qg.mentions[nid].surface for nid in qg.graph.node_ids] == ["nausea", "XYZQ"]
+    assert qg.matches == {0: frozenset({toy_kb.ids["nausea"]}), 1: frozenset()}
+    assert qg.inferred_types == {0: ("AdverseEffect",), 1: ("Drug", "Finding")}
+    assert qg.unknown_nodes == (1,)
 
 
 # ---------------------------------------------------------------------------
