@@ -1,15 +1,18 @@
 #!/bin/sh
 # Runs the installed `hetlink` console script end to end on a small bundle:
-# gen-synth, ingest of its graph, MAGNN train, eval and disambiguate, then eval
-# on a broken copy of the bundle and on a bundle that is not there. Run it from
-# an empty directory after `pip install`.
+# gen-synth, ingest of a 3-node graph, MAGNN train, eval and disambiguate, then
+# eval on broken copies of the bundle and on a bundle that is not there. Run it
+# from an empty directory after `pip install`.
 set -eu
 # the files of a directory, one space after each
 files() { ls "$1" | tr '\n' ' '; }
 hetlink gen-synth --seed 1 --snippets 60 --out smoke
-test "$(files smoke)" = "edges.tsv manifest.json nodes.tsv snippets.json wordvecs.npz "
-hetlink ingest --nodes smoke/nodes.tsv --edges smoke/edges.tsv --dim 8 --out smoke-ingest
-test "$(files smoke-ingest)" = "edges.tsv manifest.json nodes.tsv wordvecs.npz "
+test "$(files smoke)" = "graph.npz manifest.json snippets.json wordvecs.npz "
+# a bundle holds no TSV: ingest reads a node and an edge list written here
+printf '0\tDrug\taspirin\n1\tAdverseEffect\tnausea\n2\tFinding\tfever\n' > nodes.tsv
+printf '0\t1\tCAUSE\n1\t2\tINDICATE\n' > edges.tsv
+hetlink ingest --nodes nodes.tsv --edges edges.tsv --dim 8 --out smoke-ingest
+test "$(files smoke-ingest)" = "graph.npz manifest.json wordvecs.npz "
 hetlink train --bundle smoke --snippets smoke/snippets.json --out smoke-model \
   --encoder magnn --sampler hard --epochs 2
 hetlink eval --bundle smoke --model smoke-model --snippets smoke/snippets.json > eval.json
@@ -27,6 +30,16 @@ hetlink eval --bundle smoke-bad --model smoke-model --snippets smoke/snippets.js
 test "$status" -eq 1
 test "$(wc -l < bad.err)" -eq 1
 grep -q '^error: ' bad.err
+# a bundle whose graph.npz is cut in half: exit status 1 and one stderr line
+# that names it
+cp -r smoke smoke-cut
+head -c "$(($(wc -c < smoke/graph.npz) / 2))" smoke/graph.npz > smoke-cut/graph.npz
+status=0
+hetlink eval --bundle smoke-cut --model smoke-model --snippets smoke/snippets.json \
+  > /dev/null 2> cut.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < cut.err)" -eq 1
+grep -q '^error: smoke-cut/graph.npz: ' cut.err
 # a bundle directory that does not exist: exit status 1 and one stderr line
 # that names its manifest
 status=0

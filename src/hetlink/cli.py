@@ -16,10 +16,12 @@ import sys
 import typing
 from dataclasses import fields
 
+import numpy as np
+
 from . import evalgen, matcher
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .hetgraph import (HeteroGraph, HetlinkError, build_inverted_index, load_graph,
-                       read_json, read_settings, save_graph)
+from .hetgraph import (HeteroGraph, HetlinkError, build_inverted_index, graph_columns,
+                       graph_from_columns, load_graph, read_json, read_npz, read_settings)
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import TextSnippet, augment_query_graph
 from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
@@ -27,7 +29,7 @@ from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
 
 log = logging.getLogger("hetlink")
 
-BUNDLE_VERSION = "2"
+BUNDLE_VERSION = "3"
 
 # Config keys: every TrainConfig field under its own name, plus these keys
 # for EncoderConfig fields.  The encoder's seed is TrainConfig's.
@@ -60,14 +62,19 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
 # -- KB bundle -------------------------------------------------------------
 
 def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore) -> None:
-    # first: save refuses a store before it makes `outdir`, so a refused
-    # bundle leaves no directory or file behind
+    """The KB as the columns of graph.npz, the word vectors as wordvecs.npz,
+    and manifest.json.  numpy stamps each .npz member with a fixed date, so
+    equal inputs write equal bytes."""
+    # first: the columns and then save refuse a KB or store before `outdir`
+    # is made, so a refused bundle leaves no directory or file behind
+    graph_path = os.path.join(outdir, "graph.npz")
+    columns = graph_columns(kb, graph_path)
     store.save(os.path.join(outdir, "wordvecs.npz"))
-    save_graph(kb, os.path.join(outdir, "nodes.tsv"),
-               os.path.join(outdir, "edges.tsv"))
+    with open(graph_path, "wb") as fh:          # numpy appends no ".npz" to a file object
+        np.savez(fh, **columns)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"bundle_version": BUNDLE_VERSION, "nodes": len(kb),
-                   "edges": len(kb.edges)}, fh, indent=2)
+                   "edges": len(columns["src"])}, fh, indent=2)
 
 
 def read_bundle(bundle_dir):
@@ -91,9 +98,9 @@ def read_bundle(bundle_dir):
             raise HetlinkError(f'{manifest_path}: "{key}" must be >= 0, got {count}')
     if listed[0] == 0:
         raise HetlinkError(f"{manifest_path}: lists 0 nodes")
-    kb = load_graph(os.path.join(bundle_dir, "nodes.tsv"),
-                    os.path.join(bundle_dir, "edges.tsv"))
-    loaded = len(kb), len(kb.edges)
+    graph_path = os.path.join(bundle_dir, "graph.npz")
+    kb = graph_from_columns(read_npz(graph_path), graph_path)
+    loaded = len(kb), len(kb.edge_columns()[0])
     if listed != loaded:
         raise HetlinkError(f"{manifest_path}: lists {listed[0]} nodes and {listed[1]} edges, "
                            f"its files hold {loaded[0]} and {loaded[1]}")

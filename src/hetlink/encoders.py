@@ -104,14 +104,15 @@ def _graph_cache(graph: HeteroGraph) -> dict:
 def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.SparseOperator:
     """Row v holds 1/|N_v^r| over N_v^r, the neighbors through `relation`
     (through every relation when it is None); zero row if there are none.
-    Built from one pass over the edges: N_v^r ignores direction, so each edge
+    Built from the graph's edge columns: N_v^r ignores direction, so each edge
     links both of its ends, and a pair linked twice counts once."""
     cache = _graph_cache(graph).setdefault("rel_adj", {})
     if relation not in cache:
         n = len(graph)
-        edges = [e for e in graph.edges if relation is None or e.type == relation]
-        src = graph.rows([e.src for e in edges])
-        dst = graph.rows([e.dst for e in edges])
+        src, dst, codes, types = graph.edge_columns()
+        if relation is not None:
+            keep = codes == (types.index(relation) if relation in types else -1)
+            src, dst = src[keep], dst[keep]
         # one key per (row, neighbor row) pair, ascending by row then column,
         # which is CSR order: each row's count gives its slice of the columns
         rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import re
@@ -17,6 +18,7 @@ import typing
 import unicodedata
 import zipfile
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,6 +53,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 _NO_IDS = _read_only(np.zeros(0, dtype=np.int64))
+_NO_NEIGHBORS = MappingProxyType({})
 
 
 class HetlinkError(Exception):
@@ -131,64 +134,135 @@ class Schema:
     triples: frozenset[tuple[str, str, str]]
 
 
+def _term(text) -> tuple[str, ...]:
+    """The tokens of a name or synonym given as text, or as its tokens."""
+    return tuple(tokenize(text)) if isinstance(text, str) else tuple(text)
+
+
+def _columns(rows, width: int) -> list:
+    """`rows` of `width` fields as `width` columns, each a tuple in row order."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _codes(values) -> tuple[np.ndarray, tuple]:
+    """The index of each of `values` among the distinct ones, int64, and the
+    distinct ones in order of first appearance."""
+    index = dict(zip(dict.fromkeys(values), itertools.count()))
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64,
+                       count=len(values)), tuple(index)
+
+
+def _first_false(values) -> int | None:
+    """The index of the first false one of `values`; None if all are true."""
+    return None if all(values) else next(i for i, v in enumerate(values) if not v)
+
+
+def _first_repeat(values) -> int | None:
+    """The index of the first of `values` equal to an earlier one; None if
+    they are distinct."""
+    if len(set(values)) == len(values):
+        return None
+    seen: set = set()
+    return next(i for i, v in enumerate(values) if v in seen or seen.add(v))
+
+
+def _check(part: str, rules) -> None:
+    """GraphRowError for the first row of `part` that breaks one of `rules`,
+    (first row that breaks it or None, its message for a row) in the order a
+    row is checked against them."""
+    broken = [(int(row), k) for k, (row, _) in enumerate(rules) if row is not None]
+    if broken:
+        row, k = min(broken)
+        raise GraphRowError(rules[k][1](row), (part, row))
+
+
+def _ends(adjacency, v: int, r: str) -> list[int]:
+    """The ascending ids at the other end of v's edges of type r, from one
+    direction of HeteroGraph._grouped."""
+    index, bounds, ids = adjacency
+    k = index.get(r, _NO_NEIGHBORS).get(v)
+    return [] if k is None else ids[bounds[k]:bounds[k + 1]]
+
+
 class HeteroGraph:
     """Typed directed multigraph with composite-term node attributes, built
     whole by its constructor and immutable afterwards."""
 
     def __init__(self, nodes, edges):
         """The graph of `nodes`, (id, type, name, synonyms, features) rows, and
-        `edges`, (src, dst, type) triples stored as Edge, each kept in the
-        order given.  The node rules: a type, a name of at least one token, an
-        id not taken.  The edge rules: both ends known, a type, not yet
-        present.  GraphRowError for the first row that breaks one."""
-        self._nodes: dict[int, Node] = {}
-        for i, (nid, ntype, name, synonyms, features) in enumerate(nodes):
-            if not ntype:
-                raise GraphRowError("empty node type", ("nodes", i))
-            tokens = tuple(tokenize(name)) if isinstance(name, str) else tuple(name)
-            if not tokens:
-                raise GraphRowError("node name must have at least one token", ("nodes", i))
-            if nid in self._nodes:
-                raise GraphRowError(f"duplicate node id {nid}", ("nodes", i))
-            syns = tuple(tuple(tokenize(s)) if isinstance(s, str) else tuple(s)
-                         for s in synonyms)
-            feats = None if features is None else tuple(float(x) for x in features)
-            self._nodes[nid] = Node(nid, ntype, tokens, syns, feats)
-        self._edges: dict[Edge, None] = {}         # in the order given
-        self._edge_types: set[str] = set()
-        for i, edge in enumerate(edges):
-            src, dst, etype = edge
-            if src not in self._nodes or dst not in self._nodes:
-                raise GraphRowError(f"edge ({src}, {dst}, {etype}) references unknown node",
-                                    ("edges", i))
-            if not etype:
-                raise GraphRowError("empty edge type", ("edges", i))
-            if edge in self._edges:
-                raise GraphRowError(f"duplicate edge {(src, dst, etype)}", ("edges", i))
-            # an Edge is kept as given: allocating each edge of a bulk load
-            # again costs garbage-collector passes over the whole graph
-            self._edges[edge if type(edge) is Edge else Edge(src, dst, etype)] = None
-            self._edge_types.add(etype)
-        self._out: dict[tuple[int, str], tuple[int, ...]] = {}
-        self._in: dict[tuple[int, str], tuple[int, ...]] = {}
-        for src, dst, etype in self._edges:
-            self._out.setdefault((src, etype), []).append(dst)
-            self._in.setdefault((dst, etype), []).append(src)
-        # tuples of ints, which the garbage collector stops tracking
-        for adj in (self._out, self._in):
-            for key, ids in adj.items():
-                adj[key] = tuple(sorted(ids))
-        self.schema = Schema(frozenset((self._nodes[src].type, etype, self._nodes[dst].type)
-                                       for src, dst, etype in self._edges
-                                       if etype != SELF_EDGE_TYPE))
+        `edges`, (src, dst, type) triples, each kept in the order given.  The
+        node rules: a type, a name of at least one token, an id not taken.  The
+        edge rules: both ends known, a type, not yet present.  GraphRowError
+        for the first row that breaks one.  Rules, schema, per-type ids and
+        adjacency are whole-column operations, not loops over rows."""
+        ids, types, names, synonyms, features = _columns(nodes, 5)
+        names = list(map(_term, names))
+        _check("nodes", [(_first_false(types), lambda i: "empty node type"),
+                         (_first_false(names),
+                          lambda i: "node name must have at least one token"),
+                         (_first_repeat(ids), lambda i: f"duplicate node id {ids[i]}")])
+        synonyms = [tuple(map(_term, syns)) for syns in synonyms]
+        features = [None if f is None else tuple(map(float, f)) for f in features]
+        self._nodes: dict[int, Node] = dict(zip(ids, map(Node, ids, types, names,
+                                                           synonyms, features)))
         self._sorted_ids = sorted(self._nodes)
         # node_ids as a read-only int64 array: the row of each id is its index
         self.id_array = _read_only(np.array(self._sorted_ids, dtype=np.int64))
-        by_type: dict[str, list[int]] = {}
-        for nid in self._sorted_ids:
-            by_type.setdefault(self._nodes[nid].type, []).append(nid)
-        self._ids_by_type = {t: _read_only(np.array(ids, dtype=np.int64))
-                             for t, ids in by_type.items()}
+        type_of = dict(zip(ids, types))
+        type_codes, type_names = _codes(list(map(type_of.__getitem__, self._sorted_ids)))
+        self._ids_by_type = {t: _read_only(self.id_array[type_codes == k])
+                             for k, t in enumerate(type_names)}
+
+        edges = list(edges)        # hashable rows: the duplicate check sets them
+        src, dst, etypes = _columns(edges, 3)
+        known = self._nodes.keys() >= {*src, *dst}
+        _check("edges", [(None if known else _first_false([s in self._nodes and d in self._nodes
+                                                            for s, d in zip(src, dst)]),
+                          lambda i: f"edge ({src[i]}, {dst[i]}, {etypes[i]}) "
+                                    f"references unknown node"),
+                         (_first_false(etypes), lambda i: "empty edge type"),
+                         (_first_repeat(edges),
+                          lambda i: f"duplicate edge {(src[i], dst[i], etypes[i])}")])
+        self._edges = src, dst, etypes
+        self._edge_types = tuple(dict.fromkeys(etypes))
+        # built on first use, by edge_columns and _adjacency (two threads may
+        # each build an equal one): a query graph needs none of them when the
+        # encoders hold the operators of its shape, and CLI eval walks only
+        # the KB's out-edges
+        self._edge_table = self._out = self._in = None
+        self.schema = Schema(frozenset(
+            triple for triple in set(zip(map(type_of.__getitem__, src), etypes,
+                                         map(type_of.__getitem__, dst)))
+            if triple[1] != SELF_EDGE_TYPE))
+
+    def _adjacency(self, outgoing: bool) -> tuple:
+        """The out-adjacency (`outgoing`) or the in-adjacency, as _grouped
+        builds it, kept as _out or _in.  Readers take `self._out or
+        self._adjacency(True)`, which skips the call once it is built."""
+        src, dst, _, _ = self.edge_columns()
+        if outgoing:
+            self._out = self._grouped(src, dst)
+            return self._out
+        self._in = self._grouped(dst, src)
+        return self._in
+
+    def _grouped(self, ends, others) -> tuple[dict[str, dict[int, int]], list[int], list[int]]:
+        """One direction of the adjacency, from rows of edge ends: (index,
+        bounds, ids), where index[edge type][v] = k when ids[bounds[k]:
+        bounds[k + 1]] are the ascending ids at the `others` end of the edges
+        of that type whose `ends` end is v.  Flat lists and dicts of ints: the
+        garbage collector tracks a few containers, not one per node."""
+        _, _, codes, types = self.edge_columns()
+        order = np.lexsort((others, ends, codes))
+        ends, codes = ends[order], codes[order]
+        starts = np.flatnonzero(np.concatenate(
+            [[len(order) > 0], (ends[1:] != ends[:-1]) | (codes[1:] != codes[:-1])]))
+        keys = self.id_array[ends[starts]].tolist()
+        # the groups of each type are one run, in code order
+        runs = np.searchsorted(codes[starts], np.arange(len(types) + 1)).tolist()
+        index = {t: dict(zip(keys[a:b], range(a, b)))
+                 for t, a, b in zip(types, runs[:-1], runs[1:])}
+        return index, [*starts.tolist(), len(order)], self.id_array[others[order]].tolist()
 
     # -- inspection --------------------------------------------------------
 
@@ -206,7 +280,18 @@ class HeteroGraph:
 
     @property
     def edges(self) -> list[Edge]:
-        return list(self._edges)
+        return list(map(Edge, *self._edges))
+
+    def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+        """The edges in the order given, as read-only int64 columns: the row
+        of each one's src and dst, and the code of its type; then the type of
+        each code.  Built on first use."""
+        if self._edge_table is None:
+            src, dst, etypes = self._edges
+            codes, types = _codes(etypes)
+            rows = _read_only(self.id_array.searchsorted(np.array([src, dst], dtype=np.int64)))
+            self._edge_table = rows[0], rows[1], _read_only(codes), types
+        return self._edge_table
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -254,9 +339,10 @@ class HeteroGraph:
         """The graph less its ids, names and features: each row's node type,
         and the set of (src row, dst row, edge type) of its edges.  Anything
         built from rows, types and edges alone is the same for one shape."""
-        row = {nid: r for r, nid in enumerate(self._sorted_ids)}
+        row = dict(zip(self._sorted_ids, itertools.count())).__getitem__
+        src, dst, etypes = self._edges
         return (tuple(self._nodes[nid].type for nid in self._sorted_ids),
-                frozenset((row[src], row[dst], etype) for src, dst, etype in self._edges))
+                frozenset(zip(map(row, src), map(row, dst), etypes)))
 
     def nodes_of_type(self, ntype: str) -> list[int]:
         return self.ids_of_type(ntype).tolist()
@@ -276,20 +362,22 @@ class HeteroGraph:
 
     def out_neighbors(self, v: int, r: str) -> list[int]:
         self.node(v)
-        return list(self._out.get((v, r), ()))
+        return _ends(self._out or self._adjacency(True), v, r)
 
     def neighbors_by_relation(self, v: int, r: str) -> set[int]:
         """N_v^r: nodes incident to v through an edge of relation r."""
         self.node(v)
-        return set(self._out.get((v, r), ())) | set(self._in.get((v, r), ()))
+        out, into = self._out or self._adjacency(True), self._in or self._adjacency(False)
+        return set(_ends(out, v, r)) | set(_ends(into, v, r))
 
     def neighbors(self, v: int) -> set[int]:
         """Nodes incident to v through an edge of any relation."""
         self.node(v)
-        out: set[int] = set()
+        found: set[int] = set()
+        out, into = self._out or self._adjacency(True), self._in or self._adjacency(False)
         for r in self._edge_types:
-            out.update(self._out.get((v, r), ()), self._in.get((v, r), ()))
-        return out
+            found.update(_ends(out, v, r), _ends(into, v, r))
+        return found
 
     # -- metapaths ---------------------------------------------------------
 
@@ -318,10 +406,11 @@ class HeteroGraph:
         # from its start, along the reversed path over in-edges from its end
         anchor = self._resolve_anchor(v, path, anchor)
         step = 1 if anchor == "start" else -1
-        adj = self._out if anchor == "start" else self._in
+        adj = ((self._out or self._adjacency(True)) if anchor == "start"
+               else (self._in or self._adjacency(False)))
         results = [(v,)]
         for et, want in zip(path.edge_types[::step], path.node_types[::step][1:]):
-            results = [walk + (u,) for walk in results for u in adj.get((walk[-1], et), ())
+            results = [walk + (u,) for walk in results for u in _ends(adj, walk[-1], et)
                        if self._nodes[u].type == want]
         if step == -1:
             results = [walk[::-1] for walk in results]
@@ -491,15 +580,115 @@ def load_graph(nodes_path, edges_path) -> HeteroGraph:
         raise HetlinkError(f"{path}:{list(rows)[index]}: {exc}") from None
 
 
-def save_graph(graph: HeteroGraph, nodes_path, edges_path) -> None:
-    with open(nodes_path, "w", encoding="utf-8") as fh:
-        for node in graph.nodes():
-            syns = "|".join(" ".join(s) for s in node.synonyms)
-            feats = "" if node.features is None else ",".join(repr(x) for x in node.features)
-            fh.write(f"{node.id}\t{node.type}\t{node.surface}\t{syns}\t{feats}\n")
-    with open(edges_path, "w", encoding="utf-8") as fh:
-        for e in graph.edges:
-            fh.write(f"{e.src}\t{e.dst}\t{e.type}\n")
+# graph.npz: a graph as columns.  Integer columns are int64; a text column is
+# the UTF-8 bytes of its strings one a line, so its size follows their length.
+GRAPH_COLUMNS = {
+    "ids": np.int64, "types": np.int64, "type_names": np.uint8, "names": np.uint8,
+    "synonym_counts": np.int64, "synonyms": np.uint8,
+    "feature_lengths": np.int64, "features": np.float64,    # length -1: no preset row
+    "src": np.int64, "dst": np.int64, "edge_types": np.int64, "edge_type_names": np.uint8,
+}
+
+
+def _text(strings, path, what: str) -> np.ndarray:
+    text = "\n".join(strings)
+    if text.count("\n") != max(len(strings) - 1, 0):
+        raise HetlinkError(f"{path}: a {what} holds a line break, which a text column cannot")
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
+    """The GRAPH_COLUMNS of `graph`, to be written to the .npz file `path`:
+    nodes in node-id order, each type a code into its table, edges in their
+    order.  HetlinkError, naming `path`, for a string with a line break."""
+    nodes = graph.nodes()
+    src, dst, edge_codes, edge_types = graph.edge_columns()
+    type_codes, type_names = _codes([node.type for node in nodes])
+    return {
+        "ids": graph.id_array, "types": type_codes,
+        "type_names": _text(type_names, path, "node type"),
+        "names": _text([node.surface for node in nodes], path, "name"),
+        "synonym_counts": np.array([len(node.synonyms) for node in nodes], dtype=np.int64),
+        "synonyms": _text([" ".join(syn) for node in nodes for syn in node.synonyms],
+                          path, "synonym"),
+        "feature_lengths": np.array([-1 if node.features is None else len(node.features)
+                                     for node in nodes], dtype=np.int64),
+        "features": np.array([x for node in nodes for x in node.features or ()],
+                             dtype=np.float64),
+        "src": graph.id_array[src], "dst": graph.id_array[dst], "edge_types": edge_codes,
+        "edge_type_names": _text(edge_types, path, "edge type"),
+    }
+
+
+def graph_from_columns(arrays: dict[str, np.ndarray], path) -> HeteroGraph:
+    """The graph of graph_columns' arrays, read from the .npz file `path`.
+    Arrays that graph_columns could not have written, and a row that the
+    HeteroGraph constructor rejects, end in HetlinkError "<path>: <what is
+    wrong>", naming the node or edge row."""
+    def fail(message):
+        raise HetlinkError(f"{path}: {message}")
+
+    def first(part, bad, message):
+        if bad.any():
+            row = int(np.argmax(bad))
+            fail(f"{part} row {row}: {message(row)}")
+
+    def lines(name, count) -> list[str]:
+        """The lines of text column `name`, which holds `count` (None: any)."""
+        try:
+            text = arrays[name].tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            fail(f"{name!r} is not UTF-8 text")
+        out = text.split("\n") if text or count != 0 else []
+        if count is not None and len(out) != count:
+            fail(f"{name!r} holds {len(out)} lines, not {count}")
+        return out
+
+    def named(part, codes, table) -> list[str]:
+        names = lines(table, None)
+        first(part, (codes < 0) | (codes >= len(names)),
+              lambda row: f"{part} type code {codes[row]} is not a line of {table}")
+        return list(map(names.__getitem__, codes.tolist()))
+
+    for name, dtype in GRAPH_COLUMNS.items():
+        if name not in arrays:
+            fail(f"no {name!r} array")
+        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
+            fail(f"{name!r} must be a 1-D {np.dtype(dtype)} array, "
+                 f"got {arrays[name].dtype} of shape {arrays[name].shape}")
+    for name, key in (("types", "ids"), ("synonym_counts", "ids"), ("feature_lengths", "ids"),
+                      ("dst", "src"), ("edge_types", "src")):
+        if len(arrays[name]) != len(arrays[key]):
+            fail(f"{name!r} has {len(arrays[name])} rows, {key!r} {len(arrays[key])}")
+    counts, lengths = arrays["synonym_counts"], arrays["feature_lengths"]
+    first("node", counts < 0, lambda row: f"synonym count {counts[row]} < 0")
+    first("node", lengths < -1, lambda row: f"feature length {lengths[row]} < -1")
+    ends = np.cumsum(counts).tolist()
+    synonyms = lines("synonyms", ends[-1] if ends else 0)
+    synonyms = list(map(synonyms.__getitem__, map(slice, [0, *ends[:-1]], ends)))
+    ends = np.cumsum(np.maximum(lengths, 0))
+    floats = arrays["features"]
+    if len(floats) != (ends[-1] if len(ends) else 0):
+        fail(f"'features' holds {len(floats)} floats, "
+             f"'feature_lengths' {ends[-1] if len(ends) else 0}")
+    if not np.isfinite(floats).all():
+        row = np.searchsorted(ends, np.argmin(np.isfinite(floats)), "right")
+        fail(f"node row {row}: non-finite feature float")
+    flat, ends = floats.tolist(), ends.tolist()
+    features = [None if length < 0 else flat[end - length:end]
+                for length, end in zip(lengths.tolist(), ends)]
+    edge_types = named("edge", arrays["edge_types"], "edge_type_names")
+    if SELF_EDGE_TYPE in edge_types:
+        fail(f"edge row {edge_types.index(SELF_EDGE_TYPE)}: edge type {SELF_EDGE_TYPE!r} "
+             f"is reserved for query graphs")
+    try:
+        return HeteroGraph(zip(arrays["ids"].tolist(),
+                               named("node", arrays["types"], "type_names"),
+                               lines("names", len(arrays["ids"])), synonyms, features),
+                           zip(arrays["src"].tolist(), arrays["dst"].tolist(), edge_types))
+    except GraphRowError as exc:
+        part, row = exc.row
+        fail(f"{part[:-1]} row {row}: {exc}")
 
 
 def read_settings(cls, data, keys: dict, what: str) -> dict:

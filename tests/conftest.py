@@ -163,6 +163,19 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
     return HeteroGraph(nodes, edges)
 
 
+def save_graph(graph, nodes_path, edges_path) -> None:
+    """Write `graph` as the node and edge list files that `load_graph` and
+    `hetlink ingest` read; a bundle holds its KB as graph.npz instead."""
+    with open(nodes_path, "w", encoding="utf-8") as fh:
+        for node in graph.nodes():
+            syns = "|".join(" ".join(s) for s in node.synonyms)
+            feats = "" if node.features is None else ",".join(repr(x) for x in node.features)
+            fh.write(f"{node.id}\t{node.type}\t{node.surface}\t{syns}\t{feats}\n")
+    with open(edges_path, "w", encoding="utf-8") as fh:
+        for e in graph.edges:
+            fh.write(f"{e.src}\t{e.dst}\t{e.type}\n")
+
+
 def cli_items(bundle):
     """The KB, word vectors and frequencies of `bundle` (a Path), and the
     items the CLI builds from its snippets.json with the acronym index."""

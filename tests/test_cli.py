@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from hetlink import HetlinkError, evalgen
 from hetlink.cli import (CONFIG_KEYS, _load_snippets, _train_settings,
-                         build_parser, main, read_bundle)
+                         build_parser, main, read_bundle, write_bundle)
 from hetlink.encoders import EncoderConfig
-from hetlink.hetgraph import tokenize
+from hetlink.hetgraph import HeteroGraph, graph_columns, tokenize
 from hetlink.matcher import candidate_pool, load_model
-from hetlink.termembed import init_node_features, load_word_vectors
+from hetlink.termembed import init_node_features, load_word_vectors, random_word_vectors
 
-from conftest import MANIFEST_BREAKS, break_manifest, break_params, cli_items
+from conftest import MANIFEST_BREAKS, break_manifest, break_params, cli_items, save_graph
 
 
 SMALL_GEN = {
@@ -47,13 +47,15 @@ def write_word_vector_text(npz_path, path) -> None:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Generated corpus plus a trained model, shared across CLI tests, and the
-    corpus's word vectors as text (wordvecs.txt)."""
+    corpus's word vectors and KB as the text files ingest reads (wordvecs.txt,
+    nodes.tsv and edges.tsv)."""
     root = tmp_path_factory.mktemp("cli")
     gen_cfg = root / "gen.json"
     gen_cfg.write_text(json.dumps(SMALL_GEN))
     assert main(["gen-synth", "--config", str(gen_cfg),
                  "--out", str(root / "corpus")]) == 0
     write_word_vector_text(root / "corpus" / "wordvecs.npz", root / "wordvecs.txt")
+    save_graph(read_bundle(root / "corpus")[0], root / "nodes.tsv", root / "edges.tsv")
     train_cfg = root / "train.json"
     train_cfg.write_text(json.dumps(TRAIN_CONFIG))
     assert main(["train", "--bundle", str(root / "corpus"),
@@ -122,10 +124,10 @@ def test_any_json_value_at_any_key_builds_a_config_or_fails_in_one_line(reader, 
 
 def test_gen_synth_writes_bundle_and_snippets(workdir):
     corpus = workdir / "corpus"
-    assert sorted(os.listdir(corpus)) == ["edges.tsv", "manifest.json", "nodes.tsv",
-                                          "snippets.json", "wordvecs.npz"]
+    assert sorted(os.listdir(corpus)) == ["graph.npz", "manifest.json", "snippets.json",
+                                          "wordvecs.npz"]
     manifest = json.loads((corpus / "manifest.json").read_text())
-    assert manifest["bundle_version"] == "2"
+    assert manifest["bundle_version"] == "3"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
 
 
@@ -278,15 +280,15 @@ def test_disambiguate_rejects_a_top_k_that_is_not_a_count(workdir, capsys, top_k
 
 def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):
     corpus = workdir / "corpus"
-    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
-                 "--edges", str(corpus / "edges.tsv"),
+    assert main(["ingest", "--nodes", str(workdir / "nodes.tsv"),
+                 "--edges", str(workdir / "edges.tsv"),
                  "--wordvecs", str(workdir / "wordvecs.txt"),
                  "--out", str(tmp_path / "bundle")]) == 0
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
-    # the text's vectors, read back, are the generator's to the bit
-    assert ((tmp_path / "bundle" / "wordvecs.npz").read_bytes()
-            == (corpus / "wordvecs.npz").read_bytes())
+    # the text's vectors and graph, read back, are the generator's to the bit
+    for name in ("wordvecs.npz", "graph.npz"):
+        assert (tmp_path / "bundle" / name).read_bytes() == (corpus / name).read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [(1, "nan"), (3, "inf")])
@@ -297,9 +299,8 @@ def test_ingest_rejects_a_word_vector_number_that_is_not_finite(workdir, tmp_pat
     fields = first.split(" ")
     fields[field] = value
     path.write_text(" ".join(fields) + "\n" + rest)
-    corpus = workdir / "corpus"
-    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
-                 "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+    assert main(["ingest", "--nodes", str(workdir / "nodes.tsv"),
+                 "--edges", str(workdir / "edges.tsv"), "--wordvecs", str(path),
                  "--out", str(tmp_path / "bundle")]) == 1
     assert capsys.readouterr().err == f"error: {path}:1: non-finite float\n"
     assert not (tmp_path / "bundle").exists()
@@ -308,9 +309,8 @@ def test_ingest_rejects_a_word_vector_number_that_is_not_finite(workdir, tmp_pat
 def test_ingest_refuses_a_repeated_word_vector_token(workdir, tmp_path, capsys):
     path = tmp_path / "wordvecs.txt"
     path.write_text("a 1 2\nb 3 4\n\na 5 6\n")
-    corpus = workdir / "corpus"
-    assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
-                 "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+    assert main(["ingest", "--nodes", str(workdir / "nodes.tsv"),
+                 "--edges", str(workdir / "edges.tsv"), "--wordvecs", str(path),
                  "--out", str(tmp_path / "bundle")]) == 1
     assert capsys.readouterr().err == f"error: {path}:4: duplicate token 'a'\n"
     assert not (tmp_path / "bundle").exists()
@@ -323,13 +323,12 @@ def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
     path = tmp_path / "wordvecs.txt"
     floats = (workdir / "wordvecs.txt").read_text().split("\n", 1)[0].split(" ", 1)[1]
     path.write_text(f"fever\x00 {floats}\n")
-    corpus = workdir / "corpus"
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "notes.txt").write_text("kept\n")
     for bundle in (tmp_path / "bundle", tmp_path / "new" / "bundle", kept):
-        assert main(["ingest", "--nodes", str(corpus / "nodes.tsv"),
-                     "--edges", str(corpus / "edges.tsv"), "--wordvecs", str(path),
+        assert main(["ingest", "--nodes", str(workdir / "nodes.tsv"),
+                     "--edges", str(workdir / "edges.tsv"), "--wordvecs", str(path),
                      "--out", str(bundle)]) == 1
         assert capsys.readouterr().err == (
             f"error: {bundle / 'wordvecs.npz'}: token 'fever\\x00' "
@@ -337,6 +336,22 @@ def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["kept", "wordvecs.txt"]
     assert os.listdir(kept) == ["notes.txt"]
     assert (kept / "notes.txt").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("nodes, what", [
+    ([(0, "Drug\nX", "aspirin", (), None)], "node type"),
+    ([(0, "Drug", ("aspi\nrin",), (), None)], "name"),
+    ([(0, "Drug", "aspirin", [("as\npirin",)], None)], "synonym"),
+])
+def test_a_kb_string_that_graph_npz_cannot_hold_is_refused_before_any_file(tmp_path, nodes,
+                                                                           what):
+    # a text column holds its strings one a line
+    kb = HeteroGraph(nodes, [])
+    with pytest.raises(HetlinkError) as exc:
+        write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
+    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a {what} holds a line "
+                              f"break, which a text column cannot")
+    assert not (tmp_path / "bundle").exists()
 
 
 @pytest.mark.parametrize("nodes, dim, error", [
@@ -385,8 +400,8 @@ def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, cap
 def test_a_bundle_whose_manifest_lists_no_nodes_is_rejected(workdir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
-    for name in ("nodes.tsv", "edges.tsv"):
-        (bundle / name).write_text("")
+    with open(bundle / "graph.npz", "wb") as fh:
+        np.savez(fh, **graph_columns(HeteroGraph([], []), bundle / "graph.npz"))
     manifest = json.loads((bundle / "manifest.json").read_text())
     (bundle / "manifest.json").write_text(json.dumps({**manifest, "nodes": 0, "edges": 0}))
     for command in (["eval", "--model", str(workdir / "model")],
@@ -507,18 +522,23 @@ def test_a_bundle_manifest_that_cannot_be_opened_ends_in_one_line_that_names_it(
 
 
 def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
-    import shutil
-
+    # a version-2 bundle holds its KB as nodes.tsv and edges.tsv
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
+    os.remove(bundle / "graph.npz")
+    for name in ("nodes.tsv", "edges.tsv"):
+        shutil.copy(workdir / name, bundle / name)
     manifest = json.loads((bundle / "manifest.json").read_text())
-    manifest["bundle_version"] = "99"
-    (bundle / "manifest.json").write_text(json.dumps(manifest))
-    code = main(["eval", "--bundle", str(bundle),
-                 "--model", str(workdir / "model"),
-                 "--snippets", str(bundle / "snippets.json")])
-    assert code == 1
-    assert "bundle version" in capsys.readouterr().err
+    for version in ("2", "99"):
+        (bundle / "manifest.json").write_text(json.dumps({**manifest,
+                                                          "bundle_version": version}))
+        code = main(["eval", "--bundle", str(bundle),
+                     "--model", str(workdir / "model"),
+                     "--snippets", str(bundle / "snippets.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: unsupported bundle version {version!r} (this hetlink reads version 3): "
+            f"re-run gen-synth or ingest to rebuild the bundle\n")
 
 
 def test_a_version_1_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir, tmp_path,
@@ -533,7 +553,7 @@ def test_a_version_1_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: unsupported bundle version '1' (this hetlink reads version 2): "
+        "error: unsupported bundle version '1' (this hetlink reads version 3): "
         "re-run gen-synth or ingest to rebuild the bundle\n")
 
 
@@ -623,26 +643,163 @@ def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, ca
         f"error: {bundle / 'manifest.json'}: bundle manifest must be a JSON object, got list\n")
 
 
-# (bundle file, how its rows change) for files that disagree with the manifest
-ROW_CUTS = {"edges.tsv": lambda rows: rows[:len(rows) * 2 // 3],
-            "nodes.tsv": lambda rows: rows + ["99999\tFinding\textra\t\t\n"]}
+def _graph_arrays(path) -> dict:
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
 
 
-@pytest.mark.parametrize("name", sorted(ROW_CUTS))
+def _save_arrays(path, arrays) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _lines(text: np.ndarray) -> list[str]:
+    return text.tobytes().decode("utf-8").split("\n")
+
+
+def _text(lines) -> np.ndarray:
+    return np.frombuffer("\n".join(lines).encode("utf-8"), dtype=np.uint8)
+
+
+def _added_node(a) -> dict:
+    """graph.npz columns `a` with one more node, 99999 "extra"."""
+    return {**a, "ids": np.append(a["ids"], 99999), "types": np.append(a["types"], 0),
+            "names": _text(_lines(a["names"]) + ["extra"]),
+            "synonym_counts": np.append(a["synonym_counts"], 0),
+            "feature_lengths": np.append(a["feature_lengths"], -1)}
+
+
+# (graph.npz part, how its columns change) for files that disagree with the manifest
+ROW_CUTS = {"edges": lambda a: {**a, **{k: a[k][:len(a[k]) * 2 // 3]
+                                         for k in ("src", "dst", "edge_types")}},
+            "nodes": _added_node}
+
+
+@pytest.mark.parametrize("part", sorted(ROW_CUTS))
 def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, tmp_path,
-                                                                       capsys, name):
+                                                                       capsys, part):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
     manifest = json.loads((bundle / "manifest.json").read_text())
-    rows = ROW_CUTS[name]((bundle / name).read_text().splitlines(keepends=True))
-    (bundle / name).write_text("".join(rows))
-    held = {"nodes": manifest["nodes"], "edges": manifest["edges"], name[:-4]: len(rows)}
+    arrays = ROW_CUTS[part](_graph_arrays(bundle / "graph.npz"))
+    _save_arrays(bundle / "graph.npz", arrays)
+    held = {"nodes": len(arrays["ids"]), "edges": len(arrays["src"])}
+    assert held != {key: manifest[key] for key in held}
     code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert capsys.readouterr().err == (
         f"error: {bundle / 'manifest.json'}: lists {manifest['nodes']} nodes and "
         f"{manifest['edges']} edges, its files hold {held['nodes']} and {held['edges']}\n")
+
+
+def _with_line(a, name, row, line) -> dict:
+    """graph.npz columns `a` with line `row` of text column `name` set to `line`."""
+    lines = _lines(a[name])
+    lines[row] = line
+    return {**a, name: _text(lines)}
+
+
+def _typed(a, part, row, name) -> dict:
+    """graph.npz columns `a` with the node or edge `row` given the type `name`,
+    a new line of its type table."""
+    codes, table = ("types", "type_names") if part == "node" else ("edge_types",
+                                                                   "edge_type_names")
+    lines = _lines(a[table])
+    changed = a[codes].copy()
+    changed[row] = len(lines)
+    return {**a, codes: changed, table: _text(lines + [name])}
+
+
+def _set(a, name, row, value) -> dict:
+    changed = a[name].copy()
+    changed[row] = value
+    return {**a, name: changed}
+
+
+def _edge(a, row) -> tuple:
+    """Edge `row` of graph.npz columns `a` as (src, dst, type)."""
+    return (int(a["src"][row]), int(a["dst"][row]),
+            _lines(a["edge_type_names"])[a["edge_types"][row]])
+
+
+def _with_features(a, row, floats) -> dict:
+    """graph.npz columns `a`, which hold no preset row, with `floats` as
+    node `row`'s."""
+    return {**_set(a, "feature_lengths", row, len(floats)),
+            "features": np.array(floats, dtype=np.float64)}
+
+
+# graph.npz broken in each way read_bundle refuses: columns -> (broken columns,
+# what the error says after the path); an edge rule breaks edge row 5, after
+# a node rule breaks node row 3
+GRAPH_BREAKS = {
+    "no src": lambda a: ({k: v for k, v in a.items() if k != "src"}, "no 'src' array"),
+    "float ids": lambda a: ({**a, "ids": a["ids"].astype(np.float64)},
+                            f"'ids' must be a 1-D int64 array, got float64 of shape "
+                            f"({len(a['ids'])},)"),
+    "2-D ids": lambda a: ({**a, "ids": a["ids"][:, None]},
+                          f"'ids' must be a 1-D int64 array, got int64 of shape "
+                          f"({len(a['ids'])}, 1)"),
+    "a type short": lambda a: ({**a, "types": a["types"][:-1]},
+                               f"'types' has {len(a['ids']) - 1} rows, 'ids' {len(a['ids'])}"),
+    "an edge type short": lambda a: ({**a, "edge_types": a["edge_types"][:-1]},
+                                     f"'edge_types' has {len(a['src']) - 1} rows, "
+                                     f"'src' {len(a['src'])}"),
+    "a name short": lambda a: ({**a, "names": _text(_lines(a["names"])[:-1])},
+                               f"'names' holds {len(a['ids']) - 1} lines, not {len(a['ids'])}"),
+    "names not UTF-8": lambda a: ({**a, "names": np.append(a["names"], np.uint8(0xff))},
+                                  "'names' is not UTF-8 text"),
+    "type code": lambda a: (_set(a, "types", 3, 9), "node row 3: node type code 9 is not a "
+                                                    "line of type_names"),
+    "edge type code": lambda a: (_set(a, "edge_types", 5, -1), "edge row 5: edge type code -1 "
+                                                               "is not a line of edge_type_names"),
+    "a synonym short": lambda a: (_set(a, "synonym_counts", 3, a["synonym_counts"][3] + 1),
+                                  f"'synonyms' holds {a['synonym_counts'].sum()} lines, "
+                                  f"not {a['synonym_counts'].sum() + 1}"),
+    "synonym count": lambda a: (_set(a, "synonym_counts", 3, -1),
+                                "node row 3: synonym count -1 < 0"),
+    "feature length": lambda a: (_set(a, "feature_lengths", 3, -2),
+                                 "node row 3: feature length -2 < -1"),
+    "a float short": lambda a: (_set(a, "feature_lengths", 3, 2),
+                                "'features' holds 0 floats, 'feature_lengths' 2"),
+    "nan feature": lambda a: (_with_features(a, 3, [0.5, np.nan]),
+                              "node row 3: non-finite feature float"),
+    "-inf feature": lambda a: (_with_features(a, 3, [-np.inf]),
+                               "node row 3: non-finite feature float"),
+    "empty node type": lambda a: (_typed(a, "node", 3, ""), "node row 3: empty node type"),
+    "no name token": lambda a: (_with_line(a, "names", 3, "?!"),
+                                "node row 3: node name must have at least one token"),
+    "duplicate id": lambda a: (_set(a, "ids", 3, a["ids"][2]),
+                               f"node row 3: duplicate node id {a['ids'][2]}"),
+    "unknown end": lambda a: (_set(a, "dst", 5, 99999),
+                              f"edge row 5: edge ({_edge(a, 5)[0]}, 99999, {_edge(a, 5)[2]}) "
+                              f"references unknown node"),
+    "empty edge type": lambda a: (_typed(a, "edge", 5, ""), "edge row 5: empty edge type"),
+    "duplicate edge": lambda a: (
+        {**a, **{k: np.concatenate([a[k][:5], a[k][4:-1]]) for k in ("src", "dst", "edge_types")}},
+        f"edge row 5: duplicate edge {_edge(a, 4)}"),
+    "SELF edge": lambda a: (_typed(a, "edge", 5, "SELF"),
+                            "edge row 5: edge type 'SELF' is reserved for query graphs"),
+}
+
+
+@pytest.mark.parametrize("case", ["truncated", "not a zip", *GRAPH_BREAKS])
+def test_a_broken_graph_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys, case):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    path = bundle / "graph.npz"
+    if case in ("truncated", "not a zip"):
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2] if case == "truncated" else b"0\tDrug\ta\n")
+        error = "not a readable .npz archive"
+    else:
+        arrays, error = GRAPH_BREAKS[case](_graph_arrays(path))
+        _save_arrays(path, arrays)
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {error}\n"
 
 
 # a manifest count that is not an integer: (key, value, its repr; None: drop the key)
@@ -681,29 +838,6 @@ def test_eval_rejects_a_negative_manifest_count(workdir, tmp_path, capsys, key, 
         f'error: {bundle / "manifest.json"}: "{key}" must be >= 0, got {value}\n')
 
 
-# (bundle file, the field of its first line that is set, the value, the error)
-BUNDLE_NUMBER_BREAKS = [
-    ("nodes.tsv", 4, "0.5,nan", "non-finite feature float"),
-    ("nodes.tsv", 4, "-inf", "non-finite feature float"),
-]
-
-
-@pytest.mark.parametrize("name, field, value, error", BUNDLE_NUMBER_BREAKS)
-def test_eval_rejects_a_bundle_number_that_is_not_finite(workdir, tmp_path, capsys,
-                                                         name, field, value, error):
-    bundle = tmp_path / "bundle"
-    shutil.copytree(workdir / "corpus", bundle)
-    path = bundle / name
-    first, rest = path.read_text().split("\n", 1)
-    fields = first.split("\t")
-    fields[field] = value
-    path.write_text("\t".join(fields) + "\n" + rest)
-    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
-                 "--snippets", str(bundle / "snippets.json")])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {path}:1: {error}\n"
-
-
 NOT_JSON = '[{"Text": "x"\n]'
 
 
@@ -721,13 +855,14 @@ def _unreadable_file(case, workdir, tmp_path):
     bundle, model = tmp_path / "bundle", tmp_path / "model"
     shutil.copytree(workdir / "corpus", bundle)
     shutil.copytree(workdir / "model", model)
+    nodes = shutil.copy(workdir / "nodes.tsv", tmp_path / "nodes.tsv")
     snippets = bundle / "snippets.json"
     run = {"eval": ["eval", "--bundle", str(bundle), "--model", str(model),
                     "--snippets", str(snippets)],
            "train": ["train", "--bundle", str(bundle), "--snippets", str(snippets),
                      "--out", str(tmp_path / "out"), "--config", str(tmp_path / "train.json")],
-           "ingest": ["ingest", "--nodes", str(bundle / "nodes.tsv"),
-                      "--edges", str(bundle / "edges.tsv"), "--out", str(tmp_path / "out")]}
+           "ingest": ["ingest", "--nodes", str(nodes),
+                      "--edges", str(workdir / "edges.tsv"), "--out", str(tmp_path / "out")]}
     try:
         json.loads(NOT_JSON)
     except json.JSONDecodeError as exc:
@@ -750,7 +885,7 @@ def _unreadable_file(case, workdir, tmp_path):
         (model / "manifest.json").write_text(NOT_JSON)
         return run["eval"], model / "manifest.json", not_json
     assert case == "ingest nodes not UTF-8"
-    return run["ingest"], bundle / "nodes.tsv", f":{_put_ff(bundle / 'nodes.tsv', 5)}: not UTF-8"
+    return run["ingest"], nodes, f":{_put_ff(nodes, 5)}: not UTF-8"
 
 
 @pytest.mark.parametrize("case", ["snippets not UTF-8", "snippets not JSON",
@@ -1033,7 +1168,6 @@ def test_any_word_vector_file_loads_or_ends_in_one_line_and_exit_1(workdir, data
              for _ in range(data.draw(st.integers(1, 3)))]
     at = data.draw(st.integers(0, len(lines)))
     lines = drawn if data.draw(st.booleans()) else lines[:at] + drawn + lines[at:]
-    corpus = workdir / "corpus"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "wordvecs.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -1043,7 +1177,7 @@ def test_any_word_vector_file_loads_or_ends_in_one_line_and_exit_1(workdir, data
             error = None
         except HetlinkError as exc:
             error = str(exc)
-        code, err = _main_quietly(["ingest", "--nodes", str(corpus / "nodes.tsv"),
-                                   "--edges", str(corpus / "edges.tsv"), "--wordvecs", path,
+        code, err = _main_quietly(["ingest", "--nodes", str(workdir / "nodes.tsv"),
+                                   "--edges", str(workdir / "edges.tsv"), "--wordvecs", path,
                                    "--out", os.path.join(tmp, "bundle")])
     _assert_one_line_exit(code, err, error)

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hetlink.cli import main, write_bundle
-from hetlink.evalgen import SynthConfig, generate_synthetic_kb
-from hetlink.hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
-                              Node, SELF_EDGE_TYPE, build_inverted_index, load_edges_tsv,
-                              load_graph, load_nodes_tsv, normalize, save_graph, tokenize)
-from hetlink.termembed import random_word_vectors
-from conftest import random_hetero_graph
+from hetlink.cli import main, read_bundle, write_bundle
+from hetlink.encoders import _relation_adjacency
+from hetlink.evalgen import DEFAULT_NODE_COUNTS, SynthConfig, generate_synthetic_kb
+from hetlink.hetgraph import (Edge, GraphRowError, HeteroGraph, HetlinkError, InvertedIndex,
+                              Metapath, Node, SELF_EDGE_TYPE, build_inverted_index, graph_columns,
+                              graph_from_columns, load_edges_tsv, load_graph, load_nodes_tsv,
+                              normalize, tokenize)
+from hetlink.termembed import init_node_features, random_word_vectors
+from conftest import random_hetero_graph, save_graph
 
 
 def test_normalize_casefolds_and_strips_punctuation():
@@ -58,6 +60,59 @@ def test_constructor_raises_the_node_and_edge_rule_texts(nodes, edges, error):
     assert str(exc.value) == error
     # each case breaks a rule on its last row, which the error names
     assert exc.value.row == (("edges", len(edges) - 1) if edges else ("nodes", len(nodes) - 1))
+
+
+def _per_row_constructor(nodes, edges):
+    """The per-row loops that the constructor's column operations replaced:
+    the (message, row) of the first row that breaks a rule, or None and the
+    out-neighbors by (id, relation), the schema triples and the ids of each
+    type."""
+    types, present, out = {}, set(), {}
+    for i, (nid, ntype, name, _, _) in enumerate(nodes):
+        if not ntype:
+            return ("empty node type", ("nodes", i)), None
+        if not tokenize(name):
+            return ("node name must have at least one token", ("nodes", i)), None
+        if nid in types:
+            return (f"duplicate node id {nid}", ("nodes", i)), None
+        types[nid] = ntype
+    for i, (src, dst, etype) in enumerate(edges):
+        if src not in types or dst not in types:
+            return (f"edge ({src}, {dst}, {etype}) references unknown node", ("edges", i)), None
+        if not etype:
+            return ("empty edge type", ("edges", i)), None
+        if (src, dst, etype) in present:
+            return (f"duplicate edge {(src, dst, etype)}", ("edges", i)), None
+        present.add((src, dst, etype))
+        out.setdefault((src, etype), []).append(dst)
+    schema = {(types[src], etype, types[dst]) for src, dst, etype in present
+              if etype != SELF_EDGE_TYPE}
+    by_type = {t: sorted(nid for nid in types if types[nid] == t) for t in set(types.values())}
+    return None, ({key: sorted(ids) for key, ids in out.items()}, schema, by_type)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["Drug", "Finding", "Drug", ""]),
+                                st.sampled_from(["a", "b c", "a", "?!"]), st.just(()), st.none()),
+                      max_size=6),
+       edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                st.sampled_from(["R", "S", SELF_EDGE_TYPE, ""])), max_size=10))
+def test_constructor_checks_and_builds_as_the_per_row_loops_do(nodes, edges):
+    error, built = _per_row_constructor(nodes, edges)
+    try:
+        g = HeteroGraph(nodes, edges)
+    except GraphRowError as exc:
+        assert (str(exc), exc.row) == error
+        return
+    assert error is None
+    out, schema, by_type = built
+    assert g.schema.triples == schema
+    assert {t: g.nodes_of_type(t) for t in g.node_types} == by_type
+    for v in g.node_ids:
+        for r in ("R", "S", SELF_EDGE_TYPE):
+            assert g.out_neighbors(v, r) == out.get((v, r), [])
+            assert g.neighbors_by_relation(v, r) == set(out.get((v, r), [])) | {
+                src for (src, rel), dsts in out.items() if rel == r and v in dsts}
 
 
 def test_constructor_keeps_rows_and_edges_in_the_order_given():
@@ -284,6 +339,29 @@ def _saved(graph, tmp):
     return paths
 
 
+def _assert_same_graph(back, g):
+    """`back` is `g`: node rows, edge order, neighborhoods, schema, per-type
+    ids, token map and relation adjacency, the arrays bit for bit."""
+    assert back.nodes() == g.nodes()
+    assert back.edges == g.edges
+    assert back.schema == g.schema
+    assert (back.node_types, back.edge_types) == (g.node_types, g.edge_types)
+    for t in g.node_types:
+        assert back.ids_of_type(t).tobytes() == g.ids_of_type(t).tobytes()
+    for v in g.node_ids:
+        assert back.neighbors(v) == g.neighbors(v)
+        for r in g.edge_types:
+            assert back.out_neighbors(v, r) == g.out_neighbors(v, r)
+            assert back.neighbors_by_relation(v, r) == g.neighbors_by_relation(v, r)
+    assert back.token_ids.keys() == g.token_ids.keys()
+    for tok, ids in g.token_ids.items():
+        assert back.token_ids[tok].tobytes() == ids.tobytes()
+    for r in [None, *sorted(g.edge_types)]:
+        got, want = _relation_adjacency(back, r).matrix, _relation_adjacency(g, r).matrix
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(g=valid_graphs())
 def test_a_valid_graph_survives_save_and_load(g):
@@ -292,19 +370,40 @@ def test_a_valid_graph_survives_save_and_load(g):
         assert len(load_nodes_tsv(nodes_path)) == len(g)
         assert list(load_edges_tsv(edges_path).values()) == g.edges
         back = load_graph(nodes_path, edges_path)
-    assert back.nodes() == g.nodes()
-    assert back.edges == g.edges
-    assert back.schema == g.schema
-    assert (back.node_types, back.edge_types) == (g.node_types, g.edge_types)
-    for v in g.node_ids:
-        assert back.neighbors(v) == g.neighbors(v)
-        for r in g.edge_types:
-            assert back.out_neighbors(v, r) == g.out_neighbors(v, r)
-            assert back.neighbors_by_relation(v, r) == g.neighbors_by_relation(v, r)
+    _assert_same_graph(back, g)
+    _assert_same_graph(graph_from_columns(graph_columns(g, "g.npz"), "g.npz"), g)
 
 
-# rows a bundle file must not hold; {old} is a node id of the graph, {new} one
-# it lacks
+@pytest.mark.parametrize("seed, scale", [(1, 1), (2, 1), (3, 1), (1, 10)])
+def test_a_bundle_gives_back_the_generators_graph_and_ingest_builds_the_same(tmp_path, seed,
+                                                                            scale):
+    corpus = generate_synthetic_kb(SynthConfig.from_dict(
+        {"node_counts": {t: scale * n for t, n in DEFAULT_NODE_COUNTS.items()},
+         "seed": seed, "snippets": 0}))
+    write_bundle(tmp_path, corpus.kb, corpus.store)
+    back = read_bundle(tmp_path)[0]
+    _assert_same_graph(back, corpus.kb)
+    save_graph(corpus.kb, tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+    _assert_same_graph(load_graph(tmp_path / "nodes.tsv", tmp_path / "edges.tsv"), back)
+
+
+def test_a_bundle_keeps_synonyms_non_ascii_names_and_preset_rows(tmp_path):
+    kb = HeteroGraph([(7, "Drug", "Ängström café", ["naïve  bayes", "x"], [0.5, -1.25]),
+                      (2, "Finding", "déjà vu", (), [1.0, 2.0, 3.0]),
+                      (40, "Finding", "fever", ("fièvre",), None)],
+                     [(7, 2, "CAUSE"), (2, 40, "INDICATE"), (40, 7, "CAUSE")])
+    write_bundle(tmp_path, kb, random_word_vectors({"fever"}, 2))
+    back, store, freqs = read_bundle(tmp_path)
+    _assert_same_graph(back, kb)
+    assert back.node(7).name == ("ängström", "café")
+    # rows of two lengths: the features refuse the one that does not fit
+    with pytest.raises(HetlinkError) as exc:
+        init_node_features(back, store, freqs)
+    assert str(exc.value) == "node 2 preset features have dim 3, expected 2"
+
+
+# rows a node or edge list file must not hold; {old} is a node id of the
+# graph, {new} one it lacks
 MALFORMED_ROWS = {
     "nodes.tsv": ["x\tDrug\ta", "{new}\tDrug", "{new}\t\ta", "{new}\tDrug\t!?",
                   "{old}\tDrug\ta", "{new}\tDrug\ta\t\t1.0,x", "{new}\tDrug\ta\t\tnan"],
@@ -320,7 +419,7 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
     row = data.draw(st.sampled_from(MALFORMED_ROWS[name])).format(
         old=data.draw(st.sampled_from(g.node_ids)), new=max(g.node_ids) + 1)
     with tempfile.TemporaryDirectory() as tmp:
-        write_bundle(tmp, g, random_word_vectors({t for n in g.nodes() for t in n.name}, 4))
+        paths = _saved(g, tmp)
         path = os.path.join(tmp, name)
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -328,14 +427,14 @@ def test_a_malformed_row_ends_in_one_line_graph_error_and_cli_exit_1(g, data):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(HetlinkError) as exc:
-            load_graph(os.path.join(tmp, "nodes.tsv"), os.path.join(tmp, "edges.tsv"))
+            load_graph(*paths)
         assert "\n" not in str(exc.value)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main(["train", "--bundle", tmp, "--snippets", os.path.join(tmp, "none.json"),
-                         "--out", os.path.join(tmp, "model")])
+            code = main(["ingest", "--nodes", paths[0], "--edges", paths[1],
+                         "--out", os.path.join(tmp, "bundle")])
         assert (code, err.getvalue()) == (1, f"error: {exc.value}\n")
-        assert not os.path.exists(os.path.join(tmp, "model"))
+        assert not os.path.exists(os.path.join(tmp, "bundle"))
 
 
 def test_constructor_and_load_graph_share_the_edge_rules(tmp_path):

@@ -21,7 +21,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 63
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3385
+SRC_LINES = 3582
 
 
 def _tree(path):
@@ -148,6 +148,9 @@ UNOPENABLE = {
     "load_word_vectors": (lambda d: load_word_vectors(d / "v.txt"), "v.txt"),
     "load_model": (hetlink.load_model, "params.npz"),      # its manifest.json is there
     "read_bundle": (read_bundle, "manifest.json"),
+    # its manifest.json lists one node
+    "read_bundle graph": (lambda d: read_bundle(_write(d / "manifest.json", json.dumps(
+        {"bundle_version": "3", "nodes": 1, "edges": 0})).parent), "graph.npz"),
 }
 
 
