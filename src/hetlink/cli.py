@@ -160,13 +160,13 @@ def cmd_ingest(args) -> int:
     elif args.dim < 1:
         raise HetlinkError(f"--dim must be >= 1, got {args.dim}")
     else:
-        vocab = {t for n in kb.nodes() for t in n.name}
+        vocab = " ".join(kb.node_columns()[2]).split()
         store = random_word_vectors(vocab, args.dim, seed=args.seed or 0)
     # train's check that preset features fit
     init_node_features(kb, store, token_frequencies(kb))
     write_bundle(args.out, kb, store)
     log.info("wrote bundle with %d nodes / %d edges to %s",
-             len(kb), len(kb.edges), args.out)
+             len(kb), len(kb.edge_columns()[0]), args.out)
     return 0
 
 
@@ -222,7 +222,7 @@ def cmd_disambiguate(args) -> int:
     for item, (ids, scores) in zip(items, ranked):
         mention = item.qgraph.mentions[item.mention_node]
         out.append({"snippet": item.snippet_id, "mention": mention.surface,
-                    "candidates": [{"id": nid, "name": kb.node(nid).surface,
+                    "candidates": [{"id": nid, "name": kb.node_name(nid),
                                     "score": score}
                                    for nid, score in zip(ids.tolist(), scores.tolist())]})
     json.dump(out, sys.stdout, indent=2)

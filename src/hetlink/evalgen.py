@@ -106,7 +106,7 @@ def score_items(kb: HeteroGraph, items: list[TrainItem], predictions: dict) -> E
         ranked = predictions.get(it.snippet_id) or []
         if ranked and ranked[0] == it.gold:
             continue
-        if kb.node(it.gold).type not in it.qgraph.inferred_types.get(it.mention_node, ()):
+        if kb.node_type(it.gold) not in it.qgraph.inferred_types.get(it.mention_node, ()):
             cause = "construction"
         elif sum(e.type != SELF_EDGE_TYPE and it.mention_node in (e.src, e.dst)
                  for e in it.qgraph.graph.edges) <= 1:
@@ -335,7 +335,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             picks = rng.choice(len(choices), size=deg - len(forced), replace=False)
             for dst in forced + [int(choices[i]) for i in sorted(picks)]:
                 edges.append(Edge(src, dst, etype))
-    kb = HeteroGraph(rows, edges)
+    kb = HeteroGraph.from_rows(rows, edges)
     index = build_inverted_index(kb, acronyms=False)
 
     kinds = sorted(config.ambiguity_mix)
@@ -375,7 +375,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                 if rng.random() < config.two_hop_fraction:
                     ctx_nodes[j] = two_hop[int(rng.integers(len(two_hop)))]
 
-        entries = [(kb.node(c).surface, kb.node(c).type, c) for c in ctx_nodes]
+        entries = [(kb.node_name(c), kb.node_type(c), c) for c in ctx_nodes]
         entries.insert(int(rng.integers(len(entries) + 1)),
                        (corrupted, gold_node.type, gold))
         text_parts: list[str] = []

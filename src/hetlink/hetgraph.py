@@ -1,9 +1,9 @@
 """Typed heterogeneous graph storage, schema, metapaths, and mention index.
 
 The same structure serves as both the knowledge base (reference graph) and
-the per-snippet query graph.  A graph is built whole from its node rows and
-edges by the HeteroGraph constructor; graphs and the indexes derived from them
-are immutable and safe to share across threads.
+the per-snippet query graph.  A graph is built whole from its node and edge
+columns by the HeteroGraph constructor, which keeps them; graphs and the
+indexes derived from them are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import typing
 import unicodedata
 import zipfile
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -36,15 +35,21 @@ _NORMAL_RE = re.compile(r"[a-z0-9_]+( [a-z0-9_]+)*")
 
 def normalize(text: str) -> str:
     """Lowercase, NFC-normalize, strip punctuation, collapse whitespace."""
+    if _NORMAL_RE.fullmatch(text):
+        return text
     text = unicodedata.normalize("NFC", text).lower()
     text = _PUNCT_RE.sub(" ", text)
     return _WS_RE.sub(" ", text).strip()
 
 
 def tokenize(text: str) -> list[str]:
-    if _NORMAL_RE.fullmatch(text):
-        return text.split(" ")
     return normalize(text).split()
+
+
+def _normalized(texts: list[str]) -> list[str]:
+    """normalize() of each of `texts`: `texts` itself when one match finds
+    them normal, joined one space apart."""
+    return texts if _NORMAL_RE.fullmatch(" ".join(texts)) else list(map(normalize, texts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -53,7 +58,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 _NO_IDS = _read_only(np.zeros(0, dtype=np.int64))
-_NO_NEIGHBORS = MappingProxyType({})
 
 
 class HetlinkError(Exception):
@@ -134,16 +138,6 @@ class Schema:
     triples: frozenset[tuple[str, str, str]]
 
 
-def _term(text) -> tuple[str, ...]:
-    """The tokens of a name or synonym given as text, or as its tokens."""
-    return tuple(tokenize(text)) if isinstance(text, str) else tuple(text)
-
-
-def _columns(rows, width: int) -> list:
-    """`rows` of `width` fields as `width` columns, each a tuple in row order."""
-    return list(zip(*rows)) or [()] * width
-
-
 def _codes(values) -> tuple[np.ndarray, tuple]:
     """The index of each of `values` among the distinct ones, int64, and the
     distinct ones in order of first appearance."""
@@ -176,99 +170,111 @@ def _check(part: str, rules) -> None:
         raise GraphRowError(rules[k][1](row), (part, row))
 
 
-def _ends(adjacency, v: int, r: str) -> list[int]:
-    """The ascending ids at the other end of v's edges of type r, from one
-    direction of HeteroGraph._grouped."""
-    index, bounds, ids = adjacency
-    k = index.get(r, _NO_NEIGHBORS).get(v)
-    return [] if k is None else ids[bounds[k]:bounds[k + 1]]
-
-
 class HeteroGraph:
     """Typed directed multigraph with composite-term node attributes, built
     whole by its constructor and immutable afterwards."""
 
     def __init__(self, nodes, edges):
-        """The graph of `nodes`, (id, type, name, synonyms, features) rows, and
-        `edges`, (src, dst, type) triples, each kept in the order given.  The
-        node rules: a type, a name of at least one token, an id not taken.  The
-        edge rules: both ends known, a type, not yet present.  GraphRowError
-        for the first row that breaks one.  Rules, schema, per-type ids and
-        adjacency are whole-column operations, not loops over rows."""
-        ids, types, names, synonyms, features = _columns(nodes, 5)
-        names = list(map(_term, names))
+        """The graph of node columns `nodes`, (ids, types, names, synonyms,
+        features), and edge columns `edges`, (src, dst, types), nodes kept in
+        node-id order and edges in the order given.  Names and synonyms are
+        texts, kept as normalize() gives them (a synonym without a token
+        dropped); features are a row of floats or None.  The node rules: a
+        type, a name of at least one token, finite features, an id not taken.
+        The edge rules: both ends known, a type, not yet present.
+        GraphRowError for the first row, in the order given, that breaks one."""
+        ids, types, names, synonyms, features = nodes
+        ids, types, names = np.array(ids, dtype=np.int64), list(types), _normalized(list(names))
+        features = [None if f is None else tuple(map(float, f)) for f in features]
+        id_list = ids.tolist()
         _check("nodes", [(_first_false(types), lambda i: "empty node type"),
                          (_first_false(names),
                           lambda i: "node name must have at least one token"),
-                         (_first_repeat(ids), lambda i: f"duplicate node id {ids[i]}")])
-        synonyms = [tuple(map(_term, syns)) for syns in synonyms]
-        features = [None if f is None else tuple(map(float, f)) for f in features]
-        self._nodes: dict[int, Node] = dict(zip(ids, map(Node, ids, types, names,
-                                                           synonyms, features)))
-        self._sorted_ids = sorted(self._nodes)
-        # node_ids as a read-only int64 array: the row of each id is its index
-        self.id_array = _read_only(np.array(self._sorted_ids, dtype=np.int64))
-        type_of = dict(zip(ids, types))
-        type_codes, type_names = _codes(list(map(type_of.__getitem__, self._sorted_ids)))
-        self._ids_by_type = {t: _read_only(self.id_array[type_codes == k])
-                             for k, t in enumerate(type_names)}
+                         (_first_false([f is None or all(map(math.isfinite, f))
+                                        for f in features]),
+                          lambda i: "non-finite feature float"),
+                         (_first_repeat(id_list), lambda i: f"duplicate node id {ids[i]}")])
+        synonyms = [tuple(filter(None, map(normalize, syns))) if syns else ()
+                    for syns in synonyms]
+        if id_list != sorted(id_list):          # not given in node-id order
+            order = np.argsort(ids)
+            ids, at = ids[order], order.tolist()
+            id_list, types, names, synonyms, features = (
+                list(map(column.__getitem__, at)) for column in
+                (id_list, types, names, synonyms, features))
+        self.id_array = _read_only(ids)
+        self._row = dict(zip(id_list, itertools.count()))
+        self._nodes = tuple(types), tuple(names), tuple(synonyms), tuple(features)
+        by_type: dict[str, list[int]] = {}
+        for t, nid in zip(types, id_list):
+            by_type.setdefault(t, []).append(nid)
+        self._ids_by_type = {t: _read_only(np.array(v, dtype=np.int64)) for t, v in by_type.items()}
 
-        edges = list(edges)        # hashable rows: the duplicate check sets them
-        src, dst, etypes = _columns(edges, 3)
-        known = self._nodes.keys() >= {*src, *dst}
-        _check("edges", [(None if known else _first_false([s in self._nodes and d in self._nodes
-                                                            for s, d in zip(src, dst)]),
-                          lambda i: f"edge ({src[i]}, {dst[i]}, {etypes[i]}) "
+        ends = _read_only(np.array(edges[:2], dtype=np.int64))     # src, dst
+        etypes = tuple(edges[2])
+        rows = _read_only(ids.searchsorted(ends))
+        codes, edge_types = _codes(etypes)
+        # an edge as one int: equal ints for equal edges when their ends are known
+        key = (rows[0] * (len(ids) + 1) + rows[1]) * max(len(edge_types), 1) + codes
+        _check("edges", [(_first_false((ids.take(rows, mode="clip") == ends).all(axis=0).tolist()
+                                       if len(ids) else [False] * len(etypes)),
+                          lambda i: f"edge ({ends[0, i]}, {ends[1, i]}, {etypes[i]}) "
                                     f"references unknown node"),
                          (_first_false(etypes), lambda i: "empty edge type"),
-                         (_first_repeat(edges),
-                          lambda i: f"duplicate edge {(src[i], dst[i], etypes[i])}")])
-        self._edges = src, dst, etypes
-        self._edge_types = tuple(dict.fromkeys(etypes))
-        # built on first use, by edge_columns and _adjacency (two threads may
-        # each build an equal one): a query graph needs none of them when the
-        # encoders hold the operators of its shape, and CLI eval walks only
-        # the KB's out-edges
-        self._edge_table = self._out = self._in = None
-        self.schema = Schema(frozenset(
-            triple for triple in set(zip(map(type_of.__getitem__, src), etypes,
-                                         map(type_of.__getitem__, dst)))
-            if triple[1] != SELF_EDGE_TYPE))
+                         (_first_repeat(key.tolist()),
+                          lambda i: f"duplicate edge {(*ends[:, i].tolist(), etypes[i])}")])
+        self._edges = ends, etypes
+        self._edge_table = rows[0], rows[1], _read_only(codes), edge_types
+        self._edge_code = dict(zip(edge_types, itertools.count()))
+        # built on first use, by _adjacency (two threads may each build an
+        # equal one): CLI eval walks only the KB's out-edges
+        self._out = self._in = None
 
-    def _adjacency(self, outgoing: bool) -> tuple:
-        """The out-adjacency (`outgoing`) or the in-adjacency, as _grouped
-        builds it, kept as _out or _in.  Readers take `self._out or
+    @classmethod
+    def from_rows(cls, nodes, edges) -> "HeteroGraph":
+        """The graph of (id, type, name, synonyms, features) and (src, dst, type) rows."""
+        return cls(list(zip(*nodes)) or [()] * 5, list(zip(*edges)) or [()] * 3)
+
+    def _adjacency(self, outgoing: bool) -> tuple[list[int], list[int]]:
+        """The out-adjacency (`outgoing`) or the in-adjacency as two flat lists
+        of ints, kept as _out or _in.  Readers take `self._out or
         self._adjacency(True)`, which skips the call once it is built."""
-        src, dst, _, _ = self.edge_columns()
-        if outgoing:
-            self._out = self._grouped(src, dst)
-            return self._out
-        self._in = self._grouped(dst, src)
-        return self._in
+        src, dst, codes, types = self._edge_table
+        ends, others = (src, dst) if outgoing else (dst, src)
+        keys = codes * len(self) + ends
+        order = np.lexsort((others, keys))
+        # the edges of type code k at row v are run k * n + v; one code more holds none
+        bounds = np.searchsorted(keys[order], np.arange((len(types) + 1) * len(self) + 1))
+        adjacency = bounds.tolist(), self.id_array[others[order]].tolist()
+        setattr(self, "_out" if outgoing else "_in", adjacency)
+        return adjacency
 
-    def _grouped(self, ends, others) -> tuple[dict[str, dict[int, int]], list[int], list[int]]:
-        """One direction of the adjacency, from rows of edge ends: (index,
-        bounds, ids), where index[edge type][v] = k when ids[bounds[k]:
-        bounds[k + 1]] are the ascending ids at the `others` end of the edges
-        of that type whose `ends` end is v.  Flat lists and dicts of ints: the
-        garbage collector tracks a few containers, not one per node."""
-        _, _, codes, types = self.edge_columns()
-        order = np.lexsort((others, ends, codes))
-        ends, codes = ends[order], codes[order]
-        starts = np.flatnonzero(np.concatenate(
-            [[len(order) > 0], (ends[1:] != ends[:-1]) | (codes[1:] != codes[:-1])]))
-        keys = self.id_array[ends[starts]].tolist()
-        # the groups of each type are one run, in code order
-        runs = np.searchsorted(codes[starts], np.arange(len(types) + 1)).tolist()
-        index = {t: dict(zip(keys[a:b], range(a, b)))
-                 for t, a, b in zip(types, runs[:-1], runs[1:])}
-        return index, [*starts.tolist(), len(order)], self.id_array[others[order]].tolist()
+    def _ends(self, adjacency, row: int, r: str) -> list[int]:
+        """The ascending ids at the other end of row's edges of type r."""
+        bounds, ids = adjacency
+        k = self._edge_code.get(r, len(self._edge_code)) * len(self._row) + row
+        return ids[bounds[k]:bounds[k + 1]]
+
+    @functools.cached_property
+    def schema(self) -> Schema:
+        """(srcType, edgeType, dstType) of the edges, built on first use."""
+        src, dst, codes, edge_types = self._edge_table
+        type_codes, types = _codes(self._nodes[0])
+        triples = set(zip(type_codes[src].tolist(), codes.tolist(), type_codes[dst].tolist()))
+        return Schema(frozenset((types[a], edge_types[r], types[b]) for a, r, b in triples
+                                if edge_types[r] != SELF_EDGE_TYPE))
+
+    def _row_of(self, nid: int) -> int:
+        try:
+            return self._row[nid]
+        except KeyError:
+            raise HetlinkError(f"unknown node {nid}") from None
 
     # -- inspection --------------------------------------------------------
 
     @property
     def node_ids(self) -> list[int]:
-        return list(self._sorted_ids)
+        return list(self._row)
 
     @property
     def node_types(self) -> set[str]:
@@ -276,34 +282,43 @@ class HeteroGraph:
 
     @property
     def edge_types(self) -> set[str]:
-        return set(self._edge_types)
+        return set(self._edge_code)
 
     @property
     def edges(self) -> list[Edge]:
-        return list(map(Edge, *self._edges))
+        ends, etypes = self._edges
+        return list(map(Edge, *ends.tolist(), etypes))
+
+    def node_columns(self) -> tuple[np.ndarray, tuple, tuple, tuple, tuple]:
+        """The nodes in node-id order as the constructor's columns: read-only
+        int64 ids, then tuples of types, names, synonyms and preset features."""
+        return (self.id_array, *self._nodes)
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
         """The edges in the order given, as read-only int64 columns: the row
         of each one's src and dst, and the code of its type; then the type of
-        each code.  Built on first use."""
-        if self._edge_table is None:
-            src, dst, etypes = self._edges
-            codes, types = _codes(etypes)
-            rows = _read_only(self.id_array.searchsorted(np.array([src, dst], dtype=np.int64)))
-            self._edge_table = rows[0], rows[1], _read_only(codes), types
+        each code, in order of first appearance."""
         return self._edge_table
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._row)
 
     def __contains__(self, nid: int) -> bool:
-        return nid in self._nodes
+        return nid in self._row
 
     def node(self, nid: int) -> Node:
-        try:
-            return self._nodes[nid]
-        except KeyError:
-            raise HetlinkError(f"unknown node {nid}") from None
+        """Node `nid`, built from the columns on each call."""
+        row = self._row_of(nid)
+        types, names, synonyms, features = self._nodes
+        return Node(int(self.id_array[row]), types[row], tuple(names[row].split(" ")),
+                    tuple(tuple(syn.split(" ")) for syn in synonyms[row]), features[row])
+
+    def node_type(self, nid: int) -> str:
+        return self._nodes[0][self._row_of(nid)]
+
+    def node_name(self, nid: int) -> str:
+        """Node `nid`'s name, its tokens one space apart."""
+        return self._nodes[1][self._row_of(nid)]
 
     def ids_of_type(self, ntype: str) -> np.ndarray:
         """nodes_of_type as a read-only int64 array, ascending; empty for a
@@ -333,56 +348,59 @@ class HeteroGraph:
         return self.rows(ids)
 
     def nodes(self) -> list[Node]:
-        return [self._nodes[i] for i in self._sorted_ids]
+        return list(map(self.node, self._row))
 
     def typed_shape(self) -> tuple:
         """The graph less its ids, names and features: each row's node type,
         and the set of (src row, dst row, edge type) of its edges.  Anything
         built from rows, types and edges alone is the same for one shape."""
-        row = dict(zip(self._sorted_ids, itertools.count())).__getitem__
-        src, dst, etypes = self._edges
-        return (tuple(self._nodes[nid].type for nid in self._sorted_ids),
-                frozenset(zip(map(row, src), map(row, dst), etypes)))
+        src, dst, _, _ = self._edge_table
+        return self._nodes[0], frozenset(zip(src.tolist(), dst.tolist(), self._edges[1]))
 
     def nodes_of_type(self, ntype: str) -> list[int]:
         return self.ids_of_type(ntype).tolist()
 
+    def terms(self) -> list[str]:
+        """Each node's name and synonyms as one text, in node-id order."""
+        _, names, synonyms, _ = self._nodes
+        return [" ".join((name, *syns)) if syns else name for name, syns in zip(names, synonyms)]
+
     @functools.cached_property
     def token_ids(self) -> dict[str, np.ndarray]:
         """Each name or synonym token -> the ids of the nodes holding it, a
-        read-only ascending int64 array; built in one pass over the nodes on
-        first use and kept with the graph."""
-        holders: dict[str, list[int]] = {}
-        for node in self.nodes():           # ascending ids, so each list ascends
-            for tok in set(node.name).union(*node.synonyms):
-                holders.setdefault(tok, []).append(node.id)
-        return {tok: _read_only(np.array(ids, dtype=np.int64)) for tok, ids in holders.items()}
+        read-only ascending int64 array, tokens in order of first appearance
+        in terms(); built on first use and kept with the graph."""
+        terms = self.terms()
+        codes, tokens = _codes(" ".join(terms).split())
+        counts = np.fromiter(map(str.count, terms, itertools.repeat(" ")), np.int64, len(terms))
+        # each (token, row) as code * n + row, ascending, then once each
+        keys = np.sort(codes * len(terms) + np.repeat(np.arange(len(terms)), counts + 1))
+        keys = keys[np.concatenate([[len(keys) > 0], keys[1:] != keys[:-1]])]
+        code, row = np.divmod(keys, max(len(terms), 1))
+        ids = _read_only(self.id_array[row])
+        bounds = np.searchsorted(code, np.arange(len(tokens) + 1))
+        return dict(zip(tokens, map(ids.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
 
     # -- neighborhoods -----------------------------------------------------
 
     def out_neighbors(self, v: int, r: str) -> list[int]:
-        self.node(v)
-        return _ends(self._out or self._adjacency(True), v, r)
+        return self._ends(self._out or self._adjacency(True), self._row_of(v), r)
 
     def neighbors_by_relation(self, v: int, r: str) -> set[int]:
         """N_v^r: nodes incident to v through an edge of relation r."""
-        self.node(v)
+        row = self._row_of(v)
         out, into = self._out or self._adjacency(True), self._in or self._adjacency(False)
-        return set(_ends(out, v, r)) | set(_ends(into, v, r))
+        return set(self._ends(out, row, r)) | set(self._ends(into, row, r))
 
     def neighbors(self, v: int) -> set[int]:
         """Nodes incident to v through an edge of any relation."""
-        self.node(v)
-        found: set[int] = set()
-        out, into = self._out or self._adjacency(True), self._in or self._adjacency(False)
-        for r in self._edge_types:
-            found.update(_ends(out, v, r), _ends(into, v, r))
-        return found
+        self._row_of(v)
+        return set().union(*(self.neighbors_by_relation(v, r) for r in self._edge_code))
 
     # -- metapaths ---------------------------------------------------------
 
     def _resolve_anchor(self, v: int, path: Metapath, anchor: str) -> str:
-        vtype = self.node(v).type
+        vtype = self.node_type(v)
         if anchor == "auto":
             if vtype == path.tail:
                 return "end"
@@ -409,9 +427,10 @@ class HeteroGraph:
         adj = ((self._out or self._adjacency(True)) if anchor == "start"
                else (self._in or self._adjacency(False)))
         results = [(v,)]
+        types, row = self._nodes[0], self._row
         for et, want in zip(path.edge_types[::step], path.node_types[::step][1:]):
-            results = [walk + (u,) for walk in results for u in _ends(adj, walk[-1], et)
-                       if self._nodes[u].type == want]
+            results = [walk + (u,) for walk in results
+                       for u in self._ends(adj, row[walk[-1]], et) if types[row[u]] == want]
         if step == -1:
             results = [walk[::-1] for walk in results]
         return sorted(set(results))
@@ -436,9 +455,9 @@ class HeteroGraph:
 class InvertedIndex:
     """Normalized surface string -> set of node ids (names, synonyms, acronyms)."""
 
-    def __init__(self, entries: dict[str, set[int]]):
+    def __init__(self, entries: dict[str, typing.Iterable[int]]):
         self._entries = {k: frozenset(v) for k, v in entries.items()}
-        self._max_key_tokens = max((len(k.split()) for k in self._entries), default=0)
+        self._max_key_tokens = max((k.count(" ") + 1 for k in self._entries), default=0)
 
     def lookup(self, surface: str) -> frozenset[int]:
         return self._entries.get(normalize(surface), frozenset())
@@ -450,20 +469,17 @@ class InvertedIndex:
 def build_inverted_index(graph: HeteroGraph, acronyms: bool = True) -> InvertedIndex:
     """Index every node under its name and synonyms and, with `acronyms`, a
     name of two or more tokens under its tokens' initials."""
-    entries: dict[str, set[int]] = {}
-
-    def put(tokens, nid):
-        key = " ".join(tokens)
-        if key:
-            entries.setdefault(key, set()).add(nid)
-
-    for node in graph.nodes():
-        put(node.name, node.id)
-        for syn in node.synonyms:
-            put(syn, node.id)
-        initials = "".join(t[:1] for t in node.name) if acronyms else ""
-        if len(initials) >= 2:
-            put(tokenize(initials), node.id)
+    ids, _, names, synonyms, _ = graph.node_columns()
+    # each name's initials: its code points after a line or a space, one name a line
+    chars = np.frombuffer("\n".join(["", *names]).encode("utf-32-le"), dtype=np.uint32)
+    gap = (chars == ord(" ")) | (chars == ord("\n"))
+    keep = chars == ord("\n")
+    keep[1:] |= gap[:-1] & ~gap[1:]
+    initials = _normalized(chars[keep].tobytes().decode("utf-32-le").split("\n")[1:])
+    entries: dict[str, tuple[int, ...]] = {}
+    for nid, name, syns, initial in zip(ids.tolist(), names, synonyms, initials):
+        for key in (name, *syns, initial) if acronyms and " " in name else (name, *syns):
+            entries[key] = entries.get(key, ()) + (nid,)
     return InvertedIndex(entries)
 
 
@@ -528,6 +544,16 @@ def _tsv_rows(path):
                 yield lineno, line.split("\t")
 
 
+def _node_id(text: str, path, lineno: int, what: str) -> int:
+    """The int64 node id `text` on line `lineno` of file `path`."""
+    try:
+        if -2**63 <= (nid := int(text)) < 2**63:
+            return nid
+    except ValueError:
+        raise HetlinkError(f"{path}:{lineno}: bad {what} {text!r}") from None
+    raise HetlinkError(f"{path}:{lineno}: node id {text} out of range")
+
+
 def load_nodes_tsv(path) -> dict[int, tuple]:
     """The (id, type, name, synonyms, features) row of each line of the node
     list file, by line number."""
@@ -535,10 +561,7 @@ def load_nodes_tsv(path) -> dict[int, tuple]:
     for lineno, parts in _tsv_rows(path):
         if len(parts) < 3:
             raise HetlinkError(f"{path}:{lineno}: expected at least 3 columns")
-        try:
-            nid = int(parts[0])
-        except ValueError:
-            raise HetlinkError(f"{path}:{lineno}: bad node id {parts[0]!r}") from None
+        nid = _node_id(parts[0], path, lineno, "node id")
         synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
         features = None
         if len(parts) > 4 and parts[4]:
@@ -546,8 +569,6 @@ def load_nodes_tsv(path) -> dict[int, tuple]:
                 features = [float(x) for x in parts[4].split(",")]
             except ValueError:
                 raise HetlinkError(f"{path}:{lineno}: bad feature floats") from None
-            if not np.isfinite(features).all():
-                raise HetlinkError(f"{path}:{lineno}: non-finite feature float")
         rows[lineno] = (nid, parts[1], parts[2], synonyms, features)
     return rows
 
@@ -558,10 +579,8 @@ def load_edges_tsv(path) -> dict[int, Edge]:
     for lineno, parts in _tsv_rows(path):
         if len(parts) != 3:
             raise HetlinkError(f"{path}:{lineno}: expected src<TAB>dst<TAB>type")
-        try:
-            rows[lineno] = Edge(int(parts[0]), int(parts[1]), parts[2])
-        except ValueError:
-            raise HetlinkError(f"{path}:{lineno}: bad endpoint id") from None
+        rows[lineno] = Edge(*(_node_id(end, path, lineno, "endpoint id") for end in parts[:2]),
+                            parts[2])
         if parts[2] == SELF_EDGE_TYPE:
             raise HetlinkError(f"{path}:{lineno}: edge type {SELF_EDGE_TYPE!r} "
                                f"is reserved for query graphs")
@@ -573,7 +592,7 @@ def load_graph(nodes_path, edges_path) -> HeteroGraph:
     constructor rejects ends in HetlinkError "<path>:<line>: <rule broken>"."""
     nodes, edges = load_nodes_tsv(nodes_path), load_edges_tsv(edges_path)
     try:
-        return HeteroGraph(nodes.values(), edges.values())
+        return HeteroGraph.from_rows(nodes.values(), edges.values())
     except GraphRowError as exc:
         part, index = exc.row
         path, rows = (nodes_path, nodes) if part == "nodes" else (edges_path, edges)
@@ -590,33 +609,29 @@ GRAPH_COLUMNS = {
 }
 
 
-def _text(strings, path, what: str) -> np.ndarray:
-    text = "\n".join(strings)
-    if text.count("\n") != max(len(strings) - 1, 0):
-        raise HetlinkError(f"{path}: a {what} holds a line break, which a text column cannot")
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+def _utf8(strings) -> np.ndarray:
+    return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
 
 
 def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
     """The GRAPH_COLUMNS of `graph`, to be written to the .npz file `path`:
     nodes in node-id order, each type a code into its table, edges in their
-    order.  HetlinkError, naming `path`, for a string with a line break."""
-    nodes = graph.nodes()
+    order.  HetlinkError, naming `path`, for a type with a line break."""
+    ids, types, names, synonyms, features = graph.node_columns()
     src, dst, edge_codes, edge_types = graph.edge_columns()
-    type_codes, type_names = _codes([node.type for node in nodes])
+    type_codes, type_names = _codes(types)
+    for what, table in (("a node type", type_names), ("an edge type", edge_types)):
+        if any("\n" in t for t in table):
+            raise HetlinkError(f"{path}: {what} holds a line break, which a text column cannot")
     return {
-        "ids": graph.id_array, "types": type_codes,
-        "type_names": _text(type_names, path, "node type"),
-        "names": _text([node.surface for node in nodes], path, "name"),
-        "synonym_counts": np.array([len(node.synonyms) for node in nodes], dtype=np.int64),
-        "synonyms": _text([" ".join(syn) for node in nodes for syn in node.synonyms],
-                          path, "synonym"),
-        "feature_lengths": np.array([-1 if node.features is None else len(node.features)
-                                     for node in nodes], dtype=np.int64),
-        "features": np.array([x for node in nodes for x in node.features or ()],
-                             dtype=np.float64),
-        "src": graph.id_array[src], "dst": graph.id_array[dst], "edge_types": edge_codes,
-        "edge_type_names": _text(edge_types, path, "edge type"),
+        "ids": ids, "types": type_codes, "type_names": _utf8(type_names), "names": _utf8(names),
+        "synonym_counts": np.array(list(map(len, synonyms)), dtype=np.int64),
+        "synonyms": _utf8([syn for syns in synonyms for syn in syns]),
+        "feature_lengths": np.array([-1 if f is None else len(f) for f in features],
+                                    dtype=np.int64),
+        "features": np.array([x for f in features if f for x in f], dtype=np.float64),
+        "src": ids[src], "dst": ids[dst], "edge_types": edge_codes,
+        "edge_type_names": _utf8(edge_types),
     }
 
 
@@ -663,29 +678,20 @@ def graph_from_columns(arrays: dict[str, np.ndarray], path) -> HeteroGraph:
     counts, lengths = arrays["synonym_counts"], arrays["feature_lengths"]
     first("node", counts < 0, lambda row: f"synonym count {counts[row]} < 0")
     first("node", lengths < -1, lambda row: f"feature length {lengths[row]} < -1")
-    ends = np.cumsum(counts).tolist()
-    synonyms = lines("synonyms", ends[-1] if ends else 0)
-    synonyms = list(map(synonyms.__getitem__, map(slice, [0, *ends[:-1]], ends)))
-    ends = np.cumsum(np.maximum(lengths, 0))
-    floats = arrays["features"]
-    if len(floats) != (ends[-1] if len(ends) else 0):
-        fail(f"'features' holds {len(floats)} floats, "
-             f"'feature_lengths' {ends[-1] if len(ends) else 0}")
-    if not np.isfinite(floats).all():
-        row = np.searchsorted(ends, np.argmin(np.isfinite(floats)), "right")
-        fail(f"node row {row}: non-finite feature float")
-    flat, ends = floats.tolist(), ends.tolist()
-    features = [None if length < 0 else flat[end - length:end]
-                for length, end in zip(lengths.tolist(), ends)]
+    flat, ends = lines("synonyms", int(counts.sum())), np.cumsum(counts).tolist()
+    synonyms = [flat[end - n:end] if n else () for n, end in zip(counts.tolist(), ends)]
+    flat, ends = arrays["features"].tolist(), [0, *np.cumsum(np.maximum(lengths, 0)).tolist()]
+    if len(flat) != ends[-1]:
+        fail(f"'features' holds {len(flat)} floats, 'feature_lengths' {ends[-1]}")
+    features = [None if n < 0 else flat[end - n:end] for n, end in zip(lengths.tolist(), ends[1:])]
     edge_types = named("edge", arrays["edge_types"], "edge_type_names")
     if SELF_EDGE_TYPE in edge_types:
         fail(f"edge row {edge_types.index(SELF_EDGE_TYPE)}: edge type {SELF_EDGE_TYPE!r} "
              f"is reserved for query graphs")
     try:
-        return HeteroGraph(zip(arrays["ids"].tolist(),
-                               named("node", arrays["types"], "type_names"),
-                               lines("names", len(arrays["ids"])), synonyms, features),
-                           zip(arrays["src"].tolist(), arrays["dst"].tolist(), edge_types))
+        return HeteroGraph((arrays["ids"], named("node", arrays["types"], "type_names"),
+                            lines("names", len(arrays["ids"])), synonyms, features),
+                           (arrays["src"], arrays["dst"], edge_types))
     except GraphRowError as exc:
         part, row = exc.row
         fail(f"{part[:-1]} row {row}: {exc}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig
-from .hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, read_json, read_npz,
+from .hetgraph import (HeteroGraph, HetlinkError, InvertedIndex, read_json, read_npz,
                        read_settings, tokenize)
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, uniform_negatives
@@ -174,21 +174,22 @@ class QueryBatch:
 
 
 def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
-    """The disjoint union of the items' query graphs, in item order.  A query
-    graph's node ids are its rows 0..n-1, so each item's nodes and edges are
-    its own shifted by the node count of the items before it."""
-    nodes: list[tuple] = []
-    edges: list[Edge] = []
-    mention_ids = []
-    for item in items:
-        offset = len(nodes)
-        g = item.qgraph.graph
-        nodes += [(offset + n.id, n.type, n.name, (), None) for n in g.nodes()]
-        edges += [Edge(offset + src, offset + dst, etype) for src, dst, etype in g.edges]
-        mention_ids.append(offset + item.mention_node)
+    """The disjoint union of the items' query graphs, in item order, built
+    from their columns.  A query graph's node ids are its rows 0..n-1, so each
+    item's nodes and edges are its own shifted by the node count of the items
+    before it."""
+    graphs = [item.qgraph.graph for item in items]
+    offsets = np.cumsum([0] + [len(g) for g in graphs]).tolist()
+    nodes = [[x for g in graphs for x in g.node_columns()[k]] for k in range(1, 5)]
+    edges = [g.edge_columns() for g in graphs]      # src and dst rows, type codes, types
+    ends = np.concatenate([np.zeros((2, 0), dtype=np.int64)]
+                          + [o + np.array(e[:2]) for o, e in zip(offsets, edges)], axis=1)
+    union = HeteroGraph((range(offsets[-1]), *nodes),
+                        (*ends, [e[3][code] for e in edges for code in e[2].tolist()]))
     features = (np.concatenate([item.features for item in items], axis=0) if items
                 else np.zeros((0, feature_dim)))
-    return QueryBatch(HeteroGraph(nodes, edges), features, mention_ids)
+    return QueryBatch(union, features, [offset + item.mention_node
+                                        for offset, item in zip(offsets, items)])
 
 
 def candidate_ids(kb: HeteroGraph, item: TrainItem) -> np.ndarray:

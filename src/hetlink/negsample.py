@@ -28,18 +28,10 @@ class NeighborhoodSignature:
 
 
 def neighborhood_signature(kb: HeteroGraph, v: int, use_names: bool = True) -> NeighborhoodSignature:
-    node = kb.node(v)
-    triples = []
-    for r in sorted(kb.edge_types):
-        if r == SELF_EDGE_TYPE:
-            continue
-        for u in sorted(kb.neighbors_by_relation(v, r)):
-            if u == v:
-                continue
-            other = kb.node(u)
-            name = other.surface if use_names else ""
-            triples.append((r, other.type, name))
-    return NeighborhoodSignature(node.type, tuple(sorted(triples)))
+    return NeighborhoodSignature(kb.node_type(v), tuple(sorted(
+        (r, kb.node_type(u), kb.node_name(u) if use_names else "")
+        for r in kb.edge_types - {SELF_EDGE_TYPE}
+        for u in kb.neighbors_by_relation(v, r) if u != v)))
 
 
 def ged_1hop(sig_u: NeighborhoodSignature, sig_v: NeighborhoodSignature) -> int:

@@ -188,7 +188,7 @@ def _mention_nodes(kb: HeteroGraph, index: InvertedIndex, snippet: TextSnippet, 
     their candidates' KB types, then unknown ones, typed by _unknown_types."""
     nodes = [(m, index.lookup(m.surface)) for m in extract_mentions(snippet, extractor)]
     nodes.sort(key=lambda node: not node[1])        # matched first, each in text order
-    types = [tuple(sorted({kb.node(c).type for c in cands})) for _, cands in nodes if cands]
+    types = [tuple(sorted(set(map(kb.node_type, cands)))) for _, cands in nodes if cands]
     matched_types = set().union(*types)
     types += [_unknown_types(m, kb, matched_types) for m, cands in nodes if not cands]
     return [m for m, _ in nodes], [c for _, c in nodes], types
@@ -198,8 +198,9 @@ def _query_graph(mentions, cands, types, edges) -> QueryGraph:
     """The query graph of _mention_nodes' lists, each node typed by its first
     inferred type, with `edges` and then a self-loop on every node."""
     ids = range(len(mentions))
-    graph = HeteroGraph([(nid, types[nid][0], mentions[nid].surface, (), None) for nid in ids],
-                        [*edges, *((nid, nid, SELF_EDGE_TYPE) for nid in ids)])
+    graph = HeteroGraph.from_rows(
+        [(nid, types[nid][0], mentions[nid].surface, (), None) for nid in ids],
+        [*edges, *((nid, nid, SELF_EDGE_TYPE) for nid in ids)])
     return QueryGraph(graph, dict(zip(ids, mentions)), dict(zip(ids, cands)),
                       dict(zip(ids, types)), tuple(nid for nid in ids if not cands[nid]))
 

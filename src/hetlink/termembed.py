@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 
 import numpy as np
 
@@ -139,12 +140,8 @@ def load_word_vectors(path) -> WordVectorStore:
 
 def token_frequencies(graph: HeteroGraph) -> dict[str, float]:
     """p(w) over the KB's own corpus: each name and synonym token's count over
-    the count of all their tokens."""
-    counts: dict[str, int] = {}
-    for node in graph.nodes():
-        for term in (node.name, *node.synonyms):
-            for tok in term:
-                counts[tok] = counts.get(tok, 0) + 1
+    the count of all their tokens, tokens in order of first appearance."""
+    counts = Counter(" ".join(graph.terms()).split())
     total = sum(counts.values())
     return {t: c / total for t, c in counts.items()}
 
@@ -176,21 +173,21 @@ def init_node_features(graph: HeteroGraph, store: WordVectorStore,
     as one batched product over the vectors and SIF weights of the tokens
     the names use.  The array is read-only, so encodings computed from it
     can be reused."""
-    nodes = graph.nodes()
-    out = np.zeros((len(nodes), store.dim))
+    ids, _, names, _, features = graph.node_columns()
+    out = np.zeros((len(names), store.dim))
     vocab: dict[str, int] = {}
     by_count: dict[int, tuple[list, list]] = {}     # token count -> (rows, token ids)
-    for row, node in enumerate(nodes):
-        if node.features is not None:
-            vec = np.asarray(node.features, dtype=np.float64)
-            if vec.shape != (store.dim,):
-                raise HetlinkError(
-                    f"node {node.id} preset features have dim {len(vec)}, expected {store.dim}")
-            out[row] = vec
-        else:
-            rows, toks = by_count.setdefault(len(node.name), ([], []))
+    for row, (name, f) in enumerate(zip(names, features)):
+        if f is None:
+            tokens = name.split(" ")        # names are normalized: tokens one space apart
+            rows, toks = by_count.setdefault(len(tokens), ([], []))
             rows.append(row)
-            toks.append([vocab.setdefault(t, len(vocab)) for t in node.name])
+            toks.append([vocab.setdefault(t, len(vocab)) for t in tokens])
+        elif len(f) != store.dim:
+            raise HetlinkError(f"node {ids[row]} preset features have dim {len(f)}, "
+                               f"expected {store.dim}")
+        else:
+            out[row] = f
     vectors = np.array([store.get(t) for t in vocab]).reshape(len(vocab), store.dim)
     weights = np.array([sif_weight(t, freqs) for t in vocab])
     for rows, toks in by_count.values():

@@ -7,10 +7,12 @@ import pytest
 from hetlink import ndiff
 from hetlink.cli import _load_snippets, read_bundle
 from hetlink.encoders import AttentionRecord, _magnn_plan
+from hetlink.evalgen import DEFAULT_NODE_COUNTS, SynthConfig, generate_synthetic_kb
 from hetlink.hetgraph import HeteroGraph, Metapath, build_inverted_index, tokenize
 from hetlink.matcher import candidate_ids, snippet_item
 from hetlink.querygraph import Mention, TextSnippet, augment_query_graph
-from hetlink.termembed import random_word_vectors, token_frequencies
+from hetlink.termembed import (WordVectorStore, random_word_vectors, sif_weight,
+                               token_frequencies)
 
 
 @pytest.fixture
@@ -34,16 +36,17 @@ def toy_kb():
         ("Fever", "Finding"),
     ]
     ids = {name: nid for nid, (name, _) in enumerate(names)}
-    g = HeteroGraph([(nid, ntype, name, (), None) for nid, (name, ntype) in enumerate(names)],
-                    [(ids[src], ids[dst], etype) for src, dst, etype in [
-                        ("Aspirin", "headache", "TREAT"),
-                        ("Aspirin", "nausea", "CAUSE"),
-                        ("Metformin", "Diarrhea", "CAUSE"),
-                        ("Diarrhea", "Fever", "INDICATE"),
-                        ("nausea", "acute renal failure", "INDICATE"),
-                        ("nausea", "nephrotoxicity", "INDICATE"),
-                        ("nausea", "proteinuria", "INDICATE"),
-                    ]])
+    g = HeteroGraph.from_rows(
+        [(nid, ntype, name, (), None) for nid, (name, ntype) in enumerate(names)],
+        [(ids[src], ids[dst], etype) for src, dst, etype in [
+            ("Aspirin", "headache", "TREAT"),
+            ("Aspirin", "nausea", "CAUSE"),
+            ("Metformin", "Diarrhea", "CAUSE"),
+            ("Diarrhea", "Fever", "INDICATE"),
+            ("nausea", "acute renal failure", "INDICATE"),
+            ("nausea", "nephrotoxicity", "INDICATE"),
+            ("nausea", "proteinuria", "INDICATE"),
+        ]])
     g.ids = ids
     return g
 
@@ -160,7 +163,7 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
             edges.append((u, v, etypes[int(rng.integers(n_edge_types))]))
             degree[u] += 1
             degree[v] += 1
-    return HeteroGraph(nodes, edges)
+    return HeteroGraph.from_rows(nodes, edges)
 
 
 def save_graph(graph, nodes_path, edges_path) -> None:
@@ -247,3 +250,108 @@ def magnn_layer_per_op(encoder, graph, x, k, collect):
     fused = ndiff.segment_sum(ndiff.mul(ndiff.reshape(beta, (-1, 1)), stacked),
                               fusion_indicator, len(covered))
     return ndiff.scatter_rows(x, covered, fused)
+
+
+# -- per-node references for the state derived from a graph's columns --------
+#
+# Each walks the Node objects that node() builds, as the library did before it
+# read the name and synonym columns; the column-built state must equal them bit
+# for bit and in the same dict order.
+
+def index_entries_oracle(graph, acronyms=True) -> dict:
+    """build_inverted_index's entries: every node under its name and synonyms
+    and, with `acronyms`, a name of two or more tokens under its initials."""
+    entries: dict[str, set[int]] = {}
+
+    def put(tokens, nid):
+        key = " ".join(tokens)
+        if key:
+            entries.setdefault(key, set()).add(nid)
+
+    for node in graph.nodes():
+        put(node.name, node.id)
+        for syn in node.synonyms:
+            put(syn, node.id)
+        initials = "".join(t[:1] for t in node.name) if acronyms else ""
+        if len(initials) >= 2:
+            put(tokenize(initials), node.id)
+    return {key: frozenset(ids) for key, ids in entries.items()}
+
+
+def token_ids_oracle(graph) -> dict:
+    """HeteroGraph.token_ids: each name or synonym token -> the ascending ids
+    of the nodes holding it, tokens in order of first appearance."""
+    holders: dict[str, list[int]] = {}
+    for node in graph.nodes():
+        for tok in dict.fromkeys([*node.name, *(t for syn in node.synonyms for t in syn)]):
+            holders.setdefault(tok, []).append(node.id)
+    return {tok: np.array(ids, dtype=np.int64) for tok, ids in holders.items()}
+
+
+def token_frequencies_oracle(graph) -> dict:
+    """token_frequencies: each name and synonym token's count over the count
+    of all their tokens."""
+    counts: dict[str, int] = {}
+    for node in graph.nodes():
+        for term in (node.name, *node.synonyms):
+            for tok in term:
+                counts[tok] = counts.get(tok, 0) + 1
+    total = sum(counts.values())
+    return {t: c / total for t, c in counts.items()}
+
+
+def node_features_oracle(graph, store, freqs, chunk=1024) -> np.ndarray:
+    """init_node_features: preset rows, and for every other node its name's
+    SIF-weighted mean, the names of one token count weighted together,
+    `chunk` at a time."""
+    nodes = graph.nodes()
+    out = np.zeros((len(nodes), store.dim))
+    vocab: dict[str, int] = {}
+    by_count: dict[int, tuple[list, list]] = {}
+    for row, node in enumerate(nodes):
+        if node.features is not None:
+            out[row] = node.features
+        else:
+            rows, toks = by_count.setdefault(len(node.name), ([], []))
+            rows.append(row)
+            toks.append([vocab.setdefault(t, len(vocab)) for t in node.name])
+    vectors = np.array([store.get(t) for t in vocab]).reshape(len(vocab), store.dim)
+    weights = np.array([sif_weight(t, freqs) for t in vocab])
+    for rows, toks in by_count.values():
+        rows, toks = np.array(rows), np.array(toks)
+        for lo in range(0, len(rows), chunk):
+            w = weights[toks[lo:lo + chunk]]
+            out[rows[lo:lo + chunk]] = ((w[:, None, :] @ vectors[toks[lo:lo + chunk]])[:, 0]
+                                        / w.sum(1, keepdims=True))
+    return out
+
+
+def odd_kb():
+    """A KB whose names and synonyms take normalize's path, not one match:
+    punctuated, non-ASCII, mixed case, a synonym without a token; ids given
+    out of order; two preset feature rows; and its word vectors."""
+    kb = HeteroGraph.from_rows(
+        [(40, "Finding", "Fever, Acute", ("fièvre aiguë", "--", "FEVER"), None),
+         (7, "Drug", "Ängström café", ["naïve  bayes", "x"], [0.5, -1.25, 2.0, 0.0]),
+         (2, "Finding", "déjà-vu (acute)", (), [1.0, 2.0, 3.0, 4.0]),
+         (11, "Drug", "aspirin aspirin tablet", ("ASA",), None),
+         (5, "Symptom", "Renal\u00a0failure\tacute", (), None)],
+        [(7, 2, "CAUSE"), (2, 40, "INDICATE"), (40, 7, "CAUSE"), (11, 5, "TREAT")])
+    return kb, random_word_vectors({"fever", "acute", "café", "aspirin", "failure"}, 4, seed=3)
+
+
+ORACLE_KBS = ["seed1", "seed2", "seed3", "seed1-10x", "odd"]
+
+
+@pytest.fixture(scope="session", params=ORACLE_KBS)
+def oracle_kb(request) -> tuple[HeteroGraph, WordVectorStore]:
+    """A KB and its word vectors: gen-synth's at seeds 1-3, seed 1 at 10x
+    (every node count times 10), and odd_kb."""
+    if request.param == "odd":
+        return odd_kb()
+    seed = int(request.param[4])
+    scale = 10 if request.param.endswith("10x") else 1
+    corpus = generate_synthetic_kb(SynthConfig.from_dict(
+        {"node_counts": {t: scale * n for t, n in DEFAULT_NODE_COUNTS.items()},
+         "seed": seed, "snippets": 0}))
+    return corpus.kb, corpus.store

@@ -340,16 +340,25 @@ def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("nodes, what", [
     ([(0, "Drug\nX", "aspirin", (), None)], "node type"),
-    ([(0, "Drug", ("aspi\nrin",), (), None)], "name"),
-    ([(0, "Drug", "aspirin", [("as\npirin",)], None)], "synonym"),
 ])
 def test_a_kb_string_that_graph_npz_cannot_hold_is_refused_before_any_file(tmp_path, nodes,
                                                                            what):
     # a text column holds its strings one a line
-    kb = HeteroGraph(nodes, [])
+    kb = HeteroGraph.from_rows(nodes, [])
     with pytest.raises(HetlinkError) as exc:
         write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
     assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a {what} holds a line "
+                              f"break, which a text column cannot")
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_an_edge_type_with_a_line_break_is_refused_and_a_name_with_one_is_normalized(tmp_path):
+    kb = HeteroGraph.from_rows([(0, "Drug", "aspi\nrin", ["as\npirin"], None)],
+                               [(0, 0, "CAUSE\nX")])
+    assert kb.node(0).name == ("aspi", "rin") and kb.node(0).synonyms == (("as", "pirin"),)
+    with pytest.raises(HetlinkError) as exc:
+        write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
+    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: an edge type holds a line "
                               f"break, which a text column cannot")
     assert not (tmp_path / "bundle").exists()
 
@@ -385,6 +394,12 @@ TWO_NODES = "0\tDrug\taspirin\n1\tFinding\tfever\n"
     (TWO_NODES, "0\t1\tCAUSE\n\n0\t1\tCAUSE\n", "{edges}:3: duplicate edge (0, 1, 'CAUSE')"),
     (TWO_NODES, "0\t1\tCAUSE\n1\t1\tSELF\n",
      "{edges}:2: edge type 'SELF' is reserved for query graphs"),
+    ("0\tDrug\taspirin\n99999999999999999999\tFinding\tfever\n", "",
+     "{nodes}:2: node id 99999999999999999999 out of range"),
+    ("-9223372036854775809\tDrug\taspirin\n", "",
+     "{nodes}:1: node id -9223372036854775809 out of range"),
+    (TWO_NODES, "0\t1\tCAUSE\n0\t99999999999999999999\tCAUSE\n",
+     "{edges}:2: node id 99999999999999999999 out of range"),
 ])
 def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, capsys,
                                                                   nodes, edges, error):
@@ -401,7 +416,7 @@ def test_a_bundle_whose_manifest_lists_no_nodes_is_rejected(workdir, tmp_path, c
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
     with open(bundle / "graph.npz", "wb") as fh:
-        np.savez(fh, **graph_columns(HeteroGraph([], []), bundle / "graph.npz"))
+        np.savez(fh, **graph_columns(HeteroGraph.from_rows([], []), bundle / "graph.npz"))
     manifest = json.loads((bundle / "manifest.json").read_text())
     (bundle / "manifest.json").write_text(json.dumps({**manifest, "nodes": 0, "edges": 0}))
     for command in (["eval", "--model", str(workdir / "model")],

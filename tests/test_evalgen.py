@@ -118,14 +118,15 @@ def _scored_item(sid, gold, inferred, degree):
     edges (alternately in and out) and a self-loop, and infers `inferred`."""
     rows = [(n, "Finding", f"n{n}", (), None) for n in range(degree + 1)]
     edges = [(0, n, "ASSOC") if n % 2 else (n, 0, "ASSOC") for n in range(1, degree + 1)]
-    graph = HeteroGraph(rows, edges + [(0, 0, "SELF")])
+    graph = HeteroGraph.from_rows(rows, edges + [(0, 0, "SELF")])
     qgraph = SimpleNamespace(graph=graph, inferred_types={0: inferred})
     return TrainItem(sid, qgraph, None, 0, gold)
 
 
 def test_score_items_attributes_each_miss_to_its_first_cause():
-    kb = HeteroGraph([(0, "Finding", "alpha", (), None), (1, "Finding", "beta", (), None),
-                      (2, "Drug", "gamma", (), None)], [(2, 0, "CAUSE")])
+    kb = HeteroGraph.from_rows([(0, "Finding", "alpha", (), None), (1, "Finding", "beta", (), None),
+                                (2, "Drug", "gamma", (), None)],
+                               [(2, 0, "CAUSE")])
     items = [
         _scored_item("hit", 0, ("Drug",), 0),                 # a hit is never a miss
         _scored_item("wrong-type", 0, ("Drug",), 3),          # gold type not inferred

@@ -14,8 +14,9 @@ from hetlink.hetgraph import (Edge, GraphRowError, HeteroGraph, HetlinkError, In
                               Metapath, Node, SELF_EDGE_TYPE, build_inverted_index, graph_columns,
                               graph_from_columns, load_edges_tsv, load_graph, load_nodes_tsv,
                               normalize, tokenize)
-from hetlink.termembed import init_node_features, random_word_vectors
-from conftest import random_hetero_graph, save_graph
+from hetlink.termembed import init_node_features, random_word_vectors, token_frequencies
+from conftest import (index_entries_oracle, random_hetero_graph, save_graph, token_ids_oracle,
+                      token_frequencies_oracle)
 
 
 def test_normalize_casefolds_and_strips_punctuation():
@@ -37,7 +38,8 @@ def test_tokenize_splits_what_normalize_returns(text):
 
 def _graph(nodes, edges=()):
     """A graph of (id, type, name) nodes without synonyms or features."""
-    return HeteroGraph([(nid, ntype, name, (), None) for nid, ntype, name in nodes], edges)
+    return HeteroGraph.from_rows([(nid, ntype, name, (), None) for nid, ntype, name in nodes],
+                                 edges)
 
 
 def test_edge_requires_known_endpoints():
@@ -48,7 +50,7 @@ def test_edge_requires_known_endpoints():
 @pytest.mark.parametrize("nodes, edges, error", [
     ([(0, "", "a")], [], "empty node type"),
     ([(0, "Drug", "--")], [], "node name must have at least one token"),
-    ([(0, "Drug", ())], [], "node name must have at least one token"),
+    ([(0, "Drug", "")], [], "node name must have at least one token"),
     ([(3, "Drug", "a"), (3, "Finding", "b")], [], "duplicate node id 3"),
     ([(0, "Drug", "a")], [(0, 1, "CAUSE")], "edge (0, 1, CAUSE) references unknown node"),
     ([(0, "Drug", "a")], [(0, 0, "")], "empty edge type"),
@@ -100,7 +102,7 @@ def _per_row_constructor(nodes, edges):
 def test_constructor_checks_and_builds_as_the_per_row_loops_do(nodes, edges):
     error, built = _per_row_constructor(nodes, edges)
     try:
-        g = HeteroGraph(nodes, edges)
+        g = HeteroGraph.from_rows(nodes, edges)
     except GraphRowError as exc:
         assert (str(exc), exc.row) == error
         return
@@ -116,9 +118,9 @@ def test_constructor_checks_and_builds_as_the_per_row_loops_do(nodes, edges):
 
 
 def test_constructor_keeps_rows_and_edges_in_the_order_given():
-    g = HeteroGraph([(5, "Drug", "Acute  Failure", ["kidney-failure"], [1, 2]),
-                     (1, "Finding", ("x", "y"), (), None)],
-                    [(5, 1, "CAUSE"), (1, 5, "ASSOC"), (5, 5, "SELF")])
+    g = HeteroGraph.from_rows([(5, "Drug", "Acute  Failure", ["kidney-failure"], [1, 2]),
+                               (1, "Finding", "x y", (), None)],
+                              [(5, 1, "CAUSE"), (1, 5, "ASSOC"), (5, 5, "SELF")])
     assert g.node_ids == [1, 5]
     assert g.node(5) == Node(5, "Drug", ("acute", "failure"), (("kidney", "failure"),),
                              (1.0, 2.0))
@@ -229,7 +231,8 @@ def test_metapath_neighbors_excludes_anchor(toy_kb, daf_metapath):
 
 
 def test_inverted_index_covers_names_synonyms_acronyms():
-    g = HeteroGraph([(0, "Finding", "acute renal failure", ("kidney failure",), None)], [])
+    g = HeteroGraph.from_rows([(0, "Finding", "acute renal failure", ("kidney failure",), None)],
+                              [])
     idx = build_inverted_index(g)
     assert idx.lookup("Acute Renal Failure") == {0}
     assert idx.lookup("kidney failure") == {0}
@@ -264,8 +267,8 @@ def _index_oracle(graph, acronyms):
 @pytest.mark.parametrize("acronyms", [True, False])
 def test_index_equals_the_acronym_rule_oracle(acronyms):
     graphs = [generate_synthetic_kb(SynthConfig(seed=seed, snippets=0)).kb for seed in (1, 2, 3)]
-    # names given as tuples may hold empty tokens and initials tokenize drops
-    graphs.append(_graph([(0, "X", ("a", "")), (1, "X", ("", "b", "c")), (2, "X", ("-", "x"))]))
+    # punctuated and non-ASCII names take normalize's path, not one match
+    graphs.append(_graph([(0, "X", "a -"), (1, "X", "-b  C"), (2, "X", "Ängström café")]))
     for graph in graphs:
         assert build_inverted_index(graph, acronyms=acronyms)._entries == \
             _index_oracle(graph, acronyms)
@@ -306,12 +309,12 @@ def valid_graphs(draw):
     on some nodes and typed edges, self-loops included."""
     ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=10, unique=True))
     nodes = [(nid, draw(st.sampled_from(["Drug", "Finding", "Symptom"])),
-              draw(st.lists(TOKENS, min_size=1, max_size=3)),
-              draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2), max_size=2)),
+              draw(st.lists(TOKENS, min_size=1, max_size=3).map(" ".join)),
+              draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2).map(" ".join), max_size=2)),
               draw(st.none() | st.lists(
                   st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)))
              for nid in ids]
-    return HeteroGraph(nodes, draw(st.lists(
+    return HeteroGraph.from_rows(nodes, draw(st.lists(
         st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                   st.sampled_from(["TREAT", "CAUSE", "ASSOC"])),
         unique=True, max_size=25)))
@@ -388,10 +391,10 @@ def test_a_bundle_gives_back_the_generators_graph_and_ingest_builds_the_same(tmp
 
 
 def test_a_bundle_keeps_synonyms_non_ascii_names_and_preset_rows(tmp_path):
-    kb = HeteroGraph([(7, "Drug", "Ängström café", ["naïve  bayes", "x"], [0.5, -1.25]),
-                      (2, "Finding", "déjà vu", (), [1.0, 2.0, 3.0]),
-                      (40, "Finding", "fever", ("fièvre",), None)],
-                     [(7, 2, "CAUSE"), (2, 40, "INDICATE"), (40, 7, "CAUSE")])
+    kb = HeteroGraph.from_rows([(7, "Drug", "Ängström café", ["naïve  bayes", "x"], [0.5, -1.25]),
+                                (2, "Finding", "déjà vu", (), [1.0, 2.0, 3.0]),
+                                (40, "Finding", "fever", ("fièvre",), None)],
+                               [(7, 2, "CAUSE"), (2, 40, "INDICATE"), (40, 7, "CAUSE")])
     write_bundle(tmp_path, kb, random_word_vectors({"fever"}, 2))
     back, store, freqs = read_bundle(tmp_path)
     _assert_same_graph(back, kb)
@@ -511,7 +514,7 @@ def test_frozen_id_arrays_are_read_only_int64_copies_of_the_lists():
             a[...] = 0
     assert g.ids_of_type("Drug").tolist() == [7, 11]
     assert g.ids_of_type("NoSuchType").shape == (0,)
-    assert HeteroGraph([], []).id_array.shape == (0,)
+    assert HeteroGraph.from_rows([], []).id_array.shape == (0,)
 
 
 def test_rows_follow_node_ids_order_on_sparse_ids():
@@ -526,7 +529,7 @@ def test_rows_follow_node_ids_order_on_sparse_ids():
         with pytest.raises(HetlinkError, match=f"unknown node {unknown}"):
             g.rows([7, unknown])
     with pytest.raises(HetlinkError):
-        HeteroGraph([], []).rows([0])
+        HeteroGraph.from_rows([], []).rows([0])
 
 
 def test_row_selector_is_a_span_slice_or_the_gapped_rows_of_a_frozen_id_array():
@@ -549,3 +552,84 @@ def test_row_selector_is_a_span_slice_or_the_gapped_rows_of_a_frozen_id_array():
     assert rows.dtype == np.int64 and rows.flags.writeable
     assert rows.tolist() == [1, 3, 4]
     assert g.row_selector(g.ids_of_type("Drug")).tolist() == [0, 2]
+
+
+# -- state derived from the columns, against the per-node walks --------------
+
+@pytest.mark.parametrize("acronyms", [True, False])
+def test_column_built_index_equals_the_per_node_walk(oracle_kb, acronyms):
+    kb, _ = oracle_kb
+    entries = build_inverted_index(kb, acronyms=acronyms)._entries
+    want = index_entries_oracle(kb, acronyms)
+    assert entries == want and list(entries) == list(want)
+
+
+def test_column_built_token_map_and_frequencies_equal_the_per_node_walks(oracle_kb):
+    kb, _ = oracle_kb
+    table, want = kb.token_ids, token_ids_oracle(kb)
+    assert list(table) == list(want)
+    for tok, ids in want.items():
+        assert table[tok].dtype == np.int64 and table[tok].tobytes() == ids.tobytes()
+    freqs, want = token_frequencies(kb), token_frequencies_oracle(kb)
+    assert list(freqs.items()) == list(want.items())
+
+
+# -- nodes built on demand ----------------------------------------------------
+
+def test_node_and_nodes_give_back_the_generators_rows_in_node_id_order(monkeypatch):
+    given = []
+    from_rows = HeteroGraph.from_rows.__func__
+
+    def keep_rows(cls, nodes, edges):
+        given.append(list(nodes))
+        return from_rows(cls, given[-1], edges)
+
+    monkeypatch.setattr(HeteroGraph, "from_rows", classmethod(keep_rows))
+    kb = generate_synthetic_kb(SynthConfig(seed=2, snippets=0)).kb
+    rows = sorted(given[0], key=lambda row: -row[0])       # hand them over in reverse
+    monkeypatch.undo()
+    rebuilt = HeteroGraph.from_rows(rows, kb.edges)
+    want = [Node(nid, ntype, tuple(tokenize(name)), tuple(tuple(tokenize(s)) for s in syns),
+                 features) for nid, ntype, name, syns, features in sorted(given[0])]
+    for graph in (kb, rebuilt):
+        assert graph.nodes() == want
+        assert [graph.node(node.id) for node in want] == want
+        assert [type(node.id) for node in graph.nodes()] == [int] * len(want)
+        assert graph.node_ids == [node.id for node in want]
+        assert [graph.node_type(node.id) for node in want] == [node.type for node in want]
+        assert [graph.node_name(node.id) for node in want] == [node.surface for node in want]
+    assert kb.node(0) is not kb.node(0)            # built on each call
+
+
+def test_node_columns_hold_the_normalized_rows_in_node_id_order():
+    g = HeteroGraph.from_rows([(9, "Drug", "Acute, FAILURE", ("Kidney-failure", "?!"), [1, 2]),
+                               (3, "Finding", "fever", (), None)], [(9, 3, "CAUSE")])
+    ids, types, names, synonyms, features = g.node_columns()
+    assert ids.tolist() == [3, 9] and not ids.flags.writeable
+    assert (types, names, synonyms, features) == (
+        ("Finding", "Drug"), ("fever", "acute failure"), ((), ("kidney failure",)),
+        (None, (1.0, 2.0)))
+    assert g.terms() == ["fever", "acute failure kidney failure"]
+
+
+@pytest.mark.parametrize("call", ["node", "node_type", "node_name", "out_neighbors",
+                                  "neighbors", "neighbors_by_relation"])
+def test_an_unknown_id_ends_in_unknown_node(toy_kb, call):
+    args = (999, "CAUSE") if call in ("out_neighbors", "neighbors_by_relation") else (999,)
+    with pytest.raises(HetlinkError) as exc:
+        getattr(toy_kb, call)(*args)
+    assert str(exc.value) == "unknown node 999"
+
+
+def test_constructor_names_the_first_breaking_row_in_the_order_given(tmp_path):
+    rows = [(5, "Drug", "a", (), None), (1, "Drug", "b", (), [float("nan")]),
+            (3, "", "c", (), None), (1, "Drug", "d", (), None)]
+    with pytest.raises(GraphRowError) as exc:
+        HeteroGraph.from_rows(rows, [])
+    assert (str(exc.value), exc.value.row) == ("non-finite feature float", ("nodes", 1))
+    nodes_path, edges_path = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    nodes_path.write_text("# id\ttype\tname\n5\tDrug\ta\n1\tDrug\tb\t\tnan\n3\t\tc\n")
+    edges_path.write_text("")
+    with pytest.raises(HetlinkError) as exc:
+        load_graph(nodes_path, edges_path)
+    assert str(exc.value) == f"{nodes_path}:3: non-finite feature float"

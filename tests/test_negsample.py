@@ -136,8 +136,10 @@ def _relabeled(kb, new_id):
     """A copy of `kb` with every node id v renamed new_id(v)."""
     from hetlink.hetgraph import HeteroGraph
 
-    return HeteroGraph([(new_id(n.id), n.type, n.name, n.synonyms, None) for n in kb.nodes()],
-                       [(new_id(e.src), new_id(e.dst), e.type) for e in kb.edges])
+    return HeteroGraph.from_rows(
+        [(new_id(n.id), n.type, n.surface, [" ".join(s) for s in n.synonyms], None)
+         for n in kb.nodes()],
+        [(new_id(e.src), new_id(e.dst), e.type) for e in kb.edges])
 
 
 def test_hard_sampler_reads_feature_rows_not_node_ids(toy_kb, toy_emb):

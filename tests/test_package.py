@@ -21,7 +21,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 63
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3582
+SRC_LINES = 3579
 
 
 def _tree(path):
@@ -122,7 +122,7 @@ def _write(path, text):
 
 # one failure of each module that raised an exception class of its own
 FAILURES = {
-    "hetgraph": lambda tmp: hetlink.HeteroGraph([(0, "", "a", (), None)], []),
+    "hetgraph": lambda tmp: hetlink.HeteroGraph.from_rows([(0, "", "a", (), None)], []),
     "termembed": lambda tmp: hetlink.WordVectorStore.load(_write(tmp / "v.npz", "not npz")),
     "encoders": lambda tmp: EncoderConfig(kind="x"),
     "querygraph": lambda tmp: hetlink.TextSnippet("s", ""),

@@ -286,8 +286,9 @@ def test_kb_edge_joining_shared_candidates_transfers_one_way():
     # "AB" twice: both mentions hit {alpha beta, alpha bravo}, whose edges
     # join the two candidate sets in both directions at once
     a, b = 0, 1
-    kb = HeteroGraph([(a, "T", "alpha beta", (), None), (b, "T", "alpha bravo", (), None)],
-                     [(a, b, "R"), (b, a, "Q"), (a, a, "L")])
+    kb = HeteroGraph.from_rows(
+        [(a, "T", "alpha beta", (), None), (b, "T", "alpha bravo", (), None)],
+        [(a, b, "R"), (b, a, "Q"), (a, a, "L")])
     index = build_inverted_index(kb)
     qg = augment_query_graph(kb, index, TextSnippet("s", "AB then AB"),
                              GazetteerExtractor(index))

@@ -22,6 +22,7 @@ from hetlink.termembed import (
     term_embedding,
     token_frequencies,
 )
+from conftest import node_features_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +96,8 @@ def test_load_word_vectors_rejects_ragged_rows(tmp_path):
 
 
 def test_token_frequencies_count_name_and_synonym_tokens_over_their_total():
-    g = HeteroGraph([(0, "Drug", "aspirin aspirin tablet", ("ASA tablet",), None),
-                     (1, "Finding", "renal failure", (), None)], [])
+    g = HeteroGraph.from_rows([(0, "Drug", "aspirin aspirin tablet", ("ASA tablet",), None),
+                               (1, "Finding", "renal failure", (), None)], [])
     assert token_frequencies(g) == {"aspirin": 2 / 7, "tablet": 2 / 7, "asa": 1 / 7,
                                     "renal": 1 / 7, "failure": 1 / 7}
 
@@ -173,7 +174,7 @@ def test_init_node_features_orders_rows_by_node_id(toy_kb, toy_store, toy_freqs)
 def test_init_node_features_prefers_preset_features(toy_store, toy_freqs):
     from hetlink.hetgraph import HeteroGraph
 
-    g = HeteroGraph([(0, "Drug", "Aspirin", (), np.arange(16, dtype=float))], [])
+    g = HeteroGraph.from_rows([(0, "Drug", "Aspirin", (), np.arange(16, dtype=float))], [])
     feats = init_node_features(g, toy_store, toy_freqs)
     np.testing.assert_array_equal(feats[0], np.arange(16, dtype=float))
 
@@ -197,7 +198,7 @@ def test_init_node_features_keeps_preset_rows_and_embeds_unseen_tokens(monkeypat
     monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
     store = random_word_vectors(["aspirin", "renal", "failure", "acute"], 8, seed=3)
     freqs = {"renal": 0.2, "failure": 0.05}
-    g = HeteroGraph([(nid, "Finding", name, (), features) for nid, name, features in [
+    g = HeteroGraph.from_rows([(nid, "Finding", name, (), features) for nid, name, features in [
         (4, "acute renal failure", None), (9, "aspirin", None), (2, "zzyzx renal", None),
         (7, "preset", np.linspace(-1, 1, 8)), (5, "renal failure", None), (0, "failure", None)]],
         [])
@@ -207,3 +208,13 @@ def test_init_node_features_keeps_preset_rows_and_embeds_unseen_tokens(monkeypat
     assert np.array_equal(feats[g.rows([7])[0]], np.linspace(-1, 1, 8))
     assert not feats.flags.writeable
 
+
+
+@pytest.mark.parametrize("chunk", [2, 1024])
+def test_column_built_features_equal_the_per_node_walk(oracle_kb, monkeypatch, chunk):
+    kb, store = oracle_kb
+    monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
+    freqs = token_frequencies(kb)
+    feats = init_node_features(kb, store, freqs)
+    assert feats.tobytes() == node_features_oracle(kb, store, freqs, chunk).tobytes()
+    assert np.array_equal(feats, _term_embedding_rows(kb, store, freqs))
