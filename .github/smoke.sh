@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs the installed `hetlink` console script end to end on a small bundle:
-# gen-synth, ingest of a 3-node graph, MAGNN train, eval and disambiguate, then
-# eval on broken copies of the bundle and on a bundle that is not there. Run it
-# from an empty directory after `pip install`.
+# gen-synth, ingest of a 3-node graph and of a node line with 5 columns, MAGNN
+# train, eval and disambiguate, then eval on broken copies of the bundle and on
+# a bundle that is not there. Run it from an empty directory after
+# `pip install`.
 set -eu
 # the files of a directory, one space after each
 files() { ls "$1" | tr '\n' ' '; }
@@ -16,6 +17,16 @@ printf '0\t1\tCAUSE\n1\t2\tINDICATE\n' > edges.tsv
 hetlink ingest --nodes nodes.tsv --edges edges.tsv --dim 8 --out smoke-ingest
 test "$(files smoke-ingest)" = "graph.npz manifest.json wordvecs.npz "
 python3 -c 'import numpy as np; names = np.load("smoke-ingest/graph.npz")["names"].tobytes().decode().split("\n"); raise SystemExit(0 if names == ["aspirin", "nausea", "fièvre aiguë"] else 1)'
+# a node line with a 5th column: exit status 1 and one stderr line that
+# names the file and the line
+printf '0\tDrug\taspirin\t\t0.5\n' > nodes.tsv
+status=0
+hetlink ingest --nodes nodes.tsv --edges edges.tsv --dim 8 --out smoke-5 \
+  > /dev/null 2> five.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < five.err)" -eq 1
+grep -q '^error: nodes.tsv:1: ' five.err
+test ! -e smoke-5
 hetlink train --bundle smoke --snippets smoke/snippets.json --out smoke-model \
   --encoder magnn --sampler hard --epochs 2
 hetlink eval --bundle smoke --model smoke-model --snippets smoke/snippets.json > eval.json

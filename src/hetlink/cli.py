@@ -29,7 +29,7 @@ from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
 
 log = logging.getLogger("hetlink")
 
-BUNDLE_VERSION = "3"
+BUNDLE_VERSION = "4"
 
 # Config keys: every TrainConfig field under its own name, plus these keys
 # for EncoderConfig fields.  The encoder's seed is TrainConfig's.
@@ -79,8 +79,7 @@ def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore) -> None:
 
 def read_bundle(bundle_dir):
     """The bundle's KB, word vectors and the KB's token frequencies, derived
-    from its names and synonyms as the library derives them.  A bundle stores
-    no frequencies, and a frequency file an older writer left is not read."""
+    from its names and synonyms as the library derives them."""
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -162,8 +161,6 @@ def cmd_ingest(args) -> int:
     else:
         vocab = " ".join(kb.node_columns()[2]).split()
         store = random_word_vectors(vocab, args.dim, seed=args.seed or 0)
-    # train's check that preset features fit
-    init_node_features(kb, store, token_frequencies(kb))
     write_bundle(args.out, kb, store)
     log.info("wrote bundle with %d nodes / %d edges to %s",
              len(kb), len(kb.edge_columns()[0]), args.out)

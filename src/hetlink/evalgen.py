@@ -129,6 +129,8 @@ DEFAULT_TRIPLES = (
 )
 DEFAULT_AMBIGUITY_MIX = {"acronym": 0.18, "abbreviation": 0.10, "synonym": 0.17,
                          "simplification": 0.14, "typo": 0.11, "twin": 0.30}
+# draws of a fresh name, twin pair or ambiguous mention before the generator gives up
+MAX_RETRIES = 50
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,6 @@ class SynthConfig:
     two_hop_fraction: float = 0.3       # share of context drawn from 2-hop neighbors
     twin_fraction: float = 0.4          # share of Findings created as lookalike pairs
     feature_dim: int = 128
-    max_retries: int = 50
     seed: int = 0
 
     def __post_init__(self):
@@ -162,7 +163,7 @@ class SynthConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise HetlinkError(f"{name} must be in [0, 1]")
         for name, low in (("snippets", 0), ("vocab_size", 1), ("feature_dim", 1),
-                          ("max_retries", 1), ("seed", 0)):
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise HetlinkError(f"{name} must be >= {low}")
         if not 1 <= self.name_tokens[0] <= self.name_tokens[1]:
@@ -286,7 +287,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             # lookalike pairs: same first token, one distinguishing token
             n_pairs = int(count * config.twin_fraction) // 2
             for _ in range(n_pairs):
-                for _attempt in range(config.max_retries):
+                for _attempt in range(MAX_RETRIES):
                     shared = vocab[int(rng.integers(len(vocab)))]
                     d1 = vocab[int(rng.integers(len(vocab)))]
                     d2 = vocab[int(rng.integers(len(vocab)))]
@@ -297,11 +298,11 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                     raise HetlinkError("could not draw a fresh twin pair")
                 used_surfaces.update((s1, s2))
                 a, b = len(rows), len(rows) + 1
-                rows += [(a, ntype, s1, (), None), (b, ntype, s2, (), None)]
+                rows += [(a, ntype, s1, ()), (b, ntype, s2, ())]
                 twin_of[a], twin_of[b] = b, a
             count -= 2 * n_pairs
         for _ in range(count):
-            for _attempt in range(config.max_retries):
+            for _attempt in range(MAX_RETRIES):
                 n_tok = int(rng.integers(lo, hi + 1))
                 toks = tuple(vocab[int(rng.integers(len(vocab)))] for _ in range(n_tok))
                 surface = " ".join(toks)
@@ -317,7 +318,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                 if syn not in used_surfaces:
                     used_surfaces.add(syn)
                     synonyms = (syn,)
-            rows.append((len(rows), ntype, surface, synonyms, None))
+            rows.append((len(rows), ntype, surface, synonyms))
 
     by_type = {t: [nid for nid, nt, *_ in rows if nt == t] for t in config.node_counts}
     edges = []
@@ -347,14 +348,13 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
 
     snippets: list[TextSnippet] = []
     for s_i in range(config.snippets):
-        for _attempt in range(config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             kind = kinds[int(rng.choice(len(kinds), p=probs))]
             pool = twin_pool if kind == "twin" else gold_pool
             if not pool:
                 continue
             gold = pool[int(rng.integers(len(pool)))]
-            gold_node = kb.node(gold)
-            corrupted = _corrupt(kind, gold_node.name, variants, rng)
+            corrupted = _corrupt(kind, tuple(kb.node_name(gold).split(" ")), variants, rng)
             if corrupted and not index.lookup(corrupted):
                 break
         else:
@@ -377,7 +377,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
 
         entries = [(kb.node_name(c), kb.node_type(c), c) for c in ctx_nodes]
         entries.insert(int(rng.integers(len(entries) + 1)),
-                       (corrupted, gold_node.type, gold))
+                       (corrupted, kb.node_type(gold), gold))
         text_parts: list[str] = []
         mentions: list[Mention] = []
         cursor = 0

@@ -79,7 +79,6 @@ class Node:
     type: str
     name: tuple[str, ...]          # composite term, lowercase tokens
     synonyms: tuple[tuple[str, ...], ...] = ()
-    features: tuple[float, ...] | None = None
 
     @property
     def surface(self) -> str:
@@ -175,42 +174,36 @@ class HeteroGraph:
     whole by its constructor and immutable afterwards."""
 
     def __init__(self, nodes, edges):
-        """The graph of node columns `nodes`, (ids, types, names, synonyms,
-        features), and edge columns `edges`, (src, dst, types), nodes kept in
-        node-id order and edges in the order given.  Names and synonyms are
-        texts, kept as normalize() gives them (a synonym without a token
-        dropped); features are a row of floats or None.  The node rules: a
-        type, a name of at least one token, finite features, an id not taken.
+        """The graph of node columns `nodes`, (ids, types, names, synonyms),
+        and edge columns `edges`, (src, dst, types), nodes kept in node-id
+        order and edges in the order given.  Names and synonyms are texts,
+        kept as normalize() gives them (a synonym without a token dropped).
+        The node rules: a type, a name of at least one token, an id not taken.
         The edge rules: both ends known, a type, not yet present.
         GraphRowError for the first row, in the order given, that breaks one."""
-        ids, types, names, synonyms, features = nodes
+        ids, types, names, synonyms = nodes
         ids, types, names = np.array(ids, dtype=np.int64), list(types), _normalized(list(names))
-        features = [None if f is None else tuple(map(float, f)) for f in features]
         id_list = ids.tolist()
         _check("nodes", [(_first_false(types), lambda i: "empty node type"),
                          (_first_false(names),
                           lambda i: "node name must have at least one token"),
-                         (_first_false([f is None or all(map(math.isfinite, f))
-                                        for f in features]),
-                          lambda i: "non-finite feature float"),
                          (_first_repeat(id_list), lambda i: f"duplicate node id {ids[i]}")])
         synonyms = [tuple(filter(None, map(normalize, syns))) if syns else ()
                     for syns in synonyms]
         if id_list != sorted(id_list):          # not given in node-id order
             order = np.argsort(ids)
             ids, at = ids[order], order.tolist()
-            id_list, types, names, synonyms, features = (
-                list(map(column.__getitem__, at)) for column in
-                (id_list, types, names, synonyms, features))
+            id_list, types, names, synonyms = (list(map(column.__getitem__, at))
+                                               for column in (id_list, types, names, synonyms))
         self.id_array = _read_only(ids)
         self._row = dict(zip(id_list, itertools.count()))
-        self._nodes = tuple(types), tuple(names), tuple(synonyms), tuple(features)
+        self._nodes = tuple(types), tuple(names), tuple(synonyms)
         by_type: dict[str, list[int]] = {}
         for t, nid in zip(types, id_list):
             by_type.setdefault(t, []).append(nid)
         self._ids_by_type = {t: _read_only(np.array(v, dtype=np.int64)) for t, v in by_type.items()}
 
-        ends = _read_only(np.array(edges[:2], dtype=np.int64))     # src, dst
+        ends = np.array(edges[:2], dtype=np.int64)     # src, dst
         etypes = tuple(edges[2])
         rows = _read_only(ids.searchsorted(ends))
         codes, edge_types = _codes(etypes)
@@ -223,7 +216,6 @@ class HeteroGraph:
                          (_first_false(etypes), lambda i: "empty edge type"),
                          (_first_repeat(key.tolist()),
                           lambda i: f"duplicate edge {(*ends[:, i].tolist(), etypes[i])}")])
-        self._edges = ends, etypes
         self._edge_table = rows[0], rows[1], _read_only(codes), edge_types
         self._edge_code = dict(zip(edge_types, itertools.count()))
         # built on first use, by _adjacency (two threads may each build an
@@ -232,8 +224,8 @@ class HeteroGraph:
 
     @classmethod
     def from_rows(cls, nodes, edges) -> "HeteroGraph":
-        """The graph of (id, type, name, synonyms, features) and (src, dst, type) rows."""
-        return cls(list(zip(*nodes)) or [()] * 5, list(zip(*edges)) or [()] * 3)
+        """The graph of (id, type, name, synonyms) and (src, dst, type) rows."""
+        return cls(list(zip(*nodes)) or [()] * 4, list(zip(*edges)) or [()] * 3)
 
     def _adjacency(self, outgoing: bool) -> tuple[list[int], list[int]]:
         """The out-adjacency (`outgoing`) or the in-adjacency as two flat lists
@@ -286,12 +278,13 @@ class HeteroGraph:
 
     @property
     def edges(self) -> list[Edge]:
-        ends, etypes = self._edges
-        return list(map(Edge, *ends.tolist(), etypes))
+        src, dst, codes, types = self._edge_table
+        return list(map(Edge, self.id_array[src].tolist(), self.id_array[dst].tolist(),
+                        map(types.__getitem__, codes.tolist())))
 
-    def node_columns(self) -> tuple[np.ndarray, tuple, tuple, tuple, tuple]:
+    def node_columns(self) -> tuple[np.ndarray, tuple, tuple, tuple]:
         """The nodes in node-id order as the constructor's columns: read-only
-        int64 ids, then tuples of types, names, synonyms and preset features."""
+        int64 ids, then tuples of types, names and synonyms."""
         return (self.id_array, *self._nodes)
 
     def edge_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -309,9 +302,9 @@ class HeteroGraph:
     def node(self, nid: int) -> Node:
         """Node `nid`, built from the columns on each call."""
         row = self._row_of(nid)
-        types, names, synonyms, features = self._nodes
+        types, names, synonyms = self._nodes
         return Node(int(self.id_array[row]), types[row], tuple(names[row].split(" ")),
-                    tuple(tuple(syn.split(" ")) for syn in synonyms[row]), features[row])
+                    tuple(tuple(syn.split(" ")) for syn in synonyms[row]))
 
     def node_type(self, nid: int) -> str:
         return self._nodes[0][self._row_of(nid)]
@@ -351,18 +344,19 @@ class HeteroGraph:
         return list(map(self.node, self._row))
 
     def typed_shape(self) -> tuple:
-        """The graph less its ids, names and features: each row's node type,
+        """The graph less its ids, names and synonyms: each row's node type,
         and the set of (src row, dst row, edge type) of its edges.  Anything
         built from rows, types and edges alone is the same for one shape."""
-        src, dst, _, _ = self._edge_table
-        return self._nodes[0], frozenset(zip(src.tolist(), dst.tolist(), self._edges[1]))
+        src, dst, codes, types = self._edge_table
+        return self._nodes[0], frozenset(zip(src.tolist(), dst.tolist(),
+                                             map(types.__getitem__, codes.tolist())))
 
     def nodes_of_type(self, ntype: str) -> list[int]:
         return self.ids_of_type(ntype).tolist()
 
     def terms(self) -> list[str]:
         """Each node's name and synonyms as one text, in node-id order."""
-        _, names, synonyms, _ = self._nodes
+        _, names, synonyms = self._nodes
         return [" ".join((name, *syns)) if syns else name for name, syns in zip(names, synonyms)]
 
     @functools.cached_property
@@ -469,7 +463,7 @@ class InvertedIndex:
 def build_inverted_index(graph: HeteroGraph, acronyms: bool = True) -> InvertedIndex:
     """Index every node under its name and synonyms and, with `acronyms`, a
     name of two or more tokens under its tokens' initials."""
-    ids, _, names, synonyms, _ = graph.node_columns()
+    ids, _, names, synonyms = graph.node_columns()
     # each name's initials: its code points after a line or a space, one name a line
     chars = np.frombuffer("\n".join(["", *names]).encode("utf-32-le"), dtype=np.uint32)
     gap = (chars == ord(" ")) | (chars == ord("\n"))
@@ -555,21 +549,15 @@ def _node_id(text: str, path, lineno: int, what: str) -> int:
 
 
 def load_nodes_tsv(path) -> dict[int, tuple]:
-    """The (id, type, name, synonyms, features) row of each line of the node
-    list file, by line number."""
+    """The (id, type, name, synonyms) row of each line of the node list
+    file, by line number."""
     rows = {}
     for lineno, parts in _tsv_rows(path):
-        if len(parts) < 3:
-            raise HetlinkError(f"{path}:{lineno}: expected at least 3 columns")
+        if len(parts) not in (3, 4):
+            raise HetlinkError(f"{path}:{lineno}: expected 3 or 4 columns")
         nid = _node_id(parts[0], path, lineno, "node id")
         synonyms = tuple(s for s in (parts[3].split("|") if len(parts) > 3 else []) if s)
-        features = None
-        if len(parts) > 4 and parts[4]:
-            try:
-                features = [float(x) for x in parts[4].split(",")]
-            except ValueError:
-                raise HetlinkError(f"{path}:{lineno}: bad feature floats") from None
-        rows[lineno] = (nid, parts[1], parts[2], synonyms, features)
+        rows[lineno] = (nid, parts[1], parts[2], synonyms)
     return rows
 
 
@@ -604,7 +592,6 @@ def load_graph(nodes_path, edges_path) -> HeteroGraph:
 GRAPH_COLUMNS = {
     "ids": np.int64, "types": np.int64, "type_names": np.uint8, "names": np.uint8,
     "synonym_counts": np.int64, "synonyms": np.uint8,
-    "feature_lengths": np.int64, "features": np.float64,    # length -1: no preset row
     "src": np.int64, "dst": np.int64, "edge_types": np.int64, "edge_type_names": np.uint8,
 }
 
@@ -617,7 +604,7 @@ def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
     """The GRAPH_COLUMNS of `graph`, to be written to the .npz file `path`:
     nodes in node-id order, each type a code into its table, edges in their
     order.  HetlinkError, naming `path`, for a type with a line break."""
-    ids, types, names, synonyms, features = graph.node_columns()
+    ids, types, names, synonyms = graph.node_columns()
     src, dst, edge_codes, edge_types = graph.edge_columns()
     type_codes, type_names = _codes(types)
     for what, table in (("a node type", type_names), ("an edge type", edge_types)):
@@ -627,9 +614,6 @@ def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
         "ids": ids, "types": type_codes, "type_names": _utf8(type_names), "names": _utf8(names),
         "synonym_counts": np.array(list(map(len, synonyms)), dtype=np.int64),
         "synonyms": _utf8([syn for syns in synonyms for syn in syns]),
-        "feature_lengths": np.array([-1 if f is None else len(f) for f in features],
-                                    dtype=np.int64),
-        "features": np.array([x for f in features if f for x in f], dtype=np.float64),
         "src": ids[src], "dst": ids[dst], "edge_types": edge_codes,
         "edge_type_names": _utf8(edge_types),
     }
@@ -671,26 +655,21 @@ def graph_from_columns(arrays: dict[str, np.ndarray], path) -> HeteroGraph:
         if arrays[name].dtype != dtype or arrays[name].ndim != 1:
             fail(f"{name!r} must be a 1-D {np.dtype(dtype)} array, "
                  f"got {arrays[name].dtype} of shape {arrays[name].shape}")
-    for name, key in (("types", "ids"), ("synonym_counts", "ids"), ("feature_lengths", "ids"),
+    for name, key in (("types", "ids"), ("synonym_counts", "ids"),
                       ("dst", "src"), ("edge_types", "src")):
         if len(arrays[name]) != len(arrays[key]):
             fail(f"{name!r} has {len(arrays[name])} rows, {key!r} {len(arrays[key])}")
-    counts, lengths = arrays["synonym_counts"], arrays["feature_lengths"]
+    counts = arrays["synonym_counts"]
     first("node", counts < 0, lambda row: f"synonym count {counts[row]} < 0")
-    first("node", lengths < -1, lambda row: f"feature length {lengths[row]} < -1")
     flat, ends = lines("synonyms", int(counts.sum())), np.cumsum(counts).tolist()
     synonyms = [flat[end - n:end] if n else () for n, end in zip(counts.tolist(), ends)]
-    flat, ends = arrays["features"].tolist(), [0, *np.cumsum(np.maximum(lengths, 0)).tolist()]
-    if len(flat) != ends[-1]:
-        fail(f"'features' holds {len(flat)} floats, 'feature_lengths' {ends[-1]}")
-    features = [None if n < 0 else flat[end - n:end] for n, end in zip(lengths.tolist(), ends[1:])]
     edge_types = named("edge", arrays["edge_types"], "edge_type_names")
     if SELF_EDGE_TYPE in edge_types:
         fail(f"edge row {edge_types.index(SELF_EDGE_TYPE)}: edge type {SELF_EDGE_TYPE!r} "
              f"is reserved for query graphs")
     try:
         return HeteroGraph((arrays["ids"], named("node", arrays["types"], "type_names"),
-                            lines("names", len(arrays["ids"])), synonyms, features),
+                            lines("names", len(arrays["ids"])), synonyms),
                            (arrays["src"], arrays["dst"], edge_types))
     except GraphRowError as exc:
         part, row = exc.row

@@ -180,7 +180,7 @@ def build_query_batch(items: list[TrainItem], feature_dim: int) -> QueryBatch:
     before it."""
     graphs = [item.qgraph.graph for item in items]
     offsets = np.cumsum([0] + [len(g) for g in graphs]).tolist()
-    nodes = [[x for g in graphs for x in g.node_columns()[k]] for k in range(1, 5)]
+    nodes = [[x for g in graphs for x in g.node_columns()[k]] for k in range(1, 4)]
     edges = [g.edge_columns() for g in graphs]      # src and dst rows, type codes, types
     ends = np.concatenate([np.zeros((2, 0), dtype=np.int64)]
                           + [o + np.array(e[:2]) for o, e in zip(offsets, edges)], axis=1)

@@ -199,7 +199,7 @@ def _query_graph(mentions, cands, types, edges) -> QueryGraph:
     inferred type, with `edges` and then a self-loop on every node."""
     ids = range(len(mentions))
     graph = HeteroGraph.from_rows(
-        [(nid, types[nid][0], mentions[nid].surface, (), None) for nid in ids],
+        [(nid, types[nid][0], mentions[nid].surface, ()) for nid in ids],
         [*edges, *((nid, nid, SELF_EDGE_TYPE) for nid in ids)])
     return QueryGraph(graph, dict(zip(ids, mentions)), dict(zip(ids, cands)),
                       dict(zip(ids, types)), tuple(nid for nid in ids if not cands[nid]))

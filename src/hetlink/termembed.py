@@ -166,28 +166,20 @@ def term_embedding(term, store: WordVectorStore, freqs: dict[str, float]) -> np.
 
 def init_node_features(graph: HeteroGraph, store: WordVectorStore,
                        freqs: dict[str, float]) -> np.ndarray:
-    """One row per node (in node-id order); explicit node features win.
-
-    Every other row is term_embedding of the node's name, bit for bit: the
-    names of one token count are weighted together, FEATURE_CHUNK at a time,
-    as one batched product over the vectors and SIF weights of the tokens
-    the names use.  The array is read-only, so encodings computed from it
-    can be reused."""
-    ids, _, names, _, features = graph.node_columns()
+    """One row per node (in node-id order): term_embedding of the node's
+    name, bit for bit.  The names of one token count are weighted together,
+    FEATURE_CHUNK at a time, as one batched product over the vectors and SIF
+    weights of the tokens the names use.  The array is read-only, so
+    encodings computed from it can be reused."""
+    names = graph.node_columns()[2]
     out = np.zeros((len(names), store.dim))
     vocab: dict[str, int] = {}
     by_count: dict[int, tuple[list, list]] = {}     # token count -> (rows, token ids)
-    for row, (name, f) in enumerate(zip(names, features)):
-        if f is None:
-            tokens = name.split(" ")        # names are normalized: tokens one space apart
-            rows, toks = by_count.setdefault(len(tokens), ([], []))
-            rows.append(row)
-            toks.append([vocab.setdefault(t, len(vocab)) for t in tokens])
-        elif len(f) != store.dim:
-            raise HetlinkError(f"node {ids[row]} preset features have dim {len(f)}, "
-                               f"expected {store.dim}")
-        else:
-            out[row] = f
+    for row, name in enumerate(names):
+        tokens = name.split(" ")        # names are normalized: tokens one space apart
+        rows, toks = by_count.setdefault(len(tokens), ([], []))
+        rows.append(row)
+        toks.append([vocab.setdefault(t, len(vocab)) for t in tokens])
     vectors = np.array([store.get(t) for t in vocab]).reshape(len(vocab), store.dim)
     weights = np.array([sif_weight(t, freqs) for t in vocab])
     for rows, toks in by_count.values():

@@ -37,7 +37,7 @@ def toy_kb():
     ]
     ids = {name: nid for nid, (name, _) in enumerate(names)}
     g = HeteroGraph.from_rows(
-        [(nid, ntype, name, (), None) for nid, (name, ntype) in enumerate(names)],
+        [(nid, ntype, name, ()) for nid, (name, ntype) in enumerate(names)],
         [(ids[src], ids[dst], etype) for src, dst, etype in [
             ("Aspirin", "headache", "TREAT"),
             ("Aspirin", "nausea", "CAUSE"),
@@ -148,7 +148,7 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
                         edge_prob=0.15, max_degree=None):
     """Random typed graph for property tests."""
     types = [f"T{i}" for i in range(n_types)]
-    nodes = [(i, types[int(rng.integers(n_types))], f"node {i}", (), None)
+    nodes = [(i, types[int(rng.integers(n_types))], f"node {i}", ())
              for i in range(n_nodes)]
     etypes = [f"R{i}" for i in range(n_edge_types)]
     degree = {i: 0 for i in range(n_nodes)}
@@ -172,8 +172,7 @@ def save_graph(graph, nodes_path, edges_path) -> None:
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node in graph.nodes():
             syns = "|".join(" ".join(s) for s in node.synonyms)
-            feats = "" if node.features is None else ",".join(repr(x) for x in node.features)
-            fh.write(f"{node.id}\t{node.type}\t{node.surface}\t{syns}\t{feats}\n")
+            fh.write(f"{node.id}\t{node.type}\t{node.surface}\t{syns}\n")
     with open(edges_path, "w", encoding="utf-8") as fh:
         for e in graph.edges:
             fh.write(f"{e.src}\t{e.dst}\t{e.type}\n")
@@ -301,20 +300,16 @@ def token_frequencies_oracle(graph) -> dict:
 
 
 def node_features_oracle(graph, store, freqs, chunk=1024) -> np.ndarray:
-    """init_node_features: preset rows, and for every other node its name's
-    SIF-weighted mean, the names of one token count weighted together,
-    `chunk` at a time."""
+    """init_node_features: each node's name's SIF-weighted mean, the names of
+    one token count weighted together, `chunk` at a time."""
     nodes = graph.nodes()
     out = np.zeros((len(nodes), store.dim))
     vocab: dict[str, int] = {}
     by_count: dict[int, tuple[list, list]] = {}
     for row, node in enumerate(nodes):
-        if node.features is not None:
-            out[row] = node.features
-        else:
-            rows, toks = by_count.setdefault(len(node.name), ([], []))
-            rows.append(row)
-            toks.append([vocab.setdefault(t, len(vocab)) for t in node.name])
+        rows, toks = by_count.setdefault(len(node.name), ([], []))
+        rows.append(row)
+        toks.append([vocab.setdefault(t, len(vocab)) for t in node.name])
     vectors = np.array([store.get(t) for t in vocab]).reshape(len(vocab), store.dim)
     weights = np.array([sif_weight(t, freqs) for t in vocab])
     for rows, toks in by_count.values():
@@ -329,13 +324,13 @@ def node_features_oracle(graph, store, freqs, chunk=1024) -> np.ndarray:
 def odd_kb():
     """A KB whose names and synonyms take normalize's path, not one match:
     punctuated, non-ASCII, mixed case, a synonym without a token; ids given
-    out of order; two preset feature rows; and its word vectors."""
+    out of order; and its word vectors."""
     kb = HeteroGraph.from_rows(
-        [(40, "Finding", "Fever, Acute", ("fièvre aiguë", "--", "FEVER"), None),
-         (7, "Drug", "Ängström café", ["naïve  bayes", "x"], [0.5, -1.25, 2.0, 0.0]),
-         (2, "Finding", "déjà-vu (acute)", (), [1.0, 2.0, 3.0, 4.0]),
-         (11, "Drug", "aspirin aspirin tablet", ("ASA",), None),
-         (5, "Symptom", "Renal\u00a0failure\tacute", (), None)],
+        [(40, "Finding", "Fever, Acute", ("fièvre aiguë", "--", "FEVER")),
+         (7, "Drug", "Ängström café", ["naïve  bayes", "x"]),
+         (2, "Finding", "déjà-vu (acute)", ()),
+         (11, "Drug", "aspirin aspirin tablet", ("ASA",)),
+         (5, "Symptom", "Renal\u00a0failure\tacute", ())],
         [(7, 2, "CAUSE"), (2, 40, "INDICATE"), (40, 7, "CAUSE"), (11, 5, "TREAT")])
     return kb, random_word_vectors({"fever", "acute", "café", "aspirin", "failure"}, 4, seed=3)
 

@@ -16,7 +16,7 @@ from hetlink import HetlinkError, evalgen
 from hetlink.cli import (CONFIG_KEYS, _load_snippets, _train_settings,
                          build_parser, main, read_bundle, write_bundle)
 from hetlink.encoders import EncoderConfig
-from hetlink.hetgraph import HeteroGraph, graph_columns, tokenize
+from hetlink.hetgraph import GRAPH_COLUMNS, HeteroGraph, graph_columns, tokenize
 from hetlink.matcher import candidate_pool, load_model
 from hetlink.termembed import init_node_features, load_word_vectors, random_word_vectors
 
@@ -78,6 +78,7 @@ def workdir(tmp_path_factory):
     ({"ambiguity_mix": {"bogus": 1.0}},
      "unknown ambiguity kinds ['bogus']; known: ['abbreviation', 'acronym', 'simplification', "
      "'synonym', 'twin', 'typo']"),
+    ({"max_retries": 50}, "unknown synth config keys ['max_retries']"),
 ])
 def test_gen_synth_rejects_a_malformed_config(tmp_path, capsys, config, error):
     config, flags = config if isinstance(config, tuple) else (config, [])
@@ -127,8 +128,10 @@ def test_gen_synth_writes_bundle_and_snippets(workdir):
     assert sorted(os.listdir(corpus)) == ["graph.npz", "manifest.json", "snippets.json",
                                           "wordvecs.npz"]
     manifest = json.loads((corpus / "manifest.json").read_text())
-    assert manifest["bundle_version"] == "3"
+    assert manifest["bundle_version"] == "4"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
+    with np.load(corpus / "graph.npz") as npz:
+        assert sorted(npz.files) == sorted(GRAPH_COLUMNS)
 
 
 def test_reloaded_bundle_embeds_unseen_tokens_as_the_generator_did(tmp_path):
@@ -339,7 +342,7 @@ def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("nodes, what", [
-    ([(0, "Drug\nX", "aspirin", (), None)], "node type"),
+    ([(0, "Drug\nX", "aspirin", ())], "node type"),
 ])
 def test_a_kb_string_that_graph_npz_cannot_hold_is_refused_before_any_file(tmp_path, nodes,
                                                                            what):
@@ -353,7 +356,7 @@ def test_a_kb_string_that_graph_npz_cannot_hold_is_refused_before_any_file(tmp_p
 
 
 def test_an_edge_type_with_a_line_break_is_refused_and_a_name_with_one_is_normalized(tmp_path):
-    kb = HeteroGraph.from_rows([(0, "Drug", "aspi\nrin", ["as\npirin"], None)],
+    kb = HeteroGraph.from_rows([(0, "Drug", "aspi\nrin", ["as\npirin"])],
                                [(0, 0, "CAUSE\nX")])
     assert kb.node(0).name == ("aspi", "rin") and kb.node(0).synonyms == (("as", "pirin"),)
     with pytest.raises(HetlinkError) as exc:
@@ -365,8 +368,6 @@ def test_an_edge_type_with_a_line_break_is_refused_and_a_name_with_one_is_normal
 
 @pytest.mark.parametrize("nodes, dim, error", [
     ("0\tDrug\taspirin\n", "0", "--dim must be >= 1, got 0"),
-    ("0\tDrug\taspirin\t\t0.5,0.25\n1\tFinding\tfever\n", "8",
-     "node 0 preset features have dim 2, expected 8"),
     ("# id\ttype\tname\n", "8", "{nodes}: no nodes"),
 ])
 def test_ingest_rejects_a_bundle_train_could_not_read(tmp_path, capsys, nodes, dim, error):
@@ -400,6 +401,9 @@ TWO_NODES = "0\tDrug\taspirin\n1\tFinding\tfever\n"
      "{nodes}:1: node id -9223372036854775809 out of range"),
     (TWO_NODES, "0\t1\tCAUSE\n0\t99999999999999999999\tCAUSE\n",
      "{edges}:2: node id 99999999999999999999 out of range"),
+    ("0\tDrug\taspirin\t\t0.5,0.25\n", "", "{nodes}:1: expected 3 or 4 columns"),
+    ("0\tDrug\taspirin\t\t\n", "", "{nodes}:1: expected 3 or 4 columns"),
+    ("0\tDrug\taspirin\n1\tFinding\n", "", "{nodes}:2: expected 3 or 4 columns"),
 ])
 def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, capsys,
                                                                   nodes, edges, error):
@@ -537,14 +541,15 @@ def test_a_bundle_manifest_that_cannot_be_opened_ends_in_one_line_that_names_it(
 
 
 def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
-    # a version-2 bundle holds its KB as nodes.tsv and edges.tsv
+    # a version-2 bundle holds its KB as nodes.tsv and edges.tsv, and a
+    # version-3 graph.npz may hold preset feature rows: both are refused
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
     os.remove(bundle / "graph.npz")
     for name in ("nodes.tsv", "edges.tsv"):
         shutil.copy(workdir / name, bundle / name)
     manifest = json.loads((bundle / "manifest.json").read_text())
-    for version in ("2", "99"):
+    for version in ("2", "3", "99"):
         (bundle / "manifest.json").write_text(json.dumps({**manifest,
                                                           "bundle_version": version}))
         code = main(["eval", "--bundle", str(bundle),
@@ -552,7 +557,7 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
                      "--snippets", str(bundle / "snippets.json")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: unsupported bundle version {version!r} (this hetlink reads version 3): "
+            f"error: unsupported bundle version {version!r} (this hetlink reads version 4): "
             f"re-run gen-synth or ingest to rebuild the bundle\n")
 
 
@@ -568,7 +573,7 @@ def test_a_version_1_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: unsupported bundle version '1' (this hetlink reads version 3): "
+        "error: unsupported bundle version '1' (this hetlink reads version 4): "
         "re-run gen-synth or ingest to rebuild the bundle\n")
 
 
@@ -680,8 +685,7 @@ def _added_node(a) -> dict:
     """graph.npz columns `a` with one more node, 99999 "extra"."""
     return {**a, "ids": np.append(a["ids"], 99999), "types": np.append(a["types"], 0),
             "names": _text(_lines(a["names"]) + ["extra"]),
-            "synonym_counts": np.append(a["synonym_counts"], 0),
-            "feature_lengths": np.append(a["feature_lengths"], -1)}
+            "synonym_counts": np.append(a["synonym_counts"], 0)}
 
 
 # (graph.npz part, how its columns change) for files that disagree with the manifest
@@ -738,13 +742,6 @@ def _edge(a, row) -> tuple:
             _lines(a["edge_type_names"])[a["edge_types"][row]])
 
 
-def _with_features(a, row, floats) -> dict:
-    """graph.npz columns `a`, which hold no preset row, with `floats` as
-    node `row`'s."""
-    return {**_set(a, "feature_lengths", row, len(floats)),
-            "features": np.array(floats, dtype=np.float64)}
-
-
 # graph.npz broken in each way read_bundle refuses: columns -> (broken columns,
 # what the error says after the path); an edge rule breaks edge row 5, after
 # a node rule breaks node row 3
@@ -774,14 +771,6 @@ GRAPH_BREAKS = {
                                   f"not {a['synonym_counts'].sum() + 1}"),
     "synonym count": lambda a: (_set(a, "synonym_counts", 3, -1),
                                 "node row 3: synonym count -1 < 0"),
-    "feature length": lambda a: (_set(a, "feature_lengths", 3, -2),
-                                 "node row 3: feature length -2 < -1"),
-    "a float short": lambda a: (_set(a, "feature_lengths", 3, 2),
-                                "'features' holds 0 floats, 'feature_lengths' 2"),
-    "nan feature": lambda a: (_with_features(a, 3, [0.5, np.nan]),
-                              "node row 3: non-finite feature float"),
-    "-inf feature": lambda a: (_with_features(a, 3, [-np.inf]),
-                               "node row 3: non-finite feature float"),
     "empty node type": lambda a: (_typed(a, "node", 3, ""), "node row 3: empty node type"),
     "no name token": lambda a: (_with_line(a, "names", 3, "?!"),
                                 "node row 3: node name must have at least one token"),

@@ -207,7 +207,7 @@ def test_magnn_attention_weights_are_distributions(graph_seed):
 def _permuted_copy(graph, perm):
     """Rebuild `graph` with node id v renamed to perm[v]."""
     return HeteroGraph.from_rows(
-        [(int(perm[n.id]), n.type, n.surface, [" ".join(s) for s in n.synonyms], None)
+        [(int(perm[n.id]), n.type, n.surface, [" ".join(s) for s in n.synonyms])
          for n in graph.nodes()],
         [(int(perm[e.src]), int(perm[e.dst]), e.type) for e in graph.edges])
 
@@ -413,7 +413,7 @@ def _query_graph(ids=(0, 1, 2, 3), names=("aspirin", "nausea", "fever", "ibuprof
                  edges=((0, 1, "CAUSE"), (1, 2, "INDICATE"), (3, 1, "CAUSE")),
                  types=("Drug", "AdverseEffect", "Finding", "Drug")):
     """A query-sized graph; `edges` name their ends by position in `ids`."""
-    return HeteroGraph.from_rows([(i, t, name, (), None) for i, t, name in zip(ids, types, names)],
+    return HeteroGraph.from_rows([(i, t, name, ()) for i, t, name in zip(ids, types, names)],
                                  [(ids[s], ids[d], r) for s, d, r in edges])
 
 
@@ -480,7 +480,7 @@ def test_the_shape_cache_drops_its_least_recently_used_shape(monkeypatch):
 
 def test_a_graph_above_the_node_limit_keeps_its_own_operators(shapes):
     n = encoders.SHAPE_NODE_LIMIT + 1
-    big = [HeteroGraph.from_rows([(i, "Drug", f"d{i}", (), None) for i in range(n)],
+    big = [HeteroGraph.from_rows([(i, "Drug", f"d{i}", ()) for i in range(n)],
                                  [(i, i + 1, "CAUSE") for i in range(n - 1)]) for _ in range(2)]
     assert _relation_adjacency(big[0], None) is not _relation_adjacency(big[1], None)
     assert shapes.cache_info().currsize == 0
@@ -701,7 +701,7 @@ def test_encode_rejects_bad_shapes(toy_kb):
 
 def test_encode_rejects_unregistered_node_type(toy_kb):
     enc = make_encoder("graphsage", toy_kb, 8)
-    g = HeteroGraph.from_rows([(0, "Gene", "BRCA1", (), None)], [])
+    g = HeteroGraph.from_rows([(0, "Gene", "BRCA1", ())], [])
     with pytest.raises(HetlinkError, match="unregistered"):
         enc.encode(g, np.zeros((1, 8)))
 

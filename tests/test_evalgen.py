@@ -116,7 +116,7 @@ def test_metrics_count_every_miss_cause_at_zero():
 def _scored_item(sid, gold, inferred, degree):
     """An item whose mention, node 0 of its query graph, has `degree` non-self
     edges (alternately in and out) and a self-loop, and infers `inferred`."""
-    rows = [(n, "Finding", f"n{n}", (), None) for n in range(degree + 1)]
+    rows = [(n, "Finding", f"n{n}", ()) for n in range(degree + 1)]
     edges = [(0, n, "ASSOC") if n % 2 else (n, 0, "ASSOC") for n in range(1, degree + 1)]
     graph = HeteroGraph.from_rows(rows, edges + [(0, 0, "SELF")])
     qgraph = SimpleNamespace(graph=graph, inferred_types={0: inferred})
@@ -124,8 +124,8 @@ def _scored_item(sid, gold, inferred, degree):
 
 
 def test_score_items_attributes_each_miss_to_its_first_cause():
-    kb = HeteroGraph.from_rows([(0, "Finding", "alpha", (), None), (1, "Finding", "beta", (), None),
-                                (2, "Drug", "gamma", (), None)],
+    kb = HeteroGraph.from_rows([(0, "Finding", "alpha", ()), (1, "Finding", "beta", ()),
+                                (2, "Drug", "gamma", ())],
                                [(2, 0, "CAUSE")])
     items = [
         _scored_item("hit", 0, ("Drug",), 0),                 # a hit is never a miss
@@ -153,7 +153,7 @@ def test_config_mix_must_sum_to_one():
     ({"snippets": -1}, "snippets must be >= 0"),
     ({"vocab_size": 0}, "vocab_size must be >= 1"),
     ({"feature_dim": 0}, "feature_dim must be >= 1"),
-    ({"max_retries": 0}, "max_retries must be >= 1"),
+    ({"twin_fraction": 1.5}, r"twin_fraction must be in \[0, 1\]"),
     ({"seed": -1}, "seed must be >= 0"),
     ({"ambiguity_mix": {"acronym": 1.5, "twin": -0.5}}, "must be >= 0"),
     ({"synonym_fraction": 2.0}, r"synonym_fraction must be in \[0, 1\]"),

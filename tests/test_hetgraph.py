@@ -14,7 +14,8 @@ from hetlink.hetgraph import (Edge, GraphRowError, HeteroGraph, HetlinkError, In
                               Metapath, Node, SELF_EDGE_TYPE, build_inverted_index, graph_columns,
                               graph_from_columns, load_edges_tsv, load_graph, load_nodes_tsv,
                               normalize, tokenize)
-from hetlink.termembed import init_node_features, random_word_vectors, token_frequencies
+from hetlink.querygraph import GoldMentionExtractor, augment_query_graph
+from hetlink.termembed import random_word_vectors, token_frequencies
 from conftest import (index_entries_oracle, random_hetero_graph, save_graph, token_ids_oracle,
                       token_frequencies_oracle)
 
@@ -37,8 +38,8 @@ def test_tokenize_splits_what_normalize_returns(text):
 
 
 def _graph(nodes, edges=()):
-    """A graph of (id, type, name) nodes without synonyms or features."""
-    return HeteroGraph.from_rows([(nid, ntype, name, (), None) for nid, ntype, name in nodes],
+    """A graph of (id, type, name) nodes without synonyms."""
+    return HeteroGraph.from_rows([(nid, ntype, name, ()) for nid, ntype, name in nodes],
                                  edges)
 
 
@@ -70,7 +71,7 @@ def _per_row_constructor(nodes, edges):
     out-neighbors by (id, relation), the schema triples and the ids of each
     type."""
     types, present, out = {}, set(), {}
-    for i, (nid, ntype, name, _, _) in enumerate(nodes):
+    for i, (nid, ntype, name, _) in enumerate(nodes):
         if not ntype:
             return ("empty node type", ("nodes", i)), None
         if not tokenize(name):
@@ -95,7 +96,7 @@ def _per_row_constructor(nodes, edges):
 
 @settings(max_examples=300, deadline=None)
 @given(nodes=st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["Drug", "Finding", "Drug", ""]),
-                                st.sampled_from(["a", "b c", "a", "?!"]), st.just(()), st.none()),
+                                st.sampled_from(["a", "b c", "a", "?!"]), st.just(())),
                       max_size=6),
        edges=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
                                 st.sampled_from(["R", "S", SELF_EDGE_TYPE, ""])), max_size=10))
@@ -118,12 +119,11 @@ def test_constructor_checks_and_builds_as_the_per_row_loops_do(nodes, edges):
 
 
 def test_constructor_keeps_rows_and_edges_in_the_order_given():
-    g = HeteroGraph.from_rows([(5, "Drug", "Acute  Failure", ["kidney-failure"], [1, 2]),
-                               (1, "Finding", "x y", (), None)],
+    g = HeteroGraph.from_rows([(5, "Drug", "Acute  Failure", ["kidney-failure"]),
+                               (1, "Finding", "x y", ())],
                               [(5, 1, "CAUSE"), (1, 5, "ASSOC"), (5, 5, "SELF")])
     assert g.node_ids == [1, 5]
-    assert g.node(5) == Node(5, "Drug", ("acute", "failure"), (("kidney", "failure"),),
-                             (1.0, 2.0))
+    assert g.node(5) == Node(5, "Drug", ("acute", "failure"), (("kidney", "failure"),))
     assert g.node(1).name == ("x", "y")
     assert g.edges == [(5, 1, "CAUSE"), (1, 5, "ASSOC"), (5, 5, "SELF")]
     assert all(type(e) is Edge for e in g.edges)
@@ -231,7 +231,7 @@ def test_metapath_neighbors_excludes_anchor(toy_kb, daf_metapath):
 
 
 def test_inverted_index_covers_names_synonyms_acronyms():
-    g = HeteroGraph.from_rows([(0, "Finding", "acute renal failure", ("kidney failure",), None)],
+    g = HeteroGraph.from_rows([(0, "Finding", "acute renal failure", ("kidney failure",))],
                               [])
     idx = build_inverted_index(g)
     assert idx.lookup("Acute Renal Failure") == {0}
@@ -295,7 +295,7 @@ def test_tsv_roundtrip(tmp_path, toy_kb):
 
 def test_malformed_tsv_reports_line_number(tmp_path):
     bad = tmp_path / "nodes.tsv"
-    bad.write_text("0\tDrug\taspirin\t\t\n1\tDrug\n")
+    bad.write_text("0\tDrug\taspirin\t\n1\tDrug\n")
     with pytest.raises(HetlinkError, match=":2:"):
         load_graph(bad, None)
 
@@ -305,14 +305,12 @@ TOKENS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
 
 @st.composite
 def valid_graphs(draw):
-    """A graph with sparse ids, multi-token names, synonyms, preset features
-    on some nodes and typed edges, self-loops included."""
+    """A graph with sparse ids, multi-token names, synonyms and typed edges,
+    self-loops included."""
     ids = draw(st.lists(st.integers(0, 10_000), min_size=1, max_size=10, unique=True))
     nodes = [(nid, draw(st.sampled_from(["Drug", "Finding", "Symptom"])),
               draw(st.lists(TOKENS, min_size=1, max_size=3).map(" ".join)),
-              draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2).map(" ".join), max_size=2)),
-              draw(st.none() | st.lists(
-                  st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)))
+              draw(st.lists(st.lists(TOKENS, min_size=1, max_size=2).map(" ".join), max_size=2)))
              for nid in ids]
     return HeteroGraph.from_rows(nodes, draw(st.lists(
         st.tuples(st.sampled_from(ids), st.sampled_from(ids),
@@ -390,19 +388,16 @@ def test_a_bundle_gives_back_the_generators_graph_and_ingest_builds_the_same(tmp
     _assert_same_graph(load_graph(tmp_path / "nodes.tsv", tmp_path / "edges.tsv"), back)
 
 
-def test_a_bundle_keeps_synonyms_non_ascii_names_and_preset_rows(tmp_path):
-    kb = HeteroGraph.from_rows([(7, "Drug", "Ängström café", ["naïve  bayes", "x"], [0.5, -1.25]),
-                                (2, "Finding", "déjà vu", (), [1.0, 2.0, 3.0]),
-                                (40, "Finding", "fever", ("fièvre",), None)],
+def test_a_bundle_keeps_synonyms_and_non_ascii_names(tmp_path):
+    kb = HeteroGraph.from_rows([(7, "Drug", "Ängström café", ["naïve  bayes", "x"]),
+                                (2, "Finding", "déjà vu", ()),
+                                (40, "Finding", "fever", ("fièvre",))],
                                [(7, 2, "CAUSE"), (2, 40, "INDICATE"), (40, 7, "CAUSE")])
     write_bundle(tmp_path, kb, random_word_vectors({"fever"}, 2))
-    back, store, freqs = read_bundle(tmp_path)
+    back = read_bundle(tmp_path)[0]
     _assert_same_graph(back, kb)
     assert back.node(7).name == ("ängström", "café")
-    # rows of two lengths: the features refuse the one that does not fit
-    with pytest.raises(HetlinkError) as exc:
-        init_node_features(back, store, freqs)
-    assert str(exc.value) == "node 2 preset features have dim 3, expected 2"
+    assert back.node(7).synonyms == (("naïve", "bayes"), ("x",))
 
 
 # rows a node or edge list file must not hold; {old} is a node id of the
@@ -576,21 +571,29 @@ def test_column_built_token_map_and_frequencies_equal_the_per_node_walks(oracle_
 
 # -- nodes built on demand ----------------------------------------------------
 
-def test_node_and_nodes_give_back_the_generators_rows_in_node_id_order(monkeypatch):
+def _given_graphs(monkeypatch, build) -> list[tuple]:
+    """(graph, node rows, edge rows) of each from_rows call that build() makes."""
     given = []
     from_rows = HeteroGraph.from_rows.__func__
 
     def keep_rows(cls, nodes, edges):
-        given.append(list(nodes))
-        return from_rows(cls, given[-1], edges)
+        nodes, edges = list(nodes), list(edges)
+        given.append((from_rows(cls, nodes, edges), nodes, edges))
+        return given[-1][0]
 
     monkeypatch.setattr(HeteroGraph, "from_rows", classmethod(keep_rows))
-    kb = generate_synthetic_kb(SynthConfig(seed=2, snippets=0)).kb
-    rows = sorted(given[0], key=lambda row: -row[0])       # hand them over in reverse
+    build()
     monkeypatch.undo()
+    return given
+
+
+def test_node_and_nodes_give_back_the_generators_rows_in_node_id_order(monkeypatch):
+    [(kb, given, _)] = _given_graphs(
+        monkeypatch, lambda: generate_synthetic_kb(SynthConfig(seed=2, snippets=0)))
+    rows = sorted(given, key=lambda row: -row[0])       # hand them over in reverse
     rebuilt = HeteroGraph.from_rows(rows, kb.edges)
-    want = [Node(nid, ntype, tuple(tokenize(name)), tuple(tuple(tokenize(s)) for s in syns),
-                 features) for nid, ntype, name, syns, features in sorted(given[0])]
+    want = [Node(nid, ntype, tuple(tokenize(name)), tuple(tuple(tokenize(s)) for s in syns))
+            for nid, ntype, name, syns in sorted(given)]
     for graph in (kb, rebuilt):
         assert graph.nodes() == want
         assert [graph.node(node.id) for node in want] == want
@@ -601,14 +604,38 @@ def test_node_and_nodes_give_back_the_generators_rows_in_node_id_order(monkeypat
     assert kb.node(0) is not kb.node(0)            # built on each call
 
 
+def test_edges_and_typed_shape_read_back_the_rows_given(monkeypatch):
+    corpus = generate_synthetic_kb(SynthConfig(seed=1))
+    index = build_inverted_index(corpus.kb)
+    given = _given_graphs(monkeypatch, lambda: [
+        augment_query_graph(corpus.kb, index, snippet, GoldMentionExtractor())
+        for snippet in corpus.snippets])
+    assert len(given) == len(corpus.snippets)
+    # the seed-1 KB again, its ids spread out and handed over in reverse
+    rng = np.random.default_rng(1)
+    new_id = dict(zip(corpus.kb.node_ids, (rng.permutation(5 * len(corpus.kb))[:len(corpus.kb)]
+                                           * 3 - 1000).tolist()))
+    rows = [(new_id[n.id], n.type, n.surface, [" ".join(s) for s in n.synonyms])
+            for n in reversed(corpus.kb.nodes())]
+    edges = [(new_id[e.src], new_id[e.dst], e.type) for e in corpus.kb.edges]
+    given.append((HeteroGraph.from_rows(rows, edges), rows, edges))
+    for graph, nodes, edges in given:
+        assert graph.edges == [Edge(*e) for e in edges]
+        assert all(type(e) is Edge and type(e.src) is type(e.dst) is int for e in graph.edges)
+        ids = sorted(row[0] for row in nodes)
+        row_of = dict(zip(ids, range(len(ids))))
+        types = dict((row[0], row[1]) for row in nodes)
+        assert graph.typed_shape() == (tuple(map(types.__getitem__, ids)),
+                                       frozenset((row_of[s], row_of[d], t) for s, d, t in edges))
+
+
 def test_node_columns_hold_the_normalized_rows_in_node_id_order():
-    g = HeteroGraph.from_rows([(9, "Drug", "Acute, FAILURE", ("Kidney-failure", "?!"), [1, 2]),
-                               (3, "Finding", "fever", (), None)], [(9, 3, "CAUSE")])
-    ids, types, names, synonyms, features = g.node_columns()
+    g = HeteroGraph.from_rows([(9, "Drug", "Acute, FAILURE", ("Kidney-failure", "?!")),
+                               (3, "Finding", "fever", ())], [(9, 3, "CAUSE")])
+    ids, types, names, synonyms = g.node_columns()
     assert ids.tolist() == [3, 9] and not ids.flags.writeable
-    assert (types, names, synonyms, features) == (
-        ("Finding", "Drug"), ("fever", "acute failure"), ((), ("kidney failure",)),
-        (None, (1.0, 2.0)))
+    assert (types, names, synonyms) == (
+        ("Finding", "Drug"), ("fever", "acute failure"), ((), ("kidney failure",)))
     assert g.terms() == ["fever", "acute failure kidney failure"]
 
 
@@ -622,14 +649,15 @@ def test_an_unknown_id_ends_in_unknown_node(toy_kb, call):
 
 
 def test_constructor_names_the_first_breaking_row_in_the_order_given(tmp_path):
-    rows = [(5, "Drug", "a", (), None), (1, "Drug", "b", (), [float("nan")]),
-            (3, "", "c", (), None), (1, "Drug", "d", (), None)]
+    # row 1 breaks the second rule, row 2 the first and row 3 the last
+    rows = [(5, "Drug", "a", ()), (1, "Drug", "?!", ()), (3, "", "c", ()), (1, "Drug", "d", ())]
+    error = "node name must have at least one token"
     with pytest.raises(GraphRowError) as exc:
         HeteroGraph.from_rows(rows, [])
-    assert (str(exc.value), exc.value.row) == ("non-finite feature float", ("nodes", 1))
+    assert (str(exc.value), exc.value.row) == (error, ("nodes", 1))
     nodes_path, edges_path = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
-    nodes_path.write_text("# id\ttype\tname\n5\tDrug\ta\n1\tDrug\tb\t\tnan\n3\t\tc\n")
+    nodes_path.write_text("# id\ttype\tname\n5\tDrug\ta\n1\tDrug\t?!\n3\t\tc\n")
     edges_path.write_text("")
     with pytest.raises(HetlinkError) as exc:
         load_graph(nodes_path, edges_path)
-    assert str(exc.value) == f"{nodes_path}:3: non-finite feature float"
+    assert str(exc.value) == f"{nodes_path}:3: {error}"

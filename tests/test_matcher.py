@@ -166,8 +166,8 @@ def _candidate_ids_oracle(kb, item):
 
 def _sparse_id_kb(rng, n=60, types=("Drug", "AdverseEffect", "Symptom", "Finding")):
     """Ids with gaps, listed out of order, types interleaved across the ids."""
-    return HeteroGraph.from_rows([(nid, types[int(rng.integers(len(types)))], f"node {nid}", (),
-                                   None) for nid in rng.permutation(5 * n)[:n].tolist()], [])
+    return HeteroGraph.from_rows([(nid, types[int(rng.integers(len(types)))], f"node {nid}", ())
+                                 for nid in rng.permutation(5 * n)[:n].tolist()], [])
 
 
 def test_candidate_ids_match_the_list_oracle_as_read_only_int64():
@@ -222,7 +222,7 @@ def test_candidate_pool_reuses_the_token_map_of_a_kb(mini, monkeypatch):
     monkeypatch.undo()
     # an equal graph that is another object builds its own map
     twin = HeteroGraph.from_rows(
-        [(n.id, n.type, n.surface, [" ".join(s) for s in n.synonyms], None)
+        [(n.id, n.type, n.surface, [" ".join(s) for s in n.synonyms])
          for n in corpus.kb.nodes()], corpus.kb.edges)
     assert [candidate_pool(twin, it).tolist() for it in items] == [p.tolist() for p in first]
     assert twin.token_ids is not corpus.kb.token_ids
@@ -439,7 +439,7 @@ def _interleaved_copy(kb: HeteroGraph, rng) -> HeteroGraph:
     """`kb` with its node ids permuted, so every type's rows are gapped."""
     new_id = dict(zip(kb.node_ids, rng.permutation(len(kb)).tolist()))
     return HeteroGraph.from_rows(
-        [(new_id[n.id], n.type, n.surface, [" ".join(s) for s in n.synonyms], None)
+        [(new_id[n.id], n.type, n.surface, [" ".join(s) for s in n.synonyms])
          for n in kb.nodes()],
         [(new_id[e.src], new_id[e.dst], e.type) for e in kb.edges])
 

@@ -137,7 +137,7 @@ def _relabeled(kb, new_id):
     from hetlink.hetgraph import HeteroGraph
 
     return HeteroGraph.from_rows(
-        [(new_id(n.id), n.type, n.surface, [" ".join(s) for s in n.synonyms], None)
+        [(new_id(n.id), n.type, n.surface, [" ".join(s) for s in n.synonyms])
          for n in kb.nodes()],
         [(new_id(e.src), new_id(e.dst), e.type) for e in kb.edges])
 

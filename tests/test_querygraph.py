@@ -287,7 +287,7 @@ def test_kb_edge_joining_shared_candidates_transfers_one_way():
     # join the two candidate sets in both directions at once
     a, b = 0, 1
     kb = HeteroGraph.from_rows(
-        [(a, "T", "alpha beta", (), None), (b, "T", "alpha bravo", (), None)],
+        [(a, "T", "alpha beta", ()), (b, "T", "alpha bravo", ())],
         [(a, b, "R"), (b, a, "Q"), (a, a, "L")])
     index = build_inverted_index(kb)
     qg = augment_query_graph(kb, index, TextSnippet("s", "AB then AB"),

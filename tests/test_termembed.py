@@ -96,8 +96,8 @@ def test_load_word_vectors_rejects_ragged_rows(tmp_path):
 
 
 def test_token_frequencies_count_name_and_synonym_tokens_over_their_total():
-    g = HeteroGraph.from_rows([(0, "Drug", "aspirin aspirin tablet", ("ASA tablet",), None),
-                               (1, "Finding", "renal failure", (), None)], [])
+    g = HeteroGraph.from_rows([(0, "Drug", "aspirin aspirin tablet", ("ASA tablet",)),
+                               (1, "Finding", "renal failure", ())], [])
     assert token_frequencies(g) == {"aspirin": 2 / 7, "tablet": 2 / 7, "asa": 1 / 7,
                                     "renal": 1 / 7, "failure": 1 / 7}
 
@@ -171,18 +171,9 @@ def test_init_node_features_orders_rows_by_node_id(toy_kb, toy_store, toy_freqs)
             feats[node.id], term_embedding(node.name, toy_store, toy_freqs))
 
 
-def test_init_node_features_prefers_preset_features(toy_store, toy_freqs):
-    from hetlink.hetgraph import HeteroGraph
-
-    g = HeteroGraph.from_rows([(0, "Drug", "Aspirin", (), np.arange(16, dtype=float))], [])
-    feats = init_node_features(g, toy_store, toy_freqs)
-    np.testing.assert_array_equal(feats[0], np.arange(16, dtype=float))
-
-
 def _term_embedding_rows(graph, store, freqs):
     """init_node_features the slow way: term_embedding node by node."""
-    return np.stack([term_embedding(n.name, store, freqs) if n.features is None
-                     else np.asarray(n.features) for n in graph.nodes()])
+    return np.stack([term_embedding(n.name, store, freqs) for n in graph.nodes()])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -194,18 +185,16 @@ def test_init_node_features_is_term_embedding_bit_for_bit_on_synthetic_kbs(seed)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 1024])
-def test_init_node_features_keeps_preset_rows_and_embeds_unseen_tokens(monkeypatch, chunk):
+def test_init_node_features_embeds_unseen_tokens(monkeypatch, chunk):
     monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
     store = random_word_vectors(["aspirin", "renal", "failure", "acute"], 8, seed=3)
     freqs = {"renal": 0.2, "failure": 0.05}
-    g = HeteroGraph.from_rows([(nid, "Finding", name, (), features) for nid, name, features in [
-        (4, "acute renal failure", None), (9, "aspirin", None), (2, "zzyzx renal", None),
-        (7, "preset", np.linspace(-1, 1, 8)), (5, "renal failure", None), (0, "failure", None)]],
-        [])
+    g = HeteroGraph.from_rows([(nid, "Finding", name, ()) for nid, name in [
+        (4, "acute renal failure"), (9, "aspirin"), (2, "zzyzx renal"), (7, "zzyzx"),
+        (5, "renal failure"), (0, "failure")]], [])
     feats = init_node_features(g, store, freqs)
-    assert "zzyzx" not in store and "preset" not in store
+    assert "zzyzx" not in store
     assert np.array_equal(feats, _term_embedding_rows(g, store, freqs))
-    assert np.array_equal(feats[g.rows([7])[0]], np.linspace(-1, 1, 8))
     assert not feats.flags.writeable
 
 
