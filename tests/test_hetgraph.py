@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -298,6 +299,21 @@ def test_malformed_tsv_reports_line_number(tmp_path):
     bad.write_text("0\tDrug\taspirin\t\n1\tDrug\n")
     with pytest.raises(HetlinkError, match=":2:"):
         load_graph(bad, None)
+
+
+@pytest.mark.parametrize("line, synonyms", [
+    ("0\tDrug\taspirin", ()), ("0\tDrug\taspirin\tASA|", (("asa",),)),
+    ("0\tDrug\taspirin\t\t0.5,0.25", None), ("0\tDrug\taspirin\t\t", None)])
+def test_a_node_line_holds_3_or_4_columns(tmp_path, line, synonyms):
+    path, edges = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    path.write_text(line + "\n")
+    edges.write_text("")
+    if synonyms is None:
+        with pytest.raises(HetlinkError, match=f"^{re.escape(str(path))}:1: expected 3 or 4 "
+                                               f"columns$"):
+            load_graph(path, edges)
+    else:
+        assert load_graph(path, edges).node(0).synonyms == synonyms
 
 
 TOKENS = st.text(alphabet="abcdefgh0123", min_size=1, max_size=4)
@@ -604,22 +620,34 @@ def test_node_and_nodes_give_back_the_generators_rows_in_node_id_order(monkeypat
     assert kb.node(0) is not kb.node(0)            # built on each call
 
 
-def test_edges_and_typed_shape_read_back_the_rows_given(monkeypatch):
+def _query_graphs_given(monkeypatch) -> list[tuple]:
+    """(graph, node rows, edge rows) of each seed-1 query graph."""
     corpus = generate_synthetic_kb(SynthConfig(seed=1))
     index = build_inverted_index(corpus.kb)
     given = _given_graphs(monkeypatch, lambda: [
         augment_query_graph(corpus.kb, index, snippet, GoldMentionExtractor())
         for snippet in corpus.snippets])
     assert len(given) == len(corpus.snippets)
-    # the seed-1 KB again, its ids spread out and handed over in reverse
+    return given
+
+
+def _spread_kb_given(monkeypatch) -> list[tuple]:
+    """(graph, node rows, edge rows) of the seed-1 KB again, its ids spread
+    out and handed over in reverse."""
+    kb = generate_synthetic_kb(SynthConfig(seed=1, snippets=0)).kb
     rng = np.random.default_rng(1)
-    new_id = dict(zip(corpus.kb.node_ids, (rng.permutation(5 * len(corpus.kb))[:len(corpus.kb)]
-                                           * 3 - 1000).tolist()))
+    new_id = dict(zip(kb.node_ids, (rng.permutation(5 * len(kb))[:len(kb)]
+                                    * 3 - 1000).tolist()))
     rows = [(new_id[n.id], n.type, n.surface, [" ".join(s) for s in n.synonyms])
-            for n in reversed(corpus.kb.nodes())]
-    edges = [(new_id[e.src], new_id[e.dst], e.type) for e in corpus.kb.edges]
-    given.append((HeteroGraph.from_rows(rows, edges), rows, edges))
-    for graph, nodes, edges in given:
+            for n in reversed(kb.nodes())]
+    edges = [(new_id[e.src], new_id[e.dst], e.type) for e in kb.edges]
+    return [(HeteroGraph.from_rows(rows, edges), rows, edges)]
+
+
+@pytest.mark.parametrize("graphs", [_query_graphs_given, _spread_kb_given],
+                         ids=["seed-1 query graphs", "a KB with spread ids"])
+def test_edges_and_typed_shape_read_back_the_rows_given(monkeypatch, graphs):
+    for graph, nodes, edges in graphs(monkeypatch):
         assert graph.edges == [Edge(*e) for e in edges]
         assert all(type(e) is Edge and type(e.src) is type(e.dst) is int for e in graph.edges)
         ids = sorted(row[0] for row in nodes)
