@@ -140,26 +140,21 @@ def _magnn_plan(graph: HeteroGraph, metapaths: list[Metapath], key: tuple) -> tu
         n = len(graph)
         per_path, positions = [], [np.zeros(0, dtype=np.int64)]
         for path in metapaths:
-            # a path with an edge triple the graph lacks has no instance
-            if not set(zip(path.node_types, path.edge_types,
-                           path.node_types[1:])) <= graph.schema.triples:
-                continue
+            table = graph.metapath_table(path)
             # simple instances only: cyclic ones re-inject the target's own
             # feature, which drowns the neighborhood signal being compared
-            instances = [inst for nid in graph.nodes_of_type(path.tail)
-                         for inst in graph.metapath_instances(nid, path, anchor="end")
-                         if len(set(inst)) == len(inst)]
-            if not instances:
+            ordered = np.sort(table, axis=1)
+            simple = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+            if not simple.any():
                 continue
-            m, width = len(instances), len(path)
-            cols = graph.rows([nid for inst in instances for nid in inst])
-            targets = cols[width - 1::width]        # an instance ends at its target
+            table, ordered = table[simple], ordered[simple]
+            m, width = table.shape
+            targets = table[:, -1]                  # an instance ends at its target
             covered, segments = np.unique(targets, return_inverse=True)
             segments.flags.writeable = False
             # built in CSR order, each row's columns ascending as scipy's COO
             # conversion leaves them, so every product adds in the same order
-            avg = ndiff.constant_csr(np.full(m * width, 1.0 / width),
-                                     np.sort(cols.reshape(m, width), axis=1).ravel(),
+            avg = ndiff.constant_csr(np.full(m * width, 1.0 / width), ordered.ravel(),
                                      np.full(m, width), n)
             gather = ndiff.constant_csr(np.ones(m), targets, np.ones(m, dtype=np.int64), n)
             per_path.append((path.label(), avg, gather, segments,

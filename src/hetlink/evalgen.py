@@ -454,6 +454,11 @@ def build_model(kb: HeteroGraph, feature_dim: int, kind: str, metapaths=None,
     if fc_mode:
         edge_types.add(RELATED_EDGE_TYPE)
     encoder = Encoder(cfg, feature_dim, kb.node_types, edge_types)
+    for path in cfg.metapaths:
+        # a MAGNN layer skips a path without instances, so a typo would go unseen
+        triples = set(zip(path.node_types, path.edge_types, path.node_types[1:]))
+        if not triples <= kb.schema.triples:
+            raise HetlinkError(f"metapath {path.label()} has an edge the KB schema lacks")
     return SiameseModel(encoder, MatchingHead())
 
 

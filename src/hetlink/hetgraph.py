@@ -248,10 +248,15 @@ class HeteroGraph:
         return ids[bounds[k]:bounds[k + 1]]
 
     @functools.cached_property
+    def _type_codes(self) -> tuple[np.ndarray, tuple]:
+        """Each row's node-type code, int64, and the type of each code."""
+        return _codes(self._nodes[0])
+
+    @functools.cached_property
     def schema(self) -> Schema:
         """(srcType, edgeType, dstType) of the edges, built on first use."""
         src, dst, codes, edge_types = self._edge_table
-        type_codes, types = _codes(self._nodes[0])
+        type_codes, types = self._type_codes
         triples = set(zip(type_codes[src].tolist(), codes.tolist(), type_codes[dst].tolist()))
         return Schema(frozenset((types[a], edge_types[r], types[b]) for a, r, b in triples
                                 if edge_types[r] != SELF_EDGE_TYPE))
@@ -406,8 +411,32 @@ class HeteroGraph:
             raise HetlinkError(f"node {v} of type {vtype} does not match metapath type {expect}")
         return anchor
 
+    def metapath_table(self, path: Metapath) -> np.ndarray:
+        """Every instance of `path` in the graph as the rows of its nodes, an
+        (instances, len(path)) int64 array ordered by target (last column),
+        then lexicographically, as metapath_instances(target, path, "end")
+        lists them; node revisits kept.  Built from the tail back: each step
+        joins the rows so far to the edges of its type, sorted by dst, whose
+        src has its node type."""
+        type_codes, types = self._type_codes
+        want = [types.index(t) if t in types else -1 for t in path.node_types]
+        src, dst, codes, _ = self._edge_table
+        table = np.flatnonzero(type_codes == want[-1])[:, None]
+        for i in range(len(path) - 2, -1, -1):
+            keep = ((codes == self._edge_code.get(path.edge_types[i], -1))
+                    & (type_codes[src] == want[i]))
+            order = np.argsort(dst[keep], kind="stable")
+            ends, starts = dst[keep][order], src[keep][order]
+            lo = np.searchsorted(ends, table[:, 0])
+            counts = np.searchsorted(ends, table[:, 0], side="right") - lo
+            # row j's edges are ends[lo[j]:lo[j] + counts[j]], row after row
+            picks = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+            table = np.column_stack([starts[picks], np.repeat(table, counts, axis=0)])
+        return table[np.lexsort((*table[:, -2::-1].T, table[:, -1]))]
+
     def metapath_instances(self, v: int, path: Metapath, anchor: str) -> list[tuple[int, ...]]:
-        """All instances of `path` anchored at v, ordered as written.
+        """All instances of `path` anchored at v, ordered as written: the
+        per-node reference that metapath_table is tested against.
 
         anchor="end" enumerates instances terminating at v (walking in-edges
         backward); anchor="start" enumerates instances originating at v;

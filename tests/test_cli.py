@@ -495,6 +495,20 @@ def test_config_value_its_setting_would_change_is_rejected(workdir, tmp_path, ca
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("label", ["Drug-FOO-Finding", "AdverseEffect-CAUSE-Drug",
+                                   "Drug-CAUSE-AdverseEffect-FOO-Finding"])
+def test_train_refuses_a_metapath_with_an_edge_the_kb_lacks(workdir, tmp_path, capsys, label):
+    # the KB has no FOO edge, and its CAUSE edges run from Drug to AdverseEffect
+    config = tmp_path / "paths.json"
+    config.write_text(json.dumps({**TRAIN_CONFIG, "encoder": "magnn", "metapaths": [label]}))
+    code = main(["train", "--bundle", str(workdir / "corpus"),
+                 "--snippets", str(workdir / "corpus" / "snippets.json"),
+                 "--config", str(config), "--out", str(tmp_path / "m")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: metapath {label} has an edge the KB schema lacks\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_whole_float_config_value_sets_an_int(workdir, tmp_path):
     config = tmp_path / "whole.json"
     config.write_text(json.dumps({**TRAIN_CONFIG, "epochs": 2.0, "lr": 1}))

@@ -543,21 +543,14 @@ def test_four_threads_encoding_one_shape_at_once_agree(monkeypatch):
     assert all(o is not None and np.array_equal(o, cold) for o in out)
 
 
-def test_magnn_plan_walks_no_metapath_whose_triples_the_graph_lacks(shapes, monkeypatch):
-    walked = []
-    instances = HeteroGraph.metapath_instances
+def test_magnn_plan_reads_the_instance_table_not_the_per_node_walk(shapes, monkeypatch):
+    def walk(self, *args, **kwargs):
+        raise AssertionError("the plan called the per-node walk")
 
-    def counting(self, v, path, *args, **kwargs):
-        walked.append(path.label())
-        return instances(self, v, path, *args, **kwargs)
-
-    g = _query_graph()
-    monkeypatch.setattr(HeteroGraph, "metapath_instances", counting)
-    per_path, *_ = magnn_plan(g, QUERY_PATHS)
-    live = [path.label() for path in QUERY_PATHS[:3]]
-    assert [entry[0] for entry in per_path] == live
-    # Drug-TREAT-Finding has no TREAT edge to walk, so none of its Findings is
-    assert sorted(set(walked)) == sorted(live)
+    monkeypatch.setattr(HeteroGraph, "metapath_instances", walk)
+    per_path, *_ = magnn_plan(_query_graph(), QUERY_PATHS)
+    # Drug-TREAT-Finding has no TREAT edge, so it has no instance
+    assert [entry[0] for entry in per_path] == [path.label() for path in QUERY_PATHS[:3]]
 
 
 def _adjacency_oracle(graph, relation):
@@ -687,6 +680,56 @@ def test_magnn_plan_matches_oracle_on_a_synthetic_query_batch():
         batch.graph, schema_metapaths(corpus.kb.schema, limit=0))
     assert any(avg.matrix.nnz == 3 * avg.shape[0] for _, avg, *_ in per_path), (
         "no metapath of three nodes has an instance")
+
+
+def _assert_table_lists_the_instances_of_each_target(graph, paths):
+    """metapath_table against metapath_instances(v, path, anchor="end"), target
+    by target in ascending order, instance by instance; the rows revisiting a
+    node, counted over `paths`."""
+    revisits = 0
+    for path in paths:
+        table = graph.metapath_table(path)
+        want = [list(inst) for v in graph.nodes_of_type(path.tail)
+                for inst in graph.metapath_instances(v, path, anchor="end")]
+        assert table.dtype == np.int64 and table.shape == (len(want), len(path)), path.label()
+        assert graph.id_array[table].tolist() == want, path.label()
+        revisits += sum(len(set(inst)) < len(inst) for inst in want)
+    return revisits
+
+
+def test_instance_table_lists_each_targets_instances_on_the_kb_and_a_query_batch():
+    corpus = evalgen.generate_synthetic_kb(evalgen.SynthConfig(seed=1))
+    kb_paths = schema_metapaths(corpus.kb.schema)
+    _assert_table_lists_the_instances_of_each_target(corpus.kb, kb_paths)
+    items = evalgen.corpus_items(corpus, [s.id for s in corpus.snippets[:12]])
+    batch = build_query_batch(items, corpus.config.feature_dim)
+    assert SELF_EDGE_TYPE in batch.graph.edge_types
+    # paths over the query graphs' SELF loops revisit their node
+    self_paths = [Metapath(("Drug", "Drug"), (SELF_EDGE_TYPE,)),
+                  Metapath(("Drug", "Drug", "AdverseEffect"), (SELF_EDGE_TYPE, "CAUSE"))]
+    assert _assert_table_lists_the_instances_of_each_target(
+        batch.graph, schema_metapaths(corpus.kb.schema, limit=0) + self_paths) > 0
+
+
+def test_instance_table_keeps_revisits_that_the_plan_drops_on_random_graphs():
+    rng = np.random.default_rng(5)
+    # two node and two edge types, densely linked: many paths are cyclic
+    lacking = [Metapath(("T0", "T9"), ("R0",)), Metapath(("T9", "T0"), ("R0",)),
+               Metapath(("T1", "T0"), ("R9",)), Metapath(("T0", "T1", "T0"), ("R0", "R9"))]
+    revisits = 0
+    for _ in range(8):
+        g = random_hetero_graph(rng, n_nodes=int(rng.integers(4, 12)), n_types=2,
+                                n_edge_types=2, edge_prob=0.35)
+        inventory = schema_metapaths(g.schema, limit=0)
+        # three-edge paths too: each two-edge path extended by every triple
+        paths = inventory + [Metapath((*p.node_types, d), (*p.edge_types, e))
+                             for p in inventory if len(p) == 3
+                             for s, e, d in sorted(g.schema.triples) if s == p.tail]
+        revisits += _assert_table_lists_the_instances_of_each_target(g, paths + lacking)
+        _assert_magnn_plan_matches_oracle(g, paths)
+        for path in lacking:
+            assert g.metapath_table(path).shape == (0, len(path))
+    assert revisits > 0
 
 
 # ---------------------------------------------------------------------------
