@@ -11,12 +11,13 @@ hetlink gen-synth --seed 1 --snippets 60 --out smoke
 test "$(files smoke)" = "graph.npz manifest.json snippets.json wordvecs.npz "
 # a bundle holds no TSV: ingest reads a node and an edge list written here;
 # one name is punctuated and not ASCII, so the graph normalizes it name by
-# name and the bundle holds it normalized
-printf '0\tDrug\taspirin\n1\tAdverseEffect\tnausea\n2\tFinding\tFièvre, Aiguë\n' > nodes.tsv
+# name and the bundle holds it normalized; graph.npz holds the node list's
+# own columns, a node's synonyms one line joined by "|"
+printf '0\tDrug\taspirin\tASA|Acetylsalicylic Acid\n1\tAdverseEffect\tnausea\n2\tFinding\tFièvre, Aiguë\n' > nodes.tsv
 printf '0\t1\tCAUSE\n1\t2\tINDICATE\n' > edges.tsv
 hetlink ingest --nodes nodes.tsv --edges edges.tsv --dim 8 --out smoke-ingest
 test "$(files smoke-ingest)" = "graph.npz manifest.json wordvecs.npz "
-python3 -c 'import numpy as np; names = np.load("smoke-ingest/graph.npz")["names"].tobytes().decode().split("\n"); raise SystemExit(0 if names == ["aspirin", "nausea", "fièvre aiguë"] else 1)'
+python3 -c 'import numpy as np; npz = np.load("smoke-ingest/graph.npz"); lines = {k: npz[k].tobytes().decode().split("\n") for k in ("names", "synonyms", "types")}; raise SystemExit(0 if lines == {"names": ["aspirin", "nausea", "fièvre aiguë"], "synonyms": ["asa|acetylsalicylic acid", "", ""], "types": ["Drug", "AdverseEffect", "Finding"]} else 1)'
 # a node line with a 5th column: exit status 1 and one stderr line that
 # names the file and the line
 printf '0\tDrug\taspirin\t\t0.5\n' > nodes.tsv

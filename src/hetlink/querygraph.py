@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hetgraph import (SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph, HetlinkError,
+from .hetgraph import (INT_RE, SELF_EDGE_TYPE, RELATED_EDGE_TYPE, HeteroGraph, HetlinkError,
                        InvertedIndex, tokenize)
 from .termembed import WordVectorStore, init_node_features
 
@@ -72,7 +72,7 @@ class TextSnippet:
         mentions = []
         for m in _json_value(data, "Mentions", list) if "Mentions" in data else ():
             link = _json_value(m, "link_id", (int, str, type(None)))
-            if isinstance(link, str) and not re.fullmatch(r"-?\d+", link):
+            if isinstance(link, str) and not INT_RE.fullmatch(link):
                 raise HetlinkError(f"key 'link_id' is not an integer: {link!r}")
             mentions.append(Mention(_json_value(m, "mention", str),
                                     _json_value(m, "start_offset", int),

@@ -14,7 +14,8 @@ from collections import Counter
 
 import numpy as np
 
-from .hetgraph import HeteroGraph, HetlinkError, open_text, read_npz, tokenize
+from .hetgraph import (HeteroGraph, HetlinkError, column_lines, open_text, read_npz,
+                       text_column, tokenize)
 
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
@@ -61,21 +62,18 @@ class WordVectorStore:
         return vec
 
     def save(self, path) -> None:
-        """Write the store as one .npz archive: a `tokens` string array in
-        sorted order and a float64 `vectors` matrix with one row per token.
-        `load` reads back exactly what was stored.  A numpy string array drops
-        a trailing NUL, so a token ending in one is refused, before the file's
-        missing directories are made.  numpy stamps each member with the fixed
-        date 1980-01-01: equal stores write equal bytes."""
+        """Write the store as one .npz archive: a `tokens` text column (the
+        graph.npz rule: UTF-8, one token a line) in sorted order and a
+        float64 `vectors` matrix with one row per token.  `load` reads back
+        exactly what was stored.  A token with a line break is refused,
+        before the file's missing directories are made.  numpy stamps each
+        member with the fixed date 1980-01-01: equal stores write equal bytes."""
         tokens = sorted(self._vectors)
-        for tok in tokens:
-            if tok.endswith("\x00"):
-                raise HetlinkError(
-                    f"{path}: token {tok!r} ends in NUL, which a .npz string array drops")
+        column = text_column(tokens, "tokens", path)
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         # a file object, so numpy appends no ".npz" to the name
         with open(path, "wb") as fh:
-            np.savez(fh, tokens=np.array(tokens, dtype=str),
+            np.savez(fh, tokens=column,
                      vectors=np.array([self._vectors[t] for t in tokens]).reshape(-1, self.dim))
 
     @classmethod
@@ -87,23 +85,20 @@ class WordVectorStore:
         if missing:
             raise HetlinkError(f"{path}: no {missing[0]!r} array")
         tokens, vectors = arrays["tokens"], arrays["vectors"]
-        if tokens.ndim != 1 or tokens.dtype.kind != "U":
-            raise HetlinkError(f"{path}: tokens must be a 1-D string array, "
+        if tokens.ndim != 1 or tokens.dtype != np.uint8:
+            raise HetlinkError(f"{path}: tokens must be a 1-D uint8 text column, "
                                f"got {tokens.dtype} of shape {tokens.shape}")
         if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] < 1:
             raise HetlinkError(f"{path}: vectors must be a 2-D float64 matrix with at least "
                                f"one column, got {vectors.dtype} of shape {vectors.shape}")
-        if len(vectors) != len(tokens):
-            raise HetlinkError(f"{path}: {len(vectors)} vector rows for {len(tokens)} tokens")
-        names = tokens.tolist()
+        names = column_lines(arrays, "tokens", len(vectors), path)
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
             raise HetlinkError(f"{path}: row {row} ({names[row]!r}): non-finite float")
         store = cls(dict(zip(names, vectors)), vectors.shape[1])
         if len(store) != len(names):
-            unique, counts = np.unique(tokens, return_counts=True)
-            raise HetlinkError(f"{path}: duplicate token {str(unique[counts > 1][0])!r}")
+            raise HetlinkError(f"{path}: duplicate token {Counter(names).most_common(1)[0][0]!r}")
         return store
 
 

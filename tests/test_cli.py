@@ -39,7 +39,7 @@ def write_word_vector_text(npz_path, path) -> None:
     `ingest --wordvecs` reads: a `token f1 f2 ...` line per token, each float
     as repr prints it, so the text holds every bit."""
     with np.load(npz_path) as npz:
-        rows = zip(npz["tokens"].tolist(), npz["vectors"].tolist())
+        rows = zip(_lines(npz["tokens"]), npz["vectors"].tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(" ".join([tok, *map(repr, vec)]) + "\n" for tok, vec in rows)
 
@@ -128,7 +128,7 @@ def test_gen_synth_writes_bundle_and_snippets(workdir):
     assert sorted(os.listdir(corpus)) == ["graph.npz", "manifest.json", "snippets.json",
                                           "wordvecs.npz"]
     manifest = json.loads((corpus / "manifest.json").read_text())
-    assert manifest["bundle_version"] == "4"
+    assert manifest["bundle_version"] == "5"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
     with np.load(corpus / "graph.npz") as npz:
         assert sorted(npz.files) == sorted(GRAPH_COLUMNS)
@@ -319,39 +319,35 @@ def test_ingest_refuses_a_repeated_word_vector_token(workdir, tmp_path, capsys):
     assert not (tmp_path / "bundle").exists()
 
 
-def test_ingest_refuses_a_token_a_bundle_cannot_hold(workdir, tmp_path, capsys):
-    """A refused store leaves --out as it was: a missing one (its parent
-    too) is not made, and an existing one keeps just the file it held."""
-    # a numpy string array drops a trailing NUL, so the token would not come back
-    path = tmp_path / "wordvecs.txt"
-    floats = (workdir / "wordvecs.txt").read_text().split("\n", 1)[0].split(" ", 1)[1]
-    path.write_text(f"fever\x00 {floats}\n")
+def test_a_token_a_bundle_cannot_hold_leaves_out_as_it_was(toy_kb, tmp_path):
+    """A refused store leaves the bundle directory as it was: a missing one
+    (its parent too) is not made, and an existing one keeps just the file it
+    held."""
+    # a text column holds its strings one a line
+    store = random_word_vectors({"fever", "fe\nver"}, 4)
     kept = tmp_path / "kept"
     kept.mkdir()
     (kept / "notes.txt").write_text("kept\n")
     for bundle in (tmp_path / "bundle", tmp_path / "new" / "bundle", kept):
-        assert main(["ingest", "--nodes", str(workdir / "nodes.tsv"),
-                     "--edges", str(workdir / "edges.tsv"), "--wordvecs", str(path),
-                     "--out", str(bundle)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {bundle / 'wordvecs.npz'}: token 'fever\\x00' "
-            f"ends in NUL, which a .npz string array drops\n")
-    assert sorted(os.listdir(tmp_path)) == ["kept", "wordvecs.txt"]
+        with pytest.raises(HetlinkError) as exc:
+            write_bundle(bundle, toy_kb, store)
+        assert str(exc.value) == f"{bundle / 'wordvecs.npz'}: a 'tokens' string holds a line break"
+    assert os.listdir(tmp_path) == ["kept"]
     assert os.listdir(kept) == ["notes.txt"]
     assert (kept / "notes.txt").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("nodes, what", [
-    ([(0, "Drug\nX", "aspirin", ())], "node type"),
+@pytest.mark.parametrize("nodes, column", [
+    ([(0, "Drug\nX", "aspirin", ())], "types"),
 ])
 def test_a_kb_string_that_graph_npz_cannot_hold_is_refused_before_any_file(tmp_path, nodes,
-                                                                           what):
+                                                                           column):
     # a text column holds its strings one a line
     kb = HeteroGraph.from_rows(nodes, [])
     with pytest.raises(HetlinkError) as exc:
         write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
-    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a {what} holds a line "
-                              f"break, which a text column cannot")
+    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a {column!r} string holds "
+                              f"a line break")
     assert not (tmp_path / "bundle").exists()
 
 
@@ -361,8 +357,8 @@ def test_an_edge_type_with_a_line_break_is_refused_and_a_name_with_one_is_normal
     assert kb.node(0).name == ("aspi", "rin") and kb.node(0).synonyms == (("as", "pirin"),)
     with pytest.raises(HetlinkError) as exc:
         write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
-    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: an edge type holds a line "
-                              f"break, which a text column cannot")
+    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a 'edge_types' string "
+                              f"holds a line break")
     assert not (tmp_path / "bundle").exists()
 
 
@@ -401,6 +397,13 @@ TWO_NODES = "0\tDrug\taspirin\n1\tFinding\tfever\n"
      "{nodes}:1: node id -9223372036854775809 out of range"),
     (TWO_NODES, "0\t1\tCAUSE\n0\t99999999999999999999\tCAUSE\n",
      "{edges}:2: node id 99999999999999999999 out of range"),
+    # an id is ASCII digits after an optional "-", not all that int() takes
+    ("0\tDrug\taspirin\n1_0\tFinding\tfever\n", "", "{nodes}:2: bad node id '1_0'"),
+    ("\u0665\tDrug\taspirin\n", "", "{nodes}:1: bad node id '\u0665'"),
+    (" +7\tDrug\taspirin\n", "", "{nodes}:1: bad node id ' +7'"),
+    (TWO_NODES, "0\t1\tCAUSE\n1_0\t1\tCAUSE\n", "{edges}:2: bad endpoint id '1_0'"),
+    (TWO_NODES, "0\t\u0661\tCAUSE\n", "{edges}:1: bad endpoint id '\u0661'"),
+    (TWO_NODES, " +1\t0\tCAUSE\n", "{edges}:1: bad endpoint id ' +1'"),
     ("0\tDrug\taspirin\t\t0.5,0.25\n", "", "{nodes}:1: expected 3 or 4 columns"),
     ("0\tDrug\taspirin\t\t\n", "", "{nodes}:1: expected 3 or 4 columns"),
     ("0\tDrug\taspirin\n1\tFinding\n", "", "{nodes}:2: expected 3 or 4 columns"),
@@ -555,15 +558,16 @@ def test_a_bundle_manifest_that_cannot_be_opened_ends_in_one_line_that_names_it(
 
 
 def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
-    # a version-2 bundle holds its KB as nodes.tsv and edges.tsv, and a
-    # version-3 graph.npz may hold preset feature rows: both are refused
+    # a version-2 bundle holds its KB as nodes.tsv and edges.tsv, a version-3
+    # graph.npz may hold preset feature rows, and a version-4 one holds type
+    # codes and synonym counts: each is refused
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
     os.remove(bundle / "graph.npz")
     for name in ("nodes.tsv", "edges.tsv"):
         shutil.copy(workdir / name, bundle / name)
     manifest = json.loads((bundle / "manifest.json").read_text())
-    for version in ("2", "3", "99"):
+    for version in ("2", "3", "4", "99"):
         (bundle / "manifest.json").write_text(json.dumps({**manifest,
                                                           "bundle_version": version}))
         code = main(["eval", "--bundle", str(bundle),
@@ -571,7 +575,7 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
                      "--snippets", str(bundle / "snippets.json")])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: unsupported bundle version {version!r} (this hetlink reads version 4): "
+            f"error: unsupported bundle version {version!r} (this hetlink reads version 5): "
             f"re-run gen-synth or ingest to rebuild the bundle\n")
 
 
@@ -587,7 +591,7 @@ def test_a_version_1_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: unsupported bundle version '1' (this hetlink reads version 4): "
+        "error: unsupported bundle version '1' (this hetlink reads version 5): "
         "re-run gen-synth or ingest to rebuild the bundle\n")
 
 
@@ -615,19 +619,21 @@ NPZ_BREAKS = {
         f"vectors must be a 2-D float64 matrix with at least one column, "
         f"got float64 of shape ({len(v)}, 0)"),
     "numeric tokens": lambda t, v: (
-        {"tokens": np.arange(len(t), dtype=np.int64), "vectors": v},
-        f"tokens must be a 1-D string array, got int64 of shape ({len(t)},)"),
+        {"tokens": np.arange(len(v), dtype=np.int64), "vectors": v},
+        f"tokens must be a 1-D uint8 text column, got int64 of shape ({len(v)},)"),
+    "tokens not UTF-8": lambda t, v: (
+        {"tokens": np.append(t, np.uint8(0xff)), "vectors": v}, "'tokens' is not UTF-8 text"),
     "a row short": lambda t, v: (
-        {"tokens": t, "vectors": v[:-1]}, f"{len(v) - 1} vector rows for {len(t)} tokens"),
+        {"tokens": t, "vectors": v[:-1]}, f"'tokens' holds {len(v)} lines, not {len(v) - 1}"),
     "nan": lambda t, v: (
         {"tokens": t, "vectors": _with_row(v, 3, np.nan)},
-        f"row 3 ({str(t[3])!r}): non-finite float"),
+        f"row 3 ({_lines(t)[3]!r}): non-finite float"),
     "inf": lambda t, v: (
         {"tokens": t, "vectors": _with_row(v, -1, -np.inf)},
-        f"row {len(v) - 1} ({str(t[-1])!r}): non-finite float"),
+        f"row {len(v) - 1} ({_lines(t)[-1]!r}): non-finite float"),
     "duplicate token": lambda t, v: (
-        {"tokens": np.where(t == t[5], t[4], t), "vectors": v},
-        f"duplicate token {str(t[4])!r}"),
+        _with_line({"tokens": t, "vectors": v}, "tokens", 5, _lines(t)[4]),
+        f"duplicate token {_lines(t)[4]!r}"),
 }
 
 
@@ -696,15 +702,22 @@ def _text(lines) -> np.ndarray:
 
 
 def _added_node(a) -> dict:
-    """graph.npz columns `a` with one more node, 99999 "extra"."""
-    return {**a, "ids": np.append(a["ids"], 99999), "types": np.append(a["types"], 0),
-            "names": _text(_lines(a["names"]) + ["extra"]),
-            "synonym_counts": np.append(a["synonym_counts"], 0)}
+    """graph.npz columns `a` with one more node, 99999 "extra", of the first
+    node's type and with no synonyms."""
+    return {**a, "ids": np.append(a["ids"], 99999),
+            **{name: _text(_lines(a[name]) + [line])
+               for name, line in (("types", _lines(a["types"])[0]), ("names", "extra"),
+                                  ("synonyms", ""))}}
+
+
+def _edge_rows(a, rows) -> dict:
+    """graph.npz columns `a` with its edges `rows`, in that order."""
+    return {**a, "src": a["src"][rows], "dst": a["dst"][rows],
+            "edge_types": _text([_lines(a["edge_types"])[row] for row in rows])}
 
 
 # (graph.npz part, how its columns change) for files that disagree with the manifest
-ROW_CUTS = {"edges": lambda a: {**a, **{k: a[k][:len(a[k]) * 2 // 3]
-                                         for k in ("src", "dst", "edge_types")}},
+ROW_CUTS = {"edges": lambda a: _edge_rows(a, list(range(len(a["src"]) * 2 // 3))),
             "nodes": _added_node}
 
 
@@ -733,17 +746,6 @@ def _with_line(a, name, row, line) -> dict:
     return {**a, name: _text(lines)}
 
 
-def _typed(a, part, row, name) -> dict:
-    """graph.npz columns `a` with the node or edge `row` given the type `name`,
-    a new line of its type table."""
-    codes, table = ("types", "type_names") if part == "node" else ("edge_types",
-                                                                   "edge_type_names")
-    lines = _lines(a[table])
-    changed = a[codes].copy()
-    changed[row] = len(lines)
-    return {**a, codes: changed, table: _text(lines + [name])}
-
-
 def _set(a, name, row, value) -> dict:
     changed = a[name].copy()
     changed[row] = value
@@ -752,8 +754,7 @@ def _set(a, name, row, value) -> dict:
 
 def _edge(a, row) -> tuple:
     """Edge `row` of graph.npz columns `a` as (src, dst, type)."""
-    return (int(a["src"][row]), int(a["dst"][row]),
-            _lines(a["edge_type_names"])[a["edge_types"][row]])
+    return int(a["src"][row]), int(a["dst"][row]), _lines(a["edge_types"])[row]
 
 
 # graph.npz broken in each way read_bundle refuses: columns -> (broken columns,
@@ -767,25 +768,21 @@ GRAPH_BREAKS = {
     "2-D ids": lambda a: ({**a, "ids": a["ids"][:, None]},
                           f"'ids' must be a 1-D int64 array, got int64 of shape "
                           f"({len(a['ids'])}, 1)"),
-    "a type short": lambda a: ({**a, "types": a["types"][:-1]},
-                               f"'types' has {len(a['ids']) - 1} rows, 'ids' {len(a['ids'])}"),
-    "an edge type short": lambda a: ({**a, "edge_types": a["edge_types"][:-1]},
-                                     f"'edge_types' has {len(a['src']) - 1} rows, "
-                                     f"'src' {len(a['src'])}"),
+    "a dst short": lambda a: ({**a, "dst": a["dst"][:-1]},
+                              f"'dst' has {len(a['src']) - 1} rows, 'src' {len(a['src'])}"),
+    "a type short": lambda a: ({**a, "types": _text(_lines(a["types"])[:-1])},
+                               f"'types' holds {len(a['ids']) - 1} lines, not {len(a['ids'])}"),
+    "an edge type short": lambda a: ({**a, "edge_types": _text(_lines(a["edge_types"])[:-1])},
+                                     f"'edge_types' holds {len(a['src']) - 1} lines, "
+                                     f"not {len(a['src'])}"),
     "a name short": lambda a: ({**a, "names": _text(_lines(a["names"])[:-1])},
                                f"'names' holds {len(a['ids']) - 1} lines, not {len(a['ids'])}"),
+    "a synonym line more": lambda a: ({**a, "synonyms": _text(_lines(a["synonyms"]) + ["x"])},
+                                      f"'synonyms' holds {len(a['ids']) + 1} lines, "
+                                      f"not {len(a['ids'])}"),
     "names not UTF-8": lambda a: ({**a, "names": np.append(a["names"], np.uint8(0xff))},
                                   "'names' is not UTF-8 text"),
-    "type code": lambda a: (_set(a, "types", 3, 9), "node row 3: node type code 9 is not a "
-                                                    "line of type_names"),
-    "edge type code": lambda a: (_set(a, "edge_types", 5, -1), "edge row 5: edge type code -1 "
-                                                               "is not a line of edge_type_names"),
-    "a synonym short": lambda a: (_set(a, "synonym_counts", 3, a["synonym_counts"][3] + 1),
-                                  f"'synonyms' holds {a['synonym_counts'].sum()} lines, "
-                                  f"not {a['synonym_counts'].sum() + 1}"),
-    "synonym count": lambda a: (_set(a, "synonym_counts", 3, -1),
-                                "node row 3: synonym count -1 < 0"),
-    "empty node type": lambda a: (_typed(a, "node", 3, ""), "node row 3: empty node type"),
+    "empty node type": lambda a: (_with_line(a, "types", 3, ""), "node row 3: empty node type"),
     "no name token": lambda a: (_with_line(a, "names", 3, "?!"),
                                 "node row 3: node name must have at least one token"),
     "duplicate id": lambda a: (_set(a, "ids", 3, a["ids"][2]),
@@ -793,11 +790,11 @@ GRAPH_BREAKS = {
     "unknown end": lambda a: (_set(a, "dst", 5, 99999),
                               f"edge row 5: edge ({_edge(a, 5)[0]}, 99999, {_edge(a, 5)[2]}) "
                               f"references unknown node"),
-    "empty edge type": lambda a: (_typed(a, "edge", 5, ""), "edge row 5: empty edge type"),
-    "duplicate edge": lambda a: (
-        {**a, **{k: np.concatenate([a[k][:5], a[k][4:-1]]) for k in ("src", "dst", "edge_types")}},
-        f"edge row 5: duplicate edge {_edge(a, 4)}"),
-    "SELF edge": lambda a: (_typed(a, "edge", 5, "SELF"),
+    "empty edge type": lambda a: (_with_line(a, "edge_types", 5, ""),
+                                  "edge row 5: empty edge type"),
+    "duplicate edge": lambda a: (_edge_rows(a, [*range(5), *range(4, len(a["src"]) - 1)]),
+                                 f"edge row 5: duplicate edge {_edge(a, 4)}"),
+    "SELF edge": lambda a: (_with_line(a, "edge_types", 5, "SELF"),
                             "edge row 5: edge type 'SELF' is reserved for query graphs"),
 }
 
@@ -1044,6 +1041,9 @@ SNIPPET_ERRORS = {
     "file=7": "a snippet file holds a JSON object or list, not int",
     "start_offset=str": "snippet 3: key 'start_offset' has the wrong type (str)",
     "link_id=C426": "snippet 3: key 'link_id' is not an integer: 'C426'",
+    "link_id=1_0": "snippet 3: key 'link_id' is not an integer: '1_0'",
+    "link_id=\u0665": "snippet 3: key 'link_id' is not an integer: '\u0665'",
+    "link_id= +7": "snippet 3: key 'link_id' is not an integer: ' +7'",
     "Text=5": "snippet 3: key 'Text' has the wrong type (int)",
     "Mentions=x": "snippet 3: key 'Mentions' has the wrong type (str)",
     "mention=--": "snippet 3: mention surface has no word character: Mention(surface='--', "
@@ -1065,8 +1065,8 @@ def test_snippet_missing_a_key_names_it_and_its_index(workdir, tmp_path, capsys,
         rows = 7
     elif key == "start_offset=str":
         mention["start_offset"] = str(mention["start_offset"])
-    elif key == "link_id=C426":
-        mention["link_id"] = "C426"
+    elif key.startswith("link_id="):
+        mention["link_id"] = key.split("=", 1)[1]
     elif key == "Text=5":
         bad["Text"] = 5
     elif key == "mention=--":

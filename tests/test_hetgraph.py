@@ -416,6 +416,40 @@ def test_a_bundle_keeps_synonyms_and_non_ascii_names(tmp_path):
     assert back.node(7).synonyms == (("naïve", "bayes"), ("x",))
 
 
+# KBs whose bundle is checked against their node and edge list files
+LISTED_KBS = {
+    "gen-synth seed 1": lambda: generate_synthetic_kb(SynthConfig(seed=1, snippets=0)).kb,
+    # 0, 1 and 3 synonyms; non-ASCII names and types
+    "odd": lambda: HeteroGraph.from_rows(
+        [(7, "Drug", "Ängström café", ["naïve  bayes", "x", "déjà vu"]),
+         (2, "Befund", "déjà vu", ()), (40, "Befund", "fever", ("fièvre",))],
+        [(7, 2, "CAUSE"), (40, 7, "CAUSE"), (2, 40, "INDICATE")]),
+    "no edges": lambda: HeteroGraph.from_rows([(3, "Drug", "aspirin", ("asa",))], []),
+}
+
+
+@pytest.mark.parametrize("kb", LISTED_KBS)
+def test_graph_npz_holds_the_columns_of_the_node_and_edge_lists(tmp_path, kb):
+    """Each graph.npz text column is the UTF-8 of a list file's column, one
+    row a line: a node's synonyms are the node list's "|"-joined field."""
+    kb = LISTED_KBS[kb]()
+    write_bundle(tmp_path, kb, random_word_vectors({"fever"}, 2))
+    save_graph(kb, tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+    with np.load(tmp_path / "graph.npz") as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    for name, columns in (("nodes.tsv", {"ids": 0, "types": 1, "names": 2, "synonyms": 3}),
+                          ("edges.tsv", {"src": 0, "dst": 1, "edge_types": 2})):
+        rows = [line.split("\t")
+                for line in (tmp_path / name).read_bytes().decode("utf-8").split("\n")[:-1]]
+        assert len(rows) == len(arrays["ids" if name == "nodes.tsv" else "src"])
+        for column, field in columns.items():
+            fields = [row[field] for row in rows]
+            if arrays[column].dtype == np.int64:
+                assert arrays[column].tolist() == list(map(int, fields))
+            else:
+                assert arrays[column].tobytes() == "\n".join(fields).encode("utf-8")
+
+
 # rows a node or edge list file must not hold; {old} is a node id of the
 # graph, {new} one it lacks
 MALFORMED_ROWS = {

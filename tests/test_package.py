@@ -21,7 +21,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 61
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3576
+SRC_LINES = 3556
 
 
 def _tree(path):
@@ -150,7 +150,7 @@ UNOPENABLE = {
     "read_bundle": (read_bundle, "manifest.json"),
     # its manifest.json lists one node
     "read_bundle graph": (lambda d: read_bundle(_write(d / "manifest.json", json.dumps(
-        {"bundle_version": "4", "nodes": 1, "edges": 0})).parent), "graph.npz"),
+        {"bundle_version": "5", "nodes": 1, "edges": 0})).parent), "graph.npz"),
 }
 
 

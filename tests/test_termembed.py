@@ -53,7 +53,8 @@ def test_store_get_unseen_token_uses_fallback():
 
 
 def test_store_roundtrips_exactly_through_its_npz_file(tmp_path):
-    tokens = ["alpha", "béta", "γάμμα", "日本語", "nul\x00inside", "", "\x00lead"]
+    tokens = ["alpha", "béta", "γάμμα", "日本語", "nul\x00inside", "", "\x00lead", "trail\x00",
+              "a|b", "tab\tcr\r"]
     rng = np.random.default_rng(2)
     store = WordVectorStore({tok: rng.standard_normal(6) for tok in tokens}, dim=6)
     path = tmp_path / "vecs.npz"
@@ -67,11 +68,11 @@ def test_store_roundtrips_exactly_through_its_npz_file(tmp_path):
     np.testing.assert_array_equal(loaded.get("zorp"), store.get("zorp"))
 
 
-def test_store_save_refuses_a_token_that_ends_in_nul(tmp_path):
-    # a numpy string array drops trailing NULs: "a\x00" would come back as "a"
-    store = WordVectorStore({"a": np.zeros(3), "b\x00": np.ones(3)}, dim=3)
+def test_store_save_refuses_a_token_with_a_line_break(tmp_path):
+    # a text column holds its tokens one a line
+    store = WordVectorStore({"a": np.zeros(3), "b\nc": np.ones(3)}, dim=3)
     path = tmp_path / "vecs.npz"
-    with pytest.raises(HetlinkError, match=r"token 'b\\x00' ends in NUL"):
+    with pytest.raises(HetlinkError, match=r": a 'tokens' string holds a line break$"):
         store.save(path)
     assert not path.exists()
 
