@@ -8,16 +8,17 @@ set -eu
 # the files of a directory, one space after each
 files() { ls "$1" | tr '\n' ' '; }
 hetlink gen-synth --seed 1 --snippets 60 --out smoke
-test "$(files smoke)" = "graph.npz manifest.json snippets.json wordvecs.npz "
+test "$(files smoke)" = "kb.npz manifest.json snippets.json "
 # a bundle holds no TSV: ingest reads a node and an edge list written here;
 # one name is punctuated and not ASCII, so the graph normalizes it name by
-# name and the bundle holds it normalized; graph.npz holds the node list's
-# own columns, a node's synonyms one line joined by "|"
+# name and the bundle holds it normalized; kb.npz holds the node list's own
+# columns, a node's synonyms one line joined by "|", and the word vectors'
+# tokens
 printf '0\tDrug\taspirin\tASA|Acetylsalicylic Acid\n1\tAdverseEffect\tnausea\n2\tFinding\tFièvre, Aiguë\n' > nodes.tsv
 printf '0\t1\tCAUSE\n1\t2\tINDICATE\n' > edges.tsv
 hetlink ingest --nodes nodes.tsv --edges edges.tsv --dim 8 --out smoke-ingest
-test "$(files smoke-ingest)" = "graph.npz manifest.json wordvecs.npz "
-python3 -c 'import numpy as np; npz = np.load("smoke-ingest/graph.npz"); lines = {k: npz[k].tobytes().decode().split("\n") for k in ("names", "synonyms", "types")}; raise SystemExit(0 if lines == {"names": ["aspirin", "nausea", "fièvre aiguë"], "synonyms": ["asa|acetylsalicylic acid", "", ""], "types": ["Drug", "AdverseEffect", "Finding"]} else 1)'
+test "$(files smoke-ingest)" = "kb.npz manifest.json "
+python3 -c 'import numpy as np; npz = np.load("smoke-ingest/kb.npz"); lines = {k: npz[k].tobytes().decode().split("\n") for k in ("names", "synonyms", "types")}; raise SystemExit(0 if "tokens" in npz.files and lines == {"names": ["aspirin", "nausea", "fièvre aiguë"], "synonyms": ["asa|acetylsalicylic acid", "", ""], "types": ["Drug", "AdverseEffect", "Finding"]} else 1)'
 # a node line with a 5th column: exit status 1 and one stderr line that
 # names the file and the line
 printf '0\tDrug\taspirin\t\t0.5\n' > nodes.tsv
@@ -45,16 +46,16 @@ hetlink eval --bundle smoke-bad --model smoke-model --snippets smoke/snippets.js
 test "$status" -eq 1
 test "$(wc -l < bad.err)" -eq 1
 grep -q '^error: ' bad.err
-# a bundle whose graph.npz is cut in half: exit status 1 and one stderr line
+# a bundle whose kb.npz is cut in half: exit status 1 and one stderr line
 # that names it
 cp -r smoke smoke-cut
-head -c "$(($(wc -c < smoke/graph.npz) / 2))" smoke/graph.npz > smoke-cut/graph.npz
+head -c "$(($(wc -c < smoke/kb.npz) / 2))" smoke/kb.npz > smoke-cut/kb.npz
 status=0
 hetlink eval --bundle smoke-cut --model smoke-model --snippets smoke/snippets.json \
   > /dev/null 2> cut.err || status=$?
 test "$status" -eq 1
 test "$(wc -l < cut.err)" -eq 1
-grep -q '^error: smoke-cut/graph.npz: ' cut.err
+grep -q '^error: smoke-cut/kb.npz: ' cut.err
 # a bundle directory that does not exist: exit status 1 and one stderr line
 # that names its manifest
 status=0

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import evalgen, matcher
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .hetgraph import (HeteroGraph, HetlinkError, build_inverted_index, graph_columns,
+from .hetgraph import (INT_RE, HeteroGraph, HetlinkError, build_inverted_index, graph_columns,
                        graph_from_columns, load_graph, read_json, read_npz, read_settings)
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import TextSnippet, augment_query_graph
@@ -29,7 +29,13 @@ from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
 
 log = logging.getLogger("hetlink")
 
-BUNDLE_VERSION = "5"
+BUNDLE_VERSION = "6"
+# kb.npz: the graph's columns (hetgraph.graph_columns) and its word vectors'
+# (WordVectorStore.columns), each name's (dtype, ndim); a text column is uint8
+KB_ARRAYS = {**dict.fromkeys(("ids", "src", "dst"), (np.int64, 1)),
+             **dict.fromkeys(("types", "names", "synonyms", "edge_types", "tokens"),
+                             (np.uint8, 1)),
+             "vectors": (np.float64, 2)}
 
 # Config keys: every TrainConfig field under its own name, plus these keys
 # for EncoderConfig fields.  The encoder's seed is TrainConfig's.
@@ -62,15 +68,15 @@ def _train_settings(opts) -> tuple[TrainConfig, dict]:
 # -- KB bundle -------------------------------------------------------------
 
 def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore) -> None:
-    """The KB as the columns of graph.npz, the word vectors as wordvecs.npz,
-    and manifest.json.  numpy stamps each .npz member with a fixed date, so
-    equal inputs write equal bytes."""
-    # first: the columns and then save refuse a KB or store before `outdir`
-    # is made, so a refused bundle leaves no directory or file behind
-    graph_path = os.path.join(outdir, "graph.npz")
-    columns = graph_columns(kb, graph_path)
-    store.save(os.path.join(outdir, "wordvecs.npz"))
-    with open(graph_path, "wb") as fh:          # numpy appends no ".npz" to a file object
+    """The KB's graph and word vectors as the columns of one kb.npz, and
+    manifest.json.  numpy stamps each .npz member with a fixed date, so equal
+    inputs write equal bytes."""
+    # first: the columns refuse a KB or store before `outdir` is made, so a
+    # refused bundle leaves no directory or file behind
+    path = os.path.join(outdir, "kb.npz")
+    columns = {**graph_columns(kb, path), **store.columns(path)}
+    os.makedirs(outdir, exist_ok=True)
+    with open(path, "wb") as fh:                # numpy appends no ".npz" to a file object
         np.savez(fh, **columns)
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump({"bundle_version": BUNDLE_VERSION, "nodes": len(kb),
@@ -97,14 +103,20 @@ def read_bundle(bundle_dir):
             raise HetlinkError(f'{manifest_path}: "{key}" must be >= 0, got {count}')
     if listed[0] == 0:
         raise HetlinkError(f"{manifest_path}: lists 0 nodes")
-    graph_path = os.path.join(bundle_dir, "graph.npz")
-    kb = graph_from_columns(read_npz(graph_path), graph_path)
+    path = os.path.join(bundle_dir, "kb.npz")
+    arrays = read_npz(path)
+    for name, (dtype, ndim) in KB_ARRAYS.items():
+        if name not in arrays:
+            raise HetlinkError(f"{path}: no {name!r} array")
+        if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
+            raise HetlinkError(f"{path}: {name!r} must be a {ndim}-D {np.dtype(dtype)} array, "
+                               f"got {arrays[name].dtype} of shape {arrays[name].shape}")
+    kb = graph_from_columns(arrays, path)
     loaded = len(kb), len(kb.edge_columns()[0])
     if listed != loaded:
         raise HetlinkError(f"{manifest_path}: lists {listed[0]} nodes and {listed[1]} edges, "
                            f"its files hold {loaded[0]} and {loaded[1]}")
-    store = WordVectorStore.load(os.path.join(bundle_dir, "wordvecs.npz"))
-    return kb, store, token_frequencies(kb)
+    return kb, WordVectorStore.from_columns(arrays, path), token_frequencies(kb)
 
 
 def _load_snippets(path) -> list[TextSnippet]:
@@ -130,11 +142,12 @@ def _load_snippets(path) -> list[TextSnippet]:
 
 def _bundle_items(args, gold_required: bool):
     """The bundle's KB and word vectors, an item per snippet of args.snippets
-    that has an ambiguous mention, and the KB node features."""
+    that has an ambiguous mention, the KB node features and the snippet count."""
     kb, store, freqs = read_bundle(args.bundle)
     index = build_inverted_index(kb)
     items = []
-    for snippet in _load_snippets(args.snippets):
+    snippets = _load_snippets(args.snippets)
+    for snippet in snippets:
         item = matcher.snippet_item(kb, index, store, freqs, snippet, augment_query_graph)
         if item is None:
             log.warning("snippet %s has no ambiguous mention; skipped", snippet.id)
@@ -145,7 +158,7 @@ def _bundle_items(args, gold_required: bool):
             raise HetlinkError(f"snippet {snippet.id}: link_id {item.gold} "
                                f"is not a node of the bundle's KB")
         items.append(item)
-    return kb, store, items, init_node_features(kb, store, freqs)
+    return kb, store, items, init_node_features(kb, store, freqs), len(snippets)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -180,9 +193,11 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_train(args) -> int:
     train_config, encoder_options = _train_settings(_config(args, CONFIG_KEYS))
-    kb, store, items, kb_feats = _bundle_items(args, gold_required=True)
-    if not items:
-        raise HetlinkError("no trainable snippets found")
+    kb, store, items, kb_feats, n_snippets = _bundle_items(args, gold_required=True)
+    # the split puts at least one snippet in each of its parts
+    if len(items) < len(evalgen.SPLIT_RATIOS):
+        raise HetlinkError(f"{len(items)} of {n_snippets} snippets have an ambiguous mention; "
+                           f"training needs at least {len(evalgen.SPLIT_RATIOS)}")
     split = evalgen.split_dataset([it.snippet_id for it in items],
                                   seed=train_config.seed)
     by_id = {it.snippet_id: it for it in items}
@@ -201,7 +216,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, _ = load_model(args.model)
-    kb, _, items, kb_feats = _bundle_items(args, gold_required=True)
+    kb, _, items, kb_feats, _ = _bundle_items(args, gold_required=True)
     report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_feats, items,
                                                                   candidates="lexical"))
     json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -211,7 +226,7 @@ def cmd_eval(args) -> int:
 
 def cmd_disambiguate(args) -> int:
     model, _ = load_model(args.model)
-    kb, _, items, kb_feats = _bundle_items(args, gold_required=False)
+    kb, _, items, kb_feats, _ = _bundle_items(args, gold_required=False)
     batch = matcher.build_query_batch(items, model.encoder.feature_dim)
     ranked = matcher.rank_items(model, kb, kb_feats, batch,
                                 [matcher.candidate_pool(kb, it) for it in items], args.top_k)
@@ -238,8 +253,9 @@ def _flag_bool(text: str) -> bool:
 
 
 def _flag_count(text: str) -> int:
-    """A non-negative integer; argparse rejects anything else."""
-    if not text.isdecimal():
+    """A non-negative integer, ASCII digits as a node id's (INT_RE) with no
+    sign; argparse rejects anything else."""
+    if not INT_RE.fullmatch(text) or text.startswith("-"):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 

@@ -618,12 +618,6 @@ def load_graph(nodes_path, edges_path) -> HeteroGraph:
         raise HetlinkError(f"{path}:{list(rows)[index]}: {exc}") from None
 
 
-# graph.npz: the node and edge lists' columns, int64 or text (text_column: its
-# size follows its strings' length); a node's synonyms are one line joined by "|".
-GRAPH_COLUMNS = {"ids": np.int64, "types": np.uint8, "names": np.uint8, "synonyms": np.uint8,
-                 "src": np.int64, "dst": np.int64, "edge_types": np.uint8}
-
-
 def text_column(strings, name: str, path) -> np.ndarray:
     """The sequence `strings` as the text column `name` of the .npz file
     `path`: their UTF-8 bytes, one a line, uint8.  HetlinkError for a string
@@ -649,8 +643,10 @@ def column_lines(arrays: dict[str, np.ndarray], name: str, count: int, path) -> 
 
 
 def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
-    """The GRAPH_COLUMNS of `graph` for the .npz file `path`, nodes in node-id
-    order and edges in theirs; HetlinkError for a type with a line break."""
+    """The node and edge lists' columns of `graph` for the .npz file `path`,
+    nodes in node-id order and edges in theirs: int64 `ids`, `src` and `dst`,
+    and the text columns `types`, `names`, `synonyms` (a node's one line
+    joined by "|") and `edge_types`.  HetlinkError for a type with a line break."""
     ids, types, names, synonyms = graph.node_columns()
     src, dst, codes, edge_types = graph.edge_columns()
     texts = {"types": types, "names": names, "synonyms": list(map("|".join, synonyms)),
@@ -660,16 +656,10 @@ def graph_columns(graph: HeteroGraph, path) -> dict[str, np.ndarray]:
 
 
 def graph_from_columns(arrays: dict[str, np.ndarray], path) -> HeteroGraph:
-    """The graph of graph_columns' arrays, read from the .npz file `path`.
-    Arrays that graph_columns could not have written, and a row that the
-    HeteroGraph constructor rejects, end in HetlinkError "<path>: <what is
-    wrong>", naming the node or edge row."""
-    for name, dtype in GRAPH_COLUMNS.items():
-        if name not in arrays:
-            raise HetlinkError(f"{path}: no {name!r} array")
-        if arrays[name].dtype != dtype or arrays[name].ndim != 1:
-            raise HetlinkError(f"{path}: {name!r} must be a 1-D {np.dtype(dtype)} array, "
-                               f"got {arrays[name].dtype} of shape {arrays[name].shape}")
+    """The graph of graph_columns' arrays, read from the .npz file `path`
+    with their dtypes and dimensions checked.  Arrays that graph_columns could
+    not have written, and a row that the HeteroGraph constructor rejects, end
+    in HetlinkError "<path>: <what is wrong>", naming the node or edge row."""
     if len(arrays["dst"]) != len(arrays["src"]):
         raise HetlinkError(f"{path}: 'dst' has {len(arrays['dst'])} rows, "
                            f"'src' {len(arrays['src'])}")

@@ -9,13 +9,11 @@ lookups are total and every store embeds them alike.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import Counter
 
 import numpy as np
 
-from .hetgraph import (HeteroGraph, HetlinkError, column_lines, open_text, read_npz,
-                       text_column, tokenize)
+from .hetgraph import HeteroGraph, HetlinkError, column_lines, open_text, text_column, tokenize
 
 DEFAULT_SIF_A = 1e-3
 DEFAULT_UNSEEN_P = 1e-4
@@ -61,36 +59,24 @@ class WordVectorStore:
             vec = fallback_vector(token, self.dim, FALLBACK_SEED)
         return vec
 
-    def save(self, path) -> None:
-        """Write the store as one .npz archive: a `tokens` text column (the
-        graph.npz rule: UTF-8, one token a line) in sorted order and a
-        float64 `vectors` matrix with one row per token.  `load` reads back
-        exactly what was stored.  A token with a line break is refused,
-        before the file's missing directories are made.  numpy stamps each
-        member with the fixed date 1980-01-01: equal stores write equal bytes."""
+    def columns(self, path) -> dict[str, np.ndarray]:
+        """The store as the arrays of the .npz file `path`: `tokens`, a text
+        column (hetgraph.text_column) of its tokens in sorted order, and
+        `vectors`, a float64 matrix with one row per token.  HetlinkError
+        for a token with a line break."""
         tokens = sorted(self._vectors)
-        column = text_column(tokens, "tokens", path)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        # a file object, so numpy appends no ".npz" to the name
-        with open(path, "wb") as fh:
-            np.savez(fh, tokens=column,
-                     vectors=np.array([self._vectors[t] for t in tokens]).reshape(-1, self.dim))
+        return {"tokens": text_column(tokens, "tokens", path),
+                "vectors": np.array([self._vectors[t] for t in tokens]).reshape(-1, self.dim)}
 
     @classmethod
-    def load(cls, path) -> "WordVectorStore":
-        """The store that `save` wrote to `path`.  Any other file ends in
-        HetlinkError, one line that names it."""
-        arrays = read_npz(path)
-        missing = sorted({"tokens", "vectors"} - set(arrays))
-        if missing:
-            raise HetlinkError(f"{path}: no {missing[0]!r} array")
-        tokens, vectors = arrays["tokens"], arrays["vectors"]
-        if tokens.ndim != 1 or tokens.dtype != np.uint8:
-            raise HetlinkError(f"{path}: tokens must be a 1-D uint8 text column, "
-                               f"got {tokens.dtype} of shape {tokens.shape}")
-        if vectors.dtype != np.float64 or vectors.ndim != 2 or vectors.shape[1] < 1:
-            raise HetlinkError(f"{path}: vectors must be a 2-D float64 matrix with at least "
-                               f"one column, got {vectors.dtype} of shape {vectors.shape}")
+    def from_columns(cls, arrays: dict[str, np.ndarray], path) -> "WordVectorStore":
+        """The store of `columns`' arrays, read from the .npz file `path`
+        with their dtypes and dimensions checked: exactly what was stored.
+        Arrays that `columns` could not have written end in HetlinkError
+        "<path>: <what is wrong>"."""
+        vectors = arrays["vectors"]
+        if vectors.shape[1] < 1:
+            raise HetlinkError(f"{path}: 'vectors' has no columns")
         names = column_lines(arrays, "tokens", len(vectors), path)
         finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
@@ -104,7 +90,7 @@ class WordVectorStore:
 
 def load_word_vectors(path) -> WordVectorStore:
     """Load text-format word vectors: one `token f1 f2 ...` line per token.
-    `ingest --wordvecs` reads this format; a bundle holds WordVectorStore.save's."""
+    `ingest --wordvecs` reads this format; a bundle holds WordVectorStore.columns'."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open_text(path) as fh:

@@ -168,7 +168,7 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
 
 def save_graph(graph, nodes_path, edges_path) -> None:
     """Write `graph` as the node and edge list files that `load_graph` and
-    `hetlink ingest` read; a bundle holds its KB as graph.npz instead."""
+    `hetlink ingest` read; a bundle holds its KB as kb.npz instead."""
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node in graph.nodes():
             syns = "|".join(" ".join(s) for s in node.synonyms)

@@ -6,6 +6,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetlink import HetlinkError, evalgen
-from hetlink.cli import (CONFIG_KEYS, _load_snippets, _train_settings,
+from hetlink.cli import (CONFIG_KEYS, KB_ARRAYS, _load_snippets, _train_settings,
                          build_parser, main, read_bundle, write_bundle)
 from hetlink.encoders import EncoderConfig
-from hetlink.hetgraph import GRAPH_COLUMNS, HeteroGraph, graph_columns, tokenize
+from hetlink.hetgraph import HeteroGraph, tokenize
 from hetlink.matcher import candidate_pool, load_model
 from hetlink.termembed import init_node_features, load_word_vectors, random_word_vectors
 
@@ -54,7 +55,7 @@ def workdir(tmp_path_factory):
     gen_cfg.write_text(json.dumps(SMALL_GEN))
     assert main(["gen-synth", "--config", str(gen_cfg),
                  "--out", str(root / "corpus")]) == 0
-    write_word_vector_text(root / "corpus" / "wordvecs.npz", root / "wordvecs.txt")
+    write_word_vector_text(root / "corpus" / "kb.npz", root / "wordvecs.txt")
     save_graph(read_bundle(root / "corpus")[0], root / "nodes.tsv", root / "edges.tsv")
     train_cfg = root / "train.json"
     train_cfg.write_text(json.dumps(TRAIN_CONFIG))
@@ -125,13 +126,21 @@ def test_any_json_value_at_any_key_builds_a_config_or_fails_in_one_line(reader, 
 
 def test_gen_synth_writes_bundle_and_snippets(workdir):
     corpus = workdir / "corpus"
-    assert sorted(os.listdir(corpus)) == ["graph.npz", "manifest.json", "snippets.json",
-                                          "wordvecs.npz"]
+    assert sorted(os.listdir(corpus)) == ["kb.npz", "manifest.json", "snippets.json"]
     manifest = json.loads((corpus / "manifest.json").read_text())
-    assert manifest["bundle_version"] == "5"
+    assert manifest["bundle_version"] == "6"
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
-    with np.load(corpus / "graph.npz") as npz:
-        assert sorted(npz.files) == sorted(GRAPH_COLUMNS)
+    with np.load(corpus / "kb.npz") as npz:
+        assert sorted(npz.files) == sorted(KB_ARRAYS)
+
+
+def test_write_bundle_writes_the_same_bytes_at_any_clock_time(toy_kb, tmp_path, monkeypatch):
+    store = random_word_vectors(["alpha", "beta"], dim=4, seed=1)
+    write_bundle(tmp_path / "now", toy_kb, store)
+    monkeypatch.setattr(time, "time", lambda: 2.0e9)
+    write_bundle(tmp_path / "later", toy_kb, store)
+    for name in ("kb.npz", "manifest.json"):
+        assert (tmp_path / "now" / name).read_bytes() == (tmp_path / "later" / name).read_bytes()
 
 
 def test_reloaded_bundle_embeds_unseen_tokens_as_the_generator_did(tmp_path):
@@ -270,7 +279,7 @@ def test_eval_and_disambiguate_rank_the_candidate_pool(workdir, capsys):
         assert ids and set(ids) <= pools[row["snippet"]]
 
 
-@pytest.mark.parametrize("top_k", ["-1", "two"])
+@pytest.mark.parametrize("top_k", ["-1", "two", "\u0665"])
 def test_disambiguate_rejects_a_top_k_that_is_not_a_count(workdir, capsys, top_k):
     with pytest.raises(SystemExit) as info:
         main(["disambiguate", "--bundle", str(workdir / "corpus"),
@@ -290,8 +299,8 @@ def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text())
     assert manifest["nodes"] == sum(SMALL_GEN["node_counts"].values())
     # the text's vectors and graph, read back, are the generator's to the bit
-    for name in ("wordvecs.npz", "graph.npz"):
-        assert (tmp_path / "bundle" / name).read_bytes() == (corpus / name).read_bytes()
+    assert sorted(os.listdir(tmp_path / "bundle")) == ["kb.npz", "manifest.json"]
+    assert (tmp_path / "bundle" / "kb.npz").read_bytes() == (corpus / "kb.npz").read_bytes()
 
 
 @pytest.mark.parametrize("field, value", [(1, "nan"), (3, "inf")])
@@ -331,7 +340,7 @@ def test_a_token_a_bundle_cannot_hold_leaves_out_as_it_was(toy_kb, tmp_path):
     for bundle in (tmp_path / "bundle", tmp_path / "new" / "bundle", kept):
         with pytest.raises(HetlinkError) as exc:
             write_bundle(bundle, toy_kb, store)
-        assert str(exc.value) == f"{bundle / 'wordvecs.npz'}: a 'tokens' string holds a line break"
+        assert str(exc.value) == f"{bundle / 'kb.npz'}: a 'tokens' string holds a line break"
     assert os.listdir(tmp_path) == ["kept"]
     assert os.listdir(kept) == ["notes.txt"]
     assert (kept / "notes.txt").read_text() == "kept\n"
@@ -340,13 +349,12 @@ def test_a_token_a_bundle_cannot_hold_leaves_out_as_it_was(toy_kb, tmp_path):
 @pytest.mark.parametrize("nodes, column", [
     ([(0, "Drug\nX", "aspirin", ())], "types"),
 ])
-def test_a_kb_string_that_graph_npz_cannot_hold_is_refused_before_any_file(tmp_path, nodes,
-                                                                           column):
+def test_a_kb_string_that_kb_npz_cannot_hold_is_refused_before_any_file(tmp_path, nodes, column):
     # a text column holds its strings one a line
     kb = HeteroGraph.from_rows(nodes, [])
     with pytest.raises(HetlinkError) as exc:
         write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
-    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a {column!r} string holds "
+    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'kb.npz'}: a {column!r} string holds "
                               f"a line break")
     assert not (tmp_path / "bundle").exists()
 
@@ -357,7 +365,7 @@ def test_an_edge_type_with_a_line_break_is_refused_and_a_name_with_one_is_normal
     assert kb.node(0).name == ("aspi", "rin") and kb.node(0).synonyms == (("as", "pirin"),)
     with pytest.raises(HetlinkError) as exc:
         write_bundle(tmp_path / "bundle", kb, random_word_vectors({"aspirin"}, 4))
-    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'graph.npz'}: a 'edge_types' string "
+    assert str(exc.value) == (f"{tmp_path / 'bundle' / 'kb.npz'}: a 'edge_types' string "
                               f"holds a line break")
     assert not (tmp_path / "bundle").exists()
 
@@ -422,10 +430,8 @@ def test_ingest_names_the_file_and_line_of_a_row_the_graph_rejects(tmp_path, cap
 def test_a_bundle_whose_manifest_lists_no_nodes_is_rejected(workdir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
-    with open(bundle / "graph.npz", "wb") as fh:
-        np.savez(fh, **graph_columns(HeteroGraph.from_rows([], []), bundle / "graph.npz"))
-    manifest = json.loads((bundle / "manifest.json").read_text())
-    (bundle / "manifest.json").write_text(json.dumps({**manifest, "nodes": 0, "edges": 0}))
+    write_bundle(bundle, HeteroGraph.from_rows([], []), random_word_vectors({"fever"}, 4))
+    assert json.loads((bundle / "manifest.json").read_text())["nodes"] == 0
     for command in (["eval", "--model", str(workdir / "model")],
                     ["disambiguate", "--model", str(workdir / "model")],
                     ["train", "--out", str(tmp_path / "model")]):
@@ -557,13 +563,17 @@ def test_a_bundle_manifest_that_cannot_be_opened_ends_in_one_line_that_names_it(
     assert capsys.readouterr().err == f"error: {manifest}: {reason}\n"
 
 
+REBUILD = ("(this hetlink reads version 6): re-run gen-synth or ingest to rebuild the "
+           "bundle\n")
+
+
 def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
     # a version-2 bundle holds its KB as nodes.tsv and edges.tsv, a version-3
     # graph.npz may hold preset feature rows, and a version-4 one holds type
     # codes and synonym counts: each is refused
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
-    os.remove(bundle / "graph.npz")
+    os.remove(bundle / "kb.npz")
     for name in ("nodes.tsv", "edges.tsv"):
         shutil.copy(workdir / name, bundle / name)
     manifest = json.loads((bundle / "manifest.json").read_text())
@@ -574,25 +584,41 @@ def test_bad_bundle_version_rejected(workdir, tmp_path, capsys):
                      "--model", str(workdir / "model"),
                      "--snippets", str(bundle / "snippets.json")])
         assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: unsupported bundle version {version!r} (this hetlink reads version 5): "
-            f"re-run gen-synth or ingest to rebuild the bundle\n")
+        assert capsys.readouterr().err == (f"error: unsupported bundle version {version!r} "
+                                           f"{REBUILD}")
 
 
 def test_a_version_1_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir, tmp_path,
                                                                         capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
-    os.remove(bundle / "wordvecs.npz")
+    os.remove(bundle / "kb.npz")
     shutil.copy(workdir / "wordvecs.txt", bundle / "wordvecs.txt")
     manifest = json.loads((bundle / "manifest.json").read_text())
     (bundle / "manifest.json").write_text(json.dumps({**manifest, "bundle_version": "1"}))
     code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
                  "--snippets", str(bundle / "snippets.json")])
     assert code == 1
-    assert capsys.readouterr().err == (
-        "error: unsupported bundle version '1' (this hetlink reads version 5): "
-        "re-run gen-synth or ingest to rebuild the bundle\n")
+    assert capsys.readouterr().err == f"error: unsupported bundle version '1' {REBUILD}"
+
+
+def test_a_version_5_bundle_ends_in_one_line_that_says_how_to_rebuild_it(workdir, tmp_path,
+                                                                        capsys):
+    # version 5 held kb.npz's arrays in two archives: the graph's columns as
+    # graph.npz and the word vectors' as wordvecs.npz
+    bundle = tmp_path / "bundle"
+    shutil.copytree(workdir / "corpus", bundle)
+    arrays = _arrays(bundle / "kb.npz")
+    os.remove(bundle / "kb.npz")
+    vectors = {"tokens", "vectors"}
+    _save_arrays(bundle / "graph.npz", {k: v for k, v in arrays.items() if k not in vectors})
+    _save_arrays(bundle / "wordvecs.npz", {k: v for k, v in arrays.items() if k in vectors})
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    (bundle / "manifest.json").write_text(json.dumps({**manifest, "bundle_version": "5"}))
+    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
+                 "--snippets", str(bundle / "snippets.json")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: unsupported bundle version '5' {REBUILD}"
 
 
 def _with_row(vectors, row, value):
@@ -601,26 +627,21 @@ def _with_row(vectors, row, value):
     return out
 
 
-# how a bundle's wordvecs.npz breaks: (tokens, vectors) -> (the arrays written,
-# what the error says after the file's path)
-NPZ_BREAKS = {
+# how kb.npz's word-vector columns break: (tokens, vectors) -> (the arrays
+# written in their place, what the error says after the file's path)
+VECTOR_BREAKS = {
     "no tokens": lambda t, v: ({"vectors": v}, "no 'tokens' array"),
     "no vectors": lambda t, v: ({"tokens": t}, "no 'vectors' array"),
     "float32 vectors": lambda t, v: (
         {"tokens": t, "vectors": v.astype(np.float32)},
-        f"vectors must be a 2-D float64 matrix with at least one column, "
-        f"got float32 of shape {v.shape}"),
+        f"'vectors' must be a 2-D float64 array, got float32 of shape {v.shape}"),
     "1-D vectors": lambda t, v: (
         {"tokens": t, "vectors": v.ravel()},
-        f"vectors must be a 2-D float64 matrix with at least one column, "
-        f"got float64 of shape ({v.size},)"),
-    "no columns": lambda t, v: (
-        {"tokens": t, "vectors": v[:, :0]},
-        f"vectors must be a 2-D float64 matrix with at least one column, "
-        f"got float64 of shape ({len(v)}, 0)"),
+        f"'vectors' must be a 2-D float64 array, got float64 of shape ({v.size},)"),
+    "no columns": lambda t, v: ({"tokens": t, "vectors": v[:, :0]}, "'vectors' has no columns"),
     "numeric tokens": lambda t, v: (
         {"tokens": np.arange(len(v), dtype=np.int64), "vectors": v},
-        f"tokens must be a 1-D uint8 text column, got int64 of shape ({len(v)},)"),
+        f"'tokens' must be a 1-D uint8 array, got int64 of shape ({len(v)},)"),
     "tokens not UTF-8": lambda t, v: (
         {"tokens": np.append(t, np.uint8(0xff)), "vectors": v}, "'tokens' is not UTF-8 text"),
     "a row short": lambda t, v: (
@@ -637,41 +658,6 @@ NPZ_BREAKS = {
 }
 
 
-def _break_word_vectors(path, case) -> str:
-    """Rewrite the bundle file `path` broken as `case` says; returns what the
-    error says after the path."""
-    data = path.read_bytes()
-    if case == "truncated":
-        path.write_bytes(data[:len(data) // 2])
-        return ": not a readable .npz archive"
-    if case == "not a zip":
-        path.write_bytes(b"fever 0.5 0.25\n")
-        return ": not a readable .npz archive"
-    with np.load(path) as npz:
-        tokens, vectors = npz["tokens"], npz["vectors"]
-    if case == "one .npy array":
-        with open(path, "wb") as fh:
-            np.save(fh, vectors)
-        return ": not a readable .npz archive"
-    arrays, error = NPZ_BREAKS[case](tokens, vectors)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    return f": {error}"
-
-
-@pytest.mark.parametrize("case", ["truncated", "not a zip", "one .npy array", *NPZ_BREAKS])
-def test_a_broken_word_vector_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys,
-                                                                  case):
-    bundle = tmp_path / "bundle"
-    shutil.copytree(workdir / "corpus", bundle)
-    path = bundle / "wordvecs.npz"
-    error = _break_word_vectors(path, case)
-    code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
-                 "--snippets", str(bundle / "snippets.json")])
-    assert code == 1
-    assert capsys.readouterr().err == f"error: {path}{error}\n"
-
-
 def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, capsys):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
@@ -683,7 +669,7 @@ def test_bundle_manifest_that_is_not_an_object_is_rejected(workdir, tmp_path, ca
         f"error: {bundle / 'manifest.json'}: bundle manifest must be a JSON object, got list\n")
 
 
-def _graph_arrays(path) -> dict:
+def _arrays(path) -> dict:
     with np.load(path) as npz:
         return {name: npz[name] for name in npz.files}
 
@@ -702,7 +688,7 @@ def _text(lines) -> np.ndarray:
 
 
 def _added_node(a) -> dict:
-    """graph.npz columns `a` with one more node, 99999 "extra", of the first
+    """kb.npz columns `a` with one more node, 99999 "extra", of the first
     node's type and with no synonyms."""
     return {**a, "ids": np.append(a["ids"], 99999),
             **{name: _text(_lines(a[name]) + [line])
@@ -711,12 +697,12 @@ def _added_node(a) -> dict:
 
 
 def _edge_rows(a, rows) -> dict:
-    """graph.npz columns `a` with its edges `rows`, in that order."""
+    """kb.npz columns `a` with its edges `rows`, in that order."""
     return {**a, "src": a["src"][rows], "dst": a["dst"][rows],
             "edge_types": _text([_lines(a["edge_types"])[row] for row in rows])}
 
 
-# (graph.npz part, how its columns change) for files that disagree with the manifest
+# (graph part, how kb.npz's columns change) for files that disagree with the manifest
 ROW_CUTS = {"edges": lambda a: _edge_rows(a, list(range(len(a["src"]) * 2 // 3))),
             "nodes": _added_node}
 
@@ -727,8 +713,8 @@ def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, t
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
     manifest = json.loads((bundle / "manifest.json").read_text())
-    arrays = ROW_CUTS[part](_graph_arrays(bundle / "graph.npz"))
-    _save_arrays(bundle / "graph.npz", arrays)
+    arrays = ROW_CUTS[part](_arrays(bundle / "kb.npz"))
+    _save_arrays(bundle / "kb.npz", arrays)
     held = {"nodes": len(arrays["ids"]), "edges": len(arrays["src"])}
     assert held != {key: manifest[key] for key in held}
     code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
@@ -740,7 +726,7 @@ def test_eval_rejects_a_bundle_whose_files_disagree_with_its_manifest(workdir, t
 
 
 def _with_line(a, name, row, line) -> dict:
-    """graph.npz columns `a` with line `row` of text column `name` set to `line`."""
+    """kb.npz columns `a` with line `row` of text column `name` set to `line`."""
     lines = _lines(a[name])
     lines[row] = line
     return {**a, name: _text(lines)}
@@ -753,14 +739,15 @@ def _set(a, name, row, value) -> dict:
 
 
 def _edge(a, row) -> tuple:
-    """Edge `row` of graph.npz columns `a` as (src, dst, type)."""
+    """Edge `row` of kb.npz columns `a` as (src, dst, type)."""
     return int(a["src"][row]), int(a["dst"][row]), _lines(a["edge_types"])[row]
 
 
-# graph.npz broken in each way read_bundle refuses: columns -> (broken columns,
+# kb.npz broken in each way read_bundle refuses: columns -> (broken columns,
 # what the error says after the path); an edge rule breaks edge row 5, after
-# a node rule breaks node row 3
-GRAPH_BREAKS = {
+# a node rule breaks node row 3, and a word-vector break replaces the columns
+# tokens and vectors as VECTOR_BREAKS says
+KB_BREAKS = {
     "no src": lambda a: ({k: v for k, v in a.items() if k != "src"}, "no 'src' array"),
     "float ids": lambda a: ({**a, "ids": a["ids"].astype(np.float64)},
                             f"'ids' must be a 1-D int64 array, got float64 of shape "
@@ -796,20 +783,32 @@ GRAPH_BREAKS = {
                                  f"edge row 5: duplicate edge {_edge(a, 4)}"),
     "SELF edge": lambda a: (_with_line(a, "edge_types", 5, "SELF"),
                             "edge row 5: edge type 'SELF' is reserved for query graphs"),
+    **{case: lambda a, case=case: _broken_vectors(a, case) for case in VECTOR_BREAKS},
 }
 
 
-@pytest.mark.parametrize("case", ["truncated", "not a zip", *GRAPH_BREAKS])
-def test_a_broken_graph_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys, case):
+def _broken_vectors(a, case) -> tuple[dict, str]:
+    graph = {k: v for k, v in a.items() if k not in ("tokens", "vectors")}
+    arrays, error = VECTOR_BREAKS[case](a["tokens"], a["vectors"])
+    return {**graph, **arrays}, error
+
+
+@pytest.mark.parametrize("case", ["truncated", "not a zip", "one .npy array", *KB_BREAKS])
+def test_a_broken_kb_file_ends_in_one_line_that_names_it(workdir, tmp_path, capsys, case):
     bundle = tmp_path / "bundle"
     shutil.copytree(workdir / "corpus", bundle)
-    path = bundle / "graph.npz"
-    if case in ("truncated", "not a zip"):
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2] if case == "truncated" else b"0\tDrug\ta\n")
-        error = "not a readable .npz archive"
+    path = bundle / "kb.npz"
+    error = "not a readable .npz archive"
+    if case == "truncated":
+        path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    elif case == "not a zip":
+        path.write_bytes(b"0\tDrug\ta\n")
+    elif case == "one .npy array":
+        vectors = _arrays(path)["vectors"]
+        with open(path, "wb") as fh:
+            np.save(fh, vectors)
     else:
-        arrays, error = GRAPH_BREAKS[case](_graph_arrays(path))
+        arrays, error = KB_BREAKS[case](_arrays(path))
         _save_arrays(path, arrays)
     code = main(["eval", "--bundle", str(bundle), "--model", str(workdir / "model"),
                  "--snippets", str(bundle / "snippets.json")])
@@ -1031,6 +1030,20 @@ def test_repeated_snippet_id_is_rejected(workdir, tmp_path, capsys, command):
     assert _run_on_rows(workdir, tmp_path, command, rows) == 1
     assert capsys.readouterr().err == "error: duplicate snippet id 'dup'\n"
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("kept", [0, 2])
+def test_train_says_how_many_snippets_have_an_ambiguous_mention(workdir, tmp_path, capsys,
+                                                                kept):
+    # the index matches every mention of a skipped snippet
+    ambiguous = {it.snippet_id for it in cli_items(workdir / "corpus")[3]}
+    rows = _snippet_rows(workdir)
+    skipped = [row for row in rows if row["id"] not in ambiguous][:3]
+    rows = skipped + [row for row in rows if row["id"] in ambiguous][:kept]
+    assert _run_on_rows(workdir, tmp_path, "train", rows) == 1
+    assert capsys.readouterr().err == (f"error: {kept} of {len(rows)} snippets have an "
+                                       f"ambiguous mention; training needs at least 3\n")
+    assert len(skipped) == 3 and not (tmp_path / "m").exists()
 
 
 # how snippet 3 (or the whole file) is broken: the error it ends in

@@ -429,13 +429,13 @@ LISTED_KBS = {
 
 
 @pytest.mark.parametrize("kb", LISTED_KBS)
-def test_graph_npz_holds_the_columns_of_the_node_and_edge_lists(tmp_path, kb):
-    """Each graph.npz text column is the UTF-8 of a list file's column, one
+def test_kb_npz_holds_the_columns_of_the_node_and_edge_lists(tmp_path, kb):
+    """Each of kb.npz's graph text columns is the UTF-8 of a list file's column, one
     row a line: a node's synonyms are the node list's "|"-joined field."""
     kb = LISTED_KBS[kb]()
     write_bundle(tmp_path, kb, random_word_vectors({"fever"}, 2))
     save_graph(kb, tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
-    with np.load(tmp_path / "graph.npz") as npz:
+    with np.load(tmp_path / "kb.npz") as npz:
         arrays = {name: npz[name] for name in npz.files}
     for name, columns in (("nodes.tsv", {"ids": 0, "types": 1, "names": 2, "synonyms": 3}),
                           ("edges.tsv", {"src": 0, "dst": 1, "edge_types": 2})):
