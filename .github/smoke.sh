@@ -1,8 +1,9 @@
 #!/bin/sh
 # Runs the installed `hetlink` console script end to end on a small bundle:
 # gen-synth, ingest of a 3-node graph and of a node line with 5 columns, MAGNN
-# train, eval and disambiguate, then eval on broken copies of the bundle and on
-# a bundle that is not there. Run it from an empty directory after
+# train, eval and disambiguate (with and without the model's kept KB rows),
+# then eval on another bundle, on broken copies of the bundle and on a bundle
+# that is not there. Run it from an empty directory after
 # `pip install`.
 set -eu
 # the files of a directory, one space after each
@@ -36,6 +37,21 @@ python3 -c 'import json, sys; sys.exit(0 if "f1" in json.load(open("eval.json"))
 hetlink disambiguate --bundle smoke --model smoke-model \
   --snippets smoke/snippets.json --top-k 3 > ranked.json
 python3 -c 'import json, sys; out = json.load(open("ranked.json")); sys.exit(0 if isinstance(out, list) and out else 1)'
+# the model directory keeps the KB rows that training computed; a copy
+# without them encodes the KB afresh and prints the same bytes
+test "$(files smoke-model)" = "history.csv kb_rows.npz manifest.json params.npz "
+cp -r smoke-model smoke-bare
+rm smoke-bare/kb_rows.npz
+hetlink disambiguate --bundle smoke --model smoke-bare \
+  --snippets smoke/snippets.json --top-k 3 > bare.json
+cmp ranked.json bare.json
+# a model trained on another kb.npz: exit status 1 and one stderr line
+status=0
+hetlink eval --bundle smoke-ingest --model smoke-model --snippets smoke/snippets.json \
+  > /dev/null 2> other.err || status=$?
+test "$status" -eq 1
+test "$(wc -l < other.err)" -eq 1
+grep -q '^error: smoke-model was trained on a kb.npz of sha256 ' other.err
 # a bundle whose manifest lists its node count as a string: exit status 1 and
 # one stderr line that starts "error: "
 cp -r smoke smoke-bad

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import evalgen, matcher
 from .encoders import ENCODER_KINDS, EncoderConfig
-from .hetgraph import (INT_RE, HeteroGraph, HetlinkError, build_inverted_index, graph_columns,
-                       graph_from_columns, load_graph, read_json, read_npz, read_settings)
+from .hetgraph import (INT_RE, HeteroGraph, HetlinkError, build_inverted_index, file_sha256,
+                       graph_columns, graph_from_columns, load_graph, read_json, read_npz,
+                       read_settings)
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import TextSnippet, augment_query_graph
 from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
@@ -140,10 +141,10 @@ def _load_snippets(path) -> list[TextSnippet]:
     return list(snippets.values())
 
 
-def _bundle_items(args, gold_required: bool):
-    """The bundle's KB and word vectors, an item per snippet of args.snippets
-    that has an ambiguous mention, the KB node features and the snippet count."""
-    kb, store, freqs = read_bundle(args.bundle)
+def _bundle_items(args, kb, store, freqs, gold_required: bool):
+    """An item per snippet of args.snippets that has an ambiguous mention,
+    from the bundle's KB, word vectors and token frequencies, and the
+    snippet count."""
     index = build_inverted_index(kb)
     items = []
     snippets = _load_snippets(args.snippets)
@@ -158,7 +159,28 @@ def _bundle_items(args, gold_required: bool):
             raise HetlinkError(f"snippet {snippet.id}: link_id {item.gold} "
                                f"is not a node of the bundle's KB")
         items.append(item)
-    return kb, store, items, init_node_features(kb, store, freqs), len(snippets)
+    return items, len(snippets)
+
+
+def _served(args, gold_required: bool):
+    """The model in args.model, the bundle's KB, its node features and the
+    items of args.snippets.  The features are None when the model directory
+    kept KB rows for this bundle's kb.npz: ranking reads those.  HetlinkError
+    when the model was trained on another kb.npz."""
+    model, manifest = load_model(args.model)
+    kb, store, freqs = read_bundle(args.bundle)
+    trained_on = manifest.get("kb_sha256")
+    if trained_on is None:
+        log.warning("%s records no kb.npz sha256: the model is not checked against the "
+                    "bundle, and no kept KB rows are read",
+                    os.path.join(args.model, "manifest.json"))
+    elif (digest := file_sha256(os.path.join(args.bundle, "kb.npz"))) != trained_on:
+        raise HetlinkError(f"{args.model} was trained on a kb.npz of sha256 "
+                           f"{trained_on}, not on {args.bundle}'s ({digest})")
+    items, _ = _bundle_items(args, kb, store, freqs, gold_required)
+    if trained_on is not None and matcher.use_kept_rows(model, args.model, kb, trained_on):
+        return model, kb, None, items
+    return model, kb, init_node_features(kb, store, freqs), items
 
 
 # -- subcommands -----------------------------------------------------------
@@ -193,7 +215,8 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_train(args) -> int:
     train_config, encoder_options = _train_settings(_config(args, CONFIG_KEYS))
-    kb, store, items, kb_feats, n_snippets = _bundle_items(args, gold_required=True)
+    kb, store, freqs = read_bundle(args.bundle)
+    items, n_snippets = _bundle_items(args, kb, store, freqs, gold_required=True)
     # the split puts at least one snippet in each of its parts
     if len(items) < len(evalgen.SPLIT_RATIOS):
         raise HetlinkError(f"{len(items)} of {n_snippets} snippets have an ambiguous mention; "
@@ -203,7 +226,8 @@ def cmd_train(args) -> int:
     by_id = {it.snippet_id: it for it in items}
     model = evalgen.build_model(kb, store.dim, encoder_options.pop("kind", EncoderConfig.kind),
                                 seed=train_config.seed, **encoder_options)
-    result = matcher.train(model, kb, kb_feats,
+    model.kb_sha256 = file_sha256(os.path.join(args.bundle, "kb.npz"))
+    result = matcher.train(model, kb, init_node_features(kb, store, freqs),
                            [by_id[s] for s in split.train],
                            [by_id[s] for s in split.validation],
                            train_config)
@@ -215,8 +239,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _ = load_model(args.model)
-    kb, _, items, kb_feats, _ = _bundle_items(args, gold_required=True)
+    model, kb, kb_feats, items = _served(args, gold_required=True)
     report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_feats, items,
                                                                   candidates="lexical"))
     json.dump(report.to_dict(), sys.stdout, indent=2)
@@ -225,8 +248,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_disambiguate(args) -> int:
-    model, _ = load_model(args.model)
-    kb, _, items, kb_feats, _ = _bundle_items(args, gold_required=False)
+    model, kb, kb_feats, items = _served(args, gold_required=False)
     batch = matcher.build_query_batch(items, model.encoder.feature_dim)
     ranked = matcher.rank_items(model, kb, kb_feats, batch,
                                 [matcher.candidate_pool(kb, it) for it in items], args.top_k)
@@ -269,7 +291,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                 kind = hints[name]
                 p.add_argument("--" + key.replace("_", "-"),
                                choices={"encoder": ENCODER_KINDS, "sampler": SAMPLERS}.get(key),
-                               type=_flag_bool if kind is bool else kind)
+                               type={bool: _flag_bool, int: _flag_count}.get(kind, kind))
     p.add_argument("--config", help="JSON config file; flags override it")
 
 
@@ -282,15 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", required=True)
     p.add_argument("--edges", required=True)
     p.add_argument("--wordvecs")
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--dim", type=_flag_count, default=64)
+    p.add_argument("--seed", type=_flag_count)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("gen-synth", help="generate a synthetic KB + snippet corpus")
     p.add_argument("--config", help="JSON file with generator settings")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--snippets", type=int)
+    p.add_argument("--seed", type=_flag_count)
+    p.add_argument("--snippets", type=_flag_count)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_synth)
 

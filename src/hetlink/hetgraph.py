@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -558,6 +559,12 @@ def read_npz(path) -> dict[str, np.ndarray]:
     except (ValueError, EOFError, zipfile.BadZipFile):
         pass
     raise HetlinkError(f"{path}: not a readable .npz archive")
+
+
+def file_sha256(path) -> str:
+    """The sha256 of the bytes of file `path`, in hex."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _tsv_rows(path):

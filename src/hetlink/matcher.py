@@ -8,16 +8,18 @@ structural rather than a synchronization concern.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import ndiff
 from .encoders import Encoder, EncoderConfig
-from .hetgraph import (HeteroGraph, HetlinkError, InvertedIndex, read_json, read_npz,
-                       read_settings, tokenize)
+from .hetgraph import (HeteroGraph, HetlinkError, InvertedIndex, file_sha256, read_json,
+                       read_npz, read_settings, tokenize)
 from .ndiff import Adam, Parameter, Tensor
 from .negsample import HardNegativeSampler, uniform_negatives
 from .querygraph import (GazetteerExtractor, GoldMentionExtractor, QueryGraph,
@@ -30,9 +32,12 @@ HEAD_KIND = "dot"
 # the negative samplers TrainConfig.sampler names
 SAMPLERS = ("uniform", "hard")
 # model manifest keys: three Encoder attributes, and the entries load_model
-# reads apart ("encoder", "head") or hands back ("train")
+# reads apart ("encoder", "head", "kb_sha256") or hands back ("train")
 MANIFEST_KEYS = {"feature_dim": "feature_dim", "node_types": "node_types",
-                 "edge_types": "edge_types", "encoder": None, "head": None, "train": None}
+                 "edge_types": "edge_types", "encoder": None, "head": None,
+                 "kb_sha256": None, "train": None}
+# the model directory's file of unit KB rows that training kept (save_model)
+KB_ROWS_FILE = "kb_rows.npz"
 
 
 class MatchingHead:
@@ -79,8 +84,11 @@ def pair_loss(scores_pos: Tensor, scores_neg: Tensor | None) -> Tensor:
 class SiameseModel:
     encoder: Encoder
     head: MatchingHead
+    # the sha256 of the kb.npz the model was trained on, for save_model
+    kb_sha256: str | None = field(default=None, init=False, repr=False, compare=False)
     # (encoder, kb, kb_features, encoder parameter values as one flat array,
-    # unit KB rows) of the last kb_embeddings call that could be reused
+    # unit KB rows) of the last kb_embeddings call that could be reused, or
+    # of the kept rows (use_kept_rows, kb_features None)
     _kb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[Parameter]:
@@ -275,27 +283,60 @@ def _frozen_array(a) -> bool:
     return a is None
 
 
+def _encoder_values(model: SiameseModel) -> np.ndarray:
+    # one flat copy of every parameter value: one comparison checks them all
+    return np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
+
+
+def _memo_rows(model: SiameseModel, kb, kb_features, values) -> np.ndarray | None:
+    """The memoised unit KB rows if they are of this encoder, `kb` and
+    `kb_features` (by identity) at parameter `values`, else None."""
+    encoder, memo_kb, memo_features, memo_values, unit = model._kb_memo or (None,) * 5
+    return unit if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
+                    and np.array_equal(values, memo_values)) else None
+
+
 def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
-                  kb_features: np.ndarray) -> np.ndarray:
+                  kb_features: np.ndarray | None) -> np.ndarray:
     """The KB encoded in eval mode with unit-norm rows, in kb.node_ids order.
 
     The result is memoised on the model and reused while the encoder, the
     `kb` graph object and the read-only `kb_features` array are the same
     ones and the encoder's parameters are equal by value to those it was
-    computed with; a writeable `kb_features` array is encoded on every call."""
-    # one flat copy of every parameter value: one comparison checks them all
-    values = np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
-    if model._kb_memo is not None:
-        encoder, memo_kb, memo_features, memo_values, unit = model._kb_memo
-        if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
-                and np.array_equal(values, memo_values)):
-            return unit
+    computed with; a writeable `kb_features` array is encoded on every call.
+    `kb_features` may be None once use_kept_rows(model, ..., kb, ...) is true."""
+    values = _encoder_values(model)
+    unit = _memo_rows(model, kb, kb_features, values)
+    if unit is not None:
+        return unit
+    if kb_features is None:
+        raise HetlinkError("no KB features to encode and no KB rows kept for these parameters")
     with ndiff.no_grad():
         unit = ndiff.l2_normalize_rows(model.encoder.encode(kb, kb_features)).data
     unit.flags.writeable = False
     if _frozen_array(kb_features):
         model._kb_memo = (model.encoder, kb, kb_features, values, unit)
     return unit
+
+
+def use_kept_rows(model: SiameseModel, directory, kb: HeteroGraph, kb_sha256: str) -> bool:
+    """Whether `directory`, as load_model just read `model` from it, kept KB
+    rows under the _rows_key of `kb_sha256` (that of the kb.npz `kb` was read
+    from) with a row per node of `kb`; if so they are the memo of
+    kb_embeddings(model, kb, None).  HetlinkError for a rows file that is
+    not a readable .npz archive."""
+    path = os.path.join(directory, KB_ROWS_FILE)
+    if not os.path.exists(path):
+        return False
+    key = _rows_key(kb_sha256, directory)
+    kept = read_npz(path)
+    rows = kept.get("rows")
+    if (rows is None or rows.dtype != np.float64 or str(kept.get("key")) != key
+            or rows.shape != (len(kb), model.encoder.config.dim)):
+        return False
+    rows.flags.writeable = False
+    model._kb_memo = (model.encoder, kb, None, _encoder_values(model), rows)
+    return True
 
 
 def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
@@ -339,6 +380,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     best_metric = -np.inf
     best_epoch = -1
     best_state = model.state_dict()
+    best_rows = None                    # the unit KB rows at best_state, as validation left them
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
@@ -393,10 +435,13 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
             best_metric = metric
             best_epoch = epoch
             best_state = model.state_dict()
+            best_rows = _memo_rows(model, kb, kb_features, _encoder_values(model))
         elif epoch - best_epoch >= config.patience:
             break
 
     model.load_state_dict(best_state)
+    if best_rows is not None:           # kb_embeddings answers with them again
+        model._kb_memo = (model.encoder, kb, kb_features, _encoder_values(model), best_rows)
     return TrainResult(history, best_epoch, best_metric, best_state)
 
 
@@ -415,11 +460,31 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
 # -- model persistence -----------------------------------------------------
 
+def source_sha256() -> str:
+    """A sha256 of the hetlink modules' names and bytes, so that KB rows kept
+    by other code are never read as this code's."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    return hashlib.sha256(" ".join(f"{name} {file_sha256(os.path.join(here, name))}"
+                                   for name in sorted(os.listdir(here))
+                                   if name.endswith(".py")).encode()).hexdigest()
+
+
+def _rows_key(kb_sha256: str, directory) -> str:
+    """What kept KB rows in model directory `directory` hold for: the sha256
+    of the kb.npz they encode, of the params.npz and manifest.json (its
+    encoder settings) that encoded them and of the hetlink sources."""
+    return " ".join([kb_sha256, file_sha256(os.path.join(directory, "params.npz")),
+                     file_sha256(os.path.join(directory, "manifest.json")), source_sha256()])
+
+
 def save_model(model: SiameseModel, directory,
                train_config: TrainConfig | None = None) -> None:
     """`directory` (made if need be) with the model's state_dict in
     params.npz and manifest.json holding every EncoderConfig field
-    (metapaths as labels) and, when given, every TrainConfig field."""
+    (metapaths as labels), the model's kb_sha256 when set and, when given,
+    every TrainConfig field; and, with kb_sha256 set and KB rows memoised at
+    the model's parameters (as train leaves them), those rows and their
+    _rows_key in KB_ROWS_FILE."""
     cfg = model.encoder.config
     manifest = {
         "encoder": {**asdict(cfg), "metapaths": [m.label() for m in cfg.metapaths]},
@@ -428,12 +493,19 @@ def save_model(model: SiameseModel, directory,
         "edge_types": model.encoder.edge_types,
         "head": HEAD_KIND,
     }
+    if model.kb_sha256 is not None:
+        manifest["kb_sha256"] = model.kb_sha256
     if train_config is not None:
         manifest["train"] = asdict(train_config)
     os.makedirs(directory, exist_ok=True)
     np.savez(os.path.join(directory, "params.npz"), **model.state_dict())
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
+    memo = model._kb_memo or (None,) * 5
+    rows = _memo_rows(model, memo[1], memo[2], _encoder_values(model))
+    if model.kb_sha256 is not None and rows is not None:
+        np.savez(os.path.join(directory, KB_ROWS_FILE), rows=rows,
+                 key=_rows_key(model.kb_sha256, directory))
 
 
 def load_model(directory) -> tuple[SiameseModel, dict]:
@@ -441,7 +513,8 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     for a manifest that is not UTF-8 JSON or not a JSON object, an unknown key
     or a value of the wrong type, another head, a missing key, an encoder it
     cannot build, a params.npz that is not a readable .npz archive, or
-    parameters load_state_dict rejects."""
+    parameters load_state_dict rejects.  It reads no KB_ROWS_FILE: use_kept_rows
+    does, for a KB."""
     manifest = read_json(os.path.join(directory, "manifest.json"))
     shape = read_settings(Encoder, manifest, MANIFEST_KEYS, "model manifest")
     if manifest.get("head") != HEAD_KIND:
@@ -451,6 +524,11 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
                if k not in manifest]
     if missing:
         raise HetlinkError(f"model manifest lacks {missing}")
+    kb_sha256 = manifest.get("kb_sha256")
+    if kb_sha256 is not None and not (isinstance(kb_sha256, str)
+                                      and re.fullmatch("[0-9a-f]{64}", kb_sha256)):
+        raise HetlinkError(f"model manifest key 'kb_sha256' must be 64 lowercase hex "
+                           f"digits, got {kb_sha256!r}")
     try:
         encoder = Encoder(EncoderConfig.from_dict(manifest["encoder"]), **shape)
     except HetlinkError as exc:

@@ -109,15 +109,15 @@ def break_params(model_dir, how) -> str:
 
 
 MANIFEST_BREAKS = ["not-object", "encoder-not-object", "encoder-unknown-key",
-                   "encoder-wrong-type", "wrong-type"]
+                   "encoder-wrong-type", "wrong-type", "kb-sha256-not-hex"]
 
 
 def break_manifest(model_dir, how) -> str:
     """Rewrite the manifest.json of `model_dir` broken `how` (one of
     MANIFEST_BREAKS): a JSON list for the whole manifest, a string for its
     encoder, an extra key "bogus" in its encoder, true for its encoder's
-    num_layers, or a string for its node_types.  Returns the error
-    load_model gives for it."""
+    num_layers, a string for its node_types, or 0 for its kb_sha256.
+    Returns the error load_model gives for it."""
     path = Path(model_dir) / "manifest.json"
     manifest = json.loads(path.read_text())
     if how == "not-object":
@@ -131,9 +131,12 @@ def break_manifest(model_dir, how) -> str:
     elif how == "encoder-wrong-type":
         manifest["encoder"]["num_layers"] = True
         error = "model manifest: encoder config key 'num_layers' must be int, got True"
-    else:
+    elif how == "wrong-type":
         manifest["node_types"] = "Drug"
         error = "model manifest key 'node_types' must be list[str], got 'Drug'"
+    else:
+        manifest["kb_sha256"] = 0
+        error = "model manifest key 'kb_sha256' must be 64 lowercase hex digits, got 0"
     path.write_text(json.dumps(manifest))
     return error
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hetlink import HetlinkError, evalgen
-from hetlink.cli import (CONFIG_KEYS, KB_ARRAYS, _load_snippets, _train_settings,
+from hetlink.cli import (CONFIG_KEYS, KB_ARRAYS, _flag_count, _load_snippets, _train_settings,
                          build_parser, main, read_bundle, write_bundle)
 from hetlink.encoders import EncoderConfig
 from hetlink.hetgraph import HeteroGraph, tokenize
@@ -73,7 +73,6 @@ def workdir(tmp_path_factory):
     ({"seed": "x"}, "synth config key 'seed' must be int, got 'x'"),
     ({"name_tokens": [2]}, "synth config key 'name_tokens' must be tuple[int, int], got [2]"),
     ({"snippets": -1}, "snippets must be >= 0"),
-    (({}, ["--snippets", "-1"]), "snippets must be >= 0"),    # (config, flags)
     ({"triples": [["Nope", "X", "Drug", 1]]},
      "triple Nope-X-Drug names node types ['Nope'] that node_counts lacks"),
     ({"ambiguity_mix": {"bogus": 1.0}},
@@ -82,11 +81,9 @@ def workdir(tmp_path_factory):
     ({"max_retries": 50}, "unknown synth config keys ['max_retries']"),
 ])
 def test_gen_synth_rejects_a_malformed_config(tmp_path, capsys, config, error):
-    config, flags = config if isinstance(config, tuple) else (config, [])
     path = tmp_path / "gen.json"
     path.write_text(json.dumps(config))
-    assert main(["gen-synth", "--config", str(path), *flags,
-                 "--out", str(tmp_path / "out")]) == 1
+    assert main(["gen-synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()
 
@@ -288,6 +285,45 @@ def test_disambiguate_rejects_a_top_k_that_is_not_a_count(workdir, capsys, top_k
     assert info.value.code == 2
     assert (f"argument --top-k: expected a non-negative integer, got '{top_k}'"
             in capsys.readouterr().err)
+
+
+# each subcommand's required flags, and every integer flag of each
+REQUIRED_FLAGS = {"ingest": ["--nodes", "n", "--edges", "e", "--out", "o"],
+                  "gen-synth": ["--out", "o"],
+                  "train": ["--bundle", "b", "--snippets", "s", "--out", "o"],
+                  "disambiguate": ["--bundle", "b", "--model", "m", "--snippets", "s"]}
+INT_FLAGS = [("ingest", "--dim"), ("ingest", "--seed"), ("gen-synth", "--seed"),
+             ("gen-synth", "--snippets"), ("train", "--layers"), ("train", "--dim"),
+             ("train", "--heads"), ("train", "--epochs"), ("train", "--patience"),
+             ("train", "--negatives-per-positive"), ("train", "--seed"),
+             ("disambiguate", "--top-k")]
+
+
+@pytest.mark.parametrize("command, flag", INT_FLAGS)
+def test_an_integer_flag_takes_only_ascii_digits(capsys, command, flag):
+    def parse(value):
+        return vars(build_parser().parse_args([command, *REQUIRED_FLAGS[command], flag, value]))
+
+    assert parse("12")[flag[2:].replace("-", "_")] == 12
+    assert parse("0")[flag[2:].replace("-", "_")] == 0
+    # int() reads all but the last two: other scripts' digits, "_" between
+    # digits, a sign, spaces around
+    for value in ("\u0665", "\u0668", "1_0", " +3", "+3", "3 ", "-1", "two", ""):
+        with pytest.raises(SystemExit) as info:
+            parse(value)
+        assert info.value.code == 2
+        assert (f"argument {flag}: expected a non-negative integer, got {value!r}"
+                in capsys.readouterr().err)
+
+
+def test_no_flag_is_read_by_int():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if a.choices and a.dest == "command")
+    flags = {(command, action.option_strings[0]) for command, sub in subcommands.choices.items()
+             for action in sub._actions if action.type in (int, _flag_count)}
+    assert sorted(flags) == sorted(INT_FLAGS)
+    assert all(action.type is not int for sub in subcommands.choices.values()
+               for action in sub._actions)
 
 
 def test_ingest_roundtrips_tsv_bundle(workdir, tmp_path):

@@ -3,6 +3,8 @@ persistence."""
 
 import json
 import math
+import os
+import shutil
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -11,9 +13,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from hetlink import HetlinkError, cli, evalgen, ndiff
+from hetlink import HetlinkError, cli, evalgen, matcher, ndiff
 from hetlink.encoders import EncoderConfig
 from hetlink.matcher import (
+    KB_ROWS_FILE,
     MatchingHead,
     TrainConfig,
     TrainItem,
@@ -29,8 +32,9 @@ from hetlink.matcher import (
     save_model,
     snippet_item,
     train,
+    use_kept_rows,
 )
-from hetlink.hetgraph import RELATED_EDGE_TYPE, HeteroGraph, build_inverted_index
+from hetlink.hetgraph import RELATED_EDGE_TYPE, HeteroGraph, build_inverted_index, file_sha256
 from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
 from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
                                 fully_connected_query_graph)
@@ -813,3 +817,193 @@ def test_text_baseline_attributes_every_miss(mini):
     report = evalgen.evaluate_text_baseline(corpus, items)
     assert report.n_gold > report.n_correct
     assert sum(report.error_counts.values()) == report.n_gold - report.n_correct
+
+
+# ---------------------------------------------------------------------------
+# KB rows a model directory keeps
+
+
+def test_train_leaves_the_kept_epochs_kb_rows_memoised(mini):
+    kb, kb_features = mini["corpus"].kb, mini["kb_features"]
+    model = _tiny_model(mini, seed=1)
+    result = train(model, kb, kb_features, mini["train"], mini["val"],
+                   TrainConfig(epochs=8, patience=8, lr=1e-2, seed=3))
+    # an inner epoch: the memo of the last validation is not the kept one
+    assert result.best_epoch < len(result.history) - 1
+    encoded = []
+    encode = model.encoder.encode
+    model.encoder.encode = lambda graph, *a, **kw: (encoded.append(graph),
+                                                    encode(graph, *a, **kw))[1]
+    rows = kb_embeddings(model, kb, kb_features)
+    assert encoded == []
+    twin = _tiny_model(mini, seed=1)
+    twin.load_state_dict(model.state_dict())
+    fresh = kb_embeddings(twin, kb, kb_features)
+    assert rows.dtype == fresh.dtype and rows.tobytes() == fresh.tobytes()
+
+
+KEPT_GEN = {"node_counts": {"Drug": 15, "AdverseEffect": 20, "Symptom": 15, "Finding": 30},
+            "vocab_size": 150, "snippets": 40, "seed": 5}
+KEPT_TRAIN = {"graphsage": ["--encoder", "graphsage"],
+              "magnn": ["--encoder", "magnn", "--sampler", "hard"]}
+
+
+def _gen_synth(root, seed):
+    config = root / f"gen{seed}.json"
+    config.write_text(json.dumps({**KEPT_GEN, "seed": seed}))
+    bundle = root / f"bundle{seed}"
+    assert cli.main(["gen-synth", "--config", str(config), "--out", str(bundle)]) == 0
+    return bundle
+
+
+@pytest.fixture(scope="module", params=sorted(KEPT_TRAIN))
+def kept(request, tmp_path_factory):
+    """A gen-synth bundle and the model directory CLI train wrote for it."""
+    root = tmp_path_factory.mktemp(f"kept-{request.param}")
+    bundle = _gen_synth(root, KEPT_GEN["seed"])
+    assert cli.main(["train", "--bundle", str(bundle), "--snippets", str(bundle / "snippets.json"),
+                     "--out", str(root / "model"), "--epochs", "3", "--patience", "3",
+                     "--layers", "1", "--dim", "16"] + KEPT_TRAIN[request.param]) == 0
+    return SimpleNamespace(root=root, bundle=bundle, model=root / "model")
+
+
+def _served(capsys, kept, model_dir) -> list[str]:
+    """The stdout of CLI eval and of CLI disambiguate of `model_dir` on the
+    bundle it was trained on."""
+    outs = []
+    for command in ("eval", "disambiguate"):
+        assert cli.main([command, "--bundle", str(kept.bundle), "--model", str(model_dir),
+                         "--snippets", str(kept.bundle / "snippets.json")]) == 0
+        outs.append(capsys.readouterr().out)
+    return outs
+
+
+def _feature_builds(monkeypatch) -> list:
+    """One entry per KB feature build of the CLI from now on."""
+    builds = []
+    build = cli.init_node_features
+    monkeypatch.setattr(cli, "init_node_features",
+                        lambda *a: (builds.append(1), build(*a))[1])
+    return builds
+
+
+def _bare_copy(model_dir, tmp_path):
+    """A copy of `model_dir` without its kept KB rows."""
+    bare = tmp_path / "bare"
+    shutil.copytree(model_dir, bare)
+    (bare / KB_ROWS_FILE).unlink()
+    return bare
+
+
+def test_kept_kb_rows_serve_the_bytes_a_fresh_encode_serves(kept, tmp_path, capsys,
+                                                            monkeypatch):
+    assert sorted(os.listdir(kept.model)) == ["history.csv", KB_ROWS_FILE, "manifest.json",
+                                              "params.npz"]
+    manifest = json.loads((kept.model / "manifest.json").read_text())
+    assert manifest["kb_sha256"] == file_sha256(kept.bundle / "kb.npz")
+    bare = _bare_copy(kept.model, tmp_path)
+    builds = _feature_builds(monkeypatch)
+    hit = _served(capsys, kept, kept.model)
+    assert builds == []
+    miss = _served(capsys, kept, bare)
+    assert len(builds) == 2
+    assert hit == miss and json.loads(hit[1])
+
+    # load_model reads no rows: only use_kept_rows, for a KB, does
+    kb, store, freqs = cli.read_bundle(kept.bundle)
+    model = load_model(kept.model)[0]
+    with pytest.raises(HetlinkError, match="no KB features to encode"):
+        kb_embeddings(model, kb, None)
+    assert use_kept_rows(model, kept.model, kb, file_sha256(kept.bundle / "kb.npz"))
+    rows = kb_embeddings(model, kb, None)
+    fresh = kb_embeddings(load_model(bare)[0], kb, init_node_features(kb, store, freqs))
+    assert rows.tobytes() == fresh.tobytes() and rows.shape == fresh.shape
+
+
+def _edit_params(model_dir, monkeypatch):
+    with np.load(model_dir / "params.npz") as npz:
+        state = dict(npz)
+    state["head.tau"] = state["head.tau"] * 2.0
+    np.savez(model_dir / "params.npz", **state)
+
+
+def _edit_leaky_slope(model_dir, monkeypatch):
+    # a setting that changes MAGNN's KB rows and no parameter name or shape
+    manifest = json.loads((model_dir / "manifest.json").read_text())
+    manifest["encoder"]["leaky_slope"] = 0.2
+    (model_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _cut_rows(model_dir, rows):
+    with np.load(model_dir / KB_ROWS_FILE) as npz:
+        kept = dict(npz)
+    np.savez(model_dir / KB_ROWS_FILE, **{**kept, "rows": rows(kept["rows"])})
+
+
+# how a copy of the model directory, or the source digest, is changed
+KEPT_MISSES = {
+    "edited params": _edit_params,
+    "edited leaky_slope": _edit_leaky_slope,
+    "other sources": lambda d, mp: mp.setattr(matcher, "source_sha256", lambda: "0" * 64),
+    "a row short": lambda d, mp: _cut_rows(d, lambda r: r[:-1]),
+    "a column more": lambda d, mp: _cut_rows(d, lambda r: np.hstack([r, r[:, :1]])),
+}
+
+
+@pytest.mark.parametrize("case", KEPT_MISSES)
+def test_kept_kb_rows_are_not_read_for_other_params_settings_sources_or_shapes(
+        kept, tmp_path, capsys, monkeypatch, case):
+    model_dir = tmp_path / "model"
+    shutil.copytree(kept.model, model_dir)
+    KEPT_MISSES[case](model_dir, monkeypatch)
+    bare = _bare_copy(model_dir, tmp_path)
+    assert not use_kept_rows(load_model(model_dir)[0], model_dir,
+                             cli.read_bundle(kept.bundle)[0], file_sha256(kept.bundle / "kb.npz"))
+    builds = _feature_builds(monkeypatch)
+    served = _served(capsys, kept, model_dir)
+    assert len(builds) == 2
+    assert served == _served(capsys, kept, bare)
+
+
+def test_a_kb_rows_file_cut_in_half_ends_in_one_line_that_names_it(kept, tmp_path, capsys):
+    model_dir = tmp_path / "model"
+    shutil.copytree(kept.model, model_dir)
+    path = model_dir / KB_ROWS_FILE
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+    assert cli.main(["eval", "--bundle", str(kept.bundle), "--model", str(model_dir),
+                     "--snippets", str(kept.bundle / "snippets.json")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not a readable .npz archive\n"
+
+
+def test_a_model_refuses_another_bundle_and_its_kept_rows_serve_only_theirs(kept, capsys):
+    other = kept.root / f"bundle{KEPT_GEN['seed'] + 1}"
+    if not other.exists():
+        _gen_synth(kept.root, KEPT_GEN["seed"] + 1)
+    for command in ("eval", "disambiguate"):
+        assert cli.main([command, "--bundle", str(other), "--model", str(kept.model),
+                         "--snippets", str(other / "snippets.json")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {kept.model} was trained on a kb.npz of sha256 "
+            f"{file_sha256(kept.bundle / 'kb.npz')}, not on {other}'s "
+            f"({file_sha256(other / 'kb.npz')})\n")
+    model = load_model(kept.model)[0]
+    assert not use_kept_rows(model, kept.model, cli.read_bundle(other)[0],
+                             file_sha256(other / "kb.npz"))
+    assert use_kept_rows(model, kept.model, cli.read_bundle(kept.bundle)[0],
+                         file_sha256(kept.bundle / "kb.npz"))
+
+
+def test_a_manifest_without_kb_sha256_serves_with_one_warning_and_no_kept_rows(
+        kept, tmp_path, capsys, caplog, monkeypatch):
+    old = tmp_path / "old"
+    shutil.copytree(kept.model, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    del manifest["kb_sha256"]
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    builds = _feature_builds(monkeypatch)
+    served = _served(capsys, kept, old)
+    assert len(builds) == 2
+    warned = [r.getMessage() for r in caplog.records if "kb.npz sha256" in r.getMessage()]
+    assert warned == [f"{old / 'manifest.json'} records no kb.npz sha256: the model is not "
+                      f"checked against the bundle, and no kept KB rows are read"] * 2
+    assert served == _served(capsys, kept, kept.model)
