@@ -355,8 +355,8 @@ def _metapath_attention(x: Tensor, w_p: Parameter, heads: list[Parameter],
     another order), and gradients that chain summed are summed in its order."""
     n_heads = len(heads)
     h_mean = avg @ x.data
-    h_inst = h_mean @ w_p.data
-    cat = np.concatenate([gather @ x.data, h_inst], axis=1)
+    cat = np.concatenate([gather @ x.data, h_mean @ w_p.data], axis=1)
+    h_inst = cat[:, x.shape[1]:]        # a view: the closure keeps no second copy
     m, d_head = h_inst.shape
     z = np.empty((m, n_heads))
     for h, a in enumerate(heads):
@@ -370,7 +370,8 @@ def _metapath_attention(x: Tensor, w_p: Parameter, heads: list[Parameter],
     out = np.where(summed > 0, summed, np.expm1(np.minimum(summed, 0.0)))
 
     def back(g):
-        g_weighted = indicator.T @ (g * np.where(summed > 0, 1.0, out + 1.0))
+        # ELU's derivative: out > 0 exactly where summed > 0, so summed is not kept
+        g_weighted = indicator.T @ (g * np.where(out > 0, 1.0, out + 1.0))
         g_weighted = g_weighted.reshape(m, n_heads, d_head)
         g_alpha = (g_weighted * h_inst[:, None, :]).sum(axis=2)
         g_logits = alpha * (g_alpha - (indicator @ (g_alpha * alpha))[segments])

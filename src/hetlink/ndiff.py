@@ -2,11 +2,12 @@
 
 Everything is float64 numpy underneath.  A forward pass builds an implicit
 tape through parent links; ``backward(loss)`` walks it once in reverse
-topological order and accumulates gradients into every reachable
-:class:`Parameter`.  Inside ``with no_grad():`` no op records a node.  Rank
-<= 2 tensors are sufficient for all encoders.  Only this module knows that a
-:class:`SparseOperator`, which ``constant_csr`` returns, holds a scipy CSR
-matrix: callers use its ``@`` and ``.T``.
+topological order, accumulates gradients into every reachable
+:class:`Parameter` and frees each node as it goes: a tape serves one backward
+and keeps no forward array after it.  Inside ``with no_grad():`` no op
+records a node.  Rank <= 2 tensors are sufficient for all encoders.  Only this
+module knows that a :class:`SparseOperator`, which ``constant_csr`` returns,
+holds a scipy CSR matrix: callers use its ``@`` and ``.T``.
 """
 
 from __future__ import annotations
@@ -428,12 +429,14 @@ def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = No
 # -- backward pass ---------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(p) into every reachable Parameter's grad slot."""
+    """Accumulate d(loss)/d(p) into every reachable Parameter's grad slot,
+    freeing each node once its parents' gradients exist.  NdiffError, before
+    any grad, on a spent tape: a non-Parameter needing a grad with no backward."""
     if loss.data.size != 1:
         raise NdiffError("backward requires a scalar loss")
     order: list[Tensor] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(loss, False)] if loss.needs_grad else []
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -441,6 +444,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is None and not isinstance(node, Parameter):
+            raise NdiffError("backward reached a tape that an earlier backward freed")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -448,23 +453,17 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if isinstance(node, Parameter):
+        if isinstance(node, Parameter) and g is not None:
             node.grad += g.reshape(node.grad.shape)
-            continue
-        if node._backward is None:
-            continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.needs_grad:
-                continue
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
-            else:
-                grads[id(parent)] = pg
+        elif g is not None:
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.needs_grad:
+                    continue
+                grads[id(parent)] = grads[id(parent)] + pg if id(parent) in grads else pg
+        node._parents, node._backward = (), None       # a Parameter has neither anyway
 
 
 # -- optimizer -------------------------------------------------------------

@@ -45,13 +45,14 @@ def ged_1hop(sig_u: NeighborhoodSignature, sig_v: NeighborhoodSignature) -> int:
     return cost
 
 
-def structural_similarity(u: int, v: int, kb: HeteroGraph) -> float:
+def signature_similarity(sig_u: NeighborhoodSignature, sig_v: NeighborhoodSignature) -> float:
     """1 - cost / (|A| + |B| + 1); the +1 covers the center term."""
-    sig_u = neighborhood_signature(kb, u)
-    sig_v = neighborhood_signature(kb, v)
-    cost = ged_1hop(sig_u, sig_v)
-    denom = len(sig_u.triples) + len(sig_v.triples) + 1
-    return 1.0 - cost / denom
+    return 1.0 - ged_1hop(sig_u, sig_v) / (len(sig_u.triples) + len(sig_v.triples) + 1)
+
+
+def structural_similarity(u: int, v: int, kb: HeteroGraph) -> float:
+    """signature_similarity of nodes u and v of `kb`."""
+    return signature_similarity(neighborhood_signature(kb, u), neighborhood_signature(kb, v))
 
 
 def semantic_similarity(u: int, v: int, embeddings: np.ndarray) -> float:
@@ -104,9 +105,10 @@ class HardNegativeSampler:
             cands = []
             neighbors = sorted(self.kb.neighbors(gold) - {gold})
             gold_row, *rows = self.kb.rows([gold, *neighbors]).tolist()
+            gold_sig = neighborhood_signature(self.kb, gold)
             for c, row in zip(neighbors, rows):
                 se = semantic_similarity(gold_row, row, self.embeddings)
-                st = structural_similarity(gold, c, self.kb)
+                st = signature_similarity(gold_sig, neighborhood_signature(self.kb, c))
                 cands.append(NegativeCandidate(c, se, st, se * st))
             cands.sort(key=lambda c: (-c.sim, c.node))
             self._ranked[gold] = cands

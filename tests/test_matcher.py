@@ -5,6 +5,7 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -329,6 +330,33 @@ def test_train_without_validation_uses_loss(mini):
                    mini["train"], [], cfg)
     assert result.best_metric == pytest.approx(
         -min(row["loss"] for row in result.history))
+
+
+def test_training_holds_one_steps_tape_and_frees_the_last(monkeypatch):
+    # each backward frees its tape, so later epochs add no second tape to the
+    # peak: the tracemalloc peak of 3 epochs stays near that of 1
+    cfg = evalgen.SynthConfig(
+        node_counts={"Drug": 20, "AdverseEffect": 25, "Symptom": 20, "Finding": 40},
+        vocab_size=200, snippets=30, seed=1)
+    corpus = evalgen.generate_synthetic_kb(cfg)
+    split = evalgen.split_dataset([s.id for s in corpus.snippets], seed=0)
+    items = [evalgen.corpus_items(corpus, ids) for ids in (split.train, split.validation)]
+    kb_features = evalgen.kb_features(corpus)
+    losses = []
+    backward = ndiff.backward
+    monkeypatch.setattr(ndiff, "backward", lambda loss: (losses.append(loss), backward(loss)))
+    peaks = []
+    for epochs in (1, 3):
+        model = evalgen.make_model(corpus, "magnn", seed=1, dim=32)
+        tracemalloc.start()
+        result = train(model, corpus.kb, kb_features, *items,
+                       TrainConfig(epochs=epochs, patience=epochs, sampler="hard", seed=1))
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(result.history) == epochs == len(losses)
+        assert losses[-1]._parents == () and losses[-1]._backward is None
+        losses.clear()
+    assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 def test_validation_ranks_as_eval_does(mini):

@@ -5,6 +5,7 @@ random inputs kept away from non-smooth points (relu kinks, softmax ties).
 """
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -343,6 +344,39 @@ def test_backward_diamond_graph():
     p = Parameter(np.array([4.0]), "p")
     backward(ndiff.sum_all(ndiff.add(ndiff.mul(p, p), ndiff.scalar_mul(p, 2.0))))
     np.testing.assert_allclose(p.grad, [10.0])
+
+
+def test_backward_refuses_a_second_walk_of_one_loss():
+    p = Parameter(np.array([3.0]), "p")
+    loss = ndiff.sum_all(ndiff.mul(p, p))
+    backward(loss)
+    with pytest.raises(NdiffError, match="earlier backward freed"):
+        backward(loss)
+    np.testing.assert_allclose(p.grad, [6.0])
+
+
+def test_backward_refuses_a_loss_that_reaches_a_walked_tape():
+    # the second loss reaches `shared` whose tape the first backward freed:
+    # refused before any gradient is added, p's included
+    p = Parameter(np.array([3.0]), "p")
+    shared = ndiff.mul(p, p)
+    backward(ndiff.sum_all(shared))
+    with pytest.raises(NdiffError, match="earlier backward freed"):
+        backward(ndiff.sum_all(ndiff.add(shared, p)))
+    np.testing.assert_allclose(p.grad, [6.0])
+
+
+def test_backward_frees_the_forward_arrays_of_the_tape():
+    # Tensor has no __weakref__ slot, so the references are to its ndarrays
+    p = Parameter(RNG.standard_normal((4, 3)), "p")
+    loss = ndiff.sum_all(ndiff.elu(ndiff.matmul(p, p.data.T)))
+    elu_node = loss._parents[0]
+    refs = [weakref.ref(elu_node.data), weakref.ref(elu_node._parents[0].data)]
+    del elu_node
+    backward(loss)
+    assert loss._parents == () and loss._backward is None
+    assert [ref() for ref in refs] == [None, None]
+    assert loss.data.size == 1 and p.grad.any()
 
 
 def test_constants_do_not_get_grads():

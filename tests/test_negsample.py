@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hetlink import negsample
 from hetlink.negsample import (
     HardNegativeSampler,
     ged_1hop,
@@ -130,6 +131,33 @@ def test_hard_sampler_ranks_neighbors_by_score(toy_kb, toy_emb):
     sims = [c.sim for c in ranked]
     assert sims == sorted(sims, reverse=True)
     assert {c.node for c in ranked} == toy_kb.neighbors(gold)
+
+
+@pytest.mark.parametrize("graph_seed", range(5))
+def test_hard_sampler_ranks_as_the_per_pair_oracle_with_one_gold_signature(
+        graph_seed, monkeypatch):
+    rng = np.random.default_rng(2000 + graph_seed)
+    g = random_hetero_graph(rng, n_nodes=30, n_types=3, n_edge_types=3, edge_prob=0.2)
+    emb = rng.standard_normal((len(g), 8))
+    oracle = {}
+    for gold in g.node_ids:
+        cands = []
+        for c in sorted(g.neighbors(gold) - {gold}):
+            se = semantic_similarity(*g.rows([gold, c]).tolist(), emb)
+            st = structural_similarity(gold, c, g)
+            cands.append((c, se, st, se * st))
+        oracle[gold] = sorted(cands, key=lambda c: (-c[3], c[0]))
+    built = []
+    signature = negsample.neighborhood_signature
+    monkeypatch.setattr(negsample, "neighborhood_signature",
+                        lambda kb, v: (built.append(v), signature(kb, v))[1])
+    sampler = HardNegativeSampler(g, emb)
+    for gold in g.node_ids:
+        built.clear()
+        got = [(c.node, c.sim_se, c.sim_st, c.sim) for c in sampler.ranked(gold)]
+        assert [tuple(float(x).hex() for x in row) for row in got] == \
+            [tuple(float(x).hex() for x in row) for row in oracle[gold]]
+        assert sorted(built) == sorted([gold] + [c for c, *_ in got])
 
 
 def _relabeled(kb, new_id):
