@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
                        Node, Schema, build_inverted_index, load_graph)
-from .termembed import (WordVectorStore, init_node_features, term_embedding,
-                        token_frequencies)
+from .termembed import WordVectorStore, init_node_features, term_embedding
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, QueryGraph, TextSnippet,
                          augment_query_graph, fully_connected_query_graph)
@@ -24,7 +23,7 @@ from .evalgen import (EvalReport, SynthConfig, generate_synthetic_kb,
 __all__ = [
     "Edge", "HeteroGraph", "HetlinkError", "InvertedIndex", "Metapath", "Node",
     "Schema", "build_inverted_index", "load_graph",
-    "token_frequencies", "WordVectorStore", "init_node_features", "term_embedding",
+    "WordVectorStore", "init_node_features", "term_embedding",
     "Encoder", "EncoderConfig",
     "Mention", "QueryGraph", "TextSnippet", "augment_query_graph",
     "fully_connected_query_graph",

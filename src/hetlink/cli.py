@@ -26,7 +26,7 @@ from .hetgraph import (INT_RE, HeteroGraph, HetlinkError, build_inverted_index, 
 from .matcher import SAMPLERS, TrainConfig, load_model, save_model
 from .querygraph import TextSnippet, augment_query_graph
 from .termembed import (WordVectorStore, init_node_features, load_word_vectors,
-                        random_word_vectors, token_frequencies)
+                        random_word_vectors)
 
 log = logging.getLogger("hetlink")
 
@@ -85,8 +85,8 @@ def write_bundle(outdir, kb: HeteroGraph, store: WordVectorStore) -> None:
 
 
 def read_bundle(bundle_dir):
-    """The bundle's KB, word vectors and the KB's token frequencies, derived
-    from its names and synonyms as the library derives them."""
+    """The bundle's KB, its word vectors and the KB's token_frequencies, the
+    `freqs` that init_node_features and QueryGraph.features take."""
     manifest_path = os.path.join(bundle_dir, "manifest.json")
     manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
@@ -117,7 +117,7 @@ def read_bundle(bundle_dir):
     if listed != loaded:
         raise HetlinkError(f"{manifest_path}: lists {listed[0]} nodes and {listed[1]} edges, "
                            f"its files hold {loaded[0]} and {loaded[1]}")
-    return kb, WordVectorStore.from_columns(arrays, path), token_frequencies(kb)
+    return kb, WordVectorStore.from_columns(arrays, path), kb.token_frequencies
 
 
 def _load_snippets(path) -> list[TextSnippet]:
@@ -141,15 +141,14 @@ def _load_snippets(path) -> list[TextSnippet]:
     return list(snippets.values())
 
 
-def _bundle_items(args, kb, store, freqs, gold_required: bool):
+def _bundle_items(args, kb, store, gold_required: bool):
     """An item per snippet of args.snippets that has an ambiguous mention,
-    from the bundle's KB, word vectors and token frequencies, and the
-    snippet count."""
+    from the bundle's KB and word vectors, and the snippet count."""
     index = build_inverted_index(kb)
     items = []
     snippets = _load_snippets(args.snippets)
     for snippet in snippets:
-        item = matcher.snippet_item(kb, index, store, freqs, snippet, augment_query_graph)
+        item = matcher.snippet_item(kb, index, store, snippet, augment_query_graph)
         if item is None:
             log.warning("snippet %s has no ambiguous mention; skipped", snippet.id)
             continue
@@ -177,7 +176,7 @@ def _served(args, gold_required: bool):
     elif (digest := file_sha256(os.path.join(args.bundle, "kb.npz"))) != trained_on:
         raise HetlinkError(f"{args.model} was trained on a kb.npz of sha256 "
                            f"{trained_on}, not on {args.bundle}'s ({digest})")
-    items, _ = _bundle_items(args, kb, store, freqs, gold_required)
+    items, _ = _bundle_items(args, kb, store, gold_required)
     if trained_on is not None and matcher.use_kept_rows(model, args.model, kb, trained_on):
         return model, kb, None, items
     return model, kb, init_node_features(kb, store, freqs), items
@@ -216,7 +215,7 @@ def cmd_gen_synth(args) -> int:
 def cmd_train(args) -> int:
     train_config, encoder_options = _train_settings(_config(args, CONFIG_KEYS))
     kb, store, freqs = read_bundle(args.bundle)
-    items, n_snippets = _bundle_items(args, kb, store, freqs, gold_required=True)
+    items, n_snippets = _bundle_items(args, kb, store, gold_required=True)
     # the split puts at least one snippet in each of its parts
     if len(items) < len(evalgen.SPLIT_RATIOS):
         raise HetlinkError(f"{len(items)} of {n_snippets} snippets have an ambiguous mention; "

@@ -23,8 +23,7 @@ from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
 from .encoders import Encoder, EncoderConfig
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
-from .termembed import (WordVectorStore, init_node_features, random_word_vectors,
-                        token_frequencies)
+from .termembed import WordVectorStore, init_node_features, random_word_vectors
 
 
 # -- splits ----------------------------------------------------------------
@@ -415,7 +414,7 @@ def schema_metapaths(schema: Schema, limit: int = 8) -> list[Metapath]:
 
 
 def kb_features(corpus: SynthCorpus) -> np.ndarray:
-    return init_node_features(corpus.kb, corpus.store, token_frequencies(corpus.kb))
+    return init_node_features(corpus.kb, corpus.store, corpus.kb.token_frequencies)
 
 
 def corpus_items(corpus: SynthCorpus, snippet_ids,
@@ -426,12 +425,11 @@ def corpus_items(corpus: SynthCorpus, snippet_ids,
     build = {"augmented": augment_query_graph,
              "fc": fully_connected_query_graph}[query_builder]
     by_id = {s.id: s for s in corpus.snippets}
-    freqs = token_frequencies(corpus.kb)
     items = []
     for sid in snippet_ids:
         if sid not in by_id:
             raise HetlinkError(f"unknown snippet {sid!r}")
-        item = snippet_item(corpus.kb, corpus.index, corpus.store, freqs, by_id[sid], build)
+        item = snippet_item(corpus.kb, corpus.index, corpus.store, by_id[sid], build)
         n_unknown = len(item.qgraph.unknown_nodes) if item else 0
         if n_unknown != 1:
             raise HetlinkError(

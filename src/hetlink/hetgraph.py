@@ -107,6 +107,9 @@ class Metapath:
             raise HetlinkError("metapath needs at least 2 node types")
         if len(self.edge_types) != len(self.node_types) - 1:
             raise HetlinkError("metapath type counts inconsistent")
+        if bad := [t for t in (*self.node_types, *self.edge_types) if "-" in t or t != t.strip()]:
+            raise HetlinkError(f"metapath type {bad[0]!r} holds '-' or leading or trailing "
+                               f"whitespace, which a metapath label cannot carry")
 
     @property
     def head(self) -> str:
@@ -363,26 +366,36 @@ class HeteroGraph:
     def nodes_of_type(self, ntype: str) -> list[int]:
         return self.ids_of_type(ntype).tolist()
 
-    def terms(self) -> list[str]:
-        """Each node's name and synonyms as one text, in node-id order."""
+    @functools.cached_property
+    def _tokens(self) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """The one tokenization of the names and synonyms, in node-id order:
+        token codes, int64; each code's token; each row's token count."""
         _, names, synonyms = self._nodes
-        return [" ".join((name, *syns)) if syns else name for name, syns in zip(names, synonyms)]
+        terms = [" ".join((name, *syns)) if syns else name for name, syns in zip(names, synonyms)]
+        codes, tokens = _codes(" ".join(terms).split())
+        counts = np.fromiter(map(str.count, terms, itertools.repeat(" ")), np.int64, len(terms))
+        return codes, tokens, counts + 1
 
     @functools.cached_property
     def token_ids(self) -> dict[str, np.ndarray]:
         """Each name or synonym token -> the ids of the nodes holding it, a
-        read-only ascending int64 array, tokens in order of first appearance
-        in terms(); built on first use and kept with the graph."""
-        terms = self.terms()
-        codes, tokens = _codes(" ".join(terms).split())
-        counts = np.fromiter(map(str.count, terms, itertools.repeat(" ")), np.int64, len(terms))
-        # each (token, row) as code * n + row, ascending, then once each
-        keys = np.sort(codes * len(terms) + np.repeat(np.arange(len(terms)), counts + 1))
-        keys = keys[np.concatenate([[len(keys) > 0], keys[1:] != keys[:-1]])]
-        code, row = np.divmod(keys, max(len(terms), 1))
+        read-only ascending int64 array, tokens in order of first appearance;
+        built on first use and kept with the graph."""
+        codes, tokens, counts = self._tokens
+        # each (token, row) as code * len(self) + row, ascending, then once each
+        keys = np.sort(codes * len(self) + np.repeat(np.arange(len(self)), counts))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        code, row = np.divmod(keys, max(len(self), 1))
         ids = _read_only(self.id_array[row])
         bounds = np.searchsorted(code, np.arange(len(tokens) + 1))
         return dict(zip(tokens, map(ids.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+
+    @functools.cached_property
+    def token_frequencies(self) -> dict[str, float]:
+        """p(w) for SIF weights: each token's count over the count of all the
+        name and synonym tokens, in token_ids' order; built on first use and kept."""
+        codes, tokens, _ = self._tokens
+        return dict(zip(tokens, (np.bincount(codes) / len(codes)).tolist()))
 
     # -- neighborhoods -----------------------------------------------------
 

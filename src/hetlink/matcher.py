@@ -157,19 +157,20 @@ class TrainItem:
 
 
 def snippet_item(kb: HeteroGraph, index: InvertedIndex, store: WordVectorStore,
-                 freqs: dict[str, float], snippet: TextSnippet, build) -> TrainItem | None:
+                 snippet: TextSnippet, build) -> TrainItem | None:
     """The one snippet -> item rule.  Mentions are the gold ones if the snippet
     has any, else the gazetteer's over `index`; the first that `index` does
     not match is the ambiguous one.  `build` makes the query graph
-    (augment_query_graph, or fully_connected_query_graph for the ablation).
-    None when `index` matches every mention."""
+    (augment_query_graph, or fully_connected_query_graph for the ablation),
+    whose features weigh tokens by `kb.token_frequencies`.  None when
+    `index` matches every mention."""
     extractor = GoldMentionExtractor() if snippet.mentions else GazetteerExtractor(index)
     qg = build(kb, index, snippet, extractor)
     if not qg.unknown_nodes:
         return None
     node = qg.unknown_nodes[0]
     link = qg.mentions[node].link_id
-    return TrainItem(snippet.id, qg, qg.features(store, freqs), node,
+    return TrainItem(snippet.id, qg, qg.features(store, kb.token_frequencies), node,
                      gold=-1 if link is None else int(link))
 
 

@@ -169,7 +169,8 @@ class QueryGraph:
 
     def features(self, store: WordVectorStore, freqs: dict[str, float]) -> np.ndarray:
         """init_node_features of the graph, whose node names are the mention
-        surfaces, so lexical variants stay distinct."""
+        surfaces, so lexical variants stay distinct.  `freqs` is the KB's
+        token_frequencies: a query graph's tokens weigh by the KB's p(w)."""
         return init_node_features(self.graph, store, freqs)
 
 

@@ -119,14 +119,6 @@ def load_word_vectors(path) -> WordVectorStore:
     return WordVectorStore(vectors, dim)
 
 
-def token_frequencies(graph: HeteroGraph) -> dict[str, float]:
-    """p(w) over the KB's own corpus: each name and synonym token's count over
-    the count of all their tokens, tokens in order of first appearance."""
-    counts = Counter(" ".join(graph.terms()).split())
-    total = sum(counts.values())
-    return {t: c / total for t, c in counts.items()}
-
-
 def sif_weight(token: str, freqs: dict[str, float]) -> float:
     """Unseen tokens count as DEFAULT_UNSEEN_P."""
     return DEFAULT_SIF_A / (DEFAULT_SIF_A + freqs.get(token, DEFAULT_UNSEEN_P))

@@ -11,8 +11,7 @@ from hetlink.evalgen import DEFAULT_NODE_COUNTS, SynthConfig, generate_synthetic
 from hetlink.hetgraph import HeteroGraph, Metapath, build_inverted_index, tokenize
 from hetlink.matcher import candidate_ids, snippet_item
 from hetlink.querygraph import Mention, TextSnippet, augment_query_graph
-from hetlink.termembed import (WordVectorStore, random_word_vectors, sif_weight,
-                               token_frequencies)
+from hetlink.termembed import WordVectorStore, random_word_vectors, sif_weight
 
 
 @pytest.fixture
@@ -82,7 +81,7 @@ def toy_store(toy_kb):
 
 @pytest.fixture
 def toy_freqs(toy_kb):
-    return token_frequencies(toy_kb)
+    return toy_kb.token_frequencies
 
 
 def break_params(model_dir, how) -> str:
@@ -187,8 +186,7 @@ def cli_items(bundle):
     kb, store, freqs = read_bundle(bundle)
     index = build_inverted_index(kb)
     items = [item for snippet in _load_snippets(bundle / "snippets.json")
-             if (item := snippet_item(kb, index, store, freqs, snippet,
-                                      augment_query_graph))]
+             if (item := snippet_item(kb, index, store, snippet, augment_query_graph))]
     return kb, store, freqs, items
 
 
@@ -291,7 +289,7 @@ def token_ids_oracle(graph) -> dict:
 
 
 def token_frequencies_oracle(graph) -> dict:
-    """token_frequencies: each name and synonym token's count over the count
+    """HeteroGraph.token_frequencies: each name and synonym token's count over the count
     of all their tokens."""
     counts: dict[str, int] = {}
     for node in graph.nodes():

@@ -554,6 +554,34 @@ def test_train_refuses_a_metapath_with_an_edge_the_kb_lacks(workdir, tmp_path, c
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("old, new", [("AdverseEffect", "Adverse-Effect"), ("CAUSE", "MAY-CAUSE"),
+                                      ("Drug", "Drug ")])
+def test_train_magnn_refuses_a_kb_type_a_metapath_label_cannot_carry(tmp_path, capsys, old, new):
+    # a MAGNN model's metapaths are saved as labels, which parse back only
+    # types without '-' and without leading or trailing whitespace
+    def rename(t):
+        return new if t == old else t
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({
+        **SMALL_GEN,
+        "node_counts": {rename(t): n for t, n in SMALL_GEN["node_counts"].items()},
+        "triples": [[rename(s), rename(e), rename(d), k]
+                    for s, e, d, k in evalgen.DEFAULT_TRIPLES]}))
+    bundle = tmp_path / "bundle"
+    assert main(["gen-synth", "--config", str(gen), "--out", str(bundle)]) == 0
+    train = ["train", "--bundle", str(bundle), "--snippets", str(bundle / "snippets.json"),
+             "--config", str(tmp_path / "train.json")]
+    (tmp_path / "train.json").write_text(json.dumps({**TRAIN_CONFIG, "epochs": 1}))
+    capsys.readouterr()
+    assert main([*train, "--encoder", "magnn", "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == (f"error: metapath type {new!r} holds '-' or leading "
+                                       f"or trailing whitespace, which a metapath label "
+                                       f"cannot carry\n")
+    assert not (tmp_path / "m").exists()
+    for kind in ("graphsage", "rgcn"):
+        assert main([*train, "--encoder", kind, "--out", str(tmp_path / kind)]) == 0
+
+
 def test_whole_float_config_value_sets_an_int(workdir, tmp_path):
     config = tmp_path / "whole.json"
     config.write_text(json.dumps({**TRAIN_CONFIG, "epochs": 2.0, "lr": 1}))

@@ -10,6 +10,7 @@ from hetlink.hetgraph import HeteroGraph
 from hetlink.matcher import TrainItem, candidate_ids, candidate_pool
 from hetlink.evalgen import (
     SynthConfig,
+    build_model,
     generate_synthetic_kb,
     precision_recall_f1,
     schema_metapaths,
@@ -313,3 +314,15 @@ def test_schema_metapaths_cover_schema(small_corpus):
 def test_schema_metapaths_limit_truncates(small_corpus):
     schema = small_corpus.kb.schema
     assert len(schema_metapaths(schema, limit=3)) == 3
+
+
+@pytest.mark.parametrize("node_type, edge_type, bad", [
+    ("Adverse-Effect", "CAUSE", "Adverse-Effect"), ("AdverseEffect", "MAY-CAUSE", "MAY-CAUSE"),
+    ("Adverse Effect ", "CAUSE", "Adverse Effect ")])
+def test_magnn_refuses_a_kb_type_that_a_metapath_label_cannot_carry(node_type, edge_type, bad):
+    kb = HeteroGraph.from_rows([(0, "Drug", "aspirin", ()), (1, node_type, "nausea", ())],
+                               [(0, 1, edge_type)])
+    with pytest.raises(HetlinkError, match=f"^metapath type {bad!r} holds '-'"):
+        build_model(kb, 8, "magnn", dim=8)
+    for kind in ("graphsage", "rgcn"):
+        assert build_model(kb, 8, kind, dim=8).encoder.config.kind == kind

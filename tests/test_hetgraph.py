@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hetlink import hetgraph
 from hetlink.cli import main, read_bundle, write_bundle
 from hetlink.encoders import _relation_adjacency
 from hetlink.evalgen import DEFAULT_NODE_COUNTS, SynthConfig, generate_synthetic_kb
@@ -16,7 +17,7 @@ from hetlink.hetgraph import (Edge, GraphRowError, HeteroGraph, HetlinkError, In
                               graph_from_columns, load_edges_tsv, load_graph, load_nodes_tsv,
                               normalize, tokenize)
 from hetlink.querygraph import GoldMentionExtractor, augment_query_graph
-from hetlink.termembed import random_word_vectors, token_frequencies
+from hetlink.termembed import random_word_vectors
 from conftest import (index_entries_oracle, random_hetero_graph, save_graph, token_ids_oracle,
                       token_frequencies_oracle)
 
@@ -163,6 +164,30 @@ def test_metapath_parse_roundtrip():
 def test_metapath_rejects_malformed():
     with pytest.raises(HetlinkError):
         Metapath.parse("Drug-CAUSE")
+
+
+# a type a metapath label carries: no '-', no leading or trailing whitespace
+_LABEL_TYPES = st.text(min_size=1, max_size=6).filter(lambda t: "-" not in t and t == t.strip())
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(_LABEL_TYPES, min_size=n + 1, max_size=n + 1),
+    st.lists(_LABEL_TYPES, min_size=n, max_size=n))))
+def test_a_metapath_label_parses_back_to_the_metapath(types):
+    p = Metapath(*map(tuple, types))
+    assert Metapath.parse(p.label()) == p
+
+
+@pytest.mark.parametrize("node_types, edge_types, bad", [
+    (("Drug", "Adverse-Effect"), ("CAUSE",), "Adverse-Effect"),
+    (("Drug", "AdverseEffect"), ("MAY-CAUSE",), "MAY-CAUSE"),
+    (("Drug ", "AdverseEffect"), ("CAUSE",), "Drug "),
+    (("Drug", "AdverseEffect"), ("\tCAUSE",), "\tCAUSE")])
+def test_metapath_refuses_a_type_its_label_cannot_carry(node_types, edge_types, bad):
+    with pytest.raises(HetlinkError) as exc:
+        Metapath(node_types, edge_types)
+    assert str(exc.value) == (f"metapath type {bad!r} holds '-' or leading or trailing "
+                              f"whitespace, which a metapath label cannot carry")
 
 
 def test_metapath_instances_toy(toy_kb, daf_metapath):
@@ -615,8 +640,24 @@ def test_column_built_token_map_and_frequencies_equal_the_per_node_walks(oracle_
     assert list(table) == list(want)
     for tok, ids in want.items():
         assert table[tok].dtype == np.int64 and table[tok].tobytes() == ids.tobytes()
-    freqs, want = token_frequencies(kb), token_frequencies_oracle(kb)
+    freqs, want = kb.token_frequencies, token_frequencies_oracle(kb)
     assert list(freqs.items()) == list(want.items())
+
+
+def test_the_token_map_and_frequencies_come_from_one_tokenization(monkeypatch):
+    kb = HeteroGraph.from_rows([(4, "Drug", "aspirin tablet", ("ASA", "aspirin")),
+                                (2, "Finding", "renal failure", ())], [])
+    calls = []
+    codes = hetgraph._codes
+    monkeypatch.setattr(hetgraph, "_codes", lambda values: calls.append(1) or codes(values))
+    freqs = kb.token_frequencies
+    assert list(kb.token_ids) == list(freqs) == ["renal", "failure", "aspirin", "tablet", "asa"]
+    assert len(calls) == 1
+    assert kb.token_frequencies is freqs
+    assert freqs == {"renal": 1 / 6, "failure": 1 / 6, "aspirin": 2 / 6, "tablet": 1 / 6,
+                     "asa": 1 / 6}
+    empty = HeteroGraph.from_rows([], [])
+    assert empty.token_frequencies == {} and empty.token_ids == {}
 
 
 # -- nodes built on demand ----------------------------------------------------
@@ -698,7 +739,6 @@ def test_node_columns_hold_the_normalized_rows_in_node_id_order():
     assert ids.tolist() == [3, 9] and not ids.flags.writeable
     assert (types, names, synonyms) == (
         ("Finding", "Drug"), ("fever", "acute failure"), ((), ("kidney failure",)))
-    assert g.terms() == ["fever", "acute failure kidney failure"]
 
 
 @pytest.mark.parametrize("call", ["node", "node_type", "node_name", "out_neighbors",

@@ -39,7 +39,7 @@ from hetlink.hetgraph import RELATED_EDGE_TYPE, HeteroGraph, build_inverted_inde
 from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
 from hetlink.querygraph import (Mention, TextSnippet, augment_query_graph,
                                 fully_connected_query_graph)
-from hetlink.termembed import init_node_features, token_frequencies
+from hetlink.termembed import init_node_features
 
 from conftest import (MANIFEST_BREAKS, break_manifest, break_params, cli_items,
                       lexical_pool_oracle)
@@ -483,7 +483,7 @@ def test_rank_items_matches_the_list_oracle_on_interleaved_types(mini):
     assert all(isinstance(kb.row_selector(kb.ids_of_type(t)), np.ndarray)
                for t in kb.node_types)
     model = _tiny_model(mini)
-    kb_features = init_node_features(kb, corpus.store, token_frequencies(kb))
+    kb_features = init_node_features(kb, corpus.store, kb.token_frequencies)
     types = sorted(kb.node_types)
     pools = [kb.id_array, *(kb.ids_of_type(t) for t in types),
              np.unique(np.concatenate([kb.ids_of_type(t) for t in types[:2]])),
@@ -638,8 +638,7 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     kb, store, freqs = cli.read_bundle(bundle)
     index = build_inverted_index(kb)
     cli_items = [item for snippet in cli._load_snippets(bundle / "snippets.json")
-                 if (item := snippet_item(kb, index, store, freqs, snippet,
-                                          augment_query_graph))]
+                 if (item := snippet_item(kb, index, store, snippet, augment_query_graph))]
     loaded, _ = load_model(model_dir)
     kb_feats = init_node_features(kb, store, freqs)
     shared = rank_items(loaded, kb, kb_feats, build_query_batch(cli_items, store.dim),
@@ -667,43 +666,41 @@ def _labelled_snippet(kb):
                 link_id=str(kb.ids[node])) for surface, node in links))
 
 
-def test_snippet_item_takes_the_first_unknown_mention_and_an_int_gold(
-        toy_kb, toy_store, toy_freqs):
+def test_snippet_item_takes_the_first_unknown_mention_and_an_int_gold(toy_kb, toy_store):
     index = build_inverted_index(toy_kb, acronyms=False)
-    item = snippet_item(toy_kb, index, toy_store, toy_freqs, _labelled_snippet(toy_kb),
+    item = snippet_item(toy_kb, index, toy_store, _labelled_snippet(toy_kb),
                         augment_query_graph)
     qg = item.qgraph
     assert len(qg.unknown_nodes) == 2
     assert item.mention_node == qg.unknown_nodes[0]
     assert qg.mentions[item.mention_node].surface == "ARF"
     assert item.gold == toy_kb.ids["acute renal failure"] and type(item.gold) is int
-    np.testing.assert_array_equal(item.features, qg.features(toy_store, toy_freqs))
+    np.testing.assert_array_equal(item.features,
+                                  qg.features(toy_store, toy_kb.token_frequencies))
 
 
 def test_snippet_item_is_none_when_the_index_matches_every_mention(
-        toy_kb, toy_index, toy_store, toy_freqs, arf_snippet):
+        toy_kb, toy_index, toy_store, arf_snippet):
     # the acronym rule indexes "ARF", so no mention of the snippet is unknown
-    assert snippet_item(toy_kb, toy_index, toy_store, toy_freqs, arf_snippet,
+    assert snippet_item(toy_kb, toy_index, toy_store, arf_snippet,
                         augment_query_graph) is None
 
 
-def test_snippet_item_reads_unlabelled_text_with_the_gazetteer(toy_kb, toy_store, toy_freqs):
+def test_snippet_item_reads_unlabelled_text_with_the_gazetteer(toy_kb, toy_store):
     index = build_inverted_index(toy_kb, acronyms=False)
     text = TextSnippet("raw", "Aspirin can cause nausea indicating a potential ARF")
-    item = snippet_item(toy_kb, index, toy_store, toy_freqs, text, augment_query_graph)
+    item = snippet_item(toy_kb, index, toy_store, text, augment_query_graph)
     assert sorted(m.surface for m in item.qgraph.mentions.values()) == [
         "ARF", "Aspirin", "nausea"]
     assert item.qgraph.mentions[item.mention_node].surface == "ARF"
     assert item.gold == -1
 
 
-def test_snippet_item_builds_with_the_given_query_graph_builder(toy_kb, toy_store,
-                                                                toy_freqs):
+def test_snippet_item_builds_with_the_given_query_graph_builder(toy_kb, toy_store):
     index = build_inverted_index(toy_kb, acronyms=False)
     snippet = _labelled_snippet(toy_kb)
-    typed = snippet_item(toy_kb, index, toy_store, toy_freqs, snippet, augment_query_graph)
-    fc = snippet_item(toy_kb, index, toy_store, toy_freqs, snippet,
-                      fully_connected_query_graph)
+    typed = snippet_item(toy_kb, index, toy_store, snippet, augment_query_graph)
+    fc = snippet_item(toy_kb, index, toy_store, snippet, fully_connected_query_graph)
     assert RELATED_EDGE_TYPE in {e.type for e in fc.qgraph.graph.edges}
     assert RELATED_EDGE_TYPE not in {e.type for e in typed.qgraph.graph.edges}
     assert (fc.mention_node, fc.gold) == (typed.mention_node, typed.gold)

@@ -18,7 +18,6 @@ from hetlink.termembed import (
     random_word_vectors,
     sif_weight,
     term_embedding,
-    token_frequencies,
 )
 from conftest import node_features_oracle
 
@@ -89,8 +88,8 @@ def test_load_word_vectors_rejects_ragged_rows(tmp_path):
 def test_token_frequencies_count_name_and_synonym_tokens_over_their_total():
     g = HeteroGraph.from_rows([(0, "Drug", "aspirin aspirin tablet", ("ASA tablet",)),
                                (1, "Finding", "renal failure", ())], [])
-    assert token_frequencies(g) == {"aspirin": 2 / 7, "tablet": 2 / 7, "asa": 1 / 7,
-                                    "renal": 1 / 7, "failure": 1 / 7}
+    assert g.token_frequencies == {"aspirin": 2 / 7, "tablet": 2 / 7, "asa": 1 / 7,
+                                   "renal": 1 / 7, "failure": 1 / 7}
 
 
 def test_frequency_table_unseen_token_default():
@@ -170,7 +169,7 @@ def _term_embedding_rows(graph, store, freqs):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_init_node_features_is_term_embedding_bit_for_bit_on_synthetic_kbs(seed):
     corpus = generate_synthetic_kb(SynthConfig(seed=seed, snippets=0))
-    freqs = token_frequencies(corpus.kb)
+    freqs = corpus.kb.token_frequencies
     feats = init_node_features(corpus.kb, corpus.store, freqs)
     assert np.array_equal(feats, _term_embedding_rows(corpus.kb, corpus.store, freqs))
 
@@ -194,7 +193,7 @@ def test_init_node_features_embeds_unseen_tokens(monkeypatch, chunk):
 def test_column_built_features_equal_the_per_node_walk(oracle_kb, monkeypatch, chunk):
     kb, store = oracle_kb
     monkeypatch.setattr(termembed, "FEATURE_CHUNK", chunk)
-    freqs = token_frequencies(kb)
+    freqs = kb.token_frequencies
     feats = init_node_features(kb, store, freqs)
     assert feats.tobytes() == node_features_oracle(kb, store, freqs, chunk).tobytes()
     assert np.array_equal(feats, _term_embedding_rows(kb, store, freqs))
