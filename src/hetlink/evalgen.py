@@ -14,13 +14,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .hetgraph import (Edge, HeteroGraph, HetlinkError, InvertedIndex, Metapath,
-                       RELATED_EDGE_TYPE, Schema, SELF_EDGE_TYPE, build_inverted_index,
-                       read_settings)
+from .hetgraph import (HeteroGraph, HetlinkError, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
+                       Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings)
 from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
                       candidate_ids, candidate_pool, order_by_score, rank_items,
                       snippet_item)
 from .encoders import Encoder, EncoderConfig
+from .negsample import draw_excluding
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
                          fully_connected_query_graph)
 from .termembed import WordVectorStore, init_node_features, random_word_vectors
@@ -276,12 +276,13 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
         seen.add(v)
         variants[w] = v
 
-    rows: list[tuple] = []          # node rows; an id is the row's position
+    # node columns, drawn type by type; a node's id is its row, each type's ids one run
+    types, names, synonyms, by_type = [], [], [], {}
     used_surfaces: set[str] = set()
     lo, hi = config.name_tokens
     twin_of: dict[int, int] = {}
     for ntype in sorted(config.node_counts):
-        count = config.node_counts[ntype]
+        count, first = config.node_counts[ntype], len(names)
         if ntype == "Finding":
             # lookalike pairs: same first token, one distinguishing token
             n_pairs = int(count * config.twin_fraction) // 2
@@ -296,8 +297,9 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
                 else:
                     raise HetlinkError("could not draw a fresh twin pair")
                 used_surfaces.update((s1, s2))
-                a, b = len(rows), len(rows) + 1
-                rows += [(a, ntype, s1, ()), (b, ntype, s2, ())]
+                a, b = len(names), len(names) + 1
+                names += [s1, s2]
+                synonyms += [(), ()]
                 twin_of[a], twin_of[b] = b, a
             count -= 2 * n_pairs
         for _ in range(count):
@@ -310,37 +312,38 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
             else:
                 raise HetlinkError("could not draw a fresh node name; vocab too small")
             used_surfaces.add(surface)
-            synonyms = ()
+            names.append(surface)
+            synonyms.append(())
             if len(toks) >= 2 and rng.random() < config.synonym_fraction:
                 i = int(rng.integers(len(toks)))
                 syn = " ".join(toks[:i] + (variants[toks[i]],) + toks[i + 1:])
                 if syn not in used_surfaces:
                     used_surfaces.add(syn)
-                    synonyms = (syn,)
-            rows.append((len(rows), ntype, surface, synonyms))
+                    synonyms[-1] = (syn,)
+        types += [ntype] * (len(names) - first)
+        by_type[ntype] = range(first, len(names))
 
-    by_type = {t: [nid for nid, nt, *_ in rows if nt == t] for t in config.node_counts}
-    edges = []
+    src_col, dst_col, type_col = [], [], []         # edge columns, drawn source by source
     for src_t, etype, dst_t, deg in config.triples:
-        dst_ids = np.array(by_type[dst_t])
+        dst_ids = by_type[dst_t]
         for src in by_type[src_t]:
             # a twin is always its lookalike's 1-hop neighbor, so the hard
             # sampler can surface it as a difficult negative
             forced = ([twin_of[src]] if src_t == dst_t == "Finding"
                       and src in twin_of else [])
-            keep = dst_ids != src
-            for f in forced:
-                keep &= dst_ids != f
-            choices = dst_ids[keep]
-            picks = rng.choice(len(choices), size=deg - len(forced), replace=False)
-            for dst in forced + [int(choices[i]) for i in sorted(picks)]:
-                edges.append(Edge(src, dst, etype))
-    kb = HeteroGraph.from_rows(rows, edges)
+            # the draw skips the source itself and its forced twin
+            excluded = sorted(map(dst_ids.index, [src, *forced])) if src_t == dst_t else []
+            picks = draw_excluding(rng, len(dst_ids), excluded, deg - len(forced))
+            src_col += [src] * deg
+            dst_col += forced + [dst_ids[i] for i in picks]
+            type_col += [etype] * deg
+    kb = HeteroGraph((range(len(names)), types, names, synonyms), (src_col, dst_col, type_col))
     index = build_inverted_index(kb, acronyms=False)
 
     kinds = sorted(config.ambiguity_mix)
     probs = np.array([config.ambiguity_mix[k] for k in kinds])
-    gold_pool = [n for n in by_type["Finding"] if len(kb.neighbors(n)) >= 2]
+    findings = np.array(by_type["Finding"])
+    gold_pool = findings[np.diff(kb.undirected[0])[kb.rows(findings)] >= 2].tolist()
     if not gold_pool:
         raise HetlinkError("no Finding node has enough neighbors for snippets")
     twin_pool = [n for n in gold_pool if n in twin_of]

@@ -176,6 +176,14 @@ def _check(part: str, rules) -> None:
         raise GraphRowError(rules[k][1](row), (part, row))
 
 
+def undirected_adjacency(src, dst, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows src[i] and dst[i] of n linked both ways, each pair once: read-only
+    row bounds (row v's neighbours are cols[bounds[v]:bounds[v + 1]]) and cols,
+    the neighbour rows, ascending in each row; a self-loop links a row to itself."""
+    rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), max(n, 1))
+    return _read_only(np.searchsorted(rows, np.arange(n + 1))), _read_only(cols)
+
+
 class HeteroGraph:
     """Typed directed multigraph with composite-term node attributes, built
     whole by its constructor and immutable afterwards."""
@@ -408,10 +416,17 @@ class HeteroGraph:
         out, into = self._out or self._adjacency(True), self._in or self._adjacency(False)
         return set(self._ends(out, row, r)) | set(self._ends(into, row, r))
 
+    @functools.cached_property
+    def undirected(self) -> tuple[np.ndarray, np.ndarray]:
+        """undirected_adjacency of the edges, types dropped; built on first use and kept."""
+        src, dst, _, _ = self._edge_table
+        return undirected_adjacency(src, dst, len(self))
+
     def neighbors(self, v: int) -> set[int]:
         """Nodes incident to v through an edge of any relation."""
-        self._row_of(v)
-        return set().union(*(self.neighbors_by_relation(v, r) for r in self._edge_code))
+        bounds, cols = self.undirected
+        row = self._row_of(v)
+        return set(self.id_array[cols[bounds[row]:bounds[row + 1]]].tolist())
 
     # -- metapaths ---------------------------------------------------------
 

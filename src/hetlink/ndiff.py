@@ -419,11 +419,11 @@ def dropout(a, rate: float, training: bool, rng: np.random.Generator | None = No
         return a
     if rng is None:
         raise NdiffError("training-mode dropout needs an explicit rng")
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(a.shape) >= rate      # bools: one byte an entry in the closure
 
     def back(g):
-        return (g * mask,)
-    return tape_node(a.data * mask, (a,), back)
+        return (g * (keep / (1.0 - rate)),)
+    return tape_node(a.data * (keep / (1.0 - rate)), (a,), back)
 
 
 # -- backward pass ---------------------------------------------------------

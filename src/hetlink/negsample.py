@@ -9,6 +9,7 @@ the hard sampler when a gold entity has too few neighbors.
 
 from __future__ import annotations
 
+import bisect
 import logging
 from collections import Counter
 from dataclasses import dataclass
@@ -77,17 +78,25 @@ class NegativeCandidate:
     sim: float
 
 
+def draw_excluding(rng: np.random.Generator, n: int, excluded: list[int], k: int) -> list[int]:
+    """k distinct positions of range(n) outside `excluded` (distinct ones,
+    ascending), ascending; all of them when fewer than k remain.  One
+    rng.choice over the positions that remain, so the draw of rng.choice over
+    a copy of them: each pick moves past the excluded positions before it."""
+    remaining = n - len(excluded)
+    picks = sorted(rng.choice(remaining, size=min(k, remaining), replace=False).tolist())
+    # excluded[j] - j positions remain before excluded[j]
+    before = [e - j for j, e in enumerate(excluded)]
+    return [p + bisect.bisect_right(before, p) for p in picks]
+
+
 def uniform_negatives(kb: HeteroGraph, k: int, rng: np.random.Generator,
                       exclude: set[int]) -> list[int]:
     """k distinct KB ids in KB order, from one rng.choice over the KB ids not
     in `exclude` (ids outside the KB are ignored); every one of those ids
     when fewer than k remain."""
-    ids = kb.id_array
-    keep = np.ones(len(ids), dtype=bool)
-    keep[kb.rows([n for n in exclude if n in kb])] = False
-    remaining = ids[keep]
-    picks = rng.choice(len(remaining), size=min(k, len(remaining)), replace=False)
-    return [int(remaining[i]) for i in sorted(picks)]
+    rows = sorted(kb.rows([n for n in exclude if n in kb]).tolist())
+    return kb.id_array[draw_excluding(rng, len(kb), rows, k)].tolist()
 
 
 class HardNegativeSampler:

@@ -168,6 +168,13 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
     return HeteroGraph.from_rows(nodes, edges)
 
 
+def neighbors_oracle(graph, v) -> set[int]:
+    """HeteroGraph.neighbors as a union of v's per-relation neighbour sets,
+    one per edge type; an unknown v raises as neighbors does."""
+    graph.node_type(v)
+    return set().union(*(graph.neighbors_by_relation(v, r) for r in graph.edge_types))
+
+
 def save_graph(graph, nodes_path, edges_path) -> None:
     """Write `graph` as the node and edge list files that `load_graph` and
     `hetlink ingest` read; a bundle holds its KB as kb.npz instead."""

@@ -217,7 +217,7 @@ def test_every_snippet_has_exactly_one_ambiguous_mention(small_corpus):
             small_corpus, snippet)
 
 
-def test_ambiguous_mention_links_to_a_finding_near_context(small_corpus):
+def test_generator_links_the_ambiguous_mention_to_a_finding_near_context(small_corpus):
     kb = small_corpus.kb
     for snippet in small_corpus.snippets:
         gold = _ambiguous_mention(small_corpus, snippet).link_id
@@ -234,7 +234,7 @@ def test_mention_offsets_are_exact(small_corpus):
             assert snippet.text[m.start_offset:m.end_offset] == m.surface
 
 
-def test_twins_are_lookalike_assoc_neighbors(small_corpus):
+def test_generator_twins_are_lookalike_assoc_neighbors(small_corpus):
     kb = small_corpus.kb
     findings = kb.nodes_of_type("Finding")
     twins = [(u, v) for u in findings for v in findings if u < v

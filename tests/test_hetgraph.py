@@ -18,8 +18,8 @@ from hetlink.hetgraph import (Edge, GraphRowError, HeteroGraph, HetlinkError, In
                               normalize, tokenize)
 from hetlink.querygraph import GoldMentionExtractor, augment_query_graph
 from hetlink.termembed import random_word_vectors
-from conftest import (index_entries_oracle, random_hetero_graph, save_graph, token_ids_oracle,
-                      token_frequencies_oracle)
+from conftest import (index_entries_oracle, neighbors_oracle, random_hetero_graph, save_graph,
+                      token_ids_oracle, token_frequencies_oracle)
 
 
 def test_normalize_casefolds_and_strips_punctuation():
@@ -145,6 +145,30 @@ def test_neighbors_rejects_an_unknown_id():
     assert lone.neighbors(0) == set()
     with pytest.raises(HetlinkError, match="unknown node 999"):
         lone.neighbors(999)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_neighbors_read_one_kept_adjacency_as_the_per_relation_union(seed):
+    base = random_hetero_graph(np.random.default_rng(seed), n_nodes=25)
+    # ids that are not rows; a self-loop, a pair linked both ways and a pair
+    # linked by two relations
+    edges = {(10 * s + 7, 10 * d + 7, r) for s, d, r in base.edges}
+    edges |= {(37, 37, "R0"), (47, 97, "R1"), (97, 47, "R2"), (57, 67, "R0"), (57, 67, "R1")}
+    g = HeteroGraph.from_rows([(10 * n.id + 7, n.type, n.surface, ()) for n in base.nodes()],
+                              sorted(edges))
+    bounds, cols = g.undirected
+    assert g.undirected is g.undirected
+    assert not bounds.flags.writeable and not cols.flags.writeable
+    for v in g.node_ids:
+        row = int(g.rows([v])[0])
+        assert g.neighbors(v) == neighbors_oracle(g, v)
+        assert cols[bounds[row]:bounds[row + 1]].tolist() == sorted(g.rows(list(g.neighbors(v))))
+    assert 37 in g.neighbors(37) and g.neighbors(57) >= {67}
+    for graph in (g, _graph([(0, "Drug", "c")])):
+        with pytest.raises(HetlinkError, match="unknown node 999"):
+            graph.neighbors(999)
+        with pytest.raises(HetlinkError, match="unknown node 999"):
+            neighbors_oracle(graph, 999)
 
 
 def test_neighbors_by_relation_ignores_direction(toy_kb):
@@ -663,16 +687,16 @@ def test_the_token_map_and_frequencies_come_from_one_tokenization(monkeypatch):
 # -- nodes built on demand ----------------------------------------------------
 
 def _given_graphs(monkeypatch, build) -> list[tuple]:
-    """(graph, node rows, edge rows) of each from_rows call that build() makes."""
+    """(graph, node rows, edge rows) of each graph that build() makes, the
+    rows read from the columns its constructor is given."""
     given = []
-    from_rows = HeteroGraph.from_rows.__func__
+    init = HeteroGraph.__init__
 
-    def keep_rows(cls, nodes, edges):
-        nodes, edges = list(nodes), list(edges)
-        given.append((from_rows(cls, nodes, edges), nodes, edges))
-        return given[-1][0]
+    def keep_rows(self, nodes, edges):
+        init(self, nodes, edges)
+        given.append((self, list(zip(*nodes)), list(zip(*edges))))
 
-    monkeypatch.setattr(HeteroGraph, "from_rows", classmethod(keep_rows))
+    monkeypatch.setattr(HeteroGraph, "__init__", keep_rows)
     build()
     monkeypatch.undo()
     return given

@@ -320,6 +320,18 @@ def test_dropout_preserves_expectation_and_needs_rng():
         ndiff.dropout(Tensor(x), 0.4, training=True)
 
 
+def test_dropout_keeps_a_boolean_mask_and_gives_the_float_masks_floats():
+    x, g = RNG.standard_normal((40, 7)), RNG.standard_normal((40, 7))
+    out = ndiff.dropout(Parameter(x, "x"), 0.3, training=True, rng=np.random.default_rng(5))
+    # the float64 mask dropout kept before it kept the draw's bools
+    mask = (np.random.default_rng(5).random(x.shape) >= 0.3) / (1.0 - 0.3)
+    assert out.data.tobytes() == (x * mask).tobytes()
+    assert out._backward(g)[0].tobytes() == (g * mask).tobytes()
+    held = [c.cell_contents for c in out._backward.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert [(a.dtype, a.shape) for a in held] == [(np.dtype(bool), x.shape)]
+
+
 # ---------------------------------------------------------------------------
 # backward-pass mechanics
 

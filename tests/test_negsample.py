@@ -16,6 +16,7 @@ from hetlink.negsample import (
     ged_1hop,
     neighborhood_signature,
     semantic_similarity,
+    draw_excluding,
     structural_similarity,
     uniform_negatives,
 )
@@ -247,6 +248,32 @@ def list_draw(kb, gold, k, rng):
     pool = [n for n in kb.node_ids if n != gold]
     picks = rng.choice(len(pool), size=min(k, len(pool)), replace=False)
     return [pool[j] for j in sorted(picks)]
+
+
+def mask_draw(rng, n, excluded, k):
+    """The draw as the generator's edge draw and uniform_negatives made it
+    before draw_excluding: a mask over range(n), a copy of the positions it
+    keeps, then one rng.choice over the copy."""
+    keep = np.ones(n, dtype=bool)
+    keep[excluded] = False
+    remaining = np.arange(n)[keep]
+    picks = rng.choice(len(remaining), size=min(k, len(remaining)), replace=False)
+    return [int(remaining[i]) for i in sorted(picks)]
+
+
+def test_draw_excluding_equals_the_mask_and_copy_draw():
+    cases = np.random.default_rng(11)
+    for s in range(400):
+        # small ranges, mostly excluded, and a Finding-sized one with a few
+        n = int(cases.integers(0, 40)) if s % 2 else 4000
+        n_excluded = int(cases.integers(0, n + 1)) if s % 2 else int(cases.integers(0, 3))
+        excluded = sorted(cases.choice(n, size=n_excluded, replace=False).tolist())
+        k = int(cases.integers(0, n + 3)) if s % 2 else int(cases.integers(0, 4))
+        rng, ref = np.random.default_rng(s), np.random.default_rng(s)
+        got = draw_excluding(rng, n, excluded, k)
+        assert got == mask_draw(ref, n, excluded, k), (n, excluded, k)
+        assert all(type(p) is int for p in got)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_uniform_draw_equals_list_reference_with_gold_excluded(toy_kb):

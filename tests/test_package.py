@@ -23,7 +23,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 61
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3660
+SRC_LINES = 3688
 
 
 def _tree(path):
