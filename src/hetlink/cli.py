@@ -162,10 +162,10 @@ def _bundle_items(args, kb, store, gold_required: bool):
 
 
 def _served(args, gold_required: bool):
-    """The model in args.model, the bundle's KB, its node features and the
-    items of args.snippets.  The features are None when the model directory
-    kept KB rows for this bundle's kb.npz: ranking reads those.  HetlinkError
-    when the model was trained on another kb.npz."""
+    """The model in args.model, the bundle's KB, its unit KB rows and the
+    items of args.snippets.  The rows are those the model directory kept for
+    this bundle's kb.npz, else kb_embeddings of the bundle's node features.
+    HetlinkError when the model was trained on another kb.npz."""
     model, manifest = load_model(args.model)
     kb, store, freqs = read_bundle(args.bundle)
     trained_on = manifest.get("kb_sha256")
@@ -177,9 +177,10 @@ def _served(args, gold_required: bool):
         raise HetlinkError(f"{args.model} was trained on a kb.npz of sha256 "
                            f"{trained_on}, not on {args.bundle}'s ({digest})")
     items, _ = _bundle_items(args, kb, store, gold_required)
-    if trained_on is not None and matcher.use_kept_rows(model, args.model, kb, trained_on):
-        return model, kb, None, items
-    return model, kb, init_node_features(kb, store, freqs), items
+    rows = None if trained_on is None else matcher.kept_kb_rows(model, args.model, kb, trained_on)
+    if rows is None:
+        rows = matcher.kb_embeddings(model, kb, init_node_features(kb, store, freqs))
+    return model, kb, rows, items
 
 
 # -- subcommands -----------------------------------------------------------
@@ -230,16 +231,15 @@ def cmd_train(args) -> int:
                            [by_id[s] for s in split.train],
                            [by_id[s] for s in split.validation],
                            train_config)
-    save_model(model, args.out, train_config=train_config)
-    result.write_history_csv(os.path.join(args.out, "history.csv"))
+    save_model(model, args.out, result)
     log.info("best epoch %d metric %.4f; model saved to %s",
              result.best_epoch, result.best_metric, args.out)
     return 0
 
 
 def cmd_eval(args) -> int:
-    model, kb, kb_feats, items = _served(args, gold_required=True)
-    report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_feats, items,
+    model, kb, kb_rows, items = _served(args, gold_required=True)
+    report = evalgen.score_items(kb, items, evalgen.predict_batch(model, kb, kb_rows, items,
                                                                   candidates="lexical"))
     json.dump(report.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -247,9 +247,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_disambiguate(args) -> int:
-    model, kb, kb_feats, items = _served(args, gold_required=False)
+    model, kb, kb_rows, items = _served(args, gold_required=False)
     batch = matcher.build_query_batch(items, model.encoder.feature_dim)
-    ranked = matcher.rank_items(model, kb, kb_feats, batch,
+    ranked = matcher.rank_items(model, kb, kb_rows, batch,
                                 [matcher.candidate_pool(kb, it) for it in items], args.top_k)
     out = []
     for item, (ids, scores) in zip(items, ranked):

@@ -17,8 +17,8 @@ import numpy as np
 from .hetgraph import (HeteroGraph, HetlinkError, InvertedIndex, Metapath, RELATED_EDGE_TYPE,
                        Schema, SELF_EDGE_TYPE, build_inverted_index, read_settings)
 from .matcher import (MatchingHead, SiameseModel, TrainItem, build_query_batch,
-                      candidate_ids, candidate_pool, order_by_score, rank_items,
-                      snippet_item)
+                      candidate_ids, candidate_pool, kb_embeddings, order_by_score,
+                      rank_items, snippet_item)
 from .encoders import Encoder, EncoderConfig
 from .negsample import draw_excluding
 from .querygraph import (Mention, TextSnippet, augment_query_graph,
@@ -468,11 +468,11 @@ def make_model(corpus: SynthCorpus, kind: str, **options) -> SiameseModel:
     return build_model(corpus.kb, corpus.store.dim, kind, **options)
 
 
-def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
+def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                   items: list[TrainItem],
                   candidates: str = "type") -> dict[str, list[int]]:
     """The rank-1 candidate id per snippet id, as a list (empty for an empty
-    pool), from one shared KB encoding.
+    pool), against `kb_unit`, the unit KB rows (kb_embeddings).
 
     `candidates` picks the pool each mention is ranked against: "type" uses
     every type-compatible KB node (candidate_ids), "lexical" those sharing a
@@ -481,14 +481,15 @@ def predict_batch(model: SiameseModel, kb: HeteroGraph, kb_feats: np.ndarray,
         raise HetlinkError(f"unknown candidate mode {candidates!r}")
     pool_of = candidate_pool if candidates == "lexical" else candidate_ids
     batch = build_query_batch(items, model.encoder.feature_dim)
-    ranked = rank_items(model, kb, kb_feats, batch, [pool_of(kb, it) for it in items], 1)
+    ranked = rank_items(model, kb, kb_unit, batch, [pool_of(kb, it) for it in items], 1)
     return {it.snippet_id: ids.tolist() for it, (ids, _) in zip(items, ranked)}
 
 
 def evaluate_model(model: SiameseModel, corpus: SynthCorpus, items: list[TrainItem],
                    kb_feats: np.ndarray, candidates: str = "type") -> EvalReport:
+    kb_unit = kb_embeddings(model, corpus.kb, kb_feats)
     return score_items(corpus.kb, items,
-                       predict_batch(model, corpus.kb, kb_feats, items, candidates))
+                       predict_batch(model, corpus.kb, kb_unit, items, candidates))
 
 
 def text_baseline_predictions(corpus: SynthCorpus, items: list[TrainItem]) -> dict[str, list[int]]:

@@ -233,9 +233,6 @@ class HeteroGraph:
                           lambda i: f"duplicate edge {(*ends[:, i].tolist(), etypes[i])}")])
         self._edge_table = rows[0], rows[1], _read_only(codes), edge_types
         self._edge_code = dict(zip(edge_types, itertools.count()))
-        # built on first use, by _adjacency (two threads may each build an
-        # equal one): CLI eval walks only the KB's out-edges
-        self._out = self._in = None
 
     @classmethod
     def from_rows(cls, nodes, edges) -> "HeteroGraph":
@@ -243,18 +240,24 @@ class HeteroGraph:
         return cls(list(zip(*nodes)) or [()] * 4, list(zip(*edges)) or [()] * 3)
 
     def _adjacency(self, outgoing: bool) -> tuple[list[int], list[int]]:
-        """The out-adjacency (`outgoing`) or the in-adjacency as two flat lists
-        of ints, kept as _out or _in.  Readers take `self._out or
-        self._adjacency(True)`, which skips the call once it is built."""
+        """The out-adjacency (`outgoing`) or the in-adjacency as two flat lists of ints."""
         src, dst, codes, types = self._edge_table
         ends, others = (src, dst) if outgoing else (dst, src)
         keys = codes * len(self) + ends
         order = np.lexsort((others, keys))
         # the edges of type code k at row v are run k * n + v; one code more holds none
         bounds = np.searchsorted(keys[order], np.arange((len(types) + 1) * len(self) + 1))
-        adjacency = bounds.tolist(), self.id_array[others[order]].tolist()
-        setattr(self, "_out" if outgoing else "_in", adjacency)
-        return adjacency
+        return bounds.tolist(), self.id_array[others[order]].tolist()
+
+    @functools.cached_property
+    def _out(self) -> tuple[list[int], list[int]]:
+        """_adjacency(True), built on first use: CLI eval walks only the KB's out-edges."""
+        return self._adjacency(True)
+
+    @functools.cached_property
+    def _in(self) -> tuple[list[int], list[int]]:
+        """_adjacency(False), built on first use and kept."""
+        return self._adjacency(False)
 
     def _ends(self, adjacency, row: int, r: str) -> list[int]:
         """The ascending ids at the other end of row's edges of type r."""
@@ -408,13 +411,12 @@ class HeteroGraph:
     # -- neighborhoods -----------------------------------------------------
 
     def out_neighbors(self, v: int, r: str) -> list[int]:
-        return self._ends(self._out or self._adjacency(True), self._row_of(v), r)
+        return self._ends(self._out, self._row_of(v), r)
 
     def neighbors_by_relation(self, v: int, r: str) -> set[int]:
         """N_v^r: nodes incident to v through an edge of relation r."""
         row = self._row_of(v)
-        out, into = self._out or self._adjacency(True), self._in or self._adjacency(False)
-        return set(self._ends(out, row, r)) | set(self._ends(into, row, r))
+        return set(self._ends(self._out, row, r)) | set(self._ends(self._in, row, r))
 
     @functools.cached_property
     def undirected(self) -> tuple[np.ndarray, np.ndarray]:
@@ -479,8 +481,7 @@ class HeteroGraph:
         # from its start, along the reversed path over in-edges from its end
         anchor = self._resolve_anchor(v, path, anchor)
         step = 1 if anchor == "start" else -1
-        adj = ((self._out or self._adjacency(True)) if anchor == "start"
-               else (self._in or self._adjacency(False)))
+        adj = self._out if anchor == "start" else self._in
         results = [(v,)]
         types, row = self._nodes[0], self._row
         for et, want in zip(path.edge_types[::step], path.node_types[::step][1:]):

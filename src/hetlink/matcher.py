@@ -87,8 +87,7 @@ class SiameseModel:
     # the sha256 of the kb.npz the model was trained on, for save_model
     kb_sha256: str | None = field(default=None, init=False, repr=False, compare=False)
     # (encoder, kb, kb_features, encoder parameter values as one flat array,
-    # unit KB rows) of the last kb_embeddings call that could be reused, or
-    # of the kept rows (use_kept_rows, kb_features None)
+    # unit KB rows) of the last kb_embeddings call that could be reused
     _kb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[Parameter]:
@@ -244,15 +243,9 @@ class TrainResult:
     best_epoch: int
     best_metric: float
     best_state: dict[str, np.ndarray]
-
-    def write_history_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["epoch", "loss", "val_f1"])
-            writer.writeheader()
-            for row in self.history:
-                writer.writerow({"epoch": row["epoch"],
-                                 "loss": f"{row['loss']:.12g}",
-                                 "val_f1": f"{row['val_f1']:.12g}"})
+    config: TrainConfig
+    # the unit KB rows that validated best_state (None without validation)
+    kb_rows: np.ndarray | None
 
 
 def order_by_score(ids: np.ndarray, scores: np.ndarray,
@@ -284,34 +277,20 @@ def _frozen_array(a) -> bool:
     return a is None
 
 
-def _encoder_values(model: SiameseModel) -> np.ndarray:
-    # one flat copy of every parameter value: one comparison checks them all
-    return np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
-
-
-def _memo_rows(model: SiameseModel, kb, kb_features, values) -> np.ndarray | None:
-    """The memoised unit KB rows if they are of this encoder, `kb` and
-    `kb_features` (by identity) at parameter `values`, else None."""
-    encoder, memo_kb, memo_features, memo_values, unit = model._kb_memo or (None,) * 5
-    return unit if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
-                    and np.array_equal(values, memo_values)) else None
-
-
-def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
-                  kb_features: np.ndarray | None) -> np.ndarray:
+def kb_embeddings(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray) -> np.ndarray:
     """The KB encoded in eval mode with unit-norm rows, in kb.node_ids order.
 
     The result is memoised on the model and reused while the encoder, the
     `kb` graph object and the read-only `kb_features` array are the same
     ones and the encoder's parameters are equal by value to those it was
     computed with; a writeable `kb_features` array is encoded on every call.
-    `kb_features` may be None once use_kept_rows(model, ..., kb, ...) is true."""
-    values = _encoder_values(model)
-    unit = _memo_rows(model, kb, kb_features, values)
-    if unit is not None:
+    The only code that reads or writes the memo."""
+    # one flat copy of every parameter value: one comparison checks them all
+    values = np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
+    encoder, memo_kb, memo_features, memo_values, unit = model._kb_memo or (None,) * 5
+    if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
+            and np.array_equal(values, memo_values)):
         return unit
-    if kb_features is None:
-        raise HetlinkError("no KB features to encode and no KB rows kept for these parameters")
     with ndiff.no_grad():
         unit = ndiff.l2_normalize_rows(model.encoder.encode(kb, kb_features)).data
     unit.flags.writeable = False
@@ -320,38 +299,36 @@ def kb_embeddings(model: SiameseModel, kb: HeteroGraph,
     return unit
 
 
-def use_kept_rows(model: SiameseModel, directory, kb: HeteroGraph, kb_sha256: str) -> bool:
-    """Whether `directory`, as load_model just read `model` from it, kept KB
-    rows under the _rows_key of `kb_sha256` (that of the kb.npz `kb` was read
-    from) with a row per node of `kb`; if so they are the memo of
-    kb_embeddings(model, kb, None).  HetlinkError for a rows file that is
-    not a readable .npz archive."""
+def kept_kb_rows(model: SiameseModel, directory, kb: HeteroGraph,
+                 kb_sha256: str) -> np.ndarray | None:
+    """The unit KB rows, read-only, that `directory` (as load_model just read
+    `model` from it) kept under the _rows_key of `kb_sha256`, that of the
+    kb.npz `kb` was read from, when they hold a row per node of `kb`; else
+    None.  HetlinkError for a rows file that is not a readable .npz archive."""
     path = os.path.join(directory, KB_ROWS_FILE)
     if not os.path.exists(path):
-        return False
-    key = _rows_key(kb_sha256, directory)
+        return None
     kept = read_npz(path)
     rows = kept.get("rows")
-    if (rows is None or rows.dtype != np.float64 or str(kept.get("key")) != key
+    if (rows is None or rows.dtype != np.float64
+            or str(kept.get("key")) != _rows_key(kb_sha256, directory)
             or rows.shape != (len(kb), model.encoder.config.dim)):
-        return False
+        return None
     rows.flags.writeable = False
-    model._kb_memo = (model.encoder, kb, None, _encoder_values(model), rows)
-    return True
+    return rows
 
 
-def rank_items(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
+def rank_items(model: SiameseModel, kb: HeteroGraph, kb_unit: np.ndarray,
                batch: QueryBatch, pools: list[np.ndarray],
                k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Encode `batch` in eval mode and rank each of its mentions' KB candidate
     pools (int64 id arrays, as candidate_ids and candidate_pool return them)
-    against the unit-norm KB rows of kb_embeddings.  Pools read their rows
+    against `kb_unit`, the KB's unit-norm rows.  Pools read their rows
     through kb.row_selector, a view when the pool is a run of kb.node_ids.
 
     Returns one (int64 ids, scores) array pair per mention, its top `k`, best
     first, ties by id: the single ranking step behind validation, eval and
     disambiguation."""
-    kb_unit = kb_embeddings(model, kb, kb_features)
     with ndiff.no_grad():
         q_emb = model.encoder.encode(batch.graph, batch.features).data
     return [order_by_score(pool, model.head.score_one_vs_many(
@@ -381,7 +358,7 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
     best_metric = -np.inf
     best_epoch = -1
     best_state = model.state_dict()
-    best_rows = None                    # the unit KB rows at best_state, as validation left them
+    best_rows = None                    # the unit KB rows that validated best_state
 
     for epoch in range(config.epochs):
         rng = np.random.default_rng([config.seed, epoch])
@@ -425,25 +402,24 @@ def train(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
 
         # validation metric (eval mode, no dropout)
         if val_items:
-            ranked = rank_items(model, kb, kb_features, val_batch, val_pools, 1)
+            kb_unit = kb_embeddings(model, kb, kb_features)
+            ranked = rank_items(model, kb, kb_unit, val_batch, val_pools, 1)
             metric = sum(int(ids[0]) == item.gold
                          for (ids, _), item in zip(ranked, val_items)) / len(val_items)
         else:
-            metric = -loss_value
+            kb_unit, metric = None, -loss_value
         history.append({"epoch": epoch, "loss": loss_value, "val_f1": max(metric, 0.0)})
 
         if metric > best_metric:
             best_metric = metric
             best_epoch = epoch
             best_state = model.state_dict()
-            best_rows = _memo_rows(model, kb, kb_features, _encoder_values(model))
+            best_rows = kb_unit
         elif epoch - best_epoch >= config.patience:
             break
 
     model.load_state_dict(best_state)
-    if best_rows is not None:           # kb_embeddings answers with them again
-        model._kb_memo = (model.encoder, kb, kb_features, _encoder_values(model), best_rows)
-    return TrainResult(history, best_epoch, best_metric, best_state)
+    return TrainResult(history, best_epoch, best_metric, best_state, config, best_rows)
 
 
 def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
@@ -455,7 +431,8 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
         raise HetlinkError(f"unknown mention node {mention_node}")
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
     batch = QueryBatch(qgraph.graph, q_features, [mention_node])
-    [(ids, scores)] = rank_items(model, kb, kb_features, batch, [candidate_pool(kb, item)], k)
+    [(ids, scores)] = rank_items(model, kb, kb_embeddings(model, kb, kb_features), batch,
+                                 [candidate_pool(kb, item)], k)
     return list(zip(ids.tolist(), scores.tolist()))
 
 
@@ -478,14 +455,14 @@ def _rows_key(kb_sha256: str, directory) -> str:
                      file_sha256(os.path.join(directory, "manifest.json")), source_sha256()])
 
 
-def save_model(model: SiameseModel, directory,
-               train_config: TrainConfig | None = None) -> None:
+def save_model(model: SiameseModel, directory, result: TrainResult | None = None) -> None:
     """`directory` (made if need be) with the model's state_dict in
     params.npz and manifest.json holding every EncoderConfig field
-    (metapaths as labels), the model's kb_sha256 when set and, when given,
-    every TrainConfig field; and, with kb_sha256 set and KB rows memoised at
-    the model's parameters (as train leaves them), those rows and their
-    _rows_key in KB_ROWS_FILE."""
+    (metapaths as labels) and the model's kb_sha256 when set.  Given the
+    `result` that trained the model, also every TrainConfig field in the
+    manifest's "train" block and each epoch's loss and validation F1 in
+    history.csv; and, with kb_sha256 set and the model at result.best_state,
+    result.kb_rows and their _rows_key in KB_ROWS_FILE."""
     cfg = model.encoder.config
     manifest = {
         "encoder": {**asdict(cfg), "metapaths": [m.label() for m in cfg.metapaths]},
@@ -496,16 +473,22 @@ def save_model(model: SiameseModel, directory,
     }
     if model.kb_sha256 is not None:
         manifest["kb_sha256"] = model.kb_sha256
-    if train_config is not None:
-        manifest["train"] = asdict(train_config)
+    if result is not None:
+        manifest["train"] = asdict(result.config)
     os.makedirs(directory, exist_ok=True)
-    np.savez(os.path.join(directory, "params.npz"), **model.state_dict())
+    state = model.state_dict()
+    np.savez(os.path.join(directory, "params.npz"), **state)
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    memo = model._kb_memo or (None,) * 5
-    rows = _memo_rows(model, memo[1], memo[2], _encoder_values(model))
-    if model.kb_sha256 is not None and rows is not None:
-        np.savez(os.path.join(directory, KB_ROWS_FILE), rows=rows,
+    if result is None:
+        return
+    with open(os.path.join(directory, "history.csv"), "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([("epoch", "loss", "val_f1")] + [
+            (row["epoch"], f"{row['loss']:.12g}", f"{row['val_f1']:.12g}") for row in result.history])
+    if (model.kb_sha256 is not None and result.kb_rows is not None
+            and all(np.array_equal(state.get(name), value)
+                    for name, value in result.best_state.items())):
+        np.savez(os.path.join(directory, KB_ROWS_FILE), rows=result.kb_rows,
                  key=_rows_key(model.kb_sha256, directory))
 
 
@@ -514,7 +497,7 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     for a manifest that is not UTF-8 JSON or not a JSON object, an unknown key
     or a value of the wrong type, another head, a missing key, an encoder it
     cannot build, a params.npz that is not a readable .npz archive, or
-    parameters load_state_dict rejects.  It reads no KB_ROWS_FILE: use_kept_rows
+    parameters load_state_dict rejects.  It reads no KB_ROWS_FILE: kept_kb_rows
     does, for a KB."""
     manifest = read_json(os.path.join(directory, "manifest.json"))
     shape = read_settings(Encoder, manifest, MANIFEST_KEYS, "model manifest")

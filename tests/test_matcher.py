@@ -21,11 +21,13 @@ from hetlink.matcher import (
     MatchingHead,
     TrainConfig,
     TrainItem,
+    TrainResult,
     build_query_batch,
     candidate_ids,
     candidate_pool,
     disambiguate,
     kb_embeddings,
+    kept_kb_rows,
     load_model,
     order_by_score,
     pair_loss,
@@ -33,7 +35,6 @@ from hetlink.matcher import (
     save_model,
     snippet_item,
     train,
-    use_kept_rows,
 )
 from hetlink.hetgraph import RELATED_EDGE_TYPE, HeteroGraph, build_inverted_index, file_sha256
 from hetlink.ndiff import Adam, Tensor, l2_normalize_rows
@@ -287,9 +288,8 @@ def test_train_history_is_bitwise_reproducible(mini, tmp_path):
         cfg = TrainConfig(epochs=5, patience=5, seed=7)
         result = train(model, mini["corpus"].kb, mini["kb_features"],
                        mini["train"], mini["val"], cfg)
-        path = tmp_path / f"history{run}.csv"
-        result.write_history_csv(path)
-        csvs.append(path.read_bytes())
+        save_model(model, tmp_path / f"model{run}", result)
+        csvs.append((tmp_path / f"model{run}" / "history.csv").read_bytes())
     assert csvs[0] == csvs[1]
 
 
@@ -366,7 +366,8 @@ def test_validation_ranks_as_eval_does(mini):
                    TrainConfig(epochs=8, patience=8, lr=1e-2, seed=3))
     # the model now holds the best epoch's state (an inner epoch here); eval
     # ranks with it
-    predicted = evalgen.predict_batch(model, kb, kb_features, mini["val"])
+    predicted = evalgen.predict_batch(model, kb, kb_embeddings(model, kb, kb_features),
+                                      mini["val"])
     correct = sum(predicted[it.snippet_id] == [it.gold] for it in mini["val"])
     assert result.best_metric == correct / len(mini["val"])
     assert result.history[result.best_epoch]["val_f1"] == result.best_metric
@@ -415,7 +416,7 @@ def _assert_rank_items_match_the_oracle(model, kb, kb_features, items, pools):
     kb_unit = kb_embeddings(model, kb, kb_features)
     q_rows = model.encoder.encode(batch.graph, batch.features).data[batch.mention_ids]
     for k in (1, 5, len(kb)):
-        ranked = rank_items(model, kb, kb_features, batch, pools, k)
+        ranked = rank_items(model, kb, kb_unit, batch, pools, k)
         for q, pool, (got_ids, got_scores) in zip(q_rows, pools, ranked):
             scores = model.head.score_one_vs_many(q, kb_unit[kb.rows(pool)])
             want_ids, want_scores = _order_by_score_oracle(pool.tolist(), scores)
@@ -445,7 +446,7 @@ def test_kb_embeddings_and_rank_items_record_no_tape(mini, monkeypatch, kind):
 
     monkeypatch.setattr(ndiff, "tape_node", counting_tape_node)
     got_unit = kb_embeddings(model, corpus.kb, mini["kb_features"])
-    got = rank_items(model, corpus.kb, mini["kb_features"], batch, pools, 5)
+    got = rank_items(model, corpus.kb, got_unit, batch, pools, 5)
     assert recorded and not any(recorded)
     assert got_unit.tobytes() == kb_unit.tobytes()
     assert [(i.tobytes(), s.tobytes()) for i, s in got] == [
@@ -529,7 +530,8 @@ def test_save_load_roundtrip_preserves_predictions(mini, tmp_path):
     item = mini["train"][1]
     before = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
                           item.features, item.mention_node, k=3)
-    save_model(model, tmp_path / "model", train_config)
+    save_model(model, tmp_path / "model",
+               TrainResult([], 0, 0.0, model.state_dict(), train_config, None))
     loaded, manifest = load_model(tmp_path / "model")
     after = disambiguate(loaded, corpus.kb, mini["kb_features"], item.qgraph,
                          item.features, item.mention_node, k=3)
@@ -613,11 +615,11 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     model = _tiny_model(mini, seed=2)
     items = mini["train"] + mini["val"]
     k = 5
-    ranked = rank_items(model, corpus.kb, mini["kb_features"],
+    kb_unit = kb_embeddings(model, corpus.kb, mini["kb_features"])
+    ranked = rank_items(model, corpus.kb, kb_unit,
                         build_query_batch(items, corpus.config.feature_dim),
                         [candidate_pool(corpus.kb, it) for it in items], k)
-    rank1 = evalgen.predict_batch(model, corpus.kb, mini["kb_features"], items,
-                                  candidates="lexical")
+    rank1 = evalgen.predict_batch(model, corpus.kb, kb_unit, items, candidates="lexical")
     for item, (ids, _) in zip(items, ranked):
         top = disambiguate(model, corpus.kb, mini["kb_features"], item.qgraph,
                            item.features, item.mention_node, k)
@@ -640,11 +642,10 @@ def test_disambiguate_eval_and_cli_give_one_answer(mini, tmp_path, capsys):
     cli_items = [item for snippet in cli._load_snippets(bundle / "snippets.json")
                  if (item := snippet_item(kb, index, store, snippet, augment_query_graph))]
     loaded, _ = load_model(model_dir)
-    kb_feats = init_node_features(kb, store, freqs)
-    shared = rank_items(loaded, kb, kb_feats, build_query_batch(cli_items, store.dim),
+    kb_unit = kb_embeddings(loaded, kb, init_node_features(kb, store, freqs))
+    shared = rank_items(loaded, kb, kb_unit, build_query_batch(cli_items, store.dim),
                         [candidate_pool(kb, it) for it in cli_items], k)
-    shared_rank1 = evalgen.predict_batch(loaded, kb, kb_feats, cli_items,
-                                         candidates="lexical")
+    shared_rank1 = evalgen.predict_batch(loaded, kb, kb_unit, cli_items, candidates="lexical")
     assert served and list(served) == [it.snippet_id for it in cli_items]
     for item, (ids, _) in zip(cli_items, shared):
         assert served[item.snippet_id] == ids.tolist()
@@ -797,7 +798,7 @@ def test_a_warm_request_ranks_the_query_graph_it_is_given(mini, monkeypatch, kin
         return [disambiguate(model, corpus.kb, kb_feats, item.qgraph, item.features,
                              item.mention_node, k) for item in items]
 
-    batched = [rank_items(model, corpus.kb, kb_feats,
+    batched = [rank_items(model, corpus.kb, kb_embeddings(model, corpus.kb, kb_feats),
                           build_query_batch([item], corpus.config.feature_dim),
                           [candidate_pool(corpus.kb, item)], k)[0] for item in items]
     ask()
@@ -848,23 +849,48 @@ def test_text_baseline_attributes_every_miss(mini):
 # KB rows a model directory keeps
 
 
-def test_train_leaves_the_kept_epochs_kb_rows_memoised(mini):
+def test_train_returns_the_kept_epochs_kb_rows(mini):
     kb, kb_features = mini["corpus"].kb, mini["kb_features"]
     model = _tiny_model(mini, seed=1)
     result = train(model, kb, kb_features, mini["train"], mini["val"],
                    TrainConfig(epochs=8, patience=8, lr=1e-2, seed=3))
-    # an inner epoch: the memo of the last validation is not the kept one
+    # an inner epoch: the rows of the last validation are not the kept ones
     assert result.best_epoch < len(result.history) - 1
-    encoded = []
-    encode = model.encoder.encode
-    model.encoder.encode = lambda graph, *a, **kw: (encoded.append(graph),
-                                                    encode(graph, *a, **kw))[1]
-    rows = kb_embeddings(model, kb, kb_features)
-    assert encoded == []
     twin = _tiny_model(mini, seed=1)
-    twin.load_state_dict(model.state_dict())
+    twin.load_state_dict(result.best_state)
     fresh = kb_embeddings(twin, kb, kb_features)
-    assert rows.dtype == fresh.dtype and rows.tobytes() == fresh.tobytes()
+    assert not result.kb_rows.flags.writeable
+    assert result.kb_rows.dtype == fresh.dtype and result.kb_rows.tobytes() == fresh.tobytes()
+    # without validation no epoch's rows were encoded
+    assert train(_tiny_model(mini, seed=1), kb, kb_features, mini["train"], [],
+                 TrainConfig(epochs=2, patience=2, seed=3)).kb_rows is None
+
+
+def test_save_model_writes_history_and_kb_rows_only_from_a_training_result(mini, tmp_path):
+    kb, kb_features = mini["corpus"].kb, mini["kb_features"]
+    model = _tiny_model(mini, seed=1)
+    result = train(model, kb, kb_features, mini["train"], mini["val"],
+                   TrainConfig(epochs=2, patience=2, seed=3))
+    assert result.kb_rows is not None
+
+    def files(name, result, kb_sha256):
+        model.kb_sha256 = kb_sha256
+        save_model(model, tmp_path / name, result)
+        return sorted(os.listdir(tmp_path / name))
+
+    bare = ["manifest.json", "params.npz"]
+    sha = "0" * 64
+    assert files("none", None, None) == files("no result", None, sha) == bare
+    assert files("no sha", result, None) == ["history.csv", *bare]
+    no_rows = TrainResult(result.history, result.best_epoch, result.best_metric,
+                          result.best_state, result.config, None)
+    assert files("no rows", no_rows, sha) == ["history.csv", *bare]
+    assert files("all", result, sha) == ["history.csv", KB_ROWS_FILE, *bare]
+    with np.load(tmp_path / "all" / KB_ROWS_FILE) as npz:
+        assert npz["rows"].tobytes() == result.kb_rows.tobytes()
+    # the model no longer holds best_state: its rows are not the kept ones
+    model.head.tau.data[...] += 1.0
+    assert files("moved", result, sha) == ["history.csv", *bare]
 
 
 KEPT_GEN = {"node_counts": {"Drug": 15, "AdverseEffect": 20, "Symptom": 15, "Finding": 30},
@@ -934,13 +960,12 @@ def test_kept_kb_rows_serve_the_bytes_a_fresh_encode_serves(kept, tmp_path, caps
     assert len(builds) == 2
     assert hit == miss and json.loads(hit[1])
 
-    # load_model reads no rows: only use_kept_rows, for a KB, does
+    # load_model reads no rows: only kept_kb_rows, for a KB, does
     kb, store, freqs = cli.read_bundle(kept.bundle)
     model = load_model(kept.model)[0]
-    with pytest.raises(HetlinkError, match="no KB features to encode"):
-        kb_embeddings(model, kb, None)
-    assert use_kept_rows(model, kept.model, kb, file_sha256(kept.bundle / "kb.npz"))
-    rows = kb_embeddings(model, kb, None)
+    assert model._kb_memo is None
+    rows = kept_kb_rows(model, kept.model, kb, file_sha256(kept.bundle / "kb.npz"))
+    assert rows is not None and not rows.flags.writeable and model._kb_memo is None
     fresh = kb_embeddings(load_model(bare)[0], kb, init_node_features(kb, store, freqs))
     assert rows.tobytes() == fresh.tobytes() and rows.shape == fresh.shape
 
@@ -982,8 +1007,8 @@ def test_kept_kb_rows_are_not_read_for_other_params_settings_sources_or_shapes(
     shutil.copytree(kept.model, model_dir)
     KEPT_MISSES[case](model_dir, monkeypatch)
     bare = _bare_copy(model_dir, tmp_path)
-    assert not use_kept_rows(load_model(model_dir)[0], model_dir,
-                             cli.read_bundle(kept.bundle)[0], file_sha256(kept.bundle / "kb.npz"))
+    assert kept_kb_rows(load_model(model_dir)[0], model_dir, cli.read_bundle(kept.bundle)[0],
+                        file_sha256(kept.bundle / "kb.npz")) is None
     builds = _feature_builds(monkeypatch)
     served = _served(capsys, kept, model_dir)
     assert len(builds) == 2
@@ -1012,10 +1037,10 @@ def test_a_model_refuses_another_bundle_and_its_kept_rows_serve_only_theirs(kept
             f"{file_sha256(kept.bundle / 'kb.npz')}, not on {other}'s "
             f"({file_sha256(other / 'kb.npz')})\n")
     model = load_model(kept.model)[0]
-    assert not use_kept_rows(model, kept.model, cli.read_bundle(other)[0],
-                             file_sha256(other / "kb.npz"))
-    assert use_kept_rows(model, kept.model, cli.read_bundle(kept.bundle)[0],
-                         file_sha256(kept.bundle / "kb.npz"))
+    assert kept_kb_rows(model, kept.model, cli.read_bundle(other)[0],
+                        file_sha256(other / "kb.npz")) is None
+    assert kept_kb_rows(model, kept.model, cli.read_bundle(kept.bundle)[0],
+                        file_sha256(kept.bundle / "kb.npz")) is not None
 
 
 def test_a_manifest_without_kb_sha256_serves_with_one_warning_and_no_kept_rows(
