@@ -393,13 +393,16 @@ class HeteroGraph:
         read-only ascending int64 array, tokens in order of first appearance;
         built on first use and kept with the graph."""
         codes, tokens, counts = self._tokens
-        # each (token, row) as code * len(self) + row, ascending, then once each
-        keys = np.sort(codes * len(self) + np.repeat(np.arange(len(self)), counts))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        code, row = np.divmod(keys, max(len(self), 1))
+        return self._ids_by_key(codes, tokens, np.repeat(np.arange(len(self)), counts))
+
+    def _ids_by_key(self, codes, keys, rows) -> dict[str, np.ndarray]:
+        """Each of `keys` -> the ids of the rows holding it (row rows[i] holds
+        keys[codes[i]]), a read-only ascending int64 array, in `keys` order."""
+        # each (key, row) as code * len(self) + row, ascending, once each
+        code, row = np.divmod(np.unique(codes * len(self) + rows), max(len(self), 1))
         ids = _read_only(self.id_array[row])
-        bounds = np.searchsorted(code, np.arange(len(tokens) + 1))
-        return dict(zip(tokens, map(ids.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+        bounds = np.searchsorted(code, np.arange(len(keys) + 1))
+        return dict(zip(keys, map(ids.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
 
     @functools.cached_property
     def token_frequencies(self) -> dict[str, float]:
@@ -509,14 +512,14 @@ class HeteroGraph:
 # -- inverted index --------------------------------------------------------
 
 class InvertedIndex:
-    """Normalized surface string -> set of node ids (names, synonyms, acronyms)."""
+    """Normalized surface string -> ids of the nodes it names (names, synonyms, acronyms)."""
 
-    def __init__(self, entries: dict[str, typing.Iterable[int]]):
-        self._entries = {k: frozenset(v) for k, v in entries.items()}
-        self._max_key_tokens = max((k.count(" ") + 1 for k in self._entries), default=0)
+    def __init__(self, ids_by_key: dict[str, np.ndarray]):
+        self._ids = ids_by_key
+        self._max_key_tokens = max((k.count(" ") + 1 for k in ids_by_key), default=0)
 
     def lookup(self, surface: str) -> frozenset[int]:
-        return self._entries.get(normalize(surface), frozenset())
+        return frozenset(self._ids.get(normalize(surface), _NO_IDS).tolist())
 
     def max_key_tokens(self) -> int:
         return self._max_key_tokens
@@ -525,18 +528,19 @@ class InvertedIndex:
 def build_inverted_index(graph: HeteroGraph, acronyms: bool = True) -> InvertedIndex:
     """Index every node under its name and synonyms and, with `acronyms`, a
     name of two or more tokens under its tokens' initials."""
-    ids, _, names, synonyms = graph.node_columns()
+    _, _, names, synonyms = graph.node_columns()
     # each name's initials: its code points after a line or a space, one name a line
     chars = np.frombuffer("\n".join(["", *names]).encode("utf-32-le"), dtype=np.uint32)
     gap = (chars == ord(" ")) | (chars == ord("\n"))
     keep = chars == ord("\n")
     keep[1:] |= gap[:-1] & ~gap[1:]
     initials = _normalized(chars[keep].tobytes().decode("utf-32-le").split("\n")[1:])
-    entries: dict[str, tuple[int, ...]] = {}
-    for nid, name, syns, initial in zip(ids.tolist(), names, synonyms, initials):
-        for key in (name, *syns, initial) if acronyms and " " in name else (name, *syns):
-            entries[key] = entries.get(key, ()) + (nid,)
-    return InvertedIndex(entries)
+    # each node's keys, in node-id order
+    keys = [(name, *syns, initial) if acronyms and " " in name else (name, *syns)
+            for name, syns, initial in zip(names, synonyms, initials)]
+    codes, distinct = _codes(list(itertools.chain.from_iterable(keys)))
+    rows = np.repeat(np.arange(len(keys)), list(map(len, keys)))
+    return InvertedIndex(graph._ids_by_key(codes, distinct, rows))
 
 
 # -- TSV / config file formats ---------------------------------------------

@@ -87,7 +87,7 @@ class SiameseModel:
     # the sha256 of the kb.npz the model was trained on, for save_model
     kb_sha256: str | None = field(default=None, init=False, repr=False, compare=False)
     # (encoder, kb, kb_features, encoder parameter values as one flat array,
-    # unit KB rows) of the last kb_embeddings call that could be reused
+    # unit KB rows) of the last disambiguate call that could be reused
     _kb_memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[Parameter]:
@@ -278,24 +278,11 @@ def _frozen_array(a) -> bool:
 
 
 def kb_embeddings(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray) -> np.ndarray:
-    """The KB encoded in eval mode with unit-norm rows, in kb.node_ids order.
-
-    The result is memoised on the model and reused while the encoder, the
-    `kb` graph object and the read-only `kb_features` array are the same
-    ones and the encoder's parameters are equal by value to those it was
-    computed with; a writeable `kb_features` array is encoded on every call.
-    The only code that reads or writes the memo."""
-    # one flat copy of every parameter value: one comparison checks them all
-    values = np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
-    encoder, memo_kb, memo_features, memo_values, unit = model._kb_memo or (None,) * 5
-    if (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
-            and np.array_equal(values, memo_values)):
-        return unit
+    """The KB encoded in eval mode with unit-norm rows, in kb.node_ids order,
+    read-only; encoded on every call."""
     with ndiff.no_grad():
         unit = ndiff.l2_normalize_rows(model.encoder.encode(kb, kb_features)).data
     unit.flags.writeable = False
-    if _frozen_array(kb_features):
-        model._kb_memo = (model.encoder, kb, kb_features, values, unit)
     return unit
 
 
@@ -426,13 +413,23 @@ def disambiguate(model: SiameseModel, kb: HeteroGraph, kb_features: np.ndarray,
                  qgraph: QueryGraph, q_features: np.ndarray, mention_node: int,
                  k: int) -> list[tuple[int, float]]:
     """Top-k (node id, score) of the mention's candidate_pool, descending
-    score, ties by id."""
+    score, ties by id.  The only code that reads or writes the KB memo: the
+    rows are reused while the encoder, the `kb` object and the read-only
+    `kb_features` array are the same ones and the encoder's parameters are
+    equal by value to those that encoded them; else they are encoded anew."""
     if mention_node not in qgraph.graph:
         raise HetlinkError(f"unknown mention node {mention_node}")
+    # one flat copy of every parameter value: one comparison checks them all
+    values = np.concatenate([p.data.ravel() for p in model.encoder.parameters()])
+    encoder, memo_kb, memo_features, memo_values, kb_unit = model._kb_memo or (None,) * 5
+    if not (encoder is model.encoder and memo_kb is kb and memo_features is kb_features
+            and np.array_equal(values, memo_values)):
+        kb_unit = kb_embeddings(model, kb, kb_features)
+        if _frozen_array(kb_features):
+            model._kb_memo = (model.encoder, kb, kb_features, values, kb_unit)
     item = TrainItem("q", qgraph, q_features, mention_node, gold=-1)
     batch = QueryBatch(qgraph.graph, q_features, [mention_node])
-    [(ids, scores)] = rank_items(model, kb, kb_embeddings(model, kb, kb_features), batch,
-                                 [candidate_pool(kb, item)], k)
+    [(ids, scores)] = rank_items(model, kb, kb_unit, batch, [candidate_pool(kb, item)], k)
     return list(zip(ids.tolist(), scores.tolist()))
 
 
@@ -476,6 +473,9 @@ def save_model(model: SiameseModel, directory, result: TrainResult | None = None
     if result is not None:
         manifest["train"] = asdict(result.config)
     os.makedirs(directory, exist_ok=True)
+    for name in ("history.csv", KB_ROWS_FILE):     # no file of an earlier save stays
+        if os.path.exists(os.path.join(directory, name)):
+            os.remove(os.path.join(directory, name))
     state = model.state_dict()
     np.savez(os.path.join(directory, "params.npz"), **state)
     with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import os
 import re
@@ -299,6 +300,12 @@ def test_acronyms_index_a_name_of_two_or_more_tokens_under_its_initials():
         assert idx.lookup("fever") == {0}
 
 
+def _index_entries(graph, acronyms) -> dict:
+    """build_inverted_index's keys, in its order, each with the set of its ids."""
+    index = build_inverted_index(graph, acronyms=acronyms)
+    return {key: frozenset(ids.tolist()) for key, ids in index._ids.items()}
+
+
 def _index_oracle(graph, acronyms):
     """The index entries of the acronym rule function the `acronyms` flag
     replaced: a name's initials when it has two or more tokens and they
@@ -320,8 +327,8 @@ def test_index_equals_the_acronym_rule_oracle(acronyms):
     # punctuated and non-ASCII names take normalize's path, not one match
     graphs.append(_graph([(0, "X", "a -"), (1, "X", "-b  C"), (2, "X", "Ängström café")]))
     for graph in graphs:
-        assert build_inverted_index(graph, acronyms=acronyms)._entries == \
-            _index_oracle(graph, acronyms)
+        want = _index_oracle(graph, acronyms)
+        assert list(_index_entries(graph, acronyms).items()) == list(want.items())
 
 
 def test_index_merges_colliding_keys():
@@ -653,9 +660,26 @@ def test_row_selector_is_a_span_slice_or_the_gapped_rows_of_a_frozen_id_array():
 @pytest.mark.parametrize("acronyms", [True, False])
 def test_column_built_index_equals_the_per_node_walk(oracle_kb, acronyms):
     kb, _ = oracle_kb
-    entries = build_inverted_index(kb, acronyms=acronyms)._entries
     want = index_entries_oracle(kb, acronyms)
-    assert entries == want and list(entries) == list(want)
+    assert list(_index_entries(kb, acronyms).items()) == list(want.items())
+
+
+def test_the_index_keeps_one_read_only_id_array_per_key_and_no_set():
+    kb = generate_synthetic_kb(SynthConfig(seed=1, snippets=0)).kb
+    build_inverted_index(kb)            # anything built once per process is built now
+    gc.collect()
+    before = len(gc.get_objects())
+    index = build_inverted_index(kb)
+    gc.collect()
+    # the index object itself and little else: no container per key
+    assert len(gc.get_objects()) - before <= 3
+    assert isinstance(index, InvertedIndex) and len(index._ids) > 1000
+    hit = index.lookup(kb.node_name(kb.node_ids[0]).upper())
+    assert type(hit) is frozenset and kb.node_ids[0] in hit
+    assert {type(nid) for nid in hit} == {int}
+    assert index.lookup("no such name") == frozenset()
+    for ids in [*index._ids.values(), *kb.token_ids.values()]:
+        assert ids.dtype == np.int64 and not ids.flags.writeable
 
 
 def test_column_built_token_map_and_frequencies_equal_the_per_node_walks(oracle_kb):

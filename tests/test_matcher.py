@@ -861,6 +861,7 @@ def test_train_returns_the_kept_epochs_kb_rows(mini):
     fresh = kb_embeddings(twin, kb, kb_features)
     assert not result.kb_rows.flags.writeable
     assert result.kb_rows.dtype == fresh.dtype and result.kb_rows.tobytes() == fresh.tobytes()
+    assert model._kb_memo is None           # validation keeps no epoch's rows on the model
     # without validation no epoch's rows were encoded
     assert train(_tiny_model(mini, seed=1), kb, kb_features, mini["train"], [],
                  TrainConfig(epochs=2, patience=2, seed=3)).kb_rows is None
@@ -891,6 +892,25 @@ def test_save_model_writes_history_and_kb_rows_only_from_a_training_result(mini,
     # the model no longer holds best_state: its rows are not the kept ones
     model.head.tau.data[...] += 1.0
     assert files("moved", result, sha) == ["history.csv", *bare]
+
+
+def test_a_save_leaves_no_file_of_an_earlier_model(mini, tmp_path):
+    kb, kb_features = mini["corpus"].kb, mini["kb_features"]
+    model = _tiny_model(mini, seed=1)
+    result = train(model, kb, kb_features, mini["train"], mini["val"],
+                   TrainConfig(epochs=2, patience=2, seed=3))
+    model.kb_sha256 = "0" * 64
+    bare = ["manifest.json", "params.npz"]
+    for name in ("other model", "no sha"):
+        save_model(model, tmp_path / name, result)
+        assert sorted(os.listdir(tmp_path / name)) == ["history.csv", KB_ROWS_FILE, *bare]
+    # another model, saved without a result
+    save_model(_tiny_model(mini, seed=2), tmp_path / "other model")
+    assert sorted(os.listdir(tmp_path / "other model")) == bare
+    # the trained model, saved with its result but with no kb_sha256
+    model.kb_sha256 = None
+    save_model(model, tmp_path / "no sha", result)
+    assert sorted(os.listdir(tmp_path / "no sha")) == ["history.csv", *bare]
 
 
 KEPT_GEN = {"node_counts": {"Drug": 15, "AdverseEffect": 20, "Symptom": 15, "Finding": 30},

@@ -23,7 +23,7 @@ MODULES = sorted(Path(hetlink.__file__).parent.glob("*.py"))
 OPTIONAL_SETTINGS = 61
 # Lines of src/hetlink/*.py: raise this only in a diff that says what the new
 # lines buy.
-SRC_LINES = 3673
+SRC_LINES = 3677
 
 
 def _tree(path):
@@ -191,15 +191,15 @@ def test_only_ndiff_knows_how_a_sparse_operator_is_stored():
     assert found == []
 
 
-def test_only_kb_embeddings_assigns_or_reads_the_kb_memo():
-    """SiameseModel._kb_memo has one owner: matcher.kb_embeddings assigns it,
+def test_only_disambiguate_assigns_or_reads_the_kb_memo():
+    """SiameseModel._kb_memo has one owner: matcher.disambiguate assigns it,
     and no other code names it, as an attribute or as a string (setattr)."""
     found, assigned = [], []
     for path in MODULES:
         tree = _tree(path)
         owner = {id(node) for fn in ast.walk(tree)
                  if isinstance(fn, ast.FunctionDef)
-                 and (path.name, fn.name) == ("matcher.py", "kb_embeddings")
+                 and (path.name, fn.name) == ("matcher.py", "disambiguate")
                  for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if not ((isinstance(node, ast.Attribute) and node.attr == "_kb_memo")
