@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ndiff
-from .hetgraph import (HeteroGraph, HetlinkError, Metapath, SELF_EDGE_TYPE, read_settings,
-                       undirected_adjacency)
+from .hetgraph import HeteroGraph, HetlinkError, Metapath, SELF_EDGE_TYPE, read_settings
 from .ndiff import Parameter, Tensor
 
 ENCODER_KINDS = ("graphsage", "rgcn", "magnn")
@@ -104,17 +103,12 @@ def _graph_cache(graph: HeteroGraph) -> dict:
 
 def _relation_adjacency(graph: HeteroGraph, relation: str | None) -> ndiff.SparseOperator:
     """Row v holds 1/|N_v^r| over N_v^r, the neighbors through `relation`
-    (through every relation when it is None, the graph's kept undirected
-    adjacency); zero row if there are none.  N_v^r ignores direction, so each
-    edge links both of its ends, and a pair linked twice counts once."""
+    (through every relation when it is None) that graph.adjacency keeps; zero
+    row if there are none.  N_v^r ignores direction, so each edge links both
+    of its ends, and a pair linked twice counts once."""
     cache = _graph_cache(graph).setdefault("rel_adj", {})
     if relation not in cache:
-        if relation is None:
-            bounds, cols = graph.undirected
-        else:
-            src, dst, codes, types = graph.edge_columns()
-            keep = codes == (types.index(relation) if relation in types else -1)
-            bounds, cols = undirected_adjacency(src[keep], dst[keep], len(graph))
+        bounds, cols = graph.adjacency(relation)
         # each row's neighbours ascending, which is CSR order
         degree = np.diff(bounds)
         cache.setdefault(relation, ndiff.constant_csr(1.0 / np.repeat(degree, degree), cols,

@@ -343,7 +343,7 @@ def generate_synthetic_kb(config: SynthConfig) -> SynthCorpus:
     kinds = sorted(config.ambiguity_mix)
     probs = np.array([config.ambiguity_mix[k] for k in kinds])
     findings = np.array(by_type["Finding"])
-    gold_pool = findings[np.diff(kb.undirected[0])[kb.rows(findings)] >= 2].tolist()
+    gold_pool = findings[np.diff(kb.adjacency(None)[0])[kb.rows(findings)] >= 2].tolist()
     if not gold_pool:
         raise HetlinkError("no Finding node has enough neighbors for snippets")
     twin_pool = [n for n in gold_pool if n in twin_of]

@@ -176,12 +176,12 @@ def _check(part: str, rules) -> None:
         raise GraphRowError(rules[k][1](row), (part, row))
 
 
-def undirected_adjacency(src, dst, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows src[i] and dst[i] of n linked both ways, each pair once: read-only
-    row bounds (row v's neighbours are cols[bounds[v]:bounds[v + 1]]) and cols,
-    the neighbour rows, ascending in each row; a self-loop links a row to itself."""
-    rows, cols = np.divmod(np.unique(np.concatenate([src * n + dst, dst * n + src])), max(n, 1))
-    return _read_only(np.searchsorted(rows, np.arange(n + 1))), _read_only(cols)
+def _grouped(keys, values, n_keys: int, n_values: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each (keys[i], values[i]) pair once, grouped by key: read-only bounds
+    (key k's values are values[bounds[k]:bounds[k + 1]]) and values, ascending
+    within each key; keys lie in range(n_keys) and values in range(n_values)."""
+    key, value = np.divmod(np.unique(keys * n_values + values), max(n_values, 1))
+    return _read_only(np.searchsorted(key, np.arange(n_keys + 1))), _read_only(value)
 
 
 class HeteroGraph:
@@ -233,6 +233,7 @@ class HeteroGraph:
                           lambda i: f"duplicate edge {(*ends[:, i].tolist(), etypes[i])}")])
         self._edge_table = rows[0], rows[1], _read_only(codes), edge_types
         self._edge_code = dict(zip(edge_types, itertools.count()))
+        self._undirected: dict[str | None, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_rows(cls, nodes, edges) -> "HeteroGraph":
@@ -243,21 +244,15 @@ class HeteroGraph:
         """The out-adjacency (`outgoing`) or the in-adjacency as two flat lists of ints."""
         src, dst, codes, types = self._edge_table
         ends, others = (src, dst) if outgoing else (dst, src)
-        keys = codes * len(self) + ends
-        order = np.lexsort((others, keys))
         # the edges of type code k at row v are run k * n + v; one code more holds none
-        bounds = np.searchsorted(keys[order], np.arange((len(types) + 1) * len(self) + 1))
-        return bounds.tolist(), self.id_array[others[order]].tolist()
+        bounds, rows = _grouped(codes * len(self) + ends, others,
+                                (len(types) + 1) * len(self), len(self))
+        return bounds.tolist(), self.id_array[rows].tolist()
 
     @functools.cached_property
     def _out(self) -> tuple[list[int], list[int]]:
-        """_adjacency(True), built on first use: CLI eval walks only the KB's out-edges."""
+        """_adjacency(True), built on first use and kept: query graphs walk the KB's out-edges."""
         return self._adjacency(True)
-
-    @functools.cached_property
-    def _in(self) -> tuple[list[int], list[int]]:
-        """_adjacency(False), built on first use and kept."""
-        return self._adjacency(False)
 
     def _ends(self, adjacency, row: int, r: str) -> list[int]:
         """The ascending ids at the other end of row's edges of type r."""
@@ -398,10 +393,8 @@ class HeteroGraph:
     def _ids_by_key(self, codes, keys, rows) -> dict[str, np.ndarray]:
         """Each of `keys` -> the ids of the rows holding it (row rows[i] holds
         keys[codes[i]]), a read-only ascending int64 array, in `keys` order."""
-        # each (key, row) as code * len(self) + row, ascending, once each
-        code, row = np.divmod(np.unique(codes * len(self) + rows), max(len(self), 1))
-        ids = _read_only(self.id_array[row])
-        bounds = np.searchsorted(code, np.arange(len(keys) + 1))
+        bounds, rows = _grouped(codes, rows, len(keys), len(self))
+        ids = _read_only(self.id_array[rows])
         return dict(zip(keys, map(ids.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
 
     @functools.cached_property
@@ -416,22 +409,31 @@ class HeteroGraph:
     def out_neighbors(self, v: int, r: str) -> list[int]:
         return self._ends(self._out, self._row_of(v), r)
 
-    def neighbors_by_relation(self, v: int, r: str) -> set[int]:
-        """N_v^r: nodes incident to v through an edge of relation r."""
-        row = self._row_of(v)
-        return set(self._ends(self._out, row, r)) | set(self._ends(self._in, row, r))
+    def adjacency(self, relation: str | None) -> tuple[np.ndarray, np.ndarray]:
+        """The rows linked through an edge of `relation` (of any relation when
+        it is None), both ways and each pair once: read-only row bounds (row
+        v's neighbours are cols[bounds[v]:bounds[v + 1]]) and cols, ascending
+        in each row; a self-loop links a row to itself.  Built on first use
+        and kept, one table per relation."""
+        if relation not in self._undirected:
+            src, dst, codes, _ = self._edge_table
+            if relation is not None:
+                keep = codes == self._edge_code.get(relation, -1)
+                src, dst = src[keep], dst[keep]
+            self._undirected.setdefault(relation, _grouped(
+                np.concatenate([src, dst]), np.concatenate([dst, src]), len(self), len(self)))
+        return self._undirected[relation]
 
-    @functools.cached_property
-    def undirected(self) -> tuple[np.ndarray, np.ndarray]:
-        """undirected_adjacency of the edges, types dropped; built on first use and kept."""
-        src, dst, _, _ = self._edge_table
-        return undirected_adjacency(src, dst, len(self))
+    def neighbors_by_relation(self, v: int, r: str | None) -> set[int]:
+        """N_v^r: nodes incident to v through an edge of relation r (of any
+        relation when r is None)."""
+        row = self._row_of(v)
+        bounds, cols = self.adjacency(r)
+        return set(self.id_array[cols[bounds[row]:bounds[row + 1]]].tolist())
 
     def neighbors(self, v: int) -> set[int]:
         """Nodes incident to v through an edge of any relation."""
-        bounds, cols = self.undirected
-        row = self._row_of(v)
-        return set(self.id_array[cols[bounds[row]:bounds[row + 1]]].tolist())
+        return self.neighbors_by_relation(v, None)
 
     # -- metapaths ---------------------------------------------------------
 
@@ -484,7 +486,7 @@ class HeteroGraph:
         # from its start, along the reversed path over in-edges from its end
         anchor = self._resolve_anchor(v, path, anchor)
         step = 1 if anchor == "start" else -1
-        adj = self._out if anchor == "start" else self._in
+        adj = self._out if anchor == "start" else self._adjacency(False)
         results = [(v,)]
         types, row = self._nodes[0], self._row
         for et, want in zip(path.edge_types[::step], path.node_types[::step][1:]):

@@ -473,7 +473,8 @@ def save_model(model: SiameseModel, directory, result: TrainResult | None = None
     if result is not None:
         manifest["train"] = asdict(result.config)
     os.makedirs(directory, exist_ok=True)
-    for name in ("history.csv", KB_ROWS_FILE):     # no file of an earlier save stays
+    # no file of an earlier save stays: a save cut short leaves no manifest
+    for name in ("manifest.json", "history.csv", KB_ROWS_FILE):
         if os.path.exists(os.path.join(directory, name)):
             os.remove(os.path.join(directory, name))
     state = model.state_dict()

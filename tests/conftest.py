@@ -168,11 +168,13 @@ def random_hetero_graph(rng, n_nodes=20, n_types=3, n_edge_types=3,
     return HeteroGraph.from_rows(nodes, edges)
 
 
-def neighbors_oracle(graph, v) -> set[int]:
-    """HeteroGraph.neighbors as a union of v's per-relation neighbour sets,
-    one per edge type; an unknown v raises as neighbors does."""
+def neighbors_oracle(graph, v, relation=None) -> set[int]:
+    """HeteroGraph.neighbors_by_relation walked over graph.edges row by row:
+    the other end of each edge of `relation` (of any relation when it is
+    None) with v at an end; an unknown v raises as neighbors does."""
     graph.node_type(v)
-    return set().union(*(graph.neighbors_by_relation(v, r) for r in graph.edge_types))
+    return {dst if src == v else src for src, dst, r in graph.edges
+            if v in (src, dst) and relation in (None, r)}
 
 
 def save_graph(graph, nodes_path, edges_path) -> None:

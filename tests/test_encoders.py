@@ -554,12 +554,17 @@ def test_magnn_plan_reads_the_instance_table_not_the_per_node_walk(shapes, monke
 
 
 def _adjacency_oracle(graph, relation):
-    """The per-node construction: row v lists N_v^r sorted, each 1/|N_v^r|."""
+    """The per-node construction from graph.edges, walked row by row: row v
+    lists N_v^r sorted, each 1/|N_v^r|."""
     row = {nid: i for i, nid in enumerate(graph.node_ids)}
+    linked = {nid: set() for nid in graph.node_ids}
+    for src, dst, r in graph.edges:
+        if relation in (None, r):
+            linked[src].add(dst)
+            linked[dst].add(src)
     rows, cols, vals = [], [], []
     for nid in graph.node_ids:
-        neigh = sorted(graph.neighbors(nid) if relation is None
-                       else graph.neighbors_by_relation(nid, relation))
+        neigh = sorted(linked[nid])
         for u in neigh:
             rows.append(row[nid])
             cols.append(row[u])

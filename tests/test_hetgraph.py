@@ -3,7 +3,9 @@ import gc
 import io
 import os
 import re
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -151,19 +153,48 @@ def test_neighbors_rejects_an_unknown_id():
 @pytest.mark.parametrize("seed", range(6))
 def test_neighbors_read_one_kept_adjacency_as_the_per_relation_union(seed):
     base = random_hetero_graph(np.random.default_rng(seed), n_nodes=25)
-    # ids that are not rows; a self-loop, a pair linked both ways and a pair
-    # linked by two relations
+    # ids that are not rows; a self-loop, a pair linked both ways (by one
+    # relation and by two) and a pair linked by two relations
     edges = {(10 * s + 7, 10 * d + 7, r) for s, d, r in base.edges}
-    edges |= {(37, 37, "R0"), (47, 97, "R1"), (97, 47, "R2"), (57, 67, "R0"), (57, 67, "R1")}
+    edges |= {(37, 37, "R0"), (47, 97, "R1"), (97, 47, "R1"), (97, 47, "R2"), (57, 67, "R0"),
+              (57, 67, "R1")}
     g = HeteroGraph.from_rows([(10 * n.id + 7, n.type, n.surface, ()) for n in base.nodes()],
                               sorted(edges))
-    bounds, cols = g.undirected
-    assert g.undirected is g.undirected
-    assert not bounds.flags.writeable and not cols.flags.writeable
+    assert "R9" not in g.edge_types
+    relations = (None, *sorted(g.edge_types), "R9")
+    # first use from four threads at once: each gets the one table kept
+    start, got = threading.Barrier(4), [None] * 4
+
+    def first_use(i):
+        start.wait()
+        got[i] = list(map(g.adjacency, relations))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_use, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    for relation, *tables in zip(relations, *got):
+        table = bounds, cols = g.adjacency(relation)
+        assert all(t is table for t in tables) and g.adjacency(relation) is table
+        assert not bounds.flags.writeable and not cols.flags.writeable
+        assert len(bounds) == len(g) + 1
+        for v in g.node_ids:
+            row = int(g.rows([v])[0])
+            walked = neighbors_oracle(g, v, relation)
+            assert cols[bounds[row]:bounds[row + 1]].tolist() == g.rows(sorted(walked)).tolist()
+            assert g.neighbors_by_relation(v, relation) == walked
+    assert g.adjacency("R9")[1].size == 0 and not g.adjacency("R9")[0].any()
+    assert [a.tolist() for a in _graph([(0, "Drug", "c")]).adjacency(None)] == [[0, 0], []]
     for v in g.node_ids:
-        row = int(g.rows([v])[0])
-        assert g.neighbors(v) == neighbors_oracle(g, v)
-        assert cols[bounds[row]:bounds[row + 1]].tolist() == sorted(g.rows(list(g.neighbors(v))))
+        assert g.neighbors(v) == set().union(*(g.neighbors_by_relation(v, r)
+                                               for r in g.edge_types))
     assert 37 in g.neighbors(37) and g.neighbors(57) >= {67}
     for graph in (g, _graph([(0, "Drug", "c")])):
         with pytest.raises(HetlinkError, match="unknown node 999"):

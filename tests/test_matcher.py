@@ -990,6 +990,35 @@ def test_kept_kb_rows_serve_the_bytes_a_fresh_encode_serves(kept, tmp_path, caps
     assert rows.tobytes() == fresh.tobytes() and rows.shape == fresh.shape
 
 
+@pytest.mark.parametrize("cut_at", ["open", "dump"])
+def test_a_save_cut_short_leaves_a_directory_that_refuses_to_load(kept, cut_at, tmp_path, capsys,
+                                                                  monkeypatch):
+    model_dir = tmp_path / "model"
+    shutil.copytree(kept.model, model_dir)
+    # another model, trained on another KB, saved over it until the manifest
+    # write fails: before its file is opened (the old manifest would be left
+    # whole) or after (the open has emptied it)
+    model = load_model(model_dir)[0]
+    model.kb_sha256 = "0" * 64
+    model.head.tau.data[...] += 1.0
+
+    def cut(*args, **kwargs):
+        raise OSError("cut short")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(matcher.json if cut_at == "dump" else matcher, cut_at, cut, raising=False)
+        with pytest.raises(OSError, match="cut short"):
+            save_model(model, model_dir)
+    assert sorted(os.listdir(model_dir)) == ["manifest.json"] * (cut_at == "dump") + ["params.npz"]
+    with pytest.raises(HetlinkError, match="manifest.json") as refused:
+        load_model(model_dir)
+    assert str(refused.value).startswith(f"{model_dir / 'manifest.json'}: ")
+    assert "\n" not in str(refused.value)
+    assert cli.main(["eval", "--bundle", str(kept.bundle), "--model", str(model_dir),
+                     "--snippets", str(kept.bundle / "snippets.json")]) == 1
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
 def _edit_params(model_dir, monkeypatch):
     with np.load(model_dir / "params.npz") as npz:
         state = dict(npz)
