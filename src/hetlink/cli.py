@@ -166,9 +166,9 @@ def _served(args, gold_required: bool):
     items of args.snippets.  The rows are those the model directory kept for
     this bundle's kb.npz, else kb_embeddings of the bundle's node features.
     HetlinkError when the model was trained on another kb.npz."""
-    model, manifest = load_model(args.model)
+    model, _ = load_model(args.model)
     kb, store, freqs = read_bundle(args.bundle)
-    trained_on = manifest.get("kb_sha256")
+    trained_on = model.kb_sha256
     if trained_on is None:
         log.warning("%s records no kb.npz sha256: the model is not checked against the "
                     "bundle, and no kept KB rows are read",

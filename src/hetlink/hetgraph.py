@@ -240,25 +240,21 @@ class HeteroGraph:
         """The graph of (id, type, name, synonyms) and (src, dst, type) rows."""
         return cls(list(zip(*nodes)) or [()] * 4, list(zip(*edges)) or [()] * 3)
 
-    def _adjacency(self, outgoing: bool) -> tuple[list[int], list[int]]:
-        """The out-adjacency (`outgoing`) or the in-adjacency as two flat lists of ints."""
+    def _adjacency(self, outgoing: bool) -> tuple[list[int], list[int], list[str]]:
+        """Each row's out-edges (`outgoing`) or in-edges, by type code, then id, as three flat
+        lists: row bounds (row v's edges are k in range(bounds[v], bounds[v + 1])), ids, types."""
         src, dst, codes, types = self._edge_table
         ends, others = (src, dst) if outgoing else (dst, src)
-        # the edges of type code k at row v are run k * n + v; one code more holds none
-        bounds, rows = _grouped(codes * len(self) + ends, others,
-                                (len(types) + 1) * len(self), len(self))
-        return bounds.tolist(), self.id_array[rows].tolist()
+        # an edge's value: its type code * n + the row at its other end
+        bounds, values = _grouped(ends, codes * len(self) + others, len(self),
+                                  len(types) * len(self))
+        codes, others = np.divmod(values, max(len(self), 1))
+        return bounds.tolist(), self.id_array[others].tolist(), [types[c] for c in codes.tolist()]
 
     @functools.cached_property
-    def _out(self) -> tuple[list[int], list[int]]:
+    def _out(self) -> tuple[list[int], list[int], list[str]]:
         """_adjacency(True), built on first use and kept: query graphs walk the KB's out-edges."""
         return self._adjacency(True)
-
-    def _ends(self, adjacency, row: int, r: str) -> list[int]:
-        """The ascending ids at the other end of row's edges of type r."""
-        bounds, ids = adjacency
-        k = self._edge_code.get(r, len(self._edge_code)) * len(self._row) + row
-        return ids[bounds[k]:bounds[k + 1]]
 
     @functools.cached_property
     def _type_codes(self) -> tuple[np.ndarray, tuple]:
@@ -406,8 +402,10 @@ class HeteroGraph:
 
     # -- neighborhoods -----------------------------------------------------
 
-    def out_neighbors(self, v: int, r: str) -> list[int]:
-        return self._ends(self._out, self._row_of(v), r)
+    def out_edges(self, v: int) -> list[tuple[int, str]]:
+        """v's out-edges as (dst id, edge type) pairs, by type code, then dst id."""
+        row, (bounds, ids, types) = self._row_of(v), self._out
+        return list(zip(ids[bounds[row]:bounds[row + 1]], types[bounds[row]:bounds[row + 1]]))
 
     def adjacency(self, relation: str | None) -> tuple[np.ndarray, np.ndarray]:
         """The rows linked through an edge of `relation` (of any relation when
@@ -486,12 +484,13 @@ class HeteroGraph:
         # from its start, along the reversed path over in-edges from its end
         anchor = self._resolve_anchor(v, path, anchor)
         step = 1 if anchor == "start" else -1
-        adj = self._out if anchor == "start" else self._adjacency(False)
+        bounds, ids, etypes = self._out if anchor == "start" else self._adjacency(False)
         results = [(v,)]
         types, row = self._nodes[0], self._row
         for et, want in zip(path.edge_types[::step], path.node_types[::step][1:]):
-            results = [walk + (u,) for walk in results
-                       for u in self._ends(adj, row[walk[-1]], et) if types[row[u]] == want]
+            results = [walk + (ids[k],) for walk in results
+                       for k in range(bounds[row[walk[-1]]], bounds[row[walk[-1]] + 1])
+                       if etypes[k] == et and types[row[ids[k]]] == want]
         if step == -1:
             results = [walk[::-1] for walk in results]
         return sorted(set(results))

@@ -498,8 +498,8 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
     for a manifest that is not UTF-8 JSON or not a JSON object, an unknown key
     or a value of the wrong type, another head, a missing key, an encoder it
     cannot build, a params.npz that is not a readable .npz archive, or
-    parameters load_state_dict rejects.  It reads no KB_ROWS_FILE: kept_kb_rows
-    does, for a KB."""
+    parameters load_state_dict rejects; the model keeps the manifest's kb_sha256.
+    It reads no KB_ROWS_FILE: kept_kb_rows does, for a KB."""
     manifest = read_json(os.path.join(directory, "manifest.json"))
     shape = read_settings(Encoder, manifest, MANIFEST_KEYS, "model manifest")
     if manifest.get("head") != HEAD_KIND:
@@ -520,4 +520,5 @@ def load_model(directory) -> tuple[SiameseModel, dict]:
         raise HetlinkError(f"model manifest: {exc}") from None
     model = SiameseModel(encoder, MatchingHead())
     model.load_state_dict(read_npz(os.path.join(directory, "params.npz")))
+    model.kb_sha256 = kb_sha256
     return model, manifest

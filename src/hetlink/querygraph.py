@@ -216,19 +216,17 @@ def augment_query_graph(kb: HeteroGraph, index: InvertedIndex,
     # KB-edge transfer between matched pairs (any candidate pair connected),
     # walking each candidate's out-edges.  An edge that joins the pair both
     # ways (its ends in both candidate sets) is transferred as u_q -> v_q only.
-    relations = kb.edge_types - {SELF_EDGE_TYPE}
-    out_edges = {nid: [(src, dst, r) for src in cands[nid] for r in relations
-                       for dst in kb.out_neighbors(src, r)]
+    out_edges = {nid: [(src, dst, r) for src in cands[nid] for dst, r in kb.out_edges(src)
+                       if r != SELF_EDGE_TYPE]
                  for nid in matched}
     added: set[tuple[int, int, str]] = set()
     for i, u_q in enumerate(matched):
         for v_q in matched[i + 1:]:
             u_cands, v_cands = cands[u_q], cands[v_q]
-            for src, dst, r in out_edges[u_q]:
-                if dst in v_cands:
+            for src, dst, r in (*out_edges[u_q], *out_edges[v_q]):
+                if src in u_cands and dst in v_cands:
                     added.add((u_q, v_q, r))
-            for src, dst, r in out_edges[v_q]:
-                if dst in u_cands and not (src in u_cands and dst in v_cands):
+                elif src in v_cands and dst in u_cands:
                     added.add((v_q, u_q, r))
 
     # Unknown mentions: connect to every other mention through each schema

@@ -116,9 +116,10 @@ def test_constructor_checks_and_builds_as_the_per_row_loops_do(nodes, edges):
     out, schema, by_type = built
     assert g.schema.triples == schema
     assert {t: g.nodes_of_type(t) for t in g.node_types} == by_type
+    codes = list(dict.fromkeys(r for _, _, r in edges))     # edge types by first appearance
     for v in g.node_ids:
+        assert g.out_edges(v) == [(dst, r) for r in codes for dst in out.get((v, r), [])]
         for r in ("R", "S", SELF_EDGE_TYPE):
-            assert g.out_neighbors(v, r) == out.get((v, r), [])
             assert g.neighbors_by_relation(v, r) == set(out.get((v, r), [])) | {
                 src for (src, rel), dsts in out.items() if rel == r and v in dsts}
 
@@ -143,7 +144,7 @@ def test_schema_leaves_out_self_loop_edges():
 def test_neighbors_rejects_an_unknown_id():
     g = _graph([(0, "Drug", "a"), (1, "AdverseEffect", "b")], [(0, 1, "CAUSE")])
     assert g.neighbors(0) == {1}
-    assert g.out_neighbors(0, "CAUSE") == [1]
+    assert g.out_edges(0) == [(1, "CAUSE")]
     lone = _graph([(0, "Drug", "c")])
     assert lone.neighbors(0) == set()
     with pytest.raises(HetlinkError, match="unknown node 999"):
@@ -255,9 +256,10 @@ def test_metapath_instances_toy(toy_kb, daf_metapath):
 def _brute_force_instances(graph, path, target):
     """Oracle: enumerate every node sequence and filter by type/edge pattern."""
     results = []
+    present = set(graph.edges)
 
     def ok_edge(u, v, etype):
-        return v in graph.out_neighbors(u, etype)
+        return (u, v, etype) in present
 
     def extend(seq):
         pos = len(seq)
@@ -454,8 +456,8 @@ def _assert_same_graph(back, g):
         assert back.ids_of_type(t).tobytes() == g.ids_of_type(t).tobytes()
     for v in g.node_ids:
         assert back.neighbors(v) == g.neighbors(v)
+        assert back.out_edges(v) == g.out_edges(v)
         for r in g.edge_types:
-            assert back.out_neighbors(v, r) == g.out_neighbors(v, r)
             assert back.neighbors_by_relation(v, r) == g.neighbors_by_relation(v, r)
     assert back.token_ids.keys() == g.token_ids.keys()
     for tok, ids in g.token_ids.items():
@@ -820,10 +822,10 @@ def test_node_columns_hold_the_normalized_rows_in_node_id_order():
         ("Finding", "Drug"), ("fever", "acute failure"), ((), ("kidney failure",)))
 
 
-@pytest.mark.parametrize("call", ["node", "node_type", "node_name", "out_neighbors",
+@pytest.mark.parametrize("call", ["node", "node_type", "node_name", "out_edges",
                                   "neighbors", "neighbors_by_relation"])
 def test_an_unknown_id_ends_in_unknown_node(toy_kb, call):
-    args = (999, "CAUSE") if call in ("out_neighbors", "neighbors_by_relation") else (999,)
+    args = (999, "CAUSE") if call == "neighbors_by_relation" else (999,)
     with pytest.raises(HetlinkError) as exc:
         getattr(toy_kb, call)(*args)
     assert str(exc.value) == "unknown node 999"

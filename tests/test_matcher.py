@@ -1074,15 +1074,22 @@ def test_a_kb_rows_file_cut_in_half_ends_in_one_line_that_names_it(kept, tmp_pat
     assert capsys.readouterr().err == f"error: {path}: not a readable .npz archive\n"
 
 
-def test_a_model_refuses_another_bundle_and_its_kept_rows_serve_only_theirs(kept, capsys):
+def test_a_model_refuses_another_bundle_and_its_kept_rows_serve_only_theirs(kept, tmp_path,
+                                                                           capsys):
     other = kept.root / f"bundle{KEPT_GEN['seed'] + 1}"
     if not other.exists():
         _gen_synth(kept.root, KEPT_GEN["seed"] + 1)
-    for command in ("eval", "disambiguate"):
-        assert cli.main([command, "--bundle", str(other), "--model", str(kept.model),
+    # a loaded model saved again, without a result, keeps its KB binding
+    resaved = tmp_path / "resaved"
+    save_model(load_model(kept.model)[0], resaved)
+    assert (json.loads((resaved / "manifest.json").read_text())["kb_sha256"]
+            == file_sha256(kept.bundle / "kb.npz"))
+    for model_dir, command in [(kept.model, "eval"), (kept.model, "disambiguate"),
+                               (resaved, "eval")]:
+        assert cli.main([command, "--bundle", str(other), "--model", str(model_dir),
                          "--snippets", str(other / "snippets.json")]) == 1
         assert capsys.readouterr().err == (
-            f"error: {kept.model} was trained on a kb.npz of sha256 "
+            f"error: {model_dir} was trained on a kb.npz of sha256 "
             f"{file_sha256(kept.bundle / 'kb.npz')}, not on {other}'s "
             f"({file_sha256(other / 'kb.npz')})\n")
     model = load_model(kept.model)[0]
